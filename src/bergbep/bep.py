@@ -7,24 +7,25 @@ h_J and a budget M, the solver finds the degree-N analytic g0 minimizing
     (I + lambda T_J) g0 = P(h_K v (1 + lambda) h_J)
 
 for the unique lambda in (-1, inf) saturating the constraint when the
-data is not attainable; lambda is located by bracketed bisection on the
-constraint error e(lambda), which is monotone non-increasing (verified
-at runtime).  The discrete problem uses one consistent set of quadrature
-Gram matrices and data moments, so the Karush-Kuhn-Tucker residual of a
-returned solution is rounding-level by construction.
+data is not attainable.  In mu = 1 + lambda this is a norm-constrained
+least squares; one core, ConstrainedLSQ, solves it here and for the real
+f-BEP.  It assembles the Gram forms once, whitens by the full-disc form
+and diagonalizes the J-form, so c(mu) is a diagonal solve with a
+rounding-level Karush-Kuhn-Tucker residual, and bisects mu on the
+grid-evaluated constraint error, verified monotone at runtime.
 
-An independent oracle solves the same finite problem as a norm-
-constrained least squares via eigendecomposition of the J-Gram and a
-Brent root-find on the Karush-Kuhn-Tucker multiplier mu = 1 + lambda.
+The independent oracle solves the operator form (I + lambda G_J) c =
+b_K + (1 + lambda) b_J with one dense linear solve per lambda.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bergman import AnalyticCoeffs, basis_matrix
 from .grid import GridFunction, Region
@@ -32,6 +33,7 @@ from .grid import GridFunction, Region
 logger = logging.getLogger("bergbep")
 
 _LAMBDA_FLOOR = -1.0 + 1e-9
+_DROP_RCOND = 1e-10
 _MAX_EXPANSIONS = 80
 _MAX_BISECTIONS = 200
 
@@ -42,16 +44,6 @@ class InfeasibleProblemError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """The multiplier search failed (bracket exhausted or non-monotone)."""
-
-
-def _pinv_solve(matrix: np.ndarray, rhs: np.ndarray, rcond: float = 1e-12):
-    """Hermitian positive-semidefinite solve with eigenvalue cutoff."""
-    vals, vecs = np.linalg.eigh(matrix)
-    top = vals.max(initial=0.0)
-    keep = vals > rcond * top if top > 0.0 else np.zeros_like(vals, dtype=bool)
-    y = vecs.conj().T @ rhs
-    y = np.where(keep, y / np.where(keep, vals, 1.0), 0.0)
-    return vecs @ y, int(np.count_nonzero(~keep))
 
 
 @dataclass(eq=False)
@@ -100,167 +92,200 @@ class BepSolution:
     degree_gap: float | None = None
 
 
-class _Discrete:
-    """One consistent quadrature discretization of a BEP instance."""
+class LsqSolution(NamedTuple):
+    """Coefficients, multiplier mu and search record of ConstrainedLSQ.solve."""
 
-    def __init__(self, problem: BepProblem):
+    coeffs: np.ndarray
+    mu: float
+    feasibility: float
+    iterations: int
+    saturated: bool
+
+
+class ConstrainedLSQ:
+    """min err_K(c) subject to err_J(c) <= M over combinations c of sampled elements.
+
+    err_S(c)^2 = sum_S w_S |samples @ c - h_S|^2 on the grid nodes.  With
+    real=True the coefficients are real and the forms are the real parts
+    Re <w_m, w_n>, Re <h, w_m> (the f-BEP over a lifted basis).  The
+    full-disc form A_K + A_J is diagonalized once; directions below
+    _DROP_RCOND of its top eigenvalue are dropped, and the rest are
+    whitened so that the J-form is diag(tau) and the K-form diag(1 - tau).
+    """
+
+    def __init__(self, samples, w_k, w_j, h_k, h_j, real: bool = False):
+        self.samples, self.w_k, self.w_j, self.h_k, self.h_j = samples, w_k, w_j, h_k, h_j
+        part = np.real if real else np.asarray
+        self.a_k, self.r_k = _forms(samples, w_k, h_k, part)
+        self.a_j, self.r_j = _forms(samples, w_j, h_j, part)
+        self._diagonalize()
+
+    @classmethod
+    def from_problem(cls, problem, basis=None) -> "ConstrainedLSQ":
+        """The BEP over e_0..e_N, or with a VekuaBasis the real f-BEP over its lifts."""
         grid = problem.grid
-        self.problem = problem
-        self.e = basis_matrix(grid, problem.degree)
-        self.w_k = problem.k_region.weights(grid).ravel()
-        self.w_j = problem.j_region.weights(grid).ravel()
-        self.hk = problem.h_k.values.ravel()
-        self.hj = problem.h_j.values.ravel()
-        self.b_k = self.e.conj().T @ (self.w_k * self.hk)
-        self.b_j = self.e.conj().T @ (self.w_j * self.hj)
-        g_k = self.e.conj().T @ (self.w_k[:, None] * self.e)
-        g_j = self.e.conj().T @ (self.w_j[:, None] * self.e)
-        self.g_k = (g_k + g_k.conj().T) / 2.0
-        self.g_j = (g_j + g_j.conj().T) / 2.0
-        self.eye = np.eye(problem.degree + 1)
+        samples = basis_matrix(grid, problem.degree) if basis is None else basis.values_matrix()
+        return cls(
+            samples,
+            problem.k_region.weights(grid).ravel(),
+            problem.j_region.weights(grid).ravel(),
+            problem.h_k.values.ravel(),
+            problem.h_j.values.ravel(),
+            real=basis is not None,
+        )
 
-    def coeffs_at(self, lam: float) -> np.ndarray:
-        if lam <= -1.0:
-            raise ValueError(f"lambda must exceed -1, got {lam}")
-        return np.linalg.solve(self.eye + lam * self.g_j, self.b_k + (1.0 + lam) * self.b_j)
+    def _diagonalize(self) -> None:
+        vals, vecs = np.linalg.eigh(self.a_k + self.a_j)
+        keep = vals > _DROP_RCOND * vals.max()
+        self.dropped = int(np.count_nonzero(~keep))
+        if self.dropped:
+            logger.info("dropping %d near-dependent basis directions", self.dropped)
+        whiten = vecs[:, keep] / np.sqrt(vals[keep])[None, :]
+        b = whiten.conj().T @ self.a_j @ whiten
+        taus, q = np.linalg.eigh((b + b.conj().T) / 2.0)
+        self.taus = np.clip(taus, 0.0, 1.0)  # compression of a [0,1]-spectrum form
+        # whitens A_K + A_J to the identity and A_J to diag(tau)
+        self.whiten = whiten @ q
+        self.bt_k = self.whiten.conj().T @ self.r_k
+        self.bt_j = self.whiten.conj().T @ self.r_j
 
-    def err_j(self, c: np.ndarray) -> float:
-        resid = self.e @ c - self.hj
-        return float(np.sqrt(np.sum(self.w_j * np.abs(resid) ** 2)))
+    def leading(self, n: int) -> "ConstrainedLSQ":
+        """The same problem over the first n sampled elements."""
+        sub = copy.copy(self)
+        sub.samples = self.samples[:, :n]
+        sub.a_k, sub.a_j = self.a_k[:n, :n], self.a_j[:n, :n]
+        sub.r_k, sub.r_j = self.r_k[:n], self.r_j[:n]
+        sub._diagonalize()
+        return sub
 
-    def err_k(self, c: np.ndarray) -> float:
-        resid = self.e @ c - self.hk
-        return float(np.sqrt(np.sum(self.w_k * np.abs(resid) ** 2)))
+    def coeffs(self, mu: float) -> np.ndarray:
+        """Minimizer of err_K^2 + mu err_J^2: a diagonal solve in the whitened basis."""
+        denom = (1.0 - self.taus) + mu * self.taus
+        keep = denom > 1e-12 * max(1.0, denom.max())
+        y = np.where(keep, (self.bt_k + mu * self.bt_j) / np.where(keep, denom, 1.0), 0.0)
+        return self.whiten @ y
 
-    def kkt_residual(self, c: np.ndarray, mu: float) -> float:
-        vec = (self.g_k @ c - self.b_k) + mu * (self.g_j @ c - self.b_j)
-        return float(np.linalg.norm(vec))
+    def err(self, c: np.ndarray, side: str) -> float:
+        w, h = (self.w_k, self.h_k) if side == "k" else (self.w_j, self.h_j)
+        resid = self.samples @ c - h
+        return float(np.sqrt(np.sum(w * np.abs(resid) ** 2)))
+
+    def kkt(self, c: np.ndarray, mu: float) -> np.ndarray:
+        """Gradient of (err_K^2 + mu err_J^2) / 2 in the coefficients."""
+        return (self.a_k @ c - self.r_k) + mu * (self.a_j @ c - self.r_j)
 
     def feasibility(self) -> float:
-        c, dropped = _pinv_solve(self.g_j, self.b_j)
-        if dropped:
-            logger.info("feasibility solve regularized: dropped %d modes", dropped)
-        return self.err_j(c)
+        """Distance of h_J to the span on J (the mu -> inf limit)."""
+        keep = self.taus > 1e-12 * self.taus.max()
+        y = np.where(keep, self.bt_j / np.where(keep, self.taus, 1.0), 0.0)
+        return self.err(self.whiten @ y, "j")
 
-    def unconstrained(self) -> np.ndarray:
-        c, dropped = _pinv_solve(self.g_k, self.b_k)
-        if dropped:
-            logger.info("unconstrained solve regularized: dropped %d modes", dropped)
-        return c
+    def solve(self, m: float, mu_hi: float, coeffs=None, mu_lo: float = 0.0) -> LsqSolution:
+        """Saturating multiplier by bracketed bisection on err_J(mu) over [mu_lo, mu_hi].
+
+        If the fit at mu_lo already meets the budget it is returned
+        unsaturated.  coeffs(mu) defaults to the diagonal solve; the
+        operator-form oracle supplies its own.
+        """
+        coeffs = self.coeffs if coeffs is None else coeffs
+        feas = self.feasibility()
+        if feas > m + 1e-9:
+            raise InfeasibleProblemError(f"M = {m:.6g} below feasibility distance {feas:.6g}")
+        c = coeffs(mu_lo)
+        e_lo = self.err(c, "j")
+        if e_lo <= m:
+            return LsqSolution(c, mu_lo, feas, 0, False)
+
+        scale = max(1.0, m)
+        lo, hi = mu_lo, float(mu_hi)
+        e_hi = self.err(coeffs(hi), "j")
+        evals = [(lo, e_lo), (hi, e_hi)]
+        expansions = 0
+        while e_hi > m:
+            expansions += 1
+            if expansions > _MAX_EXPANSIONS:
+                _check_monotone(evals, m)
+                raise ConvergenceError(
+                    f"bracket expansion exhausted: e(mu = {hi:.3g}) = {e_hi:.9g} > "
+                    f"M = {m:.9g} (feasibility distance {feas:.9g})"
+                )
+            hi *= 2.0
+            e_hi = self.err(coeffs(hi), "j")
+            evals.append((hi, e_hi))
+
+        for iterations in range(1, _MAX_BISECTIONS + 1):
+            mu = 0.5 * (lo + hi)
+            c = coeffs(mu)
+            e_mu = self.err(c, "j")
+            evals.append((mu, e_mu))
+            if abs(e_mu - m) <= 1e-12 * scale or hi - lo < 1e-15 * max(1.0, hi):
+                break
+            lo, hi = (mu, hi) if e_mu > m else (lo, mu)
+        _check_monotone(evals, m)
+        if abs(e_mu - m) > 1e-8 * scale:
+            raise ConvergenceError(
+                f"bisection stalled: |e(mu) - M| = {abs(e_mu - m):.3e} at mu = {mu:.6g}"
+            )
+        return LsqSolution(c, mu, feas, iterations, True)
 
 
-def feasibility_distance(h_j: GridFunction, j_region: Region, degree: int) -> float:
-    """Distance of h_J to the degree-N analytic span restricted to J.
-
-    Solves the normal equations with the J-Gram matrix; a numerically
-    singular Gram is regularized by eigenvalue cutoff (logged).
-    """
-    grid = h_j.grid
-    e = basis_matrix(grid, degree)
-    w = j_region.weights(grid).ravel()
-    b = e.conj().T @ (w * h_j.values.ravel())
-    g = e.conj().T @ (w[:, None] * e)
-    c, dropped = _pinv_solve((g + g.conj().T) / 2.0, b)
-    if dropped:
-        logger.info("feasibility solve regularized: dropped %d modes", dropped)
-    return float(np.sqrt(np.sum(w * np.abs(e @ c - h_j.values.ravel()) ** 2)))
-
-
-def solve_at_lambda(problem: BepProblem, lam: float) -> AnalyticCoeffs:
-    """Solve (I + lambda Gram(J)) c = <h_K v (1+lambda) h_J, e_n> at fixed lambda."""
-    return AnalyticCoeffs(_Discrete(problem).coeffs_at(lam))
-
-
-def constraint_error(problem: BepProblem, lam: float) -> float:
-    """Constraint error e(lambda) = ||g0(lambda) - h_J|| on J."""
-    disc = _Discrete(problem)
-    return disc.err_j(disc.coeffs_at(lam))
+def _forms(samples, w, h, part):
+    """Gram form and data moments of one side, summed over its nodes only."""
+    on = np.flatnonzero(w)
+    s, w = samples[on], w[on]
+    adjoint = s.conj().T
+    g = part(adjoint @ (w[:, None] * s))
+    return (g + g.conj().T) / 2.0, part(adjoint @ (w * h[on]))
 
 
 def _check_monotone(evals: list[tuple[float, float]], m: float) -> None:
     pts = sorted(evals)
     slack = 1e-9 * max(1.0, m)
-    for (lam_a, e_a), (lam_b, e_b) in zip(pts, pts[1:]):
+    for (mu_a, e_a), (mu_b, e_b) in zip(pts, pts[1:]):
         if e_b > e_a + slack:
             raise ConvergenceError(
                 "constraint error is not monotone on the bracket: "
-                f"e({lam_a:.6g}) = {e_a:.9g} < e({lam_b:.6g}) = {e_b:.9g}"
+                f"e({mu_a:.6g}) = {e_a:.9g} < e({mu_b:.6g}) = {e_b:.9g}"
             )
 
 
-def _solve_bep_discrete(disc: _Discrete, hi0: float) -> BepSolution:
-    problem = disc.problem
-    m = problem.m
-    feas = disc.feasibility()
-    if feas > m + 1e-9:
-        raise InfeasibleProblemError(
-            f"M = {m:.6g} below feasibility distance {feas:.6g}"
-        )
+def _mu(lam: float) -> float:
+    if lam <= -1.0:
+        raise ValueError(f"lambda must exceed -1, got {lam}")
+    return 1.0 + lam
 
-    c_unc = disc.unconstrained()
-    e_unc = disc.err_j(c_unc)
-    if e_unc <= m:
-        mu = 1.0 + _LAMBDA_FLOOR
-        return BepSolution(
-            g0=AnalyticCoeffs(c_unc),
-            lam=_LAMBDA_FLOOR,
-            err_k=disc.err_k(c_unc),
-            err_j=e_unc,
-            kkt_residual=disc.kkt_residual(c_unc, mu),
-            iterations=0,
-            feasibility=feas,
-            saturated=False,
-        )
 
-    tol_strict = 1e-12 * max(1.0, m)
-    tol_contract = 1e-8 * max(1.0, m)
-    lo, hi = _LAMBDA_FLOOR, float(hi0)
-    e_lo = disc.err_j(disc.coeffs_at(lo))
-    e_hi = disc.err_j(disc.coeffs_at(hi))
-    evals = [(lo, e_lo), (hi, e_hi)]
-    expansions = 0
-    while e_hi > m:
-        expansions += 1
-        if expansions > _MAX_EXPANSIONS:
-            _check_monotone(evals, m)
-            raise ConvergenceError(
-                f"bracket expansion exhausted: e({hi:.3g}) = {e_hi:.9g} > M = {m:.9g} "
-                f"(feasibility distance {feas:.9g})"
-            )
-        hi = 2.0 * (1.0 + hi) - 1.0
-        e_hi = disc.err_j(disc.coeffs_at(hi))
-        evals.append((hi, e_hi))
+def feasibility_distance(h_j: GridFunction, j_region: Region, degree: int) -> float:
+    """Distance of h_J to the degree-N analytic span restricted to J."""
+    grid = h_j.grid
+    w_j = j_region.weights(grid).ravel()
+    e, w_k = basis_matrix(grid, degree), grid.weights.ravel() - w_j
+    return ConstrainedLSQ(e, w_k, w_j, np.zeros(w_j.size), h_j.values.ravel()).feasibility()
 
-    lam, e_lam = hi, e_hi
-    iterations = 0
-    for iterations in range(1, _MAX_BISECTIONS + 1):
-        mid = 0.5 * (lo + hi)
-        e_mid = disc.err_j(disc.coeffs_at(mid))
-        evals.append((mid, e_mid))
-        if abs(e_mid - m) <= tol_strict or hi - lo < 1e-15 * (1.0 + abs(hi)):
-            lam, e_lam = mid, e_mid
-            break
-        if e_mid > m:
-            lo = mid
-        else:
-            hi = mid
-        lam, e_lam = mid, e_mid
-    _check_monotone(evals, m)
-    if abs(e_lam - m) > tol_contract:
-        raise ConvergenceError(
-            f"bisection stalled: |e(lambda) - M| = {abs(e_lam - m):.3e} at lambda = {lam:.6g}"
-        )
 
-    c = disc.coeffs_at(lam)
+def solve_at_lambda(problem: BepProblem, lam: float) -> AnalyticCoeffs:
+    """Solve (I + lambda Gram(J)) c = <h_K v (1+lambda) h_J, e_n> at fixed lambda."""
+    return AnalyticCoeffs(ConstrainedLSQ.from_problem(problem).coeffs(_mu(lam)))
+
+
+def constraint_error(problem: BepProblem, lam: float) -> float:
+    """Constraint error e(lambda) = ||g0(lambda) - h_J|| on J."""
+    core = ConstrainedLSQ.from_problem(problem)
+    return core.err(core.coeffs(_mu(lam)), "j")
+
+
+def _bep_solution(core: ConstrainedLSQ, result: LsqSolution) -> BepSolution:
+    c = result.coeffs
+    lam = result.mu - 1.0 if result.saturated else _LAMBDA_FLOOR
     return BepSolution(
         g0=AnalyticCoeffs(c),
         lam=lam,
-        err_k=disc.err_k(c),
-        err_j=e_lam,
-        kkt_residual=disc.kkt_residual(c, 1.0 + lam),
-        iterations=iterations,
-        feasibility=feas,
-        saturated=True,
+        err_k=core.err(c, "k"),
+        err_j=core.err(c, "j"),
+        kkt_residual=float(np.linalg.norm(core.kkt(c, 1.0 + lam))),
+        iterations=result.iterations,
+        feasibility=result.feasibility,
+        saturated=result.saturated,
     )
 
 
@@ -268,87 +293,35 @@ def solve_bep(problem: BepProblem, hi0: float = 1.0, degree_diagnostic: bool = T
     """Solve the bounded extremal problem by multiplier bisection.
 
     If the unconstrained K-fit already satisfies the constraint it is
-    returned with lambda at the lower bracket; otherwise lambda is
-    bisected until the constraint saturates.  With degree_diagnostic the
-    problem is re-solved at degree N - 4 and the coefficient gap stored
-    as a truncation-convergence indicator.
+    returned with lambda at the lower bracket; otherwise the multiplier
+    is bisected from the bracket [-1, hi0] in lambda until the constraint
+    saturates.  With degree_diagnostic the problem is re-solved at degree
+    N - 4 on the leading blocks of the same forms and the coefficient gap
+    stored as a truncation-convergence indicator.
     """
-    solution = _solve_bep_discrete(_Discrete(problem), hi0)
+    core = ConstrainedLSQ.from_problem(problem)
+    solution = _bep_solution(core, core.solve(problem.m, 1.0 + hi0))
     if degree_diagnostic and problem.degree >= 5:
-        low = BepProblem(
-            k_region=problem.k_region,
-            j_region=problem.j_region,
-            h_k=problem.h_k,
-            h_j=problem.h_j,
-            m=problem.m,
-            degree=problem.degree - 4,
-        )
-        low_sol = _solve_bep_discrete(_Discrete(low), hi0)
-        n_low = low.degree + 1
-        gap = np.concatenate(
-            (solution.g0.coeffs[:n_low] - low_sol.g0.coeffs, solution.g0.coeffs[n_low:])
-        )
+        n_low = problem.degree - 3
+        low = core.leading(n_low).solve(problem.m, 1.0 + hi0).coeffs
+        c = solution.g0.coeffs
+        gap = np.concatenate((c[:n_low] - low, c[n_low:]))
         solution.degree_gap = float(np.linalg.norm(gap))
     return solution
 
 
 def solve_bep_oracle(problem: BepProblem) -> BepSolution:
-    """Independent check: norm-constrained least squares via eigendecomposition.
+    """Independent check: the operator form (I + lambda G_J) c = b_K + (1 + lambda) b_J.
 
-    Diagonalizes the J-Gram, writes the multiplier equation through the
-    secular denominators (1 - tau_k) + mu tau_k, and locates the
-    saturating mu >= 0 with a Brent root-find on the constraint error
-    evaluated directly on the grid.
+    One dense linear solve per lambda in place of the core's diagonal
+    solve, with the same bisection on the grid-evaluated constraint
+    error from lambda just above -1.
     """
-    disc = _Discrete(problem)
-    m = problem.m
-    feas = disc.feasibility()
-    if feas > m + 1e-9:
-        raise InfeasibleProblemError(f"M = {m:.6g} below feasibility distance {feas:.6g}")
+    core = ConstrainedLSQ.from_problem(problem)
+    eye = np.eye(problem.degree + 1)
 
-    taus, vecs = np.linalg.eigh(disc.g_j)
-    taus = np.clip(taus, 0.0, 1.0)  # compression of a [0,1]-spectrum operator
-    bt_k = vecs.conj().T @ disc.b_k
-    bt_j = vecs.conj().T @ disc.b_j
+    def operator_solve(mu: float) -> np.ndarray:
+        return np.linalg.solve(eye + (mu - 1.0) * core.a_j, core.r_k + mu * core.r_j)
 
-    def coeffs(mu: float) -> np.ndarray:
-        denom = (1.0 - taus) + mu * taus
-        keep = denom > 1e-12 * max(1.0, denom.max())
-        y = np.where(keep, (bt_k + mu * bt_j) / np.where(keep, denom, 1.0), 0.0)
-        return vecs @ y
-
-    c0 = coeffs(0.0)
-    if disc.err_j(c0) <= m:
-        return BepSolution(
-            g0=AnalyticCoeffs(c0),
-            lam=_LAMBDA_FLOOR,
-            err_k=disc.err_k(c0),
-            err_j=disc.err_j(c0),
-            kkt_residual=disc.kkt_residual(c0, 1.0 + _LAMBDA_FLOOR),
-            iterations=0,
-            feasibility=feas,
-            saturated=False,
-        )
-
-    def secular(mu: float) -> float:
-        return disc.err_j(coeffs(mu)) - m
-
-    mu_lo, mu_hi = 0.0, 2.0
-    expansions = 0
-    while secular(mu_hi) > 0.0:
-        mu_hi *= 2.0
-        expansions += 1
-        if expansions > _MAX_EXPANSIONS:
-            raise ConvergenceError("oracle multiplier bracket exhausted")
-    mu = brentq(secular, mu_lo, mu_hi, xtol=1e-15, rtol=8.9e-16, maxiter=300)
-    c = coeffs(mu)
-    return BepSolution(
-        g0=AnalyticCoeffs(c),
-        lam=mu - 1.0,
-        err_k=disc.err_k(c),
-        err_j=disc.err_j(c),
-        kkt_residual=disc.kkt_residual(c, mu),
-        iterations=expansions,
-        feasibility=feas,
-        saturated=True,
-    )
+    result = core.solve(problem.m, 2.0, coeffs=operator_solve, mu_lo=1.0 + _LAMBDA_FLOOR)
+    return _bep_solution(core, result)

@@ -8,6 +8,7 @@ level, 3 solver non-convergence.  The BERGBEP_LOG environment variable
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -17,7 +18,13 @@ import numpy as np
 from . import io as bio
 from .bep import BepProblem, ConvergenceError, InfeasibleProblemError, solve_bep, solve_bep_oracle
 from .bergman import gram, project, spectrum
-from .fbep import FbepProblem, directional_kkt_check, fbep_conjecture_check, solve_fbep
+from .fbep import (
+    FbepProblem,
+    build_fbep_space,
+    directional_kkt_check,
+    fbep_conjecture_check,
+    solve_fbep,
+)
 from .grid import Region, build_grid
 from .vekua import teodorescu
 
@@ -164,15 +171,20 @@ def cmd_lambda_sweep(args) -> int:
         raise bio.SchemaError(f"bad --m-values {args.m_values!r}") from exc
     if not m_values:
         raise bio.SchemaError("--m-values must list at least one constraint level")
+    for m in m_values:  # every level is validated as a problem file's m is
+        bio.normalize_problem(dict(doc, m=m))
+    # one parse, and for an f-BEP one lifted basis, serve every level
+    problem = bio.problem_from_dict(dict(doc, m=m_values[0]))
+    basis = None
+    if isinstance(problem, FbepProblem):
+        basis = build_fbep_space(problem.f, problem.degree, tol=problem.lift_tol)
     lines = ["m,lambda,err_k"]
     for m in m_values:
-        doc_m = dict(doc)
-        doc_m["m"] = m
-        problem = bio.problem_from_dict(doc_m)
-        if isinstance(problem, FbepProblem):
-            solution = solve_fbep(problem)
+        problem_m = dataclasses.replace(problem, m=m)
+        if basis is not None:
+            solution = solve_fbep(problem_m, basis)
         else:
-            solution = solve_bep(problem, degree_diagnostic=False)
+            solution = solve_bep(problem_m, degree_diagnostic=False)
         lines.append(f"{m!r},{solution.lam!r},{solution.err_k!r}")
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -189,7 +201,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-bep", help="solve a bounded extremal problem")
     p.add_argument("--problem", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--oracle", action="store_true", help="cross-check with the secular solver")
+    p.add_argument(
+        "--oracle",
+        action="store_true",
+        help="cross-check with the independent operator-form solver",
+    )
     p.set_defaults(func=cmd_solve_bep)
 
     p = sub.add_parser("solve-fbep", help="solve a Bergman-Vekua bounded extremal problem")

@@ -3,13 +3,14 @@
 The Vekua space of a conductivity f is a real vector space; its
 truncation is spanned by the lifts of e_0..e_N and i e_0..i e_N.  The
 f-BEP minimizes the K-misfit over real combinations of the lifted
-elements subject to the J-misfit budget, solved as a real
-norm-constrained least squares: whiten by the full-disc Gram, then
-eigendecompose the J-form and root-find the Karush-Kuhn-Tucker
-multiplier mu >= 0 in the secular denominators (1 - tau) + mu tau.
-The multiplier maps to the Bergman convention by lambda = mu - 1, and
-with f identically 1 the lifted basis is exactly {e_n, i e_n} and the
-solve reproduces the complex BEP solution.
+elements subject to the J-misfit budget.  It is the same norm-constrained
+least squares as the Bergman BEP with real coefficients, and is solved
+by the same core, bep.ConstrainedLSQ: whiten by the full-disc Gram,
+diagonalize the J-form and locate the Karush-Kuhn-Tucker multiplier
+mu >= 0 in the secular denominators (1 - tau) + mu tau.  The multiplier
+maps to the Bergman convention by lambda = mu - 1, and with f
+identically 1 the lifted basis is exactly {e_n, i e_n} and the solve
+reproduces the complex BEP solution.
 
 The conjectured critical-point equation
 
@@ -26,9 +27,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .bep import ConvergenceError, InfeasibleProblemError
+from .bep import ConstrainedLSQ, ConvergenceError
 from .grid import DiscGrid, GridFunction, Region, build_grid
 from .bergman import AnalyticCoeffs
 from .vekua import (
@@ -42,9 +42,6 @@ from .vekua import (
 )
 
 logger = logging.getLogger("bergbep")
-
-_DROP_RCOND = 1e-10
-_MAX_EXPANSIONS = 80
 
 
 @dataclass(eq=False)
@@ -105,18 +102,27 @@ class FbepSolution:
 def build_fbep_space(
     f: Conductivity, degree: int, tol: float = 1e-9, max_iter: int = 60
 ) -> VekuaBasis:
-    """Lift {e_0..e_N, i e_0..i e_N} into the Vekua space of f."""
+    """Lift {e_0..e_N, i e_0..i e_N} into the Vekua space of f.
+
+    A lift that diverges or stops at max_iter without reaching tol
+    raises ConvergenceError naming its seed.
+    """
     alpha = alpha_from_f(f)
     elements = []
     for unit in (1.0, 1.0j):
         for n in range(degree + 1):
+            name = f"{'i*' if unit == 1.0j else ''}e_{n}"
             seed = AnalyticCoeffs(unit * AnalyticCoeffs.unit(n, degree).coeffs)
             try:
-                elements.append(vekua_lift(seed, alpha, tol=tol, max_iter=max_iter))
+                lifted = vekua_lift(seed, alpha, tol=tol, max_iter=max_iter)
             except LiftDivergenceError as exc:
+                raise ConvergenceError(f"lift of seed {name} diverged: {exc}") from exc
+            if not lifted.converged:
                 raise ConvergenceError(
-                    f"lift of seed {'i*' if unit == 1.0j else ''}e_{n} diverged: {exc}"
-                ) from exc
+                    f"lift of seed {name} did not converge in {lifted.iterations} "
+                    f"iterations (last increment {lifted.increments[-1]:.3e} > tol {tol:.3e})"
+                )
+            elements.append(lifted)
     basis = VekuaBasis(alpha=alpha, elements=elements)
     logger.info(
         "fbep space: %d elements, Gram min eigenvalue %.3e",
@@ -124,55 +130,6 @@ def build_fbep_space(
         basis.min_eigenvalue(),
     )
     return basis
-
-
-class _RealDiscrete:
-    """Real quadratic forms of an f-BEP over a lifted basis."""
-
-    def __init__(self, problem: FbepProblem, basis: VekuaBasis):
-        self.problem = problem
-        self.basis = basis
-        self.a_k = basis.real_gram(problem.k_region)
-        self.a_j = basis.real_gram(problem.j_region)
-        self.r_k = basis.real_rhs(problem.h_k, problem.k_region)
-        self.r_j = basis.real_rhs(problem.h_j, problem.j_region)
-        self.w_k = problem.k_region.weights(problem.grid).ravel()
-        self.w_j = problem.j_region.weights(problem.grid).ravel()
-        self.mat = basis.values_matrix()
-        self.hk = problem.h_k.values.ravel()
-        self.hj = problem.h_j.values.ravel()
-        # rank-revealing pass on the full-disc Gram: near-dependent lifted
-        # elements are dropped before solving
-        s_full = self.a_k + self.a_j
-        vals, vecs = np.linalg.eigh(s_full)
-        keep = vals > _DROP_RCOND * vals.max()
-        self.dropped = int(np.count_nonzero(~keep))
-        if self.dropped:
-            logger.info("dropping %d near-dependent basis directions", self.dropped)
-        self.v = vecs[:, keep]
-        self.whiten = self.v / np.sqrt(vals[keep])[None, :]
-        b = self.whiten.T @ self.a_j @ self.whiten
-        self.taus, self.q = np.linalg.eigh((b + b.T) / 2.0)
-        self.taus = np.clip(self.taus, 0.0, 1.0)
-        self.bt_k = self.q.T @ (self.whiten.T @ self.r_k)
-        self.bt_j = self.q.T @ (self.whiten.T @ self.r_j)
-
-    def coeffs_at(self, mu: float) -> np.ndarray:
-        denom = (1.0 - self.taus) + mu * self.taus
-        keep = denom > 1e-12 * max(1.0, denom.max())
-        y = np.where(keep, (self.bt_k + mu * self.bt_j) / np.where(keep, denom, 1.0), 0.0)
-        return self.whiten @ (self.q @ y)
-
-    def err(self, coeffs: np.ndarray, side: str) -> float:
-        w, h = (self.w_k, self.hk) if side == "k" else (self.w_j, self.hj)
-        resid = self.mat @ coeffs - h
-        return float(np.sqrt(np.sum(w * np.abs(resid) ** 2)))
-
-    def kkt_vector(self, coeffs: np.ndarray, mu: float) -> np.ndarray:
-        return (self.a_k @ coeffs - self.r_k) + mu * (self.a_j @ coeffs - self.r_j)
-
-    def feasibility(self) -> float:
-        return self.err(self.coeffs_at(1e14), "j")
 
 
 def solve_fbep(problem: FbepProblem, basis: VekuaBasis | None = None) -> FbepSolution:
@@ -184,47 +141,23 @@ def solve_fbep(problem: FbepProblem, basis: VekuaBasis | None = None) -> FbepSol
     """
     if basis is None:
         basis = build_fbep_space(problem.f, problem.degree, tol=problem.lift_tol)
-    disc = _RealDiscrete(problem, basis)
-    m = problem.m
-
-    feas = disc.feasibility()
-    if feas > m + 1e-9:
-        raise InfeasibleProblemError(f"M = {m:.6g} below feasibility distance {feas:.6g}")
-
-    coeffs = disc.coeffs_at(0.0)
-    saturated = False
-    mu = 0.0
-    if disc.err(coeffs, "j") > m:
-        saturated = True
-
-        def secular(mu_val: float) -> float:
-            return disc.err(disc.coeffs_at(mu_val), "j") - m
-
-        mu_hi = 2.0
-        expansions = 0
-        while secular(mu_hi) > 0.0:
-            mu_hi *= 2.0
-            expansions += 1
-            if expansions > _MAX_EXPANSIONS:
-                raise ConvergenceError("f-BEP multiplier bracket exhausted")
-        mu = brentq(secular, 0.0, mu_hi, xtol=1e-15, rtol=8.9e-16, maxiter=300)
-        coeffs = disc.coeffs_at(mu)
-
+    core = ConstrainedLSQ.from_problem(problem, basis)
+    result = core.solve(problem.m, 2.0)
+    coeffs, mu = result.coeffs, result.mu
     w_star = basis.synthesize(coeffs)
-    defect = vekua_residual(w_star, basis.alpha, problem.degree)
     return FbepSolution(
         coeffs=coeffs,
         w_star=w_star,
         basis=basis,
         lam=mu - 1.0,
-        err_k=disc.err(coeffs, "k"),
-        err_j=disc.err(coeffs, "j"),
-        kkt_residual=float(np.linalg.norm(disc.kkt_vector(coeffs, mu))),
-        vekua_defect=defect,
-        feasibility=feas,
-        saturated=saturated,
+        err_k=core.err(coeffs, "k"),
+        err_j=core.err(coeffs, "j"),
+        kkt_residual=float(np.linalg.norm(core.kkt(coeffs, mu))),
+        vekua_defect=vekua_residual(w_star, basis.alpha, problem.degree),
+        feasibility=result.feasibility,
+        saturated=result.saturated,
         basis_min_eig=basis.min_eigenvalue(),
-        dropped=disc.dropped,
+        dropped=core.dropped,
     )
 
 
@@ -233,18 +166,12 @@ def fbep_conjecture_check(problem: FbepProblem, solution: FbepSolution) -> float
 
     Evaluates (lambda+1) Pi(chi_J w - 0 v h_J) + Pi(chi_K w - h_K v 0)
     in the span and returns its L^2 norm over ||w_*||; zero at the
-    program's optimum up to root-finding precision.
+    program's optimum up to root-finding precision.  The span norm of
+    the projection is the whitened norm of the first-order residual.
     """
-    disc = _RealDiscrete(problem, solution.basis)
-    mu = solution.mu
-    s_full = disc.a_k + disc.a_j
-    vals, vecs = np.linalg.eigh(s_full)
-    keep = vals > _DROP_RCOND * vals.max()
-    rhs = vecs.T @ disc.kkt_vector(solution.coeffs, mu)
-    rho = vecs @ np.where(keep, rhs / np.where(keep, vals, 1.0), 0.0)
-    norm2 = float(rho @ (s_full @ rho))
-    w_norm = solution.w_star.norm()
-    return float(np.sqrt(max(norm2, 0.0))) / max(w_norm, 1e-300)
+    core = ConstrainedLSQ.from_problem(problem, solution.basis)
+    rho = core.whiten.T @ core.kkt(solution.coeffs, solution.mu)
+    return float(np.linalg.norm(rho)) / max(solution.w_star.norm(), 1e-300)
 
 
 def directional_kkt_check(
@@ -259,9 +186,9 @@ def directional_kkt_check(
     into the feasible cone grad(err_J^2) . d <= 0; at an optimum the
     minimum is >= 0 up to multiplier precision.
     """
-    disc = _RealDiscrete(problem, solution.basis)
-    grad_k = 2.0 * (disc.a_k @ solution.coeffs - disc.r_k)
-    grad_j = 2.0 * (disc.a_j @ solution.coeffs - disc.r_j)
+    core = ConstrainedLSQ.from_problem(problem, solution.basis)
+    grad_k = 2.0 * core.kkt(solution.coeffs, 0.0)
+    grad_j = 2.0 * (core.a_j @ solution.coeffs - core.r_j)
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(n_directions):

@@ -110,14 +110,29 @@ class _GridOps:
     """Differentiation and Teodorescu machinery cached per grid."""
 
     def __init__(self, grid: DiscGrid):
-        if grid.n_radial < 5:
-            raise ValueError("grid too coarse for radial differentiation (need n_r >= 5)")
         self.grid = grid
         self.dtheta = _fourier_diff_matrix(grid.angular_count)
-        self.dr1, self.dr2 = _radial_diff_matrices(grid.radial_nodes)
         self.phase = np.exp(1j * grid.thetas)[None, :]
         self.inv_r = (1.0 / grid.radial_nodes)[:, None]
+        self._dr = None
         self._teo = None
+
+    @property
+    def dr1(self) -> np.ndarray:
+        return self._radial()[0]
+
+    @property
+    def dr2(self) -> np.ndarray:
+        return self._radial()[1]
+
+    def _radial(self) -> tuple[np.ndarray, np.ndarray]:
+        # only differentiation needs the 5-point radial stencils; the
+        # Teodorescu transform works on any grid
+        if self._dr is None:
+            if self.grid.n_radial < 5:
+                raise ValueError("grid too coarse for radial differentiation (need n_r >= 5)")
+            self._dr = _radial_diff_matrices(self.grid.radial_nodes)
+        return self._dr
 
     @property
     def teo(self) -> "_TeodorescuOperator":

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import bergbep
 
 from bergbep import (
     AnalyticCoeffs,
@@ -16,6 +22,7 @@ from bergbep import (
     solve_bep,
     solve_bep_oracle,
 )
+from bergbep.bep import ConstrainedLSQ
 from conftest import saturated_problem
 
 # frozen regression: distance of conj(z) to the degree-16 span on the
@@ -232,6 +239,17 @@ class TestSolveBep:
         assert sol.degree_gap is not None
         assert sol.degree_gap < 0.1
 
+    def test_degree_gap_matches_separate_solve(self, saturated_family):
+        p = saturated_family[1]
+        sol = solve_bep(p)
+        low = solve_bep(
+            BepProblem(p.k_region, p.j_region, p.h_k, p.h_j, p.m, p.degree - 4),
+            degree_diagnostic=False,
+        ).g0.coeffs
+        c = sol.g0.coeffs
+        gap = np.linalg.norm(np.concatenate((c[: low.size] - low, c[low.size :])))
+        assert abs(sol.degree_gap - gap) <= 1e-12
+
     def test_bracket_exhaustion_reports(self, grid_24_96):
         # M a hair below the feasibility floor still passes the 1e-9
         # feasibility gate, but e(lambda) can never get under it
@@ -267,6 +285,27 @@ class TestOracle:
         assert not sol.saturated and not oracle.saturated
         assert np.max(np.abs(sol.g0.coeffs - oracle.g0.coeffs)) <= 1e-8
 
+    def test_matches_on_mask_region(self, grid_24_96):
+        z = grid_24_96.nodes
+        k = Region.mask(np.abs(z - (0.2 + 0.1j)) < 0.45)
+        h_k = AnalyticCoeffs(np.array([1.0, -0.5j, 0.3])).on_grid(grid_24_96)
+        h_j = GridFunction.from_function(grid_24_96, lambda z: 0.3 * np.conj(z))
+        p = saturated_problem(grid_24_96, k, h_k, h_j, 12)
+        sol, oracle = solve_bep(p, degree_diagnostic=False), solve_bep_oracle(p)
+        assert sol.saturated and oracle.saturated
+        assert np.max(np.abs(sol.g0.coeffs - oracle.g0.coeffs)) <= 1e-8
+
+    def test_never_uses_core_diagonal_solve(self, grid_24_96, monkeypatch):
+        def forbidden(self, mu):
+            raise AssertionError("the oracle called ConstrainedLSQ.coeffs")
+
+        p = constant_fixture(grid_24_96)
+        expected = solve_bep(p, degree_diagnostic=False).g0.coeffs
+        monkeypatch.setattr(ConstrainedLSQ, "coeffs", forbidden)
+        oracle = solve_bep_oracle(p)
+        assert oracle.saturated
+        assert np.max(np.abs(oracle.g0.coeffs - expected)) <= 1e-8
+
     def test_saturation_reported_by_both(self, grid_24_96):
         p = constant_fixture(grid_24_96)
         for s in (solve_bep(p, degree_diagnostic=False), solve_bep_oracle(p)):
@@ -301,3 +340,13 @@ class TestSaturatedFamilyProperties:
         sol = solve_bep(p, degree_diagnostic=False)
         assert sol.saturated
         assert abs(sol.err_j - p.m) <= 1e-8 * max(1.0, p.m)
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, bergbep; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = os.path.dirname(os.path.dirname(bergbep.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

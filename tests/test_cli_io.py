@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from bergbep import BepProblem, FbepProblem, build_grid
+import bergbep.cli
+from bergbep import BepProblem, FbepProblem, build_grid, solve_fbep
 from bergbep.cli import main
 from bergbep.io import (
     SchemaError,
@@ -194,6 +196,16 @@ class TestCli:
             main(["solve-fbep", "--problem", str(prob), "--out", str(tmp_path / "s.json")]) == 3
         )
 
+    def test_exit_stalled_lift(self, tmp_path):
+        # the lifts stop at max_iter without diverging: never accepted
+        doc = load_json(FBEP_FIXTURE)
+        doc["conductivity"] = {"kind": "exp_x", "eps": 2.0}
+        prob = tmp_path / "p.json"
+        prob.write_text(dumps_canonical(doc))
+        assert (
+            main(["solve-fbep", "--problem", str(prob), "--out", str(tmp_path / "s.json")]) == 3
+        )
+
     def test_wrong_solver_for_problem(self, tmp_path):
         assert (
             main(["solve-fbep", "--problem", BEP_FIXTURE, "--out", str(tmp_path / "s.json")])
@@ -283,3 +295,32 @@ class TestCli:
             )
             == 1
         )
+
+    def test_fbep_sweep_lifts_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build_space(*args, **kwargs)
+
+        build_space = bergbep.cli.build_fbep_space
+        monkeypatch.setattr(bergbep.cli, "build_fbep_space", counting)
+        out = tmp_path / "sweep.csv"
+        levels = (0.3, 0.1, 0.05)
+        argv = ["lambda-sweep", "--problem", FBEP_FIXTURE, "--out", str(out)]
+        assert main(argv + ["--m-values", ",".join(map(str, levels))]) == 0
+        assert len(calls) == 1
+        problem = problem_from_dict(load_json(FBEP_FIXTURE))
+        rows = ["m,lambda,err_k"]
+        for m in levels:
+            sol = solve_fbep(dataclasses.replace(problem, m=m))
+            rows.append(f"{m!r},{sol.lam!r},{sol.err_k!r}")
+        assert out.read_text().splitlines() == rows
+
+    @pytest.mark.parametrize("fixture", [BEP_FIXTURE, FBEP_FIXTURE])
+    @pytest.mark.parametrize("levels", ["0.1,nan", "0.1,inf", "0.1,0", "0.1,-0.2"])
+    def test_lambda_sweep_rejects_bad_levels(self, tmp_path, fixture, levels):
+        out = tmp_path / "s.csv"
+        argv = ["lambda-sweep", "--problem", fixture, "--m-values", levels, "--out", str(out)]
+        assert main(argv) == 1
+        assert not out.exists()

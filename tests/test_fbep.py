@@ -68,6 +68,18 @@ class TestBuildSpace:
         with pytest.raises(ConvergenceError, match="e_0"):
             build_fbep_space(f, 2)
 
+    @pytest.mark.parametrize(
+        "kind, eps, increment",
+        [("exp_x", 2.0, "1.308e-05"), ("exp_xy", 6.0, "6.376e\\+05")],
+    )
+    def test_stalled_lift_rejected(self, kind, eps, increment):
+        # the lift of e_0 stalls (exp_x) or blows up in oscillation (exp_xy)
+        # without tripping the divergence detector, and reaches max_iter
+        f = getattr(Conductivity, kind)(build_grid(8, 32), eps)
+        pattern = f"seed e_0 did not converge in 60 iterations \\(last increment {increment}"
+        with pytest.raises(ConvergenceError, match=pattern):
+            build_fbep_space(f, 2)
+
 
 class TestSolveFbep:
     def test_reduction_to_bep(self, grid_24_96):
@@ -205,6 +217,15 @@ class TestRestrictionMapNorm:
         h_star, m_star = transformed_constraint_data(p)
         assert h_star.values.shape == f.grid.shape
         assert m_star > 0.0
+
+    @pytest.mark.parametrize("shape", [(4, 8), (2, 8)])
+    def test_coarse_norm_grid(self, grid_24_96, shape):
+        f = Conductivity.exp_x(grid_24_96, 0.2)  # alpha = 0.1
+        p = make_problem(grid_24_96, f)
+        _, m_star = transformed_constraint_data(p, norm_grid_shape=shape)
+        rho = m_star / p.m
+        assert np.isfinite(rho)
+        assert abs(rho - 1.0) <= 2.0 * 0.1
 
     @pytest.mark.parametrize("delta", [1e-6, 1e-9, 1e-12])
     def test_tiny_j_fraction(self, delta):

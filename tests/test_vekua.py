@@ -93,6 +93,14 @@ class TestTeodorescu:
         t = teodorescu(GridFunction.constant(grid_32_64, 0.0))
         assert np.max(np.abs(t.values)) == 0.0
 
+    def test_coarse_grid(self):
+        # T needs no radial derivative, so grids too coarse for dbar work
+        grid = build_grid(4, 16)
+        t = teodorescu(GridFunction.constant(grid, 1.0))
+        assert np.max(np.abs(t.values - np.conj(grid.nodes))) <= 1e-12
+        with pytest.raises(ValueError):
+            dbar(GridFunction.constant(grid))
+
     def test_z_closed_form(self, grid_32_64):
         t = teodorescu(GridFunction.from_function(grid_32_64, lambda z: z))
         expect = np.abs(grid_32_64.nodes) ** 2 - 1.0
