@@ -16,7 +16,15 @@ import sys
 import numpy as np
 
 from . import io as bio
-from .bep import BepProblem, ConvergenceError, InfeasibleProblemError, solve_bep, solve_bep_oracle
+from .bep import (
+    BepProblem,
+    ConstrainedLSQ,
+    ConvergenceError,
+    InfeasibleProblemError,
+    _bep_solution,
+    solve_bep,
+    solve_bep_oracle,
+)
 from .bergman import gram, project, spectrum
 from .fbep import (
     FbepProblem,
@@ -173,18 +181,24 @@ def cmd_lambda_sweep(args) -> int:
         raise bio.SchemaError("--m-values must list at least one constraint level")
     for m in m_values:  # every level is validated as a problem file's m is
         bio.normalize_problem(dict(doc, m=m))
-    # one parse, and for an f-BEP one lifted basis, serve every level
+    # one parse, and one lifted basis (f-BEP) or one assembled core (BEP),
+    # serve every level
     problem = bio.problem_from_dict(dict(doc, m=m_values[0]))
-    basis = None
     if isinstance(problem, FbepProblem):
         basis = build_fbep_space(problem.f, problem.degree, tol=problem.lift_tol)
+
+        def solve_at(m: float):
+            return solve_fbep(dataclasses.replace(problem, m=m), basis)
+
+    else:
+        core = ConstrainedLSQ.from_problem(problem)  # the forms do not depend on M
+
+        def solve_at(m: float):  # solve_bep(..., degree_diagnostic=False) at this M
+            return _bep_solution(core, core.solve(m, 2.0))
+
     lines = ["m,lambda,err_k"]
     for m in m_values:
-        problem_m = dataclasses.replace(problem, m=m)
-        if basis is not None:
-            solution = solve_fbep(problem_m, basis)
-        else:
-            solution = solve_bep(problem_m, degree_diagnostic=False)
+        solution = solve_at(m)
         lines.append(f"{m!r},{solution.lam!r},{solution.err_k!r}")
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -35,9 +35,10 @@ from .vekua import (
     Conductivity,
     LiftDivergenceError,
     VekuaBasis,
+    _lift_batch,
+    _ops,
     alpha_from_f,
     teodorescu,
-    vekua_lift,
     vekua_residual,
 )
 
@@ -104,25 +105,25 @@ def build_fbep_space(
 ) -> VekuaBasis:
     """Lift {e_0..e_N, i e_0..i e_N} into the Vekua space of f.
 
+    All 2(N+1) seeds are lifted together, each with its own iteration.
     A lift that diverges or stops at max_iter without reaching tol
     raises ConvergenceError naming its seed.
     """
     alpha = alpha_from_f(f)
-    elements = []
+    names, seeds = [], []
     for unit in (1.0, 1.0j):
         for n in range(degree + 1):
-            name = f"{'i*' if unit == 1.0j else ''}e_{n}"
-            seed = AnalyticCoeffs(unit * AnalyticCoeffs.unit(n, degree).coeffs)
-            try:
-                lifted = vekua_lift(seed, alpha, tol=tol, max_iter=max_iter)
-            except LiftDivergenceError as exc:
-                raise ConvergenceError(f"lift of seed {name} diverged: {exc}") from exc
-            if not lifted.converged:
-                raise ConvergenceError(
-                    f"lift of seed {name} did not converge in {lifted.iterations} "
-                    f"iterations (last increment {lifted.increments[-1]:.3e} > tol {tol:.3e})"
-                )
-            elements.append(lifted)
+            names.append(f"{'i*' if unit == 1.0j else ''}e_{n}")
+            seeds.append(AnalyticCoeffs(unit * AnalyticCoeffs.unit(n, degree).coeffs))
+    elements = _lift_batch(seeds, alpha, tol, max_iter)
+    for name, lifted in zip(names, elements):  # the first failure in seed order
+        if isinstance(lifted, LiftDivergenceError):
+            raise ConvergenceError(f"lift of seed {name} diverged: {lifted}") from lifted
+        if not lifted.converged:
+            raise ConvergenceError(
+                f"lift of seed {name} did not converge in {lifted.iterations} "
+                f"iterations (last increment {lifted.increments[-1]:.3e} > tol {tol:.3e})"
+            )
     basis = VekuaBasis(alpha=alpha, elements=elements)
     logger.info(
         "fbep space: %d elements, Gram min eigenvalue %.3e",
@@ -223,13 +224,14 @@ def restriction_map_norm(
 ) -> float:
     """Operator norm of h -> h - T_J(alpha conj(h)) on L^2(J), coarse-grid dense.
 
-    The real-linear map is assembled column by column on a small grid
-    (conjugation forces the realified representation) and the weighted
-    operator norm is taken through its singular values.  T_J integrates
-    over J only, so the Teodorescu input is weighted by J's overlap
-    fraction and the output is read on the nodes of J; a cell that J
-    barely overlaps then contributes in proportion to its overlap.  With
-    f constant the map is the identity and the norm is 1.
+    The real-linear map is assembled on a small grid from one batched
+    Teodorescu apply to the unit inputs on J's nodes (conjugation forces
+    the realified representation) and the weighted operator norm is
+    taken through its singular values.  T_J integrates over J only, so
+    the Teodorescu input is weighted by J's overlap fraction and the
+    output is read on the nodes of J; a cell that J barely overlaps then
+    contributes in proportion to its overlap.  With f constant the map
+    is the identity and the norm is 1.
     """
     small = build_grid(*grid_shape)
     f_small = _rebuild_conductivity(f, small)
@@ -241,22 +243,23 @@ def restriction_map_norm(
         raise ValueError("region J carries no nodes on the norm-estimation grid")
     n = idx.size
 
-    def apply_map(vec: np.ndarray) -> np.ndarray:
-        full = np.zeros(small.shape, dtype=complex)
-        full.ravel()[idx] = vec
-        t = teodorescu(GridFunction(small, phi * alpha * np.conj(full)))
-        return (full - t.values).ravel()[idx]
-
-    cols = np.empty((2 * n, 2 * n))
+    # T is complex-linear, so h -> h - A conj(h) with A = S T_J S^-1 on the
+    # weighted J nodes (S = diag sqrt(w_J)); one batched apply to the n
+    # unit inputs gives A, and the realified map is
+    # [[I - Re A, -Im A], [-Im A, I + Re A]]
     sqw = np.sqrt(w_j[idx])
-    for j in range(n):
-        unit = np.zeros(n, dtype=complex)
-        unit[j] = 1.0 / sqw[j]
-        for block, vec in enumerate((unit, 1j * unit)):
-            out = apply_map(vec) * sqw
-            cols[:n, block * n + j] = out.real
-            cols[n:, block * n + j] = out.imag
-    return float(np.linalg.norm(cols, ord=2))
+    inputs = np.zeros((n,) + small.shape, dtype=complex)
+    inputs.reshape(n, -1)[np.arange(n), idx] = (phi * alpha).ravel()[idx] / sqw
+    a = _ops(small).teo.apply(inputs).reshape(n, -1)[:, idx].T  # row: output node
+    a *= sqw[:, None]
+    realified = np.empty((2 * n, 2 * n))
+    realified[:n, :n] = -a.real
+    realified[:n, n:] = -a.imag
+    realified[n:, :n] = -a.imag
+    realified[n:, n:] = a.real
+    realified[np.diag_indices(2 * n)] += 1.0
+    del a  # the singular value solver copies its input: keep the peak at two matrices
+    return float(np.linalg.norm(realified, ord=2))
 
 
 def _rebuild_conductivity(f: Conductivity, grid: DiscGrid) -> Conductivity:

@@ -11,19 +11,22 @@ diagnosed against their divergence-form conductivity equations and the
 conjugate Beltrami equation.
 
 Derivatives on the tensor grid use spectral (trigonometric) angular
-differentiation and five-point finite differences on the nonuniform
-radial rings.  The Teodorescu transform is evaluated per angular mode:
-the Cauchy kernel sends input mode k+1 to output mode k with radial
-weight
+differentiation by fft and five-point finite differences on the
+nonuniform radial rings.  The Teodorescu transform is evaluated per
+angular mode: the Cauchy kernel sends input mode k+1 to output mode k
+with radial weight
 
     T_k(r) = 2 r^k  int_0^r g_{k+1}(rho) rho^{-k} d rho    (k <= -1)
     T_k(r) = -2 r^k int_r^1 g_{k+1}(rho) rho^{-k} d rho    (k >= 0)
 
-and the one-sided radial integrals are accumulated over the inter-node
-panels in s = rho^2 with locally interpolated integrands, the steep
-power factors evaluated exactly in scaled form so that no intermediate
-over- or underflows.  The transform of a constant reproduces conj(z)
-to rounding.
+The one-sided radial integrals are sums over the inter-node panels in
+s = rho^2 of locally interpolated integrands, with the steep power
+factors evaluated in scaled form (every exponent <= 0) so that nothing
+over- or underflows.  They are linear in the ring samples of the input
+mode, so each grid assembles them once as one real n_r x n_r matrix per
+angular mode; an apply to any stack of grid functions is an fft along
+theta, one batched matmul over the modes and an inverse fft.  The
+transform of a constant reproduces conj(z) to rounding.
 
 A reproducing identity for Vekua solutions can be written through the
 similarity factor, w(z) = <w, exp(conj(s(z) - s(.))) K(z, .)>, but the
@@ -79,18 +82,6 @@ def _fd_weights(x0: float, x: np.ndarray, m: int) -> np.ndarray:
     return c
 
 
-def _fourier_diff_matrix(n: int) -> np.ndarray:
-    j = np.arange(n)
-    diff = j[:, None] - j[None, :]
-    d = np.zeros((n, n))
-    off = diff != 0
-    if n % 2 == 0:
-        d[off] = 0.5 * (-1.0) ** diff[off] / np.tan(np.pi * diff[off] / n)
-    else:
-        d[off] = 0.5 * (-1.0) ** diff[off] / np.sin(np.pi * diff[off] / n)
-    return d
-
-
 def _radial_diff_matrices(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First/second derivative matrices, 5-point stencils, one-sided at the edges."""
     n = r.size
@@ -106,12 +97,26 @@ def _radial_diff_matrices(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
+def _fft_modes(n: int) -> np.ndarray:
+    """Angular mode numbers in numpy's fft order; the Nyquist mode of even n is -n/2."""
+    return ((np.arange(n) + n // 2) % n) - n // 2
+
+
 class _GridOps:
-    """Differentiation and Teodorescu machinery cached per grid."""
+    """Differentiation and Teodorescu machinery cached per grid.
+
+    Holds only arrays derived from the grid, never the grid itself: the
+    cache is keyed weakly by the grid, and a reference back to the key
+    would keep every entry alive.
+    """
 
     def __init__(self, grid: DiscGrid):
-        self.grid = grid
-        self.dtheta = _fourier_diff_matrix(grid.angular_count)
+        self.radial_nodes = grid.radial_nodes
+        self.thetas = grid.thetas
+        ik = 1j * _fft_modes(grid.angular_count)
+        if grid.angular_count % 2 == 0:
+            ik[grid.angular_count // 2] = 0.0  # the Nyquist mode has no real derivative
+        self.ik = ik
         self.phase = np.exp(1j * grid.thetas)[None, :]
         self.inv_r = (1.0 / grid.radial_nodes)[:, None]
         self._dr = None
@@ -129,15 +134,20 @@ class _GridOps:
         # only differentiation needs the 5-point radial stencils; the
         # Teodorescu transform works on any grid
         if self._dr is None:
-            if self.grid.n_radial < 5:
+            if self.radial_nodes.size < 5:
                 raise ValueError("grid too coarse for radial differentiation (need n_r >= 5)")
-            self._dr = _radial_diff_matrices(self.grid.radial_nodes)
+            self._dr = _radial_diff_matrices(self.radial_nodes)
         return self._dr
+
+    def dtheta(self, v: np.ndarray) -> np.ndarray:
+        """Spectral angular derivative along the last axis."""
+        d = np.fft.ifft(self.ik * np.fft.fft(v, axis=-1), axis=-1)
+        return d.real if np.isrealobj(v) else d
 
     @property
     def teo(self) -> "_TeodorescuOperator":
         if self._teo is None:
-            self._teo = _TeodorescuOperator(self.grid)
+            self._teo = _TeodorescuOperator(self.radial_nodes, self.thetas)
         return self._teo
 
 
@@ -160,7 +170,7 @@ def dbar(g: GridFunction) -> GridFunction:
     """
     ops = _ops(g.grid)
     v_r = ops.dr1 @ g.values
-    v_t = g.values @ ops.dtheta.T
+    v_t = ops.dtheta(g.values)
     return GridFunction(g.grid, 0.5 * ops.phase * (v_r + 1j * ops.inv_r * v_t))
 
 
@@ -168,112 +178,96 @@ def dz(g: GridFunction) -> GridFunction:
     """Wirtinger derivative d = (d/dx - i d/dy) / 2 on the grid."""
     ops = _ops(g.grid)
     v_r = ops.dr1 @ g.values
-    v_t = g.values @ ops.dtheta.T
+    v_t = ops.dtheta(g.values)
     return GridFunction(g.grid, 0.5 * np.conj(ops.phase) * (v_r - 1j * ops.inv_r * v_t))
 
 
 def _polar_second_derivatives(ops: _GridOps, v: np.ndarray):
     v_r = ops.dr1 @ v
     v_rr = ops.dr2 @ v
-    v_t = v @ ops.dtheta.T
-    v_tt = v_t @ ops.dtheta.T
+    v_t = ops.dtheta(v)
+    v_tt = ops.dtheta(v_t)
     return v_r, v_rr, v_t, v_tt
 
 
 class _TeodorescuOperator:
-    """Per-grid discrete Teodorescu transform in angular-mode space."""
+    """Discrete Teodorescu transform: one real n_r x n_r radial matrix per angular mode.
 
-    def __init__(self, grid: DiscGrid):
-        self.grid = grid
-        n_r, n_t = grid.shape
-        self.ks = ((np.arange(n_t) + n_t // 2) % n_t) - n_t // 2  # fft ordering
-        th = grid.thetas
-        self.analysis = np.exp(-1j * np.outer(self.ks, th)) / n_t  # (modes, n_t)
-        self.k_out = self.ks - 1
-        self.synthesis = np.exp(1j * np.outer(th, self.k_out))  # (n_t, modes)
-        self.inner_modes = np.nonzero(self.ks <= 0)[0]
-        self.outer_modes = np.nonzero(self.ks >= 1)[0]
+    matrices[m] maps the samples of input mode k_m on the rings to the
+    samples of output mode k_m - 1; apply is an fft along theta, one
+    batched matmul over the modes and an inverse fft.
+    """
+
+    def __init__(self, radial_nodes: np.ndarray, thetas: np.ndarray):
+        r = radial_nodes
+        n_r, n_t = r.size, thetas.size
+        ks = _fft_modes(n_t)
+        k_out = (ks - 1.0)[:, None, None]
+        inner = ks <= 0  # output mode k_out <= -1 integrates over [0, r]
         # mode k of a smooth function is r^|k| times an even function, so
         # odd modes carry a sqrt(s) factor that polynomial interpolation
         # in s cannot resolve; they are reduced by one power of r at the
         # nodes and the factor is restored exactly at the aux points
-        self.parity = (np.abs(self.ks) % 2).astype(float)
+        parity = (np.abs(ks) % 2).astype(float)[:, None, None]
 
-        s = grid.s_nodes
+        s = r**2
         edges = np.concatenate(([0.0], s, [1.0]))  # panel l spans [edges_l, edges_{l+1}]
-        n_panels = n_r + 1
         x, w = np.polynomial.legendre.leggauss(_N_AUX)
         mid = (edges[:-1] + edges[1:]) / 2.0
         half = (edges[1:] - edges[:-1]) / 2.0
-        self.aux_s = mid[:, None] + half[:, None] * x[None, :]  # (panels, aux)
-        self.aux_w = half[:, None] * w[None, :]
-        self.log_aux_r = 0.5 * np.log(self.aux_s)
-        self.log_r = np.log(grid.radial_nodes)
+        aux_s = mid[:, None] + half[:, None] * x[None, :]  # (panels, aux)
+        aux_w = half[:, None] * w[None, :]
+        log_a = 0.5 * np.log(aux_s)
+        log_r = np.log(r)
 
+        # barycentric interpolation in s from the _N_STENCIL nearest rings
+        # onto each panel's aux points, as a dense (panels, aux, n_r) map
         n_st = min(_N_STENCIL, n_r)
-        self.idx = np.empty((n_panels, n_st), dtype=int)
-        self.interp = np.empty((n_panels, _N_AUX, n_st))
-        for ell in range(n_panels):
-            start = min(max(ell - n_st // 2, 0), n_r - n_st)
-            cols = np.arange(start, start + n_st)
-            self.idx[ell] = cols
-            nodes = s[cols]
-            bw = np.ones(n_st)
-            for t in range(n_st):
-                bw[t] = 1.0 / np.prod(np.delete(nodes, t) - nodes[t])
-            diffs = self.aux_s[ell][:, None] - nodes[None, :]  # aux strictly inside panels
-            terms = bw[None, :] / diffs
-            self.interp[ell] = terms / terms.sum(axis=1)[:, None]
+        starts = np.clip(np.arange(n_r + 1) - n_st // 2, 0, n_r - n_st)
+        idx = starts[:, None] + np.arange(n_st)[None, :]  # (panels, n_st)
+        nodes = s[idx]
+        gaps = nodes[:, None, :] - nodes[:, :, None]  # gaps[l, t, j] = s_j - s_t
+        gaps[:, np.arange(n_st), np.arange(n_st)] = 1.0
+        bw = 1.0 / np.prod(gaps, axis=2)
+        # the aux points lie strictly inside the panels, never on a node
+        terms = bw[:, None, :] / (aux_s[:, :, None] - nodes[:, None, :])
+        interp = np.zeros((n_r + 1, _N_AUX, n_r))
+        np.put_along_axis(
+            interp, idx[:, None, :], terms / terms.sum(axis=2, keepdims=True), axis=2
+        )
 
-    def _panel_values(self, modes: np.ndarray) -> np.ndarray:
-        """Interpolate per-mode radial data onto the panel aux nodes."""
-        gathered = modes[:, self.idx]  # (n_modes, panels, n_st)
-        return np.einsum("lqt,mlt->mlq", self.interp, gathered)
+        # ring i collects the panels on its side of the Cauchy kernel:
+        #   T_k(r_i) = sum_{l <= i} exp(k (log r_i - log r_l)) c_l   (k <= -1)
+        #   T_k(r_i) = -sum_{l >= i} exp(k (log r_i - log r_l)) c_l  (k >= 0)
+        # where c_l integrates panel l (k <= -1) or l + 1 (k >= 0) scaled
+        # to ring l; every exponent is <= 0, so nothing overflows
+        lower = np.tri(n_r, dtype=bool)
+        gap = log_r[:, None] - log_r[None, :]
+        self.matrices = np.empty((n_t, n_r, n_r))
+        for modes, panels, keep, sign in (
+            (np.nonzero(inner)[0], slice(0, n_r), lower, 1.0),
+            (np.nonzero(~inner)[0], slice(1, n_r + 1), lower.T, -1.0),
+        ):
+            k, par, la = k_out[modes], parity[modes], log_a[panels]
+            weights = aux_w[panels] * np.exp(k * (log_r[:, None] - la) + (par - 1.0) * la)
+            cells = np.einsum("mlq,lqj->mlj", weights, interp[panels])
+            cells /= np.where(par > 0.0, r, 1.0)  # the odd-mode reduction at the nodes
+            decay = np.exp(np.where(keep, k * gap, -np.inf))
+            self.matrices[modes] = sign * (decay @ cells)
+        self.phase = np.exp(-1j * thetas)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        grid = self.grid
-        n_r = grid.n_radial
-        r = grid.radial_nodes
-        modes = self.analysis @ values.T  # (modes, n_r): g_k(r_i)
-        reduced = np.where(self.parity[:, None] > 0.0, modes / r[None, :], modes)
-        aux = self._panel_values(reduced)  # (modes, panels, aux)
-        t_modes = np.zeros((self.ks.size, n_r), dtype=complex)
-
-        # inner contributions: output mode k = k_in - 1 <= -1, p = -k >= 1
-        mi = self.inner_modes
-        p = 1.0 - self.ks[mi]  # p = -k_out
-        par = self.parity[mi]
-        cur = np.zeros(mi.size, dtype=complex)
-        prev_log_r = None
-        for i in range(n_r):
-            if prev_log_r is not None:
-                cur = cur * np.exp(p * (prev_log_r - self.log_r[i]))
-            powfac = np.exp(
-                (p - 1.0)[:, None] * (self.log_aux_r[i] - self.log_r[i])[None, :]
-                + par[:, None] * self.log_aux_r[i][None, :]
-            )
-            cur = cur + np.einsum("mq,q,mq->m", aux[mi, i, :], self.aux_w[i], powfac) / r[i]
-            prev_log_r = self.log_r[i]
-            t_modes[mi, i] = cur
-
-        # outer contributions: output mode k = k_in - 1 >= 0
-        mo = self.outer_modes
-        k = self.ks[mo] - 1.0
-        par = self.parity[mo]
-        cur = np.zeros(mo.size, dtype=complex)
-        prev_log_r = None
-        for i in range(n_r - 1, -1, -1):
-            if prev_log_r is not None:
-                cur = cur * np.exp(k * (self.log_r[i] - prev_log_r))
-            powfac = np.exp(
-                k[:, None] * (self.log_r[i] - self.log_aux_r[i + 1])[None, :]
-                + (par - 1.0)[:, None] * self.log_aux_r[i + 1][None, :]
-            )
-            cur = cur + np.einsum("mq,q,mq->m", aux[mo, i + 1, :], self.aux_w[i + 1], powfac)
-            prev_log_r = self.log_r[i]
-            t_modes[mo, i] = -cur
-
-        return (self.synthesis @ t_modes).T
+        """T on grid samples of shape (..., n_r, n_theta), one stack in one pass."""
+        n_t, n_r, _ = self.matrices.shape
+        lead = values.shape[:-2]
+        # modes first and the stack last: one matmul per mode covers the
+        # whole stack, and the real matrices act on re and im alike
+        cols = np.ascontiguousarray(np.moveaxis(np.fft.fft(values, axis=-1), (-1, -2), (0, 1)))
+        out = (self.matrices @ cols.reshape(n_t, n_r, -1).view(float)).view(complex)
+        del cols  # stacks can be large: hold at most two copies at a time
+        t = np.fft.ifft(np.moveaxis(out.reshape((n_t, n_r) + lead), (0, 1), (-1, -2)), axis=-1)
+        t *= self.phase
+        return t
 
 
 def teodorescu(g: GridFunction) -> GridFunction:
@@ -397,41 +391,82 @@ def vekua_lift(
     LiftDivergenceError, and hitting max_iter returns the last iterate
     flagged as non-converged.
     """
+    (lifted,) = _lift_batch([seed], alpha, tol, max_iter)
+    if isinstance(lifted, LiftDivergenceError):
+        raise lifted
+    return lifted
+
+
+def _lift_batch(
+    seeds: list[AnalyticCoeffs], alpha: GridFunction, tol: float, max_iter: int
+) -> list:
+    """Lift several seeds as vekua_lift does, with one Teodorescu apply per step.
+
+    Each seed keeps its own increments, iteration count and divergence
+    detector, and stops updating once its increment is <= tol; a step
+    applies T to the stack of seeds still iterating.  Returns, per seed,
+    its VekuaFunction or the LiftDivergenceError that ended it.
+    """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     grid = alpha.grid
-    seed_vals = seed.on_grid(grid)
-    w = seed_vals
-    increments: list[float] = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        w_next = seed_vals + teodorescu(alpha * w.conj())
-        inc = (w_next - w).norm()
-        increments.append(inc)
-        w = w_next
-        if inc <= tol:
-            converged = True
+    teo = _ops(grid).teo
+    seed_vals = np.stack([seed.on_grid(grid).values for seed in seeds])
+    w = seed_vals.copy()
+    increments: list[list[float]] = [[] for _ in seeds]
+    converged = [False] * len(seeds)
+    diverged: dict[int, LiftDivergenceError] = {}
+    active = list(range(len(seeds)))
+    for _ in range(max_iter):
+        if not active:
             break
-        if len(increments) >= 4 and all(
-            increments[-j] > increments[-j - 1] for j in (1, 2, 3)
-        ):
-            raise LiftDivergenceError(
-                f"lift iteration diverging, increments {increments[-4:]}"
+        # in place where possible: each stack holds every seed still iterating
+        x = w[active]
+        np.conjugate(x, out=x)
+        x *= alpha.values
+        w_next = teo.apply(x)
+        w_next += seed_vals[active]
+        x = w[active]
+        x -= w_next
+        incs = np.sqrt(np.sum(grid.weights * np.abs(x) ** 2, axis=(-2, -1)))
+        w[active] = w_next
+        still = []
+        for b, inc in zip(active, incs.tolist()):
+            history = increments[b]
+            history.append(inc)
+            if inc <= tol:
+                converged[b] = True
+            elif len(history) >= 4 and all(history[-j] > history[-j - 1] for j in (1, 2, 3)):
+                diverged[b] = LiftDivergenceError(
+                    f"lift iteration diverging, increments {history[-4:]}"
+                )
+            else:
+                still.append(b)
+        active = still
+
+    results: list = []
+    for b, seed in enumerate(seeds):
+        if b in diverged:
+            results.append(diverged[b])
+            continue
+        if not converged[b]:
+            logger.warning(
+                "vekua_lift hit max_iter=%d (last increment %.3e)", max_iter, increments[b][-1]
             )
-    res = vekua_residual(w, alpha, seed.degree)
-    if not converged:
-        logger.warning("vekua_lift hit max_iter=%d (last increment %.3e)", max_iter, inc)
-    return VekuaFunction(
-        w=w,
-        alpha=alpha,
-        residual=res,
-        converged=converged,
-        iterations=iterations,
-        increments=increments,
-    )
+        w_b = GridFunction(grid, w[b])
+        results.append(
+            VekuaFunction(
+                w=w_b,
+                alpha=alpha,
+                residual=vekua_residual(w_b, alpha, seed.degree),
+                converged=converged[b],
+                iterations=len(increments[b]),
+                increments=increments[b],
+            )
+        )
+    return results
 
 
 def similarity_factor(w: VekuaFunction) -> GridFunction:
@@ -490,7 +525,7 @@ def _divergence_form_residual(
     ops = _ops(grid)
     u_r, u_rr, u_t, u_tt = _polar_second_derivatives(ops, u)
     s_r = ops.dr1 @ sigma
-    s_t = sigma @ ops.dtheta.T
+    s_t = ops.dtheta(sigma)
     inv_r = ops.inv_r
     terms = [
         sigma * u_rr,

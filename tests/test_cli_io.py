@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bergbep.cli
-from bergbep import BepProblem, FbepProblem, build_grid, solve_fbep
+from bergbep import BepProblem, FbepProblem, build_grid, solve_bep, solve_fbep
 from bergbep.cli import main
 from bergbep.io import (
     SchemaError,
@@ -314,6 +314,27 @@ class TestCli:
         rows = ["m,lambda,err_k"]
         for m in levels:
             sol = solve_fbep(dataclasses.replace(problem, m=m))
+            rows.append(f"{m!r},{sol.lam!r},{sol.err_k!r}")
+        assert out.read_text().splitlines() == rows
+
+    def test_bep_sweep_assembles_once(self, tmp_path, monkeypatch):
+        calls = []
+        assemble = bergbep.cli.ConstrainedLSQ.from_problem
+
+        def counting(problem, basis=None):
+            calls.append(problem)
+            return assemble(problem, basis)
+
+        monkeypatch.setattr(bergbep.cli.ConstrainedLSQ, "from_problem", staticmethod(counting))
+        out = tmp_path / "sweep.csv"
+        levels = (0.4, 0.2, 0.1, 0.05, 10.0)
+        argv = ["lambda-sweep", "--problem", BEP_FIXTURE, "--out", str(out)]
+        assert main(argv + ["--m-values", ",".join(map(str, levels))]) == 0
+        assert len(calls) == 1
+        problem = problem_from_dict(load_json(BEP_FIXTURE))
+        rows = ["m,lambda,err_k"]
+        for m in levels:
+            sol = solve_bep(dataclasses.replace(problem, m=m), degree_diagnostic=False)
             rows.append(f"{m!r},{sol.lam!r},{sol.err_k!r}")
         assert out.read_text().splitlines() == rows
 

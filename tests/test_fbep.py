@@ -18,8 +18,10 @@ from bergbep import (
     restriction_map_norm,
     solve_bep,
     solve_fbep,
+    teodorescu,
     transformed_constraint_data,
 )
+from bergbep.vekua import alpha_from_f
 
 
 def make_problem(grid, f, m=0.1, degree=8, h_k_val=1.0):
@@ -239,6 +241,38 @@ class TestRestrictionMapNorm:
         assert np.isfinite(rho)
         assert abs(rho - 1.0) <= 2.0 * 0.1
         assert abs(rho - at_edge) <= 1e-6
+
+
+def _norm_by_columns(kind, eps, j_region, shape):
+    """The restriction-map norm assembled column by column, two applies per J node."""
+    small = build_grid(*shape)
+    alpha = alpha_from_f(getattr(Conductivity, kind)(small, eps)).values
+    phi = j_region.fraction(small)
+    w_j = j_region.weights(small).ravel()
+    idx = np.nonzero(w_j > 0.0)[0]
+    sqw = np.sqrt(w_j[idx])
+    n = idx.size
+    cols = np.empty((2 * n, 2 * n))
+    for j in range(n):
+        for block, unit in enumerate((1.0, 1.0j)):
+            full = np.zeros(small.shape, dtype=complex)
+            full.ravel()[idx[j]] = unit / sqw[j]
+            t = teodorescu(GridFunction(small, phi * alpha * np.conj(full)))
+            out = (full - t.values).ravel()[idx] * sqw
+            cols[:n, block * n + j] = out.real
+            cols[n:, block * n + j] = out.imag
+    return float(np.linalg.norm(cols, ord=2))
+
+
+class TestRestrictionMapAssembly:
+    @pytest.mark.parametrize("kind, eps", [("exp_x", 0.8), ("exp_xy", 1.75)])
+    @pytest.mark.parametrize(
+        "j_region", [Region.annulus(0.5), Region.radial_disc(0.6).complement(), Region.sector(1.0)]
+    )
+    def test_matches_column_assembly(self, grid_16_64, kind, eps, j_region):
+        f = getattr(Conductivity, kind)(grid_16_64, eps)
+        rho = restriction_map_norm(f, j_region, (6, 12))
+        assert abs(rho - _norm_by_columns(kind, eps, j_region, (6, 12))) <= 1e-12
 
 
 class TestTransformedData:

@@ -1,14 +1,19 @@
+import gc
+
 import numpy as np
 import pytest
 
 from bergbep import (
     AnalyticCoeffs,
     Conductivity,
+    ConvergenceError,
     GridFunction,
     LiftDivergenceError,
+    Region,
     VekuaFunction,
     alpha_from_f,
     beltrami_residual,
+    build_fbep_space,
     build_grid,
     dbar,
     dz,
@@ -17,11 +22,13 @@ from bergbep import (
     metaharmonic_residuals,
     pf_restricted,
     project,
+    restriction_map_norm,
     similarity_factor,
     teodorescu,
     vekua_lift,
     vekua_residual,
 )
+from bergbep.vekua import _lift_batch, _ops, _ops_cache
 
 
 def zero_alpha(grid):
@@ -373,3 +380,162 @@ class TestVekuaBasisType:
         member = basis.synthesize(coeffs)
         recovered = basis.project_span(member)
         assert np.max(np.abs(recovered - coeffs)) <= 1e-9
+
+
+def _reference_teodorescu(grid, values):
+    """The per-ring recurrence the per-mode matrices were derived from.
+
+    Dense DFT analysis and synthesis, and the one-sided radial integrals
+    accumulated ring by ring with the same panels, interpolation and
+    odd-mode reduction as the operator.
+    """
+    n_r, n_t = grid.shape
+    r, s, log_r = grid.radial_nodes, grid.s_nodes, np.log(grid.radial_nodes)
+    ks = ((np.arange(n_t) + n_t // 2) % n_t) - n_t // 2
+    modes = (np.exp(-1j * np.outer(ks, grid.thetas)) / n_t) @ values.T  # (modes, n_r)
+    parity = (np.abs(ks) % 2).astype(float)
+    reduced = np.where(parity[:, None] > 0.0, modes / r[None, :], modes)
+    edges = np.concatenate(([0.0], s, [1.0]))
+    x, w = np.polynomial.legendre.leggauss(10)
+    mid, half = (edges[:-1] + edges[1:]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+    aux_s = mid[:, None] + half[:, None] * x[None, :]
+    aux_w = half[:, None] * w[None, :]
+    log_a = 0.5 * np.log(aux_s)
+    n_st = min(8, n_r)
+    aux = np.empty((ks.size, n_r + 1, 10), dtype=complex)
+    for ell in range(n_r + 1):
+        start = min(max(ell - n_st // 2, 0), n_r - n_st)
+        nodes = s[start : start + n_st]
+        bw = np.array([1.0 / np.prod(np.delete(nodes, t) - nodes[t]) for t in range(n_st)])
+        terms = bw[None, :] / (aux_s[ell][:, None] - nodes[None, :])
+        interp = terms / terms.sum(axis=1)[:, None]
+        aux[:, ell, :] = reduced[:, start : start + n_st] @ interp.T
+    t_modes = np.zeros((ks.size, n_r), dtype=complex)
+    mi = np.nonzero(ks <= 0)[0]
+    p, par = 1.0 - ks[mi], parity[mi]
+    cur = np.zeros(mi.size, dtype=complex)
+    for i in range(n_r):
+        if i > 0:
+            cur = cur * np.exp(p * (log_r[i - 1] - log_r[i]))
+        powfac = np.exp(
+            (p - 1.0)[:, None] * (log_a[i] - log_r[i])[None, :] + par[:, None] * log_a[i][None, :]
+        )
+        cur = cur + np.einsum("mq,q,mq->m", aux[mi, i, :], aux_w[i], powfac) / r[i]
+        t_modes[mi, i] = cur
+    mo = np.nonzero(ks >= 1)[0]
+    k, par = ks[mo] - 1.0, parity[mo]
+    cur = np.zeros(mo.size, dtype=complex)
+    for i in range(n_r - 1, -1, -1):
+        if i < n_r - 1:
+            cur = cur * np.exp(k * (log_r[i] - log_r[i + 1]))
+        powfac = np.exp(
+            k[:, None] * (log_r[i] - log_a[i + 1])[None, :]
+            + (par - 1.0)[:, None] * log_a[i + 1][None, :]
+        )
+        cur = cur + np.einsum("mq,q,mq->m", aux[mo, i + 1, :], aux_w[i + 1], powfac)
+        t_modes[mo, i] = -cur
+    return (np.exp(1j * np.outer(grid.thetas, ks - 1)) @ t_modes).T
+
+
+def _dense_fourier_diff(n):
+    """Trigonometric differentiation matrix on n equispaced angles."""
+    j = np.arange(n)
+    diff = j[:, None] - j[None, :]
+    d = np.zeros((n, n))
+    off = diff != 0
+    trig = np.tan if n % 2 == 0 else np.sin
+    d[off] = 0.5 * (-1.0) ** diff[off] / trig(np.pi * diff[off] / n)
+    return d
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestModeMatrices:
+    @pytest.mark.parametrize("shape", [(12, 24), (24, 96), (32, 64), (7, 9)])
+    def test_matches_ring_recurrence(self, shape):
+        grid = build_grid(*shape)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            t = teodorescu(GridFunction(grid, v)).values
+            assert _rel(t, _reference_teodorescu(grid, v)) <= 1e-13
+
+    def test_stack_equals_single_applies(self, grid_24_96):
+        rng = np.random.default_rng(6)
+        stack = rng.standard_normal((3,) + grid_24_96.shape) * (1 - 0.5j)
+        batched = _ops(grid_24_96).teo.apply(stack)
+        assert batched.shape == stack.shape
+        for b in range(3):
+            single = teodorescu(GridFunction(grid_24_96, stack[b])).values
+            assert _rel(batched[b], single) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(4, 16), (24, 96), (64, 128)])
+    def test_constant_gives_z_bar_to_rounding(self, shape):
+        grid = build_grid(*shape)
+        t = teodorescu(GridFunction.constant(grid, 1.0))
+        assert np.max(np.abs(t.values - np.conj(grid.nodes))) <= 1e-14
+
+
+class TestAngularDerivative:
+    @pytest.mark.parametrize("n_theta", [24, 25, 96, 256])
+    def test_fft_matches_dense_matrix(self, n_theta):
+        grid = build_grid(6, n_theta)
+        dense = _dense_fourier_diff(n_theta)
+        rng = np.random.default_rng(n_theta)
+        v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        for values in (v, v.real):
+            d = _ops(grid).dtheta(values)
+            assert np.isrealobj(d) == np.isrealobj(values)
+            assert _rel(d, values @ dense.T) <= 2.3e-15
+
+
+class TestBatchedLift:
+    def test_space_equals_separate_lifts(self, grid_16_64):
+        f = Conductivity.exp_xy(grid_16_64, 1.75)
+        alpha = alpha_from_f(f)
+        basis = build_fbep_space(f, 6, tol=1e-10)
+        units = [AnalyticCoeffs.unit(n, 6).coeffs for n in range(7)]
+        seeds = [AnalyticCoeffs(u * c) for u in (1.0, 1.0j) for c in units]
+        assert basis.size == len(seeds)
+        for element, seed in zip(basis.elements, seeds):
+            alone = vekua_lift(seed, alpha, tol=1e-10)
+            assert element.iterations == alone.iterations
+            assert element.converged and alone.converged
+            # each seed stops at its first increment <= tol
+            assert element.increments[-1] <= 1e-10 < min(element.increments[:-1])
+            np.testing.assert_allclose(element.increments, alone.increments, rtol=1e-9, atol=1e-15)
+            assert np.max(np.abs(element.w.values - alone.w.values)) <= 1e-13
+            assert abs(element.residual - alone.residual) <= 1e-13
+
+    def test_one_diverging_seed_in_a_batch(self):
+        # under exp(2.5 x) the lift of e_0 diverges while e_2 and e_3 converge
+        grid = build_grid(8, 32)
+        alpha = alpha_from_f(Conductivity.exp_x(grid, 2.5))
+        seeds = [AnalyticCoeffs.unit(n, 3) for n in (2, 0, 3)]
+        out = _lift_batch(seeds, alpha, 1e-9, 60)
+        assert isinstance(out[1], LiftDivergenceError)
+        with pytest.raises(LiftDivergenceError) as alone:
+            vekua_lift(seeds[1], alpha)
+        assert str(out[1]) == str(alone.value)
+        for b in (0, 2):
+            assert out[b].converged
+            assert out[b].iterations == vekua_lift(seeds[b], alpha).iterations
+        with pytest.raises(ConvergenceError, match="lift of seed e_0 diverged"):
+            build_fbep_space(Conductivity.exp_x(grid, 2.5), 3)
+
+
+class TestOpsCache:
+    def test_norm_grids_are_released(self, grid_24_96):
+        # every restriction_map_norm call builds its own norm grid; the
+        # cache entry of that grid must go with it
+        f = Conductivity.exp_x(grid_24_96, 0.2)
+        j_region = Region.annulus(0.5)
+        restriction_map_norm(f, j_region)
+        gc.collect()
+        before = len(_ops_cache)
+        for _ in range(10):
+            restriction_map_norm(f, j_region)
+        gc.collect()
+        assert len(_ops_cache) <= before
