@@ -9,13 +9,23 @@ h_J and a budget M, the solver finds the degree-N analytic g0 minimizing
 for the unique lambda in (-1, inf) saturating the constraint when the
 data is not attainable.  In mu = 1 + lambda this is a norm-constrained
 least squares; one core, ConstrainedLSQ, solves it here and for the real
-f-BEP.  It assembles the Gram forms once, whitens by the full-disc form
-and diagonalizes the J-form, so c(mu) is a diagonal solve with a
-rounding-level Karush-Kuhn-Tucker residual, and bisects mu on the
-grid-evaluated constraint error, verified monotone at runtime.
+f-BEP.  It takes the Gram forms and moments of both sides and a synthesis
+c -> grid values: for the BEP the ring-FFT forms and inverse ring FFT of
+the polar layer in bergman, for the f-BEP dense forms of the lifted
+samples.  It whitens by the full-disc form and diagonalizes the J-form,
+so c(mu) is a diagonal solve with a rounding-level Karush-Kuhn-Tucker
+residual, and bisects mu with err_J evaluated from the whitened forms at
+O(N) per step (the secular function of a quadratically constrained least
+squares; Gander 1981), verified monotone at runtime.  The end point is
+checked on the grid by synthesis: if the grid value misses M by more
+than the stop tolerance, as it can when err_J << ||h_J||_J and the form
+value cancels, the bisection continues on grid evaluations.
 
-The independent oracle solves the operator form (I + lambda G_J) c =
-b_K + (1 + lambda) b_J with one dense linear solve per lambda.
+The independent oracle shares only the bisection and its monotonicity
+check: it assembles dense forms from basis_matrix samples, solves the
+operator form (I + lambda G_J) c = b_K + (1 + lambda) b_J with one dense
+linear solve per lambda and evaluates err_J on the dense samples, so
+agreement with it checks the ring-FFT assembly as well as the solve.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bergman import AnalyticCoeffs, basis_matrix
+from .bergman import AnalyticCoeffs, _ring_gram, _ring_moments, _ring_synthesis, basis_matrix
 from .grid import GridFunction, Region
 
 logger = logging.getLogger("bergbep")
@@ -36,6 +46,7 @@ _LAMBDA_FLOOR = -1.0 + 1e-9
 _DROP_RCOND = 1e-10
 _MAX_EXPANSIONS = 80
 _MAX_BISECTIONS = 200
+_STOP_TOL = 1e-12
 
 
 class InfeasibleProblemError(ValueError):
@@ -105,37 +116,38 @@ class LsqSolution(NamedTuple):
 class ConstrainedLSQ:
     """min err_K(c) subject to err_J(c) <= M over combinations c of sampled elements.
 
-    err_S(c)^2 = sum_S w_S |samples @ c - h_S|^2 on the grid nodes.  With
-    real=True the coefficients are real and the forms are the real parts
-    Re <w_m, w_n>, Re <h, w_m> (the f-BEP over a lifted basis).  The
-    full-disc form A_K + A_J is diagonalized once; directions below
-    _DROP_RCOND of its top eigenvalue are dropped, and the rest are
-    whitened so that the J-form is diag(tau) and the K-form diag(1 - tau).
+    err_S(c)^2 = sum_S w_S |synthesize(c) - h_S|^2 on the grid nodes.  The
+    core takes the Gram forms A_S and moments r_S of both sides and the
+    synthesis c -> grid values: the BEP passes ring-FFT forms and the
+    inverse ring FFT (_polar_core), the f-BEP the real parts
+    Re <w_m, w_n>, Re <h, w_m> of its lifted samples and samples @ c
+    (_dense_core).  The full-disc form A_K + A_J is diagonalized once;
+    directions below _DROP_RCOND of its top eigenvalue are dropped, and
+    the rest are whitened so that the J-form is diag(tau) and the K-form
+    diag(1 - tau).
     """
 
-    def __init__(self, samples, w_k, w_j, h_k, h_j, real: bool = False):
-        self.samples, self.w_k, self.w_j, self.h_k, self.h_j = samples, w_k, w_j, h_k, h_j
-        part = np.real if real else np.asarray
-        self.a_k, self.r_k = _forms(samples, w_k, h_k, part)
-        self.a_j, self.r_j = _forms(samples, w_j, h_j, part)
+    def __init__(self, a_k, r_k, a_j, r_j, synthesize, w_k, w_j, h_k, h_j):
+        self.a_k, self.r_k, self.a_j, self.r_j = a_k, r_k, a_j, r_j
+        self.synthesize = synthesize
+        self.w_k, self.w_j, self.h_k, self.h_j = w_k, w_j, h_k, h_j
         self._diagonalize()
 
     @classmethod
     def from_problem(cls, problem, basis=None) -> "ConstrainedLSQ":
         """The BEP over e_0..e_N, or with a VekuaBasis the real f-BEP over its lifts."""
         grid = problem.grid
-        samples = basis_matrix(grid, problem.degree) if basis is None else basis.values_matrix()
-        return cls(
-            samples,
-            problem.k_region.weights(grid).ravel(),
-            problem.j_region.weights(grid).ravel(),
-            problem.h_k.values.ravel(),
-            problem.h_j.values.ravel(),
-            real=basis is not None,
+        w_k, w_j = problem.k_region.weights(grid), problem.j_region.weights(grid)
+        h_k, h_j = problem.h_k.values, problem.h_j.values
+        if basis is None:
+            return _polar_core(grid, problem.degree, w_k, w_j, h_k, h_j)
+        return _dense_core(
+            basis.values_matrix(), w_k.ravel(), w_j.ravel(), h_k.ravel(), h_j.ravel(), real=True
         )
 
     def _diagonalize(self) -> None:
         vals, vecs = np.linalg.eigh(self.a_k + self.a_j)
+        self.min_eig = float(vals[0])  # of the full-disc form
         keep = vals > _DROP_RCOND * vals.max()
         self.dropped = int(np.count_nonzero(~keep))
         if self.dropped:
@@ -152,81 +164,110 @@ class ConstrainedLSQ:
     def leading(self, n: int) -> "ConstrainedLSQ":
         """The same problem over the first n sampled elements."""
         sub = copy.copy(self)
-        sub.samples = self.samples[:, :n]
+        pad = np.zeros(self.r_k.size - n)
+        sub.synthesize = lambda c: self.synthesize(np.concatenate((c, pad)))
         sub.a_k, sub.a_j = self.a_k[:n, :n], self.a_j[:n, :n]
         sub.r_k, sub.r_j = self.r_k[:n], self.r_j[:n]
         sub._diagonalize()
         return sub
 
-    def coeffs(self, mu: float) -> np.ndarray:
-        """Minimizer of err_K^2 + mu err_J^2: a diagonal solve in the whitened basis."""
+    def _y(self, mu: float) -> np.ndarray:
         denom = (1.0 - self.taus) + mu * self.taus
         keep = denom > 1e-12 * max(1.0, denom.max())
-        y = np.where(keep, (self.bt_k + mu * self.bt_j) / np.where(keep, denom, 1.0), 0.0)
-        return self.whiten @ y
+        return np.where(keep, (self.bt_k + mu * self.bt_j) / np.where(keep, denom, 1.0), 0.0)
+
+    def coeffs(self, mu: float) -> np.ndarray:
+        """Minimizer of err_K^2 + mu err_J^2: a diagonal solve in the whitened basis."""
+        return self.whiten @ self._y(mu)
 
     def err(self, c: np.ndarray, side: str) -> float:
         w, h = (self.w_k, self.h_k) if side == "k" else (self.w_j, self.h_j)
-        resid = self.samples @ c - h
+        resid = self.synthesize(c) - h
         return float(np.sqrt(np.sum(w * np.abs(resid) ** 2)))
 
     def kkt(self, c: np.ndarray, mu: float) -> np.ndarray:
         """Gradient of (err_K^2 + mu err_J^2) / 2 in the coefficients."""
         return (self.a_k @ c - self.r_k) + mu * (self.a_j @ c - self.r_j)
 
-    def feasibility(self) -> float:
-        """Distance of h_J to the span on J (the mu -> inf limit)."""
-        keep = self.taus > 1e-12 * self.taus.max()
-        y = np.where(keep, self.bt_j / np.where(keep, self.taus, 1.0), 0.0)
-        return self.err(self.whiten @ y, "j")
+    def _j_fit(self) -> tuple[np.ndarray, np.ndarray]:
+        """Whitened best fit of h_J on J (the mu -> inf limit) and the directions it uses."""
+        fit = self.taus > 1e-12 * self.taus.max()
+        return fit, np.where(fit, self.bt_j / np.where(fit, self.taus, 1.0), 0.0)
 
-    def solve(self, m: float, mu_hi: float, coeffs=None, mu_lo: float = 0.0) -> LsqSolution:
+    def feasibility(self) -> float:
+        """Distance of h_J to the span on J, evaluated on the grid."""
+        return self.err(self.whiten @ self._j_fit()[1], "j")
+
+    def solve(self, m: float, mu_hi: float, mu_lo: float = 0.0) -> LsqSolution:
         """Saturating multiplier by bracketed bisection on err_J(mu) over [mu_lo, mu_hi].
 
-        If the fit at mu_lo already meets the budget it is returned
-        unsaturated.  coeffs(mu) defaults to the diagonal solve; the
-        operator-form oracle supplies its own.
+        If the fit at mu_lo already meets the budget (on the grid) it is
+        returned unsaturated.  The bracket and the bisection evaluate
+        err_J from the whitened forms at O(N) per step,
+
+            err_J(y)^2 = ||h_J||_J^2 - 2 Re y^H bt_J + sum tau |y|^2,
+
+        and the returned err_J is evaluated on the grid by synthesis.  If
+        that misses M by more than the stop tolerance (the form value
+        cancels when err_J << ||h_J||_J), the bisection continues on grid
+        evaluations from the current bracket.
         """
-        coeffs = self.coeffs if coeffs is None else coeffs
         feas = self.feasibility()
         if feas > m + 1e-9:
             raise InfeasibleProblemError(f"M = {m:.6g} below feasibility distance {feas:.6g}")
-        c = coeffs(mu_lo)
+        c = self.coeffs(mu_lo)
         e_lo = self.err(c, "j")
         if e_lo <= m:
             return LsqSolution(c, mu_lo, feas, 0, False)
 
-        scale = max(1.0, m)
-        lo, hi = mu_lo, float(mu_hi)
-        e_hi = self.err(coeffs(hi), "j")
-        evals = [(lo, e_lo), (hi, e_hi)]
-        expansions = 0
-        while e_hi > m:
-            expansions += 1
-            if expansions > _MAX_EXPANSIONS:
-                _check_monotone(evals, m)
-                raise ConvergenceError(
-                    f"bracket expansion exhausted: e(mu = {hi:.3g}) = {e_hi:.9g} > "
-                    f"M = {m:.9g} (feasibility distance {feas:.9g})"
-                )
-            hi *= 2.0
-            e_hi = self.err(coeffs(hi), "j")
-            evals.append((hi, e_hi))
+        h_j_sq = float(np.sum(self.w_j * np.abs(self.h_j) ** 2))
 
-        for iterations in range(1, _MAX_BISECTIONS + 1):
-            mu = 0.5 * (lo + hi)
-            c = coeffs(mu)
-            e_mu = self.err(c, "j")
-            evals.append((mu, e_mu))
-            if abs(e_mu - m) <= 1e-12 * scale or hi - lo < 1e-15 * max(1.0, hi):
-                break
-            lo, hi = (mu, hi) if e_mu > m else (lo, mu)
-        _check_monotone(evals, m)
-        if abs(e_mu - m) > 1e-8 * scale:
-            raise ConvergenceError(
-                f"bisection stalled: |e(mu) - M| = {abs(e_mu - m):.3e} at mu = {mu:.6g}"
-            )
+        def err_from_forms(mu: float) -> float:
+            y = self._y(mu)
+            e2 = h_j_sq - 2.0 * np.vdot(y, self.bt_j).real + np.sum(self.taus * np.abs(y) ** 2)
+            return float(np.sqrt(max(e2, 0.0)))
+
+        evals = [(mu_lo, e_lo)]
+        mu, _, lo, hi, iterations = _bisect(err_from_forms, m, mu_lo, mu_hi, evals, feas)
+        c = self.coeffs(mu)
+        e_mu = self.err(c, "j")
+        evals.append((mu, e_mu))
+        if abs(e_mu - m) > _STOP_TOL * max(1.0, m):
+            logger.debug("err_J from the forms missed M on the grid by %.3e", abs(e_mu - m))
+            grid_err = lambda mu: self.err(self.coeffs(mu), "j")  # noqa: E731
+            if lo > mu_lo:  # the forms placed lo; on the grid the root may lie below it
+                e_at_lo = grid_err(lo)
+                evals.append((lo, e_at_lo))
+                if e_at_lo <= m:
+                    lo = mu_lo
+            mu, e_mu, _, _, more = _bisect(grid_err, m, lo, hi, evals, feas)
+            iterations += more
+            c = self.coeffs(mu)
+        _check_saturated(evals, m, mu, e_mu)
         return LsqSolution(c, mu, feas, iterations, True)
+
+
+def _polar_core(grid, degree, w_k, w_j, h_k, h_j) -> ConstrainedLSQ:
+    """The BEP core over e_0..e_N: ring-FFT forms and inverse ring-FFT synthesis."""
+    return ConstrainedLSQ(
+        _ring_gram(grid, w_k, degree),
+        _ring_moments(grid, w_k * h_k, degree),
+        _ring_gram(grid, w_j, degree),
+        _ring_moments(grid, w_j * h_j, degree),
+        lambda c: _ring_synthesis(grid, c),
+        w_k, w_j, h_k, h_j,
+    )
+
+
+def _dense_core(samples, w_k, w_j, h_k, h_j, real: bool = False) -> ConstrainedLSQ:
+    """The core over the columns of samples; real=True for real coefficients (the f-BEP)."""
+    part = np.real if real else np.asarray
+    return ConstrainedLSQ(
+        *_forms(samples, w_k, h_k, part),
+        *_forms(samples, w_j, h_j, part),
+        lambda c: samples @ c,
+        w_k, w_j, h_k, h_j,
+    )
 
 
 def _forms(samples, w, h, part):
@@ -236,6 +277,49 @@ def _forms(samples, w, h, part):
     adjoint = s.conj().T
     g = part(adjoint @ (w[:, None] * s))
     return (g + g.conj().T) / 2.0, part(adjoint @ (w * h[on]))
+
+
+def _bisect(err, m: float, lo: float, hi: float, evals: list, feas: float):
+    """Bracketed bisection of err(mu) = M on [lo, hi], given err(lo) > M.
+
+    hi doubles until err(hi) <= M, then the bracket halves until
+    |err - M| <= _STOP_TOL max(1, M) or it collapses.  Every evaluation
+    is appended to evals.  Returns mu, err(mu), the last bracket and
+    the number of bisection steps.
+    """
+    scale = max(1.0, m)
+    hi = float(hi)
+    e_hi = err(hi)
+    evals.append((hi, e_hi))
+    expansions = 0
+    while e_hi > m:
+        expansions += 1
+        if expansions > _MAX_EXPANSIONS:
+            _check_monotone(evals, m)
+            raise ConvergenceError(
+                f"bracket expansion exhausted: e(mu = {hi:.3g}) = {e_hi:.9g} > "
+                f"M = {m:.9g} (feasibility distance {feas:.9g})"
+            )
+        hi *= 2.0
+        e_hi = err(hi)
+        evals.append((hi, e_hi))
+
+    for iterations in range(1, _MAX_BISECTIONS + 1):
+        mu = 0.5 * (lo + hi)
+        e_mu = err(mu)
+        evals.append((mu, e_mu))
+        if abs(e_mu - m) <= _STOP_TOL * scale or hi - lo < 1e-15 * max(1.0, hi):
+            break
+        lo, hi = (mu, hi) if e_mu > m else (lo, mu)
+    return mu, e_mu, lo, hi, iterations
+
+
+def _check_saturated(evals: list, m: float, mu: float, e_mu: float) -> None:
+    _check_monotone(evals, m)
+    if abs(e_mu - m) > 1e-8 * max(1.0, m):
+        raise ConvergenceError(
+            f"bisection stalled: |e(mu) - M| = {abs(e_mu - m):.3e} at mu = {mu:.6g}"
+        )
 
 
 def _check_monotone(evals: list[tuple[float, float]], m: float) -> None:
@@ -258,9 +342,9 @@ def _mu(lam: float) -> float:
 def feasibility_distance(h_j: GridFunction, j_region: Region, degree: int) -> float:
     """Distance of h_J to the degree-N analytic span restricted to J."""
     grid = h_j.grid
-    w_j = j_region.weights(grid).ravel()
-    e, w_k = basis_matrix(grid, degree), grid.weights.ravel() - w_j
-    return ConstrainedLSQ(e, w_k, w_j, np.zeros(w_j.size), h_j.values.ravel()).feasibility()
+    w_j = j_region.weights(grid)
+    zero = np.zeros(grid.shape)
+    return _polar_core(grid, degree, grid.weights - w_j, w_j, zero, h_j.values).feasibility()
 
 
 def solve_at_lambda(problem: BepProblem, lam: float) -> AnalyticCoeffs:
@@ -274,15 +358,16 @@ def constraint_error(problem: BepProblem, lam: float) -> float:
     return core.err(core.coeffs(_mu(lam)), "j")
 
 
-def _bep_solution(core: ConstrainedLSQ, result: LsqSolution) -> BepSolution:
+def _bep_solution(result: LsqSolution, err, kkt) -> BepSolution:
+    """The BEP solution of a multiplier search, with err(c, side) and kkt(c, mu) of its forms."""
     c = result.coeffs
     lam = result.mu - 1.0 if result.saturated else _LAMBDA_FLOOR
     return BepSolution(
         g0=AnalyticCoeffs(c),
         lam=lam,
-        err_k=core.err(c, "k"),
-        err_j=core.err(c, "j"),
-        kkt_residual=float(np.linalg.norm(core.kkt(c, 1.0 + lam))),
+        err_k=err(c, "k"),
+        err_j=err(c, "j"),
+        kkt_residual=float(np.linalg.norm(kkt(c, 1.0 + lam))),
         iterations=result.iterations,
         feasibility=result.feasibility,
         saturated=result.saturated,
@@ -300,7 +385,7 @@ def solve_bep(problem: BepProblem, hi0: float = 1.0, degree_diagnostic: bool = T
     stored as a truncation-convergence indicator.
     """
     core = ConstrainedLSQ.from_problem(problem)
-    solution = _bep_solution(core, core.solve(problem.m, 1.0 + hi0))
+    solution = _bep_solution(core.solve(problem.m, 1.0 + hi0), core.err, core.kkt)
     if degree_diagnostic and problem.degree >= 5:
         n_low = problem.degree - 3
         low = core.leading(n_low).solve(problem.m, 1.0 + hi0).coeffs
@@ -313,15 +398,45 @@ def solve_bep(problem: BepProblem, hi0: float = 1.0, degree_diagnostic: bool = T
 def solve_bep_oracle(problem: BepProblem) -> BepSolution:
     """Independent check: the operator form (I + lambda G_J) c = b_K + (1 + lambda) b_J.
 
-    One dense linear solve per lambda in place of the core's diagonal
-    solve, with the same bisection on the grid-evaluated constraint
-    error from lambda just above -1.
+    Shares only the bisection and its monotonicity check with the core.
+    The forms are assembled densely from basis_matrix samples, each
+    lambda takes one dense linear solve in place of the core's diagonal
+    solve, err_J is evaluated on the dense samples at every step from
+    lambda just above -1, and the feasibility distance is the error of
+    the pseudo-inverse J-fit.
     """
-    core = ConstrainedLSQ.from_problem(problem)
+    grid = problem.grid
+    e = basis_matrix(grid, problem.degree)
+    sides = {
+        "k": (problem.k_region.weights(grid).ravel(), problem.h_k.values.ravel()),
+        "j": (problem.j_region.weights(grid).ravel(), problem.h_j.values.ravel()),
+    }
+    (a_k, r_k), (a_j, r_j) = (_forms(e, w, h, np.asarray) for w, h in sides.values())
     eye = np.eye(problem.degree + 1)
 
-    def operator_solve(mu: float) -> np.ndarray:
-        return np.linalg.solve(eye + (mu - 1.0) * core.a_j, core.r_k + mu * core.r_j)
+    def err(c: np.ndarray, side: str) -> float:
+        w, h = sides[side]
+        return float(np.sqrt(np.sum(w * np.abs(e @ c - h) ** 2)))
 
-    result = core.solve(problem.m, 2.0, coeffs=operator_solve, mu_lo=1.0 + _LAMBDA_FLOOR)
-    return _bep_solution(core, result)
+    def kkt(c: np.ndarray, mu: float) -> np.ndarray:
+        return (a_k @ c - r_k) + mu * (a_j @ c - r_j)
+
+    def operator_solve(mu: float) -> np.ndarray:
+        return np.linalg.solve(eye + (mu - 1.0) * a_j, r_k + mu * r_j)
+
+    feas = err(np.linalg.pinv(a_j, rcond=1e-12, hermitian=True) @ r_j, "j")
+    if feas > problem.m + 1e-9:
+        raise InfeasibleProblemError(
+            f"M = {problem.m:.6g} below feasibility distance {feas:.6g}"
+        )
+    mu_lo = 1.0 + _LAMBDA_FLOOR
+    c = operator_solve(mu_lo)
+    e_lo = err(c, "j")
+    if e_lo <= problem.m:
+        return _bep_solution(LsqSolution(c, mu_lo, feas, 0, False), err, kkt)
+    evals = [(mu_lo, e_lo)]
+    mu, e_mu, _, _, iterations = _bisect(
+        lambda mu: err(operator_solve(mu), "j"), problem.m, mu_lo, 2.0, evals, feas
+    )
+    _check_saturated(evals, problem.m, mu, e_mu)
+    return _bep_solution(LsqSolution(operator_solve(mu), mu, feas, iterations, True), err, kkt)

@@ -8,6 +8,21 @@ cross-check path, and Gram/Toeplitz matrices G_mn = <chi_Omega e_n, e_m>
 for characteristic-function symbols, with closed forms for radial discs,
 annuli and angular sectors.
 
+On the polar grid every basis quadrature sum is a per-ring DFT.  With
+e_n = sqrt(n+1) r^n e^{in theta}, the radial powers P[i, p] = r_i^p and
+W_i(k) = sum_j w_ij e^{-ik theta_j} (an fft along theta), a private
+polar layer gives, for any weights w (masks included):
+
+    G_mn = sum w conj(e_m) e_n = sqrt((m+1)(n+1)) (P^T W)[m+n, (m-n) mod n_theta]
+    b_n  = sum w h conj(e_n)   = sqrt(n+1) sum_i r_i^n fft_theta(w h)_i(n)
+    sum_n c_n e_n              = ifft_theta of c_n sqrt(n+1) r_i^n per ring
+
+These only reorder the same sums, so they agree with the dense samples
+of basis_matrix to rounding at any degree, without building them.
+project, gram_quadrature and AnalyticCoeffs.on_grid use this layer, and
+so do the BEP core and the Vekua residuals; basis_matrix stays for
+independent checks.
+
 Note on the radial spectrum convention: with J = a*D under the
 normalized area measure, the truncated Toeplitz matrix is diagonal with
 entries a^{2(n+1)} = (a^2)^{n+1}.  Sources that parameterize the symbol
@@ -62,7 +77,7 @@ class AnalyticCoeffs:
         return acc if zv.ndim else complex(acc)
 
     def on_grid(self, grid: DiscGrid) -> GridFunction:
-        return GridFunction(grid, self.eval(grid.nodes))
+        return GridFunction(grid, _ring_synthesis(grid, self.coeffs))
 
 
 def basis_matrix(grid: DiscGrid, degree: int) -> np.ndarray:
@@ -70,6 +85,48 @@ def basis_matrix(grid: DiscGrid, degree: int) -> np.ndarray:
     z = grid.nodes.ravel()
     powers = z[:, None] ** np.arange(degree + 1)[None, :]
     return powers * np.sqrt(np.arange(degree + 1) + 1.0)[None, :]
+
+
+# ---- polar layer: e_n = sqrt(n+1) r^n e^{in theta} on the rings of the grid
+
+
+def _radial_powers(grid: DiscGrid, top: int) -> np.ndarray:
+    """P[i, p] = r_i^p for p = 0..top."""
+    return grid.radial_nodes[:, None] ** np.arange(top + 1)[None, :]
+
+
+def _ring_gram(grid: DiscGrid, w: np.ndarray, degree: int) -> np.ndarray:
+    """G_mn = sum w conj(e_m) e_n = sqrt((m+1)(n+1)) (P^T fft_theta(w))[m+n, (m-n) mod n_theta]."""
+    n = np.arange(degree + 1)
+    table = _radial_powers(grid, 2 * degree).T @ np.fft.fft(w, axis=-1)
+    scale = np.sqrt(n + 1.0)
+    g = table[n[:, None] + n[None, :], (n[:, None] - n[None, :]) % grid.angular_count]
+    g *= scale[:, None] * scale[None, :]
+    return (g + g.conj().T) / 2.0
+
+
+def _ring_moments(grid: DiscGrid, wh: np.ndarray, degree: int) -> np.ndarray:
+    """b_n = sum wh conj(e_n) = sqrt(n+1) sum_i r_i^n fft_theta(wh)_i(n).
+
+    wh may be a stack (..., n_r, n_theta); the moments are then (..., N+1).
+    """
+    n = np.arange(degree + 1)
+    modes = np.fft.fft(wh, axis=-1)[..., n % grid.angular_count]
+    return np.sqrt(n + 1.0) * np.sum(_radial_powers(grid, degree) * modes, axis=-2)
+
+
+def _ring_synthesis(grid: DiscGrid, coeffs: np.ndarray) -> np.ndarray:
+    """sum_n c_n e_n at the nodes by an inverse fft along theta, for stacks (..., N+1)."""
+    n_t = grid.angular_count
+    n = np.arange(coeffs.shape[-1])
+    terms = (coeffs * np.sqrt(n + 1.0))[..., None, :] * _radial_powers(grid, n[-1])
+    if n.size > n_t:  # modes n and n mod n_theta coincide on the nodes
+        pad = -n.size % n_t
+        terms = np.concatenate((terms, np.zeros(terms.shape[:-1] + (pad,))), axis=-1)
+        terms = terms.reshape(terms.shape[:-1] + (-1, n_t)).sum(axis=-2)
+    modes = np.zeros(terms.shape[:-1] + (n_t,), dtype=complex)
+    modes[..., : n.size] = terms
+    return np.fft.ifft(modes, axis=-1, norm="forward")
 
 
 def _check_degree(grid: DiscGrid, degree: int) -> None:
@@ -84,8 +141,7 @@ def _check_degree(grid: DiscGrid, degree: int) -> None:
 def project(g: GridFunction, degree: int) -> AnalyticCoeffs:
     """Degree-N Bergman projection of a grid function, c_n = <g, e_n>."""
     _check_degree(g.grid, degree)
-    e = basis_matrix(g.grid, degree)
-    return AnalyticCoeffs(e.conj().T @ (g.grid.weights.ravel() * g.values.ravel()))
+    return AnalyticCoeffs(_ring_moments(g.grid, g.grid.weights * g.values, degree))
 
 
 def kernel_eval(z: complex, zeta: complex) -> complex:
@@ -129,9 +185,7 @@ class GramMatrix:
 def gram_quadrature(region: Region, degree: int, grid: DiscGrid) -> GramMatrix:
     """Gram matrix by grid quadrature over the region, G = E^H diag(w) E."""
     _check_degree(grid, degree)
-    e = basis_matrix(grid, degree)
-    g = e.conj().T @ (region.weights(grid).ravel()[:, None] * e)
-    return GramMatrix(region, (g + g.conj().T) / 2.0)
+    return GramMatrix(region, _ring_gram(grid, region.weights(grid), degree))
 
 
 def _gram_closed_base(region: Region, degree: int) -> np.ndarray | None:

@@ -194,7 +194,7 @@ def cmd_lambda_sweep(args) -> int:
         core = ConstrainedLSQ.from_problem(problem)  # the forms do not depend on M
 
         def solve_at(m: float):  # solve_bep(..., degree_diagnostic=False) at this M
-            return _bep_solution(core, core.solve(m, 2.0))
+            return _bep_solution(core.solve(m, 2.0), core.err, core.kkt)
 
     lines = ["m,lambda,err_k"]
     for m in m_values:

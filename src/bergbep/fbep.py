@@ -125,11 +125,12 @@ def build_fbep_space(
                 f"iterations (last increment {lifted.increments[-1]:.3e} > tol {tol:.3e})"
             )
     basis = VekuaBasis(alpha=alpha, elements=elements)
-    logger.info(
-        "fbep space: %d elements, Gram min eigenvalue %.3e",
-        basis.size,
-        basis.min_eigenvalue(),
-    )
+    if logger.isEnabledFor(logging.INFO):  # the eigenvalue costs a full Gram
+        logger.info(
+            "fbep space: %d elements, Gram min eigenvalue %.3e",
+            basis.size,
+            basis.min_eigenvalue(),
+        )
     return basis
 
 
@@ -157,7 +158,7 @@ def solve_fbep(problem: FbepProblem, basis: VekuaBasis | None = None) -> FbepSol
         vekua_defect=vekua_residual(w_star, basis.alpha, problem.degree),
         feasibility=result.feasibility,
         saturated=result.saturated,
-        basis_min_eig=basis.min_eigenvalue(),
+        basis_min_eig=core.min_eig,
         dropped=core.dropped,
     )
 

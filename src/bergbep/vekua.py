@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergman import AnalyticCoeffs, project
+from .bergman import AnalyticCoeffs, _check_degree, _ring_moments, _ring_synthesis, project
 from .grid import DiscGrid, GridFunction, Region, inner_product
 
 logger = logging.getLogger("bergbep")
@@ -357,8 +357,19 @@ def vekua_residual(w: GridFunction, alpha: GridFunction, degree: int) -> float:
     analytic part then lies in A^2, up to the basis truncation).
     """
     w._check_same_grid(alpha)
-    u = w - teodorescu(alpha * w.conj())
-    return (u - project(u, degree).on_grid(w.grid)).norm()
+    return float(_residuals(w.values, alpha, degree))
+
+
+def _residuals(w: np.ndarray, alpha: GridFunction, degree: int) -> np.ndarray:
+    """vekua_residual of a stack (..., n_r, n_theta): one T apply, one ring projection."""
+    grid = alpha.grid
+    _check_degree(grid, degree)
+    u = np.conj(w)
+    u *= alpha.values
+    u = _ops(grid).teo.apply(u)
+    np.subtract(w, u, out=u)
+    u -= _ring_synthesis(grid, _ring_moments(grid, grid.weights * u, degree))
+    return np.sqrt(np.sum(grid.weights * np.abs(u) ** 2, axis=(-2, -1)))
 
 
 @dataclass(eq=False)
@@ -404,8 +415,9 @@ def _lift_batch(
 
     Each seed keeps its own increments, iteration count and divergence
     detector, and stops updating once its increment is <= tol; a step
-    applies T to the stack of seeds still iterating.  Returns, per seed,
-    its VekuaFunction or the LiftDivergenceError that ended it.
+    applies T to the stack of seeds still iterating, and the residuals of
+    all lifts take one more apply and one ring projection.  Returns, per
+    seed, its VekuaFunction or the LiftDivergenceError that ended it.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -446,6 +458,12 @@ def _lift_batch(
                 still.append(b)
         active = still
 
+    del x, w_next, seed_vals  # keep the residuals' stacks within the iteration's peak
+    residuals = np.zeros(len(seeds))
+    for degree in {seed.degree for seed in seeds}:
+        idx = [b for b, seed in enumerate(seeds) if seed.degree == degree and b not in diverged]
+        if idx:
+            residuals[idx] = _residuals(w[idx], alpha, degree)
     results: list = []
     for b, seed in enumerate(seeds):
         if b in diverged:
@@ -460,7 +478,7 @@ def _lift_batch(
             VekuaFunction(
                 w=w_b,
                 alpha=alpha,
-                residual=vekua_residual(w_b, alpha, seed.degree),
+                residual=float(residuals[b]),
                 converged=converged[b],
                 iterations=len(increments[b]),
                 increments=increments[b],

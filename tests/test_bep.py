@@ -1,3 +1,4 @@
+import logging
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from bergbep import (
     solve_bep,
     solve_bep_oracle,
 )
-from bergbep.bep import ConstrainedLSQ
+from bergbep.bep import ConstrainedLSQ, _dense_core
 from conftest import saturated_problem
 
 # frozen regression: distance of conj(z) to the degree-16 span on the
@@ -350,3 +351,78 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+class TestPolarCore:
+    def test_cancellation_falls_back_to_grid(self, grid_24_96, caplog):
+        # err_J << ||h_J||_J: the form value of err_J loses its digits to
+        # ||h_J||_J^2, its end point misses M on the grid (by about 4e-11)
+        # and the bisection continues on grid evaluations
+        k = Region.radial_disc(0.5)
+        h_k = GridFunction.from_function(grid_24_96, lambda z: np.exp(z) + 0.5)
+        h_j = GridFunction.from_function(grid_24_96, lambda z: np.exp(z) + 1e-7 * np.conj(z))
+        feas = feasibility_distance(h_j, k.complement(), 12)
+        free = solve_bep(BepProblem(k, k.complement(), h_k, h_j, 1e8, 12), degree_diagnostic=False)
+        m = feas + 1e-6 * (free.err_j - feas)
+        p = BepProblem(k, k.complement(), h_k, h_j, m, 12)
+        with caplog.at_level(logging.DEBUG, logger="bergbep"):
+            sol = solve_bep(p, degree_diagnostic=False)
+        assert any("missed M on the grid" in r.getMessage() for r in caplog.records)
+        assert sol.saturated
+        assert abs(sol.err_j - m) <= 1e-8 * max(1.0, m)
+        # the grid bisection reaches the stop tolerance, not just the 1e-8 contract
+        assert abs(sol.err_j - m) <= 1e-12 * max(1.0, m)
+        assert sol.kkt_residual <= 1e-8 * (1.0 + sol.g0.norm())
+        oracle = solve_bep_oracle(p)
+        assert np.max(np.abs(oracle.g0.coeffs - sol.g0.coeffs)) <= 1e-8
+
+    def test_oracle_without_polar_assembly(self, grid_24_96, monkeypatch):
+        import bergbep.bep as bep
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle used the polar assembly")
+
+        p = constant_fixture(grid_24_96)
+        expected = solve_bep(p, degree_diagnostic=False).g0.coeffs
+        for name in ("_polar_core", "_ring_gram", "_ring_moments", "_ring_synthesis"):
+            monkeypatch.setattr(bep, name, forbidden)
+        oracle = solve_bep_oracle(p)
+        assert oracle.saturated
+        assert np.max(np.abs(oracle.g0.coeffs - expected)) <= 1e-8
+
+
+class TestInactive:
+    """Inactive BEPs: err_K is well defined, the K-null coefficients are not.
+
+    At 64x128/30 the whitened K-form 1 - tau has directions at every
+    level down to rounding, so two correct solvers may fill those
+    directions differently; only err_K and the budget are pinned.
+    """
+
+    @staticmethod
+    def _check(grid, k, degree=30):
+        from bergbep.bergman import basis_matrix
+
+        j = k.complement()
+        h_k = GridFunction.from_function(grid, lambda z: np.exp(z) + 0.2 * np.conj(z))
+        h_j = GridFunction.from_function(grid, lambda z: 0.3 * np.conj(z))
+        p = BepProblem(k, j, h_k, h_j, 1e3, degree)
+        sol = solve_bep(p, degree_diagnostic=False)
+        dense = _dense_core(
+            basis_matrix(grid, degree),
+            k.weights(grid).ravel(),
+            j.weights(grid).ravel(),
+            h_k.values.ravel(),
+            h_j.values.ravel(),
+        )
+        c = dense.solve(p.m, 2.0).coeffs
+        assert not sol.saturated
+        assert sol.err_j <= p.m and dense.err(c, "j") <= p.m
+        scale = max(1.0, h_k.norm(k))
+        assert abs(sol.err_k - dense.err(c, "k")) <= 1e-9 * scale
+
+    def test_disc(self, grid_64_128):
+        self._check(grid_64_128, Region.radial_disc(0.5))
+
+    def test_mask(self, grid_64_128):
+        self._check(grid_64_128, Region.mask(np.abs(grid_64_128.nodes - (0.2 + 0.1j)) < 0.45))

@@ -13,7 +13,7 @@ from bergbep import (
     project,
     spectrum,
 )
-from bergbep.grid import eval_basis
+from bergbep.grid import build_grid, eval_basis
 
 
 class TestProject:
@@ -200,3 +200,76 @@ class TestUniquenessSurrogate:
         for _ in range(10):
             c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
             assert (c.conj() @ g @ c).real > 0.0
+
+
+def _regions(grid):
+    return (
+        Region.radial_disc(0.5),
+        Region.annulus(0.4),
+        Region.sector(1.1),
+        Region.mask(np.abs(grid.nodes - (0.2 + 0.1j)) < 0.45),
+        Region.sector(0.7).complement(),
+    )
+
+
+class TestPolarLayer:
+    """Ring-DFT forms and synthesis against the dense basis samples."""
+
+    # 12x24 at N = 11 is the exactness limit 2N = min(4 n_r - 2, n_theta - 1)
+    @pytest.mark.parametrize(
+        "shape", [(12, 24, 5), (24, 96, 16), (64, 128, 30), (16, 45, 20), (12, 24, 11)]
+    )
+    def test_forms_match_dense(self, shape):
+        from bergbep.bep import _forms
+        from bergbep.bergman import _ring_gram, _ring_moments, basis_matrix
+
+        n_r, n_t, n = shape
+        grid = build_grid(n_r, n_t)
+        e = basis_matrix(grid, n)
+        rng = np.random.default_rng(n)
+        h = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        for region in _regions(grid):
+            w = region.weights(grid)
+            a, r = _forms(e, w.ravel(), h.ravel(), np.asarray)
+            ring_a, ring_r = _ring_gram(grid, w, n), _ring_moments(grid, w * h, n)
+            assert np.max(np.abs(ring_a - a)) <= 1e-13 * np.max(np.abs(a))
+            assert np.max(np.abs(ring_r - r)) <= 1e-13 * np.max(np.abs(r))
+            assert np.array_equal(ring_a, ring_a.conj().T)
+
+    @pytest.mark.parametrize("shape", [(12, 24, 11), (24, 96, 16), (16, 45, 20), (64, 128, 30)])
+    def test_synthesis_matches_eval(self, shape):
+        n_r, n_t, n = shape
+        grid = build_grid(n_r, n_t)
+        rng = np.random.default_rng(n)
+        c = AnalyticCoeffs(rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
+        horner = c.eval(grid.nodes)
+        assert np.max(np.abs(c.on_grid(grid).values - horner)) <= 1e-13 * np.max(np.abs(horner))
+
+    def test_synthesis_beyond_angular_count(self):
+        # degrees past n_theta alias onto the same node values, as eval gives them
+        grid = build_grid(4, 8)
+        c = AnalyticCoeffs(np.linspace(1.0, 0.1, 20) + 0.5j)
+        horner = c.eval(grid.nodes)
+        assert np.max(np.abs(c.on_grid(grid).values - horner)) <= 1e-13 * np.max(np.abs(horner))
+
+    def test_project_matches_dense(self, grid_24_96):
+        from bergbep.bergman import basis_matrix
+
+        rng = np.random.default_rng(3)
+        g = GridFunction(
+            grid_24_96,
+            rng.standard_normal(grid_24_96.shape) + 1j * rng.standard_normal(grid_24_96.shape),
+        )
+        e = basis_matrix(grid_24_96, 16)
+        dense = e.conj().T @ (grid_24_96.weights.ravel() * g.values.ravel())
+        assert np.max(np.abs(project(g, 16).coeffs - dense)) <= 1e-14
+
+    def test_gram_quadrature_matches_dense(self, grid_24_96):
+        from bergbep.bergman import basis_matrix
+
+        e = basis_matrix(grid_24_96, 10)
+        for region in _regions(grid_24_96):
+            w = region.weights(grid_24_96).ravel()
+            dense = e.conj().T @ (w[:, None] * e)
+            quad = gram_quadrature(region, 10, grid_24_96).entries
+            assert np.max(np.abs(quad - dense)) <= 1e-14

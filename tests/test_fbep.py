@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -298,3 +300,29 @@ class TestTransformedData:
         t_j = np.where(np.abs(z) > a, np.conj(z) - a * a / z, 0.0)
         exact = GridFunction(grid, 1.0 - (eps / 2.0) * t_j)
         assert (h_star - exact).norm(j) / (eps / 2.0) <= 1e-2
+
+
+class TestBasisDiagnostics:
+    def test_min_eigenvalue_from_core(self, grid_32_64, basis_exp01_n8):
+        f, basis = basis_exp01_n8
+        sol = solve_fbep(make_problem(grid_32_64, f), basis)
+        vals = np.linalg.eigvalsh(basis.real_gram())
+        assert abs(sol.basis_min_eig - basis.min_eigenvalue()) <= 1e-12 * vals[-1]
+
+    def test_no_gram_unless_logged(self, grid_32_64, monkeypatch, caplog):
+        calls = []
+        real_gram = VekuaBasis.real_gram
+
+        def counting(self, region=None):
+            calls.append(region)
+            return real_gram(self, region)
+
+        monkeypatch.setattr(VekuaBasis, "real_gram", counting)
+        f = Conductivity.exp_x(grid_32_64, 0.1)
+        with caplog.at_level(logging.WARNING, logger="bergbep"):
+            build_fbep_space(f, 4)
+        assert calls == []
+        with caplog.at_level(logging.INFO, logger="bergbep"):
+            build_fbep_space(f, 4)
+        assert len(calls) == 1
+        assert any("Gram min eigenvalue" in r.getMessage() for r in caplog.records)

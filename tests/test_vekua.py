@@ -509,6 +509,21 @@ class TestBatchedLift:
             assert np.max(np.abs(element.w.values - alone.w.values)) <= 1e-13
             assert abs(element.residual - alone.residual) <= 1e-13
 
+    def test_batched_residuals_match_per_seed(self, grid_16_64):
+        from bergbep.bergman import basis_matrix
+
+        f = Conductivity.exp_xy(grid_16_64, 1.75)
+        alpha = alpha_from_f(f)
+        basis = build_fbep_space(f, 6, tol=1e-10)
+        e = basis_matrix(grid_16_64, 6)
+        w = grid_16_64.weights.ravel()
+        for element in basis.elements:
+            assert abs(element.residual - vekua_residual(element.w, alpha, 6)) <= 1e-14
+            # the dense projection as reference
+            u = (element.w - teodorescu(alpha * element.w.conj())).values.ravel()
+            u = u - e @ (e.conj().T @ (w * u))
+            assert abs(element.residual - np.sqrt(np.sum(w * np.abs(u) ** 2))) <= 1e-14
+
     def test_one_diverging_seed_in_a_batch(self):
         # under exp(2.5 x) the lift of e_0 diverges while e_2 and e_3 converge
         grid = build_grid(8, 32)
