@@ -94,6 +94,7 @@ class FbepSolution:
     saturated: bool
     basis_min_eig: float
     dropped: int
+    iterations: int
 
     @property
     def mu(self) -> float:
@@ -160,6 +161,7 @@ def solve_fbep(problem: FbepProblem, basis: VekuaBasis | None = None) -> FbepSol
         saturated=result.saturated,
         basis_min_eig=core.min_eig,
         dropped=core.dropped,
+        iterations=result.iterations,
     )
 
 
@@ -208,9 +210,10 @@ def transformed_constraint_data(
     """Diagnostic map of the constraint data into the Bergman setting.
 
     Returns h_J^* = h_J - T_J(alpha conj(h_J)) and M^* = M rho, where
-    rho is the norm of h -> h - T_J(alpha conj(h)) on L^2(J), estimated
-    densely on a coarse grid.  T_J integrates over J only: its input is
-    weighted by J's overlap fraction on every quadrature cell.
+    rho is the norm of h -> h - T_J(alpha conj(h)) on L^2(J), computed
+    by restriction_map_norm on a coarse grid of norm_grid_shape.  T_J
+    integrates over J only: its input is weighted by J's overlap
+    fraction on every quadrature cell.
     """
     alpha = alpha_from_f(problem.f)
     phi = problem.j_region.fraction(problem.grid)
@@ -223,19 +226,22 @@ def transformed_constraint_data(
 def restriction_map_norm(
     f: Conductivity, j_region: Region, grid_shape: tuple[int, int] = (12, 24)
 ) -> float:
-    """Operator norm of h -> h - T_J(alpha conj(h)) on L^2(J), coarse-grid dense.
+    """Operator norm of h -> h - T_J(alpha conj(h)) on L^2(J), on a coarse grid.
 
-    The real-linear map is assembled on a small grid from one batched
-    Teodorescu apply to the unit inputs on J's nodes (conjugation forces
-    the realified representation) and the weighted operator norm is
-    taken through its singular values.  T_J integrates over J only, so
-    the Teodorescu input is weighted by J's overlap fraction and the
-    output is read on the nodes of J; a cell that J barely overlaps then
-    contributes in proportion to its overlap.  With f constant the map
-    is the identity and the norm is 1.
+    The map is R h = h - A conj(h) on the weighted values at J's nodes,
+    with the complex matrix A = S T_J S^-1 (S = diag sqrt(w_J)) taken
+    from one batched Teodorescu apply to the unit inputs on J's nodes.
+    R is only real-linear, so its norm is the square root of the top
+    eigenvalue of R^T R, found by Lanczos (_normal_top_eigenvalue).
+    T_J integrates over J only, so the Teodorescu input is weighted by
+    J's overlap fraction and the output is read on the nodes of J; a
+    cell that J barely overlaps then contributes in proportion to its
+    overlap.  With f constant the map is the identity and the norm is 1.
+    A conductivity already sampled on a grid of grid_shape is used on
+    that grid as it is; a grid-sampled one cannot be rebuilt on another.
     """
-    small = build_grid(*grid_shape)
-    f_small = _rebuild_conductivity(f, small)
+    f_small = _conductivity_on(f, grid_shape)
+    small = f_small.grid
     alpha = alpha_from_f(f_small).values
     phi = j_region.fraction(small)
     w_j = j_region.weights(small).ravel()
@@ -244,26 +250,57 @@ def restriction_map_norm(
         raise ValueError("region J carries no nodes on the norm-estimation grid")
     n = idx.size
 
-    # T is complex-linear, so h -> h - A conj(h) with A = S T_J S^-1 on the
-    # weighted J nodes (S = diag sqrt(w_J)); one batched apply to the n
-    # unit inputs gives A, and the realified map is
-    # [[I - Re A, -Im A], [-Im A, I + Re A]]
     sqw = np.sqrt(w_j[idx])
     inputs = np.zeros((n,) + small.shape, dtype=complex)
     inputs.reshape(n, -1)[np.arange(n), idx] = (phi * alpha).ravel()[idx] / sqw
     a = _ops(small).teo.apply(inputs).reshape(n, -1)[:, idx].T  # row: output node
     a *= sqw[:, None]
-    realified = np.empty((2 * n, 2 * n))
-    realified[:n, :n] = -a.real
-    realified[:n, n:] = -a.imag
-    realified[n:, :n] = -a.imag
-    realified[n:, n:] = a.real
-    realified[np.diag_indices(2 * n)] += 1.0
-    del a  # the singular value solver copies its input: keep the peak at two matrices
-    return float(np.linalg.norm(realified, ord=2))
+    theta, _ = _normal_top_eigenvalue(a)
+    return float(np.sqrt(theta))
 
 
-def _rebuild_conductivity(f: Conductivity, grid: DiscGrid) -> Conductivity:
+def _normal_top_eigenvalue(a: np.ndarray) -> tuple[float, int]:
+    """Top eigenvalue of R^T R for R h = h - A conj(h), and the Lanczos steps taken.
+
+    R is real-linear on C^n, so the Krylov space is one of R^2n under the
+    inner product Re(x^H y), in which R^T g = g - A^T conj(g).  Symmetric
+    Lanczos with full reorthogonalization starts from a fixed-seed random
+    vector, so the result is deterministic and no symmetry of J or alpha
+    can keep the start orthogonal to the top eigenvector.  It stops when
+    the top Ritz pair's residual bound beta_k |s_k| falls to a few ulps
+    of the Ritz value theta, or when the Krylov space spans R^2n, where
+    theta is exact.
+    """
+    n = a.shape[0]
+    rng = np.random.default_rng(0)
+    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    q /= np.linalg.norm(q)
+    basis = np.empty((2 * n, n), dtype=complex)
+    real_basis = basis.view(float)  # (Re, Im) interleaved: Re(x^H y) is a real dot
+    tri = np.zeros((2 * n, 2 * n))  # the Lanczos tridiagonal, grown a step at a time
+    stop = 4.0 * np.finfo(float).eps  # residual bound relative to theta
+    for k in range(2 * n):
+        basis[k] = q
+        r = q - a @ np.conj(q)
+        w = r - a.T @ np.conj(r)
+        tri[k, k] = np.vdot(r, r).real  # q^T R^T R q = |R q|^2
+        real_w = w.view(float)
+        for _ in range(2):  # full reorthogonalization, repeated once for rounding
+            real_w -= (real_basis[: k + 1] @ real_w) @ real_basis[: k + 1]
+        beta = np.linalg.norm(w)
+        thetas, vectors = np.linalg.eigh(tri[: k + 1, : k + 1])
+        residual = beta * abs(vectors[-1, -1])
+        if residual <= stop * thetas[-1] or k + 1 == 2 * n:
+            break
+        tri[k, k + 1] = tri[k + 1, k] = beta
+        q = w / beta
+    return float(thetas[-1]), k + 1
+
+
+def _conductivity_on(f: Conductivity, shape: tuple[int, int]) -> Conductivity:
+    if f.grid.shape == tuple(shape):
+        return f  # on its own grid, whose Teodorescu operator is already built
+    grid = build_grid(*shape)
     if f.kind == "const":
         return Conductivity.constant(grid, float(f.values.values.real.flat[0]))
     if f.kind == "exp_x":

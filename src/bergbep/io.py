@@ -289,6 +289,7 @@ def fbep_solution_to_dict(sol: FbepSolution, degree: int, conjecture_residual: f
         "saturated": sol.saturated,
         "basis_min_eigenvalue": sol.basis_min_eig,
         "dropped_basis_directions": sol.dropped,
+        "iterations": sol.iterations,
         "conjecture_residual": conjecture_residual,
     }
 

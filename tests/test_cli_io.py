@@ -174,6 +174,15 @@ class TestCli:
         assert abs(doc["err_j"] - 0.1) <= 1e-6 * 0.1
         assert doc["conjecture_residual"] <= 1e-4
 
+    def test_solve_fbep_iterations(self, tmp_path):
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["solve-fbep", "--problem", FBEP_FIXTURE, "--out", str(out1)]) == 0
+        assert main(["solve-fbep", "--problem", FBEP_FIXTURE, "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        doc = json.loads(out1.read_text())
+        sol = solve_fbep(problem_from_dict(load_json(FBEP_FIXTURE)))
+        assert doc["iterations"] == sol.iterations > 0
+
     def test_exit_infeasible(self, tmp_path):
         doc = load_json(BEP_FIXTURE)
         doc["h_j"] = {"kind": "builtin", "name": "z_bar"}

@@ -23,6 +23,9 @@ from bergbep import (
     teodorescu,
     transformed_constraint_data,
 )
+from bergbep import fbep as fbep_module
+from bergbep.bep import ConstrainedLSQ
+from bergbep.fbep import _normal_top_eigenvalue
 from bergbep.vekua import alpha_from_f
 
 
@@ -86,6 +89,14 @@ class TestBuildSpace:
 
 
 class TestSolveFbep:
+    def test_iterations_from_core(self, grid_32_64, basis_exp01_n8):
+        f, basis = basis_exp01_n8
+        p = make_problem(grid_32_64, f)
+        sol = solve_fbep(p, basis)
+        core = ConstrainedLSQ.from_problem(p, basis)
+        assert sol.iterations == core.solve(p.m, 2.0).iterations
+        assert sol.iterations > 0
+
     def test_reduction_to_bep(self, grid_24_96):
         f = Conductivity.constant(grid_24_96, 1.0)
         k = Region.radial_disc(0.5)
@@ -275,6 +286,81 @@ class TestRestrictionMapAssembly:
         f = getattr(Conductivity, kind)(grid_16_64, eps)
         rho = restriction_map_norm(f, j_region, (6, 12))
         assert abs(rho - _norm_by_columns(kind, eps, j_region, (6, 12))) <= 1e-12
+
+
+def _single_node_mask(shape):
+    mask = np.zeros(shape, dtype=bool)
+    mask[-1, 1] = True
+    return Region.mask(mask)
+
+
+def _node_mask(shape):
+    rng = np.random.default_rng(3)
+    return Region.mask(rng.random(shape) < 0.4)
+
+
+class TestRestrictionMapLanczos:
+    """rho by Lanczos on R^T R against the SVD of the realified matrix."""
+
+    @pytest.mark.parametrize(
+        "kind, eps, j_of, shape",
+        [
+            ("constant", 1.0, lambda s: Region.annulus(0.5), (12, 24)),
+            ("exp_x", 0.8, lambda s: Region.annulus(0.5), (12, 24)),
+            ("exp_x", 0.8, lambda s: Region.radial_disc(0.6).complement(), (12, 24)),
+            ("exp_xy", 1.75, lambda s: Region.sector(1.0), (12, 24)),
+            ("exp_xy", 1.75, _node_mask, (12, 24)),
+            ("exp_xy", 1.75, _single_node_mask, (12, 24)),
+            ("exp_x", 0.2, _single_node_mask, (2, 8)),
+            ("exp_xy", 1.75, lambda s: Region.radial_disc(0.5).complement(), (2, 8)),
+            ("exp_x", 2.0, lambda s: Region.sector(1.0), (4, 8)),
+            ("exp_xy", 1.75, _node_mask, (4, 8)),
+        ],
+    )
+    def test_matches_dense_norm(self, grid_16_64, kind, eps, j_of, shape):
+        f = getattr(Conductivity, kind)(grid_16_64, eps)
+        j_region = j_of(shape)
+        rho = restriction_map_norm(f, j_region, shape)
+        dense = _norm_by_columns(kind, eps, j_region, shape)
+        assert abs(rho - dense) <= 1e-13 * dense
+        assert restriction_map_norm(f, j_region, shape) == rho  # bit for bit
+
+    def test_constant_f_in_one_step(self, grid_16_64):
+        theta, steps = _normal_top_eigenvalue(np.zeros((216, 216), dtype=complex))
+        assert steps == 1
+        assert abs(theta - 1.0) <= 1e-15
+        rho = restriction_map_norm(Conductivity.constant(grid_16_64, 2.0), Region.annulus(0.5))
+        assert abs(rho - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_exact_termination(self, n):
+        # the Krylov space reaches the real dimension 2n at the latest
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        theta, steps = _normal_top_eigenvalue(a)
+        realified = np.eye(2 * n) - np.block([[a.real, a.imag], [a.imag, -a.real]])
+        top = np.linalg.norm(realified, ord=2) ** 2
+        assert steps <= 2 * n
+        assert abs(theta - top) <= 1e-13 * top
+
+
+class TestGridSampledConductivity:
+    def test_rho_on_its_own_grid(self, monkeypatch):
+        grid = build_grid(16, 32)
+        exact = Conductivity.exp_x(grid, 0.2)
+        sampled = Conductivity.from_grid(exact.values, k_bound=np.exp(0.2))
+        j_region = Region.annulus(0.5)
+        alpha_error = np.max(np.abs(alpha_from_f(sampled).values - 0.1))  # 2.4e-9
+        closed = restriction_map_norm(exact, j_region, (16, 32))
+        # f's own grid is used as it is: no norm grid gets built
+        monkeypatch.setattr(fbep_module, "build_grid", None)
+        rho = restriction_map_norm(sampled, j_region, (16, 32))
+        assert np.isfinite(rho)
+        assert abs(rho - closed) <= 1e-11  # measured 1.4e-12
+        assert abs(rho - closed) <= alpha_error
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="cannot be rebuilt on another grid"):
+            restriction_map_norm(sampled, j_region, (12, 24))
 
 
 class TestTransformedData:
