@@ -35,7 +35,9 @@ from .vekua import (
     Conductivity,
     LiftDivergenceError,
     VekuaBasis,
+    _alpha_mode,
     _lift_batch,
+    _mode_pair_lift,
     _ops,
     alpha_from_f,
     teodorescu,
@@ -61,6 +63,8 @@ class FbepProblem:
     def __post_init__(self):
         if self.m <= 0.0:
             raise ValueError(f"constraint level M must be positive, got {self.m}")
+        if not 0.0 < self.lift_tol < np.inf:
+            raise ValueError(f"lift tolerance must be positive and finite, got {self.lift_tol}")
         self.h_k._check_same_grid(self.h_j)
         if self.f.grid is not self.h_k.grid:
             raise ValueError("conductivity and data use different grids")
@@ -106,25 +110,42 @@ def build_fbep_space(
 ) -> VekuaBasis:
     """Lift {e_0..e_N, i e_0..i e_N} into the Vekua space of f.
 
-    All 2(N+1) seeds are lifted together, each with its own iteration.
-    A lift that diverges or stops at max_iter without reaching tol
-    raises ConvergenceError naming its seed.
+    For the closed-form kinds (const, exp_x, exp_xy) alpha is a single
+    angular mode a(r) e^{i s theta}, and the discrete fixed-point
+    equation w = seed + T[alpha conj(w)] is solved exactly by angular
+    mode pairs (one small radial solve per degree); a lift whose
+    fixed-point defect exceeds tol raises ConvergenceError naming its
+    seed.  A grid-sampled f couples every mode, and its 2(N+1) seeds are
+    lifted together by the Neumann iteration, each with its own
+    iteration; a lift that diverges or stops at max_iter without
+    reaching tol raises ConvergenceError naming its seed.
     """
     alpha = alpha_from_f(f)
-    names, seeds = [], []
-    for unit in (1.0, 1.0j):
-        for n in range(degree + 1):
-            names.append(f"{'i*' if unit == 1.0j else ''}e_{n}")
-            seeds.append(AnalyticCoeffs(unit * AnalyticCoeffs.unit(n, degree).coeffs))
-    elements = _lift_batch(seeds, alpha, tol, max_iter)
+    names = [f"{unit}e_{n}" for unit in ("", "i*") for n in range(degree + 1)]
+    mode = _alpha_mode(f)
+    if mode is None:
+        seeds = [
+            AnalyticCoeffs(unit * AnalyticCoeffs.unit(n, degree).coeffs)
+            for unit in (1.0, 1.0j)
+            for n in range(degree + 1)
+        ]
+        elements = _lift_batch(seeds, alpha, tol, max_iter)
+    else:
+        elements = _mode_pair_lift(alpha, mode, degree, tol)
     for name, lifted in zip(names, elements):  # the first failure in seed order
         if isinstance(lifted, LiftDivergenceError):
             raise ConvergenceError(f"lift of seed {name} diverged: {lifted}") from lifted
-        if not lifted.converged:
+        if lifted.converged:
+            continue
+        if mode is None:
             raise ConvergenceError(
                 f"lift of seed {name} did not converge in {lifted.iterations} "
                 f"iterations (last increment {lifted.increments[-1]:.3e} > tol {tol:.3e})"
             )
+        raise ConvergenceError(
+            f"lift of seed {name} has fixed-point defect "
+            f"{lifted.increments[-1]:.3e} > tol {tol:.3e}"
+        )
     basis = VekuaBasis(alpha=alpha, elements=elements)
     if logger.isEnabledFor(logging.INFO):  # the eigenvalue costs a full Gram
         logger.info(

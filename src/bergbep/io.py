@@ -215,7 +215,10 @@ def normalize_problem(doc) -> dict:
     }
     if "conductivity" in doc:
         out["conductivity"] = normalize_conductivity_spec(doc["conductivity"])
-        out["lift_tol"] = float(doc.get("lift_tol", 1e-9))
+        lift_tol = doc.get("lift_tol", 1e-9)
+        if not isinstance(lift_tol, (int, float)) or not 0.0 < lift_tol < np.inf:
+            raise SchemaError(f"lift_tol must be positive and finite, got {lift_tol!r}")
+        out["lift_tol"] = float(lift_tol)
     return out
 
 

@@ -5,10 +5,21 @@ a non-vanishing real conductivity f, is handled through the Teodorescu
 transform T[g](z) = integral of g(zeta)/(z - zeta) dA(zeta), a right
 inverse of dbar.  Membership of w in the Bergman-Vekua space is checked
 through the analytic part u = w - T[alpha conj(w)], analytic seeds are
-lifted into the space by the fixed-point iteration w = seed +
-T[alpha conj(w)], and the real/imaginary parts of solutions are
+lifted into the space as solutions of the fixed-point equation w =
+seed + T[alpha conj(w)], and the real/imaginary parts of solutions are
 diagnosed against their divergence-form conductivity equations and the
 conjugate Beltrami equation.
+
+vekua_lift solves the fixed-point equation by Neumann iteration, which
+converges when T composed with alpha conj is a contraction.  For the
+closed-form conductivities alpha is one angular mode a(r) e^{i s theta}
+(_alpha_mode), and the map v -> T[alpha conj(v)] sends the ring samples
+of mode k to mode s - 1 - k.  The lift of e_n then lives in the mode
+pair n, s - 1 - n, and _mode_pair_lift solves the discrete equation
+exactly for any contrast: one n_r x n_r complex solve per degree
+(realified to 2 n_r where the two modes coincide) and one inverse fft.
+Each such lift is certified by its fixed-point defect ||seed +
+T[alpha conj(w)] - w||, evaluated with the grid Teodorescu apply.
 
 Derivatives on the tensor grid use spectral (trigonometric) angular
 differentiation by fft and five-point finite differences on the
@@ -43,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergman import AnalyticCoeffs, _check_degree, _ring_moments, _ring_synthesis, project
+from .bergman import AnalyticCoeffs, _check_degree, _radial_powers, project
 from .grid import DiscGrid, GridFunction, Region, inner_product
 
 logger = logging.getLogger("bergbep")
@@ -350,6 +361,22 @@ def alpha_from_f(f: Conductivity) -> GridFunction:
     return GridFunction(grid, df.values / f.values.values)
 
 
+def _alpha_mode(f: Conductivity) -> tuple[np.ndarray, int] | None:
+    """alpha = a(r) e^{i s theta} of a closed-form kind as (a on the rings, s).
+
+    None for a grid-sampled conductivity, whose alpha couples every
+    angular mode.  exp_xy has alpha = eps (y + i x)/2 = (i eps/2) r e^{-i theta}.
+    """
+    r = f.grid.radial_nodes
+    if f.kind == "const":
+        return np.zeros(r.size, dtype=complex), 0
+    if f.kind == "exp_x":
+        return np.full(r.size, f.eps / 2.0, dtype=complex), 0
+    if f.kind == "exp_xy":
+        return 0.5j * f.eps * r, -1
+    return None
+
+
 def vekua_residual(w: GridFunction, alpha: GridFunction, degree: int) -> float:
     """Distance of w - T[alpha conj(w)] from the degree-N analytic span.
 
@@ -361,15 +388,36 @@ def vekua_residual(w: GridFunction, alpha: GridFunction, degree: int) -> float:
 
 
 def _residuals(w: np.ndarray, alpha: GridFunction, degree: int) -> np.ndarray:
-    """vekua_residual of a stack (..., n_r, n_theta): one T apply, one ring projection."""
-    grid = alpha.grid
-    _check_degree(grid, degree)
+    """vekua_residual of a stack (..., n_r, n_theta): one T apply and one fft."""
+    _check_degree(alpha.grid, degree)
+    return _span_distances(alpha.grid, _analytic_modes(w, alpha), degree)
+
+
+def _analytic_modes(w: np.ndarray, alpha: GridFunction) -> np.ndarray:
+    """Ring modes U of u = w - T[alpha conj(w)], u = ifft(U, norm="forward"), for a stack."""
     u = np.conj(w)
     u *= alpha.values
-    u = _ops(grid).teo.apply(u)
+    u = _ops(alpha.grid).teo.apply(u)
     np.subtract(w, u, out=u)
-    u -= _ring_synthesis(grid, _ring_moments(grid, grid.weights * u, degree))
-    return np.sqrt(np.sum(grid.weights * np.abs(u) ** 2, axis=(-2, -1)))
+    return np.fft.fft(u, axis=-1, norm="forward")
+
+
+def _span_distances(grid: DiscGrid, modes: np.ndarray, degree: int) -> np.ndarray:
+    """Distances from the degree-N analytic span of a stack given by its ring modes.
+
+    On the rings e_n is sqrt(n+1) r^n in mode n alone, so by Parseval
+    <v, e_n> = sum_i rw_i sqrt(n+1) r_i^n V_in and the projection only
+    touches modes 0..N.  Overwrites modes.
+    """
+    e = np.sqrt(np.arange(degree + 1) + 1.0) * _radial_powers(grid, degree)  # (n_r, N+1)
+    low = modes[..., : degree + 1]
+    low -= np.sum(grid.radial_weights[:, None] * e * low, axis=-2)[..., None, :] * e
+    return _mode_norms(grid, modes)
+
+
+def _mode_norms(grid: DiscGrid, modes: np.ndarray) -> np.ndarray:
+    """L^2 norms of a stack from its ring modes (Parseval on each ring)."""
+    return np.sqrt((modes.real**2 + modes.imag**2).sum(axis=-1) @ grid.radial_weights)
 
 
 @dataclass(eq=False)
@@ -419,8 +467,7 @@ def _lift_batch(
     all lifts take one more apply and one ring projection.  Returns, per
     seed, its VekuaFunction or the LiftDivergenceError that ended it.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     grid = alpha.grid
@@ -485,6 +532,84 @@ def _lift_batch(
             )
         )
     return results
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
+def _mode_pair_lift(
+    alpha: GridFunction, mode: tuple[np.ndarray, int], degree: int, tol: float
+) -> list[VekuaFunction]:
+    """Lifts of e_0..e_N, i e_0..i e_N for alpha = a(r) e^{i s theta}, solved exactly.
+
+    mode is (a, s) from _alpha_mode, and alpha its grid samples.  On the
+    grid, v -> T[alpha conj(v)] sends angular mode k to mode s - 1 - k,
+    so the lift of e_n lives in modes n and m = s - 1 - n (mod n_theta)
+    alone.  With x, y its ring samples there, x = S_n + A conj(y) and
+    y = C conj(x), where A and C are the Teodorescu radial matrices of
+    input modes n + 1 and m + 1 times diag(a); then
+
+        (I - A conj(C)) x = S_n,   y = C conj(x),
+
+    one batched n_r x n_r solve over n, and the lift of i e_n is
+    (i x, -i y).  When m = n the equation x = S_n + A conj(x) is only
+    real-linear and is solved in its 2 n_r realified form for both
+    seeds.  Each lift is certified by its fixed-point defect
+    ||seed + T[alpha conj(w)] - w||, from the grid Teodorescu apply
+    that its residual shares: iterations = 1, increments = [defect], and
+    converged iff defect <= tol.
+    """
+    _check_tol(tol)
+    grid = alpha.grid
+    _check_degree(grid, degree)
+    a, s = mode
+    n_r, n_t = grid.shape
+    mats = _ops(grid).teo.matrices
+    n = np.arange(degree + 1)
+    m = (s - 1 - n) % n_t
+    seeds = np.sqrt(n + 1.0)[:, None] * _radial_powers(grid, degree).T  # e_n in mode n
+    # ring modes of the lifts, forward-normalized as in _ring_synthesis:
+    # e_0..e_N, then i e_0..i e_N
+    modes = np.zeros((2, degree + 1, n_r, n_t), dtype=complex)
+    big_a = mats[(n + 1) % n_t] * a  # M diag(a)
+    big_c = mats[(m + 1) % n_t] * a
+    eye = np.eye(n_r)
+    system = eye - big_a @ np.conj(big_c)
+    system[m == n] = eye  # the collided pair is solved below
+    x = np.linalg.solve(system, seeds[..., None])[..., 0]
+    y = np.einsum("nij,nj->ni", big_c, np.conj(x))
+    modes[0, n, :, m] = y
+    modes[1, n, :, m] = -1j * y
+    modes[0, n, :, n] = x
+    modes[1, n, :, n] = 1j * x
+    for c in np.nonzero(m == n)[0]:  # the collided pair: x = S_n + A conj(x)
+        ar, ai = big_a[c].real, big_a[c].imag
+        real_form = np.block([[eye - ar, -ai], [-ai, eye + ar]])
+        rhs = np.zeros((2 * n_r, 2))
+        rhs[:n_r, 0] = rhs[n_r:, 1] = seeds[c]
+        sol = np.linalg.solve(real_form, rhs)
+        modes[:, c, :, c] = (sol[:n_r] + 1j * sol[n_r:]).T
+    w = np.fft.ifft(modes.reshape(-1, n_r, n_t), axis=-1, norm="forward")
+
+    # the certificate: ring modes of w - T[alpha conj(w)] - seed, whose norm is the defect
+    modes = _analytic_modes(w, alpha).reshape(modes.shape)
+    modes[0, n, :, n] -= seeds
+    modes[1, n, :, n] -= 1j * seeds
+    defects = _mode_norms(grid, modes).ravel()
+    residuals = _span_distances(grid, modes, degree).ravel()  # seeds lie in the span
+    return [
+        VekuaFunction(
+            w=GridFunction(grid, w[b]),
+            alpha=alpha,
+            residual=float(residuals[b]),
+            converged=bool(defects[b] <= tol),
+            iterations=1,
+            increments=[float(defects[b])],
+        )
+        for b in range(w.shape[0])
+    ]
 
 
 def similarity_factor(w: VekuaFunction) -> GridFunction:

@@ -197,8 +197,10 @@ class TestCli:
         assert main(["solve-bep", "--problem", str(bad), "--out", str(tmp_path / "s.json")]) == 1
 
     def test_exit_non_convergence(self, tmp_path):
+        # no lift reaches a fixed-point defect of 1e-30
         doc = load_json(FBEP_FIXTURE)
         doc["conductivity"] = {"kind": "exp_x", "eps": 8.0}
+        doc["lift_tol"] = 1e-30
         prob = tmp_path / "p.json"
         prob.write_text(dumps_canonical(doc))
         assert (
@@ -206,14 +208,36 @@ class TestCli:
         )
 
     def test_exit_stalled_lift(self, tmp_path):
-        # the lifts stop at max_iter without diverging: never accepted
+        # a lift short of its tolerance is never accepted
         doc = load_json(FBEP_FIXTURE)
         doc["conductivity"] = {"kind": "exp_x", "eps": 2.0}
+        doc["lift_tol"] = 1e-30
         prob = tmp_path / "p.json"
         prob.write_text(dumps_canonical(doc))
         assert (
             main(["solve-fbep", "--problem", str(prob), "--out", str(tmp_path / "s.json")]) == 3
         )
+
+    @pytest.mark.parametrize("conductivity", [("exp_x", 2.0), ("exp_xy", 6.0)])
+    def test_high_contrast_solves(self, tmp_path, conductivity):
+        doc = load_json(FBEP_FIXTURE)
+        doc["conductivity"] = {"kind": conductivity[0], "eps": conductivity[1]}
+        prob = tmp_path / "p.json"
+        prob.write_text(dumps_canonical(doc))
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["solve-fbep", "--problem", str(prob), "--out", str(out1)]) == 0
+        assert main(["solve-fbep", "--problem", str(prob), "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("lift_tol", ["NaN", "Infinity", "0", "-1"])
+    def test_invalid_lift_tol(self, tmp_path, lift_tol):
+        text = dumps_canonical(load_json(FBEP_FIXTURE))
+        assert '"lift_tol": 1e-10' in text
+        prob = tmp_path / "p.json"
+        prob.write_text(text.replace('"lift_tol": 1e-10', f'"lift_tol": {lift_tol}'))
+        out = tmp_path / "s.json"
+        assert main(["solve-fbep", "--problem", str(prob), "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_wrong_solver_for_problem(self, tmp_path):
         assert (

@@ -29,7 +29,7 @@ from bergbep.fbep import _normal_top_eigenvalue
 from bergbep.vekua import alpha_from_f
 
 
-def make_problem(grid, f, m=0.1, degree=8, h_k_val=1.0):
+def make_problem(grid, f, m=0.1, degree=8, h_k_val=1.0, lift_tol=1e-9):
     k = Region.radial_disc(0.5)
     return FbepProblem(
         f=f,
@@ -39,7 +39,13 @@ def make_problem(grid, f, m=0.1, degree=8, h_k_val=1.0):
         h_j=GridFunction.constant(grid, 0.0),
         m=m,
         degree=degree,
+        lift_tol=lift_tol,
     )
+
+
+def _grid_sampled(f):
+    """The same conductivity as bare grid samples, with alpha differentiated numerically."""
+    return Conductivity.from_grid(f.values, f.k_bound)
 
 
 class TestBuildSpace:
@@ -71,21 +77,35 @@ class TestBuildSpace:
             assert (fitted - target).norm() / target.norm() <= 1e-4
 
     def test_divergent_lift_reported_with_seed(self, grid_16_64):
-        f = Conductivity.exp_x(grid_16_64, 8.0)
+        # a grid-sampled f keeps the Neumann iteration, which diverges here
+        f = _grid_sampled(Conductivity.exp_x(grid_16_64, 8.0))
         with pytest.raises(ConvergenceError, match="e_0"):
             build_fbep_space(f, 2)
 
-    @pytest.mark.parametrize(
-        "kind, eps, increment",
-        [("exp_x", 2.0, "1.308e-05"), ("exp_xy", 6.0, "6.376e\\+05")],
-    )
-    def test_stalled_lift_rejected(self, kind, eps, increment):
-        # the lift of e_0 stalls (exp_x) or blows up in oscillation (exp_xy)
-        # without tripping the divergence detector, and reaches max_iter
-        f = getattr(Conductivity, kind)(build_grid(8, 32), eps)
-        pattern = f"seed e_0 did not converge in 60 iterations \\(last increment {increment}"
+    @pytest.mark.parametrize("kind, eps", [("exp_x", 2.0), ("exp_xy", 6.0)])
+    def test_stalled_lift_rejected(self, kind, eps):
+        # on the grid samples of f the Neumann lift of e_0 stalls (exp_x) or
+        # blows up in oscillation (exp_xy) without tripping the divergence
+        # detector, and reaches max_iter
+        f = _grid_sampled(getattr(Conductivity, kind)(build_grid(8, 32), eps))
+        pattern = "seed e_0 did not converge in 60 iterations \\(last increment "
         with pytest.raises(ConvergenceError, match=pattern):
             build_fbep_space(f, 2)
+
+    @pytest.mark.parametrize("kind, eps", [("exp_x", 2.0), ("exp_x", 2.5), ("exp_xy", 6.0)])
+    def test_closed_forms_beyond_contraction_lift(self, kind, eps):
+        # the same inputs in closed form take the mode-pair lift
+        basis = build_fbep_space(getattr(Conductivity, kind)(build_grid(8, 32), eps), 2)
+        for element in basis.elements:
+            assert element.converged and element.iterations == 1
+            assert element.increments[0] <= 1e-13
+            assert element.residual <= 1e-13
+
+    def test_lift_tol_validated(self, grid_16_64):
+        f = Conductivity.exp_x(grid_16_64, 0.1)
+        for tol in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="lift tolerance"):
+                make_problem(grid_16_64, f, degree=2, lift_tol=tol)
 
 
 class TestSolveFbep:

@@ -28,7 +28,7 @@ from bergbep import (
     vekua_lift,
     vekua_residual,
 )
-from bergbep.vekua import _lift_batch, _ops, _ops_cache
+from bergbep.vekua import _alpha_mode, _lift_batch, _mode_pair_lift, _ops, _ops_cache
 
 
 def zero_alpha(grid):
@@ -493,7 +493,9 @@ class TestAngularDerivative:
 
 class TestBatchedLift:
     def test_space_equals_separate_lifts(self, grid_16_64):
-        f = Conductivity.exp_xy(grid_16_64, 1.75)
+        # grid samples of f: build_fbep_space lifts them by the Neumann batch
+        exp_xy = Conductivity.exp_xy(grid_16_64, 1.75)
+        f = Conductivity.from_grid(exp_xy.values, exp_xy.k_bound)
         alpha = alpha_from_f(f)
         basis = build_fbep_space(f, 6, tol=1e-10)
         units = [AnalyticCoeffs.unit(n, 6).coeffs for n in range(7)]
@@ -537,8 +539,143 @@ class TestBatchedLift:
         for b in (0, 2):
             assert out[b].converged
             assert out[b].iterations == vekua_lift(seeds[b], alpha).iterations
+        exp_x = Conductivity.exp_x(grid, 2.5)
         with pytest.raises(ConvergenceError, match="lift of seed e_0 diverged"):
-            build_fbep_space(Conductivity.exp_x(grid, 2.5), 3)
+            build_fbep_space(Conductivity.from_grid(exp_x.values, exp_x.k_bound), 3)
+
+
+def _dense_lift_oracle(f, degree):
+    """Lifts of e_0..e_N, i e_0..i e_N from the dense realified v -> v - T[alpha conj(v)].
+
+    The matrix is assembled column by column from batched Teodorescu
+    applies to the unit inputs (real and imaginary) and solved densely.
+    """
+    grid = f.grid
+    alpha = alpha_from_f(f).values
+    size = grid.n_radial * grid.angular_count
+    columns = []
+    for start in range(0, 2 * size, 256):
+        units = np.zeros((min(256, 2 * size - start), size), dtype=complex)
+        idx = np.arange(start, start + units.shape[0])
+        units[np.arange(units.shape[0]), idx % size] = np.where(idx < size, 1.0, 1.0j)
+        units = units.reshape((-1,) + grid.shape)
+        out = units - _ops(grid).teo.apply(alpha * np.conj(units))
+        out = out.reshape(units.shape[0], size)
+        columns.append(np.concatenate((out.real, out.imag), axis=1).T)
+    matrix = np.concatenate(columns, axis=1)
+    vals = np.stack(
+        [
+            AnalyticCoeffs(u * AnalyticCoeffs.unit(n, degree).coeffs).on_grid(grid).values.ravel()
+            for u in (1.0, 1.0j)
+            for n in range(degree + 1)
+        ]
+    )
+    sol = np.linalg.solve(matrix, np.concatenate((vals.real, vals.imag), axis=1).T).T
+    return (sol[:, :size] + 1j * sol[:, size:]).reshape((-1,) + grid.shape)
+
+
+def _closed_lifts(f, degree, tol=1e-12):
+    return _mode_pair_lift(alpha_from_f(f), _alpha_mode(f), degree, tol)
+
+
+class TestModePairLift:
+    @pytest.mark.parametrize(
+        "kind, eps", [("exp_x", 0.8), ("exp_x", 2.5), ("exp_xy", 1.75), ("exp_xy", 6.0)]
+    )
+    def test_matches_dense_oracle(self, grid_16_64, kind, eps):
+        f = getattr(Conductivity, kind)(grid_16_64, eps)
+        oracle = _dense_lift_oracle(f, 6)
+        lifts = _closed_lifts(f, 6)
+        assert len(lifts) == oracle.shape[0] == 14
+        for lifted, ref in zip(lifts, oracle):
+            assert _rel(lifted.w.values, ref) <= 1e-12
+            assert lifted.converged and lifted.iterations == 1
+            assert lifted.increments[0] <= 1e-13
+
+    def test_constant_returns_seeds(self, grid_16_64):
+        f = Conductivity.constant(grid_16_64, 2.0)
+        for b, lifted in enumerate(_closed_lifts(f, 6)):
+            unit = 1.0 if b < 7 else 1.0j
+            seed = AnalyticCoeffs(unit * AnalyticCoeffs.unit(b % 7, 6).coeffs)
+            assert np.max(np.abs(lifted.w.values - seed.on_grid(grid_16_64).values)) <= 1e-15
+
+    @pytest.mark.parametrize("kind, shape", [("exp_x", (8, 31)), ("exp_xy", (8, 32))])
+    def test_collided_pair_at_exactness_limit(self, kind, shape):
+        # modes n and s - 1 - n coincide for n = (n_theta - 1)/2 (exp_x, odd
+        # n_theta) and n = n_theta/2 - 1 (exp_xy, even n_theta)
+        grid = build_grid(*shape)
+        f = getattr(Conductivity, kind)(grid, 0.1)
+        alpha = alpha_from_f(f)
+        degree = n = grid.exactness_degree // 2
+        assert (_alpha_mode(f)[1] - 1 - n) % grid.angular_count == n
+        lifts = _closed_lifts(f, degree)
+        seeds = [AnalyticCoeffs(u * AnalyticCoeffs.unit(n, degree).coeffs) for u in (1.0, 1.0j)]
+        neumann = _lift_batch(seeds, alpha, 1e-13, 60)
+        for lifted, ref in zip((lifts[n], lifts[2 * n + 1]), neumann):
+            assert lifted.increments[0] <= 1e-13
+            assert ref.converged
+            assert np.max(np.abs(lifted.w.values - ref.w.values)) <= 1e-9
+
+    @pytest.mark.parametrize("kind, eps", [("const", 0.0), ("exp_x", 1.3), ("exp_xy", -2.2)])
+    def test_alpha_mode_matches_alpha(self, grid_16_64, kind, eps):
+        if kind == "const":
+            f = Conductivity.constant(grid_16_64, 3.0)
+        else:
+            f = getattr(Conductivity, kind)(grid_16_64, eps)
+        a, s = _alpha_mode(f)
+        rebuilt = a[:, None] * np.exp(1j * s * grid_16_64.thetas)[None, :]
+        assert np.max(np.abs(rebuilt - alpha_from_f(f).values)) <= 1e-15
+
+    def test_grid_sampled_has_no_mode(self, grid_16_64):
+        f = Conductivity.exp_x(grid_16_64, 0.5)
+        assert _alpha_mode(Conductivity.from_grid(f.values, f.k_bound)) is None
+
+    @pytest.mark.parametrize(
+        "slot, kind, eps",
+        [
+            (0, "exp_x", 0.1), (0, "exp_x", 0.8), (0, "exp_x", 1.5),
+            (0, "exp_xy", 0.5), (0, "exp_xy", 1.75), (0, "exp_xy", 3.0),
+            (1, "exp_x", 0.1), (1, "exp_xy", 1.5),
+        ],
+    )
+    def test_matches_neumann_on_contrast_ladder(self, grid_24_96, grid_32_64, slot, kind, eps):
+        grid, degree = ((grid_24_96, 12), (grid_32_64, 8))[slot]
+        f = getattr(Conductivity, kind)(grid, eps)
+        alpha = alpha_from_f(f)
+        seeds = [
+            AnalyticCoeffs(u * AnalyticCoeffs.unit(n, degree).coeffs)
+            for u in (1.0, 1.0j)
+            for n in range(degree + 1)
+        ]
+        for lifted, ref in zip(_closed_lifts(f, degree), _lift_batch(seeds, alpha, 1e-12, 100)):
+            assert ref.converged
+            assert np.max(np.abs(lifted.w.values - ref.w.values)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "kind, eps", [("exp_x", 2.0), ("exp_x", 3.0), ("exp_x", 4.0), ("exp_xy", 6.0)]
+    )
+    def test_defect_beyond_contraction(self, grid_24_96, kind, eps):
+        f = getattr(Conductivity, kind)(grid_24_96, eps)
+        lifts = _closed_lifts(f, 12)
+        assert max(lifted.increments[0] for lifted in lifts) <= 1e-13
+        alpha = alpha_from_f(f)
+        for lifted in lifts[::5]:  # the certificate agrees with the public residual
+            assert abs(lifted.residual - vekua_residual(lifted.w, alpha, 12)) <= 1e-14
+
+    def test_unreachable_tol_flags_every_lift(self, grid_16_64):
+        f = Conductivity.exp_x(grid_16_64, 0.8)
+        assert not any(lifted.converged for lifted in _closed_lifts(f, 4, tol=1e-30))
+        with pytest.raises(ConvergenceError, match="seed e_0 has fixed-point defect"):
+            build_fbep_space(f, 4, tol=1e-30)
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+    def test_tol_must_be_positive_and_finite(self, grid_16_64, tol):
+        f = Conductivity.exp_x(grid_16_64, 0.8)
+        seed = AnalyticCoeffs.unit(1, 3)
+        with pytest.raises(ValueError, match="tol"):
+            vekua_lift(seed, alpha_from_f(f), tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            _closed_lifts(f, 3, tol=tol)
 
 
 class TestOpsCache:
