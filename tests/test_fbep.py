@@ -82,8 +82,21 @@ class TestBuildSpace:
         with pytest.raises(ConvergenceError, match="e_0"):
             build_fbep_space(f, 2)
 
+    @pytest.mark.parametrize(
+        "kind, eps, increment",
+        [("exp_x", 2.0, "1.308e-05"), ("exp_xy", 6.0, "6.376e\\+05")],
+    )
+    def test_stalled_lift_rejected(self, kind, eps, increment):
+        # the Neumann lift of e_0 on the exact alpha stalls (exp_x) or blows
+        # up in oscillation (exp_xy) without tripping the divergence
+        # detector, and reaches max_iter
+        f = getattr(Conductivity, kind)(build_grid(8, 32), eps)
+        pattern = f"seed e_0 did not converge in 60 iterations \\(last increment {increment}"
+        with pytest.raises(ConvergenceError, match=pattern):
+            build_fbep_space(f, 2, lift="neumann")
+
     @pytest.mark.parametrize("kind, eps", [("exp_x", 2.0), ("exp_xy", 6.0)])
-    def test_stalled_lift_rejected(self, kind, eps):
+    def test_stalled_lift_rejected_grid_sampled(self, kind, eps):
         # on the grid samples of f the Neumann lift of e_0 stalls (exp_x) or
         # blows up in oscillation (exp_xy) without tripping the divergence
         # detector, and reaches max_iter
@@ -106,6 +119,19 @@ class TestBuildSpace:
         for tol in (np.nan, np.inf, 0.0, -1.0):
             with pytest.raises(ValueError, match="lift tolerance"):
                 make_problem(grid_16_64, f, degree=2, lift_tol=tol)
+
+    def test_lift_method_validated(self, grid_16_64):
+        with pytest.raises(ValueError, match="lift must be"):
+            build_fbep_space(Conductivity.exp_x(grid_16_64, 0.1), 2, lift="svd")
+
+    def test_neumann_lift_agrees_with_mode_pairs(self, grid_16_64):
+        # in the contraction regime both lifts solve the same discrete equation
+        f = Conductivity.exp_xy(grid_16_64, 0.5)
+        exact = build_fbep_space(f, 3)
+        iterated = build_fbep_space(f, 3, tol=1e-12, lift="neumann")
+        assert all(e.iterations > 1 for e in iterated.elements)
+        for a, b in zip(exact.elements, iterated.elements):
+            assert np.max(np.abs(a.w.values - b.w.values)) <= 1e-10 * np.max(np.abs(a.w.values))
 
 
 class TestSolveFbep:
