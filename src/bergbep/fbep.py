@@ -106,7 +106,7 @@ class FbepSolution:
 
 
 def build_fbep_space(
-    f: Conductivity, degree: int, tol: float = 1e-9, max_iter: int = 60, lift: str = "auto"
+    f: Conductivity, degree: int, tol: float = 1e-9, max_iter: int = 60
 ) -> VekuaBasis:
     """Lift {e_0..e_N, i e_0..i e_N} into the Vekua space of f.
 
@@ -119,15 +119,10 @@ def build_fbep_space(
     lifted together by the Neumann iteration, each with its own
     iteration; a lift that diverges or stops at max_iter without
     reaching tol raises ConvergenceError naming its seed.
-
-    lift="neumann" takes the Neumann iteration for every f, closed forms
-    included; the default "auto" chooses as above.
     """
-    if lift not in ("auto", "neumann"):
-        raise ValueError(f"lift must be 'auto' or 'neumann', got {lift!r}")
     alpha = alpha_from_f(f)
     names = [f"{unit}e_{n}" for unit in ("", "i*") for n in range(degree + 1)]
-    mode = _alpha_mode(f) if lift == "auto" else None
+    mode = _alpha_mode(f)
     if mode is None:
         seeds = [
             AnalyticCoeffs(unit * AnalyticCoeffs.unit(n, degree).coeffs)

@@ -346,17 +346,18 @@ class Conductivity:
 
 
 def alpha_from_f(f: Conductivity) -> GridFunction:
-    """Vekua coefficient alpha = dbar(f) / f, exact for closed-form kinds."""
+    """Vekua coefficient alpha = dbar(f) / f.
+
+    Exact for the closed-form kinds, built from _alpha_mode; differentiated
+    numerically for a grid-sampled f.
+    """
     grid = f.grid
     if np.min(np.abs(f.values.values)) < 1.0 / f.k_bound - 1e-12:
         raise ValueError("conductivity magnitude fell below its declared lower bound")
-    if f.kind == "const":
-        return GridFunction.constant(grid, 0.0)
-    if f.kind == "exp_x":
-        return GridFunction.constant(grid, f.eps / 2.0)
-    if f.kind == "exp_xy":
-        z = grid.nodes
-        return GridFunction(grid, f.eps * (z.imag + 1j * z.real) / 2.0)
+    mode = _alpha_mode(f)
+    if mode is not None:
+        a, s = mode
+        return GridFunction(grid, a[:, None] * np.exp(1j * s * grid.thetas)[None, :])
     df = dbar(f.values)
     return GridFunction(grid, df.values / f.values.values)
 

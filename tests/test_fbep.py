@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from bergbep import (
 from bergbep import fbep as fbep_module
 from bergbep.bep import ConstrainedLSQ
 from bergbep.fbep import _normal_top_eigenvalue
-from bergbep.vekua import alpha_from_f
+from bergbep.vekua import _lift_batch, alpha_from_f
 
 
 def make_problem(grid, f, m=0.1, degree=8, h_k_val=1.0, lift_tol=1e-9):
@@ -89,11 +90,18 @@ class TestBuildSpace:
     def test_stalled_lift_rejected(self, kind, eps, increment):
         # the Neumann lift of e_0 on the exact alpha stalls (exp_x) or blows
         # up in oscillation (exp_xy) without tripping the divergence
-        # detector, and reaches max_iter
+        # detector, and reaches max_iter; build_fbep_space lifts these closed
+        # forms by mode pairs instead
         f = getattr(Conductivity, kind)(build_grid(8, 32), eps)
-        pattern = f"seed e_0 did not converge in 60 iterations \\(last increment {increment}"
-        with pytest.raises(ConvergenceError, match=pattern):
-            build_fbep_space(f, 2, lift="neumann")
+        seeds = [
+            AnalyticCoeffs(unit * AnalyticCoeffs.unit(n, 2).coeffs)
+            for unit in (1.0, 1.0j)
+            for n in range(3)
+        ]
+        lifted = _lift_batch(seeds, alpha_from_f(f), 1e-9, 60)[0]
+        assert not lifted.converged
+        assert lifted.iterations == 60
+        assert re.fullmatch(increment, f"{lifted.increments[-1]:.3e}")
 
     @pytest.mark.parametrize("kind, eps", [("exp_x", 2.0), ("exp_xy", 6.0)])
     def test_stalled_lift_rejected_grid_sampled(self, kind, eps):
@@ -119,19 +127,6 @@ class TestBuildSpace:
         for tol in (np.nan, np.inf, 0.0, -1.0):
             with pytest.raises(ValueError, match="lift tolerance"):
                 make_problem(grid_16_64, f, degree=2, lift_tol=tol)
-
-    def test_lift_method_validated(self, grid_16_64):
-        with pytest.raises(ValueError, match="lift must be"):
-            build_fbep_space(Conductivity.exp_x(grid_16_64, 0.1), 2, lift="svd")
-
-    def test_neumann_lift_agrees_with_mode_pairs(self, grid_16_64):
-        # in the contraction regime both lifts solve the same discrete equation
-        f = Conductivity.exp_xy(grid_16_64, 0.5)
-        exact = build_fbep_space(f, 3)
-        iterated = build_fbep_space(f, 3, tol=1e-12, lift="neumann")
-        assert all(e.iterations > 1 for e in iterated.elements)
-        for a, b in zip(exact.elements, iterated.elements):
-            assert np.max(np.abs(a.w.values - b.w.values)) <= 1e-10 * np.max(np.abs(a.w.values))
 
 
 class TestSolveFbep:

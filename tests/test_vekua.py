@@ -617,14 +617,20 @@ class TestModePairLift:
             assert np.max(np.abs(lifted.w.values - ref.w.values)) <= 1e-9
 
     @pytest.mark.parametrize("kind, eps", [("const", 0.0), ("exp_x", 1.3), ("exp_xy", -2.2)])
-    def test_alpha_mode_matches_alpha(self, grid_16_64, kind, eps):
+    def test_alpha_mode_matches_formula_in_z(self, grid_16_64, kind, eps):
+        # alpha_from_f builds the closed forms from _alpha_mode's a(r) e^{i s theta};
+        # dbar(f)/f written in z = x + i y is 0, eps/2 and eps (y + i x)/2
+        z = grid_16_64.nodes
         if kind == "const":
             f = Conductivity.constant(grid_16_64, 3.0)
+            expected = np.zeros_like(z)
+        elif kind == "exp_x":
+            f = Conductivity.exp_x(grid_16_64, eps)
+            expected = np.full_like(z, eps / 2.0)
         else:
-            f = getattr(Conductivity, kind)(grid_16_64, eps)
-        a, s = _alpha_mode(f)
-        rebuilt = a[:, None] * np.exp(1j * s * grid_16_64.thetas)[None, :]
-        assert np.max(np.abs(rebuilt - alpha_from_f(f).values)) <= 1e-15
+            f = Conductivity.exp_xy(grid_16_64, eps)
+            expected = eps * (z.imag + 1j * z.real) / 2.0
+        assert np.max(np.abs(alpha_from_f(f).values - expected)) <= 1e-15
 
     def test_grid_sampled_has_no_mode(self, grid_16_64):
         f = Conductivity.exp_x(grid_16_64, 0.5)
