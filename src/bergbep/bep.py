@@ -69,8 +69,8 @@ class BepProblem:
     degree: int
 
     def __post_init__(self):
-        if self.m <= 0.0:
-            raise ValueError(f"constraint level M must be positive, got {self.m}")
+        if not 0.0 < self.m < np.inf:
+            raise ValueError(f"constraint level M must be positive and finite, got {self.m}")
         self.h_k._check_same_grid(self.h_j)
         grid = self.h_k.grid
         gap = np.max(

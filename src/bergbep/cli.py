@@ -28,6 +28,7 @@ from .bep import (
 from .bergman import gram, project, spectrum
 from .fbep import (
     FbepProblem,
+    _fbep_solution,
     build_fbep_space,
     directional_kkt_check,
     fbep_conjecture_check,
@@ -181,17 +182,18 @@ def cmd_lambda_sweep(args) -> int:
         raise bio.SchemaError("--m-values must list at least one constraint level")
     for m in m_values:  # every level is validated as a problem file's m is
         bio.normalize_problem(dict(doc, m=m))
-    # one parse, and one lifted basis (f-BEP) or one assembled core (BEP),
-    # serve every level
+    # one parse and one assembled core (over one lifted basis for the
+    # f-BEP) serve every level: the forms do not depend on M
     problem = bio.problem_from_dict(dict(doc, m=m_values[0]))
     if isinstance(problem, FbepProblem):
         basis = build_fbep_space(problem.f, problem.degree, tol=problem.lift_tol)
+        core = ConstrainedLSQ.from_problem(problem, basis)
 
-        def solve_at(m: float):
-            return solve_fbep(dataclasses.replace(problem, m=m), basis)
+        def solve_at(m: float):  # solve_fbep(..., basis) at this M
+            return _fbep_solution(dataclasses.replace(problem, m=m), basis, core)
 
     else:
-        core = ConstrainedLSQ.from_problem(problem)  # the forms do not depend on M
+        core = ConstrainedLSQ.from_problem(problem)
 
         def solve_at(m: float):  # solve_bep(..., degree_diagnostic=False) at this M
             return _bep_solution(core.solve(m, 2.0), core.err, core.kkt)

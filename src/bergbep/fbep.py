@@ -18,13 +18,23 @@ The conjectured critical-point equation
 
 with Pi the span projection is exposed as a post-hoc residual check; at
 the truncated level it coincides with the first-order optimality
-condition of the real program.
+condition of the real program.  A solution keeps the core it was solved
+with, and the checks reuse it for the same problem object, so a solve
+and its certificates assemble the forms once.
+
+The constraint moves into the Bergman setting as h_J^* = h_J -
+T_J(alpha conj(h_J)) and M^* = M rho, with rho the norm of h -> h -
+T_J(alpha conj(h)) on L^2(J) (transformed_constraint_data).  For the
+closed-form conductivities on a J that is invariant under rotation,
+rho is exact by angular mode pairs, as the lift is; every other input
+takes Lanczos on the normal operator.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,8 +71,8 @@ class FbepProblem:
     lift_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.m <= 0.0:
-            raise ValueError(f"constraint level M must be positive, got {self.m}")
+        if not 0.0 < self.m < np.inf:
+            raise ValueError(f"constraint level M must be positive and finite, got {self.m}")
         if not 0.0 < self.lift_tol < np.inf:
             raise ValueError(f"lift tolerance must be positive and finite, got {self.lift_tol}")
         self.h_k._check_same_grid(self.h_j)
@@ -99,6 +109,8 @@ class FbepSolution:
     basis_min_eig: float
     dropped: int
     iterations: int
+    # the problem and the core the solve assembled, reused by the checks
+    _assembly: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def mu(self) -> float:
@@ -165,11 +177,18 @@ def solve_fbep(problem: FbepProblem, basis: VekuaBasis | None = None) -> FbepSol
     """
     if basis is None:
         basis = build_fbep_space(problem.f, problem.degree, tol=problem.lift_tol)
-    core = ConstrainedLSQ.from_problem(problem, basis)
+    return _fbep_solution(problem, basis, ConstrainedLSQ.from_problem(problem, basis))
+
+
+def _fbep_solution(problem: FbepProblem, basis: VekuaBasis, core: ConstrainedLSQ) -> FbepSolution:
+    """solve_fbep with the core of problem's forms over basis already assembled.
+
+    The forms do not depend on M, so one core serves every budget.
+    """
     result = core.solve(problem.m, 2.0)
     coeffs, mu = result.coeffs, result.mu
     w_star = basis.synthesize(coeffs)
-    return FbepSolution(
+    solution = FbepSolution(
         coeffs=coeffs,
         w_star=w_star,
         basis=basis,
@@ -184,6 +203,15 @@ def solve_fbep(problem: FbepProblem, basis: VekuaBasis | None = None) -> FbepSol
         dropped=core.dropped,
         iterations=result.iterations,
     )
+    solution._assembly = (problem, core)
+    return solution
+
+
+def _core_for(problem: FbepProblem, solution: FbepSolution) -> ConstrainedLSQ:
+    """The core solution was solved with if problem is its problem, else a fresh assembly."""
+    if solution._assembly is not None and solution._assembly[0] is problem:
+        return solution._assembly[1]
+    return ConstrainedLSQ.from_problem(problem, solution.basis)
 
 
 def fbep_conjecture_check(problem: FbepProblem, solution: FbepSolution) -> float:
@@ -194,7 +222,7 @@ def fbep_conjecture_check(problem: FbepProblem, solution: FbepSolution) -> float
     program's optimum up to root-finding precision.  The span norm of
     the projection is the whitened norm of the first-order residual.
     """
-    core = ConstrainedLSQ.from_problem(problem, solution.basis)
+    core = _core_for(problem, solution)
     rho = core.whiten.T @ core.kkt(solution.coeffs, solution.mu)
     return float(np.linalg.norm(rho)) / max(solution.w_star.norm(), 1e-300)
 
@@ -211,18 +239,13 @@ def directional_kkt_check(
     into the feasible cone grad(err_J^2) . d <= 0; at an optimum the
     minimum is >= 0 up to multiplier precision.
     """
-    core = ConstrainedLSQ.from_problem(problem, solution.basis)
+    core = _core_for(problem, solution)
     grad_k = 2.0 * core.kkt(solution.coeffs, 0.0)
     grad_j = 2.0 * (core.a_j @ solution.coeffs - core.r_j)
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(n_directions):
-        d = rng.standard_normal(solution.coeffs.size)
-        d /= np.linalg.norm(d)
-        if grad_j @ d > 0.0:
-            d = -d
-        worst = min(worst, float(grad_k @ d))
-    return worst
+    d = np.random.default_rng(seed).standard_normal((n_directions, solution.coeffs.size))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    d[d @ grad_j > 0.0] *= -1.0
+    return float(np.min(d @ grad_k, initial=np.inf))
 
 
 def transformed_constraint_data(
@@ -250,27 +273,38 @@ def restriction_map_norm(
     """Operator norm of h -> h - T_J(alpha conj(h)) on L^2(J), on a coarse grid.
 
     The map is R h = h - A conj(h) on the weighted values at J's nodes,
-    with the complex matrix A = S T_J S^-1 (S = diag sqrt(w_J)) taken
-    from one batched Teodorescu apply to the unit inputs on J's nodes.
-    R is only real-linear, so its norm is the square root of the top
-    eigenvalue of R^T R, found by Lanczos (_normal_top_eigenvalue).
-    T_J integrates over J only, so the Teodorescu input is weighted by
-    J's overlap fraction and the output is read on the nodes of J; a
-    cell that J barely overlaps then contributes in proportion to its
+    with the complex matrix A = S T_J S^-1 (S = diag sqrt(w_J)).  T_J
+    integrates over J only, so the Teodorescu input is weighted by J's
+    overlap fraction and the output is read on the nodes of J; a cell
+    that J barely overlaps then contributes in proportion to its
     overlap.  With f constant the map is the identity and the norm is 1.
-    A conductivity already sampled on a grid of grid_shape is used on
-    that grid as it is; a grid-sampled one cannot be rebuilt on another.
+
+    For a closed-form f (alpha = a(r) e^{i s theta}) on a J whose
+    overlap fraction is constant along theta (radial discs, annuli,
+    their complements, the full disc), R sends ring mode p to mode
+    s - 1 - p, and the norm is the largest singular value over the mode
+    pairs (_mode_pair_norm).  Otherwise A is taken from one batched
+    Teodorescu apply to the unit inputs on J's nodes, and the norm is
+    the square root of the top eigenvalue of R^T R, found by Lanczos
+    (_normal_top_eigenvalue); R is only real-linear.  The norm grid of
+    each shape is built once.  A conductivity already sampled on a grid
+    of grid_shape is used on that grid as it is; a grid-sampled one
+    cannot be rebuilt on another.
     """
     f_small = _conductivity_on(f, grid_shape)
     small = f_small.grid
-    alpha = alpha_from_f(f_small).values
     phi = j_region.fraction(small)
-    w_j = j_region.weights(small).ravel()
-    idx = np.nonzero(w_j > 0.0)[0]
-    if idx.size == 0:
+    w_j = j_region.weights(small)
+    if not np.any(w_j > 0.0):
         raise ValueError("region J carries no nodes on the norm-estimation grid")
-    n = idx.size
+    mode = _alpha_mode(f_small)
+    if mode is not None and np.all(phi == phi[:, :1]):
+        return _mode_pair_norm(small, mode, phi[:, 0], w_j[:, 0])
 
+    alpha = alpha_from_f(f_small).values
+    w_j = w_j.ravel()
+    idx = np.nonzero(w_j > 0.0)[0]
+    n = idx.size
     sqw = np.sqrt(w_j[idx])
     inputs = np.zeros((n,) + small.shape, dtype=complex)
     inputs.reshape(n, -1)[np.arange(n), idx] = (phi * alpha).ravel()[idx] / sqw
@@ -278,6 +312,42 @@ def restriction_map_norm(
     a *= sqw[:, None]
     theta, _ = _normal_top_eigenvalue(a)
     return float(np.sqrt(theta))
+
+
+def _mode_pair_norm(
+    grid: DiscGrid, mode: tuple[np.ndarray, int], phi: np.ndarray, w: np.ndarray
+) -> float:
+    """Norm of R h = h - S T_J(alpha conj(S^-1 h)) for alpha = a(r) e^{i s theta}, by mode pairs.
+
+    phi and w are J's overlap fraction and node weight per ring, both
+    constant along theta.  In the ring modes H_p of h on J's rings, R
+    sends H_p to H_p - B_p conj(H_p'), with p' = s - 1 - p (mod n_theta)
+    and B_p = S M_{p+1} diag(phi a) S^-1, M the Teodorescu radial
+    matrices.  For p != p' the pair is complex-linear in (H_p, conj
+    H_p'), with matrix [[I, -B_p], [-conj(B_p'), I]]; a collided pair
+    p = p' is only real-linear, and its realified matrix is [[I - Re B,
+    -Im B], [-Im B, I + Re B]].  The norm is the largest singular value
+    over these blocks, each 2 n_J wide, from one batched SVD.
+    """
+    a, s = mode
+    rings = np.nonzero(w > 0.0)[0]
+    k = rings.size
+    n_t = grid.angular_count
+    sqw = np.sqrt(w[rings])
+    mats = _ops(grid).teo.matrices[:, rings[:, None], rings]
+    p = np.arange(n_t)
+    q = (s - 1 - p) % n_t
+    b = sqw[:, None] * mats[(p + 1) % n_t] * ((phi * a)[rings] / sqw)  # b[p] = B_p
+    pairs, collided = p[p < q], p[p == q]
+    blocks = np.zeros((pairs.size + collided.size, 2 * k, 2 * k), dtype=complex)
+    blocks[:, :k, :k] = blocks[:, k:, k:] = np.eye(k)
+    blocks[: pairs.size, :k, k:] = -b[pairs]
+    blocks[: pairs.size, k:, :k] = -np.conj(b[q[pairs]])
+    real, imag = b[collided].real, b[collided].imag
+    blocks[pairs.size :, :k, :k] -= real
+    blocks[pairs.size :, k:, k:] += real
+    blocks[pairs.size :, :k, k:] = blocks[pairs.size :, k:, :k] = -imag
+    return float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max())
 
 
 def _normal_top_eigenvalue(a: np.ndarray) -> tuple[float, int]:
@@ -318,10 +388,20 @@ def _normal_top_eigenvalue(a: np.ndarray) -> tuple[float, int]:
     return float(thetas[-1]), k + 1
 
 
+@functools.lru_cache(maxsize=8)
+def _norm_grid(shape: tuple[int, int]) -> DiscGrid:
+    """The norm grid of a shape, built once: its Teodorescu operator stays cached with it.
+
+    Only the most recent shapes are kept; the operators of evicted grids
+    are released with them.
+    """
+    return build_grid(*shape)
+
+
 def _conductivity_on(f: Conductivity, shape: tuple[int, int]) -> Conductivity:
     if f.grid.shape == tuple(shape):
         return f  # on its own grid, whose Teodorescu operator is already built
-    grid = build_grid(*shape)
+    grid = _norm_grid(tuple(shape))
     if f.kind == "const":
         return Conductivity.constant(grid, float(f.values.values.real.flat[0]))
     if f.kind == "exp_x":

@@ -15,6 +15,7 @@ from bergbep import (
     GridFunction,
     InfeasibleProblemError,
     Region,
+    build_grid,
     constraint_error,
     feasibility_distance,
     glue,
@@ -150,6 +151,15 @@ class TestSolveBep:
         assert not sol.saturated
         assert sol.err_k <= 1e-10
         assert sol.err_j <= p.m
+
+    @pytest.mark.parametrize("m", [np.nan, np.inf, 0.0, -1.0])
+    def test_budget_validated(self, m):
+        # NaN passes "m <= 0" and used to saturate against a NaN budget
+        grid = build_grid(12, 48)
+        k = Region.radial_disc(0.5)
+        h = GridFunction.constant(grid, 1.0)
+        with pytest.raises(ValueError, match="constraint level M must be positive and finite"):
+            BepProblem(k_region=k, j_region=k.complement(), h_k=h, h_j=h, m=m, degree=8)
 
     def test_saturation(self, grid_24_96):
         p = constant_fixture(grid_24_96)

@@ -350,6 +350,25 @@ class TestCli:
             rows.append(f"{m!r},{sol.lam!r},{sol.err_k!r}")
         assert out.read_text().splitlines() == rows
 
+    def test_fbep_assembles_once(self, tmp_path, monkeypatch):
+        # one core serves the solve and both checks, and every level of a sweep
+        calls = []
+        assemble = bergbep.cli.ConstrainedLSQ.from_problem
+
+        def counting(problem, basis=None):
+            calls.append(problem)
+            return assemble(problem, basis)
+
+        monkeypatch.setattr(bergbep.cli.ConstrainedLSQ, "from_problem", staticmethod(counting))
+        out = tmp_path / "sol.json"
+        assert main(["solve-fbep", "--problem", FBEP_FIXTURE, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["saturated"] is True  # both checks ran
+        assert len(calls) == 1
+        levels = "0.3,0.1,0.05"
+        argv = ["lambda-sweep", "--problem", FBEP_FIXTURE, "--out", str(tmp_path / "s.csv")]
+        assert main(argv + ["--m-values", levels]) == 0
+        assert len(calls) == 2
+
     def test_bep_sweep_assembles_once(self, tmp_path, monkeypatch):
         calls = []
         assemble = bergbep.cli.ConstrainedLSQ.from_problem

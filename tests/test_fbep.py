@@ -1,3 +1,4 @@
+import copy
 import logging
 import re
 
@@ -122,6 +123,13 @@ class TestBuildSpace:
             assert element.increments[0] <= 1e-13
             assert element.residual <= 1e-13
 
+    @pytest.mark.parametrize("m", [np.nan, np.inf, 0.0, -1.0])
+    def test_budget_validated(self, m):
+        # NaN passes "m <= 0" and used to saturate against a NaN budget
+        grid = build_grid(12, 48)
+        with pytest.raises(ValueError, match="constraint level M must be positive and finite"):
+            make_problem(grid, Conductivity.exp_x(grid, 0.1), m=m)
+
     def test_lift_tol_validated(self, grid_16_64):
         f = Conductivity.exp_x(grid_16_64, 0.1)
         for tol in (np.nan, np.inf, 0.0, -1.0):
@@ -232,6 +240,53 @@ class TestSelfAdjointSurrogate:
         assert np.max(np.abs(raw - raw.T)) <= 1e-10
 
 
+class TestCheckCoreReuse:
+    """The checks reuse the solve's core for its own problem object, else assemble."""
+
+    def _count_assemblies(self, monkeypatch):
+        calls = []
+        assemble = ConstrainedLSQ.from_problem
+
+        def counting(problem, basis=None):
+            calls.append(problem)
+            return assemble(problem, basis)
+
+        monkeypatch.setattr(ConstrainedLSQ, "from_problem", staticmethod(counting))
+        return calls
+
+    def test_same_problem_reuses_core(self, basis_exp01_n8, monkeypatch):
+        f, basis = basis_exp01_n8
+        p = make_problem(f.grid, f)
+        calls = self._count_assemblies(monkeypatch)
+        sol = solve_fbep(p, basis)
+        residual = fbep_conjecture_check(p, sol)
+        directional = directional_kkt_check(p, sol)
+        assert calls == [p]
+        # a copy of the problem is another object: the checks assemble afresh,
+        # from the same forms, so the values agree bit for bit
+        other = copy.copy(p)
+        assert fbep_conjecture_check(other, sol) == residual
+        assert directional_kkt_check(other, sol) == directional
+        assert calls == [p, other, other]
+
+    def test_directions_flipped_into_feasible_cone(self, basis_exp01_n8):
+        f, basis = basis_exp01_n8
+        p = make_problem(f.grid, f)
+        sol = solve_fbep(p, basis)
+        core = ConstrainedLSQ.from_problem(p, basis)
+        grad_k = 2.0 * core.kkt(sol.coeffs, 0.0)
+        grad_j = 2.0 * (core.a_j @ sol.coeffs - core.r_j)
+        rng = np.random.default_rng(7)
+        values = []
+        for _ in range(20):  # one direction at a time from the same stream
+            d = rng.standard_normal(sol.coeffs.size)
+            d /= np.linalg.norm(d)
+            values.append(grad_k @ (-d if grad_j @ d > 0.0 else d))
+        worst = directional_kkt_check(p, sol, n_directions=20, seed=7)
+        assert abs(worst - min(values)) <= 1e-14 * np.linalg.norm(grad_k)
+        assert directional_kkt_check(p, sol, n_directions=0) == np.inf
+
+
 class TestConjectureCheck:
     def test_identity_conductivity(self, grid_24_96):
         f = Conductivity.constant(grid_24_96, 1.0)
@@ -338,6 +393,65 @@ def _single_node_mask(shape):
 def _node_mask(shape):
     rng = np.random.default_rng(3)
     return Region.mask(rng.random(shape) < 0.4)
+
+
+_MODE_PAIR_SHAPES = [(12, 24), (6, 12), (2, 8), (4, 9), (5, 7), (3, 5)]
+
+
+class TestRestrictionMapModePairs:
+    """rho by angular mode pairs for closed-form f on a J that is constant along theta."""
+
+    # exp_x (s = 0) has a collided pair on odd n_theta, exp_xy (s = -1) two on even n_theta
+    @pytest.mark.parametrize(
+        "kind, eps",
+        [("constant", 1.0), ("exp_x", 0.8), ("exp_x", 2.5), ("exp_xy", 1.75), ("exp_xy", 6.0)],
+    )
+    @pytest.mark.parametrize(
+        "j_region",
+        [Region.annulus(0.5), Region.radial_disc(0.6).complement(), Region.full_disc()],
+    )
+    def test_matches_column_assembly(self, grid_16_64, kind, eps, j_region):
+        f = getattr(Conductivity, kind)(grid_16_64, eps)
+        for shape in _MODE_PAIR_SHAPES:
+            rho = restriction_map_norm(f, j_region, shape)
+            dense = _norm_by_columns(kind, eps, j_region, shape)
+            assert abs(rho - dense) <= 1e-13 * dense, shape
+
+    @pytest.mark.parametrize(
+        "f_of, j_of, lanczos",
+        [
+            (lambda g: Conductivity.exp_x(g, 0.8), lambda s: Region.annulus(0.5), False),
+            (lambda g: Conductivity.exp_xy(g, 1.75), lambda s: Region.full_disc(), False),
+            (lambda g: Conductivity.exp_x(g, 0.8), lambda s: Region.sector(1.0), True),
+            (lambda g: Conductivity.exp_xy(g, 1.75), _node_mask, True),
+            (lambda g: _grid_sampled(Conductivity.exp_x(g, 0.8)), lambda s: Region.annulus(0.5), True),
+        ],
+        ids=["annulus", "full_disc", "sector", "mask", "grid_sampled"],
+    )
+    def test_path_selection(self, monkeypatch, f_of, j_of, lanczos):
+        calls = []
+        top = fbep_module._normal_top_eigenvalue
+
+        def counting(a):
+            calls.append(a.shape)
+            return top(a)
+
+        monkeypatch.setattr(fbep_module, "_normal_top_eigenvalue", counting)
+        shape = (6, 12)  # f on its own grid: a grid-sampled f gets a rho too
+        rho = restriction_map_norm(f_of(build_grid(*shape)), j_of(shape), shape)
+        assert np.isfinite(rho)
+        assert len(calls) == int(lanczos)
+
+    def test_norm_grid_built_once(self, grid_16_64, monkeypatch):
+        f = Conductivity.exp_x(grid_16_64, 0.8)
+        shape = (7, 13)
+        first = restriction_map_norm(f, Region.annulus(0.5), shape)
+        builds = []
+        monkeypatch.setattr(fbep_module, "build_grid", lambda *a: builds.append(a))
+        for j_region in (Region.annulus(0.5), Region.sector(1.0)):
+            restriction_map_norm(f, j_region, shape)
+        assert builds == []
+        assert restriction_map_norm(f, Region.annulus(0.5), shape) == first
 
 
 class TestRestrictionMapLanczos:

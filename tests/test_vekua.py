@@ -686,8 +686,8 @@ class TestModePairLift:
 
 class TestOpsCache:
     def test_norm_grids_are_released(self, grid_24_96):
-        # every restriction_map_norm call builds its own norm grid; the
-        # cache entry of that grid must go with it
+        # the norm grid of a shape is built once and kept: repeated
+        # restriction_map_norm calls must add no cache entries
         f = Conductivity.exp_x(grid_24_96, 0.2)
         j_region = Region.annulus(0.5)
         restriction_map_norm(f, j_region)
