@@ -11,9 +11,10 @@ data is not attainable.  In mu = 1 + lambda this is a norm-constrained
 least squares; one core, ConstrainedLSQ, solves it here and for the real
 f-BEP.  It takes the Gram forms and moments of both sides and a synthesis
 c -> grid values: for the BEP the ring-FFT forms and inverse ring FFT of
-the polar layer in bergman, for the f-BEP dense forms of the lifted
-samples.  It whitens by the full-disc form and diagonalizes the J-form,
-so c(mu) is a diagonal solve with a rounding-level Karush-Kuhn-Tucker
+the polar layer in bergman, for the f-BEP over mode-pair lifts the pair
+forms of the same layer, and for any other lifted basis dense forms of
+its samples.  It whitens by the full-disc form and diagonalizes the
+J-form, so c(mu) is a diagonal solve with a rounding-level Karush-Kuhn-Tucker
 residual, and bisects mu with err_J evaluated from the whitened forms at
 O(N) per step (the secular function of a quadratically constrained least
 squares; Gander 1981), verified monotone at runtime.  The end point is
@@ -37,8 +38,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bergman import AnalyticCoeffs, _ring_gram, _ring_moments, _ring_synthesis, basis_matrix
-from .grid import GridFunction, Region
+from .bergman import (
+    AnalyticCoeffs,
+    _pair_gram,
+    _pair_moments,
+    _pair_synthesis,
+    _ring_gram,
+    _ring_moments,
+    _ring_synthesis,
+    basis_matrix,
+)
+from .grid import GridFunction, GridMismatchError, Region
 
 logger = logging.getLogger("bergbep")
 
@@ -114,17 +124,20 @@ class LsqSolution(NamedTuple):
 
 
 class ConstrainedLSQ:
-    """min err_K(c) subject to err_J(c) <= M over combinations c of sampled elements.
+    """min err_K(c) subject to err_J(c) <= M over combinations c of basis elements.
 
     err_S(c)^2 = sum_S w_S |synthesize(c) - h_S|^2 on the grid nodes.  The
     core takes the Gram forms A_S and moments r_S of both sides and the
     synthesis c -> grid values: the BEP passes ring-FFT forms and the
-    inverse ring FFT (_polar_core), the f-BEP the real parts
-    Re <w_m, w_n>, Re <h, w_m> of its lifted samples and samples @ c
-    (_dense_core).  The full-disc form A_K + A_J is diagonalized once;
-    directions below _DROP_RCOND of its top eigenvalue are dropped, and
-    the rest are whitened so that the J-form is diag(tau) and the K-form
-    diag(1 - tau).
+    inverse ring FFT (_polar_core).  The f-BEP passes the real forms
+    Re <w_m, w_n>, Re <h, w_m> of its lifts: over a basis lifted by mode
+    pairs (closed-form conductivities) the pair forms and pair synthesis
+    from the lifts' two-mode spectra (_pair_core), over any other basis
+    the forms of its dense samples and samples @ c (_dense_core).  A
+    basis on another grid than the problem's raises GridMismatchError.
+    The full-disc form A_K + A_J is diagonalized once; directions below
+    _DROP_RCOND of its top eigenvalue are dropped, and the rest are
+    whitened so that the J-form is diag(tau) and the K-form diag(1 - tau).
     """
 
     def __init__(self, a_k, r_k, a_j, r_j, synthesize, w_k, w_j, h_k, h_j):
@@ -141,6 +154,10 @@ class ConstrainedLSQ:
         h_k, h_j = problem.h_k.values, problem.h_j.values
         if basis is None:
             return _polar_core(grid, problem.degree, w_k, w_j, h_k, h_j)
+        if basis.grid is not grid:
+            raise GridMismatchError("basis and problem live on different grids")
+        if basis._pairs is not None:
+            return _pair_core(grid, *basis._pairs, w_k, w_j, h_k, h_j)
         return _dense_core(
             basis.values_matrix(), w_k.ravel(), w_j.ravel(), h_k.ravel(), h_j.ravel(), real=True
         )
@@ -162,7 +179,7 @@ class ConstrainedLSQ:
         self.bt_j = self.whiten.conj().T @ self.r_j
 
     def leading(self, n: int) -> "ConstrainedLSQ":
-        """The same problem over the first n sampled elements."""
+        """The same problem over the first n basis elements."""
         sub = copy.copy(self)
         pad = np.zeros(self.r_k.size - n)
         sub.synthesize = lambda c: self.synthesize(np.concatenate((c, pad)))
@@ -255,6 +272,18 @@ def _polar_core(grid, degree, w_k, w_j, h_k, h_j) -> ConstrainedLSQ:
         _ring_gram(grid, w_j, degree),
         _ring_moments(grid, w_j * h_j, degree),
         lambda c: _ring_synthesis(grid, c),
+        w_k, w_j, h_k, h_j,
+    )
+
+
+def _pair_core(grid, modes, rings, w_k, w_j, h_k, h_j) -> ConstrainedLSQ:
+    """The f-BEP core over mode-pair lifts: pair forms and the pair synthesis."""
+    return ConstrainedLSQ(
+        _pair_gram(grid, w_k, modes, rings),
+        _pair_moments(w_k * h_k, modes, rings),
+        _pair_gram(grid, w_j, modes, rings),
+        _pair_moments(w_j * h_j, modes, rings),
+        lambda c: _pair_synthesis(grid, modes, rings, c),
         w_k, w_j, h_k, h_j,
     )
 

@@ -12,6 +12,13 @@ maps to the Bergman convention by lambda = mu - 1, and with f
 identically 1 the lifted basis is exactly {e_n, i e_n} and the solve
 reproduces the complex BEP solution.
 
+For the closed-form conductivities every lift lives in two angular
+modes, and the core takes its forms, moments and syntheses from those
+two-mode ring spectra, without sampling the lifts on the grid; a
+grid-sampled f, or a basis built by hand, goes through the dense
+samples.  Either way the returned w_* carries the grid certificate
+vekua_defect, from one Teodorescu apply to w_* itself.
+
 The conjectured critical-point equation
 
     (lambda + 1) Pi(chi_J w - 0 v h_J) = -Pi(chi_K w - h_K v 0)
@@ -125,10 +132,11 @@ def build_fbep_space(
     For the closed-form kinds (const, exp_x, exp_xy) alpha is a single
     angular mode a(r) e^{i s theta}, and the discrete fixed-point
     equation w = seed + T[alpha conj(w)] is solved exactly by angular
-    mode pairs (one small radial solve per degree); a lift whose
-    fixed-point defect exceeds tol raises ConvergenceError naming its
-    seed.  A grid-sampled f couples every mode, and its 2(N+1) seeds are
-    lifted together by the Neumann iteration, each with its own
+    mode pairs (one small radial solve per degree), certified on the
+    pair system, and the basis keeps the lifts' two-mode spectra; a lift
+    whose fixed-point defect exceeds tol raises ConvergenceError naming
+    its seed.  A grid-sampled f couples every mode, and its 2(N+1) seeds
+    are lifted together by the Neumann iteration, each with its own
     iteration; a lift that diverges or stops at max_iter without
     reaching tol raises ConvergenceError naming its seed.
     """
@@ -142,23 +150,22 @@ def build_fbep_space(
             for n in range(degree + 1)
         ]
         elements = _lift_batch(seeds, alpha, tol, max_iter)
+        for name, lifted in zip(names, elements):  # the first failure in seed order
+            if isinstance(lifted, LiftDivergenceError):
+                raise ConvergenceError(f"lift of seed {name} diverged: {lifted}") from lifted
+            if not lifted.converged:
+                raise ConvergenceError(
+                    f"lift of seed {name} did not converge in {lifted.iterations} "
+                    f"iterations (last increment {lifted.increments[-1]:.3e} > tol {tol:.3e})"
+                )
+        basis = VekuaBasis(alpha=alpha, elements=elements)
     else:
-        elements = _mode_pair_lift(alpha, mode, degree, tol)
-    for name, lifted in zip(names, elements):  # the first failure in seed order
-        if isinstance(lifted, LiftDivergenceError):
-            raise ConvergenceError(f"lift of seed {name} diverged: {lifted}") from lifted
-        if lifted.converged:
-            continue
-        if mode is None:
-            raise ConvergenceError(
-                f"lift of seed {name} did not converge in {lifted.iterations} "
-                f"iterations (last increment {lifted.increments[-1]:.3e} > tol {tol:.3e})"
-            )
-        raise ConvergenceError(
-            f"lift of seed {name} has fixed-point defect "
-            f"{lifted.increments[-1]:.3e} > tol {tol:.3e}"
-        )
-    basis = VekuaBasis(alpha=alpha, elements=elements)
+        basis = _mode_pair_lift(alpha, mode, degree, tol)
+        for name, defect in zip(names, basis._defects):
+            if not defect <= tol:
+                raise ConvergenceError(
+                    f"lift of seed {name} has fixed-point defect {defect:.3e} > tol {tol:.3e}"
+                )
     if logger.isEnabledFor(logging.INFO):  # the eigenvalue costs a full Gram
         logger.info(
             "fbep space: %d elements, Gram min eigenvalue %.3e",
@@ -172,7 +179,8 @@ def solve_fbep(problem: FbepProblem, basis: VekuaBasis | None = None) -> FbepSol
     """Solve the f-BEP as a real norm-constrained least squares.
 
     The basis is lifted from the problem's conductivity unless one is
-    supplied; saturation locates the unique multiplier mu >= 0 with
+    supplied, and must live on the problem's grid (GridMismatchError
+    otherwise); saturation locates the unique multiplier mu >= 0 with
     |err_J - M| within 1e-12 max(1, M), far inside the 1e-6 contract.
     """
     if basis is None:
@@ -187,7 +195,7 @@ def _fbep_solution(problem: FbepProblem, basis: VekuaBasis, core: ConstrainedLSQ
     """
     result = core.solve(problem.m, 2.0)
     coeffs, mu = result.coeffs, result.mu
-    w_star = basis.synthesize(coeffs)
+    w_star = GridFunction(problem.grid, core.synthesize(coeffs).reshape(problem.grid.shape))
     solution = FbepSolution(
         coeffs=coeffs,
         w_star=w_star,

@@ -17,9 +17,10 @@ closed-form conductivities alpha is one angular mode a(r) e^{i s theta}
 of mode k to mode s - 1 - k.  The lift of e_n then lives in the mode
 pair n, s - 1 - n, and _mode_pair_lift solves the discrete equation
 exactly for any contrast: one n_r x n_r complex solve per degree
-(realified to 2 n_r where the two modes coincide) and one inverse fft.
-Each such lift is certified by its fixed-point defect ||seed +
-T[alpha conj(w)] - w||, evaluated with the grid Teodorescu apply.
+(realified to 2 n_r where the two modes coincide).  Each such lift is
+certified by its fixed-point defect ||seed + T[alpha conj(w)] - w||,
+evaluated on the unreduced pair system with the same radial matrices;
+the lifts are sampled on the grid only when asked for.
 
 Derivatives on the tensor grid use spectral (trigonometric) angular
 differentiation by fft and five-point finite differences on the
@@ -51,11 +52,12 @@ import logging
 import warnings
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .bergman import AnalyticCoeffs, _check_degree, _radial_powers, project
-from .grid import DiscGrid, GridFunction, Region, inner_product
+from .grid import DiscGrid, GridFunction, GridMismatchError, Region, inner_product
 
 logger = logging.getLogger("bergbep")
 
@@ -542,7 +544,7 @@ def _check_tol(tol: float) -> None:
 
 def _mode_pair_lift(
     alpha: GridFunction, mode: tuple[np.ndarray, int], degree: int, tol: float
-) -> list[VekuaFunction]:
+) -> "VekuaBasis":
     """Lifts of e_0..e_N, i e_0..i e_N for alpha = a(r) e^{i s theta}, solved exactly.
 
     mode is (a, s) from _alpha_mode, and alpha its grid samples.  On the
@@ -557,10 +559,18 @@ def _mode_pair_lift(
     one batched n_r x n_r solve over n, and the lift of i e_n is
     (i x, -i y).  When m = n the equation x = S_n + A conj(x) is only
     real-linear and is solved in its 2 n_r realified form for both
-    seeds.  Each lift is certified by its fixed-point defect
-    ||seed + T[alpha conj(w)] - w||, from the grid Teodorescu apply
-    that its residual shares: iterations = 1, increments = [defect], and
-    converged iff defect <= tol.
+    seeds.  The basis keeps each lift's two-mode spectrum (_pairs: the
+    modes (n, m) and the ring coefficients (x, y), a collided pair's
+    second slot zero), from which the f-BEP takes its forms; it samples
+    the lifts on the grid only when its elements are asked for.
+
+    Each lift is certified by its fixed-point defect ||seed +
+    T[alpha conj(w)] - w|| and its span residual, evaluated on the
+    unreduced pair system: the ring modes of w - T[alpha conj(w)] are
+    x - A conj(y) and y - C conj(x) (collided: x - A conj(x)), since alpha
+    is exactly one mode on the grid, and their norms are Parseval sums
+    over the rings.  Each element then has iterations = 1, increments =
+    [defect], and converged iff defect <= tol.
     """
     _check_tol(tol)
     grid = alpha.grid
@@ -570,47 +580,47 @@ def _mode_pair_lift(
     mats = _ops(grid).teo.matrices
     n = np.arange(degree + 1)
     m = (s - 1 - n) % n_t
+    collided = m == n
     seeds = np.sqrt(n + 1.0)[:, None] * _radial_powers(grid, degree).T  # e_n in mode n
-    # ring modes of the lifts, forward-normalized as in _ring_synthesis:
-    # e_0..e_N, then i e_0..i e_N
-    modes = np.zeros((2, degree + 1, n_r, n_t), dtype=complex)
     big_a = mats[(n + 1) % n_t] * a  # M diag(a)
     big_c = mats[(m + 1) % n_t] * a
     eye = np.eye(n_r)
     system = eye - big_a @ np.conj(big_c)
-    system[m == n] = eye  # the collided pair is solved below
+    system[collided] = eye  # the collided pair is solved below
     x = np.linalg.solve(system, seeds[..., None])[..., 0]
     y = np.einsum("nij,nj->ni", big_c, np.conj(x))
-    modes[0, n, :, m] = y
-    modes[1, n, :, m] = -1j * y
-    modes[0, n, :, n] = x
-    modes[1, n, :, n] = 1j * x
-    for c in np.nonzero(m == n)[0]:  # the collided pair: x = S_n + A conj(x)
+    # rings[unit, n, slot]: the ring coefficients in modes (n, m) of the
+    # lifts of e_n (x, y) and of i e_n (i x, -i y)
+    rings = np.stack((np.stack((x, y), axis=1), np.stack((1j * x, -1j * y), axis=1)))
+    for c in np.nonzero(collided)[0]:  # the collided pair: x = S_n + A conj(x)
         ar, ai = big_a[c].real, big_a[c].imag
         real_form = np.block([[eye - ar, -ai], [-ai, eye + ar]])
         rhs = np.zeros((2 * n_r, 2))
         rhs[:n_r, 0] = rhs[n_r:, 1] = seeds[c]
         sol = np.linalg.solve(real_form, rhs)
-        modes[:, c, :, c] = (sol[:n_r] + 1j * sol[n_r:]).T
-    w = np.fft.ifft(modes.reshape(-1, n_r, n_t), axis=-1, norm="forward")
+        rings[:, c, 0] = (sol[:n_r] + 1j * sol[n_r:]).T
+        rings[:, c, 1] = 0.0
 
-    # the certificate: ring modes of w - T[alpha conj(w)] - seed, whose norm is the defect
-    modes = _analytic_modes(w, alpha).reshape(modes.shape)
-    modes[0, n, :, n] -= seeds
-    modes[1, n, :, n] -= 1j * seeds
-    defects = _mode_norms(grid, modes).ravel()
-    residuals = _span_distances(grid, modes, degree).ravel()  # seeds lie in the span
-    return [
-        VekuaFunction(
-            w=GridFunction(grid, w[b]),
-            alpha=alpha,
-            residual=float(residuals[b]),
-            converged=bool(defects[b] <= tol),
-            iterations=1,
-            increments=[float(defects[b])],
-        )
-        for b in range(w.shape[0])
-    ]
+    # the certificate: u = w - T[alpha conj(w)] in the pair's modes
+    own, other = rings[:, :, 0], rings[:, :, 1]
+    partner = np.where(collided[:, None], own, other)
+    u = np.empty_like(rings)
+    u[:, :, 0] = own - np.einsum("nij,unj->uni", big_a, np.conj(partner))
+    u[:, :, 1] = other - np.einsum("nij,unj->uni", big_c, np.conj(own))
+    u[:, collided, 1] = 0.0
+    gap = u.copy()  # u - seed, whose norm is the defect
+    gap[0, :, 0] -= seeds
+    gap[1, :, 0] -= 1j * seeds
+    defects = _mode_norms(grid, np.swapaxes(gap, -1, -2)).ravel()
+    # the residual: u less its projection on e_p in each slot whose mode p <= N
+    pair_modes = np.stack((n, m), axis=1)
+    e = np.sqrt(n + 1.0) * _radial_powers(grid, degree)  # (n_r, N+1)
+    profile = np.where((pair_modes <= degree)[..., None], e.T[np.minimum(pair_modes, degree)], 0.0)
+    u -= np.sum(grid.radial_weights * profile * u, axis=-1, keepdims=True) * profile
+    residuals = _mode_norms(grid, np.swapaxes(u, -1, -2)).ravel()
+
+    modes = np.concatenate((pair_modes, pair_modes))
+    return _PairBasis(alpha, modes, rings.reshape(modes.shape + (n_r,)), defects, residuals, tol)
 
 
 def similarity_factor(w: VekuaFunction) -> GridFunction:
@@ -735,15 +745,25 @@ def laplacian_residual(g: GridFunction) -> float:
 
 @dataclass(eq=False)
 class VekuaBasis:
-    """Real-linear spanning family of Vekua functions (lifted e_n and i e_n)."""
+    """Real-linear spanning family of Vekua functions (lifted e_n and i e_n).
+
+    The dense (n_nodes, n_elements) matrix of element samples is built on
+    first use.  A basis lifted by mode pairs also keeps each lift's
+    two-mode ring spectrum (_pairs, see _mode_pair_lift), and the f-BEP
+    takes its forms from that instead of the samples.
+    """
 
     alpha: GridFunction
     elements: list[VekuaFunction]
+    # (mode indices (B, 2), ring coefficients (B, 2, n_r)) of a mode-pair lift
+    _pairs: tuple | None = field(default=None, init=False, repr=False)
+    _matrix: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not self.elements:
             raise ValueError("basis needs at least one element")
-        self._matrix = np.column_stack([e.w.values.ravel() for e in self.elements])
+        if any(e.w.grid is not self.alpha.grid for e in self.elements):
+            raise GridMismatchError("basis elements and alpha live on different grids")
 
     @property
     def grid(self) -> DiscGrid:
@@ -755,22 +775,25 @@ class VekuaBasis:
 
     def values_matrix(self) -> np.ndarray:
         """Element samples as columns, shape (n_nodes, n_elements)."""
+        if self._matrix is None:
+            self._matrix = np.column_stack([e.w.values.ravel() for e in self.elements])
         return self._matrix
 
     def real_gram(self, region: Region | None = None) -> np.ndarray:
         """Real Gram matrix Re <w_m, w_n> over the disc or a region."""
         w = self.grid.weights if region is None else region.weights(self.grid)
-        g = (self._matrix.conj().T @ (w.ravel()[:, None] * self._matrix)).real
+        mat = self.values_matrix()
+        g = (mat.conj().T @ (w.ravel()[:, None] * mat)).real
         return (g + g.T) / 2.0
 
     def real_rhs(self, h: GridFunction, region: Region | None = None) -> np.ndarray:
         """Vector Re <h, w_m> over the disc or a region."""
         w = self.grid.weights if region is None else region.weights(self.grid)
-        return (self._matrix.conj().T @ (w.ravel() * h.values.ravel())).real
+        return (self.values_matrix().conj().T @ (w.ravel() * h.values.ravel())).real
 
     def synthesize(self, coeffs: np.ndarray) -> GridFunction:
-        vals = (self._matrix @ np.asarray(coeffs, dtype=float)).reshape(self.grid.shape)
-        return GridFunction(self.grid, vals)
+        vals = self.values_matrix() @ np.asarray(coeffs, dtype=float)
+        return GridFunction(self.grid, vals.reshape(self.grid.shape))
 
     def project_span(self, h: GridFunction, rcond: float = 1e-12) -> np.ndarray:
         """Real coefficients of the span projection of h (pinv-regularized)."""
@@ -784,6 +807,45 @@ class VekuaBasis:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.real_gram())[0])
+
+
+class _PairBasis(VekuaBasis):
+    """The VekuaBasis of a mode-pair lift (_mode_pair_lift), sampled on first use.
+
+    The f-BEP needs only the spectra in _pairs and the certificates;
+    the elements are synthesized from the spectra when first asked for,
+    by one inverse fft of the whole stack.
+    """
+
+    def __init__(self, alpha, modes, rings, defects, residuals, tol):
+        self.alpha = alpha
+        self._pairs = (modes, rings)
+        self._matrix = None
+        self._defects, self._residuals, self._tol = defects, residuals, tol
+
+    @property
+    def size(self) -> int:
+        return self._pairs[0].shape[0]
+
+    @cached_property
+    def elements(self) -> list[VekuaFunction]:
+        modes, rings = self._pairs
+        spectra = np.zeros((self.size,) + self.grid.shape, dtype=complex)
+        lifts = np.arange(self.size)
+        spectra[lifts, :, modes[:, 1]] = rings[:, 1]
+        spectra[lifts, :, modes[:, 0]] = rings[:, 0]  # after slot 1: a collided slot 1 is zero
+        w = np.fft.ifft(spectra, axis=-1, norm="forward")
+        return [
+            VekuaFunction(
+                w=GridFunction(self.grid, w[b]),
+                alpha=self.alpha,
+                residual=float(self._residuals[b]),
+                converged=bool(self._defects[b] <= self._tol),
+                iterations=1,
+                increments=[float(self._defects[b])],
+            )
+            for b in lifts
+        ]
 
 
 def invariance_defect(basis: VekuaBasis, g_coeffs: np.ndarray, h: GridFunction) -> float:

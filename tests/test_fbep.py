@@ -12,6 +12,7 @@ from bergbep import (
     ConvergenceError,
     FbepProblem,
     GridFunction,
+    GridMismatchError,
     InfeasibleProblemError,
     Region,
     VekuaBasis,
@@ -43,6 +44,10 @@ def make_problem(grid, f, m=0.1, degree=8, h_k_val=1.0, lift_tol=1e-9):
         degree=degree,
         lift_tol=lift_tol,
     )
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
 def _grid_sampled(f):
@@ -567,3 +572,154 @@ class TestBasisDiagnostics:
             build_fbep_space(f, 4)
         assert len(calls) == 1
         assert any("Gram min eigenvalue" in r.getMessage() for r in caplog.records)
+
+
+# (conductivity kind, eps, grid shape, degree); the last two put the lift of
+# e_N in a collided pair (odd n_theta for exp_x, even for exp_xy), and exp_xy
+# on odd n_theta pairs e_{N-1} and e_N with each other's modes
+_PAIR_CASES = [
+    ("const", 1.0, (16, 64), 6),
+    ("exp_x", 0.8, (16, 64), 6),
+    ("exp_x", 2.5, (16, 64), 6),
+    ("exp_xy", 1.75, (16, 64), 6),
+    ("exp_xy", 6.0, (16, 64), 6),
+    ("exp_x", 0.5, (8, 31), 15),
+    ("exp_xy", 0.5, (8, 32), 15),
+    ("exp_xy", 0.5, (8, 31), 15),
+]
+
+
+def _pair_basis(kind, eps, shape, degree):
+    grid = build_grid(*shape)
+    if kind == "const":
+        f = Conductivity.constant(grid, 2.0)
+    else:
+        f = getattr(Conductivity, kind)(grid, eps)
+    return build_fbep_space(f, degree, tol=1e-10)
+
+
+def _pair_regions(shape):
+    regions = [Region.radial_disc(0.55), Region.annulus(0.4), Region.sector(1.1), _node_mask(shape)]
+    return regions + [region.complement() for region in regions]
+
+
+class TestPairCore:
+    """The f-BEP over mode-pair lifts: forms, synthesis and solve against the dense samples."""
+
+    @pytest.mark.parametrize("kind, eps, shape, degree", _PAIR_CASES)
+    def test_forms_match_dense_samples(self, kind, eps, shape, degree):
+        from bergbep.bep import _forms
+        from bergbep.bergman import _pair_gram, _pair_moments
+
+        basis = _pair_basis(kind, eps, shape, degree)
+        grid, (modes, rings) = basis.grid, basis._pairs
+        h = GridFunction.from_function(grid, lambda z: np.conj(z) + 0.3 * np.abs(z) ** 2 + 0.5j)
+        samples = basis.values_matrix()
+        for region in _pair_regions(shape):
+            w = region.weights(grid)
+            gram, moments = _forms(samples, w.ravel(), h.values.ravel(), np.real)
+            pair_gram = _pair_gram(grid, w, modes, rings)
+            pair_moments = _pair_moments(w * h.values, modes, rings)
+            assert _rel(pair_gram, gram) <= 1e-13
+            assert _rel(pair_moments, moments) <= 1e-13
+
+    @pytest.mark.parametrize("kind, eps, shape, degree", _PAIR_CASES)
+    def test_synthesis_matches_dense_samples(self, kind, eps, shape, degree):
+        from bergbep.bergman import _pair_synthesis
+
+        basis = _pair_basis(kind, eps, shape, degree)
+        c = np.random.default_rng(5).standard_normal(basis.size)
+        dense = (basis.values_matrix() @ c).reshape(basis.grid.shape)
+        assert _rel(_pair_synthesis(basis.grid, *basis._pairs, c), dense) <= 1e-14
+
+    @pytest.mark.parametrize("kind, eps", [("exp_x", 0.8), ("exp_x", 2.5), ("exp_xy", 6.0)])
+    def test_solve_matches_dense_core(self, grid_24_96, kind, eps):
+        f = getattr(Conductivity, kind)(grid_24_96, eps)
+        basis = build_fbep_space(f, 12)
+        p = make_problem(grid_24_96, f, m=0.05, degree=12)
+        sol = solve_fbep(p, basis)
+        # the same lifts as a hand-built basis take the dense samples
+        dense = solve_fbep(p, VekuaBasis(basis.alpha, basis.elements))
+        assert sol.saturated and dense.saturated
+        assert _rel(sol.coeffs, dense.coeffs) <= 1e-10
+        assert abs(sol.vekua_defect - dense.vekua_defect) <= 1e-14
+
+    def _record_cores(self, monkeypatch):
+        from bergbep import bep
+
+        calls = []
+        for name in ("_pair_core", "_dense_core"):
+            original = getattr(bep, name)
+
+            def recording(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(bep, name, recording)
+        return calls
+
+    def test_path_selection(self, grid_16_64, monkeypatch):
+        closed = Conductivity.exp_x(grid_16_64, 0.3)
+        p_closed = make_problem(grid_16_64, closed, degree=4)
+        p_sampled = make_problem(grid_16_64, _grid_sampled(closed), degree=4)
+        basis = build_fbep_space(closed, 4)
+        calls = self._record_cores(monkeypatch)
+        solve_fbep(p_closed)
+        assert calls == ["_pair_core"]
+        solve_fbep(p_sampled)
+        assert calls == ["_pair_core", "_dense_core"]
+        solve_fbep(p_closed, VekuaBasis(basis.alpha, basis.elements))
+        assert calls == ["_pair_core", "_dense_core", "_dense_core"]
+
+    def test_closed_form_solve_samples_nothing(self, grid_24_96, monkeypatch):
+        from bergbep import vekua
+
+        applies = []
+        apply = vekua._TeodorescuOperator.apply
+
+        def counting(self, values):
+            applies.append(values.shape)
+            return apply(self, values)
+
+        monkeypatch.setattr(vekua._TeodorescuOperator, "apply", counting)
+        f = Conductivity.exp_xy(grid_24_96, 1.75)
+        p = make_problem(grid_24_96, f, degree=12)
+        sol = solve_fbep(p)
+        fbep_conjecture_check(p, sol)
+        directional_kkt_check(p, sol)
+        assert applies == [grid_24_96.shape]  # the certificate of w_*
+        assert sol.basis._matrix is None
+        assert "elements" not in vars(sol.basis)  # no lift was sampled on the grid
+        # the samples, built when asked for, give the same certificate
+        w_star = sol.basis.synthesize(sol.coeffs)
+        assert np.max(np.abs(w_star.values - sol.w_star.values)) <= 1e-14
+        assert all(el.converged and el.iterations == 1 for el in sol.basis.elements)
+
+
+class TestBasisGrid:
+    """A basis must live on its problem's grid, even one with the same node count."""
+
+    def test_basis_from_another_grid_rejected(self, grid_24_96):
+        other = build_grid(48, 48)  # 2304 nodes, as 24x96
+        basis = build_fbep_space(Conductivity.exp_x(grid_24_96, 0.3), 4)
+        p = make_problem(other, Conductivity.exp_x(other, 0.3), degree=4)
+        for candidate in (basis, VekuaBasis(basis.alpha, basis.elements)):
+            with pytest.raises(GridMismatchError):
+                solve_fbep(p, candidate)
+            with pytest.raises(GridMismatchError):
+                ConstrainedLSQ.from_problem(p, candidate)
+
+    def test_elements_from_another_grid_rejected(self, grid_24_96):
+        other = build_grid(48, 48)
+        basis = build_fbep_space(Conductivity.exp_x(other, 0.3), 4)
+        alpha = alpha_from_f(Conductivity.exp_x(grid_24_96, 0.3))
+        with pytest.raises(GridMismatchError, match="different grids"):
+            VekuaBasis(alpha, basis.elements)
+
+    def test_dense_matrix_built_on_first_use(self, basis_exp01_n8):
+        _, basis = basis_exp01_n8
+        hand_built = VekuaBasis(basis.alpha, basis.elements)
+        assert hand_built._matrix is None
+        matrix = hand_built.values_matrix()
+        assert hand_built.values_matrix() is matrix
+        assert np.array_equal(matrix[:, 3], basis.elements[3].w.values.ravel())

@@ -575,7 +575,7 @@ def _dense_lift_oracle(f, degree):
 
 
 def _closed_lifts(f, degree, tol=1e-12):
-    return _mode_pair_lift(alpha_from_f(f), _alpha_mode(f), degree, tol)
+    return _mode_pair_lift(alpha_from_f(f), _alpha_mode(f), degree, tol).elements
 
 
 class TestModePairLift:
@@ -598,6 +598,39 @@ class TestModePairLift:
             unit = 1.0 if b < 7 else 1.0j
             seed = AnalyticCoeffs(unit * AnalyticCoeffs.unit(b % 7, 6).coeffs)
             assert np.max(np.abs(lifted.w.values - seed.on_grid(grid_16_64).values)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "kind, eps, shape, degree",
+        [
+            ("exp_x", 0.8, (16, 64), 6),
+            ("exp_x", 2.5, (16, 64), 6),
+            ("exp_xy", 1.75, (16, 64), 6),
+            ("exp_xy", 6.0, (16, 64), 6),
+            ("exp_x", 0.5, (8, 31), 15),  # e_15 in a collided pair
+            ("exp_xy", 0.5, (8, 32), 15),  # e_15 in a collided pair
+            ("exp_xy", 0.5, (8, 31), 15),  # e_14 and e_15 in each other's modes
+        ],
+    )
+    def test_certificate_matches_grid_apply(self, kind, eps, shape, degree):
+        # the pair-system defects and residuals against the grid Teodorescu
+        # apply to the lift samples, which the certificate replaces
+        from bergbep.vekua import _analytic_modes, _mode_norms, _span_distances
+
+        grid = build_grid(*shape)
+        f = getattr(Conductivity, kind)(grid, eps)
+        alpha = alpha_from_f(f)
+        lifts = _closed_lifts(f, degree)
+        w = np.stack([lifted.w.values for lifted in lifts])
+        modes = _analytic_modes(w, alpha).reshape(2, degree + 1, *grid.shape)
+        n = np.arange(degree + 1)
+        seeds = np.sqrt(n + 1.0) * grid.radial_nodes[:, None] ** n  # e_n on the rings
+        residuals = _span_distances(grid, modes.copy(), degree).ravel()
+        modes[0, n, :, n] -= seeds.T
+        modes[1, n, :, n] -= 1j * seeds.T
+        defects = _mode_norms(grid, modes).ravel()
+        for lifted, defect, residual in zip(lifts, defects, residuals):
+            assert abs(lifted.increments[0] - defect) <= 1e-14
+            assert abs(lifted.residual - residual) <= 1e-14
 
     @pytest.mark.parametrize("kind, shape", [("exp_x", (8, 31)), ("exp_xy", (8, 32))])
     def test_collided_pair_at_exactness_limit(self, kind, shape):
