@@ -11,10 +11,10 @@ data is not attainable.  In mu = 1 + lambda this is a norm-constrained
 least squares; one core, ConstrainedLSQ, solves it here and for the real
 f-BEP.  It takes the Gram forms and moments of both sides and a synthesis
 c -> grid values: for the BEP the ring-FFT forms and inverse ring FFT of
-the polar layer in bergman, for the f-BEP over mode-pair lifts the pair
-forms of the same layer, and for any other lifted basis dense forms of
-its samples.  It whitens by the full-disc form and diagonalizes the
-J-form, so c(mu) is a diagonal solve with a rounding-level Karush-Kuhn-Tucker
+the polar layer in bergman, for the f-BEP those its lifted basis
+supplies (vekua.VekuaBasis).  It whitens by the full-disc form and
+diagonalizes the J-form, so c(mu) is a diagonal solve with a
+rounding-level Karush-Kuhn-Tucker
 residual, and bisects mu with err_J evaluated from the whitened forms at
 O(N) per step (the secular function of a quadratically constrained least
 squares; Gander 1981), verified monotone at runtime.  The end point is
@@ -40,9 +40,7 @@ import numpy as np
 
 from .bergman import (
     AnalyticCoeffs,
-    _pair_gram,
-    _pair_moments,
-    _pair_synthesis,
+    _forms,
     _ring_gram,
     _ring_moments,
     _ring_synthesis,
@@ -79,23 +77,27 @@ class BepProblem:
     degree: int
 
     def __post_init__(self):
-        if not 0.0 < self.m < np.inf:
-            raise ValueError(f"constraint level M must be positive and finite, got {self.m}")
-        self.h_k._check_same_grid(self.h_j)
-        grid = self.h_k.grid
-        gap = np.max(
-            np.abs(self.k_region.weights(grid) + self.j_region.weights(grid) - grid.weights)
-        )
-        if gap > 1e-12:
-            raise ValueError(f"K and J do not partition the disc (defect {gap:.2e})")
-        if self.k_region.node_count(grid) == 0:
-            raise ValueError("region K carries no grid nodes")
-        if self.j_region.node_count(grid) == 0:
-            raise ValueError("region J carries no grid nodes")
+        _check_problem(self)
 
     @property
     def grid(self):
         return self.h_k.grid
+
+
+def _check_problem(problem) -> None:
+    """The checks every BEP and f-BEP shares: the budget, the data grid, the partition."""
+    if not 0.0 < problem.m < np.inf:
+        raise ValueError(f"constraint level M must be positive and finite, got {problem.m}")
+    problem.h_k._check_same_grid(problem.h_j)
+    grid = problem.h_k.grid
+    gap = np.max(
+        np.abs(problem.k_region.weights(grid) + problem.j_region.weights(grid) - grid.weights)
+    )
+    if gap > 1e-12:
+        raise ValueError(f"K and J do not partition the disc (defect {gap:.2e})")
+    for name, region in (("K", problem.k_region), ("J", problem.j_region)):
+        if region.node_count(grid) == 0:
+            raise ValueError(f"region {name} carries no grid nodes")
 
 
 @dataclass(eq=False)
@@ -129,12 +131,11 @@ class ConstrainedLSQ:
     err_S(c)^2 = sum_S w_S |synthesize(c) - h_S|^2 on the grid nodes.  The
     core takes the Gram forms A_S and moments r_S of both sides and the
     synthesis c -> grid values: the BEP passes ring-FFT forms and the
-    inverse ring FFT (_polar_core).  The f-BEP passes the real forms
-    Re <w_m, w_n>, Re <h, w_m> of its lifts: over a basis lifted by mode
-    pairs (closed-form conductivities) the pair forms and pair synthesis
-    from the lifts' two-mode spectra (_pair_core), over any other basis
-    the forms of its dense samples and samples @ c (_dense_core).  A
-    basis on another grid than the problem's raises GridMismatchError.
+    inverse ring FFT (_polar_core).  The f-BEP takes the real forms
+    Re <w_m, w_n>, Re <h, w_m> of its lifts and their synthesis from the
+    VekuaBasis itself (_lsq_forms, _synthesis), whatever its
+    representation.  A basis on another grid than the problem's raises
+    GridMismatchError.
     The full-disc form A_K + A_J is diagonalized once; directions below
     _DROP_RCOND of its top eigenvalue are dropped, and the rest are
     whitened so that the J-form is diag(tau) and the K-form diag(1 - tau).
@@ -156,10 +157,9 @@ class ConstrainedLSQ:
             return _polar_core(grid, problem.degree, w_k, w_j, h_k, h_j)
         if basis.grid is not grid:
             raise GridMismatchError("basis and problem live on different grids")
-        if basis._pairs is not None:
-            return _pair_core(grid, *basis._pairs, w_k, w_j, h_k, h_j)
-        return _dense_core(
-            basis.values_matrix(), w_k.ravel(), w_j.ravel(), h_k.ravel(), h_j.ravel(), real=True
+        return cls(
+            *basis._lsq_forms(w_k, h_k), *basis._lsq_forms(w_j, h_j), basis._synthesis,
+            w_k, w_j, h_k, h_j,
         )
 
     def _diagonalize(self) -> None:
@@ -215,10 +215,10 @@ class ConstrainedLSQ:
         """Distance of h_J to the span on J, evaluated on the grid."""
         return self.err(self.whiten @ self._j_fit()[1], "j")
 
-    def solve(self, m: float, mu_hi: float, mu_lo: float = 0.0) -> LsqSolution:
-        """Saturating multiplier by bracketed bisection on err_J(mu) over [mu_lo, mu_hi].
+    def solve(self, m: float, mu_hi: float) -> LsqSolution:
+        """Saturating multiplier by bracketed bisection on err_J(mu) over [0, mu_hi].
 
-        If the fit at mu_lo already meets the budget (on the grid) it is
+        If the fit at mu = 0 already meets the budget (on the grid) it is
         returned unsaturated.  The bracket and the bisection evaluate
         err_J from the whitened forms at O(N) per step,
 
@@ -232,10 +232,10 @@ class ConstrainedLSQ:
         feas = self.feasibility()
         if feas > m + 1e-9:
             raise InfeasibleProblemError(f"M = {m:.6g} below feasibility distance {feas:.6g}")
-        c = self.coeffs(mu_lo)
+        c = self.coeffs(0.0)
         e_lo = self.err(c, "j")
         if e_lo <= m:
-            return LsqSolution(c, mu_lo, feas, 0, False)
+            return LsqSolution(c, 0.0, feas, 0, False)
 
         h_j_sq = float(np.sum(self.w_j * np.abs(self.h_j) ** 2))
 
@@ -244,19 +244,19 @@ class ConstrainedLSQ:
             e2 = h_j_sq - 2.0 * np.vdot(y, self.bt_j).real + np.sum(self.taus * np.abs(y) ** 2)
             return float(np.sqrt(max(e2, 0.0)))
 
-        evals = [(mu_lo, e_lo)]
-        mu, _, lo, hi, iterations = _bisect(err_from_forms, m, mu_lo, mu_hi, evals, feas)
+        evals = [(0.0, e_lo)]
+        mu, _, lo, hi, iterations = _bisect(err_from_forms, m, 0.0, mu_hi, evals, feas)
         c = self.coeffs(mu)
         e_mu = self.err(c, "j")
         evals.append((mu, e_mu))
         if abs(e_mu - m) > _STOP_TOL * max(1.0, m):
             logger.debug("err_J from the forms missed M on the grid by %.3e", abs(e_mu - m))
             grid_err = lambda mu: self.err(self.coeffs(mu), "j")  # noqa: E731
-            if lo > mu_lo:  # the forms placed lo; on the grid the root may lie below it
+            if lo > 0.0:  # the forms placed lo; on the grid the root may lie below it
                 e_at_lo = grid_err(lo)
                 evals.append((lo, e_at_lo))
                 if e_at_lo <= m:
-                    lo = mu_lo
+                    lo = 0.0
             mu, e_mu, _, _, more = _bisect(grid_err, m, lo, hi, evals, feas)
             iterations += more
             c = self.coeffs(mu)
@@ -276,43 +276,12 @@ def _polar_core(grid, degree, w_k, w_j, h_k, h_j) -> ConstrainedLSQ:
     )
 
 
-def _pair_core(grid, modes, rings, w_k, w_j, h_k, h_j) -> ConstrainedLSQ:
-    """The f-BEP core over mode-pair lifts: pair forms and the pair synthesis."""
-    return ConstrainedLSQ(
-        _pair_gram(grid, w_k, modes, rings),
-        _pair_moments(w_k * h_k, modes, rings),
-        _pair_gram(grid, w_j, modes, rings),
-        _pair_moments(w_j * h_j, modes, rings),
-        lambda c: _pair_synthesis(grid, modes, rings, c),
-        w_k, w_j, h_k, h_j,
-    )
-
-
-def _dense_core(samples, w_k, w_j, h_k, h_j, real: bool = False) -> ConstrainedLSQ:
-    """The core over the columns of samples; real=True for real coefficients (the f-BEP)."""
-    part = np.real if real else np.asarray
-    return ConstrainedLSQ(
-        *_forms(samples, w_k, h_k, part),
-        *_forms(samples, w_j, h_j, part),
-        lambda c: samples @ c,
-        w_k, w_j, h_k, h_j,
-    )
-
-
-def _forms(samples, w, h, part):
-    """Gram form and data moments of one side, summed over its nodes only."""
-    on = np.flatnonzero(w)
-    s, w = samples[on], w[on]
-    adjoint = s.conj().T
-    g = part(adjoint @ (w[:, None] * s))
-    return (g + g.conj().T) / 2.0, part(adjoint @ (w * h[on]))
-
-
 def _bisect(err, m: float, lo: float, hi: float, evals: list, feas: float):
     """Bracketed bisection of err(mu) = M on [lo, hi], given err(lo) > M.
 
     hi doubles until err(hi) <= M, then the bracket halves until
-    |err - M| <= _STOP_TOL max(1, M) or it collapses.  Every evaluation
+    |err - M| <= _STOP_TOL max(1, M) or it collapses to a few ulps of hi
+    (a relative floor: a root far below 1 is still resolved).  Every evaluation
     is appended to evals.  Returns mu, err(mu), the last bracket and
     the number of bisection steps.
     """
@@ -337,7 +306,7 @@ def _bisect(err, m: float, lo: float, hi: float, evals: list, feas: float):
         mu = 0.5 * (lo + hi)
         e_mu = err(mu)
         evals.append((mu, e_mu))
-        if abs(e_mu - m) <= _STOP_TOL * scale or hi - lo < 1e-15 * max(1.0, hi):
+        if abs(e_mu - m) <= _STOP_TOL * scale or hi - lo <= 4.0 * np.finfo(float).eps * hi:
             break
         lo, hi = (mu, hi) if e_mu > m else (lo, mu)
     return mu, e_mu, lo, hi, iterations

@@ -21,20 +21,9 @@ These only reorder the same sums, so they agree with the dense samples
 of basis_matrix to rounding at any degree, without building them.
 project, gram_quadrature and AnalyticCoeffs.on_grid use this layer, and
 so do the BEP core and the Vekua residuals; basis_matrix stays for
-independent checks.
-
-The same reordering serves a family of functions that each live in two
-angular modes, w_b = sum_u X_bu(r) e^{i p_bu theta} (u = 0, 1), as the
-mode-pair Vekua lifts do.  With W = fft_theta(w), the real forms of the
-f-BEP are
-
-    G_ab = Re sum w conj(w_a) w_b
-         = Re sum_{u,v} sum_i conj(X_au,i) X_bv,i W_i[(p_au - p_bv) mod n_theta]
-    r_a  = Re sum wh conj(w_a) = Re sum_u sum_i conj(X_au,i) fft_theta(wh)_i[p_au]
-    sum_b c_b w_b = ifft_theta of the c_b X_b gathered at their modes
-
-(_pair_gram, _pair_moments, _pair_synthesis), exact discrete identities
-for any weights.
+independent checks.  _forms is the plain quadrature of the same forms
+over any sampled family, summed over the nodes that carry weight; the
+BEP oracle and the dense Vekua bases use it.
 
 Note on the radial spectrum convention: with J = a*D under the
 normalized area measure, the truncated Toeplitz matrix is diagonal with
@@ -142,34 +131,17 @@ def _ring_synthesis(grid: DiscGrid, coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifft(modes, axis=-1, norm="forward")
 
 
-def _pair_gram(grid: DiscGrid, w: np.ndarray, modes: np.ndarray, rings: np.ndarray) -> np.ndarray:
-    """G_ab = Re sum w conj(w_a) w_b for w_b = sum_u rings[b, u] e^{i modes[b, u] theta}.
+def _forms(samples: np.ndarray, w: np.ndarray, h: np.ndarray, part):
+    """Gram form and data moments of the columns of samples, summed over the nodes of w only.
 
-    modes is (B, 2) and rings (B, 2, n_r); by Parseval on each ring, G_ab =
-    Re sum_{u,v} sum_i conj(X_au,i) X_bv,i fft_theta(w)_i[(p_au - p_bv) mod n_theta].
+    samples is (n_nodes, B) and w, h are flat over the nodes; part is
+    np.real for the real forms of a real-linear family.
     """
-    p = modes.ravel()
-    x = rings.reshape(p.size, -1)
-    table = np.fft.fft(w, axis=-1)[:, (p[:, None] - p[None, :]) % grid.angular_count]
-    g = np.einsum("ai,iab,bi->ab", x.conj(), table, x).real
-    g = g.reshape(modes.shape + modes.shape).sum(axis=(1, 3))
-    return (g + g.T) / 2.0
-
-
-def _pair_moments(wh: np.ndarray, modes: np.ndarray, rings: np.ndarray) -> np.ndarray:
-    """r_a = Re sum wh conj(w_a) = Re sum_u sum_i conj(X_au,i) fft_theta(wh)_i[p_au]."""
-    table = np.fft.fft(wh, axis=-1)[:, modes]  # (n_r, B, 2)
-    return np.einsum("bui,ibu->b", rings.conj(), table).real
-
-
-def _pair_synthesis(
-    grid: DiscGrid, modes: np.ndarray, rings: np.ndarray, coeffs: np.ndarray
-) -> np.ndarray:
-    """sum_b c_b w_b at the nodes: one spectrum gathers every c_b X_b, then one inverse fft."""
-    spectrum = np.zeros(grid.shape, dtype=complex)
-    terms = np.asarray(coeffs)[:, None, None] * rings
-    np.add.at(spectrum.T, modes.ravel(), terms.reshape(modes.size, -1))
-    return np.fft.ifft(spectrum, axis=-1, norm="forward")
+    on = np.flatnonzero(w)
+    s, w = samples[on], w[on]
+    adjoint = s.conj().T
+    g = part(adjoint @ (w[:, None] * s))
+    return (g + g.conj().T) / 2.0, part(adjoint @ (w * h[on]))
 
 
 def _check_degree(grid: DiscGrid, degree: int) -> None:

@@ -61,24 +61,24 @@ def _parse_grid_arg(text: str):
     return build_grid(n_r, n_theta)
 
 
+# spectrum --region head -> (io region variant, key of its parameter)
+_REGION_ARGS = {"radial": ("radial_disc", "a"), "annulus": ("annulus", "a"),
+                "sector": ("sector", "theta"), "full": ("full", None)}
+
+
 def _parse_region_arg(text: str) -> Region:
+    """radial:A, annulus:A, sector:THETA or full, ~ for the complement, as an io region spec."""
     head, _, tail = text.partition(":")
-    complement = head.startswith("~")
-    head = head.lstrip("~")
+    if head.lstrip("~") not in _REGION_ARGS:
+        raise bio.SchemaError(f"unknown region spec {text!r}")
+    variant, key = _REGION_ARGS[head.lstrip("~")]
+    spec = {"variant": variant, "complement": head.startswith("~")}
     try:
-        if head == "radial":
-            region = Region.radial_disc(float(tail))
-        elif head == "annulus":
-            region = Region.annulus(float(tail))
-        elif head == "sector":
-            region = Region.sector(float(tail))
-        elif head == "full":
-            region = Region.full_disc()
-        else:
-            raise bio.SchemaError(f"unknown region spec {text!r}")
-    except ValueError as exc:
+        if key is not None:
+            spec[key] = float(tail)
+        return bio.region_from_spec(spec)
+    except ValueError as exc:  # a SchemaError is a ValueError too
         raise bio.SchemaError(f"bad region spec {text!r}: {exc}") from exc
-    return region.complement() if complement else region
 
 
 def _builtin_spec(args) -> dict:
@@ -128,11 +128,12 @@ def cmd_solve_fbep(args) -> int:
 
 def cmd_spectrum(args) -> int:
     region = _parse_region_arg(args.region)
-    eigenvalues = spectrum(gram(region, args.degree))
+    matrix = gram(region, args.degree)
+    eigenvalues = spectrum(matrix)
     closed = None
     if region.kind in ("radial_disc", "annulus", "full"):
         # diagonal closed form: eigenvalues are the sorted diagonal entries
-        closed = np.sort(np.diag(gram(region, args.degree).entries).real)[::-1]
+        closed = np.sort(np.diag(matrix.entries).real)[::-1]
     lines = ["index,eigenvalue,closed_form"]
     for i, val in enumerate(eigenvalues):
         closed_txt = repr(float(closed[i])) if closed is not None else ""

@@ -12,10 +12,11 @@ maps to the Bergman convention by lambda = mu - 1, and with f
 identically 1 the lifted basis is exactly {e_n, i e_n} and the solve
 reproduces the complex BEP solution.
 
-For the closed-form conductivities every lift lives in two angular
-modes, and the core takes its forms, moments and syntheses from those
-two-mode ring spectra, without sampling the lifts on the grid; a
-grid-sampled f, or a basis built by hand, goes through the dense
+The core takes its forms, moments and synthesis from the basis, in
+one path for every basis: for the closed-form conductivities, whose
+lifts each live in two angular modes, the basis supplies them from
+those ring spectra without sampling the lifts on the grid; a
+grid-sampled f, or a basis built by hand, supplies them from its
 samples.  Either way the returned w_* carries the grid certificate
 vekua_defect, from one Teodorescu apply to w_* itself.
 
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bep import ConstrainedLSQ, ConvergenceError
+from .bep import ConstrainedLSQ, ConvergenceError, _check_problem
 from .grid import DiscGrid, GridFunction, Region, build_grid
 from .bergman import AnalyticCoeffs
 from .vekua import (
@@ -55,6 +56,8 @@ from .vekua import (
     _alpha_mode,
     _lift_batch,
     _mode_pair_lift,
+    _mode_pair_norm,
+    _mode_samples,
     _ops,
     alpha_from_f,
     teodorescu,
@@ -78,21 +81,11 @@ class FbepProblem:
     lift_tol: float = 1e-9
 
     def __post_init__(self):
-        if not 0.0 < self.m < np.inf:
-            raise ValueError(f"constraint level M must be positive and finite, got {self.m}")
+        _check_problem(self)
         if not 0.0 < self.lift_tol < np.inf:
             raise ValueError(f"lift tolerance must be positive and finite, got {self.lift_tol}")
-        self.h_k._check_same_grid(self.h_j)
         if self.f.grid is not self.h_k.grid:
             raise ValueError("conductivity and data use different grids")
-        grid = self.h_k.grid
-        gap = np.max(
-            np.abs(self.k_region.weights(grid) + self.j_region.weights(grid) - grid.weights)
-        )
-        if gap > 1e-12:
-            raise ValueError(f"K and J do not partition the disc (defect {gap:.2e})")
-        if self.k_region.node_count(grid) == 0 or self.j_region.node_count(grid) == 0:
-            raise ValueError("degenerate region: K or J carries no grid nodes")
 
     @property
     def grid(self) -> DiscGrid:
@@ -291,25 +284,27 @@ def restriction_map_norm(
     overlap fraction is constant along theta (radial discs, annuli,
     their complements, the full disc), R sends ring mode p to mode
     s - 1 - p, and the norm is the largest singular value over the mode
-    pairs (_mode_pair_norm).  Otherwise A is taken from one batched
+    pairs (vekua._mode_pair_norm).  Otherwise A is taken from one batched
     Teodorescu apply to the unit inputs on J's nodes, and the norm is
     the square root of the top eigenvalue of R^T R, found by Lanczos
     (_normal_top_eigenvalue); R is only real-linear.  The norm grid of
-    each shape is built once.  A conductivity already sampled on a grid
-    of grid_shape is used on that grid as it is; a grid-sampled one
-    cannot be rebuilt on another.
+    each shape is built once, and a closed-form alpha is evaluated on
+    it directly.  A conductivity on a grid of grid_shape is used on its
+    own grid; a grid-sampled one cannot be carried to another.
     """
-    f_small = _conductivity_on(f, grid_shape)
-    small = f_small.grid
+    own = f.grid.shape == tuple(grid_shape)
+    small = f.grid if own else _norm_grid(tuple(grid_shape))
+    mode = _alpha_mode(f, small)
+    if mode is None and not own:
+        raise ValueError("grid-sampled conductivities cannot be rebuilt on another grid")
     phi = j_region.fraction(small)
     w_j = j_region.weights(small)
     if not np.any(w_j > 0.0):
         raise ValueError("region J carries no nodes on the norm-estimation grid")
-    mode = _alpha_mode(f_small)
     if mode is not None and np.all(phi == phi[:, :1]):
         return _mode_pair_norm(small, mode, phi[:, 0], w_j[:, 0])
 
-    alpha = alpha_from_f(f_small).values
+    alpha = alpha_from_f(f).values if mode is None else _mode_samples(small, mode)
     w_j = w_j.ravel()
     idx = np.nonzero(w_j > 0.0)[0]
     n = idx.size
@@ -320,42 +315,6 @@ def restriction_map_norm(
     a *= sqw[:, None]
     theta, _ = _normal_top_eigenvalue(a)
     return float(np.sqrt(theta))
-
-
-def _mode_pair_norm(
-    grid: DiscGrid, mode: tuple[np.ndarray, int], phi: np.ndarray, w: np.ndarray
-) -> float:
-    """Norm of R h = h - S T_J(alpha conj(S^-1 h)) for alpha = a(r) e^{i s theta}, by mode pairs.
-
-    phi and w are J's overlap fraction and node weight per ring, both
-    constant along theta.  In the ring modes H_p of h on J's rings, R
-    sends H_p to H_p - B_p conj(H_p'), with p' = s - 1 - p (mod n_theta)
-    and B_p = S M_{p+1} diag(phi a) S^-1, M the Teodorescu radial
-    matrices.  For p != p' the pair is complex-linear in (H_p, conj
-    H_p'), with matrix [[I, -B_p], [-conj(B_p'), I]]; a collided pair
-    p = p' is only real-linear, and its realified matrix is [[I - Re B,
-    -Im B], [-Im B, I + Re B]].  The norm is the largest singular value
-    over these blocks, each 2 n_J wide, from one batched SVD.
-    """
-    a, s = mode
-    rings = np.nonzero(w > 0.0)[0]
-    k = rings.size
-    n_t = grid.angular_count
-    sqw = np.sqrt(w[rings])
-    mats = _ops(grid).teo.matrices[:, rings[:, None], rings]
-    p = np.arange(n_t)
-    q = (s - 1 - p) % n_t
-    b = sqw[:, None] * mats[(p + 1) % n_t] * ((phi * a)[rings] / sqw)  # b[p] = B_p
-    pairs, collided = p[p < q], p[p == q]
-    blocks = np.zeros((pairs.size + collided.size, 2 * k, 2 * k), dtype=complex)
-    blocks[:, :k, :k] = blocks[:, k:, k:] = np.eye(k)
-    blocks[: pairs.size, :k, k:] = -b[pairs]
-    blocks[: pairs.size, k:, :k] = -np.conj(b[q[pairs]])
-    real, imag = b[collided].real, b[collided].imag
-    blocks[pairs.size :, :k, :k] -= real
-    blocks[pairs.size :, k:, k:] += real
-    blocks[pairs.size :, :k, k:] = blocks[pairs.size :, k:, :k] = -imag
-    return float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max())
 
 
 def _normal_top_eigenvalue(a: np.ndarray) -> tuple[float, int]:
@@ -405,15 +364,3 @@ def _norm_grid(shape: tuple[int, int]) -> DiscGrid:
     """
     return build_grid(*shape)
 
-
-def _conductivity_on(f: Conductivity, shape: tuple[int, int]) -> Conductivity:
-    if f.grid.shape == tuple(shape):
-        return f  # on its own grid, whose Teodorescu operator is already built
-    grid = _norm_grid(tuple(shape))
-    if f.kind == "const":
-        return Conductivity.constant(grid, float(f.values.values.real.flat[0]))
-    if f.kind == "exp_x":
-        return Conductivity.exp_x(grid, f.eps)
-    if f.kind == "exp_xy":
-        return Conductivity.exp_xy(grid, f.eps)
-    raise ValueError("grid-sampled conductivities cannot be rebuilt on another grid")

@@ -20,7 +20,26 @@ exactly for any contrast: one n_r x n_r complex solve per degree
 (realified to 2 n_r where the two modes coincide).  Each such lift is
 certified by its fixed-point defect ||seed + T[alpha conj(w)] - w||,
 evaluated on the unreduced pair system with the same radial matrices;
-the lifts are sampled on the grid only when asked for.
+the lifts are sampled on the grid only when asked for.  The norm of the
+restriction map h -> h - T_J(alpha conj(h)) splits into the same mode
+pairs on a J invariant under rotation (_mode_pair_norm); both take the
+partner mode and its radial operator from _pair_operator.
+
+A VekuaBasis hands the f-BEP core its real forms and its synthesis
+(_lsq_forms, _synthesis).  A basis of sampled lifts takes them from its
+samples by quadrature (bergman._forms).  The mode-pair basis keeps each
+lift as a two-mode ring spectrum, w_b = sum_u X_bu(r) e^{i p_bu theta}
+(u = 0, 1), and with W = fft_theta(w) the reordering of the polar layer
+in bergman gives
+
+    G_ab = Re sum w conj(w_a) w_b
+         = Re sum_{u,v} sum_i conj(X_au,i) X_bv,i W_i[(p_au - p_bv) mod n_theta]
+    r_a  = Re sum wh conj(w_a) = Re sum_u sum_i conj(X_au,i) fft_theta(wh)_i[p_au]
+    sum_b c_b w_b = ifft_theta of the c_b X_b gathered at their modes,
+
+exact discrete identities for any weights.  real_gram, real_rhs and
+synthesize use the samples on every basis, so they stay an independent
+reference for the spectral forms.
 
 Derivatives on the tensor grid use spectral (trigonometric) angular
 differentiation by fft and five-point finite differences on the
@@ -56,7 +75,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bergman import AnalyticCoeffs, _check_degree, _radial_powers, project
+from .bergman import AnalyticCoeffs, _check_degree, _forms, _radial_powers, project
 from .grid import DiscGrid, GridFunction, GridMismatchError, Region, inner_product
 
 logger = logging.getLogger("bergbep")
@@ -358,19 +377,20 @@ def alpha_from_f(f: Conductivity) -> GridFunction:
         raise ValueError("conductivity magnitude fell below its declared lower bound")
     mode = _alpha_mode(f)
     if mode is not None:
-        a, s = mode
-        return GridFunction(grid, a[:, None] * np.exp(1j * s * grid.thetas)[None, :])
+        return GridFunction(grid, _mode_samples(grid, mode))
     df = dbar(f.values)
     return GridFunction(grid, df.values / f.values.values)
 
 
-def _alpha_mode(f: Conductivity) -> tuple[np.ndarray, int] | None:
+def _alpha_mode(f: Conductivity, grid: DiscGrid | None = None) -> tuple[np.ndarray, int] | None:
     """alpha = a(r) e^{i s theta} of a closed-form kind as (a on the rings, s).
 
-    None for a grid-sampled conductivity, whose alpha couples every
-    angular mode.  exp_xy has alpha = eps (y + i x)/2 = (i eps/2) r e^{-i theta}.
+    a is evaluated on the rings of grid, f's own grid by default: a
+    closed form needs no samples of f.  None for a grid-sampled
+    conductivity, whose alpha couples every angular mode.  exp_xy has
+    alpha = eps (y + i x)/2 = (i eps/2) r e^{-i theta}.
     """
-    r = f.grid.radial_nodes
+    r = (f.grid if grid is None else grid).radial_nodes
     if f.kind == "const":
         return np.zeros(r.size, dtype=complex), 0
     if f.kind == "exp_x":
@@ -378,6 +398,12 @@ def _alpha_mode(f: Conductivity) -> tuple[np.ndarray, int] | None:
     if f.kind == "exp_xy":
         return 0.5j * f.eps * r, -1
     return None
+
+
+def _mode_samples(grid: DiscGrid, mode: tuple[np.ndarray, int]) -> np.ndarray:
+    """a(r) e^{i s theta} at the nodes of grid, for mode = (a on its rings, s)."""
+    a, s = mode
+    return a[:, None] * np.exp(1j * s * grid.thetas)[None, :]
 
 
 def vekua_residual(w: GridFunction, alpha: GridFunction, degree: int) -> float:
@@ -542,6 +568,20 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
+def _pair_operator(mats: np.ndarray, coef: np.ndarray, s: int, p: np.ndarray) -> tuple:
+    """Partner modes q and radial operators of v -> T[alpha conj(v)] into ring modes p.
+
+    For alpha = a(r) e^{i s theta}, conj of ring mode q = s - 1 - p (mod
+    n_theta) times alpha lands in mode s - q = p + 1, which T sends to
+    mode p, so the ring samples of mode p receive mats[p + 1] diag(coef)
+    conj(Y_q) with coef the ring samples of a.  mats is the stack of
+    Teodorescu radial matrices, one per input mode, possibly restricted
+    to some rings or scaled along its rows.
+    """
+    n_t = mats.shape[0]
+    return (s - 1 - p) % n_t, mats[(p + 1) % n_t] * coef
+
+
 def _mode_pair_lift(
     alpha: GridFunction, mode: tuple[np.ndarray, int], degree: int, tol: float
 ) -> "VekuaBasis":
@@ -559,10 +599,9 @@ def _mode_pair_lift(
     one batched n_r x n_r solve over n, and the lift of i e_n is
     (i x, -i y).  When m = n the equation x = S_n + A conj(x) is only
     real-linear and is solved in its 2 n_r realified form for both
-    seeds.  The basis keeps each lift's two-mode spectrum (_pairs: the
-    modes (n, m) and the ring coefficients (x, y), a collided pair's
-    second slot zero), from which the f-BEP takes its forms; it samples
-    the lifts on the grid only when its elements are asked for.
+    seeds.  The basis (_PairBasis) keeps each lift's two-mode spectrum,
+    from which the f-BEP takes its forms; it samples the lifts on the
+    grid only when its elements are asked for.
 
     Each lift is certified by its fixed-point defect ||seed +
     T[alpha conj(w)] - w|| and its span residual, evaluated on the
@@ -576,14 +615,13 @@ def _mode_pair_lift(
     grid = alpha.grid
     _check_degree(grid, degree)
     a, s = mode
-    n_r, n_t = grid.shape
+    n_r = grid.n_radial
     mats = _ops(grid).teo.matrices
     n = np.arange(degree + 1)
-    m = (s - 1 - n) % n_t
+    m, big_a = _pair_operator(mats, a, s, n)  # M diag(a)
+    _, big_c = _pair_operator(mats, a, s, m)
     collided = m == n
     seeds = np.sqrt(n + 1.0)[:, None] * _radial_powers(grid, degree).T  # e_n in mode n
-    big_a = mats[(n + 1) % n_t] * a  # M diag(a)
-    big_c = mats[(m + 1) % n_t] * a
     eye = np.eye(n_r)
     system = eye - big_a @ np.conj(big_c)
     system[collided] = eye  # the collided pair is solved below
@@ -621,6 +659,41 @@ def _mode_pair_lift(
 
     modes = np.concatenate((pair_modes, pair_modes))
     return _PairBasis(alpha, modes, rings.reshape(modes.shape + (n_r,)), defects, residuals, tol)
+
+
+def _mode_pair_norm(
+    grid: DiscGrid, mode: tuple[np.ndarray, int], phi: np.ndarray, w: np.ndarray
+) -> float:
+    """Norm of R h = h - S T_J(alpha conj(S^-1 h)) for alpha = a(r) e^{i s theta}, by mode pairs.
+
+    mode is (a on the rings of grid, s), and phi and w are J's overlap
+    fraction and node weight per ring, both constant along theta.  In
+    the ring modes H_p of h on J's rings, R sends H_p to H_p - B_p
+    conj(H_p'), with p' = s - 1 - p (mod n_theta) and B_p = S M_{p+1}
+    diag(phi a) S^-1, M the Teodorescu radial matrices (_pair_operator).
+    For p != p' the pair is complex-linear in (H_p, conj H_p'), with
+    matrix [[I, -B_p], [-conj(B_p'), I]]; a collided pair p = p' is only
+    real-linear, and its realified matrix is [[I - Re B, -Im B], [-Im B,
+    I + Re B]].  The norm is the largest singular value over these
+    blocks, each 2 n_J wide, from one batched SVD.
+    """
+    a, s = mode
+    rings = np.nonzero(w > 0.0)[0]
+    k = rings.size
+    sqw = np.sqrt(w[rings])
+    scaled = sqw[:, None] * _ops(grid).teo.matrices[:, rings[:, None], rings]  # S M
+    p = np.arange(grid.angular_count)
+    q, b = _pair_operator(scaled, (phi * a)[rings] / sqw, s, p)  # b[p] = B_p
+    pairs, collided = p[p < q], p[p == q]
+    blocks = np.zeros((pairs.size + collided.size, 2 * k, 2 * k), dtype=complex)
+    blocks[:, :k, :k] = blocks[:, k:, k:] = np.eye(k)
+    blocks[: pairs.size, :k, k:] = -b[pairs]
+    blocks[: pairs.size, k:, :k] = -np.conj(b[q[pairs]])
+    real, imag = b[collided].real, b[collided].imag
+    blocks[pairs.size :, :k, :k] -= real
+    blocks[pairs.size :, k:, k:] += real
+    blocks[pairs.size :, :k, k:] = blocks[pairs.size :, k:, :k] = -imag
+    return float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max())
 
 
 def similarity_factor(w: VekuaFunction) -> GridFunction:
@@ -748,15 +821,14 @@ class VekuaBasis:
     """Real-linear spanning family of Vekua functions (lifted e_n and i e_n).
 
     The dense (n_nodes, n_elements) matrix of element samples is built on
-    first use.  A basis lifted by mode pairs also keeps each lift's
-    two-mode ring spectrum (_pairs, see _mode_pair_lift), and the f-BEP
-    takes its forms from that instead of the samples.
+    first use.  The f-BEP core takes its real forms and synthesis from
+    _lsq_forms and _synthesis, here the quadrature of the samples; a
+    basis lifted by mode pairs (_PairBasis) supplies them from its
+    spectra instead.
     """
 
     alpha: GridFunction
     elements: list[VekuaFunction]
-    # (mode indices (B, 2), ring coefficients (B, 2, n_r)) of a mode-pair lift
-    _pairs: tuple | None = field(default=None, init=False, repr=False)
     _matrix: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -779,19 +851,26 @@ class VekuaBasis:
             self._matrix = np.column_stack([e.w.values.ravel() for e in self.elements])
         return self._matrix
 
+    def _lsq_forms(self, w: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The core's Re <w_m, w_n> and Re <h, w_m> under the node weights w (grid-shaped)."""
+        return _forms(self.values_matrix(), w.ravel(), h.ravel(), np.real)
+
+    def _synthesis(self, coeffs: np.ndarray) -> np.ndarray:
+        """The core's sum_b c_b w_b at the nodes, grid-shaped."""
+        return (self.values_matrix() @ coeffs).reshape(self.grid.shape)
+
     def real_gram(self, region: Region | None = None) -> np.ndarray:
-        """Real Gram matrix Re <w_m, w_n> over the disc or a region."""
-        w = self.grid.weights if region is None else region.weights(self.grid)
-        mat = self.values_matrix()
-        g = (mat.conj().T @ (w.ravel()[:, None] * mat)).real
-        return (g + g.T) / 2.0
+        """Real Gram matrix Re <w_m, w_n> over the disc or a region, from the samples."""
+        w = (self.grid.weights if region is None else region.weights(self.grid)).ravel()
+        return _forms(self.values_matrix(), w, np.zeros(w.size), np.real)[0]
 
     def real_rhs(self, h: GridFunction, region: Region | None = None) -> np.ndarray:
-        """Vector Re <h, w_m> over the disc or a region."""
+        """Vector Re <h, w_m> over the disc or a region, from the samples."""
         w = self.grid.weights if region is None else region.weights(self.grid)
-        return (self.values_matrix().conj().T @ (w.ravel() * h.values.ravel())).real
+        return _forms(self.values_matrix(), w.ravel(), h.values.ravel(), np.real)[1]
 
     def synthesize(self, coeffs: np.ndarray) -> GridFunction:
+        """sum_b c_b w_b from the samples."""
         vals = self.values_matrix() @ np.asarray(coeffs, dtype=float)
         return GridFunction(self.grid, vals.reshape(self.grid.shape))
 
@@ -812,24 +891,44 @@ class VekuaBasis:
 class _PairBasis(VekuaBasis):
     """The VekuaBasis of a mode-pair lift (_mode_pair_lift), sampled on first use.
 
-    The f-BEP needs only the spectra in _pairs and the certificates;
-    the elements are synthesized from the spectra when first asked for,
-    by one inverse fft of the whole stack.
+    Each lift is kept as its two-mode ring spectrum: the modes (B, 2)
+    and the ring coefficients (B, 2, n_r), a collided pair's second slot
+    zero.  The core's forms and synthesis are the pair identities of the
+    module docstring, and the elements are synthesized from the spectra
+    when first asked for, by one inverse fft of the whole stack.
     """
 
     def __init__(self, alpha, modes, rings, defects, residuals, tol):
         self.alpha = alpha
-        self._pairs = (modes, rings)
+        self._modes, self._rings = modes, rings
         self._matrix = None
         self._defects, self._residuals, self._tol = defects, residuals, tol
 
     @property
     def size(self) -> int:
-        return self._pairs[0].shape[0]
+        return self._modes.shape[0]
+
+    def _lsq_forms(self, w: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The real Gram form and moments by Parseval on each ring, over the pair spectra."""
+        modes, rings = self._modes, self._rings
+        p = modes.ravel()
+        x = rings.reshape(p.size, -1)
+        table = np.fft.fft(w, axis=-1)[:, (p[:, None] - p[None, :]) % self.grid.angular_count]
+        g = np.einsum("ai,iab,bi->ab", x.conj(), table, x).real
+        g = g.reshape(modes.shape + modes.shape).sum(axis=(1, 3))
+        moments = np.fft.fft(w * h, axis=-1)[:, modes]  # (n_r, B, 2)
+        return (g + g.T) / 2.0, np.einsum("bui,ibu->b", rings.conj(), moments).real
+
+    def _synthesis(self, coeffs: np.ndarray) -> np.ndarray:
+        """One spectrum gathers every c_b X_b at its modes, then one inverse fft."""
+        spectrum = np.zeros(self.grid.shape, dtype=complex)
+        terms = np.asarray(coeffs)[:, None, None] * self._rings
+        np.add.at(spectrum.T, self._modes.ravel(), terms.reshape(self._modes.size, -1))
+        return np.fft.ifft(spectrum, axis=-1, norm="forward")
 
     @cached_property
     def elements(self) -> list[VekuaFunction]:
-        modes, rings = self._pairs
+        modes, rings = self._modes, self._rings
         spectra = np.zeros((self.size,) + self.grid.shape, dtype=complex)
         lifts = np.arange(self.size)
         spectra[lifts, :, modes[:, 1]] = rings[:, 1]

@@ -24,7 +24,8 @@ from bergbep import (
     solve_bep,
     solve_bep_oracle,
 )
-from bergbep.bep import ConstrainedLSQ, _dense_core
+from bergbep.bep import ConstrainedLSQ
+from bergbep.bergman import _forms, basis_matrix
 from conftest import saturated_problem
 
 # frozen regression: distance of conj(z) to the degree-16 span on the
@@ -411,19 +412,20 @@ class TestInactive:
 
     @staticmethod
     def _check(grid, k, degree=30):
-        from bergbep.bergman import basis_matrix
-
         j = k.complement()
         h_k = GridFunction.from_function(grid, lambda z: np.exp(z) + 0.2 * np.conj(z))
         h_j = GridFunction.from_function(grid, lambda z: 0.3 * np.conj(z))
         p = BepProblem(k, j, h_k, h_j, 1e3, degree)
         sol = solve_bep(p, degree_diagnostic=False)
-        dense = _dense_core(
-            basis_matrix(grid, degree),
-            k.weights(grid).ravel(),
-            j.weights(grid).ravel(),
-            h_k.values.ravel(),
-            h_j.values.ravel(),
+        # the same core over the dense samples of the basis
+        e = basis_matrix(grid, degree)
+        w_k, w_j = k.weights(grid).ravel(), j.weights(grid).ravel()
+        f_k, f_j = h_k.values.ravel(), h_j.values.ravel()
+        dense = ConstrainedLSQ(
+            *_forms(e, w_k, f_k, np.asarray),
+            *_forms(e, w_j, f_j, np.asarray),
+            lambda c: e @ c,
+            w_k, w_j, f_k, f_j,
         )
         c = dense.solve(p.m, 2.0).coeffs
         assert not sol.saturated
@@ -436,3 +438,20 @@ class TestInactive:
 
     def test_mask(self, grid_64_128):
         self._check(grid_64_128, Region.mask(np.abs(grid_64_128.nodes - (0.2 + 0.1j)) < 0.45))
+
+
+class TestSteepSecularRoot:
+    """A saturating root far below mu = 1, where err_J(mu) is very steep."""
+
+    def test_sector_saturates(self, grid_64_128):
+        # the root lies at mu ~ 1.2e-12 with slope ~ -4e14; an absolute
+        # bisection floor of 1e-15 stalled there ("bisection stalled", CLI exit 3)
+        k = Region.sector(2.0)
+        h_k = GridFunction.from_function(grid_64_128, lambda z: np.exp(z) + 0.2 * np.conj(z))
+        h_j = GridFunction.from_function(grid_64_128, lambda z: 0.3 * np.conj(z) + 0.5 * z**3)
+        p = BepProblem(k, k.complement(), h_k, h_j, 1e3, 30)
+        sol = solve_bep(p, degree_diagnostic=False)
+        assert sol.saturated
+        assert abs(sol.err_j - p.m) <= 1e-8 * p.m
+        # the oracle's inactive answer is feasible, so the optimum cannot be worse
+        assert sol.err_k <= solve_bep_oracle(p).err_k

@@ -220,8 +220,7 @@ class TestPolarLayer:
         "shape", [(12, 24, 5), (24, 96, 16), (64, 128, 30), (16, 45, 20), (12, 24, 11)]
     )
     def test_forms_match_dense(self, shape):
-        from bergbep.bep import _forms
-        from bergbep.bergman import _ring_gram, _ring_moments, basis_matrix
+        from bergbep.bergman import _forms, _ring_gram, _ring_moments, basis_matrix
 
         n_r, n_t, n = shape
         grid = build_grid(n_r, n_t)

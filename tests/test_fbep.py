@@ -608,29 +608,54 @@ class TestPairCore:
 
     @pytest.mark.parametrize("kind, eps, shape, degree", _PAIR_CASES)
     def test_forms_match_dense_samples(self, kind, eps, shape, degree):
-        from bergbep.bep import _forms
-        from bergbep.bergman import _pair_gram, _pair_moments
+        from bergbep.bergman import _forms
 
         basis = _pair_basis(kind, eps, shape, degree)
-        grid, (modes, rings) = basis.grid, basis._pairs
+        grid = basis.grid
         h = GridFunction.from_function(grid, lambda z: np.conj(z) + 0.3 * np.abs(z) ** 2 + 0.5j)
         samples = basis.values_matrix()
         for region in _pair_regions(shape):
             w = region.weights(grid)
             gram, moments = _forms(samples, w.ravel(), h.values.ravel(), np.real)
-            pair_gram = _pair_gram(grid, w, modes, rings)
-            pair_moments = _pair_moments(w * h.values, modes, rings)
+            pair_gram, pair_moments = basis._lsq_forms(w, h.values)
             assert _rel(pair_gram, gram) <= 1e-13
             assert _rel(pair_moments, moments) <= 1e-13
 
     @pytest.mark.parametrize("kind, eps, shape, degree", _PAIR_CASES)
     def test_synthesis_matches_dense_samples(self, kind, eps, shape, degree):
-        from bergbep.bergman import _pair_synthesis
-
         basis = _pair_basis(kind, eps, shape, degree)
         c = np.random.default_rng(5).standard_normal(basis.size)
         dense = (basis.values_matrix() @ c).reshape(basis.grid.shape)
-        assert _rel(_pair_synthesis(basis.grid, *basis._pairs, c), dense) <= 1e-14
+        assert _rel(basis._synthesis(c), dense) <= 1e-14
+
+    @pytest.mark.parametrize("kind, eps, shape, degree", [_PAIR_CASES[3], _PAIR_CASES[7]])
+    def test_dense_reference_on_pair_basis(self, kind, eps, shape, degree, monkeypatch):
+        # real_gram, real_rhs and synthesize are the reference for the pair
+        # forms: they sample the lifts and never go through the spectra
+        from bergbep.bergman import _forms
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the dense reference used the pair forms")
+
+        basis = _pair_basis(kind, eps, shape, degree)
+        monkeypatch.setattr(type(basis), "_lsq_forms", forbidden)
+        monkeypatch.setattr(type(basis), "_synthesis", forbidden)
+        grid = basis.grid
+        h = GridFunction.from_function(grid, lambda z: np.conj(z) + 0.3 * np.abs(z) ** 2 + 0.5j)
+        assert basis._matrix is None
+        gram = basis.real_gram()
+        samples = basis._matrix
+        assert samples is not None and samples.shape == (grid.weights.size, basis.size)
+        full_gram, full_moments = _forms(samples, grid.weights.ravel(), h.values.ravel(), np.real)
+        assert np.array_equal(gram, full_gram)
+        assert np.array_equal(basis.real_rhs(h), full_moments)
+        for region in _pair_regions(shape):
+            w = region.weights(grid).ravel()
+            gram, moments = _forms(samples, w, h.values.ravel(), np.real)
+            assert np.array_equal(basis.real_gram(region), gram)
+            assert np.array_equal(basis.real_rhs(h, region), moments)
+        c = np.random.default_rng(5).standard_normal(basis.size)
+        assert np.array_equal(basis.synthesize(c).values.ravel(), samples @ c)
 
     @pytest.mark.parametrize("kind, eps", [("exp_x", 0.8), ("exp_x", 2.5), ("exp_xy", 6.0)])
     def test_solve_matches_dense_core(self, grid_24_96, kind, eps):
@@ -644,18 +669,19 @@ class TestPairCore:
         assert _rel(sol.coeffs, dense.coeffs) <= 1e-10
         assert abs(sol.vekua_defect - dense.vekua_defect) <= 1e-14
 
-    def _record_cores(self, monkeypatch):
-        from bergbep import bep
+    def _record_forms(self, monkeypatch):
+        """Record the class of every basis that hands the core its forms (K and J each)."""
+        from bergbep.vekua import _PairBasis
 
         calls = []
-        for name in ("_pair_core", "_dense_core"):
-            original = getattr(bep, name)
+        for cls in (VekuaBasis, _PairBasis):
+            original = cls.__dict__["_lsq_forms"]
 
-            def recording(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
+            def recording(self, *args, _cls=cls, _original=original):
+                calls.append(_cls.__name__)
+                return _original(self, *args)
 
-            monkeypatch.setattr(bep, name, recording)
+            monkeypatch.setattr(cls, "_lsq_forms", recording)
         return calls
 
     def test_path_selection(self, grid_16_64, monkeypatch):
@@ -663,13 +689,14 @@ class TestPairCore:
         p_closed = make_problem(grid_16_64, closed, degree=4)
         p_sampled = make_problem(grid_16_64, _grid_sampled(closed), degree=4)
         basis = build_fbep_space(closed, 4)
-        calls = self._record_cores(monkeypatch)
-        solve_fbep(p_closed)
-        assert calls == ["_pair_core"]
+        calls = self._record_forms(monkeypatch)
+        sol = solve_fbep(p_closed)
+        assert calls == ["_PairBasis"] * 2
+        assert sol.basis._matrix is None  # the spectra, not the samples
         solve_fbep(p_sampled)
-        assert calls == ["_pair_core", "_dense_core"]
+        assert calls == ["_PairBasis"] * 2 + ["VekuaBasis"] * 2
         solve_fbep(p_closed, VekuaBasis(basis.alpha, basis.elements))
-        assert calls == ["_pair_core", "_dense_core", "_dense_core"]
+        assert calls == ["_PairBasis"] * 2 + ["VekuaBasis"] * 4
 
     def test_closed_form_solve_samples_nothing(self, grid_24_96, monkeypatch):
         from bergbep import vekua
