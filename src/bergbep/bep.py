@@ -356,10 +356,15 @@ def constraint_error(problem: BepProblem, lam: float) -> float:
     return core.err(core.coeffs(_mu(lam)), "j")
 
 
+def _reported_lambda(result: LsqSolution) -> float:
+    """The lambda a solution reports: mu - 1 if saturated, else _LAMBDA_FLOOR just above -1."""
+    return result.mu - 1.0 if result.saturated else _LAMBDA_FLOOR
+
+
 def _bep_solution(result: LsqSolution, err, kkt) -> BepSolution:
     """The BEP solution of a multiplier search, with err(c, side) and kkt(c, mu) of its forms."""
     c = result.coeffs
-    lam = result.mu - 1.0 if result.saturated else _LAMBDA_FLOOR
+    lam = _reported_lambda(result)
     return BepSolution(
         g0=AnalyticCoeffs(c),
         lam=lam,
@@ -380,13 +385,18 @@ def solve_bep(problem: BepProblem, hi0: float = 1.0, degree_diagnostic: bool = T
     is bisected from the bracket [-1, hi0] in lambda until the constraint
     saturates.  With degree_diagnostic the problem is re-solved at degree
     N - 4 on the leading blocks of the same forms and the coefficient gap
-    stored as a truncation-convergence indicator.
+    stored as a truncation-convergence indicator; it stays None when M is
+    below the degree N - 4 feasibility distance.
     """
     core = ConstrainedLSQ.from_problem(problem)
     solution = _bep_solution(core.solve(problem.m, 1.0 + hi0), core.err, core.kkt)
     if degree_diagnostic and problem.degree >= 5:
         n_low = problem.degree - 3
-        low = core.leading(n_low).solve(problem.m, 1.0 + hi0).coeffs
+        try:
+            low = core.leading(n_low).solve(problem.m, 1.0 + hi0).coeffs
+        except InfeasibleProblemError as exc:
+            logger.info("no degree gap: at degree %d, %s", n_low - 1, exc)
+            return solution
         c = solution.g0.coeffs
         gap = np.concatenate((c[:n_low] - low, c[n_low:]))
         solution.degree_gap = float(np.linalg.norm(gap))

@@ -144,10 +144,11 @@ def _forms(samples: np.ndarray, w: np.ndarray, h: np.ndarray, part):
     return (g + g.conj().T) / 2.0, part(adjoint @ (w * h[on]))
 
 
-def _check_degree(grid: DiscGrid, degree: int) -> None:
+def _check_degree(grid: DiscGrid | None, degree: int) -> None:
+    """degree >= 0, and within the exactness of grid if one is given."""
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    if 2 * degree > grid.exactness_degree:
+    if grid is not None and 2 * degree > grid.exactness_degree:
         raise ValueError(
             f"degree {degree} too large for grid exactness {grid.exactness_degree}"
         )
@@ -228,9 +229,10 @@ def gram(region: Region, degree: int, grid: DiscGrid | None = None) -> GramMatri
     """Gram matrix G_mn = <chi_Omega e_n, e_m>.
 
     Radial discs, annuli, sectors and the full disc use closed forms and
-    are valid at any degree; mask regions fall back to grid quadrature
-    and require a grid supporting the degree.
+    are valid at any degree >= 0; mask regions fall back to grid
+    quadrature and require a grid supporting the degree.
     """
+    _check_degree(None, degree)
     base = _gram_closed_base(region, degree)
     if base is None:
         if grid is None:

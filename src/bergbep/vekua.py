@@ -8,13 +8,18 @@ through the analytic part u = w - T[alpha conj(w)], analytic seeds are
 lifted into the space as solutions of the fixed-point equation w =
 seed + T[alpha conj(w)], and the real/imaginary parts of solutions are
 diagnosed against their divergence-form conductivity equations and the
-conjugate Beltrami equation.
+conjugate Beltrami equation.  The module builds what the f-BEP needs
+from alpha: the lifted space (build_fbep_space) and the norm rho of the
+restriction map h -> h - T_J(alpha conj(h)) on L^2(J), which carries
+its constraint into the Bergman setting (restriction_map_norm).  Both
+choose their algorithm from how alpha is represented.
 
 vekua_lift solves the fixed-point equation by Neumann iteration, which
-converges when T composed with alpha conj is a contraction.  For the
-closed-form conductivities alpha is one angular mode a(r) e^{i s theta}
-(_alpha_mode), and the map v -> T[alpha conj(v)] sends the ring samples
-of mode k to mode s - 1 - k.  The lift of e_n then lives in the mode
+converges when T composed with alpha conj is a contraction; it lifts
+the f-BEP space of a grid-sampled f, whose alpha couples every mode.
+For the closed-form conductivities alpha is one angular mode
+a(r) e^{i s theta} (_alpha_mode), and v -> T[alpha conj(v)] sends the
+ring samples of mode k to mode s - 1 - k.  The lift of e_n lives in the mode
 pair n, s - 1 - n, and _mode_pair_lift solves the discrete equation
 exactly for any contrast: one n_r x n_r complex solve per degree
 (realified to 2 n_r where the two modes coincide).  Each such lift is
@@ -23,7 +28,9 @@ evaluated on the unreduced pair system with the same radial matrices;
 the lifts are sampled on the grid only when asked for.  The norm of the
 restriction map h -> h - T_J(alpha conj(h)) splits into the same mode
 pairs on a J invariant under rotation (_mode_pair_norm); both take the
-partner mode and its radial operator from _pair_operator.
+partner mode and its radial operator from _pair_operator.  Every other
+input takes rho by Lanczos on the normal operator
+(_normal_top_eigenvalue).
 
 A VekuaBasis hands the f-BEP core its real forms and its synthesis
 (_lsq_forms, _synthesis).  A basis of sampled lifts takes them from its
@@ -71,12 +78,13 @@ import logging
 import warnings
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .bep import ConvergenceError
 from .bergman import AnalyticCoeffs, _check_degree, _forms, _radial_powers, project
-from .grid import DiscGrid, GridFunction, GridMismatchError, Region, inner_product
+from .grid import DiscGrid, GridFunction, GridMismatchError, Region, build_grid, inner_product
 
 logger = logging.getLogger("bergbep")
 
@@ -661,6 +669,57 @@ def _mode_pair_lift(
     return _PairBasis(alpha, modes, rings.reshape(modes.shape + (n_r,)), defects, residuals, tol)
 
 
+def build_fbep_space(
+    f: Conductivity, degree: int, tol: float = 1e-9, max_iter: int = 60
+) -> VekuaBasis:
+    """Lift {e_0..e_N, i e_0..i e_N} into the Vekua space of f.
+
+    For the closed-form kinds (const, exp_x, exp_xy) alpha is a single
+    angular mode a(r) e^{i s theta}, and the discrete fixed-point
+    equation w = seed + T[alpha conj(w)] is solved exactly by angular
+    mode pairs (one small radial solve per degree), certified on the
+    pair system, and the basis keeps the lifts' two-mode spectra; a lift
+    whose fixed-point defect exceeds tol raises ConvergenceError naming
+    its seed.  A grid-sampled f couples every mode, and its 2(N+1) seeds
+    are lifted together by the Neumann iteration, each with its own
+    iteration; a lift that diverges or stops at max_iter without
+    reaching tol raises ConvergenceError naming its seed.
+    """
+    alpha = alpha_from_f(f)
+    names = [f"{unit}e_{n}" for unit in ("", "i*") for n in range(degree + 1)]
+    mode = _alpha_mode(f)
+    if mode is None:
+        seeds = [
+            AnalyticCoeffs(unit * AnalyticCoeffs.unit(n, degree).coeffs)
+            for unit in (1.0, 1.0j)
+            for n in range(degree + 1)
+        ]
+        elements = _lift_batch(seeds, alpha, tol, max_iter)
+        for name, lifted in zip(names, elements):  # the first failure in seed order
+            if isinstance(lifted, LiftDivergenceError):
+                raise ConvergenceError(f"lift of seed {name} diverged: {lifted}") from lifted
+            if not lifted.converged:
+                raise ConvergenceError(
+                    f"lift of seed {name} did not converge in {lifted.iterations} "
+                    f"iterations (last increment {lifted.increments[-1]:.3e} > tol {tol:.3e})"
+                )
+        basis = VekuaBasis(alpha=alpha, elements=elements)
+    else:
+        basis = _mode_pair_lift(alpha, mode, degree, tol)
+        for name, defect in zip(names, basis._defects):
+            if not defect <= tol:
+                raise ConvergenceError(
+                    f"lift of seed {name} has fixed-point defect {defect:.3e} > tol {tol:.3e}"
+                )
+    if logger.isEnabledFor(logging.INFO):  # the eigenvalue costs a full Gram
+        logger.info(
+            "fbep space: %d elements, Gram min eigenvalue %.3e",
+            basis.size,
+            basis.min_eigenvalue(),
+        )
+    return basis
+
+
 def _mode_pair_norm(
     grid: DiscGrid, mode: tuple[np.ndarray, int], phi: np.ndarray, w: np.ndarray
 ) -> float:
@@ -694,6 +753,103 @@ def _mode_pair_norm(
     blocks[pairs.size :, k:, k:] += real
     blocks[pairs.size :, :k, k:] = blocks[pairs.size :, k:, :k] = -imag
     return float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max())
+
+
+def restriction_map_norm(
+    f: Conductivity, j_region: Region, grid_shape: tuple[int, int] = (12, 24)
+) -> float:
+    """Operator norm of h -> h - T_J(alpha conj(h)) on L^2(J), on a coarse grid.
+
+    The map is R h = h - A conj(h) on the weighted values at J's nodes,
+    with the complex matrix A = S T_J S^-1 (S = diag sqrt(w_J)).  T_J
+    integrates over J only, so the Teodorescu input is weighted by J's
+    overlap fraction and the output is read on the nodes of J; a cell
+    that J barely overlaps then contributes in proportion to its
+    overlap.  With f constant the map is the identity and the norm is 1.
+
+    For a closed-form f (alpha = a(r) e^{i s theta}) on a J whose
+    overlap fraction is constant along theta (radial discs, annuli,
+    their complements, the full disc), R sends ring mode p to mode
+    s - 1 - p, and the norm is the largest singular value over the mode
+    pairs (_mode_pair_norm).  Otherwise A is taken from one batched
+    Teodorescu apply to the unit inputs on J's nodes, and the norm is
+    the square root of the top eigenvalue of R^T R, found by Lanczos
+    (_normal_top_eigenvalue); R is only real-linear.  The norm grid of
+    each shape is built once, and a closed-form alpha is evaluated on
+    it directly.  A conductivity on a grid of grid_shape is used on its
+    own grid; a grid-sampled one cannot be carried to another.
+    """
+    own = f.grid.shape == tuple(grid_shape)
+    small = f.grid if own else _norm_grid(tuple(grid_shape))
+    mode = _alpha_mode(f, small)
+    if mode is None and not own:
+        raise ValueError("grid-sampled conductivities cannot be rebuilt on another grid")
+    phi = j_region.fraction(small)
+    w_j = j_region.weights(small)
+    if not np.any(w_j > 0.0):
+        raise ValueError("region J carries no nodes on the norm-estimation grid")
+    if mode is not None and np.all(phi == phi[:, :1]):
+        return _mode_pair_norm(small, mode, phi[:, 0], w_j[:, 0])
+
+    alpha = alpha_from_f(f).values if mode is None else _mode_samples(small, mode)
+    w_j = w_j.ravel()
+    idx = np.nonzero(w_j > 0.0)[0]
+    n = idx.size
+    sqw = np.sqrt(w_j[idx])
+    inputs = np.zeros((n,) + small.shape, dtype=complex)
+    inputs.reshape(n, -1)[np.arange(n), idx] = (phi * alpha).ravel()[idx] / sqw
+    a = _ops(small).teo.apply(inputs).reshape(n, -1)[:, idx].T  # row: output node
+    a *= sqw[:, None]
+    theta, _ = _normal_top_eigenvalue(a)
+    return float(np.sqrt(theta))
+
+
+def _normal_top_eigenvalue(a: np.ndarray) -> tuple[float, int]:
+    """Top eigenvalue of R^T R for R h = h - A conj(h), and the Lanczos steps taken.
+
+    R is real-linear on C^n, so the Krylov space is one of R^2n under the
+    inner product Re(x^H y), in which R^T g = g - A^T conj(g).  Symmetric
+    Lanczos with full reorthogonalization starts from a fixed-seed random
+    vector, so the result is deterministic and no symmetry of J or alpha
+    can keep the start orthogonal to the top eigenvector.  It stops when
+    the top Ritz pair's residual bound beta_k |s_k| falls to a few ulps
+    of the Ritz value theta, or when the Krylov space spans R^2n, where
+    theta is exact.
+    """
+    n = a.shape[0]
+    rng = np.random.default_rng(0)
+    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    q /= np.linalg.norm(q)
+    basis = np.empty((2 * n, n), dtype=complex)
+    real_basis = basis.view(float)  # (Re, Im) interleaved: Re(x^H y) is a real dot
+    tri = np.zeros((2 * n, 2 * n))  # the Lanczos tridiagonal, grown a step at a time
+    stop = 4.0 * np.finfo(float).eps  # residual bound relative to theta
+    for k in range(2 * n):
+        basis[k] = q
+        r = q - a @ np.conj(q)
+        w = r - a.T @ np.conj(r)
+        tri[k, k] = np.vdot(r, r).real  # q^T R^T R q = |R q|^2
+        real_w = w.view(float)
+        for _ in range(2):  # full reorthogonalization, repeated once for rounding
+            real_w -= (real_basis[: k + 1] @ real_w) @ real_basis[: k + 1]
+        beta = np.linalg.norm(w)
+        thetas, vectors = np.linalg.eigh(tri[: k + 1, : k + 1])
+        residual = beta * abs(vectors[-1, -1])
+        if residual <= stop * thetas[-1] or k + 1 == 2 * n:
+            break
+        tri[k, k + 1] = tri[k + 1, k] = beta
+        q = w / beta
+    return float(thetas[-1]), k + 1
+
+
+@lru_cache(maxsize=8)
+def _norm_grid(shape: tuple[int, int]) -> DiscGrid:
+    """The norm grid of a shape, built once: its Teodorescu operator stays cached with it.
+
+    Only the most recent shapes are kept; the operators of evicted grids
+    are released with them.
+    """
+    return build_grid(*shape)
 
 
 def similarity_factor(w: VekuaFunction) -> GridFunction:

@@ -63,6 +63,24 @@ def saturated_problem(grid, k_region, h_k, h_j, degree, frac=0.35):
     return BepProblem(k_region=k_region, j_region=j_region, h_k=h_k, h_j=h_j, m=m, degree=degree)
 
 
+def low_degree_infeasible_problem(grid, degree=16):
+    """A BEP feasible at degree N whose budget is below the feasibility distance at N - 4.
+
+    M lies midway between the two distances (on 24x96 and N = 16, 0.101546
+    and 0.102198), so a solve at N saturates while one at N - 4 is infeasible.
+    """
+    k_region = Region.sector(1.0)
+    j_region = k_region.complement()
+    h_k = GridFunction.from_function(grid, lambda z: np.exp(z) + 0.2 * np.conj(z))
+    h_j = GridFunction.from_function(
+        grid, lambda z: 0.3 * np.conj(z) + 0.2 * np.abs(z) ** 2 + 0.5 * z**9
+    )
+    low, high = (feasibility_distance(h_j, j_region, n) for n in (degree, degree - 4))
+    assert low < high, "fixture data must lose feasibility at degree N - 4"
+    m = (low + high) / 2.0
+    return BepProblem(k_region=k_region, j_region=j_region, h_k=h_k, h_j=h_j, m=m, degree=degree)
+
+
 def random_saturated_problems(grid, count, degree=12, seed=42):
     """Reproducible family of saturated BEP instances on mixed regions."""
     rng = np.random.default_rng(seed)

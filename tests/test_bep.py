@@ -26,7 +26,7 @@ from bergbep import (
 )
 from bergbep.bep import ConstrainedLSQ
 from bergbep.bergman import _forms, basis_matrix
-from conftest import saturated_problem
+from conftest import low_degree_infeasible_problem, saturated_problem
 
 # frozen regression: distance of conj(z) to the degree-16 span on the
 # annulus 0.5 < |z| < 1, computed once from the normal equations
@@ -261,6 +261,18 @@ class TestSolveBep:
         c = sol.g0.coeffs
         gap = np.linalg.norm(np.concatenate((c[: low.size] - low, c[low.size :])))
         assert abs(sol.degree_gap - gap) <= 1e-12
+
+    def test_degree_gap_none_when_infeasible_at_low_degree(self, grid_24_96, caplog):
+        # the budget is feasible at N = 16 but not at N - 4: the diagnostic
+        # is left out and the solve is the diagnostic-free one
+        p = low_degree_infeasible_problem(grid_24_96)
+        with caplog.at_level(logging.INFO, logger="bergbep"):
+            sol = solve_bep(p)
+        plain = solve_bep(p, degree_diagnostic=False)
+        assert sol.saturated and sol.degree_gap is None
+        assert np.array_equal(sol.g0.coeffs, plain.g0.coeffs)
+        assert (sol.lam, sol.iterations) == (plain.lam, plain.iterations)
+        assert sum("no degree gap" in r.getMessage() for r in caplog.records) == 1
 
     def test_bracket_exhaustion_reports(self, grid_24_96):
         # M a hair below the feasibility floor still passes the 1e-9

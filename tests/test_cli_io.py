@@ -11,6 +11,7 @@ from bergbep.cli import main
 from bergbep.io import (
     SchemaError,
     dumps_canonical,
+    encode_complex_array,
     function_from_spec,
     load_json,
     normalize_function_spec,
@@ -19,6 +20,7 @@ from bergbep.io import (
     problem_from_dict,
     region_from_spec,
 )
+from conftest import low_degree_infeasible_problem
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 BEP_FIXTURE = os.path.join(DATA, "bep_problem.json")
@@ -191,6 +193,18 @@ class TestCli:
         prob.write_text(dumps_canonical(doc))
         assert main(["solve-bep", "--problem", str(prob), "--out", str(tmp_path / "s.json")]) == 2
 
+    def test_degree_gap_null_when_infeasible_at_low_degree(self, tmp_path):
+        # M is feasible at the problem's degree 16 but not at 12: exit 0, no gap
+        p = low_degree_infeasible_problem(build_grid(24, 96))
+        doc = dict(load_json(BEP_FIXTURE), region_k={"variant": "sector", "theta": 1.0}, m=p.m)
+        for key, func in (("h_k", p.h_k), ("h_j", p.h_j)):
+            doc[key] = {"kind": "grid", "values": encode_complex_array(func.values.ravel())}
+        prob, out = tmp_path / "p.json", tmp_path / "s.json"
+        prob.write_text(dumps_canonical(doc))
+        assert main(["solve-bep", "--problem", str(prob), "--out", str(out)]) == 0
+        sol = json.loads(out.read_text())
+        assert sol["saturated"] is True and sol["degree_gap"] is None
+
     def test_exit_schema_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -273,6 +287,12 @@ class TestCli:
         eigen = [float(r.split(",")[1]) for r in rows]
         assert abs(sum(eigen) - 9.0 * 0.5) <= 1e-12
         assert all(-1e-10 <= v <= 1.0 + 1e-10 for v in eigen)
+
+    def test_spectrum_negative_degree(self, tmp_path, capsys):
+        # the closed forms used to return an empty matrix for degree -1
+        out = str(tmp_path / "s.csv")
+        assert main(["spectrum", "--region", "radial:0.5", "--degree", "-1", "--out", out]) == 1
+        assert "degree must be >= 0" in capsys.readouterr().err
 
     def test_spectrum_bad_region(self, tmp_path):
         assert main(["spectrum", "--region", "blob:1", "--degree", "4", "--out", str(tmp_path / "s.csv")]) == 1

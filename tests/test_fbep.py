@@ -26,10 +26,8 @@ from bergbep import (
     teodorescu,
     transformed_constraint_data,
 )
-from bergbep import fbep as fbep_module
 from bergbep.bep import ConstrainedLSQ
-from bergbep.fbep import _normal_top_eigenvalue
-from bergbep.vekua import _lift_batch, alpha_from_f
+from bergbep.vekua import _lift_batch, _normal_top_eigenvalue, alpha_from_f
 
 
 def make_problem(grid, f, m=0.1, degree=8, h_k_val=1.0, lift_tol=1e-9):
@@ -186,6 +184,17 @@ class TestSolveFbep:
         sol = solve_fbep(p, basis=basis)
         assert not sol.saturated
         assert sol.err_k <= 1e-8
+
+    def test_inactive_reports_bep_lambda(self, grid_24_96):
+        # one multiplier rule: lambda stays inside (-1, inf) when the budget is slack
+        k = Region.radial_disc(0.5)
+        h = AnalyticCoeffs(np.array([1.0, 0.5j])).on_grid(grid_24_96)
+        data = dict(k_region=k, j_region=k.complement(), h_k=h, h_j=h, m=1.0, degree=8)
+        sf = solve_fbep(FbepProblem(f=Conductivity.constant(grid_24_96), **data))
+        sb = solve_bep(BepProblem(**data))
+        assert not sf.saturated and not sb.saturated
+        assert sf.lam == sb.lam > -1.0
+        assert sf.mu > 0.0
 
     def test_saturation_and_kkt(self, basis_exp01_n8):
         f, basis = basis_exp01_n8
@@ -435,13 +444,13 @@ class TestRestrictionMapModePairs:
     )
     def test_path_selection(self, monkeypatch, f_of, j_of, lanczos):
         calls = []
-        top = fbep_module._normal_top_eigenvalue
+        top = _normal_top_eigenvalue
 
         def counting(a):
             calls.append(a.shape)
             return top(a)
 
-        monkeypatch.setattr(fbep_module, "_normal_top_eigenvalue", counting)
+        monkeypatch.setattr("bergbep.vekua._normal_top_eigenvalue", counting)
         shape = (6, 12)  # f on its own grid: a grid-sampled f gets a rho too
         rho = restriction_map_norm(f_of(build_grid(*shape)), j_of(shape), shape)
         assert np.isfinite(rho)
@@ -452,7 +461,7 @@ class TestRestrictionMapModePairs:
         shape = (7, 13)
         first = restriction_map_norm(f, Region.annulus(0.5), shape)
         builds = []
-        monkeypatch.setattr(fbep_module, "build_grid", lambda *a: builds.append(a))
+        monkeypatch.setattr("bergbep.vekua.build_grid", lambda *a: builds.append(a))
         for j_region in (Region.annulus(0.5), Region.sector(1.0)):
             restriction_map_norm(f, j_region, shape)
         assert builds == []
@@ -513,7 +522,7 @@ class TestGridSampledConductivity:
         alpha_error = np.max(np.abs(alpha_from_f(sampled).values - 0.1))  # 2.4e-9
         closed = restriction_map_norm(exact, j_region, (16, 32))
         # f's own grid is used as it is: no norm grid gets built
-        monkeypatch.setattr(fbep_module, "build_grid", None)
+        monkeypatch.setattr("bergbep.vekua.build_grid", None)
         rho = restriction_map_norm(sampled, j_region, (16, 32))
         assert np.isfinite(rho)
         assert abs(rho - closed) <= 1e-11  # measured 1.4e-12
