@@ -14,18 +14,20 @@ c -> grid values: for the BEP the ring-FFT forms and inverse ring FFT of
 the polar layer in bergman, for the f-BEP those its lifted basis
 supplies (vekua.VekuaBasis).  It whitens by the full-disc form and
 diagonalizes the J-form, so c(mu) is a diagonal solve with a
-rounding-level Karush-Kuhn-Tucker
-residual, and bisects mu with err_J evaluated from the whitened forms at
-O(N) per step (the secular function of a quadratically constrained least
-squares; Gander 1981), verified monotone at runtime.  The end point is
-checked on the grid by synthesis: if the grid value misses M by more
-than the stop tolerance, as it can when err_J << ||h_J||_J and the form
-value cancels, the bisection continues on grid evaluations.
+rounding-level Karush-Kuhn-Tucker residual.  err_J(mu) and its slope
+are then explicit rational functions of mu evaluated from the whitened
+forms at O(N) (the secular function of a quadratically constrained
+least squares; Gander 1981), and a safeguarded Newton search on
+1/err_J(mu) - 1/M finds mu in a handful of evaluations, verified
+monotone at runtime.  The end point is checked on the grid by
+synthesis: if the grid value misses M by more than the stop tolerance,
+as it can when err_J << ||h_J||_J and the form value cancels, a
+bisection continues on grid evaluations.
 
-The independent oracle shares only the bisection and its monotonicity
-check: it assembles dense forms from basis_matrix samples, solves the
-operator form (I + lambda G_J) c = b_K + (1 + lambda) b_J with one dense
-linear solve per lambda and evaluates err_J on the dense samples, so
+The independent oracle shares only the monotonicity check: it assembles
+dense forms from basis_matrix samples, solves the operator form
+(I + lambda G_J) c = b_K + (1 + lambda) b_J with one dense linear solve
+per lambda, evaluates err_J on the dense samples and bisects lambda, so
 agreement with it checks the ring-FFT assembly as well as the solve.
 """
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import copy
 import logging
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,6 +58,7 @@ _DROP_RCOND = 1e-10
 _MAX_EXPANSIONS = 80
 _MAX_BISECTIONS = 200
 _STOP_TOL = 1e-12
+_MAX_SHRINK = 16.0  # a safeguard step lowers mu by at most this factor
 
 
 class InfeasibleProblemError(ValueError):
@@ -177,6 +181,7 @@ class ConstrainedLSQ:
         self.whiten = whiten @ q
         self.bt_k = self.whiten.conj().T @ self.r_k
         self.bt_j = self.whiten.conj().T @ self.r_j
+        self._free = None  # the M-independent part of solve, filled on first use
 
     def leading(self, n: int) -> "ConstrainedLSQ":
         """The same problem over the first n basis elements."""
@@ -188,18 +193,36 @@ class ConstrainedLSQ:
         sub._diagonalize()
         return sub
 
-    def _y(self, mu: float) -> np.ndarray:
+    def _secular(self, mu: float) -> tuple[np.ndarray, np.ndarray]:
+        """Whitened solution y(mu) and its derivative y'(mu), with d = (1 - tau) + mu tau:
+
+            y = (bt_K + mu bt_J) / d,    y' = ((1 - tau) bt_J - tau bt_K) / d^2.
+
+        Directions whose denominator is at rounding level are left out of both.
+        """
         denom = (1.0 - self.taus) + mu * self.taus
         keep = denom > 1e-12 * max(1.0, denom.max())
-        return np.where(keep, (self.bt_k + mu * self.bt_j) / np.where(keep, denom, 1.0), 0.0)
+        d = np.where(keep, denom, 1.0)
+        y = np.where(keep, (self.bt_k + mu * self.bt_j) / d, 0.0)
+        dy = np.where(keep, ((1.0 - self.taus) * self.bt_j - self.taus * self.bt_k) / d**2, 0.0)
+        return y, dy
 
     def coeffs(self, mu: float) -> np.ndarray:
         """Minimizer of err_K^2 + mu err_J^2: a diagonal solve in the whitened basis."""
-        return self.whiten @ self._y(mu)
+        return self.whiten @ self._secular(mu)[0]
 
-    def err(self, c: np.ndarray, side: str) -> float:
+    def _form_err(self, mu: float) -> tuple[float, float]:
+        """err_J(mu) from the whitened forms and d(err_J^2)/dmu = -2 sum d |y'|^2, at O(N)."""
+        y, dy = self._secular(mu)
+        h_j_sq = self._m_free()[3]
+        e2 = h_j_sq - 2.0 * np.vdot(y, self.bt_j).real + np.sum(self.taus * np.abs(y) ** 2)
+        slope = -2.0 * np.sum(((1.0 - self.taus) + mu * self.taus) * np.abs(dy) ** 2)
+        return float(np.sqrt(max(e2, 0.0))), float(slope)
+
+    def err(self, c: np.ndarray, side: str, values: np.ndarray | None = None) -> float:
+        """err_K or err_J of c on the grid; values is synthesize(c) if already at hand."""
         w, h = (self.w_k, self.h_k) if side == "k" else (self.w_j, self.h_j)
-        resid = self.synthesize(c) - h
+        resid = (self.synthesize(c) if values is None else values) - h
         return float(np.sqrt(np.sum(w * np.abs(resid) ** 2)))
 
     def kkt(self, c: np.ndarray, mu: float) -> np.ndarray:
@@ -215,37 +238,37 @@ class ConstrainedLSQ:
         """Distance of h_J to the span on J, evaluated on the grid."""
         return self.err(self.whiten @ self._j_fit()[1], "j")
 
+    def _m_free(self) -> tuple[float, np.ndarray, float, float]:
+        """What solve needs at every budget: the feasibility distance, the
+        mu = 0 fit with its grid err_J, and ||h_J||_J^2; computed once per core."""
+        if self._free is None:
+            c0 = self.coeffs(0.0)
+            h_j_sq = float(np.sum(self.w_j * np.abs(self.h_j) ** 2))
+            self._free = (self.feasibility(), c0, self.err(c0, "j"), h_j_sq)
+        return self._free
+
     def solve(self, m: float, mu_hi: float) -> LsqSolution:
-        """Saturating multiplier by bracketed bisection on err_J(mu) over [0, mu_hi].
+        """Saturating multiplier by a safeguarded Newton search on err_J(mu) = M, from mu_hi.
 
         If the fit at mu = 0 already meets the budget (on the grid) it is
-        returned unsaturated.  The bracket and the bisection evaluate
-        err_J from the whitened forms at O(N) per step,
+        returned unsaturated.  The search (_newton) evaluates err_J and its
+        slope from the whitened forms at O(N) per step,
 
             err_J(y)^2 = ||h_J||_J^2 - 2 Re y^H bt_J + sum tau |y|^2,
 
         and the returned err_J is evaluated on the grid by synthesis.  If
         that misses M by more than the stop tolerance (the form value
-        cancels when err_J << ||h_J||_J), the bisection continues on grid
-        evaluations from the current bracket.
+        cancels when err_J << ||h_J||_J), a bisection continues on grid
+        evaluations from the search's bracket.
         """
-        feas = self.feasibility()
+        feas, c0, e_lo, _ = self._m_free()
         if feas > m + 1e-9:
             raise InfeasibleProblemError(f"M = {m:.6g} below feasibility distance {feas:.6g}")
-        c = self.coeffs(0.0)
-        e_lo = self.err(c, "j")
         if e_lo <= m:
-            return LsqSolution(c, 0.0, feas, 0, False)
-
-        h_j_sq = float(np.sum(self.w_j * np.abs(self.h_j) ** 2))
-
-        def err_from_forms(mu: float) -> float:
-            y = self._y(mu)
-            e2 = h_j_sq - 2.0 * np.vdot(y, self.bt_j).real + np.sum(self.taus * np.abs(y) ** 2)
-            return float(np.sqrt(max(e2, 0.0)))
+            return LsqSolution(c0.copy(), 0.0, feas, 0, False)
 
         evals = [(0.0, e_lo)]
-        mu, _, lo, hi, iterations = _bisect(err_from_forms, m, 0.0, mu_hi, evals, feas)
+        mu, _, lo, hi, iterations = _newton(self._form_err, m, float(mu_hi), evals, feas)
         c = self.coeffs(mu)
         e_mu = self.err(c, "j")
         evals.append((mu, e_mu))
@@ -257,6 +280,7 @@ class ConstrainedLSQ:
                 evals.append((lo, e_at_lo))
                 if e_at_lo <= m:
                     lo = 0.0
+            hi = hi if hi < np.inf else 2.0 * mu  # _bisect doubles hi while err(hi) > M
             mu, e_mu, _, _, more = _bisect(grid_err, m, lo, hi, evals, feas)
             iterations += more
             c = self.coeffs(mu)
@@ -274,6 +298,58 @@ def _polar_core(grid, degree, w_k, w_j, h_k, h_j) -> ConstrainedLSQ:
         lambda c: _ring_synthesis(grid, c),
         w_k, w_j, h_k, h_j,
     )
+
+
+def _newton(err_slope, m: float, mu: float, evals: list, feas: float):
+    """Safeguarded Newton search for err(mu) = M on [0, inf) from mu, given err(0) > M.
+
+    err_slope(mu) returns err(mu) and d(err^2)/dmu.  The step is Newton's
+    on the secular function phi(mu) = 1/err(mu) - 1/M, nearly linear in
+    mu (Reinsch 1971; More and Sorensen 1983),
+
+        mu <- mu - phi / phi' = mu + 2 phi err^3 / (d(err^2)/dmu),
+
+    and it is kept only strictly inside the bracket [lo, hi] of the
+    evaluations so far.  Otherwise the bracket is halved in log scale
+    (its geometric mean, at most _MAX_SHRINK below hi: a root far below
+    the start is reached in a few steps), or mu doubles while no upper
+    end is known.  A search that finds no upper end in _MAX_EXPANSIONS
+    steps, or none up to 2^_MAX_EXPANSIONS times the start, raises
+    ConvergenceError.  The stops are those of _bisect.  Every evaluation
+    is appended to evals.  Returns mu, err(mu), the bracket around mu
+    (hi may be inf) and the number of evaluations.
+    """
+    m = float(m)  # Python floats throughout: mu is reported as a plain float
+    scale = max(1.0, m)
+    reach = mu * 2.0**_MAX_EXPANSIONS
+    lo, hi = 0.0, np.inf
+    expansions = 0
+    for iterations in range(1, _MAX_BISECTIONS + 1):
+        e_mu, slope = err_slope(mu)
+        evals.append((mu, e_mu))
+        collapsed = hi < np.inf and hi - lo <= 4.0 * np.finfo(float).eps * hi
+        if abs(e_mu - m) <= _STOP_TOL * scale or collapsed:
+            break
+        lo, hi = (mu, hi) if e_mu > m else (lo, mu)
+        newton = np.nan
+        if e_mu > 0.0 and slope < 0.0:  # phi' = -slope / (2 err^3) > 0
+            newton = mu + 2.0 * (1.0 / e_mu - 1.0 / m) * e_mu * e_mu * e_mu / slope
+        if lo < newton < hi:
+            mu = newton
+        elif hi < np.inf:  # halve the bracket in log scale (More and Sorensen 1983)
+            mu = max(math.sqrt(lo * hi), hi / _MAX_SHRINK)
+        else:
+            mu = 2.0 * mu
+        if hi == np.inf:
+            expansions += 1
+            if expansions > _MAX_EXPANSIONS or lo >= reach:
+                _check_monotone(evals, m)
+                raise ConvergenceError(
+                    f"bracket expansion exhausted: e(mu = {lo:.3g}) = {e_mu:.9g} > "
+                    f"M = {m:.9g} (feasibility distance {feas:.9g})"
+                )
+            mu = min(mu, reach)
+    return mu, e_mu, lo, hi, iterations
 
 
 def _bisect(err, m: float, lo: float, hi: float, evals: list, feas: float):
@@ -361,15 +437,17 @@ def _reported_lambda(result: LsqSolution) -> float:
     return result.mu - 1.0 if result.saturated else _LAMBDA_FLOOR
 
 
-def _bep_solution(result: LsqSolution, err, kkt) -> BepSolution:
-    """The BEP solution of a multiplier search, with err(c, side) and kkt(c, mu) of its forms."""
+def _bep_solution(result: LsqSolution, synthesize, err, kkt) -> BepSolution:
+    """The BEP solution of a multiplier search, with synthesize(c), err(c, side, values)
+    and kkt(c, mu) of its forms; both errors share one synthesis."""
     c = result.coeffs
     lam = _reported_lambda(result)
+    values = synthesize(c)
     return BepSolution(
         g0=AnalyticCoeffs(c),
         lam=lam,
-        err_k=err(c, "k"),
-        err_j=err(c, "j"),
+        err_k=err(c, "k", values),
+        err_j=err(c, "j", values),
         kkt_residual=float(np.linalg.norm(kkt(c, 1.0 + lam))),
         iterations=result.iterations,
         feasibility=result.feasibility,
@@ -378,18 +456,19 @@ def _bep_solution(result: LsqSolution, err, kkt) -> BepSolution:
 
 
 def solve_bep(problem: BepProblem, hi0: float = 1.0, degree_diagnostic: bool = True) -> BepSolution:
-    """Solve the bounded extremal problem by multiplier bisection.
+    """Solve the bounded extremal problem by a safeguarded Newton search on the multiplier.
 
     If the unconstrained K-fit already satisfies the constraint it is
-    returned with lambda at the lower bracket; otherwise the multiplier
-    is bisected from the bracket [-1, hi0] in lambda until the constraint
-    saturates.  With degree_diagnostic the problem is re-solved at degree
-    N - 4 on the leading blocks of the same forms and the coefficient gap
-    stored as a truncation-convergence indicator; it stays None when M is
-    below the degree N - 4 feasibility distance.
+    returned with lambda at the lower bracket; otherwise the search
+    starts at lambda = hi0 on the bracket (-1, inf) and runs until the
+    constraint saturates (ConstrainedLSQ.solve).  With degree_diagnostic
+    the problem is re-solved at degree N - 4 on the leading blocks of the
+    same forms and the coefficient gap stored as a truncation-convergence
+    indicator; it stays None when M is below the degree N - 4 feasibility
+    distance.
     """
     core = ConstrainedLSQ.from_problem(problem)
-    solution = _bep_solution(core.solve(problem.m, 1.0 + hi0), core.err, core.kkt)
+    solution = _bep_solution(core.solve(problem.m, 1.0 + hi0), core.synthesize, core.err, core.kkt)
     if degree_diagnostic and problem.degree >= 5:
         n_low = problem.degree - 3
         try:
@@ -406,12 +485,12 @@ def solve_bep(problem: BepProblem, hi0: float = 1.0, degree_diagnostic: bool = T
 def solve_bep_oracle(problem: BepProblem) -> BepSolution:
     """Independent check: the operator form (I + lambda G_J) c = b_K + (1 + lambda) b_J.
 
-    Shares only the bisection and its monotonicity check with the core.
-    The forms are assembled densely from basis_matrix samples, each
-    lambda takes one dense linear solve in place of the core's diagonal
-    solve, err_J is evaluated on the dense samples at every step from
-    lambda just above -1, and the feasibility distance is the error of
-    the pseudo-inverse J-fit.
+    Shares only the monotonicity check with the core.  The forms are
+    assembled densely from basis_matrix samples, each lambda takes one
+    dense linear solve in place of the core's diagonal solve, lambda is
+    bisected (_bisect) with err_J evaluated on the dense samples at every
+    step from lambda just above -1, and the feasibility distance is the
+    error of the pseudo-inverse J-fit.
     """
     grid = problem.grid
     e = basis_matrix(grid, problem.degree)
@@ -422,9 +501,13 @@ def solve_bep_oracle(problem: BepProblem) -> BepSolution:
     (a_k, r_k), (a_j, r_j) = (_forms(e, w, h, np.asarray) for w, h in sides.values())
     eye = np.eye(problem.degree + 1)
 
-    def err(c: np.ndarray, side: str) -> float:
+    def synthesize(c: np.ndarray) -> np.ndarray:
+        return e @ c
+
+    def err(c: np.ndarray, side: str, values: np.ndarray | None = None) -> float:
         w, h = sides[side]
-        return float(np.sqrt(np.sum(w * np.abs(e @ c - h) ** 2)))
+        values = e @ c if values is None else values
+        return float(np.sqrt(np.sum(w * np.abs(values - h) ** 2)))
 
     def kkt(c: np.ndarray, mu: float) -> np.ndarray:
         return (a_k @ c - r_k) + mu * (a_j @ c - r_j)
@@ -441,10 +524,11 @@ def solve_bep_oracle(problem: BepProblem) -> BepSolution:
     c = operator_solve(mu_lo)
     e_lo = err(c, "j")
     if e_lo <= problem.m:
-        return _bep_solution(LsqSolution(c, mu_lo, feas, 0, False), err, kkt)
+        return _bep_solution(LsqSolution(c, mu_lo, feas, 0, False), synthesize, err, kkt)
     evals = [(mu_lo, e_lo)]
     mu, e_mu, _, _, iterations = _bisect(
         lambda mu: err(operator_solve(mu), "j"), problem.m, mu_lo, 2.0, evals, feas
     )
     _check_saturated(evals, problem.m, mu, e_mu)
-    return _bep_solution(LsqSolution(operator_solve(mu), mu, feas, iterations, True), err, kkt)
+    result = LsqSolution(operator_solve(mu), mu, feas, iterations, True)
+    return _bep_solution(result, synthesize, err, kkt)

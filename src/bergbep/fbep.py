@@ -7,10 +7,11 @@ elements subject to the J-misfit budget.  It is the same norm-constrained
 least squares as the Bergman BEP with real coefficients, and is solved
 by the same core, bep.ConstrainedLSQ: whiten by the full-disc Gram,
 diagonalize the J-form and locate the Karush-Kuhn-Tucker multiplier
-mu >= 0 in the secular denominators (1 - tau) + mu tau.  The multiplier
-maps to the Bergman convention by lambda = mu - 1, and with f
-identically 1 the lifted basis is exactly {e_n, i e_n} and the solve
-reproduces the complex BEP solution.
+mu >= 0 by a safeguarded Newton search on the secular equation, whose
+denominators are (1 - tau) + mu tau.  The multiplier maps to the
+Bergman convention by lambda = mu - 1, and with f identically 1 the
+lifted basis is exactly {e_n, i e_n} and the solve reproduces the
+complex BEP solution.
 
 The core takes its forms, moments and synthesis from the basis, in
 one path for every basis: for the closed-form conductivities, whose
@@ -126,14 +127,15 @@ def _fbep_solution(problem: FbepProblem, basis: VekuaBasis, core: ConstrainedLSQ
     """
     result = core.solve(problem.m, 2.0)
     coeffs = result.coeffs
-    w_star = GridFunction(problem.grid, core.synthesize(coeffs).reshape(problem.grid.shape))
+    values = core.synthesize(coeffs)  # one synthesis for w_* and both errors
+    w_star = GridFunction(problem.grid, values.reshape(problem.grid.shape))
     solution = FbepSolution(
         coeffs=coeffs,
         w_star=w_star,
         basis=basis,
         lam=_reported_lambda(result),
-        err_k=core.err(coeffs, "k"),
-        err_j=core.err(coeffs, "j"),
+        err_k=core.err(coeffs, "k", values),
+        err_j=core.err(coeffs, "j", values),
         kkt_residual=float(np.linalg.norm(core.kkt(coeffs, result.mu))),
         vekua_defect=vekua_residual(w_star, basis.alpha, problem.degree),
         feasibility=result.feasibility,

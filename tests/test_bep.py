@@ -24,7 +24,7 @@ from bergbep import (
     solve_bep,
     solve_bep_oracle,
 )
-from bergbep.bep import ConstrainedLSQ
+from bergbep.bep import ConstrainedLSQ, _bep_solution
 from bergbep.bergman import _forms, basis_matrix
 from conftest import low_degree_infeasible_problem, saturated_problem
 
@@ -467,3 +467,117 @@ class TestSteepSecularRoot:
         assert abs(sol.err_j - p.m) <= 1e-8 * p.m
         # the oracle's inactive answer is feasible, so the optimum cannot be worse
         assert sol.err_k <= solve_bep_oracle(p).err_k
+
+
+def _region_problem(grid, kind, degree):
+    """A BEP with data off the span on a disc, annulus, sector or mask K (budget unused)."""
+    k = {
+        "disc": Region.radial_disc(0.5),
+        "annulus": Region.annulus(0.6),
+        "sector": Region.sector(1.2),
+        "mask": Region.mask(np.abs(grid.nodes - (0.2 + 0.1j)) < 0.45),
+    }[kind]
+    h_k = GridFunction.from_function(grid, lambda z: np.exp(z) + 0.2 * np.conj(z))
+    h_j = GridFunction.from_function(grid, lambda z: 0.3 * np.conj(z) + 0.1 * np.abs(z) ** 2)
+    return BepProblem(k, k.complement(), h_k, h_j, 1.0, degree)
+
+
+@pytest.fixture(scope="module")
+def sector_mask_64(grid_64_128):
+    """Saturated sector and mask instances at 64x128/30."""
+    h_k = AnalyticCoeffs(np.array([1.0, -0.5j, 0.3])).on_grid(grid_64_128)
+    h_j = GridFunction.from_function(grid_64_128, lambda z: 0.3 * np.conj(z))
+    regions = (
+        Region.sector(1.2),
+        Region.mask(np.abs(grid_64_128.nodes - (0.2 + 0.1j)) < 0.45),
+    )
+    return [saturated_problem(grid_64_128, k, h_k, h_j, 30) for k in regions]
+
+
+class TestNewtonSearch:
+    """The core's safeguarded Newton search on 1/err_J(mu) - 1/M = 0."""
+
+    @pytest.mark.parametrize("kind", ["disc", "annulus", "sector", "mask"])
+    def test_slope_matches_central_differences(self, grid_24_96, kind):
+        core = ConstrainedLSQ.from_problem(_region_problem(grid_24_96, kind, 16))
+        for mu in (1e-3, 0.05, 0.5, 3.0, 40.0):
+            h = 1e-4 * mu
+            e_plus, e_minus = (core._form_err(mu + step)[0] for step in (h, -h))
+            slope = core._form_err(mu)[1]
+            assert slope < 0.0
+            assert abs((e_plus**2 - e_minus**2) / (2.0 * h) - slope) <= 1e-6 * abs(slope)
+
+    def test_mu_matches_oracle_bisection(self, saturated_family, sector_mask_64):
+        for p in saturated_family + sector_mask_64:
+            sol = solve_bep(p, degree_diagnostic=False)
+            oracle = solve_bep_oracle(p)
+            assert sol.saturated and oracle.saturated
+            mu, mu_oracle = 1.0 + sol.lam, 1.0 + oracle.lam
+            assert abs(mu - mu_oracle) <= 1e-10 * mu_oracle
+
+    def test_few_evaluations(self, saturated_family, sector_mask_64):
+        # plain bisection took 33-47 steps on these instances
+        for p in saturated_family + sector_mask_64:
+            assert solve_bep(p, degree_diagnostic=False).iterations <= 15
+
+    @pytest.mark.parametrize("bad", ["nan", "wrong_sign"])
+    def test_safeguard_without_a_usable_slope(self, saturated_family, monkeypatch, bad):
+        expected = [solve_bep(p, degree_diagnostic=False) for p in saturated_family]
+        form_err = ConstrainedLSQ._form_err
+
+        def broken(self, mu):
+            e, slope = form_err(self, mu)
+            return e, np.nan if bad == "nan" else -slope
+
+        monkeypatch.setattr(ConstrainedLSQ, "_form_err", broken)
+        for p, good in zip(saturated_family, expected):
+            sol = solve_bep(p, degree_diagnostic=False)
+            assert sol.saturated
+            assert abs(sol.lam - good.lam) <= 1e-10 * (1.0 + good.lam)
+            assert sol.iterations > good.iterations  # every step was a safeguard step
+
+    def test_oracle_without_newton(self, grid_24_96, monkeypatch):
+        import bergbep.bep as bep
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle used the Newton search")
+
+        p = constant_fixture(grid_24_96)
+        expected = solve_bep(p, degree_diagnostic=False).g0.coeffs
+        monkeypatch.setattr(bep, "_newton", forbidden)
+        oracle = solve_bep_oracle(p)
+        assert oracle.saturated
+        assert np.max(np.abs(oracle.g0.coeffs - expected)) <= 1e-8
+
+    def test_budget_free_parts_once_per_core(self, saturated_family, monkeypatch):
+        # a lambda-sweep's levels share one core: its feasibility distance and
+        # mu = 0 fit are computed once, with the answers of a fresh core per level
+        p = saturated_family[0]
+        levels = (p.m, 1.1 * p.m, 1e6)
+        fresh = [ConstrainedLSQ.from_problem(p).solve(m, 2.0) for m in levels]
+        calls = []
+        feasibility = ConstrainedLSQ.feasibility
+        monkeypatch.setattr(
+            ConstrainedLSQ, "feasibility", lambda self: calls.append(1) or feasibility(self)
+        )
+        core = ConstrainedLSQ.from_problem(p)
+        shared = [core.solve(m, 2.0) for m in levels]
+        assert len(calls) == 1
+        for a, b in zip(shared, fresh):
+            assert np.array_equal(a.coeffs, b.coeffs)
+            assert (a.mu, a.iterations, a.saturated) == (b.mu, b.iterations, b.saturated)
+        assert not shared[-1].saturated
+        shared[-1].coeffs[:] = 0.0  # a returned fit does not alias the core's
+        assert np.array_equal(core.solve(1e6, 2.0).coeffs, fresh[-1].coeffs)
+
+    def test_solution_errors_share_one_synthesis(self, saturated_family):
+        p = saturated_family[0]
+        core = ConstrainedLSQ.from_problem(p)
+        result = core.solve(p.m, 2.0)
+        c = result.coeffs
+        expected = (core.err(c, "k"), core.err(c, "j"))
+        synthesize, calls = core.synthesize, []
+        core.synthesize = lambda c: calls.append(1) or synthesize(c)
+        sol = _bep_solution(result, core.synthesize, core.err, core.kkt)
+        assert len(calls) == 1
+        assert (sol.err_k, sol.err_j) == expected
