@@ -43,6 +43,7 @@ import numpy as np
 
 from .bergman import (
     AnalyticCoeffs,
+    _check_degree,
     _forms,
     _ring_gram,
     _ring_moments,
@@ -89,11 +90,13 @@ class BepProblem:
 
 
 def _check_problem(problem) -> None:
-    """The checks every BEP and f-BEP shares: the budget, the data grid, the partition."""
+    """The checks every BEP and f-BEP shares: the budget, the data grid, the
+    degree within the grid's exactness, the partition."""
     if not 0.0 < problem.m < np.inf:
         raise ValueError(f"constraint level M must be positive and finite, got {problem.m}")
     problem.h_k._check_same_grid(problem.h_j)
     grid = problem.h_k.grid
+    _check_degree(grid, problem.degree)
     gap = np.max(
         np.abs(problem.k_region.weights(grid) + problem.j_region.weights(grid) - grid.weights)
     )
@@ -120,13 +123,19 @@ class BepSolution:
 
 
 class LsqSolution(NamedTuple):
-    """Coefficients, multiplier mu and search record of ConstrainedLSQ.solve."""
+    """Coefficients, multiplier mu and search record of ConstrainedLSQ.solve.
+
+    values is the synthesis of coeffs on the grid, the one that checked
+    them against the budget.  The core's are read-only: the mu = 0 fit's
+    serve every budget.
+    """
 
     coeffs: np.ndarray
     mu: float
     feasibility: float
     iterations: int
     saturated: bool
+    values: np.ndarray
 
 
 class ConstrainedLSQ:
@@ -214,7 +223,7 @@ class ConstrainedLSQ:
     def _form_err(self, mu: float) -> tuple[float, float]:
         """err_J(mu) from the whitened forms and d(err_J^2)/dmu = -2 sum d |y'|^2, at O(N)."""
         y, dy = self._secular(mu)
-        h_j_sq = self._m_free()[3]
+        h_j_sq = self._m_free()[4]
         e2 = h_j_sq - 2.0 * np.vdot(y, self.bt_j).real + np.sum(self.taus * np.abs(y) ** 2)
         slope = -2.0 * np.sum(((1.0 - self.taus) + mu * self.taus) * np.abs(dy) ** 2)
         return float(np.sqrt(max(e2, 0.0))), float(slope)
@@ -238,14 +247,22 @@ class ConstrainedLSQ:
         """Distance of h_J to the span on J, evaluated on the grid."""
         return self.err(self.whiten @ self._j_fit()[1], "j")
 
-    def _m_free(self) -> tuple[float, np.ndarray, float, float]:
+    def _m_free(self) -> tuple[float, np.ndarray, np.ndarray, float, float]:
         """What solve needs at every budget: the feasibility distance, the
-        mu = 0 fit with its grid err_J, and ||h_J||_J^2; computed once per core."""
+        mu = 0 fit with its grid values and err_J, and ||h_J||_J^2; computed
+        once per core."""
         if self._free is None:
             c0 = self.coeffs(0.0)
+            values = self._checked_values(c0)
             h_j_sq = float(np.sum(self.w_j * np.abs(self.h_j) ** 2))
-            self._free = (self.feasibility(), c0, self.err(c0, "j"), h_j_sq)
+            self._free = (self.feasibility(), c0, values, self.err(c0, "j", values), h_j_sq)
         return self._free
+
+    def _checked_values(self, c: np.ndarray) -> np.ndarray:
+        """synthesize(c), read-only: the grid values a returned solution carries."""
+        values = self.synthesize(c)
+        values.setflags(write=False)
+        return values
 
     def solve(self, m: float, mu_hi: float) -> LsqSolution:
         """Saturating multiplier by a safeguarded Newton search on err_J(mu) = M, from mu_hi.
@@ -256,21 +273,22 @@ class ConstrainedLSQ:
 
             err_J(y)^2 = ||h_J||_J^2 - 2 Re y^H bt_J + sum tau |y|^2,
 
-        and the returned err_J is evaluated on the grid by synthesis.  If
-        that misses M by more than the stop tolerance (the form value
-        cancels when err_J << ||h_J||_J), a bisection continues on grid
-        evaluations from the search's bracket.
+        and the returned err_J is evaluated on the grid by synthesis; the
+        solution carries those grid values.  If that misses M by more than
+        the stop tolerance (the form value cancels when err_J << ||h_J||_J),
+        a bisection continues on grid evaluations from the search's bracket.
         """
-        feas, c0, e_lo, _ = self._m_free()
+        feas, c0, values, e_lo, _ = self._m_free()
         if feas > m + 1e-9:
             raise InfeasibleProblemError(f"M = {m:.6g} below feasibility distance {feas:.6g}")
         if e_lo <= m:
-            return LsqSolution(c0.copy(), 0.0, feas, 0, False)
+            return LsqSolution(c0.copy(), 0.0, feas, 0, False, values)
 
         evals = [(0.0, e_lo)]
         mu, _, lo, hi, iterations = _newton(self._form_err, m, float(mu_hi), evals, feas)
         c = self.coeffs(mu)
-        e_mu = self.err(c, "j")
+        values = self._checked_values(c)
+        e_mu = self.err(c, "j", values)
         evals.append((mu, e_mu))
         if abs(e_mu - m) > _STOP_TOL * max(1.0, m):
             logger.debug("err_J from the forms missed M on the grid by %.3e", abs(e_mu - m))
@@ -284,8 +302,9 @@ class ConstrainedLSQ:
             mu, e_mu, _, _, more = _bisect(grid_err, m, lo, hi, evals, feas)
             iterations += more
             c = self.coeffs(mu)
+            values = self._checked_values(c)
         _check_saturated(evals, m, mu, e_mu)
-        return LsqSolution(c, mu, feas, iterations, True)
+        return LsqSolution(c, mu, feas, iterations, True, values)
 
 
 def _polar_core(grid, degree, w_k, w_j, h_k, h_j) -> ConstrainedLSQ:
@@ -416,6 +435,7 @@ def _mu(lam: float) -> float:
 def feasibility_distance(h_j: GridFunction, j_region: Region, degree: int) -> float:
     """Distance of h_J to the degree-N analytic span restricted to J."""
     grid = h_j.grid
+    _check_degree(grid, degree)
     w_j = j_region.weights(grid)
     zero = np.zeros(grid.shape)
     return _polar_core(grid, degree, grid.weights - w_j, w_j, zero, h_j.values).feasibility()
@@ -437,18 +457,17 @@ def _reported_lambda(result: LsqSolution) -> float:
     return result.mu - 1.0 if result.saturated else _LAMBDA_FLOOR
 
 
-def _bep_solution(result: LsqSolution, synthesize, err, kkt) -> BepSolution:
-    """The BEP solution of a multiplier search, with synthesize(c), err(c, side, values)
-    and kkt(c, mu) of its forms; both errors share one synthesis."""
+def _bep_solution(result: LsqSolution, err, kkt) -> BepSolution:
+    """The BEP solution of a multiplier search, with err(c, side, values) and
+    kkt(c, mu) of its forms.  Both errors take the search's grid values of
+    the coefficients, and the KKT residual the multiplier they solve."""
     c = result.coeffs
-    lam = _reported_lambda(result)
-    values = synthesize(c)
     return BepSolution(
         g0=AnalyticCoeffs(c),
-        lam=lam,
-        err_k=err(c, "k", values),
-        err_j=err(c, "j", values),
-        kkt_residual=float(np.linalg.norm(kkt(c, 1.0 + lam))),
+        lam=_reported_lambda(result),
+        err_k=err(c, "k", result.values),
+        err_j=err(c, "j", result.values),
+        kkt_residual=float(np.linalg.norm(kkt(c, result.mu))),
         iterations=result.iterations,
         feasibility=result.feasibility,
         saturated=result.saturated,
@@ -468,7 +487,7 @@ def solve_bep(problem: BepProblem, hi0: float = 1.0, degree_diagnostic: bool = T
     distance.
     """
     core = ConstrainedLSQ.from_problem(problem)
-    solution = _bep_solution(core.solve(problem.m, 1.0 + hi0), core.synthesize, core.err, core.kkt)
+    solution = _bep_solution(core.solve(problem.m, 1.0 + hi0), core.err, core.kkt)
     if degree_diagnostic and problem.degree >= 5:
         n_low = problem.degree - 3
         try:
@@ -501,9 +520,6 @@ def solve_bep_oracle(problem: BepProblem) -> BepSolution:
     (a_k, r_k), (a_j, r_j) = (_forms(e, w, h, np.asarray) for w, h in sides.values())
     eye = np.eye(problem.degree + 1)
 
-    def synthesize(c: np.ndarray) -> np.ndarray:
-        return e @ c
-
     def err(c: np.ndarray, side: str, values: np.ndarray | None = None) -> float:
         w, h = sides[side]
         values = e @ c if values is None else values
@@ -522,13 +538,14 @@ def solve_bep_oracle(problem: BepProblem) -> BepSolution:
         )
     mu_lo = 1.0 + _LAMBDA_FLOOR
     c = operator_solve(mu_lo)
-    e_lo = err(c, "j")
+    values = e @ c
+    e_lo = err(c, "j", values)
     if e_lo <= problem.m:
-        return _bep_solution(LsqSolution(c, mu_lo, feas, 0, False), synthesize, err, kkt)
+        return _bep_solution(LsqSolution(c, mu_lo, feas, 0, False, values), err, kkt)
     evals = [(mu_lo, e_lo)]
     mu, e_mu, _, _, iterations = _bisect(
         lambda mu: err(operator_solve(mu), "j"), problem.m, mu_lo, 2.0, evals, feas
     )
     _check_saturated(evals, problem.m, mu, e_mu)
-    result = LsqSolution(operator_solve(mu), mu, feas, iterations, True)
-    return _bep_solution(result, synthesize, err, kkt)
+    c = operator_solve(mu)
+    return _bep_solution(LsqSolution(c, mu, feas, iterations, True, e @ c), err, kkt)

@@ -9,14 +9,19 @@ for characteristic-function symbols, with closed forms for radial discs,
 annuli and angular sectors.
 
 On the polar grid every basis quadrature sum is a per-ring DFT.  With
-e_n = sqrt(n+1) r^n e^{in theta}, the radial powers P[i, p] = r_i^p and
-W_i(k) = sum_j w_ij e^{-ik theta_j} (an fft along theta), a private
-polar layer gives, for any weights w (masks included):
+e_n = sqrt(n+1) r^n e^{in theta}, the radial powers P[i, p] = r_i^p (kept
+with the grid, DiscGrid.radial_powers) and W_i(k) = sum_j w_ij
+e^{-ik theta_j} (an fft along theta), a private polar layer gives, for
+any weights w (masks included):
 
-    G_mn = sum w conj(e_m) e_n = sqrt((m+1)(n+1)) (P^T W)[m+n, (m-n) mod n_theta]
+    G_mn = sum w conj(e_m) e_n = sqrt((m+1)(n+1)) (P^T W)[m+n, m-n]   (m >= n)
+    G_nm = conj(G_mn)
     b_n  = sum w h conj(e_n)   = sqrt(n+1) sum_i r_i^n fft_theta(w h)_i(n)
     sum_n c_n e_n              = ifft_theta of c_n sqrt(n+1) r_i^n per ring
 
+The weights are real, so W(-k) = conj W(k) and the Gram form needs only
+the half spectrum W(0..N) of a real fft; a degree within the grid's
+exactness has |m - n| <= N < n_theta / 2, so no mode wraps around.
 These only reorder the same sums, so they agree with the dense samples
 of basis_matrix to rounding at any degree, without building them.
 project, gram_quadrature and AnalyticCoeffs.on_grid use this layer, and
@@ -93,18 +98,27 @@ def basis_matrix(grid: DiscGrid, degree: int) -> np.ndarray:
 
 
 def _radial_powers(grid: DiscGrid, top: int) -> np.ndarray:
-    """P[i, p] = r_i^p for p = 0..top."""
+    """P[i, p] = r_i^p for p = 0..top: a view of the grid's table within its exactness."""
+    if top <= grid.exactness_degree:
+        return grid.radial_powers[:, : top + 1]
     return grid.radial_nodes[:, None] ** np.arange(top + 1)[None, :]
 
 
 def _ring_gram(grid: DiscGrid, w: np.ndarray, degree: int) -> np.ndarray:
-    """G_mn = sum w conj(e_m) e_n = sqrt((m+1)(n+1)) (P^T fft_theta(w))[m+n, (m-n) mod n_theta]."""
+    """G_mn = sum w conj(e_m) e_n from the half spectrum of the real weights w.
+
+    For m >= n, G_mn = sqrt((m+1)(n+1)) (P^T rfft_theta(w))[m+n, m-n] and
+    G_nm = conj(G_mn), so the form is exactly Hermitian.  The degree must
+    lie within the grid's exactness (2N < n_theta: no mode wraps around).
+    """
     n = np.arange(degree + 1)
-    table = _radial_powers(grid, 2 * degree).T @ np.fft.fft(w, axis=-1)
+    table = _radial_powers(grid, 2 * degree).T @ np.fft.rfft(w, axis=-1)[:, : degree + 1]
     scale = np.sqrt(n + 1.0)
-    g = table[n[:, None] + n[None, :], (n[:, None] - n[None, :]) % grid.angular_count]
-    g *= scale[:, None] * scale[None, :]
-    return (g + g.conj().T) / 2.0
+    diff = n[:, None] - n[None, :]
+    g = table[n[:, None] + n[None, :], np.abs(diff)] * (scale[:, None] * scale[None, :])
+    g = np.where(diff >= 0, g, g.conj())
+    np.fill_diagonal(g, g.diagonal().real)
+    return g
 
 
 def _ring_moments(grid: DiscGrid, wh: np.ndarray, degree: int) -> np.ndarray:

@@ -126,8 +126,7 @@ def _fbep_solution(problem: FbepProblem, basis: VekuaBasis, core: ConstrainedLSQ
     The forms do not depend on M, so one core serves every budget.
     """
     result = core.solve(problem.m, 2.0)
-    coeffs = result.coeffs
-    values = core.synthesize(coeffs)  # one synthesis for w_* and both errors
+    coeffs, values = result.coeffs, result.values  # the search's synthesis of coeffs
     w_star = GridFunction(problem.grid, values.reshape(problem.grid.shape))
     solution = FbepSolution(
         coeffs=coeffs,
@@ -164,7 +163,8 @@ def fbep_conjecture_check(problem: FbepProblem, solution: FbepSolution) -> float
     the projection is the whitened norm of the first-order residual.
     """
     core = _core_for(problem, solution)
-    rho = core.whiten.T @ core.kkt(solution.coeffs, solution.mu)
+    mu = solution.mu if solution.saturated else 0.0  # the multiplier the coefficients solve
+    rho = core.whiten.T @ core.kkt(solution.coeffs, mu)
     return float(np.linalg.norm(rho)) / max(solution.w_star.norm(), 1e-300)
 
 

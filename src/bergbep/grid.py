@@ -22,7 +22,8 @@ since the edges themselves carry rounding of that size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import weakref
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -87,6 +88,15 @@ class DiscGrid:
         return np.repeat(
             self.radial_weights[:, None] / self.angular_count, self.angular_count, axis=1
         )
+
+    @cached_property
+    def radial_powers(self) -> np.ndarray:
+        """P[i, p] = r_i^p for p = 0..exactness_degree, built on first use.
+
+        Every basis form and synthesis within the grid's exactness reads
+        its powers from this one table.
+        """
+        return self.radial_nodes[:, None] ** np.arange(self.exactness_degree + 1)[None, :]
 
 
 def build_grid(n_r: int, n_theta: int) -> DiscGrid:
@@ -207,6 +217,9 @@ class Region:
     or "full".  The complement flag swaps the region with its
     complement in the disc; indicators and quadrature weights of a
     region and its complement always add up to the full-grid ones.
+
+    A region resolves on each grid once: fraction and weights are each
+    kept on first use, read-only, per grid, and the grid is held weakly.
     """
 
     kind: str
@@ -214,6 +227,10 @@ class Region:
     theta: float | None = None
     mask_values: np.ndarray | None = None
     complement_flag: bool = False
+    # grid -> {"fraction" or "weights": values}, filled on first use
+    _resolved: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False
+    )
 
     @classmethod
     def radial_disc(cls, a: float) -> "Region":
@@ -235,7 +252,9 @@ class Region:
 
     @classmethod
     def mask(cls, mask_values: np.ndarray) -> "Region":
-        return cls(kind="mask", mask_values=np.asarray(mask_values, dtype=bool))
+        values = np.array(mask_values, dtype=bool)  # a copy: the region is resolved once
+        values.setflags(write=False)
+        return cls(kind="mask", mask_values=values)
 
     @classmethod
     def full_disc(cls) -> "Region":
@@ -291,6 +310,14 @@ class Region:
             return self._base_indicator(grid).astype(float)
         raise ValueError(f"unknown region kind {self.kind!r}")
 
+    def _resolve(self, grid: DiscGrid, name: str, compute) -> np.ndarray:
+        """compute(grid), kept read-only under name for this grid."""
+        resolved = self._resolved.setdefault(grid, {})
+        if name not in resolved:
+            resolved[name] = compute(grid)
+            resolved[name].setflags(write=False)
+        return resolved[name]
+
     def fraction(self, grid: DiscGrid) -> np.ndarray:
         """Overlap fraction of each node's quadrature cell with the region.
 
@@ -298,6 +325,9 @@ class Region:
         the single radial ring or the at most two angular arcs straddling
         the boundary take values strictly between.
         """
+        return self._resolve(grid, "fraction", self._fraction)
+
+    def _fraction(self, grid: DiscGrid) -> np.ndarray:
         fr = self._base_fraction(grid)
         return 1.0 - fr if self.complement_flag else fr
 
@@ -310,6 +340,9 @@ class Region:
         region.  A complement takes grid.weights minus the region's
         weights, so the two always add up to the full-grid weights.
         """
+        return self._resolve(grid, "weights", self._weights)
+
+    def _weights(self, grid: DiscGrid) -> np.ndarray:
         w = grid.weights * self._base_fraction(grid)
         return grid.weights - w if self.complement_flag else w
 

@@ -1,7 +1,9 @@
+import gc
 import logging
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from bergbep import (
     solve_bep,
     solve_bep_oracle,
 )
-from bergbep.bep import ConstrainedLSQ, _bep_solution
+from bergbep.bep import ConstrainedLSQ
 from bergbep.bergman import _forms, basis_matrix
 from conftest import low_degree_infeasible_problem, saturated_problem
 
@@ -161,6 +163,32 @@ class TestSolveBep:
         h = GridFunction.constant(grid, 1.0)
         with pytest.raises(ValueError, match="constraint level M must be positive and finite"):
             BepProblem(k_region=k, j_region=k.complement(), h_k=h, h_j=h, m=m, degree=8)
+
+    def test_degree_beyond_exactness_rejected(self):
+        # 8x16 integrates z^m conj(z)^n exactly up to m + n = 15, so N <= 7
+        grid = build_grid(8, 16)
+        k = Region.radial_disc(0.5)
+        h = GridFunction.constant(grid, 1.0)
+        BepProblem(k_region=k, j_region=k.complement(), h_k=h, h_j=h, m=1.0, degree=7)
+        with pytest.raises(ValueError, match="too large for grid exactness 15"):
+            BepProblem(k_region=k, j_region=k.complement(), h_k=h, h_j=h, m=1.0, degree=12)
+        with pytest.raises(ValueError, match="too large for grid exactness 15"):
+            feasibility_distance(h, k.complement(), 8)
+
+    def test_solved_problem_releases_grid_and_regions(self):
+        # the per-grid and per-region caches hold the grid weakly
+        def solved():
+            grid = build_grid(12, 48)
+            k = Region.mask(np.abs(grid.nodes - 0.2) < 0.5)
+            h_k = AnalyticCoeffs(np.array([1.0, 0.5j, 0.2])).on_grid(grid)
+            h_j = GridFunction.from_function(grid, lambda z: 0.3 * np.conj(z))
+            p = saturated_problem(grid, k, h_k, h_j, 8)
+            assert solve_bep(p).saturated
+            return [weakref.ref(obj) for obj in (grid, p.k_region, p.j_region)]
+
+        refs = solved()
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
 
     def test_saturation(self, grid_24_96):
         p = constant_fixture(grid_24_96)
@@ -570,14 +598,22 @@ class TestNewtonSearch:
         shared[-1].coeffs[:] = 0.0  # a returned fit does not alias the core's
         assert np.array_equal(core.solve(1e6, 2.0).coeffs, fresh[-1].coeffs)
 
-    def test_solution_errors_share_one_synthesis(self, saturated_family):
+    def test_solution_errors_share_one_synthesis(self, saturated_family, monkeypatch):
+        # saturated: the J-fit, the mu = 0 fit and the end point; inactive: the
+        # first two.  The solution's errors reuse the search's grid values.
+        import bergbep.bep as bep
+
         p = saturated_family[0]
-        core = ConstrainedLSQ.from_problem(p)
-        result = core.solve(p.m, 2.0)
-        c = result.coeffs
-        expected = (core.err(c, "k"), core.err(c, "j"))
-        synthesize, calls = core.synthesize, []
-        core.synthesize = lambda c: calls.append(1) or synthesize(c)
-        sol = _bep_solution(result, core.synthesize, core.err, core.kkt)
-        assert len(calls) == 1
-        assert (sol.err_k, sol.err_j) == expected
+        inactive = BepProblem(p.k_region, p.j_region, p.h_k, p.h_j, 1e6, p.degree)
+        synthesis, calls = bep._ring_synthesis, []
+        monkeypatch.setattr(
+            bep, "_ring_synthesis", lambda grid, c: calls.append(1) or synthesis(grid, c)
+        )
+        for problem, count in ((p, 3), (inactive, 2)):
+            calls.clear()
+            sol = solve_bep(problem, degree_diagnostic=False)
+            assert len(calls) == count
+            assert sol.saturated == (problem is p)
+            core = ConstrainedLSQ.from_problem(problem)
+            c = sol.g0.coeffs
+            assert (sol.err_k, sol.err_j) == (core.err(c, "k"), core.err(c, "j"))

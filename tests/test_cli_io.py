@@ -205,6 +205,16 @@ class TestCli:
         sol = json.loads(out.read_text())
         assert sol["saturated"] is True and sol["degree_gap"] is None
 
+    @pytest.mark.parametrize("command", ["solve-bep", "solve-fbep"])
+    def test_exit_degree_beyond_exactness(self, tmp_path, command):
+        # 8x16 integrates exactly up to total degree 15, so N <= 7
+        doc = load_json(BEP_FIXTURE if command == "solve-bep" else FBEP_FIXTURE)
+        doc.update(grid={"n_r": 8, "n_theta": 16}, degree=12)
+        prob, out = tmp_path / "p.json", tmp_path / "s.json"
+        prob.write_text(dumps_canonical(doc))
+        assert main([command, "--problem", str(prob), "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_exit_schema_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,6 +1,8 @@
 import copy
+import gc
 import logging
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from bergbep import (
     teodorescu,
     transformed_constraint_data,
 )
-from bergbep.bep import ConstrainedLSQ
+from bergbep.bep import _LAMBDA_FLOOR, ConstrainedLSQ
 from bergbep.vekua import _lift_batch, _normal_top_eigenvalue, alpha_from_f
 
 
@@ -195,6 +197,46 @@ class TestSolveFbep:
         assert not sf.saturated and not sb.saturated
         assert sf.lam == sb.lam > -1.0
         assert sf.mu > 0.0
+
+    def test_inactive_certificates_at_one_multiplier(self, grid_24_96):
+        # an inactive solve's coefficients solve mu = 0, so both optimality
+        # certificates are taken there, while lambda stays just above -1
+        k = Region.radial_disc(0.5)
+        h = AnalyticCoeffs(np.array([1.0, 0.5j])).on_grid(grid_24_96)
+        data = dict(k_region=k, j_region=k.complement(), h_k=h, h_j=h, m=1.0, degree=8)
+        pf = FbepProblem(f=Conductivity.constant(grid_24_96), **data)
+        pb = BepProblem(**data)
+        sf, sb = solve_fbep(pf), solve_bep(pb)
+        assert not sf.saturated and not sb.saturated
+        assert sf.lam == sb.lam == _LAMBDA_FLOOR
+        core_f, core_b = ConstrainedLSQ.from_problem(pf, sf.basis), ConstrainedLSQ.from_problem(pb)
+        grad_f, grad_b = core_f.kkt(sf.coeffs, 0.0), core_b.kkt(sb.g0.coeffs, 0.0)
+        assert sf.kkt_residual == float(np.linalg.norm(grad_f))
+        assert sb.kkt_residual == float(np.linalg.norm(grad_b))
+        expected = float(np.linalg.norm(core_f.whiten.T @ grad_f)) / sf.w_star.norm()
+        assert fbep_conjecture_check(pf, sf) == expected
+
+    def test_degree_beyond_exactness_rejected(self):
+        # 8x16 integrates z^m conj(z)^n exactly up to m + n = 15, so N <= 7
+        grid = build_grid(8, 16)
+        f = Conductivity.constant(grid)
+        with pytest.raises(ValueError, match="too large for grid exactness 15"):
+            make_problem(grid, f, degree=12)
+        assert make_problem(grid, f, degree=7).degree == 7
+
+    def test_solved_problem_releases_grid_and_regions(self):
+        # the per-grid and per-region caches hold the grid weakly
+        def solved():
+            grid = build_grid(12, 48)
+            p = make_problem(grid, Conductivity.exp_x(grid, 0.1), degree=6)
+            sol = solve_fbep(p)
+            fbep_conjecture_check(p, sol)
+            transformed_constraint_data(p)
+            return [weakref.ref(obj) for obj in (grid, p.k_region, p.j_region)]
+
+        refs = solved()
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
 
     def test_saturation_and_kkt(self, basis_exp01_n8):
         f, basis = basis_exp01_n8

@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -108,6 +112,76 @@ class TestRegion:
     def test_rejects_bad_sector(self):
         with pytest.raises(ValueError):
             Region.sector(3.5)
+
+
+def _resolution_regions(grid):
+    return (
+        Region.radial_disc(0.5),
+        Region.annulus(0.4).complement(),
+        Region.sector(1.1),
+        Region.sector(0.7).complement(),
+        Region.mask(np.abs(grid.nodes - (0.2 + 0.1j)) < 0.45),
+        Region.mask(grid.nodes.real > 0.1).complement(),
+        Region.full_disc(),
+    )
+
+
+class TestRegionResolution:
+    """A region resolves once per grid: fraction and weights are kept, read-only."""
+
+    def test_memoized_equals_fresh(self, grid_16_64):
+        for region in _resolution_regions(grid_16_64):
+            fresh = dataclasses.replace(region)  # same region, nothing resolved yet
+            w, fr = region.weights(grid_16_64), region.fraction(grid_16_64)
+            assert region.weights(grid_16_64) is w and region.fraction(grid_16_64) is fr
+            assert np.array_equal(w, fresh.weights(grid_16_64))
+            assert np.array_equal(fr, fresh.fraction(grid_16_64))
+            base = region.complement() if region.complement_flag else region
+            expected = grid_16_64.weights * base._base_fraction(grid_16_64)
+            if region.complement_flag:
+                expected = grid_16_64.weights - expected
+            assert np.array_equal(w, expected)
+
+    def test_read_only(self, grid_16_64):
+        for region in _resolution_regions(grid_16_64):
+            for values in (region.weights(grid_16_64), region.fraction(grid_16_64)):
+                with pytest.raises(ValueError):
+                    values[0, 0] = 0.5
+
+    def test_mask_is_copied(self, grid_16_64):
+        mask = grid_16_64.nodes.real > 0.0
+        region = Region.mask(mask)
+        area = region.area(grid_16_64)
+        mask[:] = True  # the caller's array is not the region's
+        assert region.area(grid_16_64) == area
+        assert Region.mask(mask).area(grid_16_64) != area
+
+    def test_separate_per_grid(self, grid_16_64):
+        # two grids of one shape; the second carries half the radial weights
+        half = dataclasses.replace(
+            grid_16_64, radial_weights=grid_16_64.radial_weights * 0.5
+        )
+        regions = (
+            Region.sector(1.1),
+            Region.sector(0.7).complement(),
+            Region.mask(grid_16_64.nodes.real > 0.1),
+            Region.mask(grid_16_64.nodes.real > 0.1).complement(),
+        )
+        for region in regions:
+            w, w_half = region.weights(grid_16_64), region.weights(half)
+            assert w_half is not w
+            assert np.array_equal(w_half, 0.5 * w)
+            assert np.array_equal(region.fraction(half), region.fraction(grid_16_64))
+            assert region.weights(grid_16_64) is w
+
+    def test_holds_grid_weakly(self):
+        region = Region.sector(1.0)
+        grid = build_grid(8, 32)
+        region.weights(grid)
+        ref = weakref.ref(grid)
+        del grid
+        gc.collect()
+        assert ref() is None
 
 
 class TestInnerProduct:
