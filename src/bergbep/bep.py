@@ -9,11 +9,15 @@ h_J and a budget M, the solver finds the degree-N analytic g0 minimizing
 for the unique lambda in (-1, inf) saturating the constraint when the
 data is not attainable.  In mu = 1 + lambda this is a norm-constrained
 least squares; one core, ConstrainedLSQ, solves it here and for the real
-f-BEP.  It takes the Gram forms and moments of both sides and a synthesis
-c -> grid values: for the BEP the ring-FFT forms and inverse ring FFT of
-the polar layer in bergman, for the f-BEP those its lifted basis
-supplies (vekua.VekuaBasis).  It whitens by the full-disc form and
-diagonalizes the J-form, so c(mu) is a diagonal solve with a
+f-BEP.  It takes the J-form, the moments of both sides and a synthesis
+c -> grid values, and it whitens by the full-disc form.  The BEP's basis
+is orthonormal on the disc, so, as in the operator equation, only the
+compression T_J is assembled (the ring-FFT J-form of the polar layer in
+bergman) and the core whitens by the diagonal grid norms g_n = 1 +
+O(rounding) of the basis; its K-form is diag(g) - A_J.  The f-BEP's
+lifts are not orthonormal: its basis (vekua.VekuaBasis) supplies both
+forms, and the core diagonalizes their sum.  Either way the core then
+diagonalizes the whitened J-form, so c(mu) is a diagonal solve with a
 rounding-level Karush-Kuhn-Tucker residual.  err_J(mu) and its slope
 are then explicit rational functions of mu evaluated from the whitened
 forms at O(N) (the secular function of a quadratically constrained
@@ -37,6 +41,7 @@ import copy
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +52,7 @@ from .bergman import (
     _forms,
     _ring_gram,
     _ring_moments,
+    _ring_norms,
     _ring_synthesis,
     basis_matrix,
 )
@@ -126,8 +132,8 @@ class LsqSolution(NamedTuple):
     """Coefficients, multiplier mu and search record of ConstrainedLSQ.solve.
 
     values is the synthesis of coeffs on the grid, the one that checked
-    them against the budget.  The core's are read-only: the mu = 0 fit's
-    serve every budget.
+    them against the budget, and err_j their err_J on it.  The core's
+    values are read-only: the mu = 0 fit's serve every budget.
     """
 
     coeffs: np.ndarray
@@ -136,6 +142,7 @@ class LsqSolution(NamedTuple):
     iterations: int
     saturated: bool
     values: np.ndarray
+    err_j: float
 
 
 class ConstrainedLSQ:
@@ -143,19 +150,23 @@ class ConstrainedLSQ:
 
     err_S(c)^2 = sum_S w_S |synthesize(c) - h_S|^2 on the grid nodes.  The
     core takes the Gram forms A_S and moments r_S of both sides and the
-    synthesis c -> grid values: the BEP passes ring-FFT forms and the
-    inverse ring FFT (_polar_core).  The f-BEP takes the real forms
+    synthesis c -> grid values.  The BEP passes the ring-FFT J-form and
+    the inverse ring FFT (_polar_core); in place of A_K it passes None and
+    the norms g of its basis, the diagonal of the full-disc form, so that
+    A_K = diag(g) - A_J.  The f-BEP takes the real forms
     Re <w_m, w_n>, Re <h, w_m> of its lifts and their synthesis from the
     VekuaBasis itself (_lsq_forms, _synthesis), whatever its
     representation.  A basis on another grid than the problem's raises
     GridMismatchError.
-    The full-disc form A_K + A_J is diagonalized once; directions below
-    _DROP_RCOND of its top eigenvalue are dropped, and the rest are
-    whitened so that the J-form is diag(tau) and the K-form diag(1 - tau).
+    The full-disc form is diag(g), or A_K + A_J diagonalized once by eigh;
+    directions below _DROP_RCOND of its top eigenvalue are dropped, and the
+    rest are whitened so that the J-form is diag(tau) and the K-form
+    diag(1 - tau).
     """
 
-    def __init__(self, a_k, r_k, a_j, r_j, synthesize, w_k, w_j, h_k, h_j):
+    def __init__(self, a_k, r_k, a_j, r_j, synthesize, w_k, w_j, h_k, h_j, norms=None):
         self.a_k, self.r_k, self.a_j, self.r_j = a_k, r_k, a_j, r_j
+        self.norms = norms
         self.synthesize = synthesize
         self.w_k, self.w_j, self.h_k, self.h_j = w_k, w_j, h_k, h_j
         self._diagonalize()
@@ -176,31 +187,52 @@ class ConstrainedLSQ:
         )
 
     def _diagonalize(self) -> None:
-        vals, vecs = np.linalg.eigh(self.a_k + self.a_j)
-        self.min_eig = float(vals[0])  # of the full-disc form
+        if self.norms is None:
+            vals, vecs = np.linalg.eigh(self.a_k + self.a_j)
+        else:
+            vals, vecs = self.norms, None
+        self.min_eig = float(vals.min())  # of the full-disc form
         keep = vals > _DROP_RCOND * vals.max()
         self.dropped = int(np.count_nonzero(~keep))
         if self.dropped:
             logger.info("dropping %d near-dependent basis directions", self.dropped)
-        whiten = vecs[:, keep] / np.sqrt(vals[keep])[None, :]
-        b = whiten.conj().T @ self.a_j @ whiten
+        if vecs is None:  # whiten by g^(-1/2) on the kept degrees
+            kept = np.flatnonzero(keep)
+            scale = 1.0 / np.sqrt(vals[kept])
+            b = self.a_j[np.ix_(kept, kept)] * np.outer(scale, scale)
+        else:
+            whiten = vecs[:, keep] / np.sqrt(vals[keep])[None, :]
+            b = whiten.conj().T @ self.a_j @ whiten
         taus, q = np.linalg.eigh((b + b.conj().T) / 2.0)
         self.taus = np.clip(taus, 0.0, 1.0)  # compression of a [0,1]-spectrum form
-        # whitens A_K + A_J to the identity and A_J to diag(tau)
-        self.whiten = whiten @ q
+        # whitens the full-disc form to the identity and A_J to diag(tau)
+        if vecs is None:
+            self.whiten = np.zeros((vals.size, kept.size), dtype=q.dtype)
+            self.whiten[kept] = scale[:, None] * q
+        else:
+            self.whiten = whiten @ q
         self.bt_k = self.whiten.conj().T @ self.r_k
         self.bt_j = self.whiten.conj().T @ self.r_j
         self._free = None  # the M-independent part of solve, filled on first use
 
     def leading(self, n: int) -> "ConstrainedLSQ":
-        """The same problem over the first n basis elements."""
+        """The same problem over the first n basis elements; ||h_J||_J^2 is shared."""
         sub = copy.copy(self)
         pad = np.zeros(self.r_k.size - n)
         sub.synthesize = lambda c: self.synthesize(np.concatenate((c, pad)))
-        sub.a_k, sub.a_j = self.a_k[:n, :n], self.a_j[:n, :n]
+        if self.norms is None:
+            sub.a_k = self.a_k[:n, :n]
+        else:
+            sub.norms = self.norms[:n]
+        sub.a_j = self.a_j[:n, :n]
         sub.r_k, sub.r_j = self.r_k[:n], self.r_j[:n]
         sub._diagonalize()
         return sub
+
+    @cached_property
+    def _h_j_sq(self) -> float:
+        """||h_J||_J^2, computed once and shared with the leading cores."""
+        return float(np.sum(self.w_j * np.abs(self.h_j) ** 2))
 
     def _secular(self, mu: float) -> tuple[np.ndarray, np.ndarray]:
         """Whitened solution y(mu) and its derivative y'(mu), with d = (1 - tau) + mu tau:
@@ -223,8 +255,7 @@ class ConstrainedLSQ:
     def _form_err(self, mu: float) -> tuple[float, float]:
         """err_J(mu) from the whitened forms and d(err_J^2)/dmu = -2 sum d |y'|^2, at O(N)."""
         y, dy = self._secular(mu)
-        h_j_sq = self._m_free()[4]
-        e2 = h_j_sq - 2.0 * np.vdot(y, self.bt_j).real + np.sum(self.taus * np.abs(y) ** 2)
+        e2 = self._h_j_sq - 2.0 * np.vdot(y, self.bt_j).real + np.sum(self.taus * np.abs(y) ** 2)
         slope = -2.0 * np.sum(((1.0 - self.taus) + mu * self.taus) * np.abs(dy) ** 2)
         return float(np.sqrt(max(e2, 0.0))), float(slope)
 
@@ -236,7 +267,9 @@ class ConstrainedLSQ:
 
     def kkt(self, c: np.ndarray, mu: float) -> np.ndarray:
         """Gradient of (err_K^2 + mu err_J^2) / 2 in the coefficients."""
-        return (self.a_k @ c - self.r_k) + mu * (self.a_j @ c - self.r_j)
+        a_j_c = self.a_j @ c
+        a_k_c = self.a_k @ c if self.norms is None else self.norms * c - a_j_c
+        return (a_k_c - self.r_k) + mu * (a_j_c - self.r_j)
 
     def _j_fit(self) -> tuple[np.ndarray, np.ndarray]:
         """Whitened best fit of h_J on J (the mu -> inf limit) and the directions it uses."""
@@ -247,15 +280,13 @@ class ConstrainedLSQ:
         """Distance of h_J to the span on J, evaluated on the grid."""
         return self.err(self.whiten @ self._j_fit()[1], "j")
 
-    def _m_free(self) -> tuple[float, np.ndarray, np.ndarray, float, float]:
-        """What solve needs at every budget: the feasibility distance, the
-        mu = 0 fit with its grid values and err_J, and ||h_J||_J^2; computed
-        once per core."""
+    def _m_free(self) -> tuple[float, np.ndarray, np.ndarray, float]:
+        """What solve needs at every budget: the feasibility distance and the
+        mu = 0 fit with its grid values and err_J; computed once per core."""
         if self._free is None:
             c0 = self.coeffs(0.0)
             values = self._checked_values(c0)
-            h_j_sq = float(np.sum(self.w_j * np.abs(self.h_j) ** 2))
-            self._free = (self.feasibility(), c0, values, self.err(c0, "j", values), h_j_sq)
+            self._free = (self.feasibility(), c0, values, self.err(c0, "j", values))
         return self._free
 
     def _checked_values(self, c: np.ndarray) -> np.ndarray:
@@ -274,15 +305,16 @@ class ConstrainedLSQ:
             err_J(y)^2 = ||h_J||_J^2 - 2 Re y^H bt_J + sum tau |y|^2,
 
         and the returned err_J is evaluated on the grid by synthesis; the
-        solution carries those grid values.  If that misses M by more than
-        the stop tolerance (the form value cancels when err_J << ||h_J||_J),
-        a bisection continues on grid evaluations from the search's bracket.
+        solution carries those grid values and that err_J.  If it misses M
+        by more than the stop tolerance (the form value cancels when
+        err_J << ||h_J||_J), a bisection continues on grid evaluations from
+        the search's bracket.
         """
-        feas, c0, values, e_lo, _ = self._m_free()
+        feas, c0, values, e_lo = self._m_free()
         if feas > m + 1e-9:
             raise InfeasibleProblemError(f"M = {m:.6g} below feasibility distance {feas:.6g}")
         if e_lo <= m:
-            return LsqSolution(c0.copy(), 0.0, feas, 0, False, values)
+            return LsqSolution(c0.copy(), 0.0, feas, 0, False, values, e_lo)
 
         evals = [(0.0, e_lo)]
         mu, _, lo, hi, iterations = _newton(self._form_err, m, float(mu_hi), evals, feas)
@@ -301,21 +333,23 @@ class ConstrainedLSQ:
             hi = hi if hi < np.inf else 2.0 * mu  # _bisect doubles hi while err(hi) > M
             mu, e_mu, _, _, more = _bisect(grid_err, m, lo, hi, evals, feas)
             iterations += more
-            c = self.coeffs(mu)
+            c = self.coeffs(mu)  # e_mu is err_J of these coefficients
             values = self._checked_values(c)
         _check_saturated(evals, m, mu, e_mu)
-        return LsqSolution(c, mu, feas, iterations, True, values)
+        return LsqSolution(c, mu, feas, iterations, True, values, e_mu)
 
 
 def _polar_core(grid, degree, w_k, w_j, h_k, h_j) -> ConstrainedLSQ:
-    """The BEP core over e_0..e_N: ring-FFT forms and inverse ring-FFT synthesis."""
+    """The BEP core over e_0..e_N: the ring-FFT J-form, the grid norms of the
+    basis (its diagonal full-disc form) and inverse ring-FFT synthesis."""
     return ConstrainedLSQ(
-        _ring_gram(grid, w_k, degree),
+        None,
         _ring_moments(grid, w_k * h_k, degree),
         _ring_gram(grid, w_j, degree),
         _ring_moments(grid, w_j * h_j, degree),
         lambda c: _ring_synthesis(grid, c),
         w_k, w_j, h_k, h_j,
+        norms=_ring_norms(grid, degree),
     )
 
 
@@ -459,14 +493,15 @@ def _reported_lambda(result: LsqSolution) -> float:
 
 def _bep_solution(result: LsqSolution, err, kkt) -> BepSolution:
     """The BEP solution of a multiplier search, with err(c, side, values) and
-    kkt(c, mu) of its forms.  Both errors take the search's grid values of
-    the coefficients, and the KKT residual the multiplier they solve."""
+    kkt(c, mu) of its forms.  err_K takes the search's grid values of the
+    coefficients, err_J is the search's own, and the KKT residual takes the
+    multiplier they solve."""
     c = result.coeffs
     return BepSolution(
         g0=AnalyticCoeffs(c),
         lam=_reported_lambda(result),
         err_k=err(c, "k", result.values),
-        err_j=err(c, "j", result.values),
+        err_j=result.err_j,
         kkt_residual=float(np.linalg.norm(kkt(c, result.mu))),
         iterations=result.iterations,
         feasibility=result.feasibility,
@@ -541,11 +576,11 @@ def solve_bep_oracle(problem: BepProblem) -> BepSolution:
     values = e @ c
     e_lo = err(c, "j", values)
     if e_lo <= problem.m:
-        return _bep_solution(LsqSolution(c, mu_lo, feas, 0, False, values), err, kkt)
+        return _bep_solution(LsqSolution(c, mu_lo, feas, 0, False, values, e_lo), err, kkt)
     evals = [(mu_lo, e_lo)]
     mu, e_mu, _, _, iterations = _bisect(
         lambda mu: err(operator_solve(mu), "j"), problem.m, mu_lo, 2.0, evals, feas
     )
     _check_saturated(evals, problem.m, mu, e_mu)
-    c = operator_solve(mu)
-    return _bep_solution(LsqSolution(c, mu, feas, iterations, True, e @ c), err, kkt)
+    c = operator_solve(mu)  # e_mu is err_J of these coefficients
+    return _bep_solution(LsqSolution(c, mu, feas, iterations, True, e @ c, e_mu), err, kkt)

@@ -24,6 +24,10 @@ the half spectrum W(0..N) of a real fft; a degree within the grid's
 exactness has |m - n| <= N < n_theta / 2, so no mode wraps around.
 These only reorder the same sums, so they agree with the dense samples
 of basis_matrix to rounding at any degree, without building them.
+The full-disc weights are constant along theta, so their Gram form is
+diagonal, with the grid norms g_n = (n+1) sum_i omega_i r_i^{2n} of the
+radial weights omega_i (_ring_norms); within the exactness g_n = 1 to
+rounding, the orthonormality of the basis.
 project, gram_quadrature and AnalyticCoeffs.on_grid use this layer, and
 so do the BEP core and the Vekua residuals; basis_matrix stays for
 independent checks.  _forms is the plain quadrature of the same forms
@@ -119,6 +123,16 @@ def _ring_gram(grid: DiscGrid, w: np.ndarray, degree: int) -> np.ndarray:
     g = np.where(diff >= 0, g, g.conj())
     np.fill_diagonal(g, g.diagonal().real)
     return g
+
+
+def _ring_norms(grid: DiscGrid, degree: int) -> np.ndarray:
+    """g_n = (n+1) sum_i omega_i r_i^{2n}, the diagonal of _ring_gram(grid, grid.weights, N).
+
+    The full-disc weights are constant along theta, so that form has no
+    off-diagonal entries; g_n is 1 to rounding within the exactness.
+    """
+    n = np.arange(degree + 1)
+    return (n + 1.0) * (grid.radial_weights @ _radial_powers(grid, 2 * degree)[:, ::2])
 
 
 def _ring_moments(grid: DiscGrid, wh: np.ndarray, degree: int) -> np.ndarray:

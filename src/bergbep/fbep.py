@@ -5,7 +5,9 @@ truncation is spanned by the lifts of e_0..e_N and i e_0..i e_N.  The
 f-BEP minimizes the K-misfit over real combinations of the lifted
 elements subject to the J-misfit budget.  It is the same norm-constrained
 least squares as the Bergman BEP with real coefficients, and is solved
-by the same core, bep.ConstrainedLSQ: whiten by the full-disc Gram,
+by the same core, bep.ConstrainedLSQ.  The lifts are not orthonormal,
+so where the BEP whitens by the diagonal grid norms of its basis, the
+f-BEP diagonalizes the full Gram of its lifts to whiten; both then
 diagonalize the J-form and locate the Karush-Kuhn-Tucker multiplier
 mu >= 0 by a safeguarded Newton search on the secular equation, whose
 denominators are (1 - tau) + mu tau.  The multiplier maps to the
@@ -134,7 +136,7 @@ def _fbep_solution(problem: FbepProblem, basis: VekuaBasis, core: ConstrainedLSQ
         basis=basis,
         lam=_reported_lambda(result),
         err_k=core.err(coeffs, "k", values),
-        err_j=core.err(coeffs, "j", values),
+        err_j=result.err_j,
         kkt_residual=float(np.linalg.norm(core.kkt(coeffs, result.mu))),
         vekua_defect=vekua_residual(w_star, basis.alpha, problem.degree),
         feasibility=result.feasibility,

@@ -1,3 +1,4 @@
+import functools
 import gc
 import logging
 import os
@@ -440,6 +441,56 @@ class TestPolarCore:
         oracle = solve_bep_oracle(p)
         assert oracle.saturated
         assert np.max(np.abs(oracle.g0.coeffs - expected)) <= 1e-8
+
+
+    def test_one_gram_and_one_eigh_per_core(self, saturated_family, monkeypatch):
+        # two cores: the problem's, and the degree diagnostic's leading core,
+        # which slices the J-form and the grid norms of its parent
+        import bergbep.bep as bep
+
+        calls = []
+        ring_gram, eigh = bep._ring_gram, np.linalg.eigh
+        monkeypatch.setattr(bep, "_ring_gram", lambda *a: calls.append("gram") or ring_gram(*a))
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append("eigh") or eigh(*a))
+        sol = solve_bep(saturated_family[0])
+        assert sol.degree_gap is not None
+        assert sorted(calls) == ["eigh", "eigh", "gram"]
+
+    def test_grid_passes(self, saturated_family, monkeypatch):
+        # the problem's core: the J-fit, the mu = 0 fit, the end point and err_K;
+        # the leading core: the first three, with ||h_J||_J^2 from its parent
+        calls = []
+        err, h_j_sq = ConstrainedLSQ.err, ConstrainedLSQ._h_j_sq.func
+        counted = functools.cached_property(lambda self: calls.append("h") or h_j_sq(self))
+        counted.__set_name__(ConstrainedLSQ, "_h_j_sq")
+        monkeypatch.setattr(ConstrainedLSQ, "_h_j_sq", counted)
+        monkeypatch.setattr(
+            ConstrainedLSQ,
+            "err",
+            lambda self, c, side, *a: calls.append(side) or err(self, c, side, *a),
+        )
+        sol = solve_bep(saturated_family[0])
+        assert sol.saturated and sol.degree_gap is not None
+        assert sorted(calls) == ["h", "j", "j", "j", "j", "j", "j", "k"]
+
+    def test_matches_two_eigh_reference(self, saturated_family, sector_mask_64):
+        # the same core over dense forms of basis_matrix, whitened by eigh of A_K + A_J
+        for p in saturated_family + sector_mask_64:
+            grid = p.grid
+            e = basis_matrix(grid, p.degree)
+            w_k, w_j = p.k_region.weights(grid).ravel(), p.j_region.weights(grid).ravel()
+            f_k, f_j = p.h_k.values.ravel(), p.h_j.values.ravel()
+            dense = ConstrainedLSQ(
+                *_forms(e, w_k, f_k, np.asarray),
+                *_forms(e, w_j, f_j, np.asarray),
+                lambda c: e @ c,
+                w_k, w_j, f_k, f_j,
+            )
+            reference = dense.solve(p.m, 2.0)
+            sol = solve_bep(p, degree_diagnostic=False)
+            assert reference.saturated and sol.saturated
+            c = sol.g0.coeffs
+            assert np.max(np.abs(c - reference.coeffs)) <= 1e-11 * np.max(np.abs(reference.coeffs))
 
 
 class TestInactive:

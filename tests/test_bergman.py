@@ -235,6 +235,23 @@ class TestPolarLayer:
             assert np.max(np.abs(ring_r - r)) <= 1e-13 * np.max(np.abs(r))
             assert np.array_equal(ring_a, ring_a.conj().T)
 
+    @pytest.mark.parametrize("shape", [(24, 96, 16), (64, 128, 30), (128, 256, 60)])
+    def test_full_disc_form_is_diagonal(self, shape):
+        # the BEP core whitens by these grid norms and takes A_K = diag(g) - A_J
+        from bergbep.bergman import _ring_gram, _ring_norms
+
+        n_r, n_t, n = shape
+        grid = build_grid(n_r, n_t)
+        g = _ring_norms(grid, n)
+        full = _ring_gram(grid, grid.weights, n)
+        assert np.max(np.abs(full - np.diag(full.diagonal()))) <= 1e-15
+        assert np.max(np.abs(full.diagonal() - g)) <= 1e-14
+        assert np.max(np.abs(g - 1.0)) <= 1e-12
+        for k in _regions(grid)[:4]:
+            a_k = _ring_gram(grid, k.weights(grid), n)
+            a_j = _ring_gram(grid, k.complement().weights(grid), n)
+            assert np.max(np.abs(np.diag(g) - a_j - a_k)) <= 1e-12
+
     @pytest.mark.parametrize("shape", [(12, 24, 11), (24, 96, 16), (16, 45, 20), (64, 128, 30)])
     def test_synthesis_matches_eval(self, shape):
         n_r, n_t, n = shape
