@@ -9,14 +9,18 @@ h_J and a budget M, the solver finds the degree-N analytic g0 minimizing
 for the unique lambda in (-1, inf) saturating the constraint when the
 data is not attainable.  In mu = 1 + lambda this is a norm-constrained
 least squares; one core, ConstrainedLSQ, solves it here and for the real
-f-BEP.  It takes the J-form, the moments of both sides and a synthesis
-c -> grid values, and it whitens by the full-disc form.  The BEP's basis
-is orthonormal on the disc, so, as in the operator equation, only the
-compression T_J is assembled (the ring-FFT J-form of the polar layer in
-bergman) and the core whitens by the diagonal grid norms g_n = 1 +
-O(rounding) of the basis; its K-form is diag(g) - A_J.  The f-BEP's
-lifts are not orthonormal: its basis (vekua.VekuaBasis) supplies both
-forms, and the core diagonalizes their sum.  Either way the core then
+f-BEP, in one path.  It takes the eigendecomposition of the full-disc
+Gram form of its basis (FullForm), the K moments, the J-form with its
+moments and a synthesis c -> grid values; it whitens by the full-disc
+form and reads the K-form as A_full - A_J, so each core assembles one
+region form.  The full-disc form belongs to the basis and is
+diagonalized once per basis.  The BEP's basis is orthonormal on the
+disc, so, as in the operator equation, only the compression T_J is
+assembled (the ring-FFT J-form of the polar layer in bergman): its
+full-disc form is the diagonal of the grid norms g_n = 1 + O(rounding)
+with identity eigenvectors, and its whitening a scaling.  The f-BEP's
+lifts are not orthonormal: its basis (vekua.VekuaBasis) holds the
+eigendecomposition of its own full-disc form.  The core then
 diagonalizes the whitened J-form, so c(mu) is a diagonal solve with a
 rounding-level Karush-Kuhn-Tucker residual.  err_J(mu) and its slope
 are then explicit rational functions of mu evaluated from the whitened
@@ -145,30 +149,87 @@ class LsqSolution(NamedTuple):
     err_j: float
 
 
+class FullForm(NamedTuple):
+    """A basis's full-disc Gram form as its eigendecomposition vals, vecs.
+
+    vecs None stands for identity eigenvectors: the BEP's form is the
+    diagonal of the grid norms g of e_0..e_N, so its products stay
+    elementwise and its whitening a scaling of the kept degrees.  This is
+    the one reader of vecs.
+    """
+
+    vals: np.ndarray
+    vecs: np.ndarray | None = None
+
+    def _rotate(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """V x, or V^H x with adjoint."""
+        if self.vecs is None:
+            return x
+        return (self.vecs.conj().T if adjoint else self.vecs) @ x
+
+    def apply(self, c: np.ndarray) -> np.ndarray:
+        """A_full c."""
+        return self._rotate(self.vals * self._rotate(c, adjoint=True))
+
+    def whitened(self, keep: np.ndarray, a: np.ndarray):
+        """W^H a W and the map q -> W q, for W = V[:, keep] diag(vals[keep])^(-1/2).
+
+        W whitens the form to the identity on the kept directions; a is Hermitian.
+        """
+        kept = np.flatnonzero(keep)
+        scale = 1.0 / np.sqrt(self.vals[kept])
+        rotated = self._rotate(self._rotate(a, adjoint=True).conj().T, adjoint=True)
+        b = rotated[np.ix_(kept, kept)] * np.outer(scale, scale)
+
+        def lift(q: np.ndarray) -> np.ndarray:
+            embedded = np.zeros((self.vals.size, kept.size), dtype=q.dtype)
+            embedded[kept] = scale[:, None] * q
+            return self._rotate(embedded)
+
+        return b, lift
+
+    def leading(self, n: int) -> "FullForm":
+        """The form of the first n basis elements: its leading block, diagonalized again."""
+        if self.vecs is None:
+            return FullForm(self.vals[:n])
+        v = self.vecs[:n]
+        return FullForm(*np.linalg.eigh((v * self.vals) @ v.conj().T))
+
+
+def _support(w: np.ndarray, h: np.ndarray) -> tuple[slice, np.ndarray, np.ndarray]:
+    """The rings that carry weight on a side, as one slice of the flat nodes, and
+    views of the weights and data there.  Views, not gathered copies: a copy
+    per side costs more in fresh pages than the nodes it leaves out save."""
+    rows = np.atleast_2d(w)  # grid-shaped (n_r, n_theta); flat weights are one ring
+    rings = np.flatnonzero(np.any(rows, axis=-1))
+    n_t = rows.shape[-1]
+    on = slice(rings[0] * n_t, (rings[-1] + 1) * n_t) if rings.size else slice(0, 0)
+    return on, w.ravel()[on], h.ravel()[on]
+
+
 class ConstrainedLSQ:
     """min err_K(c) subject to err_J(c) <= M over combinations c of basis elements.
 
-    err_S(c)^2 = sum_S w_S |synthesize(c) - h_S|^2 on the grid nodes.  The
-    core takes the Gram forms A_S and moments r_S of both sides and the
-    synthesis c -> grid values.  The BEP passes the ring-FFT J-form and
-    the inverse ring FFT (_polar_core); in place of A_K it passes None and
-    the norms g of its basis, the diagonal of the full-disc form, so that
-    A_K = diag(g) - A_J.  The f-BEP takes the real forms
-    Re <w_m, w_n>, Re <h, w_m> of its lifts and their synthesis from the
-    VekuaBasis itself (_lsq_forms, _synthesis), whatever its
-    representation.  A basis on another grid than the problem's raises
-    GridMismatchError.
-    The full-disc form is diag(g), or A_K + A_J diagonalized once by eigh;
-    directions below _DROP_RCOND of its top eigenvalue are dropped, and the
-    rest are whitened so that the J-form is diag(tau) and the K-form
-    diag(1 - tau).
+    err_S(c)^2 = sum_S w_S |synthesize(c) - h_S|^2 on the grid nodes, summed
+    over the rings that carry weight on S (w_S, h_S grid-shaped).  The core
+    takes the eigendecomposition of the full-disc Gram form of its basis
+    (FullForm), the K moments r_K, the J-form A_J with its moments r_J, the
+    synthesis c -> grid values and the weights and data of both sides;
+    A_K = A_full - A_J.  The BEP passes its diagonal grid norms,
+    the ring-FFT J-form and the inverse ring FFT (_polar_core).  The f-BEP
+    passes the full form its VekuaBasis holds, diagonalized once per
+    basis, and the basis's real J-form, moments and synthesis
+    (_lsq_forms, _lsq_moments, _synthesis), whatever its representation.
+    A basis on another grid than the problem's raises GridMismatchError.
+    Directions below _DROP_RCOND of the top full-disc eigenvalue are
+    dropped, and the rest are whitened so that the J-form is diag(tau)
+    and the K-form diag(1 - tau).
     """
 
-    def __init__(self, a_k, r_k, a_j, r_j, synthesize, w_k, w_j, h_k, h_j, norms=None):
-        self.a_k, self.r_k, self.a_j, self.r_j = a_k, r_k, a_j, r_j
-        self.norms = norms
+    def __init__(self, full, r_k, a_j, r_j, synthesize, w_k, w_j, h_k, h_j):
+        self.full, self.r_k, self.a_j, self.r_j = full, r_k, a_j, r_j
         self.synthesize = synthesize
-        self.w_k, self.w_j, self.h_k, self.h_j = w_k, w_j, h_k, h_j
+        self._sides = {"k": _support(w_k, h_k), "j": _support(w_j, h_j)}
         self._diagonalize()
 
     @classmethod
@@ -182,35 +243,22 @@ class ConstrainedLSQ:
         if basis.grid is not grid:
             raise GridMismatchError("basis and problem live on different grids")
         return cls(
-            *basis._lsq_forms(w_k, h_k), *basis._lsq_forms(w_j, h_j), basis._synthesis,
-            w_k, w_j, h_k, h_j,
+            basis._full_form, basis._lsq_moments(w_k, h_k), *basis._lsq_forms(w_j, h_j),
+            basis._synthesis, w_k, w_j, h_k, h_j,
         )
 
     def _diagonalize(self) -> None:
-        if self.norms is None:
-            vals, vecs = np.linalg.eigh(self.a_k + self.a_j)
-        else:
-            vals, vecs = self.norms, None
+        vals = self.full.vals
         self.min_eig = float(vals.min())  # of the full-disc form
         keep = vals > _DROP_RCOND * vals.max()
         self.dropped = int(np.count_nonzero(~keep))
         if self.dropped:
             logger.info("dropping %d near-dependent basis directions", self.dropped)
-        if vecs is None:  # whiten by g^(-1/2) on the kept degrees
-            kept = np.flatnonzero(keep)
-            scale = 1.0 / np.sqrt(vals[kept])
-            b = self.a_j[np.ix_(kept, kept)] * np.outer(scale, scale)
-        else:
-            whiten = vecs[:, keep] / np.sqrt(vals[keep])[None, :]
-            b = whiten.conj().T @ self.a_j @ whiten
+        b, lift = self.full.whitened(keep, self.a_j)
         taus, q = np.linalg.eigh((b + b.conj().T) / 2.0)
         self.taus = np.clip(taus, 0.0, 1.0)  # compression of a [0,1]-spectrum form
         # whitens the full-disc form to the identity and A_J to diag(tau)
-        if vecs is None:
-            self.whiten = np.zeros((vals.size, kept.size), dtype=q.dtype)
-            self.whiten[kept] = scale[:, None] * q
-        else:
-            self.whiten = whiten @ q
+        self.whiten = lift(q)
         self.bt_k = self.whiten.conj().T @ self.r_k
         self.bt_j = self.whiten.conj().T @ self.r_j
         self._free = None  # the M-independent part of solve, filled on first use
@@ -220,10 +268,7 @@ class ConstrainedLSQ:
         sub = copy.copy(self)
         pad = np.zeros(self.r_k.size - n)
         sub.synthesize = lambda c: self.synthesize(np.concatenate((c, pad)))
-        if self.norms is None:
-            sub.a_k = self.a_k[:n, :n]
-        else:
-            sub.norms = self.norms[:n]
+        sub.full = self.full.leading(n)
         sub.a_j = self.a_j[:n, :n]
         sub.r_k, sub.r_j = self.r_k[:n], self.r_j[:n]
         sub._diagonalize()
@@ -232,7 +277,8 @@ class ConstrainedLSQ:
     @cached_property
     def _h_j_sq(self) -> float:
         """||h_J||_J^2, computed once and shared with the leading cores."""
-        return float(np.sum(self.w_j * np.abs(self.h_j) ** 2))
+        _, w, h = self._sides["j"]
+        return float(np.sum(w * (h.real**2 + h.imag**2)))
 
     def _secular(self, mu: float) -> tuple[np.ndarray, np.ndarray]:
         """Whitened solution y(mu) and its derivative y'(mu), with d = (1 - tau) + mu tau:
@@ -261,15 +307,17 @@ class ConstrainedLSQ:
 
     def err(self, c: np.ndarray, side: str, values: np.ndarray | None = None) -> float:
         """err_K or err_J of c on the grid; values is synthesize(c) if already at hand."""
-        w, h = (self.w_k, self.h_k) if side == "k" else (self.w_j, self.h_j)
-        resid = (self.synthesize(c) if values is None else values) - h
-        return float(np.sqrt(np.sum(w * np.abs(resid) ** 2)))
+        on, w, h = self._sides[side]
+        values = self.synthesize(c) if values is None else values
+        resid = np.subtract(values.ravel()[on], h, dtype=complex)
+        parts = resid.view(np.float64)  # re, im interleaved
+        parts *= parts
+        return float(np.sqrt(w @ (parts[::2] + parts[1::2])))
 
     def kkt(self, c: np.ndarray, mu: float) -> np.ndarray:
         """Gradient of (err_K^2 + mu err_J^2) / 2 in the coefficients."""
         a_j_c = self.a_j @ c
-        a_k_c = self.a_k @ c if self.norms is None else self.norms * c - a_j_c
-        return (a_k_c - self.r_k) + mu * (a_j_c - self.r_j)
+        return (self.full.apply(c) - a_j_c - self.r_k) + mu * (a_j_c - self.r_j)
 
     def _j_fit(self) -> tuple[np.ndarray, np.ndarray]:
         """Whitened best fit of h_J on J (the mu -> inf limit) and the directions it uses."""
@@ -340,16 +388,20 @@ class ConstrainedLSQ:
 
 
 def _polar_core(grid, degree, w_k, w_j, h_k, h_j) -> ConstrainedLSQ:
-    """The BEP core over e_0..e_N: the ring-FFT J-form, the grid norms of the
-    basis (its diagonal full-disc form) and inverse ring-FFT synthesis."""
+    """The BEP core over e_0..e_N: the grid norms of the basis (its diagonal
+    full-disc form), the ring-FFT J-form and inverse ring-FFT synthesis.
+    Data that vanishes on K has zero K moments, taken without a transform."""
+    r_k = (
+        _ring_moments(grid, w_k * h_k, degree) if np.any(h_k)
+        else np.zeros(degree + 1, dtype=complex)
+    )
     return ConstrainedLSQ(
-        None,
-        _ring_moments(grid, w_k * h_k, degree),
+        FullForm(_ring_norms(grid, degree)),
+        r_k,
         _ring_gram(grid, w_j, degree),
         _ring_moments(grid, w_j * h_j, degree),
         lambda c: _ring_synthesis(grid, c),
         w_k, w_j, h_k, h_j,
-        norms=_ring_norms(grid, degree),
     )
 
 

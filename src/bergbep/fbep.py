@@ -5,22 +5,24 @@ truncation is spanned by the lifts of e_0..e_N and i e_0..i e_N.  The
 f-BEP minimizes the K-misfit over real combinations of the lifted
 elements subject to the J-misfit budget.  It is the same norm-constrained
 least squares as the Bergman BEP with real coefficients, and is solved
-by the same core, bep.ConstrainedLSQ.  The lifts are not orthonormal,
-so where the BEP whitens by the diagonal grid norms of its basis, the
-f-BEP diagonalizes the full Gram of its lifts to whiten; both then
-diagonalize the J-form and locate the Karush-Kuhn-Tucker multiplier
+by the same core, bep.ConstrainedLSQ, in the same path.  The lifts are
+not orthonormal, so where the BEP whitens by the diagonal grid norms of
+its basis, the f-BEP whitens by the eigendecomposition of the full-disc
+Gram of its lifts, which the basis computes once however many problems
+and budgets use it; both read the K-form as A_full - A_J, diagonalize
+the whitened J-form and locate the Karush-Kuhn-Tucker multiplier
 mu >= 0 by a safeguarded Newton search on the secular equation, whose
 denominators are (1 - tau) + mu tau.  The multiplier maps to the
 Bergman convention by lambda = mu - 1, and with f identically 1 the
 lifted basis is exactly {e_n, i e_n} and the solve reproduces the
 complex BEP solution.
 
-The core takes its forms, moments and synthesis from the basis, in
-one path for every basis: for the closed-form conductivities, whose
-lifts each live in two angular modes, the basis supplies them from
-those ring spectra without sampling the lifts on the grid; a
-grid-sampled f, or a basis built by hand, supplies them from its
-samples.  Either way the returned w_* carries the grid certificate
+The core takes from the basis its full-disc decomposition, the J-form,
+the moments of both sides and the synthesis, in one path for every
+basis: for the closed-form conductivities, whose lifts each live in two
+angular modes, the basis supplies them from those ring spectra without
+sampling the lifts on the grid; a grid-sampled f, or a basis built by
+hand, supplies them from its samples.  Either way the returned w_* carries the grid certificate
 vekua_defect, from one Teodorescu apply to w_* itself.
 
 The conjectured critical-point equation

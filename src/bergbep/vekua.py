@@ -32,21 +32,26 @@ partner mode and its radial operator from _pair_operator.  Every other
 input takes rho by Lanczos on the normal operator
 (_normal_top_eigenvalue).
 
-A VekuaBasis hands the f-BEP core its real forms and its synthesis
-(_lsq_forms, _synthesis).  A basis of sampled lifts takes them from its
-samples by quadrature (bergman._forms).  The mode-pair basis keeps each
-lift as a two-mode ring spectrum, w_b = sum_u X_bu(r) e^{i p_bu theta}
-(u = 0, 1), and with W = fft_theta(w) the reordering of the polar layer
-in bergman gives
+A VekuaBasis hands the f-BEP core the eigendecomposition of its
+full-disc Gram form, taken once per basis (_full_form), a region's real
+Gram form and moments (_lsq_forms, _lsq_moments) and its synthesis
+(_synthesis).  A basis of sampled lifts takes them from its samples by
+quadrature (bergman._forms).  The mode-pair basis keeps each lift as a
+two-mode ring spectrum, w_b = sum_u X_bu(r) e^{i p_bu theta} (u = 0, 1),
+and with W = fft_theta(w) the reordering of the polar layer in bergman
+gives
 
     G_ab = Re sum w conj(w_a) w_b
          = Re sum_{u,v} sum_i conj(X_au,i) X_bv,i W_i[(p_au - p_bv) mod n_theta]
     r_a  = Re sum wh conj(w_a) = Re sum_u sum_i conj(X_au,i) fft_theta(wh)_i[p_au]
     sum_b c_b w_b = ifft_theta of the c_b X_b gathered at their modes,
 
-exact discrete identities for any weights.  real_gram, real_rhs and
-synthesize use the samples on every basis, so they stay an independent
-reference for the spectral forms.
+exact discrete identities for any weights.  The full-disc weights
+omega_i / n_theta are constant along theta, so W_i is omega_i in mode 0
+alone and the full-disc form couples only lifts with equal modes; it
+needs no weight table.  real_gram, real_rhs and synthesize use the
+samples on every basis, so they stay an independent reference for the
+spectral forms.
 
 Derivatives on the tensor grid use spectral (trigonometric) angular
 differentiation by fft and five-point finite differences on the
@@ -82,7 +87,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bep import ConvergenceError
+from .bep import ConvergenceError, FullForm
 from .bergman import AnalyticCoeffs, _check_degree, _forms, _radial_powers, project
 from .grid import DiscGrid, GridFunction, GridMismatchError, Region, build_grid, inner_product
 
@@ -977,8 +982,9 @@ class VekuaBasis:
     """Real-linear spanning family of Vekua functions (lifted e_n and i e_n).
 
     The dense (n_nodes, n_elements) matrix of element samples is built on
-    first use.  The f-BEP core takes its real forms and synthesis from
-    _lsq_forms and _synthesis, here the quadrature of the samples; a
+    first use.  The f-BEP core takes the full-disc decomposition
+    (_full_form, one eigh per basis), a region's real forms and the
+    synthesis from the basis, here the quadrature of the samples; a
     basis lifted by mode pairs (_PairBasis) supplies them from its
     spectra instead.
     """
@@ -1011,6 +1017,21 @@ class VekuaBasis:
         """The core's Re <w_m, w_n> and Re <h, w_m> under the node weights w (grid-shaped)."""
         return _forms(self.values_matrix(), w.ravel(), h.ravel(), np.real)
 
+    def _lsq_moments(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """The core's Re <h, w_m> under the node weights w (grid-shaped)."""
+        on = np.flatnonzero(w)
+        return (self.values_matrix()[on].conj().T @ (w.ravel()[on] * h.ravel()[on])).real
+
+    def _full_gram(self) -> np.ndarray:
+        """The full-disc Re <w_m, w_n>, here from the samples."""
+        return self.real_gram()
+
+    @cached_property
+    def _full_form(self) -> FullForm:
+        """The eigendecomposition of the full-disc Gram form, taken once per basis;
+        every core over the basis whitens by it."""
+        return FullForm(*np.linalg.eigh(self._full_gram()))
+
     def _synthesis(self, coeffs: np.ndarray) -> np.ndarray:
         """The core's sum_b c_b w_b at the nodes, grid-shaped."""
         return (self.values_matrix() @ coeffs).reshape(self.grid.shape)
@@ -1041,7 +1062,8 @@ class VekuaBasis:
         return vecs @ sol
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.real_gram())[0])
+        """The smallest eigenvalue of the full-disc Gram form, from its one decomposition."""
+        return float(self._full_form.vals[0])
 
 
 class _PairBasis(VekuaBasis):
@@ -1072,8 +1094,27 @@ class _PairBasis(VekuaBasis):
         table = np.fft.fft(w, axis=-1)[:, (p[:, None] - p[None, :]) % self.grid.angular_count]
         g = np.einsum("ai,iab,bi->ab", x.conj(), table, x).real
         g = g.reshape(modes.shape + modes.shape).sum(axis=(1, 3))
-        moments = np.fft.fft(w * h, axis=-1)[:, modes]  # (n_r, B, 2)
-        return (g + g.T) / 2.0, np.einsum("bui,ibu->b", rings.conj(), moments).real
+        return (g + g.T) / 2.0, self._lsq_moments(w, h)
+
+    def _lsq_moments(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """The real moments by Parseval on each ring, over the pair spectra."""
+        moments = np.fft.fft(w * h, axis=-1)[:, self._modes]  # (n_r, B, 2)
+        return np.einsum("bui,ibu->b", self._rings.conj(), moments).real
+
+    def _full_gram(self) -> np.ndarray:
+        """The full-disc form from the spectra, without a weight table.
+
+        The full-disc weights omega_i / n_theta are constant along theta,
+        so only lifts with equal modes (mod n_theta) couple:
+        G_ab = Re sum_{u,v: p_au = p_bv} sum_i omega_i conj(X_au,i) X_bv,i.
+        """
+        modes = self._modes
+        p = modes.ravel() % self.grid.angular_count
+        x = self._rings.reshape(p.size, -1)
+        g = ((x.conj() * self.grid.radial_weights) @ x.T).real
+        g = np.where(p[:, None] == p[None, :], g, 0.0)
+        g = g.reshape(modes.shape + modes.shape).sum(axis=(1, 3))
+        return (g + g.T) / 2.0
 
     def _synthesis(self, coeffs: np.ndarray) -> np.ndarray:
         """One spectrum gathers every c_b X_b at its modes, then one inverse fft."""

@@ -27,7 +27,7 @@ from bergbep import (
     solve_bep,
     solve_bep_oracle,
 )
-from bergbep.bep import ConstrainedLSQ
+from bergbep.bep import ConstrainedLSQ, FullForm
 from bergbep.bergman import _forms, basis_matrix
 from conftest import low_degree_infeasible_problem, saturated_problem
 
@@ -405,6 +405,23 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def _dense_core(p: BepProblem) -> ConstrainedLSQ:
+    """The core over the basis_matrix samples: the full-disc form diagonalized by
+    eigh, and the K moments, J-form and J moments by quadrature of the samples."""
+    grid = p.grid
+    e = basis_matrix(grid, p.degree)
+    w_k, w_j = p.k_region.weights(grid).ravel(), p.j_region.weights(grid).ravel()
+    f_k, f_j = p.h_k.values.ravel(), p.h_j.values.ravel()
+    a_full = _forms(e, grid.weights.ravel(), f_k, np.asarray)[0]
+    return ConstrainedLSQ(
+        FullForm(*np.linalg.eigh(a_full)),
+        _forms(e, w_k, f_k, np.asarray)[1],
+        *_forms(e, w_j, f_j, np.asarray),
+        lambda c: e @ c,
+        w_k, w_j, f_k, f_j,
+    )
+
+
 class TestPolarCore:
     def test_cancellation_falls_back_to_grid(self, grid_24_96, caplog):
         # err_J << ||h_J||_J: the form value of err_J loses its digits to
@@ -456,6 +473,18 @@ class TestPolarCore:
         assert sol.degree_gap is not None
         assert sorted(calls) == ["eigh", "eigh", "gram"]
 
+    def test_feasibility_distance_transforms_j_data_only(self, saturated_family, monkeypatch):
+        # the feasibility core has zero K data, whose moments are zero without a transform
+        import bergbep.bep as bep
+
+        calls = []
+        ring_moments = bep._ring_moments
+        monkeypatch.setattr(bep, "_ring_moments", lambda *a: calls.append(1) or ring_moments(*a))
+        p = saturated_family[0]
+        feas = feasibility_distance(p.h_j, p.j_region, p.degree)
+        assert calls == [1]
+        assert feas == ConstrainedLSQ.from_problem(p).feasibility()
+
     def test_grid_passes(self, saturated_family, monkeypatch):
         # the problem's core: the J-fit, the mu = 0 fit, the end point and err_K;
         # the leading core: the first three, with ||h_J||_J^2 from its parent
@@ -474,23 +503,51 @@ class TestPolarCore:
         assert sorted(calls) == ["h", "j", "j", "j", "j", "j", "j", "k"]
 
     def test_matches_two_eigh_reference(self, saturated_family, sector_mask_64):
-        # the same core over dense forms of basis_matrix, whitened by eigh of A_K + A_J
+        # the same core over dense forms of basis_matrix, whitened by eigh of the full-disc form
         for p in saturated_family + sector_mask_64:
-            grid = p.grid
-            e = basis_matrix(grid, p.degree)
-            w_k, w_j = p.k_region.weights(grid).ravel(), p.j_region.weights(grid).ravel()
-            f_k, f_j = p.h_k.values.ravel(), p.h_j.values.ravel()
-            dense = ConstrainedLSQ(
-                *_forms(e, w_k, f_k, np.asarray),
-                *_forms(e, w_j, f_j, np.asarray),
-                lambda c: e @ c,
-                w_k, w_j, f_k, f_j,
-            )
-            reference = dense.solve(p.m, 2.0)
+            reference = _dense_core(p).solve(p.m, 2.0)
             sol = solve_bep(p, degree_diagnostic=False)
             assert reference.saturated and sol.saturated
             c = sol.g0.coeffs
             assert np.max(np.abs(c - reference.coeffs)) <= 1e-11 * np.max(np.abs(reference.coeffs))
+
+
+class TestFullForm:
+    """The full-disc eigendecomposition the core whitens by, with vecs None for the identity."""
+
+    @staticmethod
+    def _data(n=7, seed=2):
+        rng = np.random.default_rng(seed)
+        vals = rng.uniform(0.5, 2.0, n)
+        vals[2] = 1e-14  # a dropped direction
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return vals, (a + a.conj().T) / 2.0, c, vals > 1e-10 * vals.max()
+
+    def test_identity_as_none_matches_dense_identity(self):
+        vals, a, c, keep = self._data()
+        none, eye = FullForm(vals), FullForm(vals, np.eye(vals.size))
+        assert np.allclose(none.apply(c), eye.apply(c), rtol=1e-15, atol=0.0)
+        (b_none, lift_none), (b_eye, lift_eye) = none.whitened(keep, a), eye.whitened(keep, a)
+        assert np.allclose(b_none, b_eye, rtol=1e-15, atol=0.0)
+        q = np.linalg.eigh(b_none)[1]
+        assert np.allclose(lift_none(q), lift_eye(q), rtol=1e-15, atol=1e-300)
+        assert none.leading(4).vecs is None
+        assert np.allclose(none.leading(4).apply(c[:4]), vals[:4] * c[:4], rtol=1e-15, atol=0.0)
+
+    def test_dense_whitens_applies_and_leads(self):
+        vals, a, c, keep = self._data()
+        v = np.linalg.qr(a + 3.0 * np.eye(vals.size))[0]
+        full = FullForm(vals, v)
+        a_full = (v * vals) @ v.conj().T
+        assert np.allclose(full.apply(c), a_full @ c, rtol=0.0, atol=1e-14)
+        b, lift = full.whitened(keep, a_full)
+        assert np.allclose(b, np.eye(b.shape[0]), rtol=0.0, atol=1e-13)
+        w = lift(np.eye(b.shape[0]))
+        assert np.allclose(w.conj().T @ a_full @ w, np.eye(b.shape[0]), rtol=0.0, atol=1e-13)
+        # a dense decomposition is diagonalized again on its leading block, not sliced
+        lead = full.leading(4)
+        assert np.allclose(lead.apply(c[:4]), a_full[:4, :4] @ c[:4], rtol=0.0, atol=1e-14)
 
 
 class TestInactive:
@@ -508,16 +565,7 @@ class TestInactive:
         h_j = GridFunction.from_function(grid, lambda z: 0.3 * np.conj(z))
         p = BepProblem(k, j, h_k, h_j, 1e3, degree)
         sol = solve_bep(p, degree_diagnostic=False)
-        # the same core over the dense samples of the basis
-        e = basis_matrix(grid, degree)
-        w_k, w_j = k.weights(grid).ravel(), j.weights(grid).ravel()
-        f_k, f_j = h_k.values.ravel(), h_j.values.ravel()
-        dense = ConstrainedLSQ(
-            *_forms(e, w_k, f_k, np.asarray),
-            *_forms(e, w_j, f_j, np.asarray),
-            lambda c: e @ c,
-            w_k, w_j, f_k, f_j,
-        )
+        dense = _dense_core(p)  # the same core over the dense samples of the basis
         c = dense.solve(p.m, 2.0).coeffs
         assert not sol.saturated
         assert sol.err_j <= p.m and dense.err(c, "j") <= p.m

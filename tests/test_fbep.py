@@ -601,27 +601,24 @@ class TestTransformedData:
 
 class TestBasisDiagnostics:
     def test_min_eigenvalue_from_core(self, grid_32_64, basis_exp01_n8):
+        # the core and the basis read the basis's one full-disc decomposition;
+        # the reference is the Gram of the samples
         f, basis = basis_exp01_n8
         sol = solve_fbep(make_problem(grid_32_64, f), basis)
         vals = np.linalg.eigvalsh(basis.real_gram())
-        assert abs(sol.basis_min_eig - basis.min_eigenvalue()) <= 1e-12 * vals[-1]
+        assert abs(sol.basis_min_eig - vals[0]) <= 1e-12 * vals[-1]
+        assert abs(basis.min_eigenvalue() - vals[0]) <= 1e-12 * vals[-1]
 
-    def test_no_gram_unless_logged(self, grid_32_64, monkeypatch, caplog):
-        calls = []
-        real_gram = VekuaBasis.real_gram
-
-        def counting(self, region=None):
-            calls.append(region)
-            return real_gram(self, region)
-
-        monkeypatch.setattr(VekuaBasis, "real_gram", counting)
+    def test_no_gram_unless_logged(self, grid_32_64, caplog):
+        # the logged eigenvalue comes from the pair spectra: no lift is sampled
         f = Conductivity.exp_x(grid_32_64, 0.1)
         with caplog.at_level(logging.WARNING, logger="bergbep"):
-            build_fbep_space(f, 4)
-        assert calls == []
+            basis = build_fbep_space(f, 4)
+        assert "_full_form" not in vars(basis)
         with caplog.at_level(logging.INFO, logger="bergbep"):
-            build_fbep_space(f, 4)
-        assert len(calls) == 1
+            basis = build_fbep_space(f, 4)
+        assert "_full_form" in vars(basis)
+        assert basis._matrix is None and "elements" not in vars(basis)
         assert any("Gram min eigenvalue" in r.getMessage() for r in caplog.records)
 
 
@@ -673,6 +670,12 @@ class TestPairCore:
             assert _rel(pair_moments, moments) <= 1e-13
 
     @pytest.mark.parametrize("kind, eps, shape, degree", _PAIR_CASES)
+    def test_full_gram_matches_dense_samples(self, kind, eps, shape, degree):
+        # the full-disc weights are constant along theta: only equal modes couple
+        basis = _pair_basis(kind, eps, shape, degree)
+        assert _rel(basis._full_gram(), basis.real_gram()) <= 1e-14
+
+    @pytest.mark.parametrize("kind, eps, shape, degree", _PAIR_CASES)
     def test_synthesis_matches_dense_samples(self, kind, eps, shape, degree):
         basis = _pair_basis(kind, eps, shape, degree)
         c = np.random.default_rng(5).standard_normal(basis.size)
@@ -721,7 +724,7 @@ class TestPairCore:
         assert abs(sol.vekua_defect - dense.vekua_defect) <= 1e-14
 
     def _record_forms(self, monkeypatch):
-        """Record the class of every basis that hands the core its forms (K and J each)."""
+        """Record the class of every basis that hands the core a region form (J only)."""
         from bergbep.vekua import _PairBasis
 
         calls = []
@@ -742,12 +745,41 @@ class TestPairCore:
         basis = build_fbep_space(closed, 4)
         calls = self._record_forms(monkeypatch)
         sol = solve_fbep(p_closed)
-        assert calls == ["_PairBasis"] * 2
+        assert calls == ["_PairBasis"]
         assert sol.basis._matrix is None  # the spectra, not the samples
         solve_fbep(p_sampled)
-        assert calls == ["_PairBasis"] * 2 + ["VekuaBasis"] * 2
+        assert calls == ["_PairBasis", "VekuaBasis"]
         solve_fbep(p_closed, VekuaBasis(basis.alpha, basis.elements))
-        assert calls == ["_PairBasis"] * 2 + ["VekuaBasis"] * 4
+        assert calls == ["_PairBasis", "VekuaBasis", "VekuaBasis"]
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_one_full_decomposition_per_basis(self, grid_16_64, monkeypatch, sampled):
+        # two problems and three budgets over one basis: one full-disc Gram and
+        # one eigh of it, and one region form (J) per core
+        from bergbep.vekua import _PairBasis
+
+        f = Conductivity.exp_x(grid_16_64, 0.3)
+        basis = build_fbep_space(f, 4)
+        if sampled:
+            basis = VekuaBasis(basis.alpha, basis.elements)
+        grams = []
+        cls = type(basis)
+        full_gram = cls._full_gram
+        monkeypatch.setattr(cls, "_full_gram", lambda self: grams.append(1) or full_gram(self))
+        forms = self._record_forms(monkeypatch)
+        cores = []
+        for k in (Region.radial_disc(0.5), Region.sector(1.2)):
+            for m in (0.05, 0.2, 1e3):
+                p = FbepProblem(
+                    f, k, k.complement(), GridFunction.constant(grid_16_64, 1.0),
+                    GridFunction.constant(grid_16_64, 0.0), m, 4,
+                )
+                sol = solve_fbep(p, basis)
+                cores.append(sol._assembly[1])
+        assert grams == [1]
+        assert all(core.full is basis._full_form for core in cores)
+        assert forms == [cls.__name__] * 6
+        assert (cls is _PairBasis) != sampled
 
     def test_closed_form_solve_samples_nothing(self, grid_24_96, monkeypatch):
         from bergbep import vekua
