@@ -29,14 +29,15 @@ least squares; Gander 1981), and a safeguarded Newton search on
 1/err_J(mu) - 1/M finds mu in a handful of evaluations, verified
 monotone at runtime.  The end point is checked on the grid by
 synthesis: if the grid value misses M by more than the stop tolerance,
-as it can when err_J << ||h_J||_J and the form value cancels, a
-bisection continues on grid evaluations.
+as it can when err_J << ||h_J||_J and the form value cancels, the same
+search continues on grid values with the forms' slope.
 
-The independent oracle shares only the monotonicity check: it assembles
-dense forms from basis_matrix samples, solves the operator form
-(I + lambda G_J) c = b_K + (1 + lambda) b_J with one dense linear solve
-per lambda, evaluates err_J on the dense samples and bisects lambda, so
-agreement with it checks the ring-FFT assembly as well as the solve.
+The independent oracle shares only the end checks (_check_saturated)
+with the core: it assembles dense forms from basis_matrix samples,
+solves the operator form (I + lambda G_J) c = b_K + (1 + lambda) b_J
+with one dense linear solve per lambda, evaluates err_J on the dense
+samples and bisects lambda, so agreement with it checks the ring-FFT
+assembly as well as the solve.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ _DROP_RCOND = 1e-10
 _MAX_EXPANSIONS = 80
 _MAX_BISECTIONS = 200
 _STOP_TOL = 1e-12
+_MU_START = 2.0  # the core's multiplier search starts at lambda = 1
 _MAX_SHRINK = 16.0  # a safeguard step lowers mu by at most this factor
 
 
@@ -343,8 +345,8 @@ class ConstrainedLSQ:
         values.setflags(write=False)
         return values
 
-    def solve(self, m: float, mu_hi: float) -> LsqSolution:
-        """Saturating multiplier by a safeguarded Newton search on err_J(mu) = M, from mu_hi.
+    def solve(self, m: float) -> LsqSolution:
+        """Saturating multiplier by a safeguarded Newton search on err_J(mu) = M, from _MU_START.
 
         If the fit at mu = 0 already meets the budget (on the grid) it is
         returned unsaturated.  The search (_newton) evaluates err_J and its
@@ -355,8 +357,8 @@ class ConstrainedLSQ:
         and the returned err_J is evaluated on the grid by synthesis; the
         solution carries those grid values and that err_J.  If it misses M
         by more than the stop tolerance (the form value cancels when
-        err_J << ||h_J||_J), a bisection continues on grid evaluations from
-        the search's bracket.
+        err_J << ||h_J||_J), the search continues from there on grid values
+        with the forms' slope (a sum of non-positive terms, it does not cancel).
         """
         feas, c0, values, e_lo = self._m_free()
         if feas > m + 1e-9:
@@ -365,21 +367,18 @@ class ConstrainedLSQ:
             return LsqSolution(c0.copy(), 0.0, feas, 0, False, values, e_lo)
 
         evals = [(0.0, e_lo)]
-        mu, _, lo, hi, iterations = _newton(self._form_err, m, float(mu_hi), evals, feas)
+        mu, _, iterations = _newton(self._form_err, m, _MU_START, evals, feas)
         c = self.coeffs(mu)
         values = self._checked_values(c)
         e_mu = self.err(c, "j", values)
         evals.append((mu, e_mu))
         if abs(e_mu - m) > _STOP_TOL * max(1.0, m):
             logger.debug("err_J from the forms missed M on the grid by %.3e", abs(e_mu - m))
-            grid_err = lambda mu: self.err(self.coeffs(mu), "j")  # noqa: E731
-            if lo > 0.0:  # the forms placed lo; on the grid the root may lie below it
-                e_at_lo = grid_err(lo)
-                evals.append((lo, e_at_lo))
-                if e_at_lo <= m:
-                    lo = 0.0
-            hi = hi if hi < np.inf else 2.0 * mu  # _bisect doubles hi while err(hi) > M
-            mu, e_mu, _, _, more = _bisect(grid_err, m, lo, hi, evals, feas)
+
+            def grid_err(mu: float) -> tuple[float, float]:
+                return self.err(self.coeffs(mu), "j"), self._form_err(mu)[1]
+
+            mu, e_mu, more = _newton(grid_err, m, mu, evals, feas)
             iterations += more
             c = self.coeffs(mu)  # e_mu is err_J of these coefficients
             values = self._checked_values(c)
@@ -408,7 +407,7 @@ def _polar_core(grid, degree, w_k, w_j, h_k, h_j) -> ConstrainedLSQ:
 def _newton(err_slope, m: float, mu: float, evals: list, feas: float):
     """Safeguarded Newton search for err(mu) = M on [0, inf) from mu, given err(0) > M.
 
-    err_slope(mu) returns err(mu) and d(err^2)/dmu.  The step is Newton's
+    The core's only search.  err_slope(mu) returns err(mu) and d(err^2)/dmu.  The step is Newton's
     on the secular function phi(mu) = 1/err(mu) - 1/M, nearly linear in
     mu (Reinsch 1971; More and Sorensen 1983),
 
@@ -420,9 +419,8 @@ def _newton(err_slope, m: float, mu: float, evals: list, feas: float):
     the start is reached in a few steps), or mu doubles while no upper
     end is known.  A search that finds no upper end in _MAX_EXPANSIONS
     steps, or none up to 2^_MAX_EXPANSIONS times the start, raises
-    ConvergenceError.  The stops are those of _bisect.  Every evaluation
-    is appended to evals.  Returns mu, err(mu), the bracket around mu
-    (hi may be inf) and the number of evaluations.
+    ConvergenceError.  The stops are those of the oracle's _bisect.  Every
+    evaluation is appended to evals.  Returns mu, err(mu) and their count.
     """
     m = float(m)  # Python floats throughout: mu is reported as a plain float
     scale = max(1.0, m)
@@ -454,17 +452,16 @@ def _newton(err_slope, m: float, mu: float, evals: list, feas: float):
                     f"M = {m:.9g} (feasibility distance {feas:.9g})"
                 )
             mu = min(mu, reach)
-    return mu, e_mu, lo, hi, iterations
+    return mu, e_mu, iterations
 
 
 def _bisect(err, m: float, lo: float, hi: float, evals: list, feas: float):
-    """Bracketed bisection of err(mu) = M on [lo, hi], given err(lo) > M.
+    """Bracketed bisection of err(mu) = M on [lo, hi], given err(lo) > M: the oracle's search.
 
     hi doubles until err(hi) <= M, then the bracket halves until
     |err - M| <= _STOP_TOL max(1, M) or it collapses to a few ulps of hi
     (a relative floor: a root far below 1 is still resolved).  Every evaluation
-    is appended to evals.  Returns mu, err(mu), the last bracket and
-    the number of bisection steps.
+    is appended to evals.  Returns mu, err(mu) and the number of steps.
     """
     scale = max(1.0, m)
     hi = float(hi)
@@ -490,14 +487,14 @@ def _bisect(err, m: float, lo: float, hi: float, evals: list, feas: float):
         if abs(e_mu - m) <= _STOP_TOL * scale or hi - lo <= 4.0 * np.finfo(float).eps * hi:
             break
         lo, hi = (mu, hi) if e_mu > m else (lo, mu)
-    return mu, e_mu, lo, hi, iterations
+    return mu, e_mu, iterations
 
 
 def _check_saturated(evals: list, m: float, mu: float, e_mu: float) -> None:
     _check_monotone(evals, m)
     if abs(e_mu - m) > 1e-8 * max(1.0, m):
         raise ConvergenceError(
-            f"bisection stalled: |e(mu) - M| = {abs(e_mu - m):.3e} at mu = {mu:.6g}"
+            f"multiplier search stalled: |e(mu) - M| = {abs(e_mu - m):.3e} at mu = {mu:.6g}"
         )
 
 
@@ -561,25 +558,25 @@ def _bep_solution(result: LsqSolution, err, kkt) -> BepSolution:
     )
 
 
-def solve_bep(problem: BepProblem, hi0: float = 1.0, degree_diagnostic: bool = True) -> BepSolution:
+def solve_bep(problem: BepProblem, degree_diagnostic: bool = True) -> BepSolution:
     """Solve the bounded extremal problem by a safeguarded Newton search on the multiplier.
 
     If the unconstrained K-fit already satisfies the constraint it is
     returned with lambda at the lower bracket; otherwise the search
-    starts at lambda = hi0 on the bracket (-1, inf) and runs until the
+    starts at lambda = 1 on the bracket (-1, inf) and runs until the
     constraint saturates (ConstrainedLSQ.solve).  With degree_diagnostic
     the problem is re-solved at degree N - 4 on the leading blocks of the
     same forms and the coefficient gap stored as a truncation-convergence
     indicator; it stays None when M is below the degree N - 4 feasibility
-    distance.
+    distance or that re-solve does not converge.
     """
     core = ConstrainedLSQ.from_problem(problem)
-    solution = _bep_solution(core.solve(problem.m, 1.0 + hi0), core.err, core.kkt)
+    solution = _bep_solution(core.solve(problem.m), core.err, core.kkt)
     if degree_diagnostic and problem.degree >= 5:
         n_low = problem.degree - 3
         try:
-            low = core.leading(n_low).solve(problem.m, 1.0 + hi0).coeffs
-        except InfeasibleProblemError as exc:
+            low = core.leading(n_low).solve(problem.m).coeffs
+        except (InfeasibleProblemError, ConvergenceError) as exc:
             logger.info("no degree gap: at degree %d, %s", n_low - 1, exc)
             return solution
         c = solution.g0.coeffs
@@ -591,7 +588,7 @@ def solve_bep(problem: BepProblem, hi0: float = 1.0, degree_diagnostic: bool = T
 def solve_bep_oracle(problem: BepProblem) -> BepSolution:
     """Independent check: the operator form (I + lambda G_J) c = b_K + (1 + lambda) b_J.
 
-    Shares only the monotonicity check with the core.  The forms are
+    Shares only the end checks (_check_saturated) with the core.  The forms are
     assembled densely from basis_matrix samples, each lambda takes one
     dense linear solve in place of the core's diagonal solve, lambda is
     bisected (_bisect) with err_J evaluated on the dense samples at every
@@ -630,7 +627,7 @@ def solve_bep_oracle(problem: BepProblem) -> BepSolution:
     if e_lo <= problem.m:
         return _bep_solution(LsqSolution(c, mu_lo, feas, 0, False, values, e_lo), err, kkt)
     evals = [(mu_lo, e_lo)]
-    mu, e_mu, _, _, iterations = _bisect(
+    mu, e_mu, iterations = _bisect(
         lambda mu: err(operator_solve(mu), "j"), problem.m, mu_lo, 2.0, evals, feas
     )
     _check_saturated(evals, problem.m, mu, e_mu)

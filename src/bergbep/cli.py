@@ -197,7 +197,7 @@ def cmd_lambda_sweep(args) -> int:
         core = ConstrainedLSQ.from_problem(problem)
 
         def solve_at(m: float):  # solve_bep(..., degree_diagnostic=False) at this M
-            return _bep_solution(core.solve(m, 2.0), core.err, core.kkt)
+            return _bep_solution(core.solve(m), core.err, core.kkt)
 
     lines = ["m,lambda,err_k"]
     for m in m_values:

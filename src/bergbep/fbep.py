@@ -129,7 +129,7 @@ def _fbep_solution(problem: FbepProblem, basis: VekuaBasis, core: ConstrainedLSQ
 
     The forms do not depend on M, so one core serves every budget.
     """
-    result = core.solve(problem.m, 2.0)
+    result = core.solve(problem.m)
     coeffs, values = result.coeffs, result.values  # the search's synthesis of coeffs
     w_star = GridFunction(problem.grid, values.reshape(problem.grid.shape))
     solution = FbepSolution(

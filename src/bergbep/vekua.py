@@ -95,6 +95,7 @@ logger = logging.getLogger("bergbep")
 
 _N_AUX = 10
 _N_STENCIL = 8
+_MAX_LIFT_ITER = 60  # Neumann steps of a lift
 
 
 class LiftDivergenceError(RuntimeError):
@@ -482,7 +483,7 @@ def vekua_lift(
     seed: AnalyticCoeffs,
     alpha: GridFunction,
     tol: float = 1e-9,
-    max_iter: int = 60,
+    max_iter: int = _MAX_LIFT_ITER,
 ) -> VekuaFunction:
     """Lift an analytic seed into the Vekua space of alpha.
 
@@ -674,9 +675,7 @@ def _mode_pair_lift(
     return _PairBasis(alpha, modes, rings.reshape(modes.shape + (n_r,)), defects, residuals, tol)
 
 
-def build_fbep_space(
-    f: Conductivity, degree: int, tol: float = 1e-9, max_iter: int = 60
-) -> VekuaBasis:
+def build_fbep_space(f: Conductivity, degree: int, tol: float = 1e-9) -> VekuaBasis:
     """Lift {e_0..e_N, i e_0..i e_N} into the Vekua space of f.
 
     For the closed-form kinds (const, exp_x, exp_xy) alpha is a single
@@ -687,8 +686,8 @@ def build_fbep_space(
     whose fixed-point defect exceeds tol raises ConvergenceError naming
     its seed.  A grid-sampled f couples every mode, and its 2(N+1) seeds
     are lifted together by the Neumann iteration, each with its own
-    iteration; a lift that diverges or stops at max_iter without
-    reaching tol raises ConvergenceError naming its seed.
+    iteration; a lift that diverges or stops at _MAX_LIFT_ITER steps
+    without reaching tol raises ConvergenceError naming its seed.
     """
     alpha = alpha_from_f(f)
     names = [f"{unit}e_{n}" for unit in ("", "i*") for n in range(degree + 1)]
@@ -699,7 +698,7 @@ def build_fbep_space(
             for unit in (1.0, 1.0j)
             for n in range(degree + 1)
         ]
-        elements = _lift_batch(seeds, alpha, tol, max_iter)
+        elements = _lift_batch(seeds, alpha, tol, _MAX_LIFT_ITER)
         for name, lifted in zip(names, elements):  # the first failure in seed order
             if isinstance(lifted, LiftDivergenceError):
                 raise ConvergenceError(f"lift of seed {name} diverged: {lifted}") from lifted
@@ -739,7 +738,7 @@ def _mode_pair_norm(
     matrix [[I, -B_p], [-conj(B_p'), I]]; a collided pair p = p' is only
     real-linear, and its realified matrix is [[I - Re B, -Im B], [-Im B,
     I + Re B]].  The norm is the largest singular value over these
-    blocks, each 2 n_J wide, from one batched SVD.
+    blocks X, each 2 n_J wide, from one batched eigvalsh of X^H X.
     """
     a, s = mode
     rings = np.nonzero(w > 0.0)[0]
@@ -757,7 +756,7 @@ def _mode_pair_norm(
     blocks[pairs.size :, :k, :k] -= real
     blocks[pairs.size :, k:, k:] += real
     blocks[pairs.size :, :k, k:] = blocks[pairs.size :, k:, :k] = -imag
-    return float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max())
+    return float(np.sqrt(np.linalg.eigvalsh(np.swapaxes(blocks, 1, 2).conj() @ blocks).max()))
 
 
 def restriction_map_norm(

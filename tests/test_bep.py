@@ -27,7 +27,7 @@ from bergbep import (
     solve_bep,
     solve_bep_oracle,
 )
-from bergbep.bep import ConstrainedLSQ, FullForm
+from bergbep.bep import ConstrainedLSQ, FullForm, _newton
 from bergbep.bergman import _forms, basis_matrix
 from conftest import low_degree_infeasible_problem, saturated_problem
 
@@ -221,10 +221,12 @@ class TestSolveBep:
         assert errs[0] >= errs[1] >= errs[2]
 
     def test_bracket_independence(self, grid_24_96):
+        # the search's root does not depend on where it starts
         p = constant_fixture(grid_24_96)
-        s1 = solve_bep(p, hi0=1.0, degree_diagnostic=False)
-        s2 = solve_bep(p, hi0=9.7, degree_diagnostic=False)
-        assert np.max(np.abs(s1.g0.coeffs - s2.g0.coeffs)) <= 1e-9
+        core = ConstrainedLSQ.from_problem(p)
+        feas = core.feasibility()
+        c1, c2 = (core.coeffs(_newton(core._form_err, p.m, mu, [], feas)[0]) for mu in (2.0, 10.7))
+        assert np.max(np.abs(c1 - c2)) <= 1e-9
 
     def test_infeasible_raises(self, grid_24_96):
         k = Region.radial_disc(0.5)
@@ -302,6 +304,20 @@ class TestSolveBep:
         assert np.array_equal(sol.g0.coeffs, plain.g0.coeffs)
         assert (sol.lam, sol.iterations) == (plain.lam, plain.iterations)
         assert sum("no degree gap" in r.getMessage() for r in caplog.records) == 1
+
+    def test_degree_gap_none_when_low_degree_search_fails(self, grid_128_256, caplog):
+        # the N - 4 re-solve searches into the K-null band, where err_J(mu) is not
+        # monotone, and raises ConvergenceError; the problem's own solve saturates
+        h_k = GridFunction.from_function(grid_128_256, lambda z: np.exp(z) + 0.2 * np.conj(z))
+        h_j = GridFunction.from_function(grid_128_256, lambda z: 0.3 * np.conj(z))
+        p = saturated_problem(grid_128_256, Region.sector(1.2), h_k, h_j, 60)
+        with caplog.at_level(logging.INFO, logger="bergbep"):
+            sol = solve_bep(p)
+        assert sol.saturated and sol.degree_gap is None
+        assert abs(sol.err_j - p.m) <= 1e-8 * max(1.0, p.m)
+        assert sol.kkt_residual <= 1e-8 * (1.0 + sol.g0.norm())
+        gap_lines = [r.getMessage() for r in caplog.records if "no degree gap" in r.getMessage()]
+        assert len(gap_lines) == 1 and "not monotone" in gap_lines[0]
 
     def test_bracket_exhaustion_reports(self, grid_24_96):
         # M a hair below the feasibility floor still passes the 1e-9
@@ -422,28 +438,63 @@ def _dense_core(p: BepProblem) -> ConstrainedLSQ:
     )
 
 
+def _cancellation_problem(grid, eps: float) -> BepProblem:
+    """err_J << ||h_J||_J: h_J = e^z + eps conj(z) nearly in the span, M just above
+    the feasibility distance, so the form value of err_J loses its digits to
+    ||h_J||_J^2 and its end point misses M on the grid."""
+    k = Region.radial_disc(0.5)
+    h_k = GridFunction.from_function(grid, lambda z: np.exp(z) + 0.5)
+    h_j = GridFunction.from_function(grid, lambda z: np.exp(z) + eps * np.conj(z))
+    feas = feasibility_distance(h_j, k.complement(), 12)
+    free = solve_bep(BepProblem(k, k.complement(), h_k, h_j, 1e8, 12), degree_diagnostic=False)
+    m = feas + 1e-6 * (free.err_j - feas)
+    return BepProblem(k, k.complement(), h_k, h_j, m, 12)
+
+
 class TestPolarCore:
     def test_cancellation_falls_back_to_grid(self, grid_24_96, caplog):
-        # err_J << ||h_J||_J: the form value of err_J loses its digits to
-        # ||h_J||_J^2, its end point misses M on the grid (by about 4e-11)
-        # and the bisection continues on grid evaluations
-        k = Region.radial_disc(0.5)
-        h_k = GridFunction.from_function(grid_24_96, lambda z: np.exp(z) + 0.5)
-        h_j = GridFunction.from_function(grid_24_96, lambda z: np.exp(z) + 1e-7 * np.conj(z))
-        feas = feasibility_distance(h_j, k.complement(), 12)
-        free = solve_bep(BepProblem(k, k.complement(), h_k, h_j, 1e8, 12), degree_diagnostic=False)
-        m = feas + 1e-6 * (free.err_j - feas)
-        p = BepProblem(k, k.complement(), h_k, h_j, m, 12)
+        # the form end point misses M on the grid (by about 4e-11), and the
+        # search continues on grid values of err_J
+        p = _cancellation_problem(grid_24_96, 1e-7)
+        m = p.m
         with caplog.at_level(logging.DEBUG, logger="bergbep"):
             sol = solve_bep(p, degree_diagnostic=False)
         assert any("missed M on the grid" in r.getMessage() for r in caplog.records)
         assert sol.saturated
         assert abs(sol.err_j - m) <= 1e-8 * max(1.0, m)
-        # the grid bisection reaches the stop tolerance, not just the 1e-8 contract
+        # the grid search reaches the stop tolerance, not just the 1e-8 contract
         assert abs(sol.err_j - m) <= 1e-12 * max(1.0, m)
         assert sol.kkt_residual <= 1e-8 * (1.0 + sol.g0.norm())
         oracle = solve_bep_oracle(p)
         assert np.max(np.abs(oracle.g0.coeffs - sol.g0.coeffs)) <= 1e-8
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-7, 1e-6, 1e-5])
+    def test_grid_continuation_by_newton(self, grid_24_96, monkeypatch, caplog, eps):
+        # the continuation is the Newton search on grid values with the forms'
+        # slope: no bisection, and a few grid evaluations (a bisection took 18-20)
+        import bergbep.bep as bep
+
+        p = _cancellation_problem(grid_24_96, eps)
+        core = ConstrainedLSQ.from_problem(p)
+        core._m_free()  # the budget-free grid passes, counted apart
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the core used the bisection")
+
+        calls = []
+        err = ConstrainedLSQ.err
+        monkeypatch.setattr(bep, "_bisect", forbidden)
+        monkeypatch.setattr(
+            ConstrainedLSQ,
+            "err",
+            lambda self, c, side, *a: calls.append(side) or err(self, c, side, *a),
+        )
+        with caplog.at_level(logging.DEBUG, logger="bergbep"):
+            result = core.solve(p.m)
+        assert any("missed M on the grid" in r.getMessage() for r in caplog.records)
+        assert result.saturated
+        assert calls.count("j") <= 5  # the end point and the continuation
+        assert abs(result.err_j - p.m) <= 1e-12 * max(1.0, p.m)
 
     def test_oracle_without_polar_assembly(self, grid_24_96, monkeypatch):
         import bergbep.bep as bep
@@ -505,7 +556,7 @@ class TestPolarCore:
     def test_matches_two_eigh_reference(self, saturated_family, sector_mask_64):
         # the same core over dense forms of basis_matrix, whitened by eigh of the full-disc form
         for p in saturated_family + sector_mask_64:
-            reference = _dense_core(p).solve(p.m, 2.0)
+            reference = _dense_core(p).solve(p.m)
             sol = solve_bep(p, degree_diagnostic=False)
             assert reference.saturated and sol.saturated
             c = sol.g0.coeffs
@@ -566,7 +617,7 @@ class TestInactive:
         p = BepProblem(k, j, h_k, h_j, 1e3, degree)
         sol = solve_bep(p, degree_diagnostic=False)
         dense = _dense_core(p)  # the same core over the dense samples of the basis
-        c = dense.solve(p.m, 2.0).coeffs
+        c = dense.solve(p.m).coeffs
         assert not sol.saturated
         assert sol.err_j <= p.m and dense.err(c, "j") <= p.m
         scale = max(1.0, h_k.norm(k))
@@ -594,6 +645,23 @@ class TestSteepSecularRoot:
         assert abs(sol.err_j - p.m) <= 1e-8 * p.m
         # the oracle's inactive answer is feasible, so the optimum cannot be worse
         assert sol.err_k <= solve_bep_oracle(p).err_k
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ConvergenceError,
+        reason="err_J(mu) is not monotone in the K-null band: e(0) < e(1.8e-12)",
+    )
+    def test_sector_budget_near_free_fit(self, grid_64_128):
+        # M close to the free fit's err_J: the oracle finds the problem inactive
+        # (err_J 9.62 <= M = 79.95), while the core searches below mu ~ 1e-12 and
+        # finds err_J(0) below err_J(1.8e-12); sector 0.8 fails the same way
+        h_k = GridFunction.from_function(grid_64_128, lambda z: np.exp(z) + 0.2 * np.conj(z))
+        h_j = GridFunction.from_function(grid_64_128, lambda z: 0.3 * np.conj(z))
+        p = saturated_problem(grid_64_128, Region.sector(1.2), h_k, h_j, 30, frac=0.9)
+        oracle = solve_bep_oracle(p)
+        sol = solve_bep(p, degree_diagnostic=False)
+        assert sol.err_j <= p.m
+        assert sol.err_k <= oracle.err_k + 1e-12 * max(1.0, oracle.err_k)
 
 
 def _region_problem(grid, kind, degree):
@@ -681,21 +749,21 @@ class TestNewtonSearch:
         # mu = 0 fit are computed once, with the answers of a fresh core per level
         p = saturated_family[0]
         levels = (p.m, 1.1 * p.m, 1e6)
-        fresh = [ConstrainedLSQ.from_problem(p).solve(m, 2.0) for m in levels]
+        fresh = [ConstrainedLSQ.from_problem(p).solve(m) for m in levels]
         calls = []
         feasibility = ConstrainedLSQ.feasibility
         monkeypatch.setattr(
             ConstrainedLSQ, "feasibility", lambda self: calls.append(1) or feasibility(self)
         )
         core = ConstrainedLSQ.from_problem(p)
-        shared = [core.solve(m, 2.0) for m in levels]
+        shared = [core.solve(m) for m in levels]
         assert len(calls) == 1
         for a, b in zip(shared, fresh):
             assert np.array_equal(a.coeffs, b.coeffs)
             assert (a.mu, a.iterations, a.saturated) == (b.mu, b.iterations, b.saturated)
         assert not shared[-1].saturated
         shared[-1].coeffs[:] = 0.0  # a returned fit does not alias the core's
-        assert np.array_equal(core.solve(1e6, 2.0).coeffs, fresh[-1].coeffs)
+        assert np.array_equal(core.solve(1e6).coeffs, fresh[-1].coeffs)
 
     def test_solution_errors_share_one_synthesis(self, saturated_family, monkeypatch):
         # saturated: the J-fit, the mu = 0 fit and the end point; inactive: the

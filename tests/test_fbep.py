@@ -148,7 +148,7 @@ class TestSolveFbep:
         p = make_problem(grid_32_64, f)
         sol = solve_fbep(p, basis)
         core = ConstrainedLSQ.from_problem(p, basis)
-        assert sol.iterations == core.solve(p.m, 2.0).iterations
+        assert sol.iterations == core.solve(p.m).iterations
         assert sol.iterations > 0
 
     def test_reduction_to_bep(self, grid_24_96):
