@@ -191,11 +191,12 @@ class FullForm(NamedTuple):
         return b, lift
 
     def leading(self, n: int) -> "FullForm":
-        """The form of the first n basis elements: its leading block, diagonalized again."""
-        if self.vecs is None:
-            return FullForm(self.vals[:n])
-        v = self.vecs[:n]
-        return FullForm(*np.linalg.eigh((v * self.vals) @ v.conj().T))
+        """The diagonal form of the first n basis elements, for the BEP's degree diagnostic.
+        A dense form raises: a prefix of the f-BEP's columns e_0..e_N, i e_0..i e_N
+        is no degree truncation."""
+        if self.vecs is not None:
+            raise ValueError("leading blocks are defined for a diagonal form only")
+        return FullForm(self.vals[:n])
 
 
 def _support(w: np.ndarray, h: np.ndarray) -> tuple[slice, np.ndarray, np.ndarray]:
@@ -375,8 +376,11 @@ class ConstrainedLSQ:
         if abs(e_mu - m) > _STOP_TOL * max(1.0, m):
             logger.debug("err_J from the forms missed M on the grid by %.3e", abs(e_mu - m))
 
-            def grid_err(mu: float) -> tuple[float, float]:
-                return self.err(self.coeffs(mu), "j"), self._form_err(mu)[1]
+            end_point = (mu, e_mu)  # where the search starts: its grid value is at hand
+
+            def grid_err(x: float) -> tuple[float, float]:
+                e_x = end_point[1] if x == end_point[0] else self.err(self.coeffs(x), "j")
+                return e_x, self._form_err(x)[1]
 
             mu, e_mu, more = _newton(grid_err, m, mu, evals, feas)
             iterations += more

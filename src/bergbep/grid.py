@@ -18,6 +18,26 @@ of RadialDisc(a) sum to a^2 and those of Sector(theta) to theta/pi, to
 rounding.  Every cell off the boundary has fraction exactly 0 or 1; a
 boundary within a few ulps of a cell edge is snapped onto the edge,
 since the edges themselves carry rounding of that size.
+
+A grid also holds its operators, each built on first use and freed with
+the grid.  Derivatives use spectral (trigonometric) angular
+differentiation by fft and five-point finite differences on the
+nonuniform radial rings.  The Teodorescu transform
+T[g](z) = int g(zeta)/(z - zeta) dA(zeta), a right inverse of dbar, is
+evaluated per angular mode: the Cauchy kernel sends input mode k+1 to
+output mode k with radial weight
+
+    T_k(r) = 2 r^k  int_0^r g_{k+1}(rho) rho^{-k} d rho    (k <= -1)
+    T_k(r) = -2 r^k int_r^1 g_{k+1}(rho) rho^{-k} d rho    (k >= 0)
+
+The one-sided radial integrals are sums over the inter-node panels in
+s = rho^2 of locally interpolated integrands, with the steep power
+factors evaluated in scaled form (every exponent <= 0) so that nothing
+over- or underflows.  They are linear in the ring samples of the input
+mode, so each grid assembles them once as one real n_r x n_r matrix per
+angular mode; an apply to any stack of grid functions is an fft along
+theta, one batched matmul over the modes and an inverse fft.  The
+transform of a constant reproduces conj(z) to rounding.
 """
 
 from __future__ import annotations
@@ -47,6 +67,8 @@ class DiscGrid:
     Gauss-Legendre nodes in s = r^2; radial_weights are the matching
     Gauss-Legendre weights (they live in the s variable and sum to 1).
     Angles are theta_j = 2 pi j / angular_count with uniform weight.
+    Derived tables and operators are cached properties, built on first
+    use and freed with the grid.
     """
 
     radial_nodes: np.ndarray
@@ -98,6 +120,36 @@ class DiscGrid:
         """
         return self.radial_nodes[:, None] ** np.arange(self.exactness_degree + 1)[None, :]
 
+    @cached_property
+    def radial_derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """First and second radial derivative matrices on the rings, built on first use.
+
+        Five-point finite-difference stencils, one-sided at the edges;
+        only differentiation needs them, the Teodorescu transform works
+        on any grid.
+        """
+        if self.n_radial < 5:
+            raise ValueError("grid too coarse for radial differentiation (need n_r >= 5)")
+        return _radial_diff_matrices(self.radial_nodes)
+
+    @cached_property
+    def angular_wavenumbers(self) -> np.ndarray:
+        """i k per angular mode in fft order, the Nyquist mode of an even count zeroed."""
+        ik = 1j * _fft_modes(self.angular_count)
+        if self.angular_count % 2 == 0:
+            ik[self.angular_count // 2] = 0.0  # the Nyquist mode has no real derivative
+        return ik
+
+    def dtheta(self, v: np.ndarray) -> np.ndarray:
+        """Spectral angular derivative along the last axis."""
+        d = np.fft.ifft(self.angular_wavenumbers * np.fft.fft(v, axis=-1), axis=-1)
+        return d.real if np.isrealobj(v) else d
+
+    @cached_property
+    def teodorescu(self) -> _TeodorescuOperator:
+        """The grid's discrete Teodorescu transform, built on first use and freed with the grid."""
+        return _TeodorescuOperator(self.radial_nodes, self.thetas)
+
 
 def build_grid(n_r: int, n_theta: int) -> DiscGrid:
     """Build the polar quadrature grid with n_r rings and n_theta angles.
@@ -118,6 +170,136 @@ def build_grid(n_r: int, n_theta: int) -> DiscGrid:
         angular_count=int(n_theta),
         exactness_degree=min(4 * n_r - 2, n_theta - 1),
     )
+
+
+_N_AUX = 10
+_N_STENCIL = 8
+
+
+def _fd_weights(x0: float, x: np.ndarray, m: int) -> np.ndarray:
+    """Fornberg weights for derivatives 0..m at x0 from the nodes x."""
+    n = x.size
+    c = np.zeros((n, m + 1))
+    c1 = 1.0
+    c4 = x[0] - x0
+    c[0, 0] = 1.0
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - x0
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c
+
+
+def _radial_diff_matrices(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First/second derivative matrices, 5-point stencils, one-sided at the edges."""
+    n = r.size
+    width = min(5, n)
+    d1 = np.zeros((n, n))
+    d2 = np.zeros((n, n))
+    for i in range(n):
+        start = min(max(i - 2, 0), n - width)
+        sten = slice(start, start + width)
+        w = _fd_weights(r[i], r[sten], 2)
+        d1[i, sten] = w[:, 1]
+        d2[i, sten] = w[:, 2]
+    return d1, d2
+
+
+def _fft_modes(n: int) -> np.ndarray:
+    """Angular mode numbers in numpy's fft order; the Nyquist mode of even n is -n/2."""
+    return ((np.arange(n) + n // 2) % n) - n // 2
+
+
+class _TeodorescuOperator:
+    """Discrete Teodorescu transform: one real n_r x n_r radial matrix per angular mode.
+
+    matrices[m] maps the samples of input mode k_m on the rings to the
+    samples of output mode k_m - 1; apply is an fft along theta, one
+    batched matmul over the modes and an inverse fft.
+    """
+
+    def __init__(self, radial_nodes: np.ndarray, thetas: np.ndarray):
+        r = radial_nodes
+        n_r, n_t = r.size, thetas.size
+        ks = _fft_modes(n_t)
+        k_out = (ks - 1.0)[:, None, None]
+        inner = ks <= 0  # output mode k_out <= -1 integrates over [0, r]
+        # mode k of a smooth function is r^|k| times an even function, so
+        # odd modes carry a sqrt(s) factor that polynomial interpolation
+        # in s cannot resolve; they are reduced by one power of r at the
+        # nodes and the factor is restored exactly at the aux points
+        parity = (np.abs(ks) % 2).astype(float)[:, None, None]
+
+        s = r**2
+        edges = np.concatenate(([0.0], s, [1.0]))  # panel l spans [edges_l, edges_{l+1}]
+        x, w = np.polynomial.legendre.leggauss(_N_AUX)
+        mid = (edges[:-1] + edges[1:]) / 2.0
+        half = (edges[1:] - edges[:-1]) / 2.0
+        aux_s = mid[:, None] + half[:, None] * x[None, :]  # (panels, aux)
+        aux_w = half[:, None] * w[None, :]
+        log_a = 0.5 * np.log(aux_s)
+        log_r = np.log(r)
+
+        # barycentric interpolation in s from the _N_STENCIL nearest rings
+        # onto each panel's aux points, as a dense (panels, aux, n_r) map
+        n_st = min(_N_STENCIL, n_r)
+        starts = np.clip(np.arange(n_r + 1) - n_st // 2, 0, n_r - n_st)
+        idx = starts[:, None] + np.arange(n_st)[None, :]  # (panels, n_st)
+        nodes = s[idx]
+        gaps = nodes[:, None, :] - nodes[:, :, None]  # gaps[l, t, j] = s_j - s_t
+        gaps[:, np.arange(n_st), np.arange(n_st)] = 1.0
+        bw = 1.0 / np.prod(gaps, axis=2)
+        # the aux points lie strictly inside the panels, never on a node
+        terms = bw[:, None, :] / (aux_s[:, :, None] - nodes[:, None, :])
+        interp = np.zeros((n_r + 1, _N_AUX, n_r))
+        np.put_along_axis(
+            interp, idx[:, None, :], terms / terms.sum(axis=2, keepdims=True), axis=2
+        )
+
+        # ring i collects the panels on its side of the Cauchy kernel:
+        #   T_k(r_i) = sum_{l <= i} exp(k (log r_i - log r_l)) c_l   (k <= -1)
+        #   T_k(r_i) = -sum_{l >= i} exp(k (log r_i - log r_l)) c_l  (k >= 0)
+        # where c_l integrates panel l (k <= -1) or l + 1 (k >= 0) scaled
+        # to ring l; every exponent is <= 0, so nothing overflows
+        lower = np.tri(n_r, dtype=bool)
+        gap = log_r[:, None] - log_r[None, :]
+        self.matrices = np.empty((n_t, n_r, n_r))
+        for modes, panels, keep, sign in (
+            (np.nonzero(inner)[0], slice(0, n_r), lower, 1.0),
+            (np.nonzero(~inner)[0], slice(1, n_r + 1), lower.T, -1.0),
+        ):
+            k, par, la = k_out[modes], parity[modes], log_a[panels]
+            weights = aux_w[panels] * np.exp(k * (log_r[:, None] - la) + (par - 1.0) * la)
+            cells = np.einsum("mlq,lqj->mlj", weights, interp[panels])
+            cells /= np.where(par > 0.0, r, 1.0)  # the odd-mode reduction at the nodes
+            decay = np.exp(np.where(keep, k * gap, -np.inf))
+            self.matrices[modes] = sign * (decay @ cells)
+        self.phase = np.exp(-1j * thetas)
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """T on grid samples of shape (..., n_r, n_theta), one stack in one pass."""
+        n_t, n_r, _ = self.matrices.shape
+        lead = values.shape[:-2]
+        # modes first and the stack last: one matmul per mode covers the
+        # whole stack, and the real matrices act on re and im alike
+        cols = np.ascontiguousarray(np.moveaxis(np.fft.fft(values, axis=-1), (-1, -2), (0, 1)))
+        out = (self.matrices @ cols.reshape(n_t, n_r, -1).view(float)).view(complex)
+        del cols  # stacks can be large: hold at most two copies at a time
+        t = np.fft.ifft(np.moveaxis(out.reshape((n_t, n_r) + lead), (0, 1), (-1, -2)), axis=-1)
+        t *= self.phase
+        return t
 
 
 @dataclass(eq=False)

@@ -53,23 +53,9 @@ needs no weight table.  real_gram, real_rhs and synthesize use the
 samples on every basis, so they stay an independent reference for the
 spectral forms.
 
-Derivatives on the tensor grid use spectral (trigonometric) angular
-differentiation by fft and five-point finite differences on the
-nonuniform radial rings.  The Teodorescu transform is evaluated per
-angular mode: the Cauchy kernel sends input mode k+1 to output mode k
-with radial weight
-
-    T_k(r) = 2 r^k  int_0^r g_{k+1}(rho) rho^{-k} d rho    (k <= -1)
-    T_k(r) = -2 r^k int_r^1 g_{k+1}(rho) rho^{-k} d rho    (k >= 0)
-
-The one-sided radial integrals are sums over the inter-node panels in
-s = rho^2 of locally interpolated integrands, with the steep power
-factors evaluated in scaled form (every exponent <= 0) so that nothing
-over- or underflows.  They are linear in the ring samples of the input
-mode, so each grid assembles them once as one real n_r x n_r matrix per
-angular mode; an apply to any stack of grid functions is an fft along
-theta, one batched matmul over the modes and an inverse fft.  The
-transform of a constant reproduces conj(z) to rounding.
+dbar, dz and teodorescu apply the operators their grid holds (see
+grid.py): its radial stencils, angular wavenumbers and Teodorescu
+radial matrices.
 
 A reproducing identity for Vekua solutions can be written through the
 similarity factor, w(z) = <w, exp(conj(s(z) - s(.))) K(z, .)>, but the
@@ -81,7 +67,6 @@ from __future__ import annotations
 
 import logging
 import warnings
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -93,8 +78,6 @@ from .grid import DiscGrid, GridFunction, GridMismatchError, Region, build_grid,
 
 logger = logging.getLogger("bergbep")
 
-_N_AUX = 10
-_N_STENCIL = 8
 _MAX_LIFT_ITER = 60  # Neumann steps of a lift
 
 
@@ -102,110 +85,12 @@ class LiftDivergenceError(RuntimeError):
     """The Neumann iteration for a Vekua lift diverged."""
 
 
-def _fd_weights(x0: float, x: np.ndarray, m: int) -> np.ndarray:
-    """Fornberg weights for derivatives 0..m at x0 from the nodes x."""
-    n = x.size
-    c = np.zeros((n, m + 1))
-    c1 = 1.0
-    c4 = x[0] - x0
-    c[0, 0] = 1.0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c
-
-
-def _radial_diff_matrices(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First/second derivative matrices, 5-point stencils, one-sided at the edges."""
-    n = r.size
-    width = min(5, n)
-    d1 = np.zeros((n, n))
-    d2 = np.zeros((n, n))
-    for i in range(n):
-        start = min(max(i - 2, 0), n - width)
-        sten = slice(start, start + width)
-        w = _fd_weights(r[i], r[sten], 2)
-        d1[i, sten] = w[:, 1]
-        d2[i, sten] = w[:, 2]
-    return d1, d2
-
-
-def _fft_modes(n: int) -> np.ndarray:
-    """Angular mode numbers in numpy's fft order; the Nyquist mode of even n is -n/2."""
-    return ((np.arange(n) + n // 2) % n) - n // 2
-
-
-class _GridOps:
-    """Differentiation and Teodorescu machinery cached per grid.
-
-    Holds only arrays derived from the grid, never the grid itself: the
-    cache is keyed weakly by the grid, and a reference back to the key
-    would keep every entry alive.
-    """
-
-    def __init__(self, grid: DiscGrid):
-        self.radial_nodes = grid.radial_nodes
-        self.thetas = grid.thetas
-        ik = 1j * _fft_modes(grid.angular_count)
-        if grid.angular_count % 2 == 0:
-            ik[grid.angular_count // 2] = 0.0  # the Nyquist mode has no real derivative
-        self.ik = ik
-        self.phase = np.exp(1j * grid.thetas)[None, :]
-        self.inv_r = (1.0 / grid.radial_nodes)[:, None]
-        self._dr = None
-        self._teo = None
-
-    @property
-    def dr1(self) -> np.ndarray:
-        return self._radial()[0]
-
-    @property
-    def dr2(self) -> np.ndarray:
-        return self._radial()[1]
-
-    def _radial(self) -> tuple[np.ndarray, np.ndarray]:
-        # only differentiation needs the 5-point radial stencils; the
-        # Teodorescu transform works on any grid
-        if self._dr is None:
-            if self.radial_nodes.size < 5:
-                raise ValueError("grid too coarse for radial differentiation (need n_r >= 5)")
-            self._dr = _radial_diff_matrices(self.radial_nodes)
-        return self._dr
-
-    def dtheta(self, v: np.ndarray) -> np.ndarray:
-        """Spectral angular derivative along the last axis."""
-        d = np.fft.ifft(self.ik * np.fft.fft(v, axis=-1), axis=-1)
-        return d.real if np.isrealobj(v) else d
-
-    @property
-    def teo(self) -> "_TeodorescuOperator":
-        if self._teo is None:
-            self._teo = _TeodorescuOperator(self.radial_nodes, self.thetas)
-        return self._teo
-
-
-_ops_cache: "weakref.WeakKeyDictionary[DiscGrid, _GridOps]" = weakref.WeakKeyDictionary()
-
-
-def _ops(grid: DiscGrid) -> _GridOps:
-    ops = _ops_cache.get(grid)
-    if ops is None:
-        ops = _GridOps(grid)
-        _ops_cache[grid] = ops
-    return ops
+def _polar_parts(g: GridFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e^{i theta}, d_r g and (i/r) d_theta g, the parts of dbar and d in polar form."""
+    grid = g.grid
+    v_r = grid.radial_derivatives[0] @ g.values
+    v_t = grid.dtheta(g.values)
+    return np.exp(1j * grid.thetas)[None, :], v_r, 1j * (1.0 / grid.radial_nodes)[:, None] * v_t
 
 
 def dbar(g: GridFunction) -> GridFunction:
@@ -214,115 +99,23 @@ def dbar(g: GridFunction) -> GridFunction:
     In polar form dbar = (e^{i theta}/2)(d_r + (i/r) d_theta); exact to
     rounding for polynomials in z, conj(z) of radial degree <= 4.
     """
-    ops = _ops(g.grid)
-    v_r = ops.dr1 @ g.values
-    v_t = ops.dtheta(g.values)
-    return GridFunction(g.grid, 0.5 * ops.phase * (v_r + 1j * ops.inv_r * v_t))
+    phase, v_r, v_t = _polar_parts(g)
+    return GridFunction(g.grid, 0.5 * phase * (v_r + v_t))
 
 
 def dz(g: GridFunction) -> GridFunction:
     """Wirtinger derivative d = (d/dx - i d/dy) / 2 on the grid."""
-    ops = _ops(g.grid)
-    v_r = ops.dr1 @ g.values
-    v_t = ops.dtheta(g.values)
-    return GridFunction(g.grid, 0.5 * np.conj(ops.phase) * (v_r - 1j * ops.inv_r * v_t))
-
-
-def _polar_second_derivatives(ops: _GridOps, v: np.ndarray):
-    v_r = ops.dr1 @ v
-    v_rr = ops.dr2 @ v
-    v_t = ops.dtheta(v)
-    v_tt = ops.dtheta(v_t)
-    return v_r, v_rr, v_t, v_tt
-
-
-class _TeodorescuOperator:
-    """Discrete Teodorescu transform: one real n_r x n_r radial matrix per angular mode.
-
-    matrices[m] maps the samples of input mode k_m on the rings to the
-    samples of output mode k_m - 1; apply is an fft along theta, one
-    batched matmul over the modes and an inverse fft.
-    """
-
-    def __init__(self, radial_nodes: np.ndarray, thetas: np.ndarray):
-        r = radial_nodes
-        n_r, n_t = r.size, thetas.size
-        ks = _fft_modes(n_t)
-        k_out = (ks - 1.0)[:, None, None]
-        inner = ks <= 0  # output mode k_out <= -1 integrates over [0, r]
-        # mode k of a smooth function is r^|k| times an even function, so
-        # odd modes carry a sqrt(s) factor that polynomial interpolation
-        # in s cannot resolve; they are reduced by one power of r at the
-        # nodes and the factor is restored exactly at the aux points
-        parity = (np.abs(ks) % 2).astype(float)[:, None, None]
-
-        s = r**2
-        edges = np.concatenate(([0.0], s, [1.0]))  # panel l spans [edges_l, edges_{l+1}]
-        x, w = np.polynomial.legendre.leggauss(_N_AUX)
-        mid = (edges[:-1] + edges[1:]) / 2.0
-        half = (edges[1:] - edges[:-1]) / 2.0
-        aux_s = mid[:, None] + half[:, None] * x[None, :]  # (panels, aux)
-        aux_w = half[:, None] * w[None, :]
-        log_a = 0.5 * np.log(aux_s)
-        log_r = np.log(r)
-
-        # barycentric interpolation in s from the _N_STENCIL nearest rings
-        # onto each panel's aux points, as a dense (panels, aux, n_r) map
-        n_st = min(_N_STENCIL, n_r)
-        starts = np.clip(np.arange(n_r + 1) - n_st // 2, 0, n_r - n_st)
-        idx = starts[:, None] + np.arange(n_st)[None, :]  # (panels, n_st)
-        nodes = s[idx]
-        gaps = nodes[:, None, :] - nodes[:, :, None]  # gaps[l, t, j] = s_j - s_t
-        gaps[:, np.arange(n_st), np.arange(n_st)] = 1.0
-        bw = 1.0 / np.prod(gaps, axis=2)
-        # the aux points lie strictly inside the panels, never on a node
-        terms = bw[:, None, :] / (aux_s[:, :, None] - nodes[:, None, :])
-        interp = np.zeros((n_r + 1, _N_AUX, n_r))
-        np.put_along_axis(
-            interp, idx[:, None, :], terms / terms.sum(axis=2, keepdims=True), axis=2
-        )
-
-        # ring i collects the panels on its side of the Cauchy kernel:
-        #   T_k(r_i) = sum_{l <= i} exp(k (log r_i - log r_l)) c_l   (k <= -1)
-        #   T_k(r_i) = -sum_{l >= i} exp(k (log r_i - log r_l)) c_l  (k >= 0)
-        # where c_l integrates panel l (k <= -1) or l + 1 (k >= 0) scaled
-        # to ring l; every exponent is <= 0, so nothing overflows
-        lower = np.tri(n_r, dtype=bool)
-        gap = log_r[:, None] - log_r[None, :]
-        self.matrices = np.empty((n_t, n_r, n_r))
-        for modes, panels, keep, sign in (
-            (np.nonzero(inner)[0], slice(0, n_r), lower, 1.0),
-            (np.nonzero(~inner)[0], slice(1, n_r + 1), lower.T, -1.0),
-        ):
-            k, par, la = k_out[modes], parity[modes], log_a[panels]
-            weights = aux_w[panels] * np.exp(k * (log_r[:, None] - la) + (par - 1.0) * la)
-            cells = np.einsum("mlq,lqj->mlj", weights, interp[panels])
-            cells /= np.where(par > 0.0, r, 1.0)  # the odd-mode reduction at the nodes
-            decay = np.exp(np.where(keep, k * gap, -np.inf))
-            self.matrices[modes] = sign * (decay @ cells)
-        self.phase = np.exp(-1j * thetas)
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """T on grid samples of shape (..., n_r, n_theta), one stack in one pass."""
-        n_t, n_r, _ = self.matrices.shape
-        lead = values.shape[:-2]
-        # modes first and the stack last: one matmul per mode covers the
-        # whole stack, and the real matrices act on re and im alike
-        cols = np.ascontiguousarray(np.moveaxis(np.fft.fft(values, axis=-1), (-1, -2), (0, 1)))
-        out = (self.matrices @ cols.reshape(n_t, n_r, -1).view(float)).view(complex)
-        del cols  # stacks can be large: hold at most two copies at a time
-        t = np.fft.ifft(np.moveaxis(out.reshape((n_t, n_r) + lead), (0, 1), (-1, -2)), axis=-1)
-        t *= self.phase
-        return t
+    phase, v_r, v_t = _polar_parts(g)
+    return GridFunction(g.grid, 0.5 * np.conj(phase) * (v_r - v_t))
 
 
 def teodorescu(g: GridFunction) -> GridFunction:
     """Teodorescu transform T[g](z) = int g(zeta) / (z - zeta) dA(zeta).
 
-    Evaluated at every grid node; a right inverse of dbar, and T[1]
-    equals conj(z) to rounding.
+    Evaluated at every grid node by the grid's operator; a right inverse
+    of dbar, and T[1] equals conj(z) to rounding.
     """
-    return GridFunction(g.grid, _ops(g.grid).teo.apply(g.values))
+    return GridFunction(g.grid, g.grid.teodorescu.apply(g.values))
 
 
 @dataclass(eq=False)
@@ -440,7 +233,7 @@ def _analytic_modes(w: np.ndarray, alpha: GridFunction) -> np.ndarray:
     """Ring modes U of u = w - T[alpha conj(w)], u = ifft(U, norm="forward"), for a stack."""
     u = np.conj(w)
     u *= alpha.values
-    u = _ops(alpha.grid).teo.apply(u)
+    u = alpha.grid.teodorescu.apply(u)
     np.subtract(w, u, out=u)
     return np.fft.fft(u, axis=-1, norm="forward")
 
@@ -514,7 +307,7 @@ def _lift_batch(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     grid = alpha.grid
-    teo = _ops(grid).teo
+    teo = grid.teodorescu
     seed_vals = np.stack([seed.on_grid(grid).values for seed in seeds])
     w = seed_vals.copy()
     increments: list[list[float]] = [[] for _ in seeds]
@@ -630,7 +423,7 @@ def _mode_pair_lift(
     _check_degree(grid, degree)
     a, s = mode
     n_r = grid.n_radial
-    mats = _ops(grid).teo.matrices
+    mats = grid.teodorescu.matrices
     n = np.arange(degree + 1)
     m, big_a = _pair_operator(mats, a, s, n)  # M diag(a)
     _, big_c = _pair_operator(mats, a, s, m)
@@ -744,7 +537,7 @@ def _mode_pair_norm(
     rings = np.nonzero(w > 0.0)[0]
     k = rings.size
     sqw = np.sqrt(w[rings])
-    scaled = sqw[:, None] * _ops(grid).teo.matrices[:, rings[:, None], rings]  # S M
+    scaled = sqw[:, None] * grid.teodorescu.matrices[:, rings[:, None], rings]  # S M
     p = np.arange(grid.angular_count)
     q, b = _pair_operator(scaled, (phi * a)[rings] / sqw, s, p)  # b[p] = B_p
     pairs, collided = p[p < q], p[p == q]
@@ -802,7 +595,7 @@ def restriction_map_norm(
     sqw = np.sqrt(w_j[idx])
     inputs = np.zeros((n,) + small.shape, dtype=complex)
     inputs.reshape(n, -1)[np.arange(n), idx] = (phi * alpha).ravel()[idx] / sqw
-    a = _ops(small).teo.apply(inputs).reshape(n, -1)[:, idx].T  # row: output node
+    a = small.teodorescu.apply(inputs).reshape(n, -1)[:, idx].T  # row: output node
     a *= sqw[:, None]
     theta, _ = _normal_top_eigenvalue(a)
     return float(np.sqrt(theta))
@@ -909,11 +702,11 @@ def _divergence_form_residual(
     grid: DiscGrid, sigma: np.ndarray, u: np.ndarray, mask: np.ndarray
 ) -> float:
     """Relative residual of div(sigma grad u) = 0 on the interior nodes."""
-    ops = _ops(grid)
-    u_r, u_rr, u_t, u_tt = _polar_second_derivatives(ops, u)
-    s_r = ops.dr1 @ sigma
-    s_t = ops.dtheta(sigma)
-    inv_r = ops.inv_r
+    d1, d2 = grid.radial_derivatives
+    u_t = grid.dtheta(u)
+    u_r, u_rr, u_tt = d1 @ u, d2 @ u, grid.dtheta(u_t)
+    s_r, s_t = d1 @ sigma, grid.dtheta(sigma)
+    inv_r = (1.0 / grid.radial_nodes)[:, None]
     terms = [
         sigma * u_rr,
         sigma * inv_r * u_r,
@@ -1041,9 +834,9 @@ class VekuaBasis:
         return _forms(self.values_matrix(), w, np.zeros(w.size), np.real)[0]
 
     def real_rhs(self, h: GridFunction, region: Region | None = None) -> np.ndarray:
-        """Vector Re <h, w_m> over the disc or a region, from the samples."""
+        """Vector Re <h, w_m> over the disc or a region, from the samples on every basis."""
         w = self.grid.weights if region is None else region.weights(self.grid)
-        return _forms(self.values_matrix(), w.ravel(), h.values.ravel(), np.real)[1]
+        return VekuaBasis._lsq_moments(self, w, h.values)
 
     def synthesize(self, coeffs: np.ndarray) -> GridFunction:
         """sum_b c_b w_b from the samples."""

@@ -621,6 +621,17 @@ class TestBasisDiagnostics:
         assert basis._matrix is None and "elements" not in vars(basis)
         assert any("Gram min eigenvalue" in r.getMessage() for r in caplog.records)
 
+    def test_span_projection_builds_one_gram(self, basis_exp01_n8, monkeypatch):
+        # real_rhs takes the moments alone, so the projection's one Gram is real_gram's
+        import bergbep.vekua as vekua
+
+        f, basis = basis_exp01_n8
+        grams = []
+        forms = vekua._forms
+        monkeypatch.setattr(vekua, "_forms", lambda *a: grams.append(1) or forms(*a))
+        basis.project_span(f.values)
+        assert grams == [1]
+
 
 # (conductivity kind, eps, grid shape, degree); the last two put the lift of
 # e_N in a collided pair (odd n_theta for exp_x, even for exp_xy), and exp_xy
@@ -692,8 +703,8 @@ class TestPairCore:
             raise AssertionError("the dense reference used the pair forms")
 
         basis = _pair_basis(kind, eps, shape, degree)
-        monkeypatch.setattr(type(basis), "_lsq_forms", forbidden)
-        monkeypatch.setattr(type(basis), "_synthesis", forbidden)
+        for name in ("_lsq_forms", "_lsq_moments", "_synthesis"):
+            monkeypatch.setattr(type(basis), name, forbidden)
         grid = basis.grid
         h = GridFunction.from_function(grid, lambda z: np.conj(z) + 0.3 * np.abs(z) ** 2 + 0.5j)
         assert basis._matrix is None
@@ -782,16 +793,16 @@ class TestPairCore:
         assert (cls is _PairBasis) != sampled
 
     def test_closed_form_solve_samples_nothing(self, grid_24_96, monkeypatch):
-        from bergbep import vekua
+        from bergbep.grid import _TeodorescuOperator
 
         applies = []
-        apply = vekua._TeodorescuOperator.apply
+        apply = _TeodorescuOperator.apply
 
         def counting(self, values):
             applies.append(values.shape)
             return apply(self, values)
 
-        monkeypatch.setattr(vekua._TeodorescuOperator, "apply", counting)
+        monkeypatch.setattr(_TeodorescuOperator, "apply", counting)
         f = Conductivity.exp_xy(grid_24_96, 1.75)
         p = make_problem(grid_24_96, f, degree=12)
         sol = solve_fbep(p)

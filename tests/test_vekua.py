@@ -1,4 +1,5 @@
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from bergbep import (
     vekua_lift,
     vekua_residual,
 )
-from bergbep.vekua import _alpha_mode, _lift_batch, _mode_pair_lift, _ops, _ops_cache
+from bergbep.vekua import _alpha_mode, _lift_batch, _mode_pair_lift, _norm_grid
 
 
 def zero_alpha(grid):
@@ -465,7 +466,7 @@ class TestModeMatrices:
     def test_stack_equals_single_applies(self, grid_24_96):
         rng = np.random.default_rng(6)
         stack = rng.standard_normal((3,) + grid_24_96.shape) * (1 - 0.5j)
-        batched = _ops(grid_24_96).teo.apply(stack)
+        batched = grid_24_96.teodorescu.apply(stack)
         assert batched.shape == stack.shape
         for b in range(3):
             single = teodorescu(GridFunction(grid_24_96, stack[b])).values
@@ -486,7 +487,7 @@ class TestAngularDerivative:
         rng = np.random.default_rng(n_theta)
         v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         for values in (v, v.real):
-            d = _ops(grid).dtheta(values)
+            d = grid.dtheta(values)
             assert np.isrealobj(d) == np.isrealobj(values)
             assert _rel(d, values @ dense.T) <= 2.3e-15
 
@@ -559,7 +560,7 @@ def _dense_lift_oracle(f, degree):
         idx = np.arange(start, start + units.shape[0])
         units[np.arange(units.shape[0]), idx % size] = np.where(idx < size, 1.0, 1.0j)
         units = units.reshape((-1,) + grid.shape)
-        out = units - _ops(grid).teo.apply(alpha * np.conj(units))
+        out = units - grid.teodorescu.apply(alpha * np.conj(units))
         out = out.reshape(units.shape[0], size)
         columns.append(np.concatenate((out.real, out.imag), axis=1).T)
     matrix = np.concatenate(columns, axis=1)
@@ -718,15 +719,47 @@ class TestModePairLift:
 
 
 class TestOpsCache:
+    """A grid holds its operators: built once, freed with the grid."""
+
+    def test_teodorescu_built_once(self, monkeypatch):
+        from bergbep import grid as grid_module
+
+        builds = []
+        build = grid_module._TeodorescuOperator
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(grid_module, "_TeodorescuOperator", counting)
+        grid = build_grid(8, 16)
+        first = teodorescu(GridFunction.constant(grid, 1.0))
+        second = teodorescu(GridFunction.constant(grid, 1.0))
+        assert len(builds) == 1
+        assert np.array_equal(first.values, second.values)
+
+    def test_operators_freed_with_grid(self):
+        grid = build_grid(8, 16)
+        teodorescu(GridFunction.constant(grid, 1.0))
+        dbar(GridFunction.constant(grid, 1.0))
+        refs = [weakref.ref(grid.teodorescu), weakref.ref(grid.radial_derivatives[0])]
+        del grid
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
     def test_norm_grids_are_released(self, grid_24_96):
-        # the norm grid of a shape is built once and kept: repeated
-        # restriction_map_norm calls must add no cache entries
+        # the norm grid of a shape is built once and reused, and a grid
+        # evicted from the bounded cache releases its Teodorescu operator
         f = Conductivity.exp_x(grid_24_96, 0.2)
         j_region = Region.annulus(0.5)
         restriction_map_norm(f, j_region)
-        gc.collect()
-        before = len(_ops_cache)
+        before = _norm_grid.cache_info()
         for _ in range(10):
             restriction_map_norm(f, j_region)
+        after = _norm_grid.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 10, before.misses)
+        operator = weakref.ref(_norm_grid((12, 24)).teodorescu)
+        for n_theta in range(8, 8 + after.maxsize):  # every other shape, each used once
+            _norm_grid((5, n_theta))
         gc.collect()
-        assert len(_ops_cache) <= before
+        assert operator() is None
