@@ -252,7 +252,6 @@ class ConstrainedLSQ:
 
     def _diagonalize(self) -> None:
         vals = self.full.vals
-        self.min_eig = float(vals.min())  # of the full-disc form
         keep = vals > _DROP_RCOND * vals.max()
         self.dropped = int(np.count_nonzero(~keep))
         if self.dropped:
@@ -322,14 +321,11 @@ class ConstrainedLSQ:
         a_j_c = self.a_j @ c
         return (self.full.apply(c) - a_j_c - self.r_k) + mu * (a_j_c - self.r_j)
 
-    def _j_fit(self) -> tuple[np.ndarray, np.ndarray]:
-        """Whitened best fit of h_J on J (the mu -> inf limit) and the directions it uses."""
-        fit = self.taus > 1e-12 * self.taus.max()
-        return fit, np.where(fit, self.bt_j / np.where(fit, self.taus, 1.0), 0.0)
-
     def feasibility(self) -> float:
-        """Distance of h_J to the span on J, evaluated on the grid."""
-        return self.err(self.whiten @ self._j_fit()[1], "j")
+        """Distance of h_J to the span on J: its whitened best fit (mu -> inf), on the grid."""
+        fit = self.taus > 1e-12 * self.taus.max()
+        y = np.where(fit, self.bt_j / np.where(fit, self.taus, 1.0), 0.0)
+        return self.err(self.whiten @ y, "j")
 
     def _m_free(self) -> tuple[float, np.ndarray, np.ndarray, float]:
         """What solve needs at every budget: the feasibility distance and the

@@ -61,6 +61,9 @@ from .vekua import (
     vekua_residual,
 )
 
+_KKT_DIRECTIONS = 50  # random feasible directions of directional_kkt_check
+
+
 @dataclass(eq=False)
 class FbepProblem:
     """Data for the f-BEP: conductivity, partition, data, budget, degree."""
@@ -143,7 +146,7 @@ def _fbep_solution(problem: FbepProblem, basis: VekuaBasis, core: ConstrainedLSQ
         vekua_defect=vekua_residual(w_star, basis.alpha, problem.degree),
         feasibility=result.feasibility,
         saturated=result.saturated,
-        basis_min_eig=core.min_eig,
+        basis_min_eig=basis.min_eigenvalue(),
         dropped=core.dropped,
         iterations=result.iterations,
     )
@@ -172,25 +175,20 @@ def fbep_conjecture_check(problem: FbepProblem, solution: FbepSolution) -> float
     return float(np.linalg.norm(rho)) / max(solution.w_star.norm(), 1e-300)
 
 
-def directional_kkt_check(
-    problem: FbepProblem,
-    solution: FbepSolution,
-    n_directions: int = 50,
-    seed: int = 0,
-) -> float:
-    """Minimum of <grad(err_K^2), d> over random first-order feasible directions.
+def directional_kkt_check(problem: FbepProblem, solution: FbepSolution, seed: int = 0) -> float:
+    """Minimum of <grad(err_K^2), d> over _KKT_DIRECTIONS random first-order feasible directions.
 
-    Directions are drawn uniformly on the sphere and flipped to point
-    into the feasible cone grad(err_J^2) . d <= 0; at an optimum the
-    minimum is >= 0 up to multiplier precision.
+    The 50 directions are drawn uniformly on the sphere from seed and
+    flipped to point into the feasible cone grad(err_J^2) . d <= 0; at an
+    optimum the minimum is >= 0 up to multiplier precision.
     """
     core = _core_for(problem, solution)
     grad_k = 2.0 * core.kkt(solution.coeffs, 0.0)
     grad_j = 2.0 * (core.a_j @ solution.coeffs - core.r_j)
-    d = np.random.default_rng(seed).standard_normal((n_directions, solution.coeffs.size))
+    d = np.random.default_rng(seed).standard_normal((_KKT_DIRECTIONS, solution.coeffs.size))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     d[d @ grad_j > 0.0] *= -1.0
-    return float(np.min(d @ grad_k, initial=np.inf))
+    return float(np.min(d @ grad_k))
 
 
 def transformed_constraint_data(

@@ -15,8 +15,9 @@ its constraint into the Bergman setting (restriction_map_norm).  Both
 choose their algorithm from how alpha is represented.
 
 vekua_lift solves the fixed-point equation by Neumann iteration, which
-converges when T composed with alpha conj is a contraction; it lifts
-the f-BEP space of a grid-sampled f, whose alpha couples every mode.
+converges when T composed with alpha conj is a contraction and stops at
+_MAX_LIFT_ITER steps; it lifts the f-BEP space of a grid-sampled f,
+whose alpha couples every mode.
 For the closed-form conductivities alpha is one angular mode
 a(r) e^{i s theta} (_alpha_mode), and v -> T[alpha conj(v)] sends the
 ring samples of mode k to mode s - 1 - k.  The lift of e_n lives in the mode
@@ -35,11 +36,12 @@ input takes rho by Lanczos on the normal operator
 A VekuaBasis hands the f-BEP core the eigendecomposition of its
 full-disc Gram form, taken once per basis (_full_form), a region's real
 Gram form and moments (_lsq_forms, _lsq_moments) and its synthesis
-(_synthesis).  A basis of sampled lifts takes them from its samples by
-quadrature (bergman._forms).  The mode-pair basis keeps each lift as a
-two-mode ring spectrum, w_b = sum_u X_bu(r) e^{i p_bu theta} (u = 0, 1),
-and with W = fft_theta(w) the reordering of the polar layer in bergman
-gives
+(_synthesis); the span projection (project_span, invariance_defect)
+reads the same, so it takes no second Gram or eigh.  A basis of sampled
+lifts takes them from its samples by quadrature (bergman._forms).  The
+mode-pair basis keeps each lift as a two-mode ring spectrum, w_b =
+sum_u X_bu(r) e^{i p_bu theta} (u = 0, 1), and with W = fft_theta(w)
+the reordering of the polar layer in bergman gives
 
     G_ab = Re sum w conj(w_a) w_b
          = Re sum_{u,v} sum_i conj(X_au,i) X_bv,i W_i[(p_au - p_bv) mod n_theta]
@@ -79,6 +81,7 @@ from .grid import DiscGrid, GridFunction, GridMismatchError, Region, build_grid,
 logger = logging.getLogger("bergbep")
 
 _MAX_LIFT_ITER = 60  # Neumann steps of a lift
+_SPAN_RCOND = 1e-12  # the span projection leaves out Gram eigenvalues below this share of the top
 
 
 class LiftDivergenceError(RuntimeError):
@@ -149,6 +152,8 @@ class Conductivity:
 
     @classmethod
     def constant(cls, grid: DiscGrid, value: float = 1.0) -> "Conductivity":
+        if not (np.isfinite(value) and value != 0.0):
+            raise ValueError(f"constant conductivity must be non-zero and finite, got {value}")
         return cls(
             GridFunction.constant(grid, value),
             k_bound=max(abs(value), 1.0 / abs(value)),
@@ -180,8 +185,6 @@ def alpha_from_f(f: Conductivity) -> GridFunction:
     numerically for a grid-sampled f.
     """
     grid = f.grid
-    if np.min(np.abs(f.values.values)) < 1.0 / f.k_bound - 1e-12:
-        raise ValueError("conductivity magnitude fell below its declared lower bound")
     mode = _alpha_mode(f)
     if mode is not None:
         return GridFunction(grid, _mode_samples(grid, mode))
@@ -272,30 +275,23 @@ class VekuaFunction:
         return self.w.grid
 
 
-def vekua_lift(
-    seed: AnalyticCoeffs,
-    alpha: GridFunction,
-    tol: float = 1e-9,
-    max_iter: int = _MAX_LIFT_ITER,
-) -> VekuaFunction:
+def vekua_lift(seed: AnalyticCoeffs, alpha: GridFunction, tol: float = 1e-9) -> VekuaFunction:
     """Lift an analytic seed into the Vekua space of alpha.
 
     Iterates w <- seed + T[alpha conj(w)] from w = seed.  Converges
     geometrically when T composed with multiplication by alpha is a
     contraction; three consecutive increment growths raise
-    LiftDivergenceError, and hitting max_iter returns the last iterate
-    flagged as non-converged.
+    LiftDivergenceError, and stopping at _MAX_LIFT_ITER (60) steps
+    returns the last iterate flagged as non-converged.
     """
-    (lifted,) = _lift_batch([seed], alpha, tol, max_iter)
+    (lifted,) = _lift_batch([seed], alpha, tol)
     if isinstance(lifted, LiftDivergenceError):
         raise lifted
     return lifted
 
 
-def _lift_batch(
-    seeds: list[AnalyticCoeffs], alpha: GridFunction, tol: float, max_iter: int
-) -> list:
-    """Lift several seeds as vekua_lift does, with one Teodorescu apply per step.
+def _lift_batch(seeds: list[AnalyticCoeffs], alpha: GridFunction, tol: float) -> list:
+    """Lift several seeds of one degree as vekua_lift does, with one Teodorescu apply per step.
 
     Each seed keeps its own increments, iteration count and divergence
     detector, and stops updating once its increment is <= tol; a step
@@ -304,8 +300,6 @@ def _lift_batch(
     seed, its VekuaFunction or the LiftDivergenceError that ended it.
     """
     _check_tol(tol)
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     grid = alpha.grid
     teo = grid.teodorescu
     seed_vals = np.stack([seed.on_grid(grid).values for seed in seeds])
@@ -314,7 +308,7 @@ def _lift_batch(
     converged = [False] * len(seeds)
     diverged: dict[int, LiftDivergenceError] = {}
     active = list(range(len(seeds)))
-    for _ in range(max_iter):
+    for _ in range(_MAX_LIFT_ITER):
         if not active:
             break
         # in place where possible: each stack holds every seed still iterating
@@ -343,18 +337,17 @@ def _lift_batch(
 
     del x, w_next, seed_vals  # keep the residuals' stacks within the iteration's peak
     residuals = np.zeros(len(seeds))
-    for degree in {seed.degree for seed in seeds}:
-        idx = [b for b, seed in enumerate(seeds) if seed.degree == degree and b not in diverged]
-        if idx:
-            residuals[idx] = _residuals(w[idx], alpha, degree)
+    kept = [b for b in range(len(seeds)) if b not in diverged]
+    if kept:
+        residuals[kept] = _residuals(w[kept], alpha, seeds[0].degree)
     results: list = []
-    for b, seed in enumerate(seeds):
+    for b in range(len(seeds)):
         if b in diverged:
             results.append(diverged[b])
             continue
         if not converged[b]:
             logger.warning(
-                "vekua_lift hit max_iter=%d (last increment %.3e)", max_iter, increments[b][-1]
+                "vekua_lift hit %d steps (last increment %.3e)", _MAX_LIFT_ITER, increments[b][-1]
             )
         w_b = GridFunction(grid, w[b])
         results.append(
@@ -459,8 +452,7 @@ def _mode_pair_lift(
     defects = _mode_norms(grid, np.swapaxes(gap, -1, -2)).ravel()
     # the residual: u less its projection on e_p in each slot whose mode p <= N
     pair_modes = np.stack((n, m), axis=1)
-    e = np.sqrt(n + 1.0) * _radial_powers(grid, degree)  # (n_r, N+1)
-    profile = np.where((pair_modes <= degree)[..., None], e.T[np.minimum(pair_modes, degree)], 0.0)
+    profile = np.where((pair_modes <= degree)[..., None], seeds[pair_modes.clip(max=degree)], 0.0)
     u -= np.sum(grid.radial_weights * profile * u, axis=-1, keepdims=True) * profile
     residuals = _mode_norms(grid, np.swapaxes(u, -1, -2)).ravel()
 
@@ -491,7 +483,7 @@ def build_fbep_space(f: Conductivity, degree: int, tol: float = 1e-9) -> VekuaBa
             for unit in (1.0, 1.0j)
             for n in range(degree + 1)
         ]
-        elements = _lift_batch(seeds, alpha, tol, _MAX_LIFT_ITER)
+        elements = _lift_batch(seeds, alpha, tol)
         for name, lifted in zip(names, elements):  # the first failure in seed order
             if isinstance(lifted, LiftDivergenceError):
                 raise ConvergenceError(f"lift of seed {name} diverged: {lifted}") from lifted
@@ -774,11 +766,11 @@ class VekuaBasis:
     """Real-linear spanning family of Vekua functions (lifted e_n and i e_n).
 
     The dense (n_nodes, n_elements) matrix of element samples is built on
-    first use.  The f-BEP core takes the full-disc decomposition
-    (_full_form, one eigh per basis), a region's real forms and the
-    synthesis from the basis, here the quadrature of the samples; a
-    basis lifted by mode pairs (_PairBasis) supplies them from its
-    spectra instead.
+    first use.  The f-BEP core and the span projection take the
+    full-disc decomposition (_full_form, one eigh per basis), a region's
+    real forms and the synthesis from the basis, here the quadrature of
+    the samples; a basis lifted by mode pairs (_PairBasis) supplies them
+    from its spectra instead.
     """
 
     alpha: GridFunction
@@ -843,12 +835,13 @@ class VekuaBasis:
         vals = self.values_matrix() @ np.asarray(coeffs, dtype=float)
         return GridFunction(self.grid, vals.reshape(self.grid.shape))
 
-    def project_span(self, h: GridFunction, rcond: float = 1e-12) -> np.ndarray:
-        """Real coefficients of the span projection of h (pinv-regularized)."""
-        gram = self.real_gram()
-        vals, vecs = np.linalg.eigh(gram)
-        keep = vals > rcond * vals.max()
-        rhs = vecs.T @ self.real_rhs(h)
+    def project_span(self, h: GridFunction) -> np.ndarray:
+        """Real coefficients of the span projection of h: the pseudo-inverse of the
+        basis's one full-disc decomposition (_full_form), eigenvalues below
+        _SPAN_RCOND of the largest left out, on its full-disc moments."""
+        vals, vecs = self._full_form
+        keep = vals > _SPAN_RCOND * vals.max()
+        rhs = vecs.T @ self._lsq_moments(self.grid.weights, h.values)
         sol = np.zeros_like(rhs)
         sol[keep] = rhs[keep] / vals[keep]
         return vecs @ sol
@@ -937,7 +930,9 @@ class _PairBasis(VekuaBasis):
 
 
 def invariance_defect(basis: VekuaBasis, g_coeffs: np.ndarray, h: GridFunction) -> float:
-    """Defect of Re<g, h> = Re<g, Pi h> for g in the span, Pi the span projection."""
-    g = basis.synthesize(g_coeffs)
-    pi_h = basis.synthesize(basis.project_span(h))
+    """Defect of Re<g, h> = Re<g, Pi h> for g in the span, Pi the span projection;
+    g and Pi h are synthesized as the f-BEP core does (_synthesis)."""
+    grid = basis.grid
+    g = GridFunction(grid, basis._synthesis(np.asarray(g_coeffs, dtype=float)))
+    pi_h = GridFunction(grid, basis._synthesis(basis.project_span(h)))
     return abs(inner_product(g, h).real - inner_product(g, pi_h).real)

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -427,3 +429,114 @@ class TestCli:
         argv = ["lambda-sweep", "--problem", fixture, "--m-values", levels, "--out", str(out)]
         assert main(argv) == 1
         assert not out.exists()
+
+
+class TestCliInputPaths:
+    """Input paths of io and the CLI: each bad input exits 1 with an error line."""
+
+    @staticmethod
+    def _write(tmp_path, doc):
+        prob = tmp_path / "p.json"
+        prob.write_text(dumps_canonical(doc))
+        return str(prob)
+
+    @staticmethod
+    def _fails(argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        return err
+
+    def test_mask_region_solves(self, tmp_path):
+        grid = build_grid(24, 96)
+        values = [bool(x) for x in (grid.nodes.real > 0.0).ravel()]
+        doc = dict(load_json(BEP_FIXTURE), region_k={"variant": "mask", "values": values})
+        out = tmp_path / "s.json"
+        assert main(["solve-bep", "--problem", self._write(tmp_path, doc), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["saturated"] is True
+
+    def test_mask_of_wrong_length(self, tmp_path, capsys):
+        doc = dict(load_json(BEP_FIXTURE), region_k={"variant": "mask", "values": [True] * 5})
+        argv = ["solve-bep", "--problem", self._write(tmp_path, doc), "--out", str(tmp_path / "s")]
+        assert "mask has 5 entries" in self._fails(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "command, builtin, extra",
+        [
+            ("project", "exp_x", ["--eps", "0.5"]),
+            ("project", "exp_xy", ["--eps", "0.5"]),
+            ("project", "basis", ["--n", "2"]),
+            ("teodorescu", "exp_x", ["--eps", "0.5"]),
+            ("teodorescu", "exp_xy", ["--eps", "0.5"]),
+            ("teodorescu", "basis", ["--n", "2"]),
+        ],
+    )
+    def test_builtin_parameters(self, tmp_path, capsys, command, builtin, extra):
+        out = tmp_path / "o.json"
+        argv = [command, "--builtin", builtin, "--grid", "8,32", "--out", str(out)]
+        argv += ["--degree", "4"] if command == "project" else []
+        self._fails(argv, capsys)
+        assert not out.exists()
+        assert main(argv + extra) == 0
+        doc = json.loads(out.read_text())
+        assert len(doc["coefficients" if command == "project" else "values"]) > 0
+
+    def test_const_conductivity_solves(self, tmp_path):
+        doc = dict(load_json(FBEP_FIXTURE), conductivity={"kind": "const", "value": 2.0})
+        out = tmp_path / "s.json"
+        prob = self._write(tmp_path, doc)
+        assert main(["solve-fbep", "--problem", prob, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["saturated"] is True
+
+    @pytest.mark.parametrize("command", ["solve-fbep", "lambda-sweep"])
+    def test_zero_const_conductivity(self, tmp_path, capsys, command):
+        doc = dict(load_json(FBEP_FIXTURE), conductivity={"kind": "const", "value": 0})
+        argv = [command, "--problem", self._write(tmp_path, doc), "--out", str(tmp_path / "s")]
+        argv += ["--m-values", "0.1"] if command == "lambda-sweep" else []
+        assert "non-zero and finite, got 0.0" in self._fails(argv, capsys)
+
+    def test_solve_bep_on_fbep_file(self, tmp_path, capsys):
+        self._fails(["solve-bep", "--problem", FBEP_FIXTURE, "--out", str(tmp_path / "s")], capsys)
+
+    def test_lambda_sweep_empty_levels(self, tmp_path, capsys):
+        out = str(tmp_path / "s.csv")
+        argv = ["lambda-sweep", "--problem", BEP_FIXTURE, "--m-values", ",", "--out", out]
+        assert "at least one" in self._fails(argv, capsys)
+
+    def test_grid_argument_malformed(self, tmp_path, capsys):
+        out = str(tmp_path / "o.json")
+        argv = ["teodorescu", "--builtin", "const", "--grid", "24x96", "--out", out]
+        assert "grid must look like" in self._fails(argv, capsys)
+
+    def test_unknown_option(self, tmp_path, capsys):
+        argv = ["solve-bep", "--problem", BEP_FIXTURE, "--out", str(tmp_path / "s"), "--fast"]
+        assert main(argv) == 1
+        assert "unrecognized arguments: --fast" in capsys.readouterr().err
+
+
+def test_cli_as_a_process(tmp_path):
+    # the module entry point in a fresh interpreter, as the console script runs it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*argv):
+        cmd = [sys.executable, "-m", "bergbep.cli", *argv]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert run("solve-bep", "--problem", BEP_FIXTURE, "--out", str(out)).returncode == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    doc = dict(load_json(BEP_FIXTURE), h_j={"kind": "builtin", "name": "z_bar"}, m=1e-9)
+    infeasible = tmp_path / "infeasible.json"
+    infeasible.write_text(dumps_canonical(doc))
+    done = run("solve-bep", "--problem", str(infeasible), "--out", str(tmp_path / "c.json"))
+    assert done.returncode == 2 and done.stderr.startswith("error: infeasible problem")
+
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json")
+    done = run("solve-bep", "--problem", str(malformed), "--out", str(tmp_path / "d.json"))
+    assert done.returncode == 1 and done.stderr.startswith("error:")
+    assert "Traceback" not in done.stderr
