@@ -352,12 +352,6 @@ class GridFunction:
     def conj(self) -> "GridFunction":
         return GridFunction(self.grid, np.conj(self.values))
 
-    def real_part(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.real.astype(complex))
-
-    def imag_part(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.imag.astype(complex))
-
     def norm(self, region: "Region | None" = None) -> float:
         """L^2 norm over the disc, or over a region if given."""
         w = self.grid.weights if region is None else region.weights(self.grid)

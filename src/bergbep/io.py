@@ -31,11 +31,16 @@ class SchemaError(ValueError):
     """A problem or solution document violates the interchange schema."""
 
 
+def _typed(value, kinds) -> bool:
+    """isinstance for JSON values: a boolean is no number, though Python counts it an int."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _as_pair(value) -> list[float]:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(v, (int, float)) and np.isfinite(v) for v in value)
+        or not all(_typed(v, (int, float)) and np.isfinite(v) for v in value)
     ):
         raise SchemaError(f"expected a finite [re, im] pair, got {value!r}")
     return [float(value[0]), float(value[1])]
@@ -64,7 +69,7 @@ def _require(d: dict, key: str, kinds, what: str):
     if key not in d:
         raise SchemaError(f"{what} is missing required key {key!r}")
     value = d[key]
-    if kinds is not None and not isinstance(value, kinds):
+    if kinds is not None and not _typed(value, kinds):
         raise SchemaError(f"{what} key {key!r} has invalid type {type(value).__name__}")
     return value
 
@@ -172,7 +177,10 @@ def normalize_conductivity_spec(spec) -> dict:
         raise SchemaError("conductivity spec must be an object")
     kind = _require(spec, "kind", str, "conductivity spec")
     if kind == "const":
-        return {"kind": "const", "value": float(spec.get("value", 1.0))}
+        value = spec.get("value", 1.0)
+        if not _typed(value, (int, float)):
+            raise SchemaError(f"conductivity const value must be a number, got {value!r}")
+        return {"kind": "const", "value": float(value)}
     if kind in ("exp_x", "exp_xy"):
         return {
             "kind": kind,
@@ -216,7 +224,7 @@ def normalize_problem(doc) -> dict:
     if "conductivity" in doc:
         out["conductivity"] = normalize_conductivity_spec(doc["conductivity"])
         lift_tol = doc.get("lift_tol", 1e-9)
-        if not isinstance(lift_tol, (int, float)) or not 0.0 < lift_tol < np.inf:
+        if not _typed(lift_tol, (int, float)) or not 0.0 < lift_tol < np.inf:
             raise SchemaError(f"lift_tol must be positive and finite, got {lift_tol!r}")
         out["lift_tol"] = float(lift_tol)
     return out

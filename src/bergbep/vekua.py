@@ -22,10 +22,10 @@ For the closed-form conductivities alpha is one angular mode
 a(r) e^{i s theta} (_alpha_mode), and v -> T[alpha conj(v)] sends the
 ring samples of mode k to mode s - 1 - k.  The lift of e_n lives in the mode
 pair n, s - 1 - n, and _mode_pair_lift solves the discrete equation
-exactly for any contrast: one n_r x n_r complex solve per degree
-(realified to 2 n_r where the two modes coincide).  Each such lift is
-certified by its fixed-point defect ||seed + T[alpha conj(w)] - w||,
-evaluated on the unreduced pair system with the same radial matrices;
+exactly for any contrast: one n_r x n_r complex solve per degree, also
+where the two modes coincide.  Each such lift is certified by its
+fixed-point defect ||seed + T[alpha conj(w)] - w||, evaluated on the
+unreduced pair system with the same radial matrices;
 the lifts are sampled on the grid only when asked for.  The norm of the
 restriction map h -> h - T_J(alpha conj(h)) splits into the same mode
 pairs on a J invariant under rotation (_mode_pair_norm); both take the
@@ -397,16 +397,19 @@ def _mode_pair_lift(
         (I - A conj(C)) x = S_n,   y = C conj(x),
 
     one batched n_r x n_r solve over n, and the lift of i e_n is
-    (i x, -i y).  When m = n the equation x = S_n + A conj(x) is only
-    real-linear and is solved in its 2 n_r realified form for both
-    seeds.  The basis (_PairBasis) keeps each lift's two-mode spectrum,
-    from which the f-BEP takes its forms; it samples the lifts on the
-    grid only when its elements are asked for.
+    (i x, -i y).  The same solve holds when m = n (C = A): w = x + y
+    solves the real-linear w = S_n + A conj(w), i (x - y) is the lift of
+    i e_n, and the two slots, which share mode n, are added into the
+    first.  The system is then singular exactly when the lift equation
+    is: I - A conj(A) = (I + A conj)(I - A conj), and z = A conj(z) iff
+    i z = -A conj(i z).  The basis (_PairBasis) keeps each lift's
+    two-mode spectrum, from which the f-BEP takes its forms; it samples
+    the lifts on the grid only when its elements are asked for.
 
     Each lift is certified by its fixed-point defect ||seed +
     T[alpha conj(w)] - w|| and its span residual, evaluated on the
     unreduced pair system: the ring modes of w - T[alpha conj(w)] are
-    x - A conj(y) and y - C conj(x) (collided: x - A conj(x)), since alpha
+    x - A conj(y) and y - C conj(x) (collided: w - A conj(w)), since alpha
     is exactly one mode on the grid, and their norms are Parseval sums
     over the rings.  Each element then has iterations = 1, increments =
     [defect], and converged iff defect <= tol.
@@ -422,22 +425,15 @@ def _mode_pair_lift(
     _, big_c = _pair_operator(mats, a, s, m)
     collided = m == n
     seeds = np.sqrt(n + 1.0)[:, None] * _radial_powers(grid, degree).T  # e_n in mode n
-    eye = np.eye(n_r)
-    system = eye - big_a @ np.conj(big_c)
-    system[collided] = eye  # the collided pair is solved below
+    system = np.eye(n_r) - big_a @ np.conj(big_c)
     x = np.linalg.solve(system, seeds[..., None])[..., 0]
     y = np.einsum("nij,nj->ni", big_c, np.conj(x))
     # rings[unit, n, slot]: the ring coefficients in modes (n, m) of the
-    # lifts of e_n (x, y) and of i e_n (i x, -i y)
+    # lifts of e_n (x, y) and of i e_n (i x, -i y); a collided pair's two
+    # slots share mode n and are added into slot 0
     rings = np.stack((np.stack((x, y), axis=1), np.stack((1j * x, -1j * y), axis=1)))
-    for c in np.nonzero(collided)[0]:  # the collided pair: x = S_n + A conj(x)
-        ar, ai = big_a[c].real, big_a[c].imag
-        real_form = np.block([[eye - ar, -ai], [-ai, eye + ar]])
-        rhs = np.zeros((2 * n_r, 2))
-        rhs[:n_r, 0] = rhs[n_r:, 1] = seeds[c]
-        sol = np.linalg.solve(real_form, rhs)
-        rings[:, c, 0] = (sol[:n_r] + 1j * sol[n_r:]).T
-        rings[:, c, 1] = 0.0
+    rings[:, collided, 0] += rings[:, collided, 1]
+    rings[:, collided, 1] = 0.0
 
     # the certificate: u = w - T[alpha conj(w)] in the pair's modes
     own, other = rings[:, :, 0], rings[:, :, 1]
@@ -519,11 +515,13 @@ def _mode_pair_norm(
     the ring modes H_p of h on J's rings, R sends H_p to H_p - B_p
     conj(H_p'), with p' = s - 1 - p (mod n_theta) and B_p = S M_{p+1}
     diag(phi a) S^-1, M the Teodorescu radial matrices (_pair_operator).
-    For p != p' the pair is complex-linear in (H_p, conj H_p'), with
-    matrix [[I, -B_p], [-conj(B_p'), I]]; a collided pair p = p' is only
-    real-linear, and its realified matrix is [[I - Re B, -Im B], [-Im B,
-    I + Re B]].  The norm is the largest singular value over these
-    blocks X, each 2 n_J wide, from one batched eigvalsh of X^H X.
+    Each pair p <= p' is complex-linear in (H_p, conj H_p'), with matrix
+    [[I, -B_p], [-conj(B_p'), I]].  For a collided pair p = p', where
+    H_p -> H_p - B_p conj(H_p) is only real-linear, this matrix maps
+    (z, conj z) to (L z, conj L z): it is unitarily similar to the
+    realified map, with the same singular values.  The norm is the
+    largest singular value over these blocks X, each 2 n_J wide, from
+    one batched eigvalsh of X^H X.
     """
     a, s = mode
     rings = np.nonzero(w > 0.0)[0]
@@ -532,15 +530,11 @@ def _mode_pair_norm(
     scaled = sqw[:, None] * grid.teodorescu.matrices[:, rings[:, None], rings]  # S M
     p = np.arange(grid.angular_count)
     q, b = _pair_operator(scaled, (phi * a)[rings] / sqw, s, p)  # b[p] = B_p
-    pairs, collided = p[p < q], p[p == q]
-    blocks = np.zeros((pairs.size + collided.size, 2 * k, 2 * k), dtype=complex)
+    pairs = p[p <= q]
+    blocks = np.zeros((pairs.size, 2 * k, 2 * k), dtype=complex)
     blocks[:, :k, :k] = blocks[:, k:, k:] = np.eye(k)
-    blocks[: pairs.size, :k, k:] = -b[pairs]
-    blocks[: pairs.size, k:, :k] = -np.conj(b[q[pairs]])
-    real, imag = b[collided].real, b[collided].imag
-    blocks[pairs.size :, :k, :k] -= real
-    blocks[pairs.size :, k:, k:] += real
-    blocks[pairs.size :, :k, k:] = blocks[pairs.size :, k:, :k] = -imag
+    blocks[:, :k, k:] = -b[pairs]
+    blocks[:, k:, :k] = -np.conj(b[q[pairs]])
     return float(np.sqrt(np.linalg.eigvalsh(np.swapaxes(blocks, 1, 2).conj() @ blocks).max()))
 
 
@@ -827,6 +821,7 @@ class VekuaBasis:
 
     def real_rhs(self, h: GridFunction, region: Region | None = None) -> np.ndarray:
         """Vector Re <h, w_m> over the disc or a region, from the samples on every basis."""
+        self.alpha._check_same_grid(h)
         w = self.grid.weights if region is None else region.weights(self.grid)
         return VekuaBasis._lsq_moments(self, w, h.values)
 
@@ -838,7 +833,9 @@ class VekuaBasis:
     def project_span(self, h: GridFunction) -> np.ndarray:
         """Real coefficients of the span projection of h: the pseudo-inverse of the
         basis's one full-disc decomposition (_full_form), eigenvalues below
-        _SPAN_RCOND of the largest left out, on its full-disc moments."""
+        _SPAN_RCOND of the largest left out, on its full-disc moments.  h must
+        live on the basis's grid (GridMismatchError)."""
+        self.alpha._check_same_grid(h)
         vals, vecs = self._full_form
         keep = vals > _SPAN_RCOND * vals.max()
         rhs = vecs.T @ self._lsq_moments(self.grid.weights, h.values)
@@ -855,10 +852,11 @@ class _PairBasis(VekuaBasis):
     """The VekuaBasis of a mode-pair lift (_mode_pair_lift), sampled on first use.
 
     Each lift is kept as its two-mode ring spectrum: the modes (B, 2)
-    and the ring coefficients (B, 2, n_r), a collided pair's second slot
-    zero.  The core's forms and synthesis are the pair identities of the
-    module docstring, and the elements are synthesized from the spectra
-    when first asked for, by one inverse fft of the whole stack.
+    and the ring coefficients (B, 2, n_r), a collided pair's lift in the
+    first slot and zeros in the second.  The core's forms and synthesis
+    are the pair identities of the module docstring, and the elements
+    are synthesized from the spectra when first asked for, by one
+    inverse fft of the whole stack.
     """
 
     def __init__(self, alpha, modes, rings, defects, residuals, tol):

@@ -27,7 +27,7 @@ from bergbep import (
     solve_bep,
     solve_bep_oracle,
 )
-from bergbep.bep import ConstrainedLSQ, FullForm, _newton
+from bergbep.bep import ConstrainedLSQ, FullForm, _bisect, _check_saturated, _newton
 from bergbep.bergman import _forms, basis_matrix
 from conftest import low_degree_infeasible_problem, saturated_problem
 
@@ -732,6 +732,29 @@ class TestNewtonSearch:
             assert sol.saturated
             assert abs(sol.lam - good.lam) <= 1e-10 * (1.0 + good.lam)
             assert sol.iterations > good.iterations  # every step was a safeguard step
+
+    def test_doubles_without_a_usable_slope(self):
+        # err = 1/(1 + mu) reported with a zero slope: no Newton step, so mu
+        # doubles while err > M, then the bracket halves in log scale
+        evals = []
+        mu, e_mu, _ = _newton(lambda mu: (1.0 / (1.0 + mu), 0.0), 0.01, 1.0, evals, 0.0)
+        assert [x for x, _ in evals[:8]] == [2.0**k for k in range(8)]
+        assert abs(e_mu - 0.01) <= 1e-12 and abs(mu - 99.0) <= 1e-8
+
+    def test_bisection_expansion_exhausted(self):
+        # the oracle's search on an err that never falls to M
+        evals = []
+        with pytest.raises(ConvergenceError, match="bracket expansion exhausted"):
+            _bisect(lambda mu: 1.0, 0.5, 0.0, 1.0, evals, 0.25)
+        assert len(evals) == 81  # hi = 1 and its 80 doublings
+
+    def test_stalled_search_rejected(self):
+        # err jumps across M at mu = 1: the bracket collapses there, 1 away from M
+        evals = []
+        mu, e_mu, _ = _bisect(lambda mu: 2.0 if mu < 1.0 else 0.0, 1.0, 0.0, 4.0, evals, 0.0)
+        assert abs(mu - 1.0) <= 1e-14 and e_mu in (0.0, 2.0)
+        with pytest.raises(ConvergenceError, match="multiplier search stalled"):
+            _check_saturated(evals, 1.0, mu, e_mu)
 
     def test_oracle_without_newton(self, grid_24_96, monkeypatch):
         import bergbep.bep as bep

@@ -110,6 +110,39 @@ class TestRegionSpec:
             region_from_spec({"variant": "radial_disc", "a": 1.5})
 
 
+# a JSON boolean where a number belongs, and a const conductivity that is no
+# number; each mutates the BEP fixture (the last five make it an f-BEP)
+_NON_NUMBERS = [
+    pytest.param(lambda d: d.__setitem__("degree", True), id="degree_true"),
+    pytest.param(lambda d: d.__setitem__("m", True), id="m_true"),
+    pytest.param(lambda d: d["h_k"].__setitem__("value", [True, 0.0]), id="pair_true"),
+    pytest.param(
+        lambda d: d.__setitem__("h_j", {"kind": "builtin", "name": "exp_x", "eps": True}),
+        id="eps_true",
+    ),
+    pytest.param(
+        lambda d: d.__setitem__("conductivity", {"kind": "exp_x", "eps": True}),
+        id="conductivity_eps_true",
+    ),
+    pytest.param(
+        lambda d: d.update(conductivity={"kind": "exp_x", "eps": 0.1}, lift_tol=True),
+        id="lift_tol_true",
+    ),
+    pytest.param(
+        lambda d: d.__setitem__("conductivity", {"kind": "const", "value": None}),
+        id="const_null",
+    ),
+    pytest.param(
+        lambda d: d.__setitem__("conductivity", {"kind": "const", "value": [1.0]}),
+        id="const_list",
+    ),
+    pytest.param(
+        lambda d: d.__setitem__("conductivity", {"kind": "const", "value": {"re": 1.0}}),
+        id="const_object",
+    ),
+]
+
+
 class TestProblemFile:
     def test_bep_golden_round_trip(self):
         with open(BEP_FIXTURE, "r", encoding="utf-8") as fh:
@@ -139,6 +172,7 @@ class TestProblemFile:
             lambda d: d.__setitem__("degree", -2),
             lambda d: d.__setitem__("grid", {"n_r": 1, "n_theta": 8}),
             lambda d: d.__setitem__("h_k", {"kind": "builtin", "name": "huh"}),
+            *_NON_NUMBERS,
         ],
     )
     def test_schema_violations(self, mutate):
@@ -495,6 +529,15 @@ class TestCliInputPaths:
         argv = [command, "--problem", self._write(tmp_path, doc), "--out", str(tmp_path / "s")]
         argv += ["--m-values", "0.1"] if command == "lambda-sweep" else []
         assert "non-zero and finite, got 0.0" in self._fails(argv, capsys)
+
+    @pytest.mark.parametrize("mutate", _NON_NUMBERS)
+    def test_non_numbers_rejected(self, tmp_path, capsys, mutate):
+        doc = load_json(BEP_FIXTURE)
+        mutate(doc)
+        out = tmp_path / "s.json"
+        command = "solve-fbep" if "conductivity" in doc else "solve-bep"
+        self._fails([command, "--problem", self._write(tmp_path, doc), "--out", str(out)], capsys)
+        assert not out.exists()
 
     def test_solve_bep_on_fbep_file(self, tmp_path, capsys):
         self._fails(["solve-bep", "--problem", FBEP_FIXTURE, "--out", str(tmp_path / "s")], capsys)

@@ -498,6 +498,22 @@ class TestRestrictionMapModePairs:
         assert np.isfinite(rho)
         assert len(calls) == int(lanczos)
 
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_collided_block_is_the_realified_map(self, k):
+        # a collided pair's block [[I, -B], [-conj B, I]] maps (z, conj z) to
+        # (L z, conj L z) for L z = z - B conj(z): it equals U R U^H with R the
+        # realified L and U unitary, so the two have the same singular values
+        rng = np.random.default_rng(k)
+        b = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        eye = np.eye(k)
+        block = np.block([[eye, -b], [-np.conj(b), eye]])
+        real = np.block([[eye - b.real, -b.imag], [-b.imag, eye + b.real]])
+        u = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / np.sqrt(2.0)
+        assert np.max(np.abs(block - u @ real @ u.conj().T)) <= 1e-14 * np.max(np.abs(b))
+        sv_block = np.linalg.svd(block, compute_uv=False)
+        sv_real = np.linalg.svd(real, compute_uv=False)
+        assert np.max(np.abs(sv_block - sv_real)) <= 1e-13 * sv_real[0]
+
     def test_norm_grid_built_once(self, grid_16_64, monkeypatch):
         f = Conductivity.exp_x(grid_16_64, 0.8)
         shape = (7, 13)
@@ -857,6 +873,25 @@ class TestBasisGrid:
         alpha = alpha_from_f(Conductivity.exp_x(grid_24_96, 0.3))
         with pytest.raises(GridMismatchError, match="different grids"):
             VekuaBasis(alpha, basis.elements)
+
+    @pytest.mark.parametrize("other_shape", [(16, 64), (24, 96)])
+    def test_span_projection_of_h_from_another_grid_rejected(self, other_shape):
+        # another grid object of the same shape, and a larger one, whose first
+        # nodes the samples would otherwise read
+        grid = build_grid(16, 64)
+        basis = build_fbep_space(Conductivity.exp_x(grid, 0.5), 4)
+        other = build_grid(*other_shape)
+        h = GridFunction(other, np.exp(other.nodes))
+        coeffs = np.ones(basis.size)
+        for candidate in (basis, VekuaBasis(basis.alpha, basis.elements)):
+            with pytest.raises(GridMismatchError):
+                candidate.project_span(h)
+            with pytest.raises(GridMismatchError):
+                candidate.real_rhs(h)
+            with pytest.raises(GridMismatchError):
+                invariance_defect(candidate, coeffs, h)
+            on_grid = GridFunction(grid, np.exp(grid.nodes))
+            assert np.all(np.isfinite(candidate.project_span(on_grid)))
 
     def test_dense_matrix_built_on_first_use(self, basis_exp01_n8):
         _, basis = basis_exp01_n8

@@ -589,13 +589,22 @@ def _closed_lifts(f, degree, tol=1e-12):
 
 class TestModePairLift:
     @pytest.mark.parametrize(
-        "kind, eps", [("exp_x", 0.8), ("exp_x", 2.5), ("exp_xy", 1.75), ("exp_xy", 6.0)]
+        "kind, eps, shape, degree",
+        [
+            pytest.param("exp_x", 0.8, (16, 64), 6, id="exp_x-0.8"),
+            pytest.param("exp_x", 2.5, (16, 64), 6, id="exp_x-2.5"),
+            pytest.param("exp_xy", 1.75, (16, 64), 6, id="exp_xy-1.75"),
+            pytest.param("exp_xy", 6.0, (16, 64), 6, id="exp_xy-6.0"),
+            # e_15 in a collided pair, at high contrast
+            pytest.param("exp_x", 2.5, (8, 31), 15, id="exp_x-2.5-8x31-15"),
+            pytest.param("exp_xy", 6.0, (8, 32), 15, id="exp_xy-6.0-8x32-15"),
+        ],
     )
-    def test_matches_dense_oracle(self, grid_16_64, kind, eps):
-        f = getattr(Conductivity, kind)(grid_16_64, eps)
-        oracle = _dense_lift_oracle(f, 6)
-        lifts = _closed_lifts(f, 6)
-        assert len(lifts) == oracle.shape[0] == 14
+    def test_matches_dense_oracle(self, kind, eps, shape, degree):
+        f = getattr(Conductivity, kind)(build_grid(*shape), eps)
+        oracle = _dense_lift_oracle(f, degree)
+        lifts = _closed_lifts(f, degree)
+        assert len(lifts) == oracle.shape[0] == 2 * (degree + 1)
         for lifted, ref in zip(lifts, oracle):
             assert _rel(lifted.w.values, ref) <= 1e-12
             assert lifted.converged and lifted.iterations == 1
