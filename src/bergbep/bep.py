@@ -33,11 +33,15 @@ as it can when err_J << ||h_J||_J and the form value cancels, the same
 search continues on grid values with the forms' slope.
 
 The independent oracle shares only the end checks (_check_saturated)
-with the core: it assembles dense forms from basis_matrix samples,
-solves the operator form (I + lambda G_J) c = b_K + (1 + lambda) b_J
-with one dense linear solve per lambda, evaluates err_J on the dense
-samples and bisects lambda, so agreement with it checks the ring-FFT
-assembly as well as the solve.
+with the core: it sums the dense quadrature forms over blocks of rings
+of basis samples (bergman._basis_forms; a block is about
+bergman._BLOCK_BYTES), solves the operator form
+(I + lambda G_J) c = b_K + (1 + lambda) b_J with one dense linear solve
+per lambda, evaluates err_J on node values synthesized as one product
+(radial * c) @ angular^T of the ring and angle factors, and bisects
+lambda, so agreement with it checks the ring-FFT assembly as well as the
+solve.  It never holds a sample matrix of the whole grid: its memory is
+O(block + n_nodes).
 """
 
 from __future__ import annotations
@@ -53,13 +57,13 @@ import numpy as np
 
 from .bergman import (
     AnalyticCoeffs,
+    _basis_forms,
     _check_degree,
-    _forms,
+    _ring_factors,
     _ring_gram,
     _ring_moments,
     _ring_norms,
     _ring_synthesis,
-    basis_matrix,
 )
 from .grid import GridFunction, GridMismatchError, Region
 
@@ -589,24 +593,30 @@ def solve_bep_oracle(problem: BepProblem) -> BepSolution:
     """Independent check: the operator form (I + lambda G_J) c = b_K + (1 + lambda) b_J.
 
     Shares only the end checks (_check_saturated) with the core.  The forms are
-    assembled densely from basis_matrix samples, each lambda takes one
-    dense linear solve in place of the core's diagonal solve, lambda is
-    bisected (_bisect) with err_J evaluated on the dense samples at every
-    step from lambda just above -1, and the feasibility distance is the
-    error of the pseudo-inverse J-fit.
+    the quadrature of dense basis samples, summed over blocks of rings
+    (bergman._basis_forms), so no sample matrix of the whole grid is held;
+    each lambda takes one dense linear solve in place of the core's diagonal
+    solve, lambda is bisected (_bisect) from just above -1 with err_J
+    evaluated at every step on the node values (radial * c) @ angular^T,
+    and the feasibility distance is the error of the pseudo-inverse J-fit.
+    Its memory is O(block + n_nodes): a ring block and a few arrays the
+    size of the grid.
     """
     grid = problem.grid
-    e = basis_matrix(grid, problem.degree)
     sides = {
-        "k": (problem.k_region.weights(grid).ravel(), problem.h_k.values.ravel()),
-        "j": (problem.j_region.weights(grid).ravel(), problem.h_j.values.ravel()),
+        "k": (problem.k_region.weights(grid), problem.h_k.values),
+        "j": (problem.j_region.weights(grid), problem.h_j.values),
     }
-    (a_k, r_k), (a_j, r_j) = (_forms(e, w, h, np.asarray) for w, h in sides.values())
+    radial, angular = _ring_factors(grid, problem.degree)
+    (a_k, r_k), (a_j, r_j) = _basis_forms(radial, angular, sides.values())
     eye = np.eye(problem.degree + 1)
+
+    def synthesize(c: np.ndarray) -> np.ndarray:
+        return (radial * c) @ angular.T
 
     def err(c: np.ndarray, side: str, values: np.ndarray | None = None) -> float:
         w, h = sides[side]
-        values = e @ c if values is None else values
+        values = synthesize(c) if values is None else values
         return float(np.sqrt(np.sum(w * np.abs(values - h) ** 2)))
 
     def kkt(c: np.ndarray, mu: float) -> np.ndarray:
@@ -622,7 +632,7 @@ def solve_bep_oracle(problem: BepProblem) -> BepSolution:
         )
     mu_lo = 1.0 + _LAMBDA_FLOOR
     c = operator_solve(mu_lo)
-    values = e @ c
+    values = synthesize(c)
     e_lo = err(c, "j", values)
     if e_lo <= problem.m:
         return _bep_solution(LsqSolution(c, mu_lo, feas, 0, False, values, e_lo), err, kkt)
@@ -632,4 +642,6 @@ def solve_bep_oracle(problem: BepProblem) -> BepSolution:
     )
     _check_saturated(evals, problem.m, mu, e_mu)
     c = operator_solve(mu)  # e_mu is err_J of these coefficients
-    return _bep_solution(LsqSolution(c, mu, feas, iterations, True, e @ c, e_mu), err, kkt)
+    return _bep_solution(
+        LsqSolution(c, mu, feas, iterations, True, synthesize(c), e_mu), err, kkt
+    )

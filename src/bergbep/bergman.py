@@ -29,10 +29,18 @@ diagonal, with the grid norms g_n = (n+1) sum_i omega_i r_i^{2n} of the
 radial weights omega_i (_ring_norms); within the exactness g_n = 1 to
 rounding, the orthonormality of the basis.
 project, gram_quadrature and AnalyticCoeffs.on_grid use this layer, and
-so do the BEP core and the Vekua residuals; basis_matrix stays for
-independent checks.  _forms is the plain quadrature of the same forms
-over any sampled family, summed over the nodes that carry weight; the
-BEP oracle and the dense Vekua bases use it.
+so do the BEP core and the Vekua residuals.
+
+The dense samples are a tensor product: e_n at node (i, j) is
+sqrt(n+1) r_i^n times e^{in theta_j} (_ring_factors, from the radii and
+angles alone: no complex power and no table of the polar layer), and
+basis_matrix is its all-rings call, kept for independent checks.
+_forms is the plain quadrature of the same forms over any sampled
+family, summed over the nodes that carry weight in row blocks of about
+_BLOCK_BYTES, so it makes no full-size copy; the dense Vekua bases use
+it on their samples.  _basis_forms sums it over blocks of rings sampled
+on the fly, so the BEP oracle assembles its forms in O(block) memory
+and never holds a sample matrix of the whole grid.
 
 Note on the radial spectrum convention: with J = a*D under the
 normalized area measure, the truncated Toeplitz matrix is diagonal with
@@ -93,9 +101,102 @@ class AnalyticCoeffs:
 
 def basis_matrix(grid: DiscGrid, degree: int) -> np.ndarray:
     """Samples of e_0..e_N at the grid nodes, shape (n_nodes, N+1), flattened row-major."""
-    z = grid.nodes.ravel()
-    powers = z[:, None] ** np.arange(degree + 1)[None, :]
-    return powers * np.sqrt(np.arange(degree + 1) + 1.0)[None, :]
+    return _ring_rows(*_ring_factors(grid, degree))
+
+
+# ---- dense samples: e_n = sqrt(n+1) r^n e^{in theta} as a tensor product of rings and angles
+
+_BLOCK_BYTES = 1 << 22  # the sample rows a dense form holds at a time
+
+
+def _ring_factors(grid: DiscGrid, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(n+1) r_i^n on every ring and e^{in theta_j} on every angle, n = 0..N.
+
+    Real powers of the radii, and the angles n theta_j reduced mod 2 pi by
+    their index (theta_j = 2 pi j / n_theta); no complex power and no table
+    of the polar layer.  e_n at node (i, j) is their product, so
+    sum_n c_n e_n on the grid is (radial * c) @ angular.T.
+    """
+    n = np.arange(degree + 1)
+    radial = np.sqrt(n + 1.0) * grid.radial_nodes[:, None] ** n
+    turns = np.multiply.outer(np.arange(grid.angular_count), n) % grid.angular_count
+    return radial, np.exp(1j * grid.thetas)[turns]
+
+
+def _ring_rows(radial: np.ndarray, angular: np.ndarray) -> np.ndarray:
+    """Samples of e_0..e_N on the rings of radial (a block of _ring_factors' rows),
+    shape (rings * n_theta, N+1), flattened row-major as the grid's nodes."""
+    return (radial[:, None, :] * angular[None, :, :]).reshape(-1, radial.shape[1])
+
+
+def _row_blocks(w: np.ndarray, width: int):
+    """The nodes of the flat weights w that carry weight, in blocks of at most
+    _BLOCK_BYTES of complex samples width wide: a slice where a block's nodes
+    are contiguous (the samples are then a view), else their indices."""
+    on = np.flatnonzero(w)
+    step = max(1, _BLOCK_BYTES // (16 * width))
+    for lo in range(0, on.size, step):
+        idx = on[lo : lo + step]
+        yield slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
+
+
+def _forms(samples: np.ndarray, w: np.ndarray, h: np.ndarray, part):
+    """Gram form and data moments of the columns of samples, summed over the nodes of w only.
+
+    samples is (n_nodes, B) and w, h are flat over the nodes; part is
+    np.real for the real forms of a real-linear family.  Both sums run
+    over row blocks (_row_blocks), so no temporary is larger than a block.
+    """
+    return _gram(samples, w, part), _moments(samples, w, h, part)
+
+
+def _gram(samples: np.ndarray, w: np.ndarray, part) -> np.ndarray:
+    """The Gram form of _forms alone, exactly Hermitian (symmetric under np.real).
+
+    With t = w conj(s) on a block, the block's sum w conj(s_m) s_n is conj(s^T t).
+    """
+    width = samples.shape[1]
+    g = np.zeros((width, width), dtype=part(samples[:0]).dtype)
+    for rows in _row_blocks(w, width):
+        s = samples[rows]
+        t = s.conj()
+        t *= w[rows, None]
+        g += part((s.T @ t).conj())
+    return (g + g.conj().T) / 2.0
+
+
+def _moments(samples: np.ndarray, w: np.ndarray, h: np.ndarray, part):
+    """The data moments of _forms alone, part(samples^H (w h)) over the same row blocks."""
+    width = samples.shape[1]
+    r = np.zeros(width, dtype=part(samples[:0]).dtype)
+    for rows in _row_blocks(w, width):
+        r += part((samples[rows].T @ (w[rows] * h[rows]).conj()).conj())
+    return r
+
+
+def _basis_forms(radial: np.ndarray, angular: np.ndarray, sides) -> list:
+    """Gram form and moments of e_0..e_N (_ring_factors) for each side's grid-shaped
+    weights w and data h, as a list of (gram, moments) pairs.
+
+    The rings that carry weight on any side are sampled by _ring_rows in
+    blocks of about _BLOCK_BYTES, and each block serves every side through
+    _forms: no full sample matrix is built.  Each block's Gram form is
+    exactly Hermitian, so their sum is.
+    """
+    sides = list(sides)
+    width = radial.shape[1]
+    rings = np.flatnonzero(np.any([np.any(w, axis=-1) for w, _ in sides], axis=0))
+    step = max(1, _BLOCK_BYTES // (16 * angular.shape[0] * width))
+    forms = [(np.zeros((width, width), dtype=complex), np.zeros(width, dtype=complex))
+             for _ in sides]
+    for lo in range(0, rings.size, step):
+        block = rings[lo : lo + step]
+        rows = _ring_rows(radial[block], angular)
+        for (w, h), (gram, moments) in zip(sides, forms):
+            g, r = _forms(rows, w[block].ravel(), h[block].ravel(), np.asarray)
+            gram += g
+            moments += r
+    return forms
 
 
 # ---- polar layer: e_n = sqrt(n+1) r^n e^{in theta} on the rings of the grid
@@ -157,19 +258,6 @@ def _ring_synthesis(grid: DiscGrid, coeffs: np.ndarray) -> np.ndarray:
     modes = np.zeros(terms.shape[:-1] + (n_t,), dtype=complex)
     modes[..., : n.size] = terms
     return np.fft.ifft(modes, axis=-1, norm="forward")
-
-
-def _forms(samples: np.ndarray, w: np.ndarray, h: np.ndarray, part):
-    """Gram form and data moments of the columns of samples, summed over the nodes of w only.
-
-    samples is (n_nodes, B) and w, h are flat over the nodes; part is
-    np.real for the real forms of a real-linear family.
-    """
-    on = np.flatnonzero(w)
-    s, w = samples[on], w[on]
-    adjoint = s.conj().T
-    g = part(adjoint @ (w[:, None] * s))
-    return (g + g.conj().T) / 2.0, part(adjoint @ (w * h[on]))
 
 
 def _check_degree(grid: DiscGrid | None, degree: int) -> None:

@@ -135,14 +135,20 @@ def normalize_region_spec(spec) -> dict:
     variant = _require(spec, "variant", str, "region spec")
     if variant not in _REGION_VARIANTS:
         raise SchemaError(f"unknown region variant {variant!r}")
-    out = {"variant": variant, "complement": bool(spec.get("complement", False))}
+    complement = spec.get("complement", False)
+    if not isinstance(complement, bool):
+        raise SchemaError(f"region complement must be true or false, got {complement!r}")
+    out = {"variant": variant, "complement": complement}
     if variant in ("radial_disc", "annulus"):
         out["a"] = float(_require(spec, "a", (int, float), f"{variant} region"))
     elif variant == "sector":
         out["theta"] = float(_require(spec, "theta", (int, float), "sector region"))
     elif variant == "mask":
         values = _require(spec, "values", list, "mask region")
-        out["values"] = [bool(v) for v in values]
+        bad = [v for v in values if not isinstance(v, bool)]
+        if bad:
+            raise SchemaError(f"mask entries must be true or false, got {bad[0]!r}")
+        out["values"] = list(values)
     return out
 
 

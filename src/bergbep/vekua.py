@@ -75,7 +75,15 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .bep import ConvergenceError, FullForm
-from .bergman import AnalyticCoeffs, _check_degree, _forms, _radial_powers, project
+from .bergman import (
+    AnalyticCoeffs,
+    _check_degree,
+    _forms,
+    _gram,
+    _moments,
+    _radial_powers,
+    project,
+)
 from .grid import DiscGrid, GridFunction, GridMismatchError, Region, build_grid, inner_product
 
 logger = logging.getLogger("bergbep")
@@ -797,8 +805,7 @@ class VekuaBasis:
 
     def _lsq_moments(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
         """The core's Re <h, w_m> under the node weights w (grid-shaped)."""
-        on = np.flatnonzero(w)
-        return (self.values_matrix()[on].conj().T @ (w.ravel()[on] * h.ravel()[on])).real
+        return _moments(self.values_matrix(), w.ravel(), h.ravel(), np.real)
 
     def _full_gram(self) -> np.ndarray:
         """The full-disc Re <w_m, w_n>, here from the samples."""
@@ -816,8 +823,8 @@ class VekuaBasis:
 
     def real_gram(self, region: Region | None = None) -> np.ndarray:
         """Real Gram matrix Re <w_m, w_n> over the disc or a region, from the samples."""
-        w = (self.grid.weights if region is None else region.weights(self.grid)).ravel()
-        return _forms(self.values_matrix(), w, np.zeros(w.size), np.real)[0]
+        w = self.grid.weights if region is None else region.weights(self.grid)
+        return _gram(self.values_matrix(), w.ravel(), np.real)
 
     def real_rhs(self, h: GridFunction, region: Region | None = None) -> np.ndarray:
         """Vector Re <h, w_m> over the disc or a region, from the samples on every basis."""

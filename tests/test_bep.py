@@ -394,6 +394,56 @@ class TestOracle:
             solve_bep_oracle(p)
 
 
+class TestOracleAssembly:
+    """The oracle's forms come from ring blocks of basis samples, never a full sample matrix."""
+
+    @staticmethod
+    def _zbar_problem(grid, k: Region, degree: int) -> BepProblem:
+        # h_K = 1, h_J = conj z, M = 0.75: saturated on these K at every size tried
+        h_k = GridFunction.constant(grid, 1.0)
+        h_j = GridFunction(grid, np.conj(grid.nodes))
+        return BepProblem(k, k.complement(), h_k, h_j, 0.75, degree)
+
+    def test_never_builds_basis_matrix(self, monkeypatch):
+        import bergbep.bep as bep
+        import bergbep.bergman as bergman
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle built the dense basis matrix")
+
+        k = Region.radial_disc(0.5)
+        p = self._zbar_problem(build_grid(24, 96), k, 16)
+        expected = solve_bep(p, degree_diagnostic=False)
+        for module in (bergman, bep):
+            monkeypatch.setattr(module, "basis_matrix", forbidden, raising=False)
+        grid = build_grid(24, 96)  # fresh: none of the polar layer's tables is built
+        oracle = solve_bep_oracle(self._zbar_problem(grid, k, 16))
+        assert oracle.saturated
+        assert np.max(np.abs(oracle.g0.coeffs - expected.g0.coeffs)) <= 1e-8
+        assert "radial_powers" not in grid.__dict__
+
+    @pytest.mark.parametrize("kind", ["disc", "mask"])
+    def test_peak_below_one_dense_basis(self, grid_128_256, kind):
+        # at 128x256/60 one dense basis is 16 n_nodes (N + 1) B = 32 MB; the
+        # oracle's traced peak stays below it (the dense assembly held about three)
+        import tracemalloc
+
+        grid = grid_128_256
+        k = {
+            "disc": Region.radial_disc(0.5),
+            "mask": Region.mask(np.abs(grid.nodes - (0.2 + 0.1j)) < 0.45),
+        }[kind]
+        p = self._zbar_problem(grid, k, 60)
+        tracemalloc.start()
+        try:
+            oracle = solve_bep_oracle(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert oracle.saturated
+        assert peak < 16 * grid.weights.size * (p.degree + 1)
+
+
 class TestSaturatedFamilyProperties:
     def test_kkt_residuals(self, saturated_family):
         for p in saturated_family:

@@ -212,6 +212,50 @@ def _regions(grid):
     )
 
 
+class TestDenseSamples:
+    """The tensor-product samples of e_0..e_N and the blocked dense forms over them."""
+
+    @pytest.mark.parametrize(
+        "shape", [(12, 24, 11), (24, 96, 16), (64, 128, 30), (128, 256, 60), (4, 8, 20)]
+    )
+    def test_basis_matrix_matches_powers(self, shape):
+        # (4, 8, 20): degrees past n_theta, whose angles wrap around more than once
+        from bergbep.bergman import basis_matrix
+
+        n_r, n_t, n = shape
+        grid = build_grid(n_r, n_t)
+        z = grid.nodes.ravel()
+        powers = z[:, None] ** np.arange(n + 1) * np.sqrt(np.arange(n + 1) + 1.0)
+        e = basis_matrix(grid, n)
+        assert e.shape == powers.shape
+        assert np.max(np.abs(e - powers)) <= 1e-13 * np.max(np.abs(powers))
+
+    # the default block holds all 64 rings; 64 kB blocks hold one ring and split it in rows
+    @pytest.mark.parametrize("block_bytes", [None, 1 << 16], ids=["default", "64kB"])
+    def test_blocked_forms_match_one_shot(self, grid_64_128, monkeypatch, block_bytes):
+        import bergbep.bergman as bergman
+
+        if block_bytes is not None:
+            monkeypatch.setattr(bergman, "_BLOCK_BYTES", block_bytes)
+        grid, n = grid_64_128, 30
+        e = bergman.basis_matrix(grid, n)
+        rng = np.random.default_rng(7)
+        h = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        factors = bergman._ring_factors(grid, n)
+        for region in _regions(grid)[:4]:
+            w = region.weights(grid)
+            gram = e.conj().T @ (w.ravel()[:, None] * e)
+            moments = e.conj().T @ (w * h).ravel()
+            [(a, r)] = bergman._basis_forms(*factors, [(w, h)])
+            assert np.max(np.abs(a - gram)) <= 1e-13 * np.max(np.abs(gram))
+            assert np.max(np.abs(r - moments)) <= 1e-13 * np.max(np.abs(moments))
+            assert np.array_equal(a, a.conj().T)
+            real_a, real_r = bergman._forms(e, w.ravel(), h.ravel(), np.real)
+            assert np.max(np.abs(real_a - gram.real)) <= 1e-13 * np.max(np.abs(gram))
+            assert np.max(np.abs(real_r - moments.real)) <= 1e-13 * np.max(np.abs(moments))
+            assert np.array_equal(real_a, real_a.T)
+
+
 class TestPolarLayer:
     """Ring-DFT forms and synthesis against the dense basis samples."""
 

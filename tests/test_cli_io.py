@@ -143,6 +143,21 @@ _NON_NUMBERS = [
 ]
 
 
+# a region flag that is no JSON boolean, put in the BEP fixture's K: its
+# complement flag, or one entry of a 24x96 mask
+_NON_BOOLEANS = [
+    pytest.param(v, id=f"{type(v).__name__}_{v}") for v in ("false", "0", 0, 1)
+]
+
+
+def _with_region_flag(doc: dict, where: str, value) -> dict:
+    if where == "complement":
+        doc["region_k"]["complement"] = value
+    else:
+        doc["region_k"] = {"variant": "mask", "values": [True] * (24 * 96 - 1) + [value]}
+    return doc
+
+
 class TestProblemFile:
     def test_bep_golden_round_trip(self):
         with open(BEP_FIXTURE, "r", encoding="utf-8") as fh:
@@ -179,6 +194,15 @@ class TestProblemFile:
         doc = load_json(BEP_FIXTURE)
         mutate(doc)
         with pytest.raises(SchemaError):
+            problem_from_dict(doc)
+
+
+    @pytest.mark.parametrize("value", _NON_BOOLEANS)
+    @pytest.mark.parametrize("where", ["complement", "mask"])
+    def test_region_flags_must_be_booleans(self, where, value):
+        # bool("false") is True: the problem would be solved on the complement
+        doc = _with_region_flag(load_json(BEP_FIXTURE), where, value)
+        with pytest.raises(SchemaError, match="true or false"):
             problem_from_dict(doc)
 
 
@@ -489,6 +513,14 @@ class TestCliInputPaths:
         out = tmp_path / "s.json"
         assert main(["solve-bep", "--problem", self._write(tmp_path, doc), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["saturated"] is True
+
+    @pytest.mark.parametrize("value", _NON_BOOLEANS)
+    @pytest.mark.parametrize("where", ["complement", "mask"])
+    def test_non_boolean_region_flag_exits_1(self, tmp_path, capsys, where, value):
+        doc = _with_region_flag(load_json(BEP_FIXTURE), where, value)
+        argv = ["solve-bep", "--problem", self._write(tmp_path, doc), "--out", str(tmp_path / "s")]
+        assert "must be true or false" in self._fails(argv, capsys)
+        assert not (tmp_path / "s").exists()
 
     def test_mask_of_wrong_length(self, tmp_path, capsys):
         doc = dict(load_json(BEP_FIXTURE), region_k={"variant": "mask", "values": [True] * 5})
