@@ -9,28 +9,33 @@ h_J and a budget M, the solver finds the degree-N analytic g0 minimizing
 for the unique lambda in (-1, inf) saturating the constraint when the
 data is not attainable.  In mu = 1 + lambda this is a norm-constrained
 least squares; one core, ConstrainedLSQ, solves it here and for the real
-f-BEP, in one path.  It takes the eigendecomposition of the full-disc
-Gram form of its basis (FullForm), the K moments, the J-form with its
-moments and a synthesis c -> grid values; it whitens by the full-disc
-form and reads the K-form as A_full - A_J, so each core assembles one
-region form.  The full-disc form belongs to the basis and is
-diagonalized once per basis.  The BEP's basis is orthonormal on the
-disc, so, as in the operator equation, only the compression T_J is
-assembled (the ring-FFT J-form of the polar layer in bergman): its
-full-disc form is the diagonal of the grid norms g_n = 1 + O(rounding)
-with identity eigenvectors, and its whitening a scaling.  The f-BEP's
-lifts are not orthonormal: its basis (vekua.VekuaBasis) holds the
-eigendecomposition of its own full-disc form.  The core then
-diagonalizes the whitened J-form, so c(mu) is a diagonal solve with a
-rounding-level Karush-Kuhn-Tucker residual.  err_J(mu) and its slope
-are then explicit rational functions of mu evaluated from the whitened
-forms at O(N) (the secular function of a quadratically constrained
-least squares; Gander 1981), and a safeguarded Newton search on
-1/err_J(mu) - 1/M finds mu in a handful of evaluations, verified
-monotone at runtime.  The end point is checked on the grid by
-synthesis: if the grid value misses M by more than the stop tolerance,
-as it can when err_J << ||h_J||_J and the form value cancels, the same
-search continues on grid values with the forms' slope.
+f-BEP, in one path.  The core takes a basis and the weights and data of
+both sides, and every basis answers it through the same four private
+members: the eigendecomposition of its full-disc Gram form (_full_form,
+a FullForm), its Gram form under any node weights (_form(w)), the data
+moments (_moments(w, h)) and its synthesis c -> grid values
+(_synthesis(c)).  The core whitens by the full-disc form and reads the
+K-form as A_full - A_J, so each core assembles one region form.  The
+BEP's basis, _PolarBasis, is e_0..e_N on the polar grid: its forms,
+moments and synthesis are the ring FFTs of the polar layer in bergman.
+It is orthonormal on the disc, so, as in the operator equation, only
+the compression T_J is assembled: its full-disc form is the diagonal of
+the grid norms g_n = 1 + O(rounding) with identity eigenvectors, and
+its whitening a scaling.  The f-BEP's lifts (vekua.VekuaBasis) are not
+orthonormal: the basis diagonalizes its own full-disc form, once however
+many cores use it.  The core then diagonalizes the whitened J-form, so
+c(mu) is a diagonal solve with a rounding-level Karush-Kuhn-Tucker
+residual.  err_J(mu) and its slope are then explicit rational functions
+of mu evaluated from the whitened forms at O(N) (the secular function
+of a quadratically constrained least squares; Gander 1981), and a
+safeguarded Newton search on 1/err_J(mu) - 1/M finds mu in a handful of
+evaluations, verified monotone at runtime.  The end point is checked on
+the grid by synthesis: if the grid value misses M by more than the stop
+tolerance, as it can when err_J << ||h_J||_J and the form value
+cancels, the same search continues on grid values with the forms'
+slope.  The problem is homogeneous in (h_K, h_J, M), so every tolerance
+of the search, its infeasibility test and its end checks is relative to
+size = max(M, ||h_J||_J), in the core and in the oracle alike.
 
 The independent oracle shares only the end checks (_check_saturated)
 with the core: it sums the dense quadrature forms over blocks of rings
@@ -154,6 +159,11 @@ class LsqSolution(NamedTuple):
     values: np.ndarray
     err_j: float
 
+    @property
+    def lam(self) -> float:
+        """The lambda a solution reports: mu - 1 if saturated, else _LAMBDA_FLOOR just above -1."""
+        return self.mu - 1.0 if self.saturated else _LAMBDA_FLOOR
+
 
 class FullForm(NamedTuple):
     """A basis's full-disc Gram form as its eigendecomposition vals, vecs.
@@ -203,6 +213,30 @@ class FullForm(NamedTuple):
         return FullForm(self.vals[:n])
 
 
+class _PolarBasis:
+    """e_0..e_N on the polar grid, as the core asks a basis: the diagonal grid norms,
+    the ring-FFT forms and moments of bergman (data that vanishes takes no
+    transform) and the inverse ring FFT."""
+
+    def __init__(self, grid, degree: int):
+        self.grid, self.degree = grid, degree
+
+    @property
+    def _full_form(self) -> FullForm:
+        return FullForm(_ring_norms(self.grid, self.degree))
+
+    def _form(self, w: np.ndarray) -> np.ndarray:
+        return _ring_gram(self.grid, w, self.degree)
+
+    def _moments(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+        if not np.any(h):
+            return np.zeros(self.degree + 1, dtype=complex)
+        return _ring_moments(self.grid, w * h, self.degree)
+
+    def _synthesis(self, coeffs: np.ndarray) -> np.ndarray:
+        return _ring_synthesis(self.grid, coeffs)
+
+
 def _support(w: np.ndarray, h: np.ndarray) -> tuple[slice, np.ndarray, np.ndarray]:
     """The rings that carry weight on a side, as one slice of the flat nodes, and
     views of the weights and data there.  Views, not gathered copies: a copy
@@ -219,40 +253,35 @@ class ConstrainedLSQ:
 
     err_S(c)^2 = sum_S w_S |synthesize(c) - h_S|^2 on the grid nodes, summed
     over the rings that carry weight on S (w_S, h_S grid-shaped).  The core
-    takes the eigendecomposition of the full-disc Gram form of its basis
-    (FullForm), the K moments r_K, the J-form A_J with its moments r_J, the
-    synthesis c -> grid values and the weights and data of both sides;
-    A_K = A_full - A_J.  The BEP passes its diagonal grid norms,
-    the ring-FFT J-form and the inverse ring FFT (_polar_core).  The f-BEP
-    passes the full form its VekuaBasis holds, diagonalized once per
-    basis, and the basis's real J-form, moments and synthesis
-    (_lsq_forms, _lsq_moments, _synthesis), whatever its representation.
-    A basis on another grid than the problem's raises GridMismatchError.
-    Directions below _DROP_RCOND of the top full-disc eigenvalue are
-    dropped, and the rest are whitened so that the J-form is diag(tau)
-    and the K-form diag(1 - tau).
+    takes a basis and the weights and data of both sides, and asks the
+    basis for the eigendecomposition of its full-disc Gram form
+    (_full_form), the J-form A_J (_form(w_J)), the moments r_K and r_J
+    (_moments) and the synthesis (_synthesis); A_K = A_full - A_J.  The
+    BEP's basis is _PolarBasis, the f-BEP's a VekuaBasis, whatever its
+    representation.  Directions below _DROP_RCOND of the top full-disc
+    eigenvalue are dropped, and the rest are whitened so that the J-form
+    is diag(tau) and the K-form diag(1 - tau).
     """
 
-    def __init__(self, full, r_k, a_j, r_j, synthesize, w_k, w_j, h_k, h_j):
-        self.full, self.r_k, self.a_j, self.r_j = full, r_k, a_j, r_j
-        self.synthesize = synthesize
+    def __init__(self, basis, w_k, w_j, h_k, h_j):
+        self.full = basis._full_form
+        self.r_k = basis._moments(w_k, h_k)
+        self.a_j, self.r_j = basis._form(w_j), basis._moments(w_j, h_j)
+        self.synthesize = basis._synthesis
         self._sides = {"k": _support(w_k, h_k), "j": _support(w_j, h_j)}
         self._diagonalize()
 
     @classmethod
     def from_problem(cls, problem, basis=None) -> "ConstrainedLSQ":
-        """The BEP over e_0..e_N, or with a VekuaBasis the real f-BEP over its lifts."""
+        """The BEP over e_0..e_N (basis None), or the real f-BEP over the lifts of a
+        VekuaBasis; a basis on another grid than the problem's raises GridMismatchError."""
         grid = problem.grid
-        w_k, w_j = problem.k_region.weights(grid), problem.j_region.weights(grid)
-        h_k, h_j = problem.h_k.values, problem.h_j.values
         if basis is None:
-            return _polar_core(grid, problem.degree, w_k, w_j, h_k, h_j)
-        if basis.grid is not grid:
+            basis = _PolarBasis(grid, problem.degree)
+        elif basis.grid is not grid:
             raise GridMismatchError("basis and problem live on different grids")
-        return cls(
-            basis._full_form, basis._lsq_moments(w_k, h_k), *basis._lsq_forms(w_j, h_j),
-            basis._synthesis, w_k, w_j, h_k, h_j,
-        )
+        w_k, w_j = problem.k_region.weights(grid), problem.j_region.weights(grid)
+        return cls(basis, w_k, w_j, problem.h_k.values, problem.h_j.values)
 
     def _diagonalize(self) -> None:
         vals = self.full.vals
@@ -360,20 +389,22 @@ class ConstrainedLSQ:
         by more than the stop tolerance (the form value cancels when
         err_J << ||h_J||_J), the search continues from there on grid values
         with the forms' slope (a sum of non-positive terms, it does not cancel).
+        Every tolerance is relative to size = max(M, ||h_J||_J).
         """
         feas, c0, values, e_lo = self._m_free()
-        if feas > m + 1e-9:
+        size = max(m, math.sqrt(self._h_j_sq))
+        if feas > m + 1e-9 * size:
             raise InfeasibleProblemError(f"M = {m:.6g} below feasibility distance {feas:.6g}")
         if e_lo <= m:
             return LsqSolution(c0.copy(), 0.0, feas, 0, False, values, e_lo)
 
         evals = [(0.0, e_lo)]
-        mu, _, iterations = _newton(self._form_err, m, _MU_START, evals, feas)
+        mu, _, iterations = _newton(self._form_err, m, _MU_START, evals, feas, size)
         c = self.coeffs(mu)
         values = self._checked_values(c)
         e_mu = self.err(c, "j", values)
         evals.append((mu, e_mu))
-        if abs(e_mu - m) > _STOP_TOL * max(1.0, m):
+        if abs(e_mu - m) > _STOP_TOL * size:
             logger.debug("err_J from the forms missed M on the grid by %.3e", abs(e_mu - m))
 
             end_point = (mu, e_mu)  # where the search starts: its grid value is at hand
@@ -382,33 +413,15 @@ class ConstrainedLSQ:
                 e_x = end_point[1] if x == end_point[0] else self.err(self.coeffs(x), "j")
                 return e_x, self._form_err(x)[1]
 
-            mu, e_mu, more = _newton(grid_err, m, mu, evals, feas)
+            mu, e_mu, more = _newton(grid_err, m, mu, evals, feas, size)
             iterations += more
             c = self.coeffs(mu)  # e_mu is err_J of these coefficients
             values = self._checked_values(c)
-        _check_saturated(evals, m, mu, e_mu)
+        _check_saturated(evals, m, mu, e_mu, size)
         return LsqSolution(c, mu, feas, iterations, True, values, e_mu)
 
 
-def _polar_core(grid, degree, w_k, w_j, h_k, h_j) -> ConstrainedLSQ:
-    """The BEP core over e_0..e_N: the grid norms of the basis (its diagonal
-    full-disc form), the ring-FFT J-form and inverse ring-FFT synthesis.
-    Data that vanishes on K has zero K moments, taken without a transform."""
-    r_k = (
-        _ring_moments(grid, w_k * h_k, degree) if np.any(h_k)
-        else np.zeros(degree + 1, dtype=complex)
-    )
-    return ConstrainedLSQ(
-        FullForm(_ring_norms(grid, degree)),
-        r_k,
-        _ring_gram(grid, w_j, degree),
-        _ring_moments(grid, w_j * h_j, degree),
-        lambda c: _ring_synthesis(grid, c),
-        w_k, w_j, h_k, h_j,
-    )
-
-
-def _newton(err_slope, m: float, mu: float, evals: list, feas: float):
+def _newton(err_slope, m: float, mu: float, evals: list, feas: float, size: float):
     """Safeguarded Newton search for err(mu) = M on [0, inf) from mu, given err(0) > M.
 
     The core's only search.  err_slope(mu) returns err(mu) and d(err^2)/dmu.  The step is Newton's
@@ -427,7 +440,6 @@ def _newton(err_slope, m: float, mu: float, evals: list, feas: float):
     evaluation is appended to evals.  Returns mu, err(mu) and their count.
     """
     m = float(m)  # Python floats throughout: mu is reported as a plain float
-    scale = max(1.0, m)
     reach = mu * 2.0**_MAX_EXPANSIONS
     lo, hi = 0.0, np.inf
     expansions = 0
@@ -435,7 +447,7 @@ def _newton(err_slope, m: float, mu: float, evals: list, feas: float):
         e_mu, slope = err_slope(mu)
         evals.append((mu, e_mu))
         collapsed = hi < np.inf and hi - lo <= 4.0 * np.finfo(float).eps * hi
-        if abs(e_mu - m) <= _STOP_TOL * scale or collapsed:
+        if abs(e_mu - m) <= _STOP_TOL * size or collapsed:
             break
         lo, hi = (mu, hi) if e_mu > m else (lo, mu)
         newton = np.nan
@@ -450,7 +462,7 @@ def _newton(err_slope, m: float, mu: float, evals: list, feas: float):
         if hi == np.inf:
             expansions += 1
             if expansions > _MAX_EXPANSIONS or lo >= reach:
-                _check_monotone(evals, m)
+                _check_monotone(evals, size)
                 raise ConvergenceError(
                     f"bracket expansion exhausted: e(mu = {lo:.3g}) = {e_mu:.9g} > "
                     f"M = {m:.9g} (feasibility distance {feas:.9g})"
@@ -459,15 +471,14 @@ def _newton(err_slope, m: float, mu: float, evals: list, feas: float):
     return mu, e_mu, iterations
 
 
-def _bisect(err, m: float, lo: float, hi: float, evals: list, feas: float):
+def _bisect(err, m: float, lo: float, hi: float, evals: list, feas: float, size: float):
     """Bracketed bisection of err(mu) = M on [lo, hi], given err(lo) > M: the oracle's search.
 
     hi doubles until err(hi) <= M, then the bracket halves until
-    |err - M| <= _STOP_TOL max(1, M) or it collapses to a few ulps of hi
-    (a relative floor: a root far below 1 is still resolved).  Every evaluation
-    is appended to evals.  Returns mu, err(mu) and the number of steps.
+    |err - M| <= _STOP_TOL size (size = max(M, ||h_J||_J)) or it collapses to
+    a few ulps of hi (a relative floor: a root far below 1 is still resolved).
+    Every evaluation is appended to evals.  Returns mu, err(mu) and the steps.
     """
-    scale = max(1.0, m)
     hi = float(hi)
     e_hi = err(hi)
     evals.append((hi, e_hi))
@@ -475,7 +486,7 @@ def _bisect(err, m: float, lo: float, hi: float, evals: list, feas: float):
     while e_hi > m:
         expansions += 1
         if expansions > _MAX_EXPANSIONS:
-            _check_monotone(evals, m)
+            _check_monotone(evals, size)
             raise ConvergenceError(
                 f"bracket expansion exhausted: e(mu = {hi:.3g}) = {e_hi:.9g} > "
                 f"M = {m:.9g} (feasibility distance {feas:.9g})"
@@ -488,23 +499,23 @@ def _bisect(err, m: float, lo: float, hi: float, evals: list, feas: float):
         mu = 0.5 * (lo + hi)
         e_mu = err(mu)
         evals.append((mu, e_mu))
-        if abs(e_mu - m) <= _STOP_TOL * scale or hi - lo <= 4.0 * np.finfo(float).eps * hi:
+        if abs(e_mu - m) <= _STOP_TOL * size or hi - lo <= 4.0 * np.finfo(float).eps * hi:
             break
         lo, hi = (mu, hi) if e_mu > m else (lo, mu)
     return mu, e_mu, iterations
 
 
-def _check_saturated(evals: list, m: float, mu: float, e_mu: float) -> None:
-    _check_monotone(evals, m)
-    if abs(e_mu - m) > 1e-8 * max(1.0, m):
+def _check_saturated(evals: list, m: float, mu: float, e_mu: float, size: float) -> None:
+    _check_monotone(evals, size)
+    if abs(e_mu - m) > 1e-8 * size:
         raise ConvergenceError(
             f"multiplier search stalled: |e(mu) - M| = {abs(e_mu - m):.3e} at mu = {mu:.6g}"
         )
 
 
-def _check_monotone(evals: list[tuple[float, float]], m: float) -> None:
+def _check_monotone(evals: list[tuple[float, float]], size: float) -> None:
     pts = sorted(evals)
-    slack = 1e-9 * max(1.0, m)
+    slack = 1e-9 * size
     for (mu_a, e_a), (mu_b, e_b) in zip(pts, pts[1:]):
         if e_b > e_a + slack:
             raise ConvergenceError(
@@ -525,7 +536,8 @@ def feasibility_distance(h_j: GridFunction, j_region: Region, degree: int) -> fl
     _check_degree(grid, degree)
     w_j = j_region.weights(grid)
     zero = np.zeros(grid.shape)
-    return _polar_core(grid, degree, grid.weights - w_j, w_j, zero, h_j.values).feasibility()
+    core = ConstrainedLSQ(_PolarBasis(grid, degree), grid.weights - w_j, w_j, zero, h_j.values)
+    return core.feasibility()
 
 
 def solve_at_lambda(problem: BepProblem, lam: float) -> AnalyticCoeffs:
@@ -539,11 +551,6 @@ def constraint_error(problem: BepProblem, lam: float) -> float:
     return core.err(core.coeffs(_mu(lam)), "j")
 
 
-def _reported_lambda(result: LsqSolution) -> float:
-    """The lambda a solution reports: mu - 1 if saturated, else _LAMBDA_FLOOR just above -1."""
-    return result.mu - 1.0 if result.saturated else _LAMBDA_FLOOR
-
-
 def _bep_solution(result: LsqSolution, err, kkt) -> BepSolution:
     """The BEP solution of a multiplier search, with err(c, side, values) and
     kkt(c, mu) of its forms.  err_K takes the search's grid values of the
@@ -552,7 +559,7 @@ def _bep_solution(result: LsqSolution, err, kkt) -> BepSolution:
     c = result.coeffs
     return BepSolution(
         g0=AnalyticCoeffs(c),
-        lam=_reported_lambda(result),
+        lam=result.lam,
         err_k=err(c, "k", result.values),
         err_j=result.err_j,
         kkt_residual=float(np.linalg.norm(kkt(c, result.mu))),
@@ -599,8 +606,8 @@ def solve_bep_oracle(problem: BepProblem) -> BepSolution:
     solve, lambda is bisected (_bisect) from just above -1 with err_J
     evaluated at every step on the node values (radial * c) @ angular^T,
     and the feasibility distance is the error of the pseudo-inverse J-fit.
-    Its memory is O(block + n_nodes): a ring block and a few arrays the
-    size of the grid.
+    Its tolerances are the core's.  Its memory is O(block + n_nodes): a
+    ring block and a few arrays the size of the grid.
     """
     grid = problem.grid
     sides = {
@@ -625,8 +632,10 @@ def solve_bep_oracle(problem: BepProblem) -> BepSolution:
     def operator_solve(mu: float) -> np.ndarray:
         return np.linalg.solve(eye + (mu - 1.0) * a_j, r_k + mu * r_j)
 
+    w_j, h_j = sides["j"]
+    size = max(problem.m, float(np.sqrt(np.sum(w_j * np.abs(h_j) ** 2))))  # as the core's
     feas = err(np.linalg.pinv(a_j, rcond=1e-12, hermitian=True) @ r_j, "j")
-    if feas > problem.m + 1e-9:
+    if feas > problem.m + 1e-9 * size:
         raise InfeasibleProblemError(
             f"M = {problem.m:.6g} below feasibility distance {feas:.6g}"
         )
@@ -638,9 +647,9 @@ def solve_bep_oracle(problem: BepProblem) -> BepSolution:
         return _bep_solution(LsqSolution(c, mu_lo, feas, 0, False, values, e_lo), err, kkt)
     evals = [(mu_lo, e_lo)]
     mu, e_mu, iterations = _bisect(
-        lambda mu: err(operator_solve(mu), "j"), problem.m, mu_lo, 2.0, evals, feas
+        lambda mu: err(operator_solve(mu), "j"), problem.m, mu_lo, 2.0, evals, feas, size
     )
-    _check_saturated(evals, problem.m, mu, e_mu)
+    _check_saturated(evals, problem.m, mu, e_mu, size)
     c = operator_solve(mu)  # e_mu is err_J of these coefficients
     return _bep_solution(
         LsqSolution(c, mu, feas, iterations, True, synthesize(c), e_mu), err, kkt

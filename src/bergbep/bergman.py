@@ -38,9 +38,10 @@ basis_matrix is its all-rings call, kept for independent checks.
 _forms is the plain quadrature of the same forms over any sampled
 family, summed over the nodes that carry weight in row blocks of about
 _BLOCK_BYTES, so it makes no full-size copy; the dense Vekua bases use
-it on their samples.  _basis_forms sums it over blocks of rings sampled
-on the fly, so the BEP oracle assembles its forms in O(block) memory
-and never holds a sample matrix of the whole grid.
+its two halves, _gram and _moments, on their samples.  _basis_forms sums
+it over blocks of rings sampled on the fly, so the BEP oracle assembles
+its forms in O(block) memory and never holds a sample matrix of the
+whole grid.
 
 Note on the radial spectrum convention: with J = a*D under the
 normalized area measure, the truncated Toeplitz matrix is diagonal with

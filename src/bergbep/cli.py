@@ -8,7 +8,6 @@ level, 3 solver non-convergence.  The BERGBEP_LOG environment variable
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import os
 import sys
@@ -21,14 +20,12 @@ from .bep import (
     ConstrainedLSQ,
     ConvergenceError,
     InfeasibleProblemError,
-    _bep_solution,
     solve_bep,
     solve_bep_oracle,
 )
 from .bergman import gram, project, spectrum
 from .fbep import (
     FbepProblem,
-    _fbep_solution,
     build_fbep_space,
     directional_kkt_check,
     fbep_conjecture_check,
@@ -68,10 +65,12 @@ _REGION_ARGS = {"radial": ("radial_disc", "a"), "annulus": ("annulus", "a"),
 
 def _parse_region_arg(text: str) -> Region:
     """radial:A, annulus:A, sector:THETA or full, ~ for the complement, as an io region spec."""
-    head, _, tail = text.partition(":")
+    head, colon, tail = text.partition(":")
     if head.lstrip("~") not in _REGION_ARGS:
         raise bio.SchemaError(f"unknown region spec {text!r}")
     variant, key = _REGION_ARGS[head.lstrip("~")]
+    if key is None and colon:
+        raise bio.SchemaError(f"region {variant} takes no parameter, got {text!r}")
     spec = {"variant": variant, "complement": head.startswith("~")}
     try:
         if key is not None:
@@ -112,6 +111,8 @@ def cmd_solve_bep(args) -> int:
 
 
 def cmd_solve_fbep(args) -> int:
+    if args.seed < 0:  # checked before the solve, as numpy would only after it
+        raise bio.SchemaError(f"--seed must be a non-negative integer, got {args.seed}")
     problem = bio.problem_from_dict(bio.load_json(args.problem))
     if not isinstance(problem, FbepProblem):
         raise bio.SchemaError("problem file lacks a conductivity; use solve-bep")
@@ -184,25 +185,17 @@ def cmd_lambda_sweep(args) -> int:
     for m in m_values:  # every level is validated as a problem file's m is
         bio.normalize_problem(dict(doc, m=m))
     # one parse and one assembled core (over one lifted basis for the
-    # f-BEP) serve every level: the forms do not depend on M
+    # f-BEP, e_0..e_N for the BEP) serve every level: the forms do not depend on M
     problem = bio.problem_from_dict(dict(doc, m=m_values[0]))
+    basis = None
     if isinstance(problem, FbepProblem):
         basis = build_fbep_space(problem.f, problem.degree, tol=problem.lift_tol)
-        core = ConstrainedLSQ.from_problem(problem, basis)
-
-        def solve_at(m: float):  # solve_fbep(..., basis) at this M
-            return _fbep_solution(dataclasses.replace(problem, m=m), basis, core)
-
-    else:
-        core = ConstrainedLSQ.from_problem(problem)
-
-        def solve_at(m: float):  # solve_bep(..., degree_diagnostic=False) at this M
-            return _bep_solution(core.solve(m), core.err, core.kkt)
-
+    core = ConstrainedLSQ.from_problem(problem, basis)
     lines = ["m,lambda,err_k"]
-    for m in m_values:
-        solution = solve_at(m)
-        lines.append(f"{m!r},{solution.lam!r},{solution.err_k!r}")
+    for m in m_values:  # the lambda and err_K of solve_bep or solve_fbep at this M
+        result = core.solve(m)
+        err_k = core.err(result.coeffs, "k", result.values)
+        lines.append(f"{m!r},{result.lam!r},{err_k!r}")
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
     return EXIT_OK

@@ -17,13 +17,17 @@ Bergman convention by lambda = mu - 1, and with f identically 1 the
 lifted basis is exactly {e_n, i e_n} and the solve reproduces the
 complex BEP solution.
 
-The core takes from the basis its full-disc decomposition, the J-form,
-the moments of both sides and the synthesis, in one path for every
-basis: for the closed-form conductivities, whose lifts each live in two
-angular modes, the basis supplies them from those ring spectra without
-sampling the lifts on the grid; a grid-sampled f, or a basis built by
-hand, supplies them from its samples.  Either way the returned w_* carries the grid certificate
-vekua_defect, from one Teodorescu apply to w_* itself.
+The core takes the basis itself and asks it, as it asks the BEP's, for
+its full-disc decomposition (_full_form), its form under the J weights
+(_form), the moments of both sides (_moments) and the synthesis
+(_synthesis), in one path for every basis: for the closed-form
+conductivities, whose lifts each live in two angular modes, the basis
+supplies them from those ring spectra without sampling the lifts on the
+grid, and a J constant along theta (a disc complement, an annulus) and
+the full disc take no weight table; a grid-sampled f, or a basis built
+by hand, supplies them from its samples.  Either way the returned w_*
+carries the grid certificate vekua_defect, from one Teodorescu apply to
+w_* itself.
 
 The conjectured critical-point equation
 
@@ -49,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bep import ConstrainedLSQ, _check_problem, _reported_lambda
+from .bep import ConstrainedLSQ, _check_problem
 from .grid import DiscGrid, GridFunction, Region
 from .vekua import (
     Conductivity,
@@ -120,18 +124,11 @@ def solve_fbep(problem: FbepProblem, basis: VekuaBasis | None = None) -> FbepSol
     The basis is lifted from the problem's conductivity unless one is
     supplied, and must live on the problem's grid (GridMismatchError
     otherwise); saturation locates the unique multiplier mu >= 0 with
-    |err_J - M| within 1e-12 max(1, M), far inside the 1e-6 contract.
+    |err_J - M| within 1e-12 max(M, ||h_J||_J), far inside the 1e-6 contract.
     """
     if basis is None:
         basis = build_fbep_space(problem.f, problem.degree, tol=problem.lift_tol)
-    return _fbep_solution(problem, basis, ConstrainedLSQ.from_problem(problem, basis))
-
-
-def _fbep_solution(problem: FbepProblem, basis: VekuaBasis, core: ConstrainedLSQ) -> FbepSolution:
-    """solve_fbep with the core of problem's forms over basis already assembled.
-
-    The forms do not depend on M, so one core serves every budget.
-    """
+    core = ConstrainedLSQ.from_problem(problem, basis)
     result = core.solve(problem.m)
     coeffs, values = result.coeffs, result.values  # the search's synthesis of coeffs
     w_star = GridFunction(problem.grid, values.reshape(problem.grid.shape))
@@ -139,7 +136,7 @@ def _fbep_solution(problem: FbepProblem, basis: VekuaBasis, core: ConstrainedLSQ
         coeffs=coeffs,
         w_star=w_star,
         basis=basis,
-        lam=_reported_lambda(result),
+        lam=result.lam,
         err_k=core.err(coeffs, "k", values),
         err_j=result.err_j,
         kkt_residual=float(np.linalg.norm(core.kkt(coeffs, result.mu))),

@@ -33,12 +33,14 @@ partner mode and its radial operator from _pair_operator.  Every other
 input takes rho by Lanczos on the normal operator
 (_normal_top_eigenvalue).
 
-A VekuaBasis hands the f-BEP core the eigendecomposition of its
-full-disc Gram form, taken once per basis (_full_form), a region's real
-Gram form and moments (_lsq_forms, _lsq_moments) and its synthesis
-(_synthesis); the span projection (project_span, invariance_defect)
-reads the same, so it takes no second Gram or eigh.  A basis of sampled
-lifts takes them from its samples by quadrature (bergman._forms).  The
+A VekuaBasis answers the f-BEP core through the four private members
+every basis of bep.ConstrainedLSQ has: its real Gram form under any
+node weights (_form(w)), its real moments (_moments(w, h)), its
+synthesis (_synthesis(c)) and the eigendecomposition of its full-disc
+form, eigh(_form(grid.weights)), taken once per basis (_full_form); the
+span projection (project_span, invariance_defect) reads the same, so it
+takes no second Gram or eigh.  A basis of sampled lifts takes them from
+its samples by quadrature (bergman._gram, bergman._moments).  The
 mode-pair basis keeps each lift as a two-mode ring spectrum, w_b =
 sum_u X_bu(r) e^{i p_bu theta} (u = 0, 1), and with W = fft_theta(w)
 the reordering of the polar layer in bergman gives
@@ -48,12 +50,14 @@ the reordering of the polar layer in bergman gives
     r_a  = Re sum wh conj(w_a) = Re sum_u sum_i conj(X_au,i) fft_theta(wh)_i[p_au]
     sum_b c_b w_b = ifft_theta of the c_b X_b gathered at their modes,
 
-exact discrete identities for any weights.  The full-disc weights
-omega_i / n_theta are constant along theta, so W_i is omega_i in mode 0
-alone and the full-disc form couples only lifts with equal modes; it
-needs no weight table.  real_gram, real_rhs and synthesize use the
-samples on every basis, so they stay an independent reference for the
-spectral forms.
+exact discrete identities for any weights.  Weights constant along
+theta, w_ij = w_i0 (the full disc, radial discs, annuli and their
+complements), have W_i = n_theta w_i0 in mode 0 alone, so their form
+couples only lifts with equal modes and needs no weight table; only
+the other weights (sectors, masks) build the (n_r, 2B, 2B) table of
+W_i[(p_au - p_bv) mod n_theta].  real_gram, real_rhs and synthesize use
+the samples on every basis, so they stay an independent reference for
+the spectral forms.
 
 dbar, dz and teodorescu apply the operators their grid holds (see
 grid.py): its radial stencils, angular wavenumbers and Teodorescu
@@ -78,12 +82,11 @@ from .bep import ConvergenceError, FullForm
 from .bergman import (
     AnalyticCoeffs,
     _check_degree,
-    _forms,
-    _gram,
-    _moments,
     _radial_powers,
     project,
 )
+from .bergman import _gram as _sample_gram
+from .bergman import _moments as _sample_moments
 from .grid import DiscGrid, GridFunction, GridMismatchError, Region, build_grid, inner_product
 
 logger = logging.getLogger("bergbep")
@@ -769,10 +772,11 @@ class VekuaBasis:
 
     The dense (n_nodes, n_elements) matrix of element samples is built on
     first use.  The f-BEP core and the span projection take the
-    full-disc decomposition (_full_form, one eigh per basis), a region's
-    real forms and the synthesis from the basis, here the quadrature of
-    the samples; a basis lifted by mode pairs (_PairBasis) supplies them
-    from its spectra instead.
+    full-disc decomposition (_full_form, one eigh per basis), the real
+    forms and moments under any weights (_form, _moments) and the
+    synthesis from the basis, here the quadrature of the samples; a
+    basis lifted by mode pairs (_PairBasis) supplies them from its
+    spectra instead.
     """
 
     alpha: GridFunction
@@ -799,23 +803,19 @@ class VekuaBasis:
             self._matrix = np.column_stack([e.w.values.ravel() for e in self.elements])
         return self._matrix
 
-    def _lsq_forms(self, w: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The core's Re <w_m, w_n> and Re <h, w_m> under the node weights w (grid-shaped)."""
-        return _forms(self.values_matrix(), w.ravel(), h.ravel(), np.real)
+    def _form(self, w: np.ndarray) -> np.ndarray:
+        """The core's Re <w_m, w_n> under the node weights w (grid-shaped)."""
+        return _sample_gram(self.values_matrix(), w.ravel(), np.real)
 
-    def _lsq_moments(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    def _moments(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
         """The core's Re <h, w_m> under the node weights w (grid-shaped)."""
-        return _moments(self.values_matrix(), w.ravel(), h.ravel(), np.real)
-
-    def _full_gram(self) -> np.ndarray:
-        """The full-disc Re <w_m, w_n>, here from the samples."""
-        return self.real_gram()
+        return _sample_moments(self.values_matrix(), w.ravel(), h.ravel(), np.real)
 
     @cached_property
     def _full_form(self) -> FullForm:
         """The eigendecomposition of the full-disc Gram form, taken once per basis;
         every core over the basis whitens by it."""
-        return FullForm(*np.linalg.eigh(self._full_gram()))
+        return FullForm(*np.linalg.eigh(self._form(self.grid.weights)))
 
     def _synthesis(self, coeffs: np.ndarray) -> np.ndarray:
         """The core's sum_b c_b w_b at the nodes, grid-shaped."""
@@ -824,13 +824,13 @@ class VekuaBasis:
     def real_gram(self, region: Region | None = None) -> np.ndarray:
         """Real Gram matrix Re <w_m, w_n> over the disc or a region, from the samples."""
         w = self.grid.weights if region is None else region.weights(self.grid)
-        return _gram(self.values_matrix(), w.ravel(), np.real)
+        return VekuaBasis._form(self, w)
 
     def real_rhs(self, h: GridFunction, region: Region | None = None) -> np.ndarray:
         """Vector Re <h, w_m> over the disc or a region, from the samples on every basis."""
         self.alpha._check_same_grid(h)
         w = self.grid.weights if region is None else region.weights(self.grid)
-        return VekuaBasis._lsq_moments(self, w, h.values)
+        return VekuaBasis._moments(self, w, h.values)
 
     def synthesize(self, coeffs: np.ndarray) -> GridFunction:
         """sum_b c_b w_b from the samples."""
@@ -845,7 +845,7 @@ class VekuaBasis:
         self.alpha._check_same_grid(h)
         vals, vecs = self._full_form
         keep = vals > _SPAN_RCOND * vals.max()
-        rhs = vecs.T @ self._lsq_moments(self.grid.weights, h.values)
+        rhs = vecs.T @ self._moments(self.grid.weights, h.values)
         sol = np.zeros_like(rhs)
         sol[keep] = rhs[keep] / vals[keep]
         return vecs @ sol
@@ -876,35 +876,32 @@ class _PairBasis(VekuaBasis):
     def size(self) -> int:
         return self._modes.shape[0]
 
-    def _lsq_forms(self, w: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The real Gram form and moments by Parseval on each ring, over the pair spectra."""
-        modes, rings = self._modes, self._rings
-        p = modes.ravel()
-        x = rings.reshape(p.size, -1)
-        table = np.fft.fft(w, axis=-1)[:, (p[:, None] - p[None, :]) % self.grid.angular_count]
-        g = np.einsum("ai,iab,bi->ab", x.conj(), table, x).real
-        g = g.reshape(modes.shape + modes.shape).sum(axis=(1, 3))
-        return (g + g.T) / 2.0, self._lsq_moments(w, h)
+    def _form(self, w: np.ndarray) -> np.ndarray:
+        """The real Gram form by Parseval on each ring, over the pair spectra.
 
-    def _lsq_moments(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+        Weights constant along theta (w_ij = w_i0: the full disc, radial
+        discs, annuli, their complements) couple only lifts with equal
+        modes (mod n_theta), with omega_i = n_theta w_i0:
+        G_ab = Re sum_{u,v: p_au = p_bv} sum_i omega_i conj(X_au,i) X_bv,i,
+        and take no weight table.  Other weights take the (n_r, 2B, 2B)
+        table of their ring spectra at the mode differences.
+        """
+        modes, n_t = self._modes, self.grid.angular_count
+        p = modes.ravel() % n_t
+        x = self._rings.reshape(p.size, -1)
+        if np.all(w == w[:, :1]):
+            g = ((x.conj() * (n_t * w[:, 0])) @ x.T).real
+            g = np.where(p[:, None] == p[None, :], g, 0.0)
+        else:
+            table = np.fft.fft(w, axis=-1)[:, (p[:, None] - p[None, :]) % n_t]
+            g = np.einsum("ai,iab,bi->ab", x.conj(), table, x).real
+        g = g.reshape(modes.shape + modes.shape).sum(axis=(1, 3))
+        return (g + g.T) / 2.0
+
+    def _moments(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
         """The real moments by Parseval on each ring, over the pair spectra."""
         moments = np.fft.fft(w * h, axis=-1)[:, self._modes]  # (n_r, B, 2)
         return np.einsum("bui,ibu->b", self._rings.conj(), moments).real
-
-    def _full_gram(self) -> np.ndarray:
-        """The full-disc form from the spectra, without a weight table.
-
-        The full-disc weights omega_i / n_theta are constant along theta,
-        so only lifts with equal modes (mod n_theta) couple:
-        G_ab = Re sum_{u,v: p_au = p_bv} sum_i omega_i conj(X_au,i) X_bv,i.
-        """
-        modes = self._modes
-        p = modes.ravel() % self.grid.angular_count
-        x = self._rings.reshape(p.size, -1)
-        g = ((x.conj() * self.grid.radial_weights) @ x.T).real
-        g = np.where(p[:, None] == p[None, :], g, 0.0)
-        g = g.reshape(modes.shape + modes.shape).sum(axis=(1, 3))
-        return (g + g.T) / 2.0
 
     def _synthesis(self, coeffs: np.ndarray) -> np.ndarray:
         """One spectrum gathers every c_b X_b at its modes, then one inverse fft."""

@@ -28,7 +28,7 @@ from bergbep import (
     solve_bep_oracle,
 )
 from bergbep.bep import ConstrainedLSQ, FullForm, _bisect, _check_saturated, _newton
-from bergbep.bergman import _forms, basis_matrix
+from bergbep.bergman import _gram, _moments, basis_matrix
 from conftest import low_degree_infeasible_problem, saturated_problem
 
 # frozen regression: distance of conj(z) to the degree-16 span on the
@@ -224,8 +224,10 @@ class TestSolveBep:
         # the search's root does not depend on where it starts
         p = constant_fixture(grid_24_96)
         core = ConstrainedLSQ.from_problem(p)
-        feas = core.feasibility()
-        c1, c2 = (core.coeffs(_newton(core._form_err, p.m, mu, [], feas)[0]) for mu in (2.0, 10.7))
+        feas, size = core.feasibility(), max(p.m, np.sqrt(core._h_j_sq))
+        c1, c2 = (
+            core.coeffs(_newton(core._form_err, p.m, mu, [], feas, size)[0]) for mu in (2.0, 10.7)
+        )
         assert np.max(np.abs(c1 - c2)) <= 1e-9
 
     def test_infeasible_raises(self, grid_24_96):
@@ -471,21 +473,28 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+class _DenseBasis:
+    """e_0..e_N as the basis_matrix samples, answering the core as a basis does: the
+    full-disc form diagonalized by eigh, the forms and moments by quadrature of the
+    samples and the synthesis by one product."""
+
+    def __init__(self, grid, degree):
+        self.grid, self.samples = grid, basis_matrix(grid, degree)
+        self._full_form = FullForm(*np.linalg.eigh(self._form(grid.weights)))
+
+    def _form(self, w):
+        return _gram(self.samples, w.ravel(), np.asarray)
+
+    def _moments(self, w, h):
+        return _moments(self.samples, w.ravel(), h.ravel(), np.asarray)
+
+    def _synthesis(self, c):
+        return (self.samples @ c).reshape(self.grid.shape)
+
+
 def _dense_core(p: BepProblem) -> ConstrainedLSQ:
-    """The core over the basis_matrix samples: the full-disc form diagonalized by
-    eigh, and the K moments, J-form and J moments by quadrature of the samples."""
-    grid = p.grid
-    e = basis_matrix(grid, p.degree)
-    w_k, w_j = p.k_region.weights(grid).ravel(), p.j_region.weights(grid).ravel()
-    f_k, f_j = p.h_k.values.ravel(), p.h_j.values.ravel()
-    a_full = _forms(e, grid.weights.ravel(), f_k, np.asarray)[0]
-    return ConstrainedLSQ(
-        FullForm(*np.linalg.eigh(a_full)),
-        _forms(e, w_k, f_k, np.asarray)[1],
-        *_forms(e, w_j, f_j, np.asarray),
-        lambda c: e @ c,
-        w_k, w_j, f_k, f_j,
-    )
+    """The core over the dense samples of the basis, through the one assembly route."""
+    return ConstrainedLSQ.from_problem(p, _DenseBasis(p.grid, p.degree))
 
 
 def _cancellation_problem(grid, eps: float) -> BepProblem:
@@ -556,7 +565,7 @@ class TestPolarCore:
 
         p = constant_fixture(grid_24_96)
         expected = solve_bep(p, degree_diagnostic=False).g0.coeffs
-        for name in ("_polar_core", "_ring_gram", "_ring_moments", "_ring_synthesis"):
+        for name in ("_PolarBasis", "_ring_gram", "_ring_moments", "_ring_synthesis"):
             monkeypatch.setattr(bep, name, forbidden)
         oracle = solve_bep_oracle(p)
         assert oracle.saturated
@@ -787,7 +796,7 @@ class TestNewtonSearch:
         # err = 1/(1 + mu) reported with a zero slope: no Newton step, so mu
         # doubles while err > M, then the bracket halves in log scale
         evals = []
-        mu, e_mu, _ = _newton(lambda mu: (1.0 / (1.0 + mu), 0.0), 0.01, 1.0, evals, 0.0)
+        mu, e_mu, _ = _newton(lambda mu: (1.0 / (1.0 + mu), 0.0), 0.01, 1.0, evals, 0.0, 0.01)
         assert [x for x, _ in evals[:8]] == [2.0**k for k in range(8)]
         assert abs(e_mu - 0.01) <= 1e-12 and abs(mu - 99.0) <= 1e-8
 
@@ -795,16 +804,16 @@ class TestNewtonSearch:
         # the oracle's search on an err that never falls to M
         evals = []
         with pytest.raises(ConvergenceError, match="bracket expansion exhausted"):
-            _bisect(lambda mu: 1.0, 0.5, 0.0, 1.0, evals, 0.25)
+            _bisect(lambda mu: 1.0, 0.5, 0.0, 1.0, evals, 0.25, 0.5)
         assert len(evals) == 81  # hi = 1 and its 80 doublings
 
     def test_stalled_search_rejected(self):
         # err jumps across M at mu = 1: the bracket collapses there, 1 away from M
         evals = []
-        mu, e_mu, _ = _bisect(lambda mu: 2.0 if mu < 1.0 else 0.0, 1.0, 0.0, 4.0, evals, 0.0)
+        mu, e_mu, _ = _bisect(lambda mu: 2.0 if mu < 1.0 else 0.0, 1.0, 0.0, 4.0, evals, 0.0, 1.0)
         assert abs(mu - 1.0) <= 1e-14 and e_mu in (0.0, 2.0)
         with pytest.raises(ConvergenceError, match="multiplier search stalled"):
-            _check_saturated(evals, 1.0, mu, e_mu)
+            _check_saturated(evals, 1.0, mu, e_mu, 1.0)
 
     def test_oracle_without_newton(self, grid_24_96, monkeypatch):
         import bergbep.bep as bep
@@ -859,3 +868,34 @@ class TestNewtonSearch:
             core = ConstrainedLSQ.from_problem(problem)
             c = sol.g0.coeffs
             assert (sol.err_k, sol.err_j) == (core.err(c, "k"), core.err(c, "j"))
+
+
+class TestDataScale:
+    """The BEP is homogeneous in (h_K, h_J, M): scaling all three by s scales the
+    solution by s and keeps lambda, so the searches' tolerances are relative to
+    max(M, ||h_J||_J).  With absolute tolerances below M = 1, the data scaled by
+    1e-10 stopped 1e-4 M away from the budget and an infeasible M raised
+    ConvergenceError."""
+
+    @staticmethod
+    def _problems(grid, scale):
+        k = Region.radial_disc(0.5)
+        h_k = GridFunction.from_function(grid, lambda z: scale * (np.exp(z) + 0.2 * np.conj(z)))
+        h_j = GridFunction.from_function(grid, lambda z: scale * 0.3 * np.conj(z))
+        feas = feasibility_distance(h_j, k.complement(), 16)
+        m = scale * 0.5402132417275145  # between feas and the free fit's err_J at scale 1
+        return (BepProblem(k, k.complement(), h_k, h_j, m, 16),
+                BepProblem(k, k.complement(), h_k, h_j, feas / 2.0, 16))
+
+    @pytest.mark.parametrize("solver", [solve_bep, solve_bep_oracle])
+    def test_lambda_and_saturation_at_every_scale(self, grid_24_96, solver):
+        reference = solver(self._problems(grid_24_96, 1.0)[0])
+        assert reference.saturated
+        for scale in (1.0, 1e-6, 1e-10):
+            p, infeasible = self._problems(grid_24_96, scale)
+            sol = solver(p)
+            assert sol.saturated
+            assert abs(sol.err_j - p.m) <= 1e-12 * p.m
+            assert abs(sol.lam - reference.lam) <= 1e-10 * (1.0 + abs(reference.lam))
+            with pytest.raises(InfeasibleProblemError):
+                solver(infeasible)

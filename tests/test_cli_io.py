@@ -367,6 +367,26 @@ class TestCli:
     def test_spectrum_bad_region(self, tmp_path):
         assert main(["spectrum", "--region", "blob:1", "--degree", "4", "--out", str(tmp_path / "s.csv")]) == 1
 
+    @pytest.mark.parametrize("region", ["full:0.5", "full:", "~full:1"])
+    def test_spectrum_full_takes_no_parameter(self, tmp_path, capsys, region):
+        # the tail used to be ignored, with exit 0
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--region", region, "--degree", "4", "--out", str(out)]) == 1
+        assert "takes no parameter" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_rejected_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        # numpy's "expected non-negative integer" used to come after the solve
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve-fbep solved before checking --seed")
+
+        monkeypatch.setattr(bergbep.cli, "solve_fbep", forbidden)
+        out = tmp_path / "sol.json"
+        argv = ["solve-fbep", "--problem", FBEP_FIXTURE, "--out", str(out), "--seed", "-1"]
+        assert main(argv) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_project_z_bar(self, tmp_path):
         out = tmp_path / "proj.json"
         assert (

@@ -639,14 +639,18 @@ class TestBasisDiagnostics:
 
     def test_span_projection_builds_one_gram(self, basis_exp01_n8, monkeypatch):
         # the projection reads the basis's one decomposition: once _full_form
-        # exists, it assembles no Gram and takes no eigh
-        import bergbep.vekua as vekua
+        # exists, it assembles no form and takes no eigh
+        from bergbep.vekua import _PairBasis
 
         f, basis = basis_exp01_n8
         basis._full_form
         calls = []
-        forms, eigh = vekua._forms, np.linalg.eigh
-        monkeypatch.setattr(vekua, "_forms", lambda *a: calls.append("forms") or forms(*a))
+        for cls in (VekuaBasis, _PairBasis):
+            form = cls.__dict__["_form"]
+            monkeypatch.setattr(
+                cls, "_form", lambda self, w, _form=form: calls.append("form") or _form(self, w)
+            )
+        eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append("eigh") or eigh(*a))
         basis.project_span(f.values)
         assert calls == []
@@ -713,15 +717,51 @@ class TestPairCore:
         for region in _pair_regions(shape):
             w = region.weights(grid)
             gram, moments = _forms(samples, w.ravel(), h.values.ravel(), np.real)
-            pair_gram, pair_moments = basis._lsq_forms(w, h.values)
-            assert _rel(pair_gram, gram) <= 1e-13
-            assert _rel(pair_moments, moments) <= 1e-13
+            assert _rel(basis._form(w), gram) <= 1e-13
+            assert _rel(basis._moments(w, h.values), moments) <= 1e-13
 
     @pytest.mark.parametrize("kind, eps, shape, degree", _PAIR_CASES)
     def test_full_gram_matches_dense_samples(self, kind, eps, shape, degree):
         # the full-disc weights are constant along theta: only equal modes couple
         basis = _pair_basis(kind, eps, shape, degree)
-        assert _rel(basis._full_gram(), basis.real_gram()) <= 1e-14
+        assert _rel(basis._form(basis.grid.weights), basis.real_gram()) <= 1e-14
+
+    @pytest.mark.parametrize("kind, eps, shape, degree", _PAIR_CASES)
+    def test_theta_invariant_forms_match_dense_samples(self, kind, eps, shape, degree):
+        # so are those of radial discs, annuli and their complements: the same
+        # equal-mode sum, with no weight table
+        basis = _pair_basis(kind, eps, shape, degree)
+        regions = [Region.radial_disc(0.55), Region.annulus(0.4)]
+        for region in regions + [region.complement() for region in regions]:
+            w = region.weights(basis.grid)
+            assert _rel(basis._form(w), basis.real_gram(region)) <= 1e-14
+
+    @pytest.mark.parametrize("region", ["disc", "annulus", "sector", "mask", "full"])
+    def test_weight_table_only_for_theta_dependent_weights(self, region):
+        # the (n_r, 2B, 2B) table of the weights' ring spectra is the one array of
+        # _form that grows with n_r B^2; the traced peak shows whether it was built
+        import tracemalloc
+
+        basis = _pair_basis("exp_x", 0.8, (32, 64), 15)
+        grid = basis.grid
+        w = {
+            "disc": Region.radial_disc(0.55).complement(),
+            "annulus": Region.annulus(0.4),
+            "sector": Region.sector(1.1),
+            "mask": _node_mask(grid.shape),
+            "full": Region.full_disc(),
+        }[region].weights(grid)
+        table_bytes = 16 * grid.n_radial * (2 * basis.size) ** 2  # B lifts, two slots each
+        tracemalloc.start()
+        try:
+            basis._form(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if region in ("sector", "mask"):
+            assert peak >= table_bytes
+        else:
+            assert peak < table_bytes / 4
 
     @pytest.mark.parametrize("kind, eps, shape, degree", _PAIR_CASES)
     def test_synthesis_matches_dense_samples(self, kind, eps, shape, degree):
@@ -740,7 +780,7 @@ class TestPairCore:
             raise AssertionError("the dense reference used the pair forms")
 
         basis = _pair_basis(kind, eps, shape, degree)
-        for name in ("_lsq_forms", "_lsq_moments", "_synthesis"):
+        for name in ("_form", "_moments", "_synthesis"):
             monkeypatch.setattr(type(basis), name, forbidden)
         grid = basis.grid
         h = GridFunction.from_function(grid, lambda z: np.conj(z) + 0.3 * np.abs(z) ** 2 + 0.5j)
@@ -772,18 +812,19 @@ class TestPairCore:
         assert abs(sol.vekua_defect - dense.vekua_defect) <= 1e-14
 
     def _record_forms(self, monkeypatch):
-        """Record the class of every basis that hands the core a region form (J only)."""
+        """Record the class of every basis that hands out a form, and whether it was
+        the full disc's (once per basis, for its decomposition) or a region's (J)."""
         from bergbep.vekua import _PairBasis
 
         calls = []
         for cls in (VekuaBasis, _PairBasis):
-            original = cls.__dict__["_lsq_forms"]
+            original = cls.__dict__["_form"]
 
-            def recording(self, *args, _cls=cls, _original=original):
-                calls.append(_cls.__name__)
-                return _original(self, *args)
+            def recording(self, w, _cls=cls, _original=original):
+                calls.append((_cls.__name__, "full" if w is self.grid.weights else "J"))
+                return _original(self, w)
 
-            monkeypatch.setattr(cls, "_lsq_forms", recording)
+            monkeypatch.setattr(cls, "_form", recording)
         return calls
 
     def test_path_selection(self, grid_16_64, monkeypatch):
@@ -793,27 +834,26 @@ class TestPairCore:
         basis = build_fbep_space(closed, 4)
         calls = self._record_forms(monkeypatch)
         sol = solve_fbep(p_closed)
-        assert calls == ["_PairBasis"]
+        pair = [("_PairBasis", "full"), ("_PairBasis", "J")]
+        dense = [("VekuaBasis", "full"), ("VekuaBasis", "J")]
+        assert calls == pair
         assert sol.basis._matrix is None  # the spectra, not the samples
         solve_fbep(p_sampled)
-        assert calls == ["_PairBasis", "VekuaBasis"]
+        assert calls == pair + dense
         solve_fbep(p_closed, VekuaBasis(basis.alpha, basis.elements))
-        assert calls == ["_PairBasis", "VekuaBasis", "VekuaBasis"]
+        assert calls == pair + dense + dense
 
     @pytest.mark.parametrize("sampled", [False, True])
     def test_one_full_decomposition_per_basis(self, grid_16_64, monkeypatch, sampled):
-        # two problems and three budgets over one basis: one full-disc Gram and
-        # one eigh of it, and one region form (J) per core
+        # two problems and three budgets over one basis: one full-disc form and
+        # one decomposition of it, and one region form (J) per core
         from bergbep.vekua import _PairBasis
 
         f = Conductivity.exp_x(grid_16_64, 0.3)
         basis = build_fbep_space(f, 4)
         if sampled:
             basis = VekuaBasis(basis.alpha, basis.elements)
-        grams = []
         cls = type(basis)
-        full_gram = cls._full_gram
-        monkeypatch.setattr(cls, "_full_gram", lambda self: grams.append(1) or full_gram(self))
         forms = self._record_forms(monkeypatch)
         cores = []
         for k in (Region.radial_disc(0.5), Region.sector(1.2)):
@@ -824,9 +864,8 @@ class TestPairCore:
                 )
                 sol = solve_fbep(p, basis)
                 cores.append(sol._assembly[1])
-        assert grams == [1]
         assert all(core.full is basis._full_form for core in cores)
-        assert forms == [cls.__name__] * 6
+        assert forms == [(cls.__name__, "full")] + [(cls.__name__, "J")] * 6
         assert (cls is _PairBasis) != sampled
 
     def test_closed_form_solve_samples_nothing(self, grid_24_96, monkeypatch):
