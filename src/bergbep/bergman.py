@@ -5,8 +5,8 @@ the orthonormal monomial basis e_n(z) = sqrt(n+1) z^n of A^2 (normalized
 area measure).  The module provides the degree-N Bergman projection via
 basis inner products, the reproducing kernel 1/(1 - conj(z) zeta)^2 as a
 cross-check path, and Gram/Toeplitz matrices G_mn = <chi_Omega e_n, e_m>
-for characteristic-function symbols, with closed forms for radial discs,
-annuli and angular sectors.
+for characteristic-function symbols, with closed forms for every region
+of one shape, radii times an arc (discs, annuli, sectors, the full disc).
 
 On the polar grid every basis quadrature sum is a per-ring DFT.  With
 e_n = sqrt(n+1) r^n e^{in theta}, the radial powers P[i, p] = r_i^p (kept
@@ -321,40 +321,37 @@ def gram_quadrature(region: Region, degree: int, grid: DiscGrid) -> GramMatrix:
     return GramMatrix(region, _ring_gram(grid, region.weights(grid), degree))
 
 
-def _gram_closed_base(region: Region, degree: int) -> np.ndarray | None:
+def _gram_closed_base(region: Region, degree: int) -> np.ndarray:
+    """The closed form of the shape r0 < |z| < r1, |arg z| < theta (not a mask)."""
+    r0, r1 = region.radii
     n = np.arange(degree + 1)
-    if region.kind == "radial_disc":
-        return np.diag(region.a ** (2.0 * (n + 1.0))).astype(complex)
-    if region.kind == "annulus":
-        return np.diag(1.0 - region.a ** (2.0 * (n + 1.0))).astype(complex)
-    if region.kind == "sector":
-        m, k = np.meshgrid(n, n, indexing="ij")
-        diff = k - m
-        with np.errstate(divide="ignore", invalid="ignore"):
-            angular = 2.0 * np.sin(diff * region.theta) / (diff * np.pi)
-        # removable singularity at m == n; the radial factor there is 1/2,
-        # so the full diagonal entry comes out to theta / pi
-        np.fill_diagonal(angular, 2.0 * region.theta / np.pi)
-        radial = np.sqrt((m + 1.0) * (k + 1.0)) / (m + k + 2.0)
-        return (radial * angular).astype(complex)
-    if region.kind == "full":
-        return np.eye(degree + 1, dtype=complex)
-    return None
+    if region.theta is None:  # on the whole circle the e_n stay orthogonal
+        return np.diag(r1 ** (2.0 * (n + 1.0)) - r0 ** (2.0 * (n + 1.0))).astype(complex)
+    m, k = np.meshgrid(n, n, indexing="ij")
+    diff = k - m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        angular = 2.0 * np.sin(diff * region.theta) / (diff * np.pi)
+    # removable singularity at m == n: the diagonal is (r1^{2n+2} - r0^{2n+2}) theta / pi
+    np.fill_diagonal(angular, 2.0 * region.theta / np.pi)
+    p = m + k + 2.0
+    radial = np.sqrt((m + 1.0) * (k + 1.0)) * (r1**p - r0**p) / p
+    return (radial * angular).astype(complex)
 
 
 def gram(region: Region, degree: int, grid: DiscGrid | None = None) -> GramMatrix:
     """Gram matrix G_mn = <chi_Omega e_n, e_m>.
 
-    Radial discs, annuli, sectors and the full disc use closed forms and
-    are valid at any degree >= 0; mask regions fall back to grid
-    quadrature and require a grid supporting the degree.
+    A region of radii r0 < r1 has a closed form at any degree >= 0:
+    diag(r1^{2(n+1)} - r0^{2(n+1)}) on the whole circle, and on an arc
+    the sector form with that radial factor.  A mask falls back to grid
+    quadrature and requires a grid supporting the degree.
     """
     _check_degree(None, degree)
-    base = _gram_closed_base(region, degree)
-    if base is None:
+    if region.radii is None:
         if grid is None:
             raise ValueError("mask regions need a grid to assemble the Gram matrix")
         return gram_quadrature(region, degree, grid)
+    base = _gram_closed_base(region, degree)
     if region.complement_flag:
         base = np.eye(degree + 1, dtype=complex) - base
     return GramMatrix(region, base)

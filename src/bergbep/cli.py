@@ -58,9 +58,8 @@ def _parse_grid_arg(text: str):
     return build_grid(n_r, n_theta)
 
 
-# spectrum --region head -> (io region variant, key of its parameter)
-_REGION_ARGS = {"radial": ("radial_disc", "a"), "annulus": ("annulus", "a"),
-                "sector": ("sector", "theta"), "full": ("full", None)}
+# spectrum --region head -> io region variant; the key of its number is io's
+_REGION_ARGS = {"radial": "radial_disc", "annulus": "annulus", "sector": "sector", "full": "full"}
 
 
 def _parse_region_arg(text: str) -> Region:
@@ -68,7 +67,8 @@ def _parse_region_arg(text: str) -> Region:
     head, colon, tail = text.partition(":")
     if head.lstrip("~") not in _REGION_ARGS:
         raise bio.SchemaError(f"unknown region spec {text!r}")
-    variant, key = _REGION_ARGS[head.lstrip("~")]
+    variant = _REGION_ARGS[head.lstrip("~")]
+    key, _ = bio.REGION_VARIANTS[variant]
     if key is None and colon:
         raise bio.SchemaError(f"region {variant} takes no parameter, got {text!r}")
     spec = {"variant": variant, "complement": head.startswith("~")}
@@ -131,10 +131,8 @@ def cmd_spectrum(args) -> int:
     region = _parse_region_arg(args.region)
     matrix = gram(region, args.degree)
     eigenvalues = spectrum(matrix)
-    closed = None
-    if region.kind in ("radial_disc", "annulus", "full"):
-        # diagonal closed form: eigenvalues are the sorted diagonal entries
-        closed = np.sort(np.diag(matrix.entries).real)[::-1]
+    # with no arc the closed form is diagonal: its eigenvalues are the sorted diagonal
+    closed = np.sort(np.diag(matrix.entries).real)[::-1] if region.theta is None else None
     lines = ["index,eigenvalue,closed_form"]
     for i, val in enumerate(eigenvalues):
         closed_txt = repr(float(closed[i])) if closed is not None else ""
@@ -182,11 +180,12 @@ def cmd_lambda_sweep(args) -> int:
         raise bio.SchemaError(f"bad --m-values {args.m_values!r}") from exc
     if not m_values:
         raise bio.SchemaError("--m-values must list at least one constraint level")
-    for m in m_values:  # every level is validated as a problem file's m is
-        bio.normalize_problem(dict(doc, m=m))
-    # one parse and one assembled core (over one lifted basis for the
-    # f-BEP, e_0..e_N for the BEP) serve every level: the forms do not depend on M
-    problem = bio.problem_from_dict(dict(doc, m=m_values[0]))
+    # one validation, one parse and one assembled core (over one lifted basis for
+    # the f-BEP, e_0..e_N for the BEP) serve every level: the forms do not depend on M
+    doc = bio.normalize_problem(dict(doc, m=m_values[0]))
+    for m in m_values[1:]:  # the other levels pass the budget rule of a problem file's m
+        bio.normalize_budget(m)
+    problem = bio._problem(doc)
     basis = None
     if isinstance(problem, FbepProblem):
         basis = build_fbep_space(problem.f, problem.degree, tol=problem.lift_tol)

@@ -197,8 +197,13 @@ def transformed_constraint_data(
     rho is the norm of h -> h - T_J(alpha conj(h)) on L^2(J), computed
     by restriction_map_norm on a coarse grid of norm_grid_shape.  T_J
     integrates over J only: its input is weighted by J's overlap
-    fraction on every quadrature cell.
+    fraction on every quadrature cell.  A mask J, like a grid-sampled f,
+    needs norm_grid_shape equal to the problem's grid (ValueError at once).
     """
+    mask = problem.j_region.mask_values
+    if mask is not None and mask.shape != tuple(norm_grid_shape):
+        raise ValueError(f"a mask J lives on its own grid: pass the problem's grid {mask.shape} "
+                         f"as norm_grid_shape to get rho, not {tuple(norm_grid_shape)}")
     alpha = alpha_from_f(problem.f)
     phi = problem.j_region.fraction(problem.grid)
     zero_ext = GridFunction(problem.grid, phi * alpha.values * np.conj(problem.h_j.values))

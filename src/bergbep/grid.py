@@ -7,17 +7,17 @@ uniform (trapezoid) rule in the angle; with n_r radial rings and
 n_theta angles, every monomial z^m conj(z)^n with m + n up to the
 grid's exactness degree integrates exactly to delta_{mn} / (n + 1).
 
-Regions (radial discs, annuli, angular sectors, node masks) resolve on
-a grid in two ways: a node-wise indicator (a node belongs to the region
-iff its center satisfies the defining inequality), and the overlap
-fraction of each node's quadrature cell with the region.  Region
-weights are the grid weights times that fraction, so the radial cell
-or angular arc straddling the region boundary is weighted by its
-overlap.  The overlap weighting makes region areas exact: the weights
-of RadialDisc(a) sum to a^2 and those of Sector(theta) to theta/pi, to
-rounding.  Every cell off the boundary has fraction exactly 0 or 1; a
-boundary within a few ulps of a cell edge is snapped onto the edge,
-since the edges themselves carry rounding of that size.
+A region is a node mask or one shape, radii r0 < |z| < r1 times an arc
+|arg z| < theta (radial discs, annuli, angular sectors, the full disc).
+It resolves on a grid in two ways, a shape as ring times arc: a
+node-wise indicator (a node belongs to the region iff its center
+satisfies the defining inequalities), and the overlap fraction of each
+node's quadrature cell with the region.  Region weights are the grid
+weights times that fraction, so the cell straddling the boundary is
+weighted by its overlap and region areas are exact: radial_disc(a)
+sums to a^2 and sector(theta) to theta/pi, to rounding.  A cell off the
+boundary has fraction exactly 0 or 1; a boundary within a few ulps of a
+cell edge is snapped onto it, as the edges carry rounding of that size.
 
 A grid also holds its operators, each built on first use and freed with
 the grid.  Derivatives use spectral (trigonometric) angular
@@ -388,11 +388,12 @@ def _cell_fraction(
 class Region:
     """Measurable subset of the disc, resolvable on any DiscGrid.
 
-    kind is one of "radial_disc" (|z| < a), "annulus" (a < |z| < 1),
-    "sector" (-theta < arg z < theta), "mask" (explicit node booleans)
-    or "full".  The complement flag swaps the region with its
-    complement in the disc; indicators and quadrature weights of a
-    region and its complement always add up to the full-grid ones.
+    Every kind but "mask" (explicit node booleans) is one shape, radii
+    r0 < |z| < r1 times an arc |arg z| < theta (theta None: the whole
+    circle): "radial_disc" (|z| < a) is (0, a), "annulus" (a < |z| < 1)
+    is (a, 1), "sector" is (0, 1) on the arc theta, "full" is (0, 1).
+    The complement flag swaps the region with its complement in the
+    disc; the indicators and weights of the two add up to the grid's.
 
     A region resolves on each grid once: fraction and weights are each
     kept on first use, read-only, per grid, and the grid is held weakly.
@@ -436,25 +437,29 @@ class Region:
     def full_disc(cls) -> "Region":
         return cls(kind="full")
 
+    @property
+    def radii(self) -> tuple[float, float] | None:
+        """(r0, r1) of the shape r0 < |z| < r1, |arg z| < theta; None for a mask."""
+        shapes = {"radial_disc": (0.0, self.a), "annulus": (self.a, 1.0),
+                  "sector": (0.0, 1.0), "full": (0.0, 1.0), "mask": None}
+        if self.kind not in shapes:
+            raise ValueError(f"unknown region kind {self.kind!r}")
+        return shapes[self.kind]
+
     def complement(self) -> "Region":
         return replace(self, complement_flag=not self.complement_flag)
 
     def _base_indicator(self, grid: DiscGrid) -> np.ndarray:
-        n_r, n_t = grid.shape
-        if self.kind == "radial_disc":
-            return np.repeat((grid.s_nodes < self.a**2)[:, None], n_t, axis=1)
-        if self.kind == "annulus":
-            return np.repeat((grid.s_nodes > self.a**2)[:, None], n_t, axis=1)
-        if self.kind == "sector":
-            wrapped = np.mod(grid.thetas + np.pi, 2.0 * np.pi) - np.pi
-            return np.repeat((np.abs(wrapped) < self.theta)[None, :], n_r, axis=0)
-        if self.kind == "mask":
+        if self.radii is None:
             if self.mask_values.shape != grid.shape:
                 raise GridMismatchError("mask shape does not match grid")
             return self.mask_values.copy()
-        if self.kind == "full":
-            return np.ones(grid.shape, dtype=bool)
-        raise ValueError(f"unknown region kind {self.kind!r}")
+        r0, r1 = self.radii
+        ring = (grid.s_nodes > r0**2) & (grid.s_nodes < r1**2)
+        arc = np.ones(grid.angular_count, dtype=bool)
+        if self.theta is not None:
+            arc = np.abs(np.mod(grid.thetas + np.pi, 2.0 * np.pi) - np.pi) < self.theta
+        return ring[:, None] & arc[None, :]
 
     def indicator(self, grid: DiscGrid) -> np.ndarray:
         """Node-center membership, boolean per node."""
@@ -462,29 +467,23 @@ class Region:
         return ~ind if self.complement_flag else ind
 
     def _base_fraction(self, grid: DiscGrid) -> np.ndarray:
-        n_r, n_t = grid.shape
-        if self.kind in ("radial_disc", "annulus"):
-            edges = grid.s_cell_edges
-            lo, hi = edges[:-1], edges[1:]
-            fr = _cell_fraction(_overlap(lo, hi, 0.0, self.a**2), lo, hi, 1.0)
-            if self.kind == "annulus":
-                fr = 1.0 - fr
-            return np.repeat(fr[:, None], n_t, axis=1)
-        if self.kind == "sector":
-            d = np.pi / n_t
-            centers = np.mod(grid.thetas + np.pi, 2.0 * np.pi) - np.pi
-            lo, hi = centers - d, centers + d
-            # cells live in (-pi-d, pi+d); fold the overhanging pieces back
-            arc = (
-                _overlap(lo, hi, -self.theta, self.theta)
-                + _overlap(lo - 2.0 * np.pi, hi - 2.0 * np.pi, -self.theta, self.theta)
-                + _overlap(lo + 2.0 * np.pi, hi + 2.0 * np.pi, -self.theta, self.theta)
-            )
-            fr = _cell_fraction(arc, lo, hi, 2.0 * np.pi)
-            return np.repeat(fr[None, :], n_r, axis=0)
-        if self.kind in ("mask", "full"):
+        if self.radii is None:
             return self._base_indicator(grid).astype(float)
-        raise ValueError(f"unknown region kind {self.kind!r}")
+        # ring (r0, r1) = prefix (0, r1) - prefix (0, r0), each exactly 0 or 1 off its edge
+        edges = grid.s_cell_edges
+        lo, hi = edges[:-1], edges[1:]
+        r0, r1 = self.radii
+        prefix = _cell_fraction(_overlap(lo, hi, 0.0, np.array([[r1**2], [r0**2]])), lo, hi, 1.0)
+        arc = np.ones(grid.angular_count)
+        if self.theta is not None:
+            d = np.pi / grid.angular_count
+            centers = np.mod(grid.thetas + np.pi, 2.0 * np.pi) - np.pi
+            left, right = centers - d, centers + d
+            # cells live in (-pi-d, pi+d); fold the overhanging pieces back
+            arc = sum(_overlap(left + shift, right + shift, -self.theta, self.theta)
+                      for shift in (0.0, -2.0 * np.pi, 2.0 * np.pi))
+            arc = _cell_fraction(arc, left, right, 2.0 * np.pi)
+        return (prefix[0] - prefix[1])[:, None] * arc[None, :]
 
     def _resolve(self, grid: DiscGrid, name: str, compute) -> np.ndarray:
         """compute(grid), kept read-only under name for this grid."""

@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -24,7 +25,13 @@ LAMBDA_CONVENTION = (
 )
 
 _BUILTINS = ("const", "z_bar", "abs2", "exp_x", "exp_xy", "basis")
-_REGION_VARIANTS = ("radial_disc", "annulus", "sector", "mask", "full")
+# region variant -> (the key of its number, or None, and its Region constructor)
+REGION_VARIANTS = {"radial_disc": ("a", Region.radial_disc), "annulus": ("a", Region.annulus),
+                   "sector": ("theta", Region.sector), "mask": (None, Region.mask),
+                   "full": (None, Region.full_disc)}
+# conductivity kind -> (the key of its number and its Conductivity constructor)
+_CONDUCTIVITIES = {"const": ("value", Conductivity.constant), "exp_x": ("eps", Conductivity.exp_x),
+                   "exp_xy": ("eps", Conductivity.exp_xy)}
 
 
 class SchemaError(ValueError):
@@ -40,29 +47,19 @@ def _as_pair(value) -> list[float]:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(_typed(v, (int, float)) and np.isfinite(v) for v in value)
+        or not all(_typed(v, (int, float)) and math.isfinite(v) for v in value)
     ):
         raise SchemaError(f"expected a finite [re, im] pair, got {value!r}")
     return [float(value[0]), float(value[1])]
 
 
-def encode_complex(c: complex) -> list[float]:
-    return [float(np.real(c)), float(np.imag(c))]
-
-
-def decode_complex(pair) -> complex:
-    re, im = _as_pair(pair)
-    return complex(re, im)
+def _complex_array(pairs: list) -> np.ndarray:
+    """The validated [re, im] pairs of a normalized spec as one complex array."""
+    return np.array(pairs, dtype=float).reshape(-1, 2).view(complex)[:, 0]
 
 
 def encode_complex_array(values: np.ndarray) -> list[list[float]]:
-    return [encode_complex(v) for v in np.asarray(values).ravel()]
-
-
-def decode_complex_array(pairs) -> np.ndarray:
-    if not isinstance(pairs, list):
-        raise SchemaError("expected a list of [re, im] pairs")
-    return np.array([decode_complex(p) for p in pairs], dtype=complex)
+    return np.asarray(values, dtype=complex).ravel().view(float).reshape(-1, 2).tolist()
 
 
 def _require(d: dict, key: str, kinds, what: str):
@@ -104,11 +101,15 @@ def normalize_function_spec(spec) -> dict:
 
 
 def function_from_spec(spec: dict, grid: DiscGrid) -> GridFunction:
-    spec = normalize_function_spec(spec)
+    return _function(normalize_function_spec(spec), grid)
+
+
+def _function(spec: dict, grid: DiscGrid) -> GridFunction:
+    """The grid function of a normalized function spec."""
     if spec["kind"] == "coeffs":
-        return AnalyticCoeffs(decode_complex_array(spec["coeffs"])).on_grid(grid)
+        return AnalyticCoeffs(_complex_array(spec["coeffs"])).on_grid(grid)
     if spec["kind"] == "grid":
-        values = decode_complex_array(spec["values"])
+        values = _complex_array(spec["values"])
         if values.size != grid.shape[0] * grid.shape[1]:
             raise SchemaError(
                 f"grid spec has {values.size} values, expected {grid.shape[0] * grid.shape[1]}"
@@ -117,7 +118,7 @@ def function_from_spec(spec: dict, grid: DiscGrid) -> GridFunction:
     name = spec["name"]
     z = grid.nodes
     if name == "const":
-        return GridFunction.constant(grid, decode_complex(spec["value"]))
+        return GridFunction.constant(grid, complex(*spec["value"]))
     if name == "z_bar":
         return GridFunction(grid, np.conj(z))
     if name == "abs2":
@@ -130,19 +131,19 @@ def function_from_spec(spec: dict, grid: DiscGrid) -> GridFunction:
 
 
 def normalize_region_spec(spec) -> dict:
+    """Validate and canonicalize a region spec against REGION_VARIANTS."""
     if not isinstance(spec, dict):
         raise SchemaError("region spec must be an object")
     variant = _require(spec, "variant", str, "region spec")
-    if variant not in _REGION_VARIANTS:
+    if variant not in REGION_VARIANTS:
         raise SchemaError(f"unknown region variant {variant!r}")
     complement = spec.get("complement", False)
     if not isinstance(complement, bool):
         raise SchemaError(f"region complement must be true or false, got {complement!r}")
     out = {"variant": variant, "complement": complement}
-    if variant in ("radial_disc", "annulus"):
-        out["a"] = float(_require(spec, "a", (int, float), f"{variant} region"))
-    elif variant == "sector":
-        out["theta"] = float(_require(spec, "theta", (int, float), "sector region"))
+    key, _ = REGION_VARIANTS[variant]
+    if key is not None:
+        out[key] = float(_require(spec, key, (int, float), f"{variant} region"))
     elif variant == "mask":
         values = _require(spec, "values", list, "mask region")
         bad = [v for v in values if not isinstance(v, bool)]
@@ -153,18 +154,15 @@ def normalize_region_spec(spec) -> dict:
 
 
 def region_from_spec(spec: dict, grid: DiscGrid | None = None) -> Region:
-    spec = normalize_region_spec(spec)
-    variant = spec["variant"]
+    """The Region of a region spec; a mask's values are read on grid."""
+    return _region(normalize_region_spec(spec), grid)
+
+
+def _region(spec: dict, grid: DiscGrid | None) -> Region:
+    """The Region of a normalized region spec, built by its REGION_VARIANTS constructor."""
+    key, make = REGION_VARIANTS[spec["variant"]]
     try:
-        if variant == "radial_disc":
-            region = Region.radial_disc(spec["a"])
-        elif variant == "annulus":
-            region = Region.annulus(spec["a"])
-        elif variant == "sector":
-            region = Region.sector(spec["theta"])
-        elif variant == "full":
-            region = Region.full_disc()
-        else:
+        if spec["variant"] == "mask":
             if grid is None:
                 raise SchemaError("mask regions require grid dimensions")
             values = np.asarray(spec["values"], dtype=bool)
@@ -172,36 +170,35 @@ def region_from_spec(spec: dict, grid: DiscGrid | None = None) -> Region:
                 raise SchemaError(
                     f"mask has {values.size} entries, expected {grid.shape[0] * grid.shape[1]}"
                 )
-            region = Region.mask(values.reshape(grid.shape))
+            region = make(values.reshape(grid.shape))
+        else:
+            region = make() if key is None else make(spec[key])
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     return region.complement() if spec["complement"] else region
 
 
 def normalize_conductivity_spec(spec) -> dict:
+    """Validate and canonicalize a conductivity spec against _CONDUCTIVITIES."""
     if not isinstance(spec, dict):
         raise SchemaError("conductivity spec must be an object")
     kind = _require(spec, "kind", str, "conductivity spec")
-    if kind == "const":
-        value = spec.get("value", 1.0)
-        if not _typed(value, (int, float)):
-            raise SchemaError(f"conductivity const value must be a number, got {value!r}")
-        return {"kind": "const", "value": float(value)}
-    if kind in ("exp_x", "exp_xy"):
-        return {
-            "kind": kind,
-            "eps": float(_require(spec, "eps", (int, float), f"conductivity {kind}")),
-        }
-    raise SchemaError(f"unknown conductivity kind {kind!r}")
+    if kind not in _CONDUCTIVITIES:
+        raise SchemaError(f"unknown conductivity kind {kind!r}")
+    if kind != "const":
+        eps = _require(spec, "eps", (int, float), f"conductivity {kind}")
+        return {"kind": kind, "eps": float(eps)}
+    value = spec.get("value", 1.0)
+    if not _typed(value, (int, float)):
+        raise SchemaError(f"conductivity const value must be a number, got {value!r}")
+    return {"kind": "const", "value": float(value)}
 
 
-def conductivity_from_spec(spec: dict, grid: DiscGrid) -> Conductivity:
-    spec = normalize_conductivity_spec(spec)
-    if spec["kind"] == "const":
-        return Conductivity.constant(grid, spec["value"])
-    if spec["kind"] == "exp_x":
-        return Conductivity.exp_x(grid, spec["eps"])
-    return Conductivity.exp_xy(grid, spec["eps"])
+def normalize_budget(m) -> float:
+    """The constraint level m of a problem file, or of a sweep level: positive and finite."""
+    if not math.isfinite(m) or m <= 0.0:
+        raise SchemaError(f"constraint level m must be positive, got {m}")
+    return float(m)
 
 
 def normalize_problem(doc) -> dict:
@@ -213,9 +210,7 @@ def normalize_problem(doc) -> dict:
     n_theta = _require(grid_doc, "n_theta", int, "grid spec")
     if n_r < 2 or n_theta < 4:
         raise SchemaError(f"grid must satisfy n_r >= 2, n_theta >= 4, got {n_r}, {n_theta}")
-    m = _require(doc, "m", (int, float), "problem")
-    if not np.isfinite(m) or m <= 0.0:
-        raise SchemaError(f"constraint level m must be positive, got {m}")
+    m = normalize_budget(_require(doc, "m", (int, float), "problem"))
     degree = _require(doc, "degree", int, "problem")
     if degree < 0:
         raise SchemaError("degree must be >= 0")
@@ -224,7 +219,7 @@ def normalize_problem(doc) -> dict:
         "region_k": normalize_region_spec(_require(doc, "region_k", dict, "problem")),
         "h_k": normalize_function_spec(_require(doc, "h_k", dict, "problem")),
         "h_j": normalize_function_spec(_require(doc, "h_j", dict, "problem")),
-        "m": float(m),
+        "m": m,
         "degree": degree,
     }
     if "conductivity" in doc:
@@ -237,17 +232,22 @@ def normalize_problem(doc) -> dict:
 
 
 def problem_from_dict(doc: dict) -> BepProblem | FbepProblem:
-    """Materialize a BEP or f-BEP (when a conductivity is given) problem."""
-    doc = normalize_problem(doc)
+    """Materialize a BEP or f-BEP (when a conductivity is given) problem, validated once."""
+    return _problem(normalize_problem(doc))
+
+
+def _problem(doc: dict) -> BepProblem | FbepProblem:
+    """The problem of a normalized problem document, its parts built from their specs."""
     grid = build_grid(doc["grid"]["n_r"], doc["grid"]["n_theta"])
-    k_region = region_from_spec(doc["region_k"], grid)
+    k_region = _region(doc["region_k"], grid)
     j_region = k_region.complement()
-    h_k = function_from_spec(doc["h_k"], grid)
-    h_j = function_from_spec(doc["h_j"], grid)
+    h_k = _function(doc["h_k"], grid)
+    h_j = _function(doc["h_j"], grid)
     try:
         if "conductivity" in doc:
+            key, make = _CONDUCTIVITIES[doc["conductivity"]["kind"]]
             return FbepProblem(
-                f=conductivity_from_spec(doc["conductivity"], grid),
+                f=make(grid, doc["conductivity"][key]),
                 k_region=k_region,
                 j_region=j_region,
                 h_k=h_k,

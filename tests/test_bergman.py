@@ -61,6 +61,10 @@ class TestProject:
         with pytest.raises(ValueError):
             project(g, grid_16_64.exactness_degree)
 
+    def test_rejects_empty_coefficients(self):
+        with pytest.raises(ValueError, match="non-empty 1-d array"):
+            AnalyticCoeffs([])
+
     def test_parseval(self, grid_24_96):
         c = AnalyticCoeffs(np.array([0.5, -0.25j, 0.0, 1.0 + 1.0j]))
         g = c.on_grid(grid_24_96)
@@ -146,6 +150,20 @@ class TestGram:
         total = gram(region, 12).entries + gram(region.complement(), 12).entries
         assert np.max(np.abs(total - np.eye(13))) <= 1e-12
 
+    def test_ring_times_arc_closed_form(self, grid_24_96, monkeypatch):
+        # a sector of an annulus, 0.55 < |z| < 1 and |arg z| < 1.3: the closed
+        # form carries the radial factor of its radii on the arc
+        ring = Region.annulus(0.55).fraction(grid_24_96)[:, 0]
+        arc = Region.sector(1.3).fraction(grid_24_96)[0]
+        monkeypatch.setattr(Region, "radii", property(lambda self: (0.55, 1.0)))
+        region = Region.sector(1.3)
+        assert np.array_equal(region.fraction(grid_24_96), np.outer(ring, arc))
+        assert abs(region.area(grid_24_96) - (1.0 - 0.55**2) * 1.3 / np.pi) <= 1e-13
+        closed = gram(region, 10).entries
+        assert np.max(np.abs(closed - gram_quadrature(region, 10, grid_24_96).entries)) <= 2e-3
+        total = closed + gram(region.complement(), 10).entries
+        assert np.max(np.abs(total - np.eye(11))) <= 1e-12
+
     def test_mask_complementarity(self, grid_24_96):
         mask = Region.mask(grid_24_96.nodes.imag > 0.0)
         total = gram(mask, 10, grid_24_96).entries + gram(mask.complement(), 10, grid_24_96).entries
@@ -180,6 +198,12 @@ class TestSpectrum:
         bad = GramMatrix(Region.full_disc(), np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError):
             spectrum(bad)
+
+    def test_rejects_non_square(self):
+        from bergbep import GramMatrix
+
+        with pytest.raises(ValueError, match="must be square"):
+            GramMatrix(Region.full_disc(), np.zeros((2, 3)))
 
 
 class TestUniquenessSurrogate:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bergbep.cli
+import bergbep.io
 from bergbep import BepProblem, FbepProblem, build_grid, solve_bep, solve_fbep
 from bergbep.cli import main
 from bergbep.io import (
@@ -109,6 +110,10 @@ class TestRegionSpec:
         with pytest.raises(SchemaError):
             region_from_spec({"variant": "radial_disc", "a": 1.5})
 
+    def test_mask_needs_a_grid(self):
+        with pytest.raises(SchemaError, match="mask regions require grid dimensions"):
+            region_from_spec({"variant": "mask", "values": [True] * 8})
+
 
 # a JSON boolean where a number belongs, and a const conductivity that is no
 # number; each mutates the BEP fixture (the last five make it an f-BEP)
@@ -188,6 +193,10 @@ class TestProblemFile:
             lambda d: d.__setitem__("grid", {"n_r": 1, "n_theta": 8}),
             lambda d: d.__setitem__("h_k", {"kind": "builtin", "name": "huh"}),
             *_NON_NUMBERS,
+            pytest.param(lambda d: d.__setitem__("conductivity", []), id="conductivity_list"),
+            pytest.param(
+                lambda d: d.__setitem__("conductivity", {"kind": "grid"}), id="conductivity_grid"
+            ),
         ],
     )
     def test_schema_violations(self, mutate):
@@ -196,6 +205,23 @@ class TestProblemFile:
         with pytest.raises(SchemaError):
             problem_from_dict(doc)
 
+
+    def test_each_spec_validated_once(self, monkeypatch):
+        # normalize_problem validates every spec; the parts are built from its
+        # normalized specs, with no second pass
+        doc = load_json(FBEP_FIXTURE)
+        calls = []
+        for name in ("function", "region", "conductivity"):
+            normalize = getattr(bergbep.io, f"normalize_{name}_spec")
+            monkeypatch.setattr(
+                bergbep.io,
+                f"normalize_{name}_spec",
+                lambda spec, normalize=normalize: calls.append(spec) or normalize(spec),
+            )
+        problem_from_dict(doc)
+        expected = [doc["region_k"], doc["h_k"], doc["h_j"], doc["conductivity"]]
+        assert len(calls) == len(expected)
+        assert all(call is spec for call, spec in zip(calls, expected))
 
     @pytest.mark.parametrize("value", _NON_BOOLEANS)
     @pytest.mark.parametrize("where", ["complement", "mask"])
@@ -367,6 +393,13 @@ class TestCli:
     def test_spectrum_bad_region(self, tmp_path):
         assert main(["spectrum", "--region", "blob:1", "--degree", "4", "--out", str(tmp_path / "s.csv")]) == 1
 
+    def test_spectrum_bad_region_number(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        argv = ["spectrum", "--region", "radial:abc", "--degree", "4", "--out", str(out)]
+        assert main(argv) == 1
+        assert "bad region spec 'radial:abc'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("region", ["full:0.5", "full:", "~full:1"])
     def test_spectrum_full_takes_no_parameter(self, tmp_path, capsys, region):
         # the tail used to be ignored, with exit 0
@@ -499,6 +532,32 @@ class TestCli:
             sol = solve_bep(dataclasses.replace(problem, m=m), degree_diagnostic=False)
             rows.append(f"{m!r},{sol.lam!r},{sol.err_k!r}")
         assert out.read_text().splitlines() == rows
+
+    def test_grid_spec_file_matches_builtin(self, tmp_path):
+        # h_K and h_J as grid specs of their node values: the same bytes out
+        doc = load_json(BEP_FIXTURE)
+        grid = build_grid(doc["grid"]["n_r"], doc["grid"]["n_theta"])
+        for key in ("h_k", "h_j"):
+            values = function_from_spec(doc[key], grid).values
+            doc[key] = {"kind": "grid", "values": encode_complex_array(values)}
+        gridded = tmp_path / "grid.json"
+        gridded.write_text(dumps_canonical(doc))
+        for command in (["solve-bep"], ["lambda-sweep", "--m-values", "0.1,0.5,2"]):
+            outs = [tmp_path / "builtin.out", tmp_path / "grid.out"]
+            for problem, out in zip((BEP_FIXTURE, str(gridded)), outs):
+                assert main(command + ["--problem", problem, "--out", str(out)]) == 0
+            assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_sweep_parses_the_file_once(self, tmp_path, monkeypatch):
+        # the levels after the first are checked by the budget rule alone
+        calls = []
+        normalize = bergbep.io.normalize_problem
+        monkeypatch.setattr(
+            bergbep.io, "normalize_problem", lambda doc: calls.append(doc) or normalize(doc)
+        )
+        argv = ["lambda-sweep", "--problem", BEP_FIXTURE, "--out", str(tmp_path / "s.csv")]
+        assert main(argv + ["--m-values", "0.4,0.2,0.1"]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("fixture", [BEP_FIXTURE, FBEP_FIXTURE])
     @pytest.mark.parametrize("levels", ["0.1,nan", "0.1,inf", "0.1,0", "0.1,-0.2"])

@@ -614,6 +614,44 @@ class TestTransformedData:
         exact = GridFunction(grid, 1.0 - (eps / 2.0) * t_j)
         assert (h_star - exact).norm(j) / (eps / 2.0) <= 1e-2
 
+    def _mask_problem(self, shape):
+        # exp(0.8 x) has max |alpha| = 0.4; K is a disc of nodes, J its complement
+        grid = build_grid(*shape)
+        k = Region.mask(np.abs(grid.nodes - 0.2) < 0.5)
+        return FbepProblem(
+            f=Conductivity.exp_x(grid, 0.8),
+            k_region=k,
+            j_region=k.complement(),
+            h_k=GridFunction.constant(grid, 1.0),
+            h_j=GridFunction(grid, np.conj(grid.nodes)),
+            m=1.0,
+            degree=6,
+        )
+
+    def test_mask_j_names_its_grid(self, monkeypatch):
+        # a mask lives on its own grid: rho is refused on the default norm
+        # grid before any work, with the override that gets it
+        p = self._mask_problem((24, 96))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work done before the mask check")
+
+        for name in ("alpha_from_f", "teodorescu", "restriction_map_norm"):
+            monkeypatch.setattr(f"bergbep.fbep.{name}", forbidden)
+        message = re.escape("a mask J lives on its own grid: pass the problem's grid (24, 96) "
+                            "as norm_grid_shape to get rho")
+        with pytest.raises(ValueError, match=message):
+            transformed_constraint_data(p)
+        with pytest.raises(ValueError, match=message):
+            transformed_constraint_data(p, norm_grid_shape=(12, 48))
+
+    def test_mask_j_on_the_problem_grid(self):
+        p = self._mask_problem((16, 64))
+        h_star, m_star = transformed_constraint_data(p, norm_grid_shape=(16, 64))
+        rho = m_star / p.m
+        assert np.all(np.isfinite(h_star.values))
+        assert 1.0 <= rho <= 1.0 + 4.0 * 0.4  # measured 1.029
+
 
 class TestBasisDiagnostics:
     def test_min_eigenvalue_from_core(self, grid_32_64, basis_exp01_n8):
@@ -905,6 +943,11 @@ class TestBasisGrid:
                 solve_fbep(p, candidate)
             with pytest.raises(GridMismatchError):
                 ConstrainedLSQ.from_problem(p, candidate)
+
+    def test_conductivity_from_another_grid_rejected(self, grid_24_96):
+        f = Conductivity.exp_x(build_grid(24, 96), 0.3)  # the same shape, another grid object
+        with pytest.raises(ValueError, match="conductivity and data use different grids"):
+            make_problem(grid_24_96, f, degree=4)
 
     def test_elements_from_another_grid_rejected(self, grid_24_96):
         other = build_grid(48, 48)

@@ -12,6 +12,7 @@ from bergbep import (
     build_grid,
     eval_basis,
     glue,
+    gram,
     inner_product,
 )
 
@@ -104,14 +105,51 @@ class TestRegion:
         with pytest.raises(GridMismatchError):
             Region.mask(np.ones((3, 3), dtype=bool)).indicator(grid_16_64)
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5])
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5])
     def test_rejects_bad_radius(self, bad):
-        with pytest.raises(ValueError):
-            Region.radial_disc(bad)
+        for make in (Region.radial_disc, Region.annulus):
+            with pytest.raises(ValueError):
+                make(bad)
 
     def test_rejects_bad_sector(self):
         with pytest.raises(ValueError):
             Region.sector(3.5)
+
+    @pytest.mark.parametrize(
+        "region, radii, theta",
+        [
+            (Region.radial_disc(0.4), (0.0, 0.4), None),
+            (Region.annulus(0.4), (0.4, 1.0), None),
+            (Region.sector(1.2), (0.0, 1.0), 1.2),
+            (Region.full_disc(), (0.0, 1.0), None),
+            (Region.mask(np.ones((2, 4), dtype=bool)), None, None),
+        ],
+    )
+    def test_shape(self, region, radii, theta):
+        # every kind but a mask is radii times an arc, and a complement keeps the shape
+        for r in (region, region.complement()):
+            assert r.radii == radii and r.theta == theta
+
+    def test_unknown_kind_raises(self, grid_16_64):
+        region = Region(kind="pentagon")
+        for resolve in (region.indicator, region.fraction, region.weights):
+            with pytest.raises(ValueError, match="unknown region kind 'pentagon'"):
+                resolve(grid_16_64)
+        with pytest.raises(ValueError, match="unknown region kind 'pentagon'"):
+            gram(region, 4)
+
+    @pytest.mark.parametrize("shape", [(5, 7), (12, 24), (16, 45)])
+    def test_annulus_is_exactly_the_disc_complement(self, shape):
+        # the ring (a, 1) is the prefix (0, 1) less the prefix (0, a): on every
+        # cell, edges included, its fraction is 1 minus the disc's to the bit
+        grid = build_grid(*shape)
+        radii = [0.3, 0.5, 0.8] + [float(np.sqrt(e)) for e in grid.s_cell_edges[1:-1]]
+        for a in radii:
+            disc, ring = Region.radial_disc(a), Region.annulus(a)
+            assert np.array_equal(ring.fraction(grid), 1.0 - disc.fraction(grid))
+            assert np.array_equal(ring.fraction(grid), disc.complement().fraction(grid))
+            outside = np.repeat((grid.s_nodes > a * a)[:, None], grid.angular_count, axis=1)
+            assert np.array_equal(ring.indicator(grid), outside)
 
 
 def _resolution_regions(grid):

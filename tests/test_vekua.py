@@ -11,6 +11,7 @@ from bergbep import (
     GridFunction,
     LiftDivergenceError,
     Region,
+    VekuaBasis,
     VekuaFunction,
     alpha_from_f,
     beltrami_residual,
@@ -89,6 +90,10 @@ class TestAlphaFromF:
         vals = GridFunction.from_function(grid_32_64, lambda z: z.real)
         with pytest.raises(ValueError):
             Conductivity.from_grid(vals, k_bound=2.0)
+
+    def test_rejects_bound_below_one(self, grid_32_64):
+        with pytest.raises(ValueError, match="bound k must be >= 1"):
+            Conductivity(GridFunction.constant(grid_32_64, 1.0), k_bound=0.5)
 
     @pytest.mark.parametrize("value", [0.0, -0.0, np.inf, np.nan])
     def test_constant_rejects_zero_and_non_finite(self, grid_32_64, value):
@@ -319,6 +324,13 @@ class TestPdeDiagnostics:
         )
         assert beltrami_residual(w, f) <= 1e-2
 
+    def test_beltrami_rejects_conductivity_on_another_grid(self, grid_32_64):
+        f = Conductivity.exp_x(build_grid(32, 64), 0.2)  # the same shape, another grid object
+        w = VekuaFunction(w=GridFunction.constant(grid_32_64, 1.0),
+                          alpha=zero_alpha(grid_32_64), residual=0.0)
+        with pytest.raises(ValueError, match="use different grids"):
+            beltrami_residual(w, f)
+
     def test_lifted_residuals_and_refinement(self, grid_64_128, grid_128_256):
         seed = AnalyticCoeffs(np.array([0.3, 1.0, 0.2j]))
         results = {}
@@ -381,6 +393,10 @@ class TestVekuaBasisType:
     def test_real_linear_independence_reported(self, basis_exp01_n8):
         _, basis = basis_exp01_n8
         assert basis.min_eigenvalue() > 1e-8
+
+    def test_rejects_empty_family(self, grid_32_64):
+        with pytest.raises(ValueError, match="at least one element"):
+            VekuaBasis(zero_alpha(grid_32_64), [])
 
     def test_span_projection_reproduces_members(self, basis_exp01_n8):
         _, basis = basis_exp01_n8
