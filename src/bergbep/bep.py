@@ -12,18 +12,23 @@ least squares; one core, ConstrainedLSQ, solves it here and for the real
 f-BEP, in one path.  The core takes a basis and the weights and data of
 both sides, and every basis answers it through the same four private
 members: the eigendecomposition of its full-disc Gram form (_full_form,
-a FullForm), its Gram form under any node weights (_form(w)), the data
-moments (_moments(w, h)) and its synthesis c -> grid values
-(_synthesis(c)).  The core whitens by the full-disc form and reads the
-K-form as A_full - A_J, so each core assembles one region form.  The
-BEP's basis, _PolarBasis, is e_0..e_N on the polar grid: its forms,
-moments and synthesis are the ring FFTs of the polar layer in bergman.
-It is orthonormal on the disc, so, as in the operator equation, only
-the compression T_J is assembled: its full-disc form is the diagonal of
-the grid norms g_n = 1 + O(rounding) with identity eigenvectors, and
-its whitening a scaling.  The f-BEP's lifts (vekua.VekuaBasis) are not
-orthonormal: the basis diagonalizes its own full-disc form, once however
-many cores use it.  The core then diagonalizes the whitened J-form, so
+a FullForm of eigenvalues and eigenvectors), its Gram form under any
+node weights (_form(w)), the data moments (_moments(w, h)) and its
+synthesis c -> grid values (_synthesis(c)).  The core whitens by the
+full-disc form through its one whitening W = V diag(vals)^(-1/2) over
+the directions above _DROP_RCOND of the top eigenvalue
+(FullForm.whitening, the one rank rule, which the degree diagnostic
+and the f-BEP's span projection read too) and reads the K-form as
+A_full - A_J, so each core assembles one region form.  The BEP's basis,
+_PolarBasis, is e_0..e_N on the polar grid: its forms, moments and
+synthesis are the ring FFTs of the polar layer in bergman.  It is
+orthonormal on the disc, so, as in the operator equation, only the
+compression T_J is assembled: its full-disc decomposition is the grid
+norms g_n = 1 + O(rounding) beside identity eigenvectors, taken with no
+eigh, and its whitening the scaling diag(g^(-1/2)).  The f-BEP's lifts
+(vekua.VekuaBasis) are not orthonormal: the basis diagonalizes its own
+full-disc form, once however many cores use it.  The core then
+diagonalizes the whitened J-form W^H A_J W, so
 c(mu) is a diagonal solve with a rounding-level Karush-Kuhn-Tucker
 residual.  err_J(mu) and its slope are then explicit rational functions
 of mu evaluated from the whitened forms at O(N) (the secular function
@@ -168,62 +173,44 @@ class LsqSolution(NamedTuple):
 class FullForm(NamedTuple):
     """A basis's full-disc Gram form as its eigendecomposition vals, vecs.
 
-    vecs None stands for identity eigenvectors: the BEP's form is the
-    diagonal of the grid norms g of e_0..e_N, so its products stay
-    elementwise and its whitening a scaling of the kept degrees.  This is
-    the one reader of vecs.
+    Every basis gives both: the BEP's vecs are the identity beside the grid
+    norms g of e_0..e_N, the f-BEP's those of eigh.  whitening() is the one
+    rank rule: the directions above _DROP_RCOND of the top eigenvalue.
     """
 
     vals: np.ndarray
-    vecs: np.ndarray | None = None
-
-    def _rotate(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """V x, or V^H x with adjoint."""
-        if self.vecs is None:
-            return x
-        return (self.vecs.conj().T if adjoint else self.vecs) @ x
+    vecs: np.ndarray
 
     def apply(self, c: np.ndarray) -> np.ndarray:
         """A_full c."""
-        return self._rotate(self.vals * self._rotate(c, adjoint=True))
+        return self.vecs @ (self.vals * (self.vecs.conj().T @ c))
 
-    def whitened(self, keep: np.ndarray, a: np.ndarray):
-        """W^H a W and the map q -> W q, for W = V[:, keep] diag(vals[keep])^(-1/2).
-
-        W whitens the form to the identity on the kept directions; a is Hermitian.
-        """
-        kept = np.flatnonzero(keep)
-        scale = 1.0 / np.sqrt(self.vals[kept])
-        rotated = self._rotate(self._rotate(a, adjoint=True).conj().T, adjoint=True)
-        b = rotated[np.ix_(kept, kept)] * np.outer(scale, scale)
-
-        def lift(q: np.ndarray) -> np.ndarray:
-            embedded = np.zeros((self.vals.size, kept.size), dtype=q.dtype)
-            embedded[kept] = scale[:, None] * q
-            return self._rotate(embedded)
-
-        return b, lift
+    def whitening(self) -> np.ndarray:
+        """W = V[:, keep] diag(vals[keep])^(-1/2), keep = vals > _DROP_RCOND max(vals):
+        W^H A_full W is the identity on the kept directions."""
+        keep = self.vals > _DROP_RCOND * self.vals.max()
+        return self.vecs[:, keep] / np.sqrt(self.vals[keep])
 
     def leading(self, n: int) -> "FullForm":
-        """The diagonal form of the first n basis elements, for the BEP's degree diagnostic.
-        A dense form raises: a prefix of the f-BEP's columns e_0..e_N, i e_0..i e_N
-        is no degree truncation."""
-        if self.vecs is not None:
-            raise ValueError("leading blocks are defined for a diagonal form only")
-        return FullForm(self.vals[:n])
+        """The form of the first n basis elements, for the BEP's degree diagnostic.
+        vecs that mix them with the rest raise: a prefix of the f-BEP's columns
+        e_0..e_N, i e_0..i e_N is no degree truncation."""
+        if np.any(self.vecs[:n, n:]) or np.any(self.vecs[n:, :n]):
+            raise ValueError(f"the eigenvectors mix the first {n} basis elements with the rest")
+        return FullForm(self.vals[:n], self.vecs[:n, :n])
 
 
 class _PolarBasis:
-    """e_0..e_N on the polar grid, as the core asks a basis: the diagonal grid norms,
-    the ring-FFT forms and moments of bergman (data that vanishes takes no
-    transform) and the inverse ring FFT."""
+    """e_0..e_N on the polar grid, as the core asks a basis: the grid norms beside
+    identity eigenvectors, the ring-FFT forms and moments of bergman (data that
+    vanishes takes no transform) and the inverse ring FFT."""
 
     def __init__(self, grid, degree: int):
         self.grid, self.degree = grid, degree
 
     @property
     def _full_form(self) -> FullForm:
-        return FullForm(_ring_norms(self.grid, self.degree))
+        return FullForm(_ring_norms(self.grid, self.degree), np.eye(self.degree + 1))
 
     def _form(self, w: np.ndarray) -> np.ndarray:
         return _ring_gram(self.grid, w, self.degree)
@@ -258,8 +245,9 @@ class ConstrainedLSQ:
     (_full_form), the J-form A_J (_form(w_J)), the moments r_K and r_J
     (_moments) and the synthesis (_synthesis); A_K = A_full - A_J.  The
     BEP's basis is _PolarBasis, the f-BEP's a VekuaBasis, whatever its
-    representation.  Directions below _DROP_RCOND of the top full-disc
-    eigenvalue are dropped, and the rest are whitened so that the J-form
+    representation.  The full-disc form's whitening W (FullForm.whitening)
+    drops the directions below _DROP_RCOND of its top eigenvalue, and the
+    eigenvectors q of W^H A_J W make whiten = W q, under which the J-form
     is diag(tau) and the K-form diag(1 - tau).
     """
 
@@ -284,16 +272,15 @@ class ConstrainedLSQ:
         return cls(basis, w_k, w_j, problem.h_k.values, problem.h_j.values)
 
     def _diagonalize(self) -> None:
-        vals = self.full.vals
-        keep = vals > _DROP_RCOND * vals.max()
-        self.dropped = int(np.count_nonzero(~keep))
+        w = self.full.whitening()
+        self.dropped = self.full.vals.size - w.shape[1]
         if self.dropped:
             logger.info("dropping %d near-dependent basis directions", self.dropped)
-        b, lift = self.full.whitened(keep, self.a_j)
+        b = w.conj().T @ self.a_j @ w
         taus, q = np.linalg.eigh((b + b.conj().T) / 2.0)
         self.taus = np.clip(taus, 0.0, 1.0)  # compression of a [0,1]-spectrum form
         # whitens the full-disc form to the identity and A_J to diag(tau)
-        self.whiten = lift(q)
+        self.whiten = w @ q
         self.bt_k = self.whiten.conj().T @ self.r_k
         self.bt_j = self.whiten.conj().T @ self.r_j
         self._free = None  # the M-independent part of solve, filled on first use

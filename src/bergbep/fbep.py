@@ -6,10 +6,12 @@ f-BEP minimizes the K-misfit over real combinations of the lifted
 elements subject to the J-misfit budget.  It is the same norm-constrained
 least squares as the Bergman BEP with real coefficients, and is solved
 by the same core, bep.ConstrainedLSQ, in the same path.  The lifts are
-not orthonormal, so where the BEP whitens by the diagonal grid norms of
-its basis, the f-BEP whitens by the eigendecomposition of the full-disc
-Gram of its lifts, which the basis computes once however many problems
-and budgets use it; both read the K-form as A_full - A_J, diagonalize
+not orthonormal, so where the BEP's full-disc decomposition is its
+diagonal grid norms beside identity eigenvectors, the f-BEP's is the
+eigendecomposition of the full-disc Gram of its lifts, which the basis
+computes once however many problems and budgets use it; both whiten by
+the same FullForm.whitening under one rank rule, read the K-form as
+A_full - A_J, diagonalize
 the whitened J-form and locate the Karush-Kuhn-Tucker multiplier
 mu >= 0 by a safeguarded Newton search on the secular equation, whose
 denominators are (1 - tau) + mu tau.  The multiplier maps to the

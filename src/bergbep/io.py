@@ -9,7 +9,6 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -43,14 +42,24 @@ def _typed(value, kinds) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _as_pair(value) -> list[float]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(_typed(v, (int, float)) and math.isfinite(v) for v in value)
-    ):
-        raise SchemaError(f"expected a finite [re, im] pair, got {value!r}")
-    return [float(value[0]), float(value[1])]
+def _finite(value, what: str, pairs: bool = False):
+    """A number of a problem file as a finite float, or with pairs a list of
+    [re, im] pairs as one (n, 2) float array.  Booleans, strings and integers
+    beyond the float range raise SchemaError, as NaN and infinities do."""
+    if pairs and not value:  # callers pass a list
+        return np.empty((0, 2))
+    cells = np.array(value, dtype=object)
+    ok = cells.shape[1:] == (2,) if pairs else cells.ndim == 0
+    kinds = set(map(type, cells.flat))
+    ok = ok and all(issubclass(t, (int, float)) and t is not bool for t in kinds)
+    try:
+        numbers = cells.astype(float) if ok else None
+    except OverflowError:
+        numbers = None
+    if numbers is None or not np.isfinite(numbers).all():
+        expected = "a list of finite [re, im] pairs" if pairs else "a finite number"
+        raise SchemaError(f"{what} must be {expected}, got {value!r:.60}")
+    return numbers if pairs else float(numbers)
 
 
 def _complex_array(pairs: list) -> np.ndarray:
@@ -78,16 +87,18 @@ def normalize_function_spec(spec) -> dict:
     kind = _require(spec, "kind", str, "function spec")
     if kind == "coeffs":
         coeffs = _require(spec, "coeffs", list, "coeffs spec")
-        return {"kind": "coeffs", "coeffs": [_as_pair(c) for c in coeffs]}
+        return {"kind": "coeffs", "coeffs": _finite(coeffs, "coeffs spec", pairs=True).tolist()}
     if kind == "builtin":
         name = _require(spec, "name", str, "builtin spec")
         if name not in _BUILTINS:
             raise SchemaError(f"unknown builtin {name!r}; expected one of {_BUILTINS}")
         out = {"kind": "builtin", "name": name}
         if name == "const":
-            out["value"] = _as_pair(spec.get("value", [1.0, 0.0]))
+            value = _finite([spec.get("value", [1.0, 0.0])], "builtin const value", pairs=True)
+            out["value"] = value[0].tolist()
         elif name in ("exp_x", "exp_xy"):
-            out["eps"] = float(_require(spec, "eps", (int, float), f"builtin {name}"))
+            eps = _require(spec, "eps", None, f"builtin {name}")
+            out["eps"] = _finite(eps, f"builtin {name} eps")
         elif name == "basis":
             n = _require(spec, "n", int, "builtin basis")
             if n < 0:
@@ -96,7 +107,7 @@ def normalize_function_spec(spec) -> dict:
         return out
     if kind == "grid":
         values = _require(spec, "values", list, "grid spec")
-        return {"kind": "grid", "values": [_as_pair(v) for v in values]}
+        return {"kind": "grid", "values": _finite(values, "grid spec", pairs=True).tolist()}
     raise SchemaError(f"unknown function spec kind {kind!r}")
 
 
@@ -143,7 +154,8 @@ def normalize_region_spec(spec) -> dict:
     out = {"variant": variant, "complement": complement}
     key, _ = REGION_VARIANTS[variant]
     if key is not None:
-        out[key] = float(_require(spec, key, (int, float), f"{variant} region"))
+        value = _require(spec, key, None, f"{variant} region")
+        out[key] = _finite(value, f"{variant} region {key}")
     elif variant == "mask":
         values = _require(spec, "values", list, "mask region")
         bad = [v for v in values if not isinstance(v, bool)]
@@ -186,19 +198,17 @@ def normalize_conductivity_spec(spec) -> dict:
     if kind not in _CONDUCTIVITIES:
         raise SchemaError(f"unknown conductivity kind {kind!r}")
     if kind != "const":
-        eps = _require(spec, "eps", (int, float), f"conductivity {kind}")
-        return {"kind": kind, "eps": float(eps)}
-    value = spec.get("value", 1.0)
-    if not _typed(value, (int, float)):
-        raise SchemaError(f"conductivity const value must be a number, got {value!r}")
-    return {"kind": "const", "value": float(value)}
+        eps = _require(spec, "eps", None, f"conductivity {kind}")
+        return {"kind": kind, "eps": _finite(eps, f"conductivity {kind} eps")}
+    return {"kind": "const", "value": _finite(spec.get("value", 1.0), "conductivity const value")}
 
 
 def normalize_budget(m) -> float:
     """The constraint level m of a problem file, or of a sweep level: positive and finite."""
-    if not math.isfinite(m) or m <= 0.0:
+    m = _finite(m, "constraint level m")
+    if m <= 0.0:
         raise SchemaError(f"constraint level m must be positive, got {m}")
-    return float(m)
+    return m
 
 
 def normalize_problem(doc) -> dict:
@@ -210,7 +220,7 @@ def normalize_problem(doc) -> dict:
     n_theta = _require(grid_doc, "n_theta", int, "grid spec")
     if n_r < 2 or n_theta < 4:
         raise SchemaError(f"grid must satisfy n_r >= 2, n_theta >= 4, got {n_r}, {n_theta}")
-    m = normalize_budget(_require(doc, "m", (int, float), "problem"))
+    m = normalize_budget(_require(doc, "m", None, "problem"))
     degree = _require(doc, "degree", int, "problem")
     if degree < 0:
         raise SchemaError("degree must be >= 0")
@@ -224,10 +234,10 @@ def normalize_problem(doc) -> dict:
     }
     if "conductivity" in doc:
         out["conductivity"] = normalize_conductivity_spec(doc["conductivity"])
-        lift_tol = doc.get("lift_tol", 1e-9)
-        if not _typed(lift_tol, (int, float)) or not 0.0 < lift_tol < np.inf:
-            raise SchemaError(f"lift_tol must be positive and finite, got {lift_tol!r}")
-        out["lift_tol"] = float(lift_tol)
+        lift_tol = _finite(doc.get("lift_tol", 1e-9), "lift_tol")
+        if lift_tol <= 0.0:
+            raise SchemaError(f"lift_tol must be positive, got {lift_tol!r}")
+        out["lift_tol"] = lift_tol
     return out
 
 

@@ -38,9 +38,11 @@ every basis of bep.ConstrainedLSQ has: its real Gram form under any
 node weights (_form(w)), its real moments (_moments(w, h)), its
 synthesis (_synthesis(c)) and the eigendecomposition of its full-disc
 form, eigh(_form(grid.weights)), taken once per basis (_full_form); the
-span projection (project_span, invariance_defect) reads the same, so it
-takes no second Gram or eigh.  A basis of sampled lifts takes them from
-its samples by quadrature (bergman._gram, bergman._moments).  The
+span projection (project_span, invariance_defect) whitens by the same
+decomposition under the core's rank rule (bep.FullForm.whitening), so it
+takes no second Gram or eigh and keeps exactly the core's directions.  A
+basis of sampled lifts takes them from its samples by quadrature
+(bergman._gram, bergman._moments).  The
 mode-pair basis keeps each lift as a two-mode ring spectrum, w_b =
 sum_u X_bu(r) e^{i p_bu theta} (u = 0, 1), and with W = fft_theta(w)
 the reordering of the polar layer in bergman gives
@@ -92,7 +94,6 @@ from .grid import DiscGrid, GridFunction, GridMismatchError, Region, build_grid,
 logger = logging.getLogger("bergbep")
 
 _MAX_LIFT_ITER = 60  # Neumann steps of a lift
-_SPAN_RCOND = 1e-12  # the span projection leaves out Gram eigenvalues below this share of the top
 
 
 class LiftDivergenceError(RuntimeError):
@@ -151,8 +152,8 @@ class Conductivity:
         v = self.values.values
         if np.max(np.abs(v.imag)) > 1e-12 * max(1.0, np.max(np.abs(v.real))):
             raise ValueError("conductivity must be real-valued")
-        if self.k_bound < 1.0:
-            raise ValueError(f"conductivity bound k must be >= 1, got {self.k_bound}")
+        if not 1.0 <= self.k_bound < np.inf:  # a NaN k would pass every bound check
+            raise ValueError(f"conductivity bound k must be >= 1 and finite, got {self.k_bound}")
         mag = np.abs(v.real)
         if mag.min() < 1.0 / self.k_bound - 1e-12 or mag.max() > self.k_bound + 1e-12:
             raise ValueError("conductivity violates 1/k <= |f| <= k on the grid")
@@ -838,17 +839,13 @@ class VekuaBasis:
         return GridFunction(self.grid, vals.reshape(self.grid.shape))
 
     def project_span(self, h: GridFunction) -> np.ndarray:
-        """Real coefficients of the span projection of h: the pseudo-inverse of the
-        basis's one full-disc decomposition (_full_form), eigenvalues below
-        _SPAN_RCOND of the largest left out, on its full-disc moments.  h must
-        live on the basis's grid (GridMismatchError)."""
+        """Real coefficients of the span projection of h, W W^T r on its full-disc
+        moments r, with the whitening W of the basis's one full-disc decomposition
+        (FullForm.whitening): the directions the f-BEP core keeps, under the same
+        rank rule.  h must live on the basis's grid (GridMismatchError)."""
         self.alpha._check_same_grid(h)
-        vals, vecs = self._full_form
-        keep = vals > _SPAN_RCOND * vals.max()
-        rhs = vecs.T @ self._moments(self.grid.weights, h.values)
-        sol = np.zeros_like(rhs)
-        sol[keep] = rhs[keep] / vals[keep]
-        return vecs @ sol
+        w = self._full_form.whitening()
+        return w @ (w.T @ self._moments(self.grid.weights, h.values))
 
     def min_eigenvalue(self) -> float:
         """The smallest eigenvalue of the full-disc Gram form, from its one decomposition."""

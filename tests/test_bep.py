@@ -27,8 +27,15 @@ from bergbep import (
     solve_bep,
     solve_bep_oracle,
 )
-from bergbep.bep import ConstrainedLSQ, FullForm, _bisect, _check_saturated, _newton
-from bergbep.bergman import _gram, _moments, basis_matrix
+from bergbep.bep import (
+    ConstrainedLSQ,
+    FullForm,
+    _bisect,
+    _check_saturated,
+    _newton,
+    _PolarBasis,
+)
+from bergbep.bergman import _gram, _moments, _ring_norms, basis_matrix
 from conftest import low_degree_infeasible_problem, saturated_problem
 
 # frozen regression: distance of conj(z) to the degree-16 span on the
@@ -625,7 +632,7 @@ class TestPolarCore:
 
 
 class TestFullForm:
-    """The full-disc eigendecomposition the core whitens by, with vecs None for the identity."""
+    """The full-disc eigendecomposition the core whitens by, and its one rank rule."""
 
     @staticmethod
     def _data(n=7, seed=2):
@@ -634,31 +641,29 @@ class TestFullForm:
         vals[2] = 1e-14  # a dropped direction
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return vals, (a + a.conj().T) / 2.0, c, vals > 1e-10 * vals.max()
+        return vals, (a + a.conj().T) / 2.0, c
 
-    def test_identity_as_none_matches_dense_identity(self):
-        vals, a, c, keep = self._data()
-        none, eye = FullForm(vals), FullForm(vals, np.eye(vals.size))
-        assert np.allclose(none.apply(c), eye.apply(c), rtol=1e-15, atol=0.0)
-        (b_none, lift_none), (b_eye, lift_eye) = none.whitened(keep, a), eye.whitened(keep, a)
-        assert np.allclose(b_none, b_eye, rtol=1e-15, atol=0.0)
-        q = np.linalg.eigh(b_none)[1]
-        assert np.allclose(lift_none(q), lift_eye(q), rtol=1e-15, atol=1e-300)
-        assert none.leading(4).vecs is None
-        assert np.allclose(none.leading(4).apply(c[:4]), vals[:4] * c[:4], rtol=1e-15, atol=0.0)
+    def test_bep_form_is_grid_norms_and_identity(self, grid_24_96):
+        # the BEP's form: its grid norms g beside identity eigenvectors, so its
+        # whitening is the scaling diag(g^(-1/2)) and its leading form a prefix
+        full = _PolarBasis(grid_24_96, 12)._full_form
+        g = _ring_norms(grid_24_96, 12)
+        assert np.array_equal(full.vals, g) and np.array_equal(full.vecs, np.eye(13))
+        assert np.allclose(full.whitening(), np.diag(g**-0.5), rtol=1e-15, atol=0.0)
+        lead = full.leading(4)
+        assert np.array_equal(lead.vals, g[:4]) and np.array_equal(lead.vecs, np.eye(4))
 
     def test_dense_whitens_applies_and_leads(self):
-        vals, a, c, keep = self._data()
+        vals, a, c = self._data()
         v = np.linalg.qr(a + 3.0 * np.eye(vals.size))[0]
         full = FullForm(vals, v)
         a_full = (v * vals) @ v.conj().T
         assert np.allclose(full.apply(c), a_full @ c, rtol=0.0, atol=1e-14)
-        b, lift = full.whitened(keep, a_full)
-        assert np.allclose(b, np.eye(b.shape[0]), rtol=0.0, atol=1e-13)
-        w = lift(np.eye(b.shape[0]))
-        assert np.allclose(w.conj().T @ a_full @ w, np.eye(b.shape[0]), rtol=0.0, atol=1e-13)
+        w = full.whitening()
+        assert w.shape == (vals.size, vals.size - 1)  # vals[2] is below the rank rule
+        assert np.allclose(w.conj().T @ a_full @ w, np.eye(w.shape[1]), rtol=0.0, atol=1e-13)
         # a prefix of a dense form's basis is no degree truncation: it has no leading form
-        with pytest.raises(ValueError, match="diagonal form only"):
+        with pytest.raises(ValueError, match="mix the first 4 basis elements"):
             full.leading(4)
 
 

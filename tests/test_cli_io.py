@@ -115,8 +115,44 @@ class TestRegionSpec:
             region_from_spec({"variant": "mask", "values": [True] * 8})
 
 
-# a JSON boolean where a number belongs, and a const conductivity that is no
-# number; each mutates the BEP fixture (the last five make it an f-BEP)
+# a JSON integer beyond the float range in each number field of a problem file:
+# float() of it raises OverflowError, which must surface as a schema error
+_HUGE = 10**400
+_OVERFLOWS = [
+    pytest.param(lambda d: d.__setitem__("m", _HUGE), id="m_huge"),
+    pytest.param(lambda d: d["h_k"].__setitem__("value", [_HUGE, 0.0]), id="pair_huge"),
+    pytest.param(
+        lambda d: d.__setitem__("h_k", {"kind": "coeffs", "coeffs": [[1.0, 0.0], [0.0, _HUGE]]}),
+        id="coeffs_pair_huge",
+    ),
+    pytest.param(
+        lambda d: d.__setitem__(
+            "h_j", {"kind": "grid", "values": [[0.0, 0.0]] * (24 * 96 - 1) + [[_HUGE, 0.0]]}
+        ),
+        id="grid_pair_huge",
+    ),
+    pytest.param(lambda d: d["region_k"].__setitem__("a", _HUGE), id="region_a_huge"),
+    pytest.param(
+        lambda d: d.__setitem__("region_k", {"variant": "sector", "theta": _HUGE}),
+        id="region_theta_huge",
+    ),
+    pytest.param(
+        lambda d: d.__setitem__("h_j", {"kind": "builtin", "name": "exp_x", "eps": _HUGE}),
+        id="eps_huge",
+    ),
+    pytest.param(
+        lambda d: d.__setitem__("conductivity", {"kind": "exp_x", "eps": _HUGE}),
+        id="conductivity_eps_huge",
+    ),
+    pytest.param(
+        lambda d: d.update(conductivity={"kind": "exp_x", "eps": 0.1}, lift_tol=_HUGE),
+        id="lift_tol_huge",
+    ),
+]
+
+# a JSON boolean where a number belongs, a const conductivity that is no
+# number, and the overflows above; each mutates the BEP fixture, and those
+# that add a conductivity make it an f-BEP
 _NON_NUMBERS = [
     pytest.param(lambda d: d.__setitem__("degree", True), id="degree_true"),
     pytest.param(lambda d: d.__setitem__("m", True), id="m_true"),
@@ -145,6 +181,7 @@ _NON_NUMBERS = [
         lambda d: d.__setitem__("conductivity", {"kind": "const", "value": {"re": 1.0}}),
         id="const_object",
     ),
+    *_OVERFLOWS,
 ]
 
 

@@ -30,7 +30,7 @@ from bergbep import (
     transformed_constraint_data,
 )
 from bergbep.bep import _LAMBDA_FLOOR, ConstrainedLSQ
-from bergbep.vekua import _lift_batch, _normal_top_eigenvalue, alpha_from_f
+from bergbep.vekua import VekuaFunction, _lift_batch, _normal_top_eigenvalue, alpha_from_f
 
 
 def make_problem(grid, f, m=0.1, degree=8, h_k_val=1.0, lift_tol=1e-9):
@@ -692,6 +692,27 @@ class TestBasisDiagnostics:
         monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append("eigh") or eigh(*a))
         basis.project_span(f.values)
         assert calls == []
+
+    def test_span_projection_keeps_the_core_directions(self, basis_exp01_n8):
+        # a near-duplicate lift puts one full-disc eigenvalue between 1e-12 and
+        # 1e-10 of the top: the core drops that direction, and the projection,
+        # under the same rank rule, puts nothing in it
+        f, basis = basis_exp01_n8
+        w0 = basis.elements[0].w.values
+        w9 = build_fbep_space(f, 9, tol=1e-10).elements[9].w.values  # e_9 lifted: off the span
+        twin = VekuaFunction(GridFunction(basis.grid, w0 + 1e-5 * w9), basis.alpha, 0.0)
+        near = VekuaBasis(basis.alpha, basis.elements + [twin])
+        vals = near._full_form.vals
+        assert 1e-12 < vals[0] / vals[-1] < 1e-10 < vals[1] / vals[-1]
+        k = Region.radial_disc(0.5)
+        rng = np.random.default_rng(3)
+        h = GridFunction(near.grid, rng.standard_normal(near.grid.shape) + 0.5j)
+        w_k, w_j = k.weights(near.grid), k.complement().weights(near.grid)
+        core = ConstrainedLSQ(near, w_k, w_j, h.values, h.values)
+        assert core.dropped == 1
+        pi = near.project_span(h)
+        in_core = core.whiten @ np.linalg.lstsq(core.whiten, pi, rcond=None)[0]
+        assert np.linalg.norm(pi - in_core) <= 1e-12 * np.linalg.norm(pi)
 
     @pytest.mark.parametrize("kind, eps", [("exp_x", 0.8), ("exp_xy", 1.75)])
     def test_span_projection_on_pair_spectra(self, grid_24_96, kind, eps):

@@ -95,6 +95,13 @@ class TestAlphaFromF:
         with pytest.raises(ValueError, match="bound k must be >= 1"):
             Conductivity(GridFunction.constant(grid_32_64, 1.0), k_bound=0.5)
 
+    @pytest.mark.parametrize("k_bound", [np.inf, np.nan])
+    def test_rejects_non_finite_bound(self, grid_32_64, k_bound):
+        # z.real changes sign; an infinite k admits it, and a NaN k skips both checks
+        vals = GridFunction.from_function(grid_32_64, lambda z: z.real)
+        with pytest.raises(ValueError, match="bound k must be >= 1 and finite"):
+            Conductivity.from_grid(vals, k_bound=k_bound)
+
     @pytest.mark.parametrize("value", [0.0, -0.0, np.inf, np.nan])
     def test_constant_rejects_zero_and_non_finite(self, grid_32_64, value):
         with pytest.raises(ValueError, match="non-zero and finite"):
