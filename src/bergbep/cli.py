@@ -55,7 +55,7 @@ def _parse_grid_arg(text: str):
         n_r, n_theta = (int(part) for part in text.split(","))
     except ValueError as exc:
         raise bio.SchemaError(f"grid must look like '24,96', got {text!r}") from exc
-    return build_grid(n_r, n_theta)
+    return build_grid(**bio.normalize_grid({"n_r": n_r, "n_theta": n_theta}))
 
 
 # spectrum --region head -> io region variant; the key of its number is io's

@@ -31,6 +31,7 @@ REGION_VARIANTS = {"radial_disc": ("a", Region.radial_disc), "annulus": ("a", Re
 # conductivity kind -> (the key of its number and its Conductivity constructor)
 _CONDUCTIVITIES = {"const": ("value", Conductivity.constant), "exp_x": ("eps", Conductivity.exp_x),
                    "exp_xy": ("eps", Conductivity.exp_xy)}
+MAX_GRID_RINGS, MAX_GRID_NODES = 2**11, 2**22  # 16x the rings, 128x the nodes of 128 x 256
 
 
 class SchemaError(ValueError):
@@ -211,21 +212,29 @@ def normalize_budget(m) -> float:
     return m
 
 
+def normalize_grid(doc: dict) -> dict:
+    """The grid {n_r, n_theta} of a problem file or of --grid, checked before anything is
+    allocated: 2 <= n_r <= MAX_GRID_RINGS, n_theta >= 4 and n_r n_theta <= MAX_GRID_NODES."""
+    n_r, n_theta = (_require(doc, key, int, "grid spec") for key in ("n_r", "n_theta"))
+    if not (2 <= n_r <= MAX_GRID_RINGS and n_theta >= 4 and n_r * n_theta <= MAX_GRID_NODES):
+        raise SchemaError(
+            f"grid must satisfy n_r >= 2, n_theta >= 4, n_r <= {MAX_GRID_RINGS} and "
+            f"n_r n_theta <= {MAX_GRID_NODES}, got {n_r!r:.20}, {n_theta!r:.20}"
+        )
+    return {"n_r": n_r, "n_theta": n_theta}
+
+
 def normalize_problem(doc) -> dict:
     """Validate a ProblemFile document and return its canonical form."""
     if not isinstance(doc, dict):
         raise SchemaError("problem document must be an object")
-    grid_doc = _require(doc, "grid", dict, "problem")
-    n_r = _require(grid_doc, "n_r", int, "grid spec")
-    n_theta = _require(grid_doc, "n_theta", int, "grid spec")
-    if n_r < 2 or n_theta < 4:
-        raise SchemaError(f"grid must satisfy n_r >= 2, n_theta >= 4, got {n_r}, {n_theta}")
+    grid = normalize_grid(_require(doc, "grid", dict, "problem"))
     m = normalize_budget(_require(doc, "m", None, "problem"))
     degree = _require(doc, "degree", int, "problem")
     if degree < 0:
         raise SchemaError("degree must be >= 0")
     out = {
-        "grid": {"n_r": n_r, "n_theta": n_theta},
+        "grid": grid,
         "region_k": normalize_region_spec(_require(doc, "region_k", dict, "problem")),
         "h_k": normalize_function_spec(_require(doc, "h_k", dict, "problem")),
         "h_j": normalize_function_spec(_require(doc, "h_j", dict, "problem")),

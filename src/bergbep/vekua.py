@@ -20,18 +20,18 @@ _MAX_LIFT_ITER steps; it lifts the f-BEP space of a grid-sampled f,
 whose alpha couples every mode.
 For the closed-form conductivities alpha is one angular mode
 a(r) e^{i s theta} (_alpha_mode), and v -> T[alpha conj(v)] sends the
-ring samples of mode k to mode s - 1 - k.  The lift of e_n lives in the mode
-pair n, s - 1 - n, and _mode_pair_lift solves the discrete equation
-exactly for any contrast: one n_r x n_r complex solve per degree, also
-where the two modes coincide.  Each such lift is certified by its
-fixed-point defect ||seed + T[alpha conj(w)] - w||, evaluated on the
-unreduced pair system with the same radial matrices;
-the lifts are sampled on the grid only when asked for.  The norm of the
-restriction map h -> h - T_J(alpha conj(h)) splits into the same mode
-pairs on a J invariant under rotation (_mode_pair_norm); both take the
-partner mode and its radial operator from _pair_operator.  Every other
-input takes rho by Lanczos on the normal operator
-(_normal_top_eigenvalue).
+ring samples of mode k to mode s - 1 - k.  The lift of e_n lives in the
+mode pair n, s - 1 - n, and _mode_pair_lift solves the discrete
+equation exactly for any contrast: one n_r x n_r complex solve per
+degree, also where the two modes coincide; the lift of i e_n follows
+from the same two parts.  Each lift is certified by its fixed-point
+defect ||seed + T[alpha conj(w)] - w||, evaluated on the unreduced pair
+system with the same radial matrices, and sampled on the grid only when
+asked for.  The norm of the restriction map h -> h - T_J(alpha conj(h))
+splits into the same mode pairs on a J invariant under rotation
+(_mode_pair_norm); both take the partner mode and its radial operator
+from _pair_operator.  Every other input takes rho by Lanczos on the
+normal operator (_normal_top_eigenvalue).
 
 A VekuaBasis answers the f-BEP core through the four private members
 every basis of bep.ConstrainedLSQ has: its real Gram form under any
@@ -43,23 +43,25 @@ decomposition under the core's rank rule (bep.FullForm.whitening), so it
 takes no second Gram or eigh and keeps exactly the core's directions.  A
 basis of sampled lifts takes them from its samples by quadrature
 (bergman._gram, bergman._moments).  The
-mode-pair basis keeps each lift as a two-mode ring spectrum, w_b =
-sum_u X_bu(r) e^{i p_bu theta} (u = 0, 1), and with W = fft_theta(w)
-the reordering of the polar layer in bergman gives
+mode-pair basis keeps each lift of e_n once, as its two complex parts
+P_nk = X_nk(r) e^{i p_nk theta} (k = 0, 1); the lift of e_n is X + Y and
+that of i e_n is i X - i Y, the unit rule w_un = sum_k U_uk P_nk with
+U = [[1, 1], [i, -i]].  With W = fft_theta(w) the reordering of the
+polar layer in bergman gives, over the parts a = (n, k), b = (m, l),
 
-    G_ab = Re sum w conj(w_a) w_b
-         = Re sum_{u,v} sum_i conj(X_au,i) X_bv,i W_i[(p_au - p_bv) mod n_theta]
-    r_a  = Re sum wh conj(w_a) = Re sum_u sum_i conj(X_au,i) fft_theta(wh)_i[p_au]
-    sum_b c_b w_b = ifft_theta of the c_b X_b gathered at their modes,
+    S_ab = sum w conj(P_a) P_b = sum_i conj(X_a,i) X_b,i W_i[(p_a - p_b) mod n_theta]
+    G    = Re(U^H S U),   G_{un,vm} = Re sum_{k,l} conj(U_uk) S_{nk,ml} U_vl
+    r_un = Re sum wh conj(w_un) = Re sum_k conj(U_uk) sum_i conj(X_nk,i) fft_theta(wh)_i[p_nk]
+    sum c_un w_un = ifft_theta of the sum_u c_un U_uk X_nk gathered at their modes,
 
 exact discrete identities for any weights.  Weights constant along
 theta, w_ij = w_i0 (the full disc, radial discs, annuli and their
 complements), have W_i = n_theta w_i0 in mode 0 alone, so their form
-couples only lifts with equal modes and needs no weight table; only
-the other weights (sectors, masks) build the (n_r, 2B, 2B) table of
-W_i[(p_au - p_bv) mod n_theta].  real_gram, real_rhs and synthesize use
-the samples on every basis, so they stay an independent reference for
-the spectral forms.
+couples only parts with equal modes and needs no weight table; only
+the other weights (sectors, masks) build the (n_r, 2(N+1), 2(N+1))
+table of W_i[(p_a - p_b) mod n_theta].  real_gram, real_rhs and
+synthesize use the samples on every basis, so they stay an independent
+reference for the spectral forms.
 
 dbar, dz and teodorescu apply the operators their grid holds (see
 grid.py): its radial stencils, angular wavenumbers and Teodorescu
@@ -94,6 +96,7 @@ from .grid import DiscGrid, GridFunction, GridMismatchError, Region, build_grid,
 logger = logging.getLogger("bergbep")
 
 _MAX_LIFT_ITER = 60  # Neumann steps of a lift
+_UNITS = np.array([[1.0, 1.0], [1.0j, -1.0j]])  # lifts of e_n, i e_n: X + Y, i X - i Y
 
 
 class LiftDivergenceError(RuntimeError):
@@ -408,64 +411,56 @@ def _mode_pair_lift(
 
         (I - A conj(C)) x = S_n,   y = C conj(x),
 
-    one batched n_r x n_r solve over n, and the lift of i e_n is
-    (i x, -i y).  The same solve holds when m = n (C = A): w = x + y
-    solves the real-linear w = S_n + A conj(w), i (x - y) is the lift of
-    i e_n, and the two slots, which share mode n, are added into the
-    first.  The system is then singular exactly when the lift equation
-    is: I - A conj(A) = (I + A conj)(I - A conj), and z = A conj(z) iff
-    i z = -A conj(i z).  The basis (_PairBasis) keeps each lift's
-    two-mode spectrum, from which the f-BEP takes its forms; it samples
-    the lifts on the grid only when its elements are asked for.
+    one batched n_r x n_r solve over n.  The lift of e_n is x + y and
+    that of i e_n is i x - i y (_UNITS), also when m = n (C = A) and both
+    parts share mode n: w = x + y solves the real-linear w = S_n +
+    A conj(w).  The system is then singular exactly when the lift
+    equation is: I - A conj(A) = (I + A conj)(I - A conj), and
+    z = A conj(z) iff i z = -A conj(i z).  The basis (_PairBasis) keeps
+    each lift once, as its parts (x, y), from which the f-BEP takes its
+    forms; it samples the lifts on the grid only when asked for.
 
     Each lift is certified by its fixed-point defect ||seed +
     T[alpha conj(w)] - w|| and its span residual, evaluated on the
-    unreduced pair system: the ring modes of w - T[alpha conj(w)] are
-    x - A conj(y) and y - C conj(x) (collided: w - A conj(w)), since alpha
-    is exactly one mode on the grid, and their norms are Parseval sums
-    over the rings.  Each element then has iterations = 1, increments =
-    [defect], and converged iff defect <= tol.
+    unreduced pair system: u = w - T[alpha conj(w)] has the parts
+    x - A conj(y) and y - C conj(x), since alpha is exactly one mode on
+    the grid, combined by the same unit rule, and their norms are
+    Parseval sums over the rings (_unit_norms).  Each element then has
+    iterations = 1, increments = [defect], and converged iff defect <= tol.
     """
     _check_tol(tol)
     grid = alpha.grid
     _check_degree(grid, degree)
     a, s = mode
-    n_r = grid.n_radial
     mats = grid.teodorescu.matrices
     n = np.arange(degree + 1)
     m, big_a = _pair_operator(mats, a, s, n)  # M diag(a)
     _, big_c = _pair_operator(mats, a, s, m)
-    collided = m == n
     seeds = np.sqrt(n + 1.0)[:, None] * _radial_powers(grid, degree).T  # e_n in mode n
-    system = np.eye(n_r) - big_a @ np.conj(big_c)
+    system = np.eye(grid.n_radial) - big_a @ np.conj(big_c)
     x = np.linalg.solve(system, seeds[..., None])[..., 0]
     y = np.einsum("nij,nj->ni", big_c, np.conj(x))
-    # rings[unit, n, slot]: the ring coefficients in modes (n, m) of the
-    # lifts of e_n (x, y) and of i e_n (i x, -i y); a collided pair's two
-    # slots share mode n and are added into slot 0
-    rings = np.stack((np.stack((x, y), axis=1), np.stack((1j * x, -1j * y), axis=1)))
-    rings[:, collided, 0] += rings[:, collided, 1]
-    rings[:, collided, 1] = 0.0
+    modes = np.stack((n, m), axis=1)
 
-    # the certificate: u = w - T[alpha conj(w)] in the pair's modes
-    own, other = rings[:, :, 0], rings[:, :, 1]
-    partner = np.where(collided[:, None], own, other)
-    u = np.empty_like(rings)
-    u[:, :, 0] = own - np.einsum("nij,unj->uni", big_a, np.conj(partner))
-    u[:, :, 1] = other - np.einsum("nij,unj->uni", big_c, np.conj(own))
-    u[:, collided, 1] = 0.0
-    gap = u.copy()  # u - seed, whose norm is the defect
-    gap[0, :, 0] -= seeds
-    gap[1, :, 0] -= 1j * seeds
-    defects = _mode_norms(grid, np.swapaxes(gap, -1, -2)).ravel()
-    # the residual: u less its projection on e_p in each slot whose mode p <= N
-    pair_modes = np.stack((n, m), axis=1)
-    profile = np.where((pair_modes <= degree)[..., None], seeds[pair_modes.clip(max=degree)], 0.0)
+    # the certificate: the parts of u = w - T[alpha conj(w)] and of u - seed
+    a_y, c_x = (np.einsum("nij,nj->ni", op, np.conj(v)) for op, v in ((big_a, y), (big_c, x)))
+    u = np.stack((x - a_y, y - c_x), axis=1)
+    defects = _unit_norms(grid, modes, u - np.stack((seeds, 0.0 * seeds), axis=1))
+    # the residual: each part less its projection on e_p when its mode p <= N
+    profile = np.where((modes <= degree)[..., None], seeds[modes.clip(max=degree)], 0.0)
     u -= np.sum(grid.radial_weights * profile * u, axis=-1, keepdims=True) * profile
-    residuals = _mode_norms(grid, np.swapaxes(u, -1, -2)).ravel()
+    residuals = _unit_norms(grid, modes, u)
+    return _PairBasis(alpha, modes, np.stack((x, y), axis=1), defects, residuals, tol)
 
-    modes = np.concatenate((pair_modes, pair_modes))
-    return _PairBasis(alpha, modes, rings.reshape(modes.shape + (n_r,)), defects, residuals, tol)
+
+def _unit_norms(grid: DiscGrid, modes: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """Norms of sum_k _UNITS[u, k] parts[:, k] (N+1, 2, n_r) for u = 0, 1: a collided
+    pair's two combined parts are added in their one mode before the Parseval norm."""
+    terms = _UNITS[:, None, :, None] * parts  # (unit, n, part, ring)
+    collided = modes[:, 0] == modes[:, 1]
+    terms[:, collided, 0] += terms[:, collided, 1]
+    terms[:, collided, 1] = 0.0
+    return _mode_norms(grid, np.swapaxes(terms, -1, -2)).ravel()
 
 
 def build_fbep_space(f: Conductivity, degree: int, tol: float = 1e-9) -> VekuaBasis:
@@ -475,7 +470,7 @@ def build_fbep_space(f: Conductivity, degree: int, tol: float = 1e-9) -> VekuaBa
     angular mode a(r) e^{i s theta}, and the discrete fixed-point
     equation w = seed + T[alpha conj(w)] is solved exactly by angular
     mode pairs (one small radial solve per degree), certified on the
-    pair system, and the basis keeps the lifts' two-mode spectra; a lift
+    pair system, and the basis keeps each lift's two parts; a lift
     whose fixed-point defect exceeds tol raises ConvergenceError naming
     its seed.  A grid-sampled f couples every mode, and its 2(N+1) seeds
     are lifted together by the Neumann iteration, each with its own
@@ -835,8 +830,7 @@ class VekuaBasis:
 
     def synthesize(self, coeffs: np.ndarray) -> GridFunction:
         """sum_b c_b w_b from the samples."""
-        vals = self.values_matrix() @ np.asarray(coeffs, dtype=float)
-        return GridFunction(self.grid, vals.reshape(self.grid.shape))
+        return GridFunction(self.grid, VekuaBasis._synthesis(self, np.asarray(coeffs, dtype=float)))
 
     def project_span(self, h: GridFunction) -> np.ndarray:
         """Real coefficients of the span projection of h, W W^T r on its full-disc
@@ -855,66 +849,63 @@ class VekuaBasis:
 class _PairBasis(VekuaBasis):
     """The VekuaBasis of a mode-pair lift (_mode_pair_lift), sampled on first use.
 
-    Each lift is kept as its two-mode ring spectrum: the modes (B, 2)
-    and the ring coefficients (B, 2, n_r), a collided pair's lift in the
-    first slot and zeros in the second.  The core's forms and synthesis
-    are the pair identities of the module docstring, and the elements
-    are synthesized from the spectra when first asked for, by one
-    inverse fft of the whole stack.
+    Each lift of e_n is kept once, as its two complex parts X, Y: parts
+    (N+1, 2, n_r) in modes (N+1, 2) = (n, s - 1 - n), shared by a collided
+    pair.  The lift of e_n is X + Y and that of i e_n is i X - i Y (_UNITS):
+    the core's forms and synthesis are the pair identities of the module
+    docstring, and the elements are one inverse fft of the parts, on first use.
     """
 
-    def __init__(self, alpha, modes, rings, defects, residuals, tol):
-        self.alpha = alpha
-        self._modes, self._rings = modes, rings
+    def __init__(self, alpha, modes, parts, defects, residuals, tol):
+        self.alpha, self._modes, self._parts = alpha, modes, parts
         self._matrix = None
         self._defects, self._residuals, self._tol = defects, residuals, tol
 
     @property
     def size(self) -> int:
-        return self._modes.shape[0]
+        return self._modes.size
 
     def _form(self, w: np.ndarray) -> np.ndarray:
-        """The real Gram form by Parseval on each ring, over the pair spectra.
+        """The real Gram form Re(U^H S U) over the units U = _UNITS of the part form S,
+        S_ab = sum w conj(P_a) P_b by Parseval on each ring (module docstring).
 
-        Weights constant along theta (w_ij = w_i0: the full disc, radial
-        discs, annuli, their complements) couple only lifts with equal
-        modes (mod n_theta), with omega_i = n_theta w_i0:
-        G_ab = Re sum_{u,v: p_au = p_bv} sum_i omega_i conj(X_au,i) X_bv,i,
-        and take no weight table.  Other weights take the (n_r, 2B, 2B)
-        table of their ring spectra at the mode differences.
+        Weights constant along theta couple only parts with equal modes
+        (mod n_theta) and take no weight table; other weights take the
+        (n_r, 2(N+1), 2(N+1)) table of their ring spectra.
         """
         modes, n_t = self._modes, self.grid.angular_count
         p = modes.ravel() % n_t
-        x = self._rings.reshape(p.size, -1)
+        x = self._parts.reshape(p.size, -1)
         if np.all(w == w[:, :1]):
-            g = ((x.conj() * (n_t * w[:, 0])) @ x.T).real
-            g = np.where(p[:, None] == p[None, :], g, 0.0)
+            s = (x.conj() * (n_t * w[:, 0])) @ x.T
+            s = np.where(p[:, None] == p[None, :], s, 0.0)
         else:
             table = np.fft.fft(w, axis=-1)[:, (p[:, None] - p[None, :]) % n_t]
-            g = np.einsum("ai,iab,bi->ab", x.conj(), table, x).real
-        g = g.reshape(modes.shape + modes.shape).sum(axis=(1, 3))
+            s = np.einsum("ai,iab,bi->ab", x.conj(), table, x)
+        g = np.einsum("uk,akbl,vl->uavb", _UNITS.conj(), s.reshape(modes.shape * 2), _UNITS)
+        g = g.real.reshape(self.size, self.size)
         return (g + g.T) / 2.0
 
     def _moments(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """The real moments by Parseval on each ring, over the pair spectra."""
-        moments = np.fft.fft(w * h, axis=-1)[:, self._modes]  # (n_r, B, 2)
-        return np.einsum("bui,ibu->b", self._rings.conj(), moments).real
+        """The real moments by Parseval on each ring: the part moments, then the units."""
+        moments = np.fft.fft(w * h, axis=-1)[:, self._modes]  # (n_r, N+1, 2)
+        by_part = np.einsum("aki,iak->ka", self._parts.conj(), moments)
+        return (_UNITS.conj() @ by_part).real.ravel()
 
     def _synthesis(self, coeffs: np.ndarray) -> np.ndarray:
-        """One spectrum gathers every c_b X_b at its modes, then one inverse fft."""
+        """One spectrum gathers each part times its coefficient c U at its mode, then one ifft."""
         spectrum = np.zeros(self.grid.shape, dtype=complex)
-        terms = np.asarray(coeffs)[:, None, None] * self._rings
+        terms = (np.asarray(coeffs).reshape(2, -1).T @ _UNITS)[..., None] * self._parts
         np.add.at(spectrum.T, self._modes.ravel(), terms.reshape(self._modes.size, -1))
         return np.fft.ifft(spectrum, axis=-1, norm="forward")
 
     @cached_property
     def elements(self) -> list[VekuaFunction]:
-        modes, rings = self._modes, self._rings
-        spectra = np.zeros((self.size,) + self.grid.shape, dtype=complex)
-        lifts = np.arange(self.size)
-        spectra[lifts, :, modes[:, 1]] = rings[:, 1]
-        spectra[lifts, :, modes[:, 0]] = rings[:, 0]  # after slot 1: a collided slot 1 is zero
-        w = np.fft.ifft(spectra, axis=-1, norm="forward")
+        lifts = np.arange(self._modes.shape[0])
+        spectra = np.zeros((2, lifts.size) + self.grid.shape, dtype=complex)
+        for k in (0, 1):  # a collided pair's second part adds into the first's mode
+            spectra[:, lifts, :, self._modes[:, k]] += _UNITS[:, k, None] * self._parts[:, k, None]
+        w = np.fft.ifft(spectra.reshape((self.size,) + self.grid.shape), axis=-1, norm="forward")
         return [
             VekuaFunction(
                 w=GridFunction(self.grid, w[b]),
@@ -924,7 +915,7 @@ class _PairBasis(VekuaBasis):
                 iterations=1,
                 increments=[float(self._defects[b])],
             )
-            for b in lifts
+            for b in range(self.size)
         ]
 
 

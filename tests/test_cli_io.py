@@ -18,6 +18,7 @@ from bergbep.io import (
     function_from_spec,
     load_json,
     normalize_function_spec,
+    normalize_grid,
     normalize_problem,
     normalize_region_spec,
     problem_from_dict,
@@ -694,6 +695,39 @@ class TestCliInputPaths:
         out = str(tmp_path / "s.csv")
         argv = ["lambda-sweep", "--problem", BEP_FIXTURE, "--m-values", ",", "--out", out]
         assert "at least one" in self._fails(argv, capsys)
+
+    # a grid beyond 2^11 rings or 2^22 nodes is refused before anything is
+    # allocated: an n_r of 10**400 would overflow the Gauss rule, and an
+    # n_theta of 10**9 would allocate until the process is killed
+    _HUGE_GRIDS = [
+        pytest.param(10**400, 96, id="n_r_huge"),
+        pytest.param(100000000000000000000000, 8, id="n_r_1e23"),
+        pytest.param(24, 10**9, id="n_theta_1e9"),
+        pytest.param(2**11 + 1, 4, id="rings"),
+        pytest.param(2**10, 2**12 + 1, id="nodes"),
+    ]
+
+    @pytest.mark.parametrize("n_r, n_theta", _HUGE_GRIDS)
+    def test_huge_grid_in_problem_file(self, tmp_path, capsys, n_r, n_theta):
+        doc = dict(load_json(BEP_FIXTURE), grid={"n_r": n_r, "n_theta": n_theta})
+        out = tmp_path / "s.json"
+        argv = ["solve-bep", "--problem", self._write(tmp_path, doc), "--out", str(out)]
+        assert "n_r <= 2048 and n_r n_theta <= 4194304" in self._fails(argv, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_r, n_theta", _HUGE_GRIDS)
+    def test_huge_grid_argument(self, tmp_path, capsys, n_r, n_theta):
+        out = tmp_path / "o.json"
+        argv = ["teodorescu", "--builtin", "const", "--grid", f"{n_r},{n_theta}", "--out", str(out)]
+        assert "n_r <= 2048 and n_r n_theta <= 4194304" in self._fails(argv, capsys)
+        assert not out.exists()
+
+    def test_grid_caps_are_inclusive(self):
+        largest = {"n_r": 2**11, "n_theta": 2**11}
+        assert normalize_grid(largest) == largest
+        for n_r, n_theta in [(2**11 + 1, 2**10), (2**11, 2**11 + 1), (1, 8), (8, 3)]:
+            with pytest.raises(SchemaError, match="grid must satisfy"):
+                normalize_grid({"n_r": n_r, "n_theta": n_theta})
 
     def test_grid_argument_malformed(self, tmp_path, capsys):
         out = str(tmp_path / "o.json")
