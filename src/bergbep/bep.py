@@ -202,8 +202,8 @@ class FullForm(NamedTuple):
 
 class _PolarBasis:
     """e_0..e_N on the polar grid, as the core asks a basis: the grid norms beside
-    identity eigenvectors, the ring-FFT forms and moments of bergman (data that
-    vanishes takes no transform) and the inverse ring FFT."""
+    identity eigenvectors, the ring-FFT forms and moments of bergman and the
+    inverse ring FFT."""
 
     def __init__(self, grid, degree: int):
         self.grid, self.degree = grid, degree
@@ -216,8 +216,6 @@ class _PolarBasis:
         return _ring_gram(self.grid, w, self.degree)
 
     def _moments(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
-        if not np.any(h):
-            return np.zeros(self.degree + 1, dtype=complex)
         return _ring_moments(self.grid, w * h, self.degree)
 
     def _synthesis(self, coeffs: np.ndarray) -> np.ndarray:
@@ -243,9 +241,10 @@ class ConstrainedLSQ:
     takes a basis and the weights and data of both sides, and asks the
     basis for the eigendecomposition of its full-disc Gram form
     (_full_form), the J-form A_J (_form(w_J)), the moments r_K and r_J
-    (_moments) and the synthesis (_synthesis); A_K = A_full - A_J.  The
-    BEP's basis is _PolarBasis, the f-BEP's a VekuaBasis, whatever its
-    representation.  The full-disc form's whitening W (FullForm.whitening)
+    (_moments, asked only of data that do not vanish: zero data take zero
+    moments in A_J's dtype) and the synthesis (_synthesis); A_K = A_full -
+    A_J.  The BEP's basis is _PolarBasis, the f-BEP's a VekuaBasis,
+    whatever its representation.  The full-disc form's whitening W (FullForm.whitening)
     drops the directions below _DROP_RCOND of its top eigenvalue, and the
     eigenvectors q of W^H A_J W make whiten = W q, under which the J-form
     is diag(tau) and the K-form diag(1 - tau).
@@ -253,8 +252,11 @@ class ConstrainedLSQ:
 
     def __init__(self, basis, w_k, w_j, h_k, h_j):
         self.full = basis._full_form
-        self.r_k = basis._moments(w_k, h_k)
-        self.a_j, self.r_j = basis._form(w_j), basis._moments(w_j, h_j)
+        self.a_j = basis._form(w_j)
+        self.r_k, self.r_j = (
+            basis._moments(w, h) if np.any(h) else np.zeros(len(self.a_j), self.a_j.dtype)
+            for w, h in ((w_k, h_k), (w_j, h_j))
+        )
         self.synthesize = basis._synthesis
         self._sides = {"k": _support(w_k, h_k), "j": _support(w_j, h_j)}
         self._diagonalize()

@@ -43,10 +43,12 @@ and its certificates assemble the forms once.
 
 The constraint moves into the Bergman setting as h_J^* = h_J -
 T_J(alpha conj(h_J)) and M^* = M rho, with rho the norm of h -> h -
-T_J(alpha conj(h)) on L^2(J) (transformed_constraint_data).  This
-module holds the problem, the solution, the solve and its checks; the
-lifted space and rho come from vekua (build_fbep_space,
-restriction_map_norm), which chooses their algorithms.
+T_J(alpha conj(h)) on L^2(J) (transformed_constraint_data).  Data that
+vanish take no transform: the core asks for no moments of a zero side,
+and a zero T_J input leaves h_J^* = h_J.  This module holds the
+problem, the solution, the solve and its checks; the lifted space and
+rho come from vekua (build_fbep_space, restriction_map_norm), which
+chooses their algorithms.
 """
 
 from __future__ import annotations
@@ -199,8 +201,10 @@ def transformed_constraint_data(
     rho is the norm of h -> h - T_J(alpha conj(h)) on L^2(J), computed
     by restriction_map_norm on a coarse grid of norm_grid_shape.  T_J
     integrates over J only: its input is weighted by J's overlap
-    fraction on every quadrature cell.  A mask J, like a grid-sampled f,
-    needs norm_grid_shape equal to the problem's grid (ValueError at once).
+    fraction on every quadrature cell.  Where that input vanishes (h_J
+    or alpha zero on J) h_J^* is h_J itself, with no transform.  A mask
+    J, like a grid-sampled f, needs norm_grid_shape equal to the
+    problem's grid (ValueError at once).
     """
     mask = problem.j_region.mask_values
     if mask is not None and mask.shape != tuple(norm_grid_shape):
@@ -208,8 +212,10 @@ def transformed_constraint_data(
                          f"as norm_grid_shape to get rho, not {tuple(norm_grid_shape)}")
     alpha = alpha_from_f(problem.f)
     phi = problem.j_region.fraction(problem.grid)
-    zero_ext = GridFunction(problem.grid, phi * alpha.values * np.conj(problem.h_j.values))
-    h_star = problem.h_j - teodorescu(zero_ext)
+    zero_ext = phi * alpha.values * np.conj(problem.h_j.values)
+    h_star = problem.h_j
+    if np.any(zero_ext):
+        h_star = h_star - teodorescu(GridFunction(problem.grid, zero_ext))
     rho = restriction_map_norm(problem.f, problem.j_region, norm_grid_shape)
     return h_star, problem.m * rho
 

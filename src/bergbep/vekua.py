@@ -19,19 +19,22 @@ converges when T composed with alpha conj is a contraction and stops at
 _MAX_LIFT_ITER steps; it lifts the f-BEP space of a grid-sampled f,
 whose alpha couples every mode.
 For the closed-form conductivities alpha is one angular mode
-a(r) e^{i s theta} (_alpha_mode), and v -> T[alpha conj(v)] sends the
-ring samples of mode k to mode s - 1 - k.  The lift of e_n lives in the
-mode pair n, s - 1 - n, and _mode_pair_lift solves the discrete
-equation exactly for any contrast: one n_r x n_r complex solve per
-degree, also where the two modes coincide; the lift of i e_n follows
-from the same two parts.  Each lift is certified by its fixed-point
-defect ||seed + T[alpha conj(w)] - w||, evaluated on the unreduced pair
+phase b(r) e^{i s theta} with b real and a unit phase (_alpha_mode), and
+v -> T[alpha conj(v)] sends the ring samples of mode k to mode s - 1 - k
+through real radial matrices.  The lift of e_n lives in the mode pair
+n, s - 1 - n, and _mode_pair_lift solves the discrete equation exactly
+for any contrast: the pair system is real up to the phase, one
+n_r x n_r real solve per degree, also where the two modes coincide; the
+lift of i e_n follows from the same two parts.  Each lift is certified
+by its fixed-point defect ||seed + T[alpha conj(w)] - w|| and its span
+residual, from one real residual per degree of the unreduced pair
 system with the same radial matrices, and sampled on the grid only when
 asked for.  The norm of the restriction map h -> h - T_J(alpha conj(h))
 splits into the same mode pairs on a J invariant under rotation
-(_mode_pair_norm); both take the partner mode and its radial operator
-from _pair_operator.  Every other input takes rho by Lanczos on the
-normal operator (_normal_top_eigenvalue).
+(_mode_pair_norm), whose blocks are real by a unitary similarity that
+takes out the phase; both take the partner mode and its radial
+operator from _pair_operator.  Every other input takes rho by Lanczos
+on the normal operator (_normal_top_eigenvalue).
 
 A VekuaBasis answers the f-BEP core through the four private members
 every basis of bep.ConstrainedLSQ has: its real Gram form under any
@@ -207,28 +210,29 @@ def alpha_from_f(f: Conductivity) -> GridFunction:
     return GridFunction(grid, df.values / f.values.values)
 
 
-def _alpha_mode(f: Conductivity, grid: DiscGrid | None = None) -> tuple[np.ndarray, int] | None:
-    """alpha = a(r) e^{i s theta} of a closed-form kind as (a on the rings, s).
+def _alpha_mode(f: Conductivity, grid: DiscGrid | None = None) -> tuple | None:
+    """alpha = phase b(r) e^{i s theta} of a closed-form kind as (b on the rings, s, phase).
 
-    a is evaluated on the rings of grid, f's own grid by default: a
-    closed form needs no samples of f.  None for a grid-sampled
-    conductivity, whose alpha couples every angular mode.  exp_xy has
-    alpha = eps (y + i x)/2 = (i eps/2) r e^{-i theta}.
+    b is real and the phase one unit constant, so every radial operator
+    built from b is real.  b is evaluated on the rings of grid, f's own
+    grid by default: a closed form needs no samples of f.  None for a
+    grid-sampled conductivity, whose alpha couples every angular mode.
+    exp_xy has alpha = eps (y + i x)/2 = i (eps/2) r e^{-i theta}.
     """
     r = (f.grid if grid is None else grid).radial_nodes
     if f.kind == "const":
-        return np.zeros(r.size, dtype=complex), 0
+        return np.zeros(r.size), 0, 1.0
     if f.kind == "exp_x":
-        return np.full(r.size, f.eps / 2.0, dtype=complex), 0
+        return np.full(r.size, f.eps / 2.0), 0, 1.0
     if f.kind == "exp_xy":
-        return 0.5j * f.eps * r, -1
+        return 0.5 * f.eps * r, -1, 1.0j
     return None
 
 
-def _mode_samples(grid: DiscGrid, mode: tuple[np.ndarray, int]) -> np.ndarray:
-    """a(r) e^{i s theta} at the nodes of grid, for mode = (a on its rings, s)."""
-    a, s = mode
-    return a[:, None] * np.exp(1j * s * grid.thetas)[None, :]
+def _mode_samples(grid: DiscGrid, mode: tuple) -> np.ndarray:
+    """phase b(r) e^{i s theta} at the nodes of grid, for mode = (b on its rings, s, phase)."""
+    b, s, phase = mode
+    return (phase * b)[:, None] * np.exp(1j * s * grid.thetas)[None, :]
 
 
 def vekua_residual(w: GridFunction, alpha: GridFunction, degree: int) -> float:
@@ -384,92 +388,80 @@ def _check_tol(tol: float) -> None:
 
 
 def _pair_operator(mats: np.ndarray, coef: np.ndarray, s: int, p: np.ndarray) -> tuple:
-    """Partner modes q and radial operators of v -> T[alpha conj(v)] into ring modes p.
+    """Partner modes q and real radial operators of v -> T[alpha conj(v)] into ring modes p.
 
-    For alpha = a(r) e^{i s theta}, conj of ring mode q = s - 1 - p (mod
-    n_theta) times alpha lands in mode s - q = p + 1, which T sends to
-    mode p, so the ring samples of mode p receive mats[p + 1] diag(coef)
-    conj(Y_q) with coef the ring samples of a.  mats is the stack of
-    Teodorescu radial matrices, one per input mode, possibly restricted
-    to some rings or scaled along its rows.
+    For alpha = phase b(r) e^{i s theta}, conj of ring mode q = s - 1 - p
+    (mod n_theta) times alpha lands in mode s - q = p + 1, which T sends
+    to mode p, so the ring samples of mode p receive phase mats[p + 1]
+    diag(coef) conj(Y_q) with coef the ring samples of b.  mats is the
+    stack of real Teodorescu radial matrices, one per input mode,
+    possibly restricted to some rings or scaled along its rows.
     """
     n_t = mats.shape[0]
     return (s - 1 - p) % n_t, mats[(p + 1) % n_t] * coef
 
 
-def _mode_pair_lift(
-    alpha: GridFunction, mode: tuple[np.ndarray, int], degree: int, tol: float
-) -> "VekuaBasis":
-    """Lifts of e_0..e_N, i e_0..i e_N for alpha = a(r) e^{i s theta}, solved exactly.
+def _mode_pair_lift(alpha: GridFunction, mode: tuple, degree: int, tol: float) -> "VekuaBasis":
+    """Lifts of e_0..e_N, i e_0..i e_N for alpha = phase b(r) e^{i s theta}, solved exactly.
 
-    mode is (a, s) from _alpha_mode, and alpha its grid samples.  On the
-    grid, v -> T[alpha conj(v)] sends angular mode k to mode s - 1 - k,
-    so the lift of e_n lives in modes n and m = s - 1 - n (mod n_theta)
-    alone.  With x, y its ring samples there, x = S_n + A conj(y) and
-    y = C conj(x), where A and C are the Teodorescu radial matrices of
-    input modes n + 1 and m + 1 times diag(a); then
+    mode is (b, s, phase) from _alpha_mode, and alpha its grid samples.
+    On the grid, v -> T[alpha conj(v)] sends angular mode k to mode
+    s - 1 - k, so the lift of e_n lives in modes n and m = s - 1 - n (mod
+    n_theta) alone.  With x, y its ring samples there, x = S_n + phase A
+    conj(y) and y = phase C conj(x), where A and C are the real
+    Teodorescu radial matrices of input modes n + 1 and m + 1 times
+    diag(b); |phase| = 1 and S_n is real, so x is real and
 
-        (I - A conj(C)) x = S_n,   y = C conj(x),
+        (I - A C) x = S_n,   y = phase C x,
 
-    one batched n_r x n_r solve over n.  The lift of e_n is x + y and
+    one batched real n_r x n_r solve over n.  The lift of e_n is x + y and
     that of i e_n is i x - i y (_UNITS), also when m = n (C = A) and both
     parts share mode n: w = x + y solves the real-linear w = S_n +
-    A conj(w).  The system is then singular exactly when the lift
-    equation is: I - A conj(A) = (I + A conj)(I - A conj), and
-    z = A conj(z) iff i z = -A conj(i z).  The basis (_PairBasis) keeps
-    each lift once, as its parts (x, y), from which the f-BEP takes its
-    forms; it samples the lifts on the grid only when asked for.
+    phase A conj(w).  The system is then singular exactly when the lift
+    equation is: I - A A = (I + phase A conj)(I - phase A conj), and
+    z = phase A conj(z) iff i z = -phase A conj(i z).  The basis
+    (_PairBasis) keeps each lift once, as its parts (x, y), and samples
+    the lifts on the grid only when asked for.
 
     Each lift is certified by its fixed-point defect ||seed +
-    T[alpha conj(w)] - w|| and its span residual, evaluated on the
-    unreduced pair system: u = w - T[alpha conj(w)] has the parts
-    x - A conj(y) and y - C conj(x), since alpha is exactly one mode on
-    the grid, combined by the same unit rule, and their norms are
-    Parseval sums over the rings (_unit_norms).  Each element then has
-    iterations = 1, increments = [defect], and converged iff defect <= tol.
+    T[alpha conj(w)] - w|| and its span residual on the unreduced pair
+    system: alpha is exactly one mode on the grid, so u = w -
+    T[alpha conj(w)] is x - A C x in mode n and y - phase C x = 0 in mode
+    m, and the unit i^k (x + (-1)^k y) takes i^k times both.  One real
+    residual per degree serves both units: the defect is ||u - S_n|| and
+    the residual ||u less its e_n projection||, Parseval sums over the
+    rings.  Each element has iterations = 1, increments = [defect], and
+    converged iff defect <= tol.
     """
     _check_tol(tol)
     grid = alpha.grid
     _check_degree(grid, degree)
-    a, s = mode
+    b, s, phase = mode
     mats = grid.teodorescu.matrices
     n = np.arange(degree + 1)
-    m, big_a = _pair_operator(mats, a, s, n)  # M diag(a)
-    _, big_c = _pair_operator(mats, a, s, m)
+    m, big_a = _pair_operator(mats, b, s, n)  # M diag(b)
+    _, big_c = _pair_operator(mats, b, s, m)
     seeds = np.sqrt(n + 1.0)[:, None] * _radial_powers(grid, degree).T  # e_n in mode n
-    system = np.eye(grid.n_radial) - big_a @ np.conj(big_c)
-    x = np.linalg.solve(system, seeds[..., None])[..., 0]
-    y = np.einsum("nij,nj->ni", big_c, np.conj(x))
-    modes = np.stack((n, m), axis=1)
+    x = np.linalg.solve(np.eye(grid.n_radial) - big_a @ big_c, seeds[..., None])[..., 0]
+    c_x = np.einsum("nij,nj->ni", big_c, x)
 
-    # the certificate: the parts of u = w - T[alpha conj(w)] and of u - seed
-    a_y, c_x = (np.einsum("nij,nj->ni", op, np.conj(v)) for op, v in ((big_a, y), (big_c, x)))
-    u = np.stack((x - a_y, y - c_x), axis=1)
-    defects = _unit_norms(grid, modes, u - np.stack((seeds, 0.0 * seeds), axis=1))
-    # the residual: each part less its projection on e_p when its mode p <= N
-    profile = np.where((modes <= degree)[..., None], seeds[modes.clip(max=degree)], 0.0)
-    u -= np.sum(grid.radial_weights * profile * u, axis=-1, keepdims=True) * profile
-    residuals = _unit_norms(grid, modes, u)
-    return _PairBasis(alpha, modes, np.stack((x, y), axis=1), defects, residuals, tol)
-
-
-def _unit_norms(grid: DiscGrid, modes: np.ndarray, parts: np.ndarray) -> np.ndarray:
-    """Norms of sum_k _UNITS[u, k] parts[:, k] (N+1, 2, n_r) for u = 0, 1: a collided
-    pair's two combined parts are added in their one mode before the Parseval norm."""
-    terms = _UNITS[:, None, :, None] * parts  # (unit, n, part, ring)
-    collided = modes[:, 0] == modes[:, 1]
-    terms[:, collided, 0] += terms[:, collided, 1]
-    terms[:, collided, 1] = 0.0
-    return _mode_norms(grid, np.swapaxes(terms, -1, -2)).ravel()
+    # the certificate: u = x - A C x, the mode-n part of w - T[alpha conj(w)]
+    u = x - np.einsum("nij,nj->ni", big_a, c_x)
+    defects = np.sqrt((u - seeds) ** 2 @ grid.radial_weights)
+    u -= np.sum(grid.radial_weights * seeds * u, axis=-1, keepdims=True) * seeds
+    residuals = np.sqrt(u**2 @ grid.radial_weights)
+    parts = np.stack((x, phase * c_x), axis=1)
+    return _PairBasis(alpha, np.stack((n, m), axis=1), parts, np.tile(defects, 2),
+                      np.tile(residuals, 2), tol)
 
 
 def build_fbep_space(f: Conductivity, degree: int, tol: float = 1e-9) -> VekuaBasis:
     """Lift {e_0..e_N, i e_0..i e_N} into the Vekua space of f.
 
     For the closed-form kinds (const, exp_x, exp_xy) alpha is a single
-    angular mode a(r) e^{i s theta}, and the discrete fixed-point
+    angular mode phase b(r) e^{i s theta}, and the discrete fixed-point
     equation w = seed + T[alpha conj(w)] is solved exactly by angular
-    mode pairs (one small radial solve per degree), certified on the
+    mode pairs (one small real radial solve per degree), certified on the
     pair system, and the basis keeps each lift's two parts; a lift
     whose fixed-point defect exceeds tol raises ConvergenceError naming
     its seed.  A grid-sampled f couples every mode, and its 2(N+1) seeds
@@ -512,37 +504,37 @@ def build_fbep_space(f: Conductivity, degree: int, tol: float = 1e-9) -> VekuaBa
     return basis
 
 
-def _mode_pair_norm(
-    grid: DiscGrid, mode: tuple[np.ndarray, int], phi: np.ndarray, w: np.ndarray
-) -> float:
-    """Norm of R h = h - S T_J(alpha conj(S^-1 h)) for alpha = a(r) e^{i s theta}, by mode pairs.
+def _mode_pair_norm(grid: DiscGrid, mode: tuple, phi: np.ndarray, w: np.ndarray) -> float:
+    """Norm of R h = h - S T_J(alpha conj(S^-1 h)) for a closed-form alpha, by mode pairs.
 
-    mode is (a on the rings of grid, s), and phi and w are J's overlap
-    fraction and node weight per ring, both constant along theta.  In
-    the ring modes H_p of h on J's rings, R sends H_p to H_p - B_p
-    conj(H_p'), with p' = s - 1 - p (mod n_theta) and B_p = S M_{p+1}
-    diag(phi a) S^-1, M the Teodorescu radial matrices (_pair_operator).
-    Each pair p <= p' is complex-linear in (H_p, conj H_p'), with matrix
-    [[I, -B_p], [-conj(B_p'), I]].  For a collided pair p = p', where
-    H_p -> H_p - B_p conj(H_p) is only real-linear, this matrix maps
-    (z, conj z) to (L z, conj L z): it is unitarily similar to the
-    realified map, with the same singular values.  The norm is the
-    largest singular value over these blocks X, each 2 n_J wide, from
-    one batched eigvalsh of X^H X.
+    mode is (b on the rings of grid, s, phase), and phi and w are J's
+    overlap fraction and node weight per ring, both constant along theta.
+    In the ring modes H_p of h on J's rings, R sends H_p to H_p - phase
+    B_p conj(H_p'), with p' = s - 1 - p (mod n_theta) and the real B_p =
+    S M_{p+1} diag(phi b) S^-1, M the Teodorescu radial matrices
+    (_pair_operator).  Each pair p <= p' is complex-linear in (H_p,
+    conj H_p'), with matrix [[I, -phase B_p], [-conj(phase) B_p', I]];
+    the unitary diag(I, conj(phase) I) makes it similar to the real
+    [[I, -B_p], [-B_p', I]], with the same singular values.  For a
+    collided pair p = p', where H_p -> H_p - phase B_p conj(H_p) is only
+    real-linear, the complex matrix maps (z, conj z) to (L z, conj L z):
+    it is unitarily similar to the realified map.  The norm is the
+    largest singular value over the real blocks X, each 2 n_J wide, from
+    one batched eigvalsh of X^T X.
     """
-    a, s = mode
+    b, s, _ = mode
     rings = np.nonzero(w > 0.0)[0]
     k = rings.size
     sqw = np.sqrt(w[rings])
     scaled = sqw[:, None] * grid.teodorescu.matrices[:, rings[:, None], rings]  # S M
     p = np.arange(grid.angular_count)
-    q, b = _pair_operator(scaled, (phi * a)[rings] / sqw, s, p)  # b[p] = B_p
+    q, b_p = _pair_operator(scaled, (phi * b)[rings] / sqw, s, p)  # b_p[p] = B_p
     pairs = p[p <= q]
-    blocks = np.zeros((pairs.size, 2 * k, 2 * k), dtype=complex)
+    blocks = np.zeros((pairs.size, 2 * k, 2 * k))
     blocks[:, :k, :k] = blocks[:, k:, k:] = np.eye(k)
-    blocks[:, :k, k:] = -b[pairs]
-    blocks[:, k:, :k] = -np.conj(b[q[pairs]])
-    return float(np.sqrt(np.linalg.eigvalsh(np.swapaxes(blocks, 1, 2).conj() @ blocks).max()))
+    blocks[:, :k, k:] = -b_p[pairs]
+    blocks[:, k:, :k] = -b_p[q[pairs]]
+    return float(np.sqrt(np.linalg.eigvalsh(np.swapaxes(blocks, 1, 2) @ blocks).max()))
 
 
 def restriction_map_norm(
@@ -557,11 +549,11 @@ def restriction_map_norm(
     that J barely overlaps then contributes in proportion to its
     overlap.  With f constant the map is the identity and the norm is 1.
 
-    For a closed-form f (alpha = a(r) e^{i s theta}) on a J whose
+    For a closed-form f (alpha = phase b(r) e^{i s theta}) on a J whose
     overlap fraction is constant along theta (radial discs, annuli,
     their complements, the full disc), R sends ring mode p to mode
-    s - 1 - p, and the norm is the largest singular value over the mode
-    pairs (_mode_pair_norm).  Otherwise A is taken from one batched
+    s - 1 - p, and the norm is the largest singular value over the real
+    mode-pair blocks (_mode_pair_norm).  Otherwise A is taken from one batched
     Teodorescu apply to the unit inputs on J's nodes, and the norm is
     the square root of the top eigenvalue of R^T R, found by Lanczos
     (_normal_top_eigenvalue); R is only real-linear.  The norm grid of
@@ -849,7 +841,7 @@ class VekuaBasis:
 class _PairBasis(VekuaBasis):
     """The VekuaBasis of a mode-pair lift (_mode_pair_lift), sampled on first use.
 
-    Each lift of e_n is kept once, as its two complex parts X, Y: parts
+    Each lift of e_n is kept once, as its two parts X, Y (real for a real phase): parts
     (N+1, 2, n_r) in modes (N+1, 2) = (n, s - 1 - n), shared by a collided
     pair.  The lift of e_n is X + Y and that of i e_n is i X - i Y (_UNITS):
     the core's forms and synthesis are the pair identities of the module

@@ -542,6 +542,9 @@ class TestRestrictionMapLanczos:
             ("exp_xy", 1.75, lambda s: Region.radial_disc(0.5).complement(), (2, 8)),
             ("exp_x", 2.0, lambda s: Region.sector(1.0), (4, 8)),
             ("exp_xy", 1.75, _node_mask, (4, 8)),
+            # a negative eps on a radial J: the mode pairs with their sign and phase
+            ("exp_x", -0.8, lambda s: Region.radial_disc(0.6).complement(), (12, 24)),
+            ("exp_xy", -1.75, lambda s: Region.annulus(0.5), (12, 24)),
         ],
     )
     def test_matches_dense_norm(self, grid_16_64, kind, eps, j_of, shape):
@@ -644,6 +647,20 @@ class TestTransformedData:
             transformed_constraint_data(p)
         with pytest.raises(ValueError, match=message):
             transformed_constraint_data(p, norm_grid_shape=(12, 48))
+
+    @pytest.mark.parametrize("kind", ["exp_x", "exp_xy"])
+    def test_zero_data_take_no_transform(self, grid_24_96, monkeypatch, kind):
+        # phi alpha conj(h_J) vanishes: h_J^* is h_J itself, and rho is the same
+        p = make_problem(grid_24_96, getattr(Conductivity, kind)(grid_24_96, 0.8), degree=4)
+        _, m_star = transformed_constraint_data(p)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a Teodorescu transform of zero data")
+
+        monkeypatch.setattr("bergbep.fbep.teodorescu", forbidden)
+        h_star, m_again = transformed_constraint_data(p)
+        assert h_star is p.h_j
+        assert m_again == m_star
 
     def test_mask_j_on_the_problem_grid(self):
         p = self._mask_problem((16, 64))
@@ -952,6 +969,31 @@ class TestPairCore:
         w_star = sol.basis.synthesize(sol.coeffs)
         assert np.max(np.abs(w_star.values - sol.w_star.values)) <= 1e-14
         assert all(el.converged and el.iterations == 1 for el in sol.basis.elements)
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_zero_j_data_take_no_moments(self, grid_16_64, monkeypatch, sampled):
+        # h_J = 0 has zero moments: the core asks the basis for the K-moments alone
+        from bergbep.vekua import _PairBasis
+
+        f = Conductivity.exp_xy(grid_16_64, 1.75)
+        basis = build_fbep_space(f, 4)
+        if sampled:
+            basis = VekuaBasis(basis.alpha, basis.elements)
+        p = make_problem(grid_16_64, f, degree=4)
+        expected = solve_fbep(p, basis)
+        calls = []
+        for cls in (VekuaBasis, _PairBasis):
+            original = cls.__dict__["_moments"]
+
+            def recording(self, w, h, _original=original):
+                calls.append("K" if h is p.h_k.values else "J")
+                return _original(self, w, h)
+
+            monkeypatch.setattr(cls, "_moments", recording)
+        sol = solve_fbep(p, basis)
+        assert calls == ["K"]
+        assert np.array_equal(sol.coeffs, expected.coeffs)
+        assert sol._assembly[1].r_j.dtype == float and not np.any(sol._assembly[1].r_j)
 
 
 class TestBasisGrid:

@@ -618,9 +618,14 @@ class TestModePairLift:
             pytest.param("exp_x", 2.5, (16, 64), 6, id="exp_x-2.5"),
             pytest.param("exp_xy", 1.75, (16, 64), 6, id="exp_xy-1.75"),
             pytest.param("exp_xy", 6.0, (16, 64), 6, id="exp_xy-6.0"),
+            # a negative eps flips b, and exp_xy carries the phase i; const has b = 0
+            pytest.param("exp_x", -0.8, (16, 64), 6, id="exp_x--0.8"),
+            pytest.param("exp_xy", -1.75, (16, 64), 6, id="exp_xy--1.75"),
+            pytest.param("constant", 2.0, (16, 64), 6, id="const"),
             # e_15 in a collided pair, at high contrast
             pytest.param("exp_x", 2.5, (8, 31), 15, id="exp_x-2.5-8x31-15"),
             pytest.param("exp_xy", 6.0, (8, 32), 15, id="exp_xy-6.0-8x32-15"),
+            pytest.param("exp_xy", -1.75, (8, 32), 15, id="exp_xy--1.75-8x32-15"),
         ],
     )
     def test_matches_dense_oracle(self, kind, eps, shape, degree):
@@ -650,6 +655,11 @@ class TestModePairLift:
             ("exp_x", 0.5, (8, 31), 15),  # e_15 in a collided pair
             ("exp_xy", 0.5, (8, 32), 15),  # e_15 in a collided pair
             ("exp_xy", 0.5, (8, 31), 15),  # e_14 and e_15 in each other's modes
+            # a negative eps flips b, exp_xy carries the phase i, and const has b = 0
+            ("exp_x", -0.8, (16, 64), 6),
+            ("exp_xy", -1.75, (16, 64), 6),
+            ("constant", 2.0, (16, 64), 6),
+            ("exp_xy", -1.75, (8, 32), 15),  # e_15 in a collided pair, with the phase i
         ],
     )
     def test_certificate_matches_grid_apply(self, kind, eps, shape, degree):
