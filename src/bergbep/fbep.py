@@ -60,6 +60,7 @@ import numpy as np
 from .bep import ConstrainedLSQ, _check_problem
 from .grid import DiscGrid, GridFunction, Region
 from .vekua import (
+    _LIFT_TOL,
     Conductivity,
     VekuaBasis,
     alpha_from_f,
@@ -83,7 +84,7 @@ class FbepProblem:
     h_j: GridFunction
     m: float
     degree: int
-    lift_tol: float = 1e-9
+    lift_tol: float = _LIFT_TOL
 
     def __post_init__(self):
         _check_problem(self)

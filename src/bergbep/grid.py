@@ -31,13 +31,13 @@ output mode k with radial weight
     T_k(r) = -2 r^k int_r^1 g_{k+1}(rho) rho^{-k} d rho    (k >= 0)
 
 The one-sided radial integrals are sums over the inter-node panels in
-s = rho^2 of locally interpolated integrands, with the steep power
-factors evaluated in scaled form (every exponent <= 0) so that nothing
-over- or underflows.  They are linear in the ring samples of the input
-mode, so each grid assembles them once as one real n_r x n_r matrix per
-angular mode; an apply to any stack of grid functions is an fft along
-theta, one batched matmul over the modes and an inverse fft.  The
-transform of a constant reproduces conj(z) to rounding.
+s = rho^2 of integrands interpolated from 8 nearby rings, with the steep
+power factors in scaled form (every factor <= 1) so nothing over- or
+underflows.  Each grid assembles them once, one real n_r x n_r matrix
+per angular mode: banded panel cells summed by one ring recurrence per
+side, O(n_theta n_r^2) work, the matrices its only large allocation.  An
+apply to a stack of grid functions is an fft along theta, one batched
+matmul over the modes and an inverse fft; T[1] is conj(z) to rounding.
 """
 
 from __future__ import annotations
@@ -227,7 +227,8 @@ class _TeodorescuOperator:
 
     matrices[m] maps the samples of input mode k_m on the rings to the
     samples of output mode k_m - 1; apply is an fft along theta, one
-    batched matmul over the modes and an inverse fft.
+    batched matmul over the modes and an inverse fft.  The build (banded
+    cells, one ring recurrence per side) costs O(n_theta n_r^2).
     """
 
     def __init__(self, radial_nodes: np.ndarray, thetas: np.ndarray):
@@ -252,8 +253,7 @@ class _TeodorescuOperator:
         log_a = 0.5 * np.log(aux_s)
         log_r = np.log(r)
 
-        # barycentric interpolation in s from the _N_STENCIL nearest rings
-        # onto each panel's aux points, as a dense (panels, aux, n_r) map
+        # barycentric weights in s onto the aux points from the _N_STENCIL rings idx
         n_st = min(_N_STENCIL, n_r)
         starts = np.clip(np.arange(n_r + 1) - n_st // 2, 0, n_r - n_st)
         idx = starts[:, None] + np.arange(n_st)[None, :]  # (panels, n_st)
@@ -263,29 +263,28 @@ class _TeodorescuOperator:
         bw = 1.0 / np.prod(gaps, axis=2)
         # the aux points lie strictly inside the panels, never on a node
         terms = bw[:, None, :] / (aux_s[:, :, None] - nodes[:, None, :])
-        interp = np.zeros((n_r + 1, _N_AUX, n_r))
-        np.put_along_axis(
-            interp, idx[:, None, :], terms / terms.sum(axis=2, keepdims=True), axis=2
-        )
+        bary = terms / terms.sum(axis=2, keepdims=True)
 
         # ring i collects the panels on its side of the Cauchy kernel:
         #   T_k(r_i) = sum_{l <= i} exp(k (log r_i - log r_l)) c_l   (k <= -1)
         #   T_k(r_i) = -sum_{l >= i} exp(k (log r_i - log r_l)) c_l  (k >= 0)
-        # where c_l integrates panel l (k <= -1) or l + 1 (k >= 0) scaled
-        # to ring l; every exponent is <= 0, so nothing overflows
-        lower = np.tri(n_r, dtype=bool)
-        gap = log_r[:, None] - log_r[None, :]
+        # where c_l, banded on its stencil, integrates panel l (k <= -1) or
+        # l + 1 (k >= 0) scaled to ring l; from the previous ring i' on its side,
+        # row_i = exp(k (log r_i - log r_i')) row_i' + c_i, every factor <= 1
         self.matrices = np.empty((n_t, n_r, n_r))
-        for modes, panels, keep, sign in (
-            (np.nonzero(inner)[0], slice(0, n_r), lower, 1.0),
-            (np.nonzero(~inner)[0], slice(1, n_r + 1), lower.T, -1.0),
+        for modes, panels, rings, sign in (
+            (np.nonzero(inner)[0], slice(0, n_r), range(n_r), 1.0),
+            (np.nonzero(~inner)[0], slice(1, n_r + 1), range(n_r - 1, -1, -1), -1.0),
         ):
-            k, par, la = k_out[modes], parity[modes], log_a[panels]
+            k, par, la, first = k_out[modes], parity[modes], log_a[panels], starts[panels]
             weights = aux_w[panels] * np.exp(k * (log_r[:, None] - la) + (par - 1.0) * la)
-            cells = np.einsum("mlq,lqj->mlj", weights, interp[panels])
-            cells /= np.where(par > 0.0, r, 1.0)  # the odd-mode reduction at the nodes
-            decay = np.exp(np.where(keep, k * gap, -np.inf))
-            self.matrices[modes] = sign * (decay @ cells)
+            cells = np.einsum("mlq,lqt->mlt", sign * weights, bary[panels])
+            cells /= np.where(par > 0.0, r[idx[panels]], 1.0)  # the odd-mode reduction
+            row, prev = np.zeros((modes.size, n_r)), rings[0]
+            for i in rings:
+                row *= np.exp(k[:, 0] * (log_r[i] - log_r[prev]))
+                row[:, first[i] : first[i] + n_st] += cells[:, i]
+                self.matrices[modes, i], prev = row, i
         self.phase = np.exp(-1j * thetas)
 
     def apply(self, values: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from .bep import BepProblem, BepSolution
 from .bergman import AnalyticCoeffs
 from .fbep import FbepProblem, FbepSolution
 from .grid import DiscGrid, GridFunction, Region, build_grid
-from .vekua import Conductivity
+from .vekua import _LIFT_TOL, Conductivity
 
 TOOL_VERSION = "0.1.0"
 LAMBDA_CONVENTION = (
@@ -44,11 +44,10 @@ def _typed(value, kinds) -> bool:
 
 
 def _finite(value, what: str, pairs: bool = False):
-    """A number of a problem file as a finite float, or with pairs a list of
-    [re, im] pairs as one (n, 2) float array.  Booleans, strings and integers
-    beyond the float range raise SchemaError, as NaN and infinities do."""
-    if pairs and not value:  # callers pass a list
-        return np.empty((0, 2))
+    """A number of a problem file as a finite float, or with pairs a non-empty
+    list of [re, im] pairs as one (n, 2) float array.  Booleans, strings and
+    integers beyond the float range raise SchemaError, as NaN, infinities and
+    an empty list do."""
     cells = np.array(value, dtype=object)
     ok = cells.shape[1:] == (2,) if pairs else cells.ndim == 0
     kinds = set(map(type, cells.flat))
@@ -58,7 +57,7 @@ def _finite(value, what: str, pairs: bool = False):
     except OverflowError:
         numbers = None
     if numbers is None or not np.isfinite(numbers).all():
-        expected = "a list of finite [re, im] pairs" if pairs else "a finite number"
+        expected = "a non-empty list of finite [re, im] pairs" if pairs else "a finite number"
         raise SchemaError(f"{what} must be {expected}, got {value!r:.60}")
     return numbers if pairs else float(numbers)
 
@@ -243,7 +242,7 @@ def normalize_problem(doc) -> dict:
     }
     if "conductivity" in doc:
         out["conductivity"] = normalize_conductivity_spec(doc["conductivity"])
-        lift_tol = _finite(doc.get("lift_tol", 1e-9), "lift_tol")
+        lift_tol = _finite(doc.get("lift_tol", _LIFT_TOL), "lift_tol")
         if lift_tol <= 0.0:
             raise SchemaError(f"lift_tol must be positive, got {lift_tol!r}")
         out["lift_tol"] = lift_tol
@@ -284,8 +283,6 @@ def _problem(doc: dict) -> BepProblem | FbepProblem:
             degree=doc["degree"],
         )
     except ValueError as exc:
-        if isinstance(exc, SchemaError):
-            raise
         raise SchemaError(str(exc)) from exc
 
 

@@ -99,6 +99,7 @@ from .grid import DiscGrid, GridFunction, GridMismatchError, Region, build_grid,
 logger = logging.getLogger("bergbep")
 
 _MAX_LIFT_ITER = 60  # Neumann steps of a lift
+_LIFT_TOL = 1e-9  # a lift's default relative tolerance
 _UNITS = np.array([[1.0, 1.0], [1.0j, -1.0j]])  # lifts of e_n, i e_n: X + Y, i X - i Y
 
 
@@ -294,7 +295,7 @@ class VekuaFunction:
         return self.w.grid
 
 
-def vekua_lift(seed: AnalyticCoeffs, alpha: GridFunction, tol: float = 1e-9) -> VekuaFunction:
+def vekua_lift(seed: AnalyticCoeffs, alpha: GridFunction, tol: float = _LIFT_TOL) -> VekuaFunction:
     """Lift an analytic seed into the Vekua space of alpha.
 
     Iterates w <- seed + T[alpha conj(w)] from w = seed.  Converges
@@ -455,7 +456,7 @@ def _mode_pair_lift(alpha: GridFunction, mode: tuple, degree: int, tol: float) -
                       np.tile(residuals, 2), tol)
 
 
-def build_fbep_space(f: Conductivity, degree: int, tol: float = 1e-9) -> VekuaBasis:
+def build_fbep_space(f: Conductivity, degree: int, tol: float = _LIFT_TOL) -> VekuaBasis:
     """Lift {e_0..e_N, i e_0..i e_N} into the Vekua space of f.
 
     For the closed-form kinds (const, exp_x, exp_xy) alpha is a single

@@ -65,6 +65,10 @@ class TestProject:
         with pytest.raises(ValueError, match="non-empty 1-d array"):
             AnalyticCoeffs([])
 
+    def test_rejects_nonfinite_coefficients(self):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            AnalyticCoeffs([1.0, np.nan])
+
     def test_parseval(self, grid_24_96):
         c = AnalyticCoeffs(np.array([0.5, -0.25j, 0.0, 1.0 + 1.0j]))
         g = c.on_grid(grid_24_96)

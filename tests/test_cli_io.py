@@ -72,6 +72,8 @@ class TestFunctionSpec:
             {"kind": "grid", "values": "zzz"},
             {"kind": "wat"},
             [],
+            {"kind": "builtin", "name": "basis", "n": -1},
+            {"kind": "coeffs", "coeffs": []},
         ],
     )
     def test_rejects_malformed(self, bad):
@@ -106,6 +108,10 @@ class TestRegionSpec:
     def test_rejects_bad_variant(self):
         with pytest.raises(SchemaError):
             normalize_region_spec({"variant": "pentagon"})
+
+    def test_rejects_non_object(self):
+        with pytest.raises(SchemaError, match="region spec must be an object"):
+            normalize_region_spec([])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(SchemaError):
@@ -241,6 +247,11 @@ class TestProblemFile:
         doc = load_json(BEP_FIXTURE)
         mutate(doc)
         with pytest.raises(SchemaError):
+            problem_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [[], "problem", 1.0])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(SchemaError, match="problem document must be an object"):
             problem_from_dict(doc)
 
 
@@ -745,9 +756,11 @@ def test_cli_as_a_process(tmp_path):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
 
-    def run(*argv):
+    def run(*argv, **extra_env):
         cmd = [sys.executable, "-m", "bergbep.cli", *argv]
-        return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        return subprocess.run(
+            cmd, env=dict(env, **extra_env), capture_output=True, text=True, timeout=120
+        )
 
     outs = [tmp_path / "a.json", tmp_path / "b.json"]
     for out in outs:
@@ -765,3 +778,8 @@ def test_cli_as_a_process(tmp_path):
     done = run("solve-bep", "--problem", str(malformed), "--out", str(tmp_path / "d.json"))
     assert done.returncode == 1 and done.stderr.startswith("error:")
     assert "Traceback" not in done.stderr
+
+    # an unknown BERGBEP_LOG level falls back to errors only: a solve logs nothing
+    done = run("solve-bep", "--problem", BEP_FIXTURE, "--out", str(tmp_path / "e.json"),
+               BERGBEP_LOG="bogus")
+    assert done.returncode == 0 and done.stderr == ""

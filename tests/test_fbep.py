@@ -407,6 +407,12 @@ class TestRestrictionMapNorm:
         assert abs(rho - 1.0) <= 2.0 * 0.1
         assert abs(rho - at_edge) <= 1e-6
 
+    def test_j_without_nodes(self, grid_24_96):
+        # a J that no cell of the norm grid overlaps has no restriction map
+        f = Conductivity.exp_x(grid_24_96, 0.2)
+        with pytest.raises(ValueError, match="carries no nodes"):
+            restriction_map_norm(f, Region.radial_disc(1e-9))
+
 
 def _norm_by_columns(kind, eps, j_region, shape):
     """The restriction-map norm assembled column by column, two applies per J node."""

@@ -15,6 +15,7 @@ from bergbep import (
     gram,
     inner_product,
 )
+from bergbep.grid import _N_AUX, _N_STENCIL, _fft_modes, _TeodorescuOperator
 
 
 def monomial_integral(grid, m, n):
@@ -340,6 +341,10 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction(grid_16_64, vals)
 
+    def test_rejects_wrong_shape(self, grid_16_64):
+        with pytest.raises(ValueError, match="values shape"):
+            GridFunction(grid_16_64, np.ones((grid_16_64.n_radial + 1, grid_16_64.angular_count)))
+
     def test_arithmetic_stays_finite(self, grid_16_64):
         g = GridFunction.from_function(grid_16_64, lambda z: z)
         h = (2.0 * g - g * g + g.conj()) * 0.5
@@ -348,3 +353,77 @@ class TestGridFunction:
     def test_norm_matches_inner_product(self, grid_16_64):
         g = GridFunction.from_function(grid_16_64, lambda z: z + 1j)
         assert abs(g.norm() ** 2 - inner_product(g, g).real) <= 1e-14
+
+
+def _dense_teodorescu(r, thetas):
+    """The Teodorescu mode matrices by the dense construction: a (panels, aux,
+    n_r) interpolation map and the masked triangular kernel times the cells."""
+    n_r, n_t = r.size, thetas.size
+    ks = _fft_modes(n_t)
+    k_out = (ks - 1.0)[:, None, None]
+    inner = ks <= 0
+    parity = (np.abs(ks) % 2).astype(float)[:, None, None]
+    s = r**2
+    edges = np.concatenate(([0.0], s, [1.0]))
+    x, w = np.polynomial.legendre.leggauss(_N_AUX)
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    half = (edges[1:] - edges[:-1]) / 2.0
+    aux_s = mid[:, None] + half[:, None] * x[None, :]
+    aux_w = half[:, None] * w[None, :]
+    log_a = 0.5 * np.log(aux_s)
+    log_r = np.log(r)
+    n_st = min(_N_STENCIL, n_r)
+    starts = np.clip(np.arange(n_r + 1) - n_st // 2, 0, n_r - n_st)
+    idx = starts[:, None] + np.arange(n_st)[None, :]
+    nodes = s[idx]
+    gaps = nodes[:, None, :] - nodes[:, :, None]
+    gaps[:, np.arange(n_st), np.arange(n_st)] = 1.0
+    terms = (1.0 / np.prod(gaps, axis=2))[:, None, :] / (aux_s[:, :, None] - nodes[:, None, :])
+    interp = np.zeros((n_r + 1, _N_AUX, n_r))
+    np.put_along_axis(interp, idx[:, None, :], terms / terms.sum(axis=2, keepdims=True), axis=2)
+    lower = np.tri(n_r, dtype=bool)
+    gap = log_r[:, None] - log_r[None, :]
+    matrices = np.empty((n_t, n_r, n_r))
+    for modes, panels, keep, sign in (
+        (np.nonzero(inner)[0], slice(0, n_r), lower, 1.0),
+        (np.nonzero(~inner)[0], slice(1, n_r + 1), lower.T, -1.0),
+    ):
+        k, par, la = k_out[modes], parity[modes], log_a[panels]
+        weights = aux_w[panels] * np.exp(k * (log_r[:, None] - la) + (par - 1.0) * la)
+        cells = np.einsum("mlq,lqj->mlj", weights, interp[panels])
+        cells /= np.where(par > 0.0, r, 1.0)
+        decay = np.exp(np.where(keep, k * gap, -np.inf))
+        matrices[modes] = sign * (decay @ cells)
+    return matrices
+
+
+class TestTeodorescuBuild:
+    # the operator sums banded panel cells by one ring recurrence per side;
+    # the dense construction is the reference, mode by mode
+    @pytest.mark.parametrize(
+        "shape",
+        [(n_r, n_t) for n_r in range(2, 12) for n_t in (4, 5, 8, 9, 16, 33)]
+        + [(24, 96), (64, 128)],
+    )
+    def test_matches_dense_construction(self, shape):
+        grid = build_grid(*shape)
+        ref = _dense_teodorescu(grid.radial_nodes, grid.thetas)
+        got = grid.teodorescu.matrices
+        assert got.shape == ref.shape
+        for m in range(shape[1]):
+            assert np.linalg.norm(got[m] - ref[m]) <= 1e-14 * np.linalg.norm(ref[m])
+
+    def test_build_holds_no_dense_temporary(self):
+        # a (modes, n_r, n_r) temporary or the (panels, aux, n_r) map would
+        # take the traced peak of the build past 1.5x the matrices it returns
+        import tracemalloc
+
+        grid = build_grid(128, 256)
+        r, thetas = grid.radial_nodes, grid.thetas
+        tracemalloc.start()
+        try:
+            op = _TeodorescuOperator(r, thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * op.matrices.nbytes

@@ -59,6 +59,8 @@ class TestDbar:
         grid = build_grid(4, 16)
         with pytest.raises(ValueError):
             dbar(GridFunction.constant(grid))
+        with pytest.raises(ValueError, match="grid too coarse"):
+            laplacian_residual(GridFunction.constant(build_grid(2, 8)))
 
 
 class TestAlphaFromF:
