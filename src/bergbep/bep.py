@@ -14,7 +14,9 @@ both sides, and every basis answers it through the same four private
 members: the eigendecomposition of its full-disc Gram form (_full_form,
 a FullForm of eigenvalues and eigenvectors), its Gram form under any
 node weights (_form(w)), the data moments (_moments(w, h)) and its
-synthesis c -> grid values (_synthesis(c)).  The core whitens by the
+synthesis c -> grid values (_synthesis(c)).  A basis whose elements each
+live in one angular mode may give a fifth, its ring spectrum
+(_ring_spectrum(rings)); the BEP's does.  The core whitens by the
 full-disc form through its one whitening W = V diag(vals)^(-1/2) over
 the directions above _DROP_RCOND of the top eigenvalue
 (FullForm.whitening, the one rank rule, which the degree diagnostic
@@ -35,12 +37,23 @@ of mu evaluated from the whitened forms at O(N) (the secular function
 of a quadratically constrained least squares; Gander 1981), and a
 safeguarded Newton search on 1/err_J(mu) - 1/M finds mu in a handful of
 evaluations, verified monotone at runtime.  The end point is checked on
-the grid by synthesis: if the grid value misses M by more than the stop
-tolerance, as it can when err_J << ||h_J||_J and the form value
-cancels, the same search continues on grid values with the forms'
-slope.  The problem is homogeneous in (h_K, h_J, M), so every tolerance
-of the search, its infeasibility test and its end checks is relative to
-size = max(M, ||h_J||_J), in the core and in the oracle alike.
+the grid: if the grid value misses M by more than the stop tolerance, as
+it can when err_J << ||h_J||_J and the form value cancels, the same
+search continues on grid values with the forms' slope.  A grid value is
+the quadrature sum sum_S w_S |g - h_S|^2, measured one of two ways.  A
+side whose weights are constant along theta (a disc, an annulus, their
+complements, the full disc), over a basis with a ring spectrum
+(_PolarBasis._ring_spectrum), is measured by Parseval on each of its
+rings from the side's data spectrum, taken once when the core is built
+(_RingSide): mode by mode, with no synthesis of g, and the same spectrum
+gives that side's moments.  Sectors, masks and the Vekua bases (sampled
+or mode-pair) are measured at the nodes on the synthesis g =
+synthesize(c) (_GridSide), which the core makes only for such a side.
+Neither way expands the square, which is the cancellation the grid
+check exists to catch.  The problem is homogeneous in (h_K, h_J, M), so
+every tolerance of the search, its infeasibility test and its end
+checks is relative to size = max(M, ||h_J||_J), in the core and in the
+oracle alike.
 
 The independent oracle shares only the end checks (_check_saturated)
 with the core: it sums the dense quadrature forms over blocks of rings
@@ -69,6 +82,7 @@ from .bergman import (
     AnalyticCoeffs,
     _basis_forms,
     _check_degree,
+    _radial_powers,
     _ring_factors,
     _ring_gram,
     _ring_moments,
@@ -151,9 +165,12 @@ class BepSolution:
 class LsqSolution(NamedTuple):
     """Coefficients, multiplier mu and search record of ConstrainedLSQ.solve.
 
-    values is the synthesis of coeffs on the grid, the one that checked
-    them against the budget, and err_j their err_J on it.  The core's
-    values are read-only: the mu = 0 fit's serve every budget.
+    err_j is the grid err_J of coeffs that checked them against the
+    budget.  values is their synthesis on the grid if a side of the core
+    is measured at the nodes (a sector or mask, or a basis without a ring
+    spectrum), the one err_j was taken on, and None when both sides are
+    measured by Parseval on their rings.  The core's values are
+    read-only: the mu = 0 fit's serve every budget.
     """
 
     coeffs: np.ndarray
@@ -202,11 +219,18 @@ class FullForm(NamedTuple):
 
 class _PolarBasis:
     """e_0..e_N on the polar grid, as the core asks a basis: the grid norms beside
-    identity eigenvectors, the ring-FFT forms and moments of bergman and the
-    inverse ring FFT."""
+    identity eigenvectors, the ring-FFT forms and moments of bergman, the
+    inverse ring FFT and the ring spectrum sqrt(n+1) r_i^n of e_n, which lives
+    in angular mode n alone."""
 
     def __init__(self, grid, degree: int):
         self.grid, self.degree = grid, degree
+
+    def _ring_spectrum(self, rings: slice) -> np.ndarray:
+        """a_in = sqrt(n+1) r_i^n on the rings: sum_n c_n e_n has the forward-normalized
+        angular spectrum a_in c_n at mode n of ring i, and none off modes 0..N."""
+        n = np.arange(self.degree + 1)
+        return np.sqrt(n + 1.0) * _radial_powers(self.grid, self.degree)[rings]
 
     @property
     def _full_form(self) -> FullForm:
@@ -222,15 +246,104 @@ class _PolarBasis:
         return _ring_synthesis(self.grid, coeffs)
 
 
-def _support(w: np.ndarray, h: np.ndarray) -> tuple[slice, np.ndarray, np.ndarray]:
-    """The rings that carry weight on a side, as one slice of the flat nodes, and
-    views of the weights and data there.  Views, not gathered copies: a copy
-    per side costs more in fresh pages than the nodes it leaves out save."""
-    rows = np.atleast_2d(w)  # grid-shaped (n_r, n_theta); flat weights are one ring
-    rings = np.flatnonzero(np.any(rows, axis=-1))
-    n_t = rows.shape[-1]
-    on = slice(rings[0] * n_t, (rings[-1] + 1) * n_t) if rings.size else slice(0, 0)
-    return on, w.ravel()[on], h.ravel()[on]
+class _GridSide(NamedTuple):
+    """A side measured at its nodes: the rings that carry weight, as one slice of
+    the flat nodes, and views of the weights and data there.  Views, not
+    gathered copies: a copy per side costs more in fresh pages than the nodes
+    it leaves out save."""
+
+    on: slice
+    w: np.ndarray
+    h: np.ndarray
+
+    @classmethod
+    def of(cls, w: np.ndarray, h: np.ndarray) -> "_GridSide":
+        rows = np.atleast_2d(w)  # grid-shaped (n_r, n_theta); flat weights are one ring
+        on = _weighted_rings(rows)
+        n_t = rows.shape[-1]
+        on = slice(on.start * n_t, on.stop * n_t)
+        return cls(on, w.ravel()[on], h.ravel()[on])
+
+    def err_sq(self, values: np.ndarray) -> float:
+        """sum w |values - h|^2 over the side's nodes."""
+        resid = np.subtract(values.ravel()[self.on], self.h, dtype=complex)
+        parts = resid.view(np.float64)  # re, im interleaved
+        parts *= parts
+        return self.w @ (parts[::2] + parts[1::2])
+
+    def h_sq(self) -> float:
+        return np.sum(self.w * (self.h.real**2 + self.h.imag**2))
+
+    def leading(self, n: int) -> "_GridSide":
+        return self
+
+
+class _RingSide(NamedTuple):
+    """A side whose weights are constant along theta, measured by Parseval on its rings.
+
+    On ring i of weight w_i per node, sum_j w_i |v_ij - h_ij|^2 =
+    n_theta w_i sum_k |V_ik - H_ik|^2 over the forward-normalized angular
+    spectra V of v = synthesize(c) and H of h.  V lives in the basis modes
+    0..N (V_ik = a_ik c_k, the basis's _ring_spectrum), so the side keeps H
+    only there (h_hat) and the power of H off them per ring (tail):
+
+        err_S(c)^2 = sum_i n_theta w_i (sum_k |a_ik c_k - H_ik|^2 + tail_i),
+
+    a sum of squares of differences, never the expanded form
+    ||h||^2 - 2 Re <c, r> + c^H A c.  The same H gives the side's moments.
+    """
+
+    weights: np.ndarray  # n_theta w_i on the rings that carry weight
+    amps: np.ndarray  # a_ik there, (rings, N+1)
+    h_hat: np.ndarray  # H_ik at the basis modes, (rings, N+1)
+    tail: np.ndarray  # sum of |H_ik|^2 over the other modes, (rings,)
+
+    @classmethod
+    def of(cls, basis, w: np.ndarray, h: np.ndarray) -> "_RingSide":
+        on = _weighted_rings(w)
+        amps = basis._ring_spectrum(on)
+        h_hat = np.zeros(amps.shape, dtype=complex)
+        tail = np.zeros(amps.shape[0])
+        if np.any(h[on]):  # zero data take no transform
+            spectrum = np.fft.fft(h[on], axis=-1, norm="forward")
+            width = amps.shape[1]
+            h_hat[:] = spectrum[:, :width]
+            tail[:] = _power(spectrum[:, width:])
+        return cls(w.shape[-1] * w[on, 0], amps, h_hat, tail)
+
+    def err_sq(self, c: np.ndarray) -> float:
+        return self.weights @ (_power(self.amps * c - self.h_hat) + self.tail)
+
+    def h_sq(self) -> float:
+        return self.weights @ (_power(self.h_hat) + self.tail)
+
+    def moments(self) -> np.ndarray:
+        """b_n = sum w h conj(e_n) = sum_i n_theta w_i conj(a_in) H_in."""
+        return (self.amps.conj() * self.h_hat).T @ self.weights
+
+    def leading(self, n: int) -> "_RingSide":
+        """The side over the first n basis elements: modes n..N join the tail."""
+        return _RingSide(self.weights, self.amps[:, :n], self.h_hat[:, :n],
+                         self.tail + _power(self.h_hat[:, n:]))
+
+
+def _weighted_rings(w: np.ndarray) -> slice:
+    """The rings of the grid-shaped weights w from the first to the last that carries weight."""
+    rings = np.flatnonzero(np.any(w, axis=-1))
+    return slice(rings[0], rings[-1] + 1) if rings.size else slice(0, 0)
+
+
+def _power(spectrum: np.ndarray) -> np.ndarray:
+    """sum_k |spectrum_ik|^2 along the last axis."""
+    return np.sum(spectrum.real**2 + spectrum.imag**2, axis=-1)
+
+
+def _side(basis, w: np.ndarray, h: np.ndarray):
+    """A _RingSide where the basis has a ring spectrum and w is constant along theta
+    (discs, annuli, their complements, the full disc), else a _GridSide."""
+    if hasattr(basis, "_ring_spectrum") and w.ndim == 2 and np.all(w == w[:, :1]):
+        return _RingSide.of(basis, w, h)
+    return _GridSide.of(w, h)
 
 
 class ConstrainedLSQ:
@@ -240,10 +353,17 @@ class ConstrainedLSQ:
     over the rings that carry weight on S (w_S, h_S grid-shaped).  The core
     takes a basis and the weights and data of both sides, and asks the
     basis for the eigendecomposition of its full-disc Gram form
-    (_full_form), the J-form A_J (_form(w_J)), the moments r_K and r_J
-    (_moments, asked only of data that do not vanish: zero data take zero
-    moments in A_J's dtype) and the synthesis (_synthesis); A_K = A_full -
-    A_J.  The BEP's basis is _PolarBasis, the f-BEP's a VekuaBasis,
+    (_full_form), the J-form A_J (_form(w_J)) and the synthesis
+    (_synthesis); A_K = A_full - A_J.  Each side is measured one of two ways:
+    weights constant along theta, over a basis with a ring spectrum
+    (_ring_spectrum), make a _RingSide, which takes the side's data spectrum
+    once here and measures err_S by Parseval on its rings, mode by mode,
+    and whose moments come from the same spectrum; other weights or bases
+    make a _GridSide, measured on the synthesis at its nodes, whose moments
+    the basis gives (_moments).  Zero data take no transform: a _RingSide
+    keeps a zero spectrum, and a _GridSide zero moments in A_J's dtype.
+    Grid values are synthesized only for a _GridSide (_checked_values).
+    The BEP's basis is _PolarBasis, the f-BEP's a VekuaBasis,
     whatever its representation.  The full-disc form's whitening W (FullForm.whitening)
     drops the directions below _DROP_RCOND of its top eigenvalue, and the
     eigenvectors q of W^H A_J W make whiten = W q, under which the J-form
@@ -253,12 +373,14 @@ class ConstrainedLSQ:
     def __init__(self, basis, w_k, w_j, h_k, h_j):
         self.full = basis._full_form
         self.a_j = basis._form(w_j)
+        self._sides = {"k": _side(basis, w_k, h_k), "j": _side(basis, w_j, h_j)}
         self.r_k, self.r_j = (
-            basis._moments(w, h) if np.any(h) else np.zeros(len(self.a_j), self.a_j.dtype)
-            for w, h in ((w_k, h_k), (w_j, h_j))
+            side.moments() if isinstance(side, _RingSide)
+            else basis._moments(w, h) if np.any(h)
+            else np.zeros(len(self.a_j), self.a_j.dtype)
+            for side, w, h in ((self._sides["k"], w_k, h_k), (self._sides["j"], w_j, h_j))
         )
         self.synthesize = basis._synthesis
-        self._sides = {"k": _support(w_k, h_k), "j": _support(w_j, h_j)}
         self._diagonalize()
 
     @classmethod
@@ -295,14 +417,14 @@ class ConstrainedLSQ:
         sub.full = self.full.leading(n)
         sub.a_j = self.a_j[:n, :n]
         sub.r_k, sub.r_j = self.r_k[:n], self.r_j[:n]
+        sub._sides = {name: side.leading(n) for name, side in self._sides.items()}
         sub._diagonalize()
         return sub
 
     @cached_property
     def _h_j_sq(self) -> float:
         """||h_J||_J^2, computed once and shared with the leading cores."""
-        _, w, h = self._sides["j"]
-        return float(np.sum(w * (h.real**2 + h.imag**2)))
+        return float(self._sides["j"].h_sq())
 
     def _secular(self, mu: float) -> tuple[np.ndarray, np.ndarray]:
         """Whitened solution y(mu) and its derivative y'(mu), with d = (1 - tau) + mu tau:
@@ -330,13 +452,13 @@ class ConstrainedLSQ:
         return float(np.sqrt(max(e2, 0.0))), float(slope)
 
     def err(self, c: np.ndarray, side: str, values: np.ndarray | None = None) -> float:
-        """err_K or err_J of c on the grid; values is synthesize(c) if already at hand."""
-        on, w, h = self._sides[side]
+        """err_K or err_J of c on the grid: by Parseval on the rings of a _RingSide,
+        else at the nodes, from values = synthesize(c) if already at hand."""
+        measured = self._sides[side]
+        if isinstance(measured, _RingSide):
+            return float(np.sqrt(measured.err_sq(c)))
         values = self.synthesize(c) if values is None else values
-        resid = np.subtract(values.ravel()[on], h, dtype=complex)
-        parts = resid.view(np.float64)  # re, im interleaved
-        parts *= parts
-        return float(np.sqrt(w @ (parts[::2] + parts[1::2])))
+        return float(np.sqrt(measured.err_sq(values)))
 
     def kkt(self, c: np.ndarray, mu: float) -> np.ndarray:
         """Gradient of (err_K^2 + mu err_J^2) / 2 in the coefficients."""
@@ -349,17 +471,21 @@ class ConstrainedLSQ:
         y = np.where(fit, self.bt_j / np.where(fit, self.taus, 1.0), 0.0)
         return self.err(self.whiten @ y, "j")
 
-    def _m_free(self) -> tuple[float, np.ndarray, np.ndarray, float]:
+    def _m_free(self) -> tuple[float, np.ndarray, np.ndarray | None, float]:
         """What solve needs at every budget: the feasibility distance and the
-        mu = 0 fit with its grid values and err_J; computed once per core."""
+        mu = 0 fit with its grid values (if a side needs them) and err_J;
+        computed once per core."""
         if self._free is None:
             c0 = self.coeffs(0.0)
             values = self._checked_values(c0)
             self._free = (self.feasibility(), c0, values, self.err(c0, "j", values))
         return self._free
 
-    def _checked_values(self, c: np.ndarray) -> np.ndarray:
-        """synthesize(c), read-only: the grid values a returned solution carries."""
+    def _checked_values(self, c: np.ndarray) -> np.ndarray | None:
+        """synthesize(c), read-only, if a side is measured at the nodes: the grid
+        values a returned solution carries.  None when both sides are _RingSides."""
+        if all(isinstance(side, _RingSide) for side in self._sides.values()):
+            return None
         values = self.synthesize(c)
         values.setflags(write=False)
         return values
@@ -373,8 +499,9 @@ class ConstrainedLSQ:
 
             err_J(y)^2 = ||h_J||_J^2 - 2 Re y^H bt_J + sum tau |y|^2,
 
-        and the returned err_J is evaluated on the grid by synthesis; the
-        solution carries those grid values and that err_J.  If it misses M
+        and the returned err_J is evaluated on the grid (err: by Parseval on
+        the rings, or at the nodes of the synthesis); the solution carries
+        that err_J, and the grid values if a side needed them.  If it misses M
         by more than the stop tolerance (the form value cancels when
         err_J << ||h_J||_J), the search continues from there on grid values
         with the forms' slope (a sum of non-positive terms, it does not cancel).

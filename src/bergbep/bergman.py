@@ -256,9 +256,7 @@ def _ring_synthesis(grid: DiscGrid, coeffs: np.ndarray) -> np.ndarray:
         pad = -n.size % n_t
         terms = np.concatenate((terms, np.zeros(terms.shape[:-1] + (pad,))), axis=-1)
         terms = terms.reshape(terms.shape[:-1] + (-1, n_t)).sum(axis=-2)
-    modes = np.zeros(terms.shape[:-1] + (n_t,), dtype=complex)
-    modes[..., : n.size] = terms
-    return np.fft.ifft(modes, axis=-1, norm="forward")
+    return np.fft.ifft(terms, n=n_t, axis=-1, norm="forward")  # zero-padded to n_theta modes
 
 
 def _check_degree(grid: DiscGrid | None, degree: int) -> None:

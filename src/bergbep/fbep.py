@@ -27,9 +27,12 @@ conductivities, whose lifts each live in two angular modes, the basis
 supplies them from those ring spectra without sampling the lifts on the
 grid, and a J constant along theta (a disc complement, an annulus) and
 the full disc take no weight table; a grid-sampled f, or a basis built
-by hand, supplies them from its samples.  Either way the returned w_*
-carries the grid certificate vekua_defect, from one Teodorescu apply to
-w_* itself.
+by hand, supplies them from its samples.  No Vekua basis gives a ring
+spectrum, so the core measures both sides at the nodes, and w_* is
+synthesized once: it is the search's own synthesis of the returned
+coefficients, the grid values its err_J was checked on.  Either way the
+returned w_* carries the grid certificate vekua_defect, from one
+Teodorescu apply to w_* itself.
 
 The conjectured critical-point equation
 

@@ -473,16 +473,16 @@ class Region:
         lo, hi = edges[:-1], edges[1:]
         r0, r1 = self.radii
         prefix = _cell_fraction(_overlap(lo, hi, 0.0, np.array([[r1**2], [r0**2]])), lo, hi, 1.0)
-        arc = np.ones(grid.angular_count)
-        if self.theta is not None:
-            d = np.pi / grid.angular_count
-            centers = np.mod(grid.thetas + np.pi, 2.0 * np.pi) - np.pi
-            left, right = centers - d, centers + d
-            # cells live in (-pi-d, pi+d); fold the overhanging pieces back
-            arc = sum(_overlap(left + shift, right + shift, -self.theta, self.theta)
-                      for shift in (0.0, -2.0 * np.pi, 2.0 * np.pi))
-            arc = _cell_fraction(arc, left, right, 2.0 * np.pi)
-        return (prefix[0] - prefix[1])[:, None] * arc[None, :]
+        ring = (prefix[0] - prefix[1])[:, None]
+        if self.theta is None:  # the whole circle: the ring fraction on every angle
+            return np.repeat(ring, grid.angular_count, axis=1)
+        d = np.pi / grid.angular_count
+        centers = np.mod(grid.thetas + np.pi, 2.0 * np.pi) - np.pi
+        left, right = centers - d, centers + d
+        # cells live in (-pi-d, pi+d); fold the overhanging pieces back
+        arc = sum(_overlap(left + shift, right + shift, -self.theta, self.theta)
+                  for shift in (0.0, -2.0 * np.pi, 2.0 * np.pi))
+        return ring * _cell_fraction(arc, left, right, 2.0 * np.pi)[None, :]
 
     def _resolve(self, grid: DiscGrid, name: str, compute) -> np.ndarray:
         """compute(grid), kept read-only under name for this grid."""

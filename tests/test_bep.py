@@ -1,4 +1,3 @@
-import functools
 import gc
 import logging
 import os
@@ -32,8 +31,10 @@ from bergbep.bep import (
     FullForm,
     _bisect,
     _check_saturated,
+    _GridSide,
     _newton,
     _PolarBasis,
+    _RingSide,
 )
 from bergbep.bergman import _gram, _moments, _ring_norms, basis_matrix
 from conftest import low_degree_infeasible_problem, saturated_problem
@@ -593,33 +594,35 @@ class TestPolarCore:
         assert sorted(calls) == ["eigh", "eigh", "gram"]
 
     def test_feasibility_distance_transforms_j_data_only(self, saturated_family, monkeypatch):
-        # the feasibility core has zero K data, whose moments are zero without a transform
-        import bergbep.bep as bep
-
+        # the feasibility core has zero K data, whose moments (and, on a disc, ring
+        # spectrum) are zero without a transform: one fft, of the J data
         calls = []
-        ring_moments = bep._ring_moments
-        monkeypatch.setattr(bep, "_ring_moments", lambda *a: calls.append(1) or ring_moments(*a))
-        p = saturated_family[0]
-        feas = feasibility_distance(p.h_j, p.j_region, p.degree)
-        assert calls == [1]
-        assert feas == ConstrainedLSQ.from_problem(p).feasibility()
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda *a, **k: calls.append(1) or fft(*a, **k))
+        for p in saturated_family[:2]:  # a disc K, a sector K
+            calls.clear()
+            feas = feasibility_distance(p.h_j, p.j_region, p.degree)
+            assert calls == [1]
+            assert feas == ConstrainedLSQ.from_problem(p).feasibility()
 
     def test_grid_passes(self, saturated_family, monkeypatch):
         # the problem's core: the J-fit, the mu = 0 fit, the end point and err_K;
-        # the leading core: the first three, with ||h_J||_J^2 from its parent
+        # the leading core: the first three, with ||h_J||_J^2 from its parent.  A
+        # disc K measures both sides by Parseval on the rings, a sector K at the nodes.
         calls = []
-        err, h_j_sq = ConstrainedLSQ.err, ConstrainedLSQ._h_j_sq.func
-        counted = functools.cached_property(lambda self: calls.append("h") or h_j_sq(self))
-        counted.__set_name__(ConstrainedLSQ, "_h_j_sq")
-        monkeypatch.setattr(ConstrainedLSQ, "_h_j_sq", counted)
-        monkeypatch.setattr(
-            ConstrainedLSQ,
-            "err",
-            lambda self, c, side, *a: calls.append(side) or err(self, c, side, *a),
-        )
-        sol = solve_bep(saturated_family[0])
-        assert sol.saturated and sol.degree_gap is not None
-        assert sorted(calls) == ["h", "j", "j", "j", "j", "j", "j", "k"]
+        for cls in (_RingSide, _GridSide):
+            for name in ("err_sq", "h_sq"):
+                method = getattr(cls, name)
+                monkeypatch.setattr(
+                    cls, name, lambda self, *a, _c=cls, _n=name, _m=method:
+                    calls.append((_c, _n)) or _m(self, *a)
+                )
+        for p, path in zip(saturated_family[:2], (_RingSide, _GridSide)):
+            calls.clear()
+            sol = solve_bep(p)
+            assert sol.saturated and sol.degree_gap is not None
+            assert sorted(name for _, name in calls) == ["err_sq"] * 7 + ["h_sq"]
+            assert {cls for cls, _ in calls} == {path}
 
     def test_matches_two_eigh_reference(self, saturated_family, sector_mask_64):
         # the same core over dense forms of basis_matrix, whitened by eigh of the full-disc form
@@ -629,6 +632,93 @@ class TestPolarCore:
             assert reference.saturated and sol.saturated
             c = sol.g0.coeffs
             assert np.max(np.abs(c - reference.coeffs)) <= 1e-11 * np.max(np.abs(reference.coeffs))
+
+
+class TestParsevalSides:
+    """Sides whose weights are constant along theta are measured by Parseval on
+    their rings, from the data spectrum taken once when the core is built."""
+
+    @staticmethod
+    def _sides(grid):
+        """(w_K, w_J) of a disc, an annulus, a disc complement and the full disc."""
+        full = grid.weights
+        sides = [(k.weights(grid), k.complement().weights(grid))
+                 for k in (Region.radial_disc(0.45), Region.annulus(0.6),
+                           Region.radial_disc(0.7).complement())]
+        return sides + [(full, np.zeros(grid.shape))]
+
+    @pytest.mark.parametrize("shape, degree", [((24, 96), 16), ((128, 256), 60)])
+    def test_err_is_the_grid_sum(self, shape, degree):
+        grid = build_grid(*shape)
+        rng = np.random.default_rng(degree)
+        h = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        basis = _PolarBasis(grid, degree)
+        for w_k, w_j in self._sides(grid):
+            core = ConstrainedLSQ(basis, w_k, w_j, h, 0.5 * h)
+            assert {type(side) for side in core._sides.values()} == {_RingSide}
+            for _ in range(3):
+                c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+                values = basis._synthesis(c)
+                for side, w, data in (("k", w_k, h), ("j", w_j, 0.5 * h)):
+                    grid_sum = np.sqrt(np.sum(w * np.abs(values - data) ** 2))
+                    scale = np.sqrt(np.sum(w * np.abs(data) ** 2)) + np.sqrt(
+                        np.sum(w * np.abs(values) ** 2))
+                    assert abs(core.err(c, side) - grid_sum) <= 1e-14 * scale
+
+    def test_moments_and_norm_match_the_grid(self, grid_24_96):
+        # the same data spectrum gives the moments and ||h_J||_J^2, for a core and
+        # for the degree diagnostic's leading core, whose extra modes join the tail
+        rng = np.random.default_rng(5)
+        h = rng.standard_normal(grid_24_96.shape) + 1j * rng.standard_normal(grid_24_96.shape)
+        basis = _PolarBasis(grid_24_96, 16)
+        for w_k, w_j in self._sides(grid_24_96)[:3]:
+            core = ConstrainedLSQ(basis, w_k, w_j, h, h)
+            for r, w in ((core.r_k, w_k), (core.r_j, w_j)):
+                grid_r = basis._moments(w, h)
+                assert np.max(np.abs(r - grid_r)) <= 1e-14 * np.max(np.abs(grid_r))
+            h_sq = np.sum(w_j * np.abs(h) ** 2)
+            assert abs(core._h_j_sq - h_sq) <= 1e-14 * h_sq
+            lead = core.leading(9)
+            c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+            values = basis._synthesis(np.concatenate((c, np.zeros(8))))
+            grid_sum = np.sqrt(np.sum(w_k * np.abs(values - h) ** 2))
+            assert abs(lead.err(c, "k") - grid_sum) <= 1e-14 * grid_sum
+
+    def test_sectors_and_masks_measure_at_the_nodes(self, grid_24_96):
+        basis = _PolarBasis(grid_24_96, 12)
+        h = np.ones(grid_24_96.shape)
+        for k in (Region.sector(1.2), Region.mask(np.abs(grid_24_96.nodes - 0.2) < 0.45)):
+            core = ConstrainedLSQ(basis, k.weights(grid_24_96),
+                                  k.complement().weights(grid_24_96), h, h)
+            assert {type(side) for side in core._sides.values()} == {_GridSide}
+
+    @pytest.mark.parametrize("index, count", [(0, 0), (1, 6)])  # a disc K, a sector K
+    def test_radial_solve_synthesizes_nothing(self, saturated_family, monkeypatch, index,
+                                              count):
+        # the problem's core and the degree diagnostic's: a disc K takes no
+        # synthesis; a sector K the J-fit, the mu = 0 fit and the end point of each
+        import bergbep.bep as bep
+
+        synthesis, calls = bep._ring_synthesis, []
+        monkeypatch.setattr(
+            bep, "_ring_synthesis", lambda grid, c: calls.append(1) or synthesis(grid, c)
+        )
+        sol = solve_bep(saturated_family[index])
+        assert sol.saturated and sol.degree_gap is not None
+        assert len(calls) == count
+
+    @pytest.mark.parametrize("kind", ["disc", "annulus", "sector", "mask"])
+    @pytest.mark.parametrize("zero", ["k", "j"])
+    def test_zero_data_take_no_fft(self, grid_24_96, monkeypatch, kind, zero):
+        p = _region_problem(grid_24_96, kind, 12)
+        data = {"k": p.h_k.values, "j": p.h_j.values, zero: np.zeros(grid_24_96.shape)}
+        w_k, w_j = p.k_region.weights(grid_24_96), p.j_region.weights(grid_24_96)
+        calls = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda *a, **k: calls.append(1) or fft(*a, **k))
+        core = ConstrainedLSQ(_PolarBasis(grid_24_96, 12), w_k, w_j, data["k"], data["j"])
+        assert calls == [1]  # the other side's data
+        assert not np.any(core.r_k if zero == "k" else core.r_j)
 
 
 class TestFullForm:
@@ -855,24 +945,25 @@ class TestNewtonSearch:
         assert np.array_equal(core.solve(1e6).coeffs, fresh[-1].coeffs)
 
     def test_solution_errors_share_one_synthesis(self, saturated_family, monkeypatch):
-        # saturated: the J-fit, the mu = 0 fit and the end point; inactive: the
-        # first two.  The solution's errors reuse the search's grid values.
+        # a sector K, saturated: the J-fit, the mu = 0 fit and the end point;
+        # inactive: the first two.  The solution's errors reuse the search's grid
+        # values.  A disc K measures by Parseval on the rings and synthesizes nothing.
         import bergbep.bep as bep
 
-        p = saturated_family[0]
-        inactive = BepProblem(p.k_region, p.j_region, p.h_k, p.h_j, 1e6, p.degree)
         synthesis, calls = bep._ring_synthesis, []
         monkeypatch.setattr(
             bep, "_ring_synthesis", lambda grid, c: calls.append(1) or synthesis(grid, c)
         )
-        for problem, count in ((p, 3), (inactive, 2)):
-            calls.clear()
-            sol = solve_bep(problem, degree_diagnostic=False)
-            assert len(calls) == count
-            assert sol.saturated == (problem is p)
-            core = ConstrainedLSQ.from_problem(problem)
-            c = sol.g0.coeffs
-            assert (sol.err_k, sol.err_j) == (core.err(c, "k"), core.err(c, "j"))
+        for p, counts in ((saturated_family[1], (3, 2)), (saturated_family[0], (0, 0))):
+            inactive = BepProblem(p.k_region, p.j_region, p.h_k, p.h_j, 1e6, p.degree)
+            for problem, count in zip((p, inactive), counts):
+                calls.clear()
+                sol = solve_bep(problem, degree_diagnostic=False)
+                assert len(calls) == count
+                assert sol.saturated == (problem is p)
+                core = ConstrainedLSQ.from_problem(problem)
+                c = sol.g0.coeffs
+                assert (sol.err_k, sol.err_j) == (core.err(c, "k"), core.err(c, "j"))
 
 
 class TestDataScale:

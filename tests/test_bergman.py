@@ -340,6 +340,31 @@ class TestPolarLayer:
         horner = c.eval(grid.nodes)
         assert np.max(np.abs(c.on_grid(grid).values - horner)) <= 1e-13 * np.max(np.abs(horner))
 
+    @pytest.mark.parametrize(
+        "shape, count", [((128, 256), 61), ((24, 96), 17), ((4, 8), 20), ((4, 8), 16)]
+    )
+    def test_synthesis_pads_bit_for_bit(self, shape, count):
+        # the inverse fft pads the spectrum itself: the same bits as the zero-padded
+        # spectrum, for stacks and for degrees that fold past n_theta
+        from bergbep.bergman import _radial_powers, _ring_synthesis
+
+        grid = build_grid(*shape)
+        n_t = grid.angular_count
+        rng = np.random.default_rng(count)
+        for coeffs in (
+            rng.standard_normal(count) + 1j * rng.standard_normal(count),
+            rng.standard_normal((2, count)),
+        ):
+            n = np.arange(count)
+            terms = (coeffs * np.sqrt(n + 1.0))[..., None, :] * _radial_powers(grid, n[-1])
+            folded = np.zeros(terms.shape[:-1] + (-(-count // n_t) * n_t,), dtype=terms.dtype)
+            folded[..., :count] = terms
+            folded = folded.reshape(terms.shape[:-1] + (-1, n_t)).sum(axis=-2)
+            modes = np.zeros(terms.shape[:-1] + (n_t,), dtype=complex)
+            modes[..., : min(count, n_t)] = folded[..., : min(count, n_t)]
+            reference = np.fft.ifft(modes, axis=-1, norm="forward")
+            assert np.array_equal(_ring_synthesis(grid, coeffs), reference)
+
     def test_project_matches_dense(self, grid_24_96):
         from bergbep.bergman import basis_matrix
 

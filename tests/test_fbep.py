@@ -976,6 +976,26 @@ class TestPairCore:
         assert np.max(np.abs(w_star.values - sol.w_star.values)) <= 1e-14
         assert all(el.converged and el.iterations == 1 for el in sol.basis.elements)
 
+    def test_w_star_synthesized_once(self, grid_24_96, monkeypatch):
+        # the pair basis gives no ring spectrum, so even a disc K is measured at the
+        # nodes: the J-fit, the mu = 0 fit and the end point, which is w_* itself
+        from bergbep.bep import _GridSide
+        from bergbep.vekua import _PairBasis
+
+        f = Conductivity.exp_x(grid_24_96, 0.8)
+        p = make_problem(grid_24_96, f, degree=12)
+        basis = build_fbep_space(f, 12)
+        assert isinstance(basis, _PairBasis)
+        calls = []
+        synthesis = _PairBasis._synthesis
+        monkeypatch.setattr(
+            _PairBasis, "_synthesis", lambda self, c: calls.append(c) or synthesis(self, c)
+        )
+        sol = solve_fbep(p, basis)
+        assert sol.saturated and len(calls) == 3
+        assert {type(side) for side in sol._assembly[1]._sides.values()} == {_GridSide}
+        assert np.array_equal(sol.w_star.values, synthesis(basis, sol.coeffs))
+
     @pytest.mark.parametrize("sampled", [False, True])
     def test_zero_j_data_take_no_moments(self, grid_16_64, monkeypatch, sampled):
         # h_J = 0 has zero moments: the core asks the basis for the K-moments alone
