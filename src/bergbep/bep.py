@@ -30,10 +30,12 @@ norms g_n = 1 + O(rounding) beside identity eigenvectors, taken with no
 eigh, and its whitening the scaling diag(g^(-1/2)).  The f-BEP's lifts
 (vekua.VekuaBasis) are not orthonormal: the basis diagonalizes its own
 full-disc form, once however many cores use it.  The core then
-diagonalizes the whitened J-form W^H A_J W, so
-c(mu) is a diagonal solve with a rounding-level Karush-Kuhn-Tucker
-residual.  err_J(mu) and its slope are then explicit rational functions
-of mu evaluated from the whitened forms at O(N) (the secular function
+diagonalizes the whitened J-form W^H A_J W, so c(mu) is a diagonal solve
+with a rounding-level Karush-Kuhn-Tucker residual; a form with no
+off-diagonal entry, as a J whose weights are constant along theta gives
+over the polar basis, is its own eigendecomposition and takes no eigh.
+err_J(mu) and its slope are then explicit rational functions of mu
+evaluated from the whitened forms at O(N) (the secular function
 of a quadratically constrained least squares; Gander 1981), and a
 safeguarded Newton search on 1/err_J(mu) - 1/M finds mu in a handful of
 evaluations, verified monotone at runtime.  The end point is checked on
@@ -46,7 +48,8 @@ complements, the full disc), over a basis with a ring spectrum
 (_PolarBasis._ring_spectrum), is measured by Parseval on each of its
 rings from the side's data spectrum, taken once when the core is built
 (_RingSide): mode by mode, with no synthesis of g, and the same spectrum
-gives that side's moments.  Sectors, masks and the Vekua bases (sampled
+gives that side's moments and, as each basis element lives in one mode,
+its diagonal form.  Sectors, masks and the Vekua bases (sampled
 or mode-pair) are measured at the nodes on the synthesis g =
 synthesize(c) (_GridSide), which the core makes only for such a side.
 Neither way expands the square, which is the cancellation the grid
@@ -317,6 +320,10 @@ class _RingSide(NamedTuple):
     def h_sq(self) -> float:
         return self.weights @ (_power(self.h_hat) + self.tail)
 
+    def form(self) -> np.ndarray:
+        """A_S = diag(sum_i n_theta w_i |a_in|^2): each basis element lives in its own mode."""
+        return np.diag(self.weights @ np.abs(self.amps) ** 2)
+
     def moments(self) -> np.ndarray:
         """b_n = sum w h conj(e_n) = sum_i n_theta w_i conj(a_in) H_in."""
         return (self.amps.conj() * self.h_hat).T @ self.weights
@@ -358,7 +365,8 @@ class ConstrainedLSQ:
     weights constant along theta, over a basis with a ring spectrum
     (_ring_spectrum), make a _RingSide, which takes the side's data spectrum
     once here and measures err_S by Parseval on its rings, mode by mode,
-    and whose moments come from the same spectrum; other weights or bases
+    and whose moments come from the same spectrum (a _RingSide J gives
+    A_J too, diagonal, from its amplitudes); other weights or bases
     make a _GridSide, measured on the synthesis at its nodes, whose moments
     the basis gives (_moments).  Zero data take no transform: a _RingSide
     keeps a zero spectrum, and a _GridSide zero moments in A_J's dtype.
@@ -366,14 +374,16 @@ class ConstrainedLSQ:
     The BEP's basis is _PolarBasis, the f-BEP's a VekuaBasis,
     whatever its representation.  The full-disc form's whitening W (FullForm.whitening)
     drops the directions below _DROP_RCOND of its top eigenvalue, and the
-    eigenvectors q of W^H A_J W make whiten = W q, under which the J-form
-    is diag(tau) and the K-form diag(1 - tau).
+    eigenvectors q of W^H A_J W (the identity when that form is diagonal)
+    make whiten = W q, under which the J-form is diag(tau) and the K-form
+    diag(1 - tau).
     """
 
     def __init__(self, basis, w_k, w_j, h_k, h_j):
         self.full = basis._full_form
-        self.a_j = basis._form(w_j)
         self._sides = {"k": _side(basis, w_k, h_k), "j": _side(basis, w_j, h_j)}
+        j = self._sides["j"]
+        self.a_j = j.form() if isinstance(j, _RingSide) else basis._form(w_j)
         self.r_k, self.r_j = (
             side.moments() if isinstance(side, _RingSide)
             else basis._moments(w, h) if np.any(h)
@@ -401,10 +411,14 @@ class ConstrainedLSQ:
         if self.dropped:
             logger.info("dropping %d near-dependent basis directions", self.dropped)
         b = w.conj().T @ self.a_j @ w
-        taus, q = np.linalg.eigh((b + b.conj().T) / 2.0)
+        if np.any(b - np.diag(b.diagonal())):
+            taus, q = np.linalg.eigh((b + b.conj().T) / 2.0)
+            w = w @ q
+        else:  # a diagonal form (a _RingSide J) is its own eigendecomposition: q = I
+            taus = b.diagonal().real
         self.taus = np.clip(taus, 0.0, 1.0)  # compression of a [0,1]-spectrum form
         # whitens the full-disc form to the identity and A_J to diag(tau)
-        self.whiten = w @ q
+        self.whiten = w
         self.bt_k = self.whiten.conj().T @ self.r_k
         self.bt_j = self.whiten.conj().T @ self.r_j
         self._free = None  # the M-independent part of solve, filled on first use

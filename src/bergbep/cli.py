@@ -81,15 +81,14 @@ def _parse_region_arg(text: str) -> Region:
 
 
 def _builtin_spec(args) -> dict:
+    """--builtin NAME as an io spec: the flag its parameter key in io.BUILTINS names is
+    required (const's value names no flag and keeps its default)."""
     spec = {"kind": "builtin", "name": args.builtin}
-    if args.builtin in ("exp_x", "exp_xy"):
-        if args.eps is None:
-            raise bio.SchemaError(f"builtin {args.builtin} needs --eps")
-        spec["eps"] = args.eps
-    if args.builtin == "basis":
-        if args.n is None:
-            raise bio.SchemaError("builtin basis needs --n")
-        spec["n"] = args.n
+    key, _ = bio.BUILTINS.get(args.builtin, (None, None))
+    if key in vars(args):
+        if getattr(args, key) is None:
+            raise bio.SchemaError(f"builtin {args.builtin} needs --{key}")
+        spec[key] = getattr(args, key)
     return spec
 
 
@@ -129,7 +128,7 @@ def cmd_solve_fbep(args) -> int:
 
 def cmd_spectrum(args) -> int:
     region = _parse_region_arg(args.region)
-    matrix = gram(region, args.degree)
+    matrix = gram(region, bio.normalize_degree(args.degree))
     eigenvalues = spectrum(matrix)
     # with no arc the closed form is diagonal: its eigenvalues are the sorted diagonal
     closed = np.sort(np.diag(matrix.entries).real)[::-1] if region.theta is None else None

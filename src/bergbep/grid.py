@@ -22,10 +22,11 @@ cell edge is snapped onto it, as the edges carry rounding of that size.
 A grid also holds its operators, each built on first use and freed with
 the grid.  Derivatives use spectral (trigonometric) angular
 differentiation by fft and five-point finite differences on the
-nonuniform radial rings.  The Teodorescu transform
-T[g](z) = int g(zeta)/(z - zeta) dA(zeta), a right inverse of dbar, is
-evaluated per angular mode: the Cauchy kernel sends input mode k+1 to
-output mode k with radial weight
+nonuniform radial rings, one-sided at the edges: each ring's weights
+solve its 5 x 5 moment equations, one batched solve for all rings.
+The Teodorescu transform T[g](z) = int g(zeta)/(z - zeta) dA(zeta), a
+right inverse of dbar, is evaluated per angular mode: the Cauchy kernel
+sends input mode k+1 to output mode k with radial weight
 
     T_k(r) = 2 r^k  int_0^r g_{k+1}(rho) rho^{-k} d rho    (k <= -1)
     T_k(r) = -2 r^k int_r^1 g_{k+1}(rho) rho^{-k} d rho    (k >= 0)
@@ -124,9 +125,10 @@ class DiscGrid:
     def radial_derivatives(self) -> tuple[np.ndarray, np.ndarray]:
         """First and second radial derivative matrices on the rings, built on first use.
 
-        Five-point finite-difference stencils, one-sided at the edges;
-        only differentiation needs them, the Teodorescu transform works
-        on any grid.
+        Five-point finite-difference stencils from the moment equations of
+        each ring (_radial_diff_matrices), one-sided at the edges; only
+        differentiation needs them, the Teodorescu transform works on any
+        grid.
         """
         if self.n_radial < 5:
             raise ValueError("grid too coarse for radial differentiation (need n_r >= 5)")
@@ -176,44 +178,27 @@ _N_AUX = 10
 _N_STENCIL = 8
 
 
-def _fd_weights(x0: float, x: np.ndarray, m: int) -> np.ndarray:
-    """Fornberg weights for derivatives 0..m at x0 from the nodes x."""
-    n = x.size
-    c = np.zeros((n, m + 1))
-    c1 = 1.0
-    c4 = x[0] - x0
-    c[0, 0] = 1.0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c
-
-
 def _radial_diff_matrices(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First/second derivative matrices, 5-point stencils, one-sided at the edges."""
+    """First/second derivative matrices on n_r >= 5 rings, five-point stencils.
+
+    Ring i differentiates on the five rings nearest it, one-sided at the
+    edges.  Its weights w_j solve the moment equations
+    sum_j w_j h_j^k = d! [k == d], k = 0..4, for the derivative order
+    d = 1, 2 in the offsets h_j = r_j - r_i.  They are solved in the
+    offsets scaled by the widest, which divides the order-d weights by its
+    d-th power, in one batched 5 x 5 solve for all rings.
+    """
     n = r.size
-    width = min(5, n)
-    d1 = np.zeros((n, n))
-    d2 = np.zeros((n, n))
-    for i in range(n):
-        start = min(max(i - 2, 0), n - width)
-        sten = slice(start, start + width)
-        w = _fd_weights(r[i], r[sten], 2)
-        d1[i, sten] = w[:, 1]
-        d2[i, sten] = w[:, 2]
+    cols = np.clip(np.arange(n) - 2, 0, n - 5)[:, None] + np.arange(5)
+    h = r[cols] - r[:, None]
+    scale = np.abs(h).max(axis=1, keepdims=True)
+    moments = (h / scale)[:, None, :] ** np.arange(5)[:, None]  # moments[i, k, j] = h_ij^k
+    rhs = np.zeros((5, 2))
+    rhs[1, 0], rhs[2, 1] = 1.0, 2.0
+    w = np.linalg.solve(moments, np.broadcast_to(rhs, (n, 5, 2)))
+    d1, d2, rows = np.zeros((n, n)), np.zeros((n, n)), np.arange(n)[:, None]
+    d1[rows, cols] = w[..., 0] / scale
+    d2[rows, cols] = w[..., 1] / scale**2
     return d1, d2
 
 

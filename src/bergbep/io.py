@@ -23,7 +23,16 @@ LAMBDA_CONVENTION = (
     "operator lambda in (-1, inf); Karush-Kuhn-Tucker multiplier mu = 1 + lambda"
 )
 
-_BUILTINS = ("const", "z_bar", "abs2", "exp_x", "exp_xy", "basis")
+# builtin name -> (the key of its parameter, or None, and its values on a grid given that
+# parameter); const's value is optional, 1 by default, every other parameter is required
+BUILTINS = {
+    "const": ("value", lambda grid, value: np.full(grid.shape, complex(*value))),
+    "z_bar": (None, lambda grid, _: np.conj(grid.nodes)),
+    "abs2": (None, lambda grid, _: np.abs(grid.nodes) ** 2),
+    "exp_x": ("eps", lambda grid, eps: np.exp(eps * grid.nodes.real)),
+    "exp_xy": ("eps", lambda grid, eps: np.exp(eps * grid.nodes.real * grid.nodes.imag)),
+    "basis": ("n", lambda grid, n: AnalyticCoeffs.unit(n, n).on_grid(grid).values),
+}
 # region variant -> (the key of its number, or None, and its Region constructor)
 REGION_VARIANTS = {"radial_disc": ("a", Region.radial_disc), "annulus": ("a", Region.annulus),
                    "sector": ("theta", Region.sector), "mask": (None, Region.mask),
@@ -32,6 +41,9 @@ REGION_VARIANTS = {"radial_disc": ("a", Region.radial_disc), "annulus": ("a", Re
 _CONDUCTIVITIES = {"const": ("value", Conductivity.constant), "exp_x": ("eps", Conductivity.exp_x),
                    "exp_xy": ("eps", Conductivity.exp_xy)}
 MAX_GRID_RINGS, MAX_GRID_NODES = 2**11, 2**22  # 16x the rings, 128x the nodes of 128 x 256
+# the largest degree N any admitted grid supports, 2 N <= min(4 n_r - 2, n_theta - 1): 2047
+_RINGS = np.arange(2, MAX_GRID_RINGS + 1)  # every admitted n_r, with its widest n_theta
+MAX_DEGREE = int(np.minimum(4 * _RINGS - 2, MAX_GRID_NODES // _RINGS - 1).max()) // 2
 
 
 class SchemaError(ValueError):
@@ -90,20 +102,17 @@ def normalize_function_spec(spec) -> dict:
         return {"kind": "coeffs", "coeffs": _finite(coeffs, "coeffs spec", pairs=True).tolist()}
     if kind == "builtin":
         name = _require(spec, "name", str, "builtin spec")
-        if name not in _BUILTINS:
-            raise SchemaError(f"unknown builtin {name!r}; expected one of {_BUILTINS}")
+        if name not in BUILTINS:
+            raise SchemaError(f"unknown builtin {name!r}; expected one of {tuple(BUILTINS)}")
         out = {"kind": "builtin", "name": name}
-        if name == "const":
-            value = _finite([spec.get("value", [1.0, 0.0])], "builtin const value", pairs=True)
-            out["value"] = value[0].tolist()
-        elif name in ("exp_x", "exp_xy"):
-            eps = _require(spec, "eps", None, f"builtin {name}")
-            out["eps"] = _finite(eps, f"builtin {name} eps")
-        elif name == "basis":
-            n = _require(spec, "n", int, "builtin basis")
-            if n < 0:
-                raise SchemaError("basis index must be >= 0")
-            out["n"] = n
+        key, _ = BUILTINS[name]
+        if key == "value":
+            value = _finite([spec.get(key, [1.0, 0.0])], f"builtin {name} value", pairs=True)
+            out[key] = value[0].tolist()
+        elif key == "eps":
+            out[key] = _finite(_require(spec, key, None, f"builtin {name}"), f"builtin {name} eps")
+        elif key == "n":
+            out[key] = normalize_degree(_require(spec, key, int, f"builtin {name}"), "basis index")
         return out
     if kind == "grid":
         values = _require(spec, "values", list, "grid spec")
@@ -126,19 +135,8 @@ def _function(spec: dict, grid: DiscGrid) -> GridFunction:
                 f"grid spec has {values.size} values, expected {grid.shape[0] * grid.shape[1]}"
             )
         return GridFunction(grid, values.reshape(grid.shape))
-    name = spec["name"]
-    z = grid.nodes
-    if name == "const":
-        return GridFunction.constant(grid, complex(*spec["value"]))
-    if name == "z_bar":
-        return GridFunction(grid, np.conj(z))
-    if name == "abs2":
-        return GridFunction(grid, (np.abs(z) ** 2).astype(complex))
-    if name == "exp_x":
-        return GridFunction(grid, np.exp(spec["eps"] * z.real).astype(complex))
-    if name == "exp_xy":
-        return GridFunction(grid, np.exp(spec["eps"] * z.real * z.imag).astype(complex))
-    return AnalyticCoeffs.unit(spec["n"], spec["n"]).on_grid(grid)
+    key, values = BUILTINS[spec["name"]]
+    return GridFunction(grid, values(grid, spec.get(key)))
 
 
 def normalize_region_spec(spec) -> dict:
@@ -211,6 +209,18 @@ def normalize_budget(m) -> float:
     return m
 
 
+def normalize_degree(n: int, what: str = "degree") -> int:
+    """A degree, or a basis index, checked before anything is allocated: 0 <= n <= MAX_DEGREE."""
+    if n < 0:
+        raise SchemaError(f"{what} must be >= 0")
+    if n > MAX_DEGREE:
+        raise SchemaError(
+            f"{what} must be <= {MAX_DEGREE}, the largest degree any admitted grid supports, "
+            f"got {n!r:.20}"
+        )
+    return n
+
+
 def normalize_grid(doc: dict) -> dict:
     """The grid {n_r, n_theta} of a problem file or of --grid, checked before anything is
     allocated: 2 <= n_r <= MAX_GRID_RINGS, n_theta >= 4 and n_r n_theta <= MAX_GRID_NODES."""
@@ -229,9 +239,7 @@ def normalize_problem(doc) -> dict:
         raise SchemaError("problem document must be an object")
     grid = normalize_grid(_require(doc, "grid", dict, "problem"))
     m = normalize_budget(_require(doc, "m", None, "problem"))
-    degree = _require(doc, "degree", int, "problem")
-    if degree < 0:
-        raise SchemaError("degree must be >= 0")
+    degree = normalize_degree(_require(doc, "degree", int, "problem"))
     out = {
         "grid": grid,
         "region_k": normalize_region_spec(_require(doc, "region_k", dict, "problem")),

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -617,6 +618,17 @@ class TestCli:
         assert not out.exists()
 
 
+# builtin name -> (a value of its parameter, its closed form at z)
+_BUILTIN_VALUES = {
+    "const": ([2.0, -1.0], lambda z: np.full(z.shape, 2.0 - 1.0j)),
+    "z_bar": (None, np.conj),
+    "abs2": (None, lambda z: np.abs(z) ** 2),
+    "exp_x": (0.7, lambda z: np.exp(0.7 * z.real)),
+    "exp_xy": (-1.3, lambda z: np.exp(-1.3 * z.real * z.imag)),
+    "basis": (5, lambda z: np.sqrt(6.0) * z**5),
+}
+
+
 class TestCliInputPaths:
     """Input paths of io and the CLI: each bad input exits 1 with an error line."""
 
@@ -633,6 +645,72 @@ class TestCliInputPaths:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
         return err
+
+    @pytest.mark.parametrize("name", sorted(bergbep.io.BUILTINS))
+    def test_builtin_table(self, tmp_path, capsys, grid_16_64, name):
+        # each builtin normalizes, takes its closed-form values, and project and
+        # teodorescu need exactly the flag its parameter key names (const's value
+        # names none and keeps its default)
+        assert sorted(_BUILTIN_VALUES) == sorted(bergbep.io.BUILTINS)
+        key, _ = bergbep.io.BUILTINS[name]
+        param, closed = _BUILTIN_VALUES[name]
+        spec = {"kind": "builtin", "name": name} | ({} if key is None else {key: param})
+        once = normalize_function_spec(spec)
+        assert once == normalize_function_spec(json.loads(dumps_canonical(once))) == spec
+        values = function_from_spec(spec, grid_16_64).values
+        assert np.max(np.abs(values - closed(grid_16_64.nodes))) <= 1e-14
+        flag = [f"--{key}", str(param)] if key in ("eps", "n") else []
+        for command in ("project", "teodorescu"):
+            out = tmp_path / f"{command}.json"
+            argv = [command, "--builtin", name, "--grid", "8,32", "--out", str(out)]
+            argv += ["--degree", "4"] if command == "project" else []
+            if flag:
+                assert f"needs {flag[0]}" in self._fails(argv, capsys)
+                assert not out.exists()
+            assert main(argv + flag) == 0
+
+    @pytest.mark.parametrize(
+        "argv, patch, message",
+        [
+            (["spectrum", "--region", "radial:0.5", "--degree", "1000000000"], None,
+             "degree must be <="),
+            (["project", "--builtin", "basis", "--n", "1000000000", "--degree", "2",
+              "--grid", "8,32"], None, "basis index must be <="),
+            (["teodorescu", "--builtin", "basis", "--n", "1000000000", "--grid", "8,32"], None,
+             "basis index must be <="),
+            (["solve-bep", "--problem"], {"h_j": {"kind": "builtin", "name": "basis", "n": 10**9}},
+             "basis index must be <="),
+            (["solve-bep", "--problem"], {"degree": 10**9}, "degree must be <="),
+        ],
+    )
+    def test_sizes_beyond_every_grid_refused(self, tmp_path, capsys, argv, patch, message):
+        # a degree or basis index above the largest any admitted grid supports
+        # exits 1 before anything large is allocated (it used to ask for 16 GB)
+        if patch is not None:  # the problem file of the fixture with patch applied
+            argv = argv + [self._write(tmp_path, dict(load_json(BEP_FIXTURE), **patch))]
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            err = self._fails(argv + ["--out", str(out)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert message in err and f"<= {bergbep.io.MAX_DEGREE}" in err
+        assert peak < 1 << 22
+        assert not out.exists()
+
+    def test_largest_degree(self):
+        # 2047 at n_r = 1024, n_theta = 4096, whose exactness is 4094
+        assert bergbep.io.MAX_DEGREE == 2047
+        assert normalize_grid({"n_r": 1024, "n_theta": 4096}) == {"n_r": 1024, "n_theta": 4096}
+        assert bergbep.io.normalize_degree(2047) == 2047
+        basis = {"kind": "builtin", "name": "basis", "n": 2047}
+        assert normalize_function_spec(basis) == basis
+        doc = dict(load_json(BEP_FIXTURE), degree=2047)
+        assert normalize_problem(doc)["degree"] == 2047
+        for bad in (dict(basis, n=2048), dict(basis, n=-1)):
+            with pytest.raises(SchemaError, match="basis index must be"):
+                normalize_function_spec(bad)
 
     def test_mask_region_solves(self, tmp_path):
         grid = build_grid(24, 96)

@@ -54,6 +54,21 @@ class TestBuildGrid:
             build_grid(n_r, n_theta)
 
 
+class TestRadialDerivatives:
+    @pytest.mark.parametrize("n_r", [5, 6, 8, 24, 128, 2048])
+    def test_stencils_differentiate_quartics(self, n_r):
+        # every row, the one-sided edge rows included, is exact on r^0..r^4 to
+        # rounding in the sum of its terms
+        grid = build_grid(n_r, 8)
+        r, (d1, d2) = grid.radial_nodes, grid.radial_derivatives
+        for k in range(5):
+            powers = r**k
+            for d, order in ((d1, 1), (d2, 2)):
+                exact = np.prod(np.arange(k, k - order, -1)) * r ** max(k - order, 0)
+                terms = np.abs(d) @ np.abs(powers)
+                assert np.all(np.abs(d @ powers - exact) <= 8 * np.finfo(float).eps * terms)
+
+
 class TestRegion:
     def test_radial_disc_area(self, grid_16_64):
         assert abs(Region.radial_disc(0.5).area(grid_16_64) - 0.25) <= 1e-13
