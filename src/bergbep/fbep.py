@@ -30,9 +30,12 @@ the full disc take no weight table; a grid-sampled f, or a basis built
 by hand, supplies them from its samples.  No Vekua basis gives a ring
 spectrum, so the core measures both sides at the nodes, and w_* is
 synthesized once: it is the search's own synthesis of the returned
-coefficients, the grid values its err_J was checked on.  Either way the
-returned w_* carries the grid certificate vekua_defect, from one
-Teodorescu apply to w_* itself.
+coefficients, the grid values its err_J was checked on.  The returned
+w_* carries its Vekua defect, which the basis also supplies
+(_vekua_defect): for the closed forms it is sqrt(sum_n |z_n|^2 r_n^2)
+over the per-degree span residuals r_n of the pair lifts, with z_n =
+c_n + i c_{N+1+n}, so the solve applies no Teodorescu operator; a
+sampled basis takes vekua_residual of w_*, one Teodorescu apply to w_*.
 
 The conjectured critical-point equation
 
@@ -48,10 +51,10 @@ The constraint moves into the Bergman setting as h_J^* = h_J -
 T_J(alpha conj(h_J)) and M^* = M rho, with rho the norm of h -> h -
 T_J(alpha conj(h)) on L^2(J) (transformed_constraint_data).  Data that
 vanish take no transform: the core asks for no moments of a zero side,
-and a zero T_J input leaves h_J^* = h_J.  This module holds the
-problem, the solution, the solve and its checks; the lifted space and
-rho come from vekua (build_fbep_space, restriction_map_norm), which
-chooses their algorithms.
+and h_J zero on J's cells leaves h_J^* = h_J before alpha is sampled.
+This module holds the problem, the solution, the solve and its checks;
+the lifted space and rho come from vekua (build_fbep_space,
+restriction_map_norm), which chooses their algorithms.
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ from .vekua import (
     build_fbep_space,
     restriction_map_norm,
     teodorescu,
-    vekua_residual,
 )
 
 _KKT_DIRECTIONS = 50  # random feasible directions of directional_kkt_check
@@ -148,7 +150,7 @@ def solve_fbep(problem: FbepProblem, basis: VekuaBasis | None = None) -> FbepSol
         err_k=core.err(coeffs, "k", values),
         err_j=result.err_j,
         kkt_residual=float(np.linalg.norm(core.kkt(coeffs, result.mu))),
-        vekua_defect=vekua_residual(w_star, basis.alpha, problem.degree),
+        vekua_defect=basis._vekua_defect(coeffs, w_star, problem.degree),
         feasibility=result.feasibility,
         saturated=result.saturated,
         basis_min_eig=basis.min_eigenvalue(),
@@ -206,7 +208,8 @@ def transformed_constraint_data(
     by restriction_map_norm on a coarse grid of norm_grid_shape.  T_J
     integrates over J only: its input is weighted by J's overlap
     fraction on every quadrature cell.  Where that input vanishes (h_J
-    or alpha zero on J) h_J^* is h_J itself, with no transform.  A mask
+    or alpha zero on J) h_J^* is h_J itself, with no transform; h_J zero
+    on J's cells is seen before alpha is sampled.  A mask
     J, like a grid-sampled f, needs norm_grid_shape equal to the
     problem's grid (ValueError at once).
     """
@@ -214,12 +217,12 @@ def transformed_constraint_data(
     if mask is not None and mask.shape != tuple(norm_grid_shape):
         raise ValueError(f"a mask J lives on its own grid: pass the problem's grid {mask.shape} "
                          f"as norm_grid_shape to get rho, not {tuple(norm_grid_shape)}")
-    alpha = alpha_from_f(problem.f)
     phi = problem.j_region.fraction(problem.grid)
-    zero_ext = phi * alpha.values * np.conj(problem.h_j.values)
     h_star = problem.h_j
-    if np.any(zero_ext):
-        h_star = h_star - teodorescu(GridFunction(problem.grid, zero_ext))
+    if np.any(h_star.values[phi > 0.0]):  # h_J zero on J's cells takes no alpha
+        zero_ext = phi * alpha_from_f(problem.f).values * np.conj(h_star.values)
+        if np.any(zero_ext):
+            h_star = h_star - teodorescu(GridFunction(problem.grid, zero_ext))
     rho = restriction_map_norm(problem.f, problem.j_region, norm_grid_shape)
     return h_star, problem.m * rho
 

@@ -43,9 +43,12 @@ synthesis (_synthesis(c)) and the eigendecomposition of its full-disc
 form, eigh(_form(grid.weights)), taken once per basis (_full_form); the
 span projection (project_span, invariance_defect) whitens by the same
 decomposition under the core's rank rule (bep.FullForm.whitening), so it
-takes no second Gram or eigh and keeps exactly the core's directions.  A
-basis of sampled lifts takes them from its samples by quadrature
-(bergman._gram, bergman._moments).  The
+takes no second Gram or eigh and keeps exactly the core's directions.
+A fifth member, _vekua_defect(c, w, N), certifies a solution w = sum
+c_b w_b: the distance of w - T[alpha conj(w)] from the degree-N
+analytic span, vekua_residual.  A basis of sampled lifts takes them
+from its samples by quadrature (bergman._gram, bergman._moments) and
+the defect by one Teodorescu apply to w.  The
 mode-pair basis keeps each lift of e_n once, as its two complex parts
 P_nk = X_nk(r) e^{i p_nk theta} (k = 0, 1); the lift of e_n is X + Y and
 that of i e_n is i X - i Y, the unit rule w_un = sum_k U_uk P_nk with
@@ -56,15 +59,18 @@ polar layer in bergman gives, over the parts a = (n, k), b = (m, l),
     G    = Re(U^H S U),   G_{un,vm} = Re sum_{k,l} conj(U_uk) S_{nk,ml} U_vl
     r_un = Re sum wh conj(w_un) = Re sum_k conj(U_uk) sum_i conj(X_nk,i) fft_theta(wh)_i[p_nk]
     sum c_un w_un = ifft_theta of the sum_u c_un U_uk X_nk gathered at their modes,
+    ||w - T[alpha conj(w)] less its span projection||^2 = sum_n |c_0n + i c_1n|^2 r_n^2,
 
 exact discrete identities for any weights.  Weights constant along
 theta, w_ij = w_i0 (the full disc, radial discs, annuli and their
 complements), have W_i = n_theta w_i0 in mode 0 alone, so their form
 couples only parts with equal modes and needs no weight table; only
 the other weights (sectors, masks) build the (n_r, 2(N+1), 2(N+1))
-table of W_i[(p_a - p_b) mod n_theta].  real_gram, real_rhs and
-synthesize use the samples on every basis, so they stay an independent
-reference for the spectral forms.
+table of W_i[(p_a - p_b) mod n_theta].  The last line, with r_n the
+span residual of lift n, takes no sampling (_PairBasis._vekua_defect).
+real_gram, real_rhs, synthesize and vekua_residual use
+the samples on every basis, so they stay an independent reference for
+the spectral forms and the certificate.
 
 dbar, dz and teodorescu apply the operators their grid holds (see
 grid.py): its radial stencils, angular wavenumbers and Teodorescu
@@ -431,7 +437,9 @@ def _mode_pair_lift(alpha: GridFunction, mode: tuple, degree: int, tol: float) -
     m, and the unit i^k (x + (-1)^k y) takes i^k times both.  One real
     residual per degree serves both units: the defect is ||u - S_n|| and
     the residual ||u less its e_n projection||, Parseval sums over the
-    rings.  Each element has iterations = 1, increments = [defect], and
+    rings; the basis keeps that projection's coefficient too, for the
+    certificate of a combination below degree N (_PairBasis._vekua_defect).
+    Each element has iterations = 1, increments = [defect], and
     converged iff defect <= tol.
     """
     _check_tol(tol)
@@ -449,11 +457,12 @@ def _mode_pair_lift(alpha: GridFunction, mode: tuple, degree: int, tol: float) -
     # the certificate: u = x - A C x, the mode-n part of w - T[alpha conj(w)]
     u = x - np.einsum("nij,nj->ni", big_a, c_x)
     defects = np.sqrt((u - seeds) ** 2 @ grid.radial_weights)
-    u -= np.sum(grid.radial_weights * seeds * u, axis=-1, keepdims=True) * seeds
+    analytic = np.sum(grid.radial_weights * seeds * u, axis=-1)  # the e_n coefficient of u
+    u -= analytic[:, None] * seeds
     residuals = np.sqrt(u**2 @ grid.radial_weights)
     parts = np.stack((x, phase * c_x), axis=1)
     return _PairBasis(alpha, np.stack((n, m), axis=1), parts, np.tile(defects, 2),
-                      np.tile(residuals, 2), tol)
+                      np.tile(residuals, 2), analytic, tol)
 
 
 def build_fbep_space(f: Conductivity, degree: int, tol: float = _LIFT_TOL) -> VekuaBasis:
@@ -763,9 +772,11 @@ class VekuaBasis:
     first use.  The f-BEP core and the span projection take the
     full-disc decomposition (_full_form, one eigh per basis), the real
     forms and moments under any weights (_form, _moments) and the
-    synthesis from the basis, here the quadrature of the samples; a
-    basis lifted by mode pairs (_PairBasis) supplies them from its
-    spectra instead.
+    synthesis from the basis, here the quadrature of the samples, and
+    solve_fbep its solution's Vekua defect (_vekua_defect), here
+    vekua_residual of the synthesized values; a basis lifted by mode
+    pairs (_PairBasis) supplies them from its spectra and its pair
+    residuals instead.
     """
 
     alpha: GridFunction
@@ -810,6 +821,10 @@ class VekuaBasis:
         """The core's sum_b c_b w_b at the nodes, grid-shaped."""
         return (self.values_matrix() @ coeffs).reshape(self.grid.shape)
 
+    def _vekua_defect(self, coeffs: np.ndarray, w: GridFunction, degree: int) -> float:
+        """The Vekua defect of w = sum_b c_b w_b, synthesized: vekua_residual on its values."""
+        return vekua_residual(w, self.alpha, degree)
+
     def real_gram(self, region: Region | None = None) -> np.ndarray:
         """Real Gram matrix Re <w_m, w_n> over the disc or a region, from the samples."""
         w = self.grid.weights if region is None else region.weights(self.grid)
@@ -847,12 +862,15 @@ class _PairBasis(VekuaBasis):
     pair.  The lift of e_n is X + Y and that of i e_n is i X - i Y (_UNITS):
     the core's forms and synthesis are the pair identities of the module
     docstring, and the elements are one inverse fft of the parts, on first use.
+    A solution's Vekua defect is the sum over the degrees of its pair
+    residuals (_vekua_defect), with no Teodorescu apply.
     """
 
-    def __init__(self, alpha, modes, parts, defects, residuals, tol):
+    def __init__(self, alpha, modes, parts, defects, residuals, analytic, tol):
         self.alpha, self._modes, self._parts = alpha, modes, parts
         self._matrix = None
         self._defects, self._residuals, self._tol = defects, residuals, tol
+        self._analytic = analytic
 
     @property
     def size(self) -> int:
@@ -891,6 +909,21 @@ class _PairBasis(VekuaBasis):
         terms = (np.asarray(coeffs).reshape(2, -1).T @ _UNITS)[..., None] * self._parts
         np.add.at(spectrum.T, self._modes.ravel(), terms.reshape(self._modes.size, -1))
         return np.fft.ifft(spectrum, axis=-1, norm="forward")
+
+    def _vekua_defect(self, coeffs: np.ndarray, w: GridFunction, degree: int) -> float:
+        """The Vekua defect of sum_b c_b w_b from the pair residuals, without the grid.
+
+        With z_n = c_n + i c_{N+1+n}, the coefficient of X under _UNITS, w -
+        T[alpha conj(w)] = sum_n z_n u_n, u_n the real mode-n residual of
+        _mode_pair_lift: its part in the partner mode is exactly 0, a collided
+        pair's too.  The modes are distinct, so the distance from the degree-D
+        span is sqrt(sum_n |z_n|^2 r_n^2), r_n the span residual of lift n; a
+        mode n > D is not projected and keeps its e_n coefficient a_n as well.
+        """
+        z = np.asarray(coeffs).reshape(2, -1)
+        r2 = self._residuals[: z.shape[1]] ** 2
+        r2[degree + 1 :] += self._analytic[degree + 1 :] ** 2
+        return float(np.sqrt((z[0] ** 2 + z[1] ** 2) @ r2))
 
     @cached_property
     def elements(self) -> list[VekuaFunction]:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import logging
 import re
@@ -30,7 +31,13 @@ from bergbep import (
     transformed_constraint_data,
 )
 from bergbep.bep import _LAMBDA_FLOOR, ConstrainedLSQ
-from bergbep.vekua import VekuaFunction, _lift_batch, _normal_top_eigenvalue, alpha_from_f
+from bergbep.vekua import (
+    VekuaFunction,
+    _lift_batch,
+    _normal_top_eigenvalue,
+    alpha_from_f,
+    vekua_residual,
+)
 
 
 def make_problem(grid, f, m=0.1, degree=8, h_k_val=1.0, lift_tol=1e-9):
@@ -668,6 +675,28 @@ class TestTransformedData:
         assert h_star is p.h_j
         assert m_again == m_star
 
+    @pytest.mark.parametrize("kind", ["exp_x", "exp_xy"])
+    def test_zero_data_sample_no_alpha(self, grid_24_96, monkeypatch, kind):
+        # h_J vanishing on J's cells decides before alpha is sampled: zero data, and
+        # data that live on K's cells alone, leave h_J^* = h_J and rho unchanged
+        f = getattr(Conductivity, kind)(grid_24_96, 0.8)
+        p = make_problem(grid_24_96, f, degree=4)
+        on_k = dataclasses.replace(p, h_j=GridFunction(
+            grid_24_96, np.where(np.abs(grid_24_96.nodes) < 0.3, 1.0 + 0.5j, 0.0)))
+        on_j = dataclasses.replace(p, h_j=GridFunction(grid_24_96, np.conj(grid_24_96.nodes)))
+        _, m_star = transformed_constraint_data(p)
+        calls = []
+        for module in ("fbep", "vekua"):
+            monkeypatch.setattr(f"bergbep.{module}.alpha_from_f",
+                                lambda f, _a=alpha_from_f: calls.append(f) or _a(f))
+        for problem in (p, on_k):
+            h_star, m_again = transformed_constraint_data(problem)
+            assert h_star is problem.h_j
+            assert m_again == m_star
+        assert calls == []
+        transformed_constraint_data(on_j)
+        assert calls == [f]
+
     def test_mask_j_on_the_problem_grid(self):
         p = self._mask_problem((16, 64))
         h_star, m_star = transformed_constraint_data(p, norm_grid_shape=(16, 64))
@@ -768,6 +797,17 @@ _PAIR_CASES = [
     ("exp_x", 0.5, (8, 31), 15),
     ("exp_xy", 0.5, (8, 32), 15),
     ("exp_xy", 0.5, (8, 31), 15),
+]
+
+
+_DEFECT_CONDUCTIVITIES = [
+    ("const", 1.0),
+    ("exp_x", 0.8),
+    ("exp_x", -0.8),
+    ("exp_x", 2.5),
+    ("exp_xy", 1.75),
+    ("exp_xy", -1.75),
+    ("exp_xy", 6.0),
 ]
 
 
@@ -883,7 +923,8 @@ class TestPairCore:
         c = np.random.default_rng(5).standard_normal(basis.size)
         assert np.array_equal(basis.synthesize(c).values.ravel(), samples @ c)
 
-    @pytest.mark.parametrize("kind, eps", [("exp_x", 0.8), ("exp_x", 2.5), ("exp_xy", 6.0)])
+    @pytest.mark.parametrize("kind, eps", [("exp_x", 0.8), ("exp_x", 2.5), ("exp_xy", 6.0),
+                                           ("constant", 2.0), ("exp_xy", -1.75)])
     def test_solve_matches_dense_core(self, grid_24_96, kind, eps):
         f = getattr(Conductivity, kind)(grid_24_96, eps)
         basis = build_fbep_space(f, 12)
@@ -894,6 +935,24 @@ class TestPairCore:
         assert sol.saturated and dense.saturated
         assert _rel(sol.coeffs, dense.coeffs) <= 1e-10
         assert abs(sol.vekua_defect - dense.vekua_defect) <= 1e-14
+
+    @pytest.mark.parametrize("shape, degree", [((16, 64), 6), ((8, 31), 15), ((8, 32), 15)])
+    @pytest.mark.parametrize("kind, eps", _DEFECT_CONDUCTIVITIES)
+    def test_defect_matches_grid_residual(self, kind, eps, shape, degree):
+        # the pair sum against one grid apply to the synthesized values, with
+        # the collided pairs at degree 15 (exp_x on 31 angles, exp_xy on 32)
+        basis = _pair_basis(kind, eps, shape, degree)
+        grid = basis.grid
+        dense = VekuaBasis(basis.alpha, basis.elements)
+        rng = np.random.default_rng(11)
+        for c in (rng.standard_normal(basis.size), np.eye(basis.size)[degree]):
+            w = GridFunction(grid, basis._synthesis(c))
+            grid_defect = vekua_residual(w, basis.alpha, degree)
+            assert abs(basis._vekua_defect(c, w, degree) - grid_defect) <= 1e-14
+            # a lower problem degree leaves the upper modes unprojected
+            low = vekua_residual(w, basis.alpha, degree - 3)
+            assert abs(basis._vekua_defect(c, w, degree - 3) - low) <= 1e-14 * max(1.0, low)
+            assert dense._vekua_defect(c, w, degree) == grid_defect
 
     def _record_forms(self, monkeypatch):
         """Record the class of every basis that hands out a form, and whether it was
@@ -968,12 +1027,13 @@ class TestPairCore:
         sol = solve_fbep(p)
         fbep_conjecture_check(p, sol)
         directional_kkt_check(p, sol)
-        assert applies == [grid_24_96.shape]  # the certificate of w_*
+        assert applies == []  # w_* is certified from the pair residuals
         assert sol.basis._matrix is None
         assert "elements" not in vars(sol.basis)  # no lift was sampled on the grid
-        # the samples, built when asked for, give the same certificate
+        # the samples, built when asked for, give the same w_* and certificate
         w_star = sol.basis.synthesize(sol.coeffs)
         assert np.max(np.abs(w_star.values - sol.w_star.values)) <= 1e-14
+        assert abs(sol.vekua_defect - vekua_residual(w_star, sol.basis.alpha, 12)) <= 1e-14
         assert all(el.converged and el.iterations == 1 for el in sol.basis.elements)
 
     def test_w_star_synthesized_once(self, grid_24_96, monkeypatch):
