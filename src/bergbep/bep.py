@@ -681,14 +681,13 @@ def constraint_error(problem: BepProblem, lam: float) -> float:
     return core.err(core.coeffs(_mu(lam)), "j")
 
 
-def _bep_solution(result: LsqSolution, err, kkt) -> BepSolution:
-    """The BEP solution of a multiplier search, with err(c, side, values) and
-    kkt(c, mu) of its forms.  err_K takes the search's grid values of the
-    coefficients, err_J is the search's own, and the KKT residual takes the
-    multiplier they solve."""
+def _certificates(result: LsqSolution, err, kkt) -> dict:
+    """The fields every BEP and f-BEP solution reports, from a multiplier search with
+    err(c, side, values) and kkt(c, mu) of its forms.  err_K takes the search's grid
+    values of the coefficients, err_J is the search's own, and the KKT residual
+    takes the multiplier they solve."""
     c = result.coeffs
-    return BepSolution(
-        g0=AnalyticCoeffs(c),
+    return dict(
         lam=result.lam,
         err_k=err(c, "k", result.values),
         err_j=result.err_j,
@@ -697,6 +696,11 @@ def _bep_solution(result: LsqSolution, err, kkt) -> BepSolution:
         feasibility=result.feasibility,
         saturated=result.saturated,
     )
+
+
+def _bep_solution(result: LsqSolution, err, kkt) -> BepSolution:
+    """The BEP solution of a multiplier search: its coefficients and _certificates."""
+    return BepSolution(g0=AnalyticCoeffs(result.coeffs), **_certificates(result, err, kkt))
 
 
 def solve_bep(problem: BepProblem, degree_diagnostic: bool = True) -> BepSolution:

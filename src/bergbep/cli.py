@@ -16,7 +16,6 @@ import numpy as np
 
 from . import io as bio
 from .bep import (
-    BepProblem,
     ConstrainedLSQ,
     ConvergenceError,
     InfeasibleProblemError,
@@ -93,9 +92,10 @@ def _builtin_spec(args) -> dict:
 
 
 def cmd_solve_bep(args) -> int:
-    problem = bio.problem_from_dict(bio.load_json(args.problem))
-    if not isinstance(problem, BepProblem):
+    spec = bio.normalize_problem(bio.load_json(args.problem))
+    if "conductivity" in spec:  # refused before anything is built
         raise bio.SchemaError("problem file declares a conductivity; use solve-fbep")
+    problem = bio._problem(spec)
     solution = solve_bep(problem)
     doc = bio.bep_solution_to_dict(solution, problem.degree)
     if args.oracle:
@@ -112,9 +112,10 @@ def cmd_solve_bep(args) -> int:
 def cmd_solve_fbep(args) -> int:
     if args.seed < 0:  # checked before the solve, as numpy would only after it
         raise bio.SchemaError(f"--seed must be a non-negative integer, got {args.seed}")
-    problem = bio.problem_from_dict(bio.load_json(args.problem))
-    if not isinstance(problem, FbepProblem):
+    spec = bio.normalize_problem(bio.load_json(args.problem))
+    if "conductivity" not in spec:  # refused before anything is built
         raise bio.SchemaError("problem file lacks a conductivity; use solve-bep")
+    problem = bio._problem(spec)
     solution = solve_fbep(problem)
     residual = fbep_conjecture_check(problem, solution)
     doc = bio.fbep_solution_to_dict(solution, problem.degree, residual)

@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bep import ConstrainedLSQ, _check_problem
+from .bep import ConstrainedLSQ, _certificates, _check_problem
 from .grid import DiscGrid, GridFunction, Region
 from .vekua import (
     _LIFT_TOL,
@@ -140,22 +140,15 @@ def solve_fbep(problem: FbepProblem, basis: VekuaBasis | None = None) -> FbepSol
         basis = build_fbep_space(problem.f, problem.degree, tol=problem.lift_tol)
     core = ConstrainedLSQ.from_problem(problem, basis)
     result = core.solve(problem.m)
-    coeffs, values = result.coeffs, result.values  # the search's synthesis of coeffs
-    w_star = GridFunction(problem.grid, values.reshape(problem.grid.shape))
+    w_star = GridFunction(problem.grid, result.values.reshape(problem.grid.shape))
     solution = FbepSolution(
-        coeffs=coeffs,
-        w_star=w_star,
+        coeffs=result.coeffs,
+        w_star=w_star,  # the search's synthesis of the coefficients
         basis=basis,
-        lam=result.lam,
-        err_k=core.err(coeffs, "k", values),
-        err_j=result.err_j,
-        kkt_residual=float(np.linalg.norm(core.kkt(coeffs, result.mu))),
-        vekua_defect=basis._vekua_defect(coeffs, w_star, problem.degree),
-        feasibility=result.feasibility,
-        saturated=result.saturated,
+        **_certificates(result, core.err, core.kkt),
+        vekua_defect=basis._vekua_defect(result.coeffs, w_star, problem.degree),
         basis_min_eig=basis.min_eigenvalue(),
         dropped=core.dropped,
-        iterations=result.iterations,
     )
     solution._assembly = (problem, core)
     return solution

@@ -266,73 +266,53 @@ def _problem(doc: dict) -> BepProblem | FbepProblem:
     """The problem of a normalized problem document, its parts built from their specs."""
     grid = build_grid(doc["grid"]["n_r"], doc["grid"]["n_theta"])
     k_region = _region(doc["region_k"], grid)
-    j_region = k_region.complement()
-    h_k = _function(doc["h_k"], grid)
-    h_j = _function(doc["h_j"], grid)
+    shared = dict(k_region=k_region, j_region=k_region.complement(),
+                  h_k=_function(doc["h_k"], grid), h_j=_function(doc["h_j"], grid),
+                  m=doc["m"], degree=doc["degree"])
     try:
         if "conductivity" in doc:
             key, make = _CONDUCTIVITIES[doc["conductivity"]["kind"]]
-            return FbepProblem(
-                f=make(grid, doc["conductivity"][key]),
-                k_region=k_region,
-                j_region=j_region,
-                h_k=h_k,
-                h_j=h_j,
-                m=doc["m"],
-                degree=doc["degree"],
-                lift_tol=doc["lift_tol"],
-            )
-        return BepProblem(
-            k_region=k_region,
-            j_region=j_region,
-            h_k=h_k,
-            h_j=h_j,
-            m=doc["m"],
-            degree=doc["degree"],
-        )
+            f = make(grid, doc["conductivity"][key])
+            return FbepProblem(f=f, lift_tol=doc["lift_tol"], **shared)
+        return BepProblem(**shared)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
 
-def bep_solution_to_dict(sol: BepSolution, degree: int) -> dict:
+def _solution_doc(kind: str, sol: BepSolution | FbepSolution, degree: int, **fields) -> dict:
+    """A solution document: the keys every solve writes, then the fields of its kind."""
     return {
-        "kind": "bep",
+        "kind": kind,
         "tool_version": TOOL_VERSION,
         "degree": degree,
         "lambda_convention": LAMBDA_CONVENTION,
         "lambda": sol.lam,
-        "coefficients": encode_complex_array(sol.g0.coeffs),
         "err_k": sol.err_k,
         "err_j": sol.err_j,
         "kkt_residual": sol.kkt_residual,
         "iterations": sol.iterations,
         "feasibility_distance": sol.feasibility,
         "saturated": sol.saturated,
-        "degree_gap": sol.degree_gap,
+        **fields,
     }
+
+
+def bep_solution_to_dict(sol: BepSolution, degree: int) -> dict:
+    return _solution_doc("bep", sol, degree, coefficients=encode_complex_array(sol.g0.coeffs),
+                         degree_gap=sol.degree_gap)
 
 
 def fbep_solution_to_dict(sol: FbepSolution, degree: int, conjecture_residual: float) -> dict:
-    return {
-        "kind": "fbep",
-        "tool_version": TOOL_VERSION,
-        "degree": degree,
-        "lambda_convention": LAMBDA_CONVENTION,
-        "lambda": sol.lam,
-        "mu": sol.mu,
-        "basis": f"lifted e_0..e_{degree} and i e_0..i e_{degree}",
-        "coefficients_real": [float(c) for c in sol.coeffs],
-        "err_k": sol.err_k,
-        "err_j": sol.err_j,
-        "kkt_residual": sol.kkt_residual,
-        "vekua_defect": sol.vekua_defect,
-        "feasibility_distance": sol.feasibility,
-        "saturated": sol.saturated,
-        "basis_min_eigenvalue": sol.basis_min_eig,
-        "dropped_basis_directions": sol.dropped,
-        "iterations": sol.iterations,
-        "conjecture_residual": conjecture_residual,
-    }
+    return _solution_doc(
+        "fbep", sol, degree,
+        mu=sol.mu,
+        basis=f"lifted e_0..e_{degree} and i e_0..i e_{degree}",
+        coefficients_real=[float(c) for c in sol.coeffs],
+        vekua_defect=sol.vekua_defect,
+        basis_min_eigenvalue=sol.basis_min_eig,
+        dropped_basis_directions=sol.dropped,
+        conjecture_residual=conjecture_residual,
+    )
 
 
 def dumps_canonical(doc: dict) -> str:

@@ -165,8 +165,7 @@ class Conductivity:
         v = self.values.values
         if np.max(np.abs(v.imag)) > 1e-12 * max(1.0, np.max(np.abs(v.real))):
             raise ValueError("conductivity must be real-valued")
-        if not 1.0 <= self.k_bound < np.inf:  # a NaN k would pass every bound check
-            raise ValueError(f"conductivity bound k must be >= 1 and finite, got {self.k_bound}")
+        _check_bound(self.k_bound)
         mag = np.abs(v.real)
         if mag.min() < 1.0 / self.k_bound - 1e-12 or mag.max() > self.k_bound + 1e-12:
             raise ValueError("conductivity violates 1/k <= |f| <= k on the grid")
@@ -187,20 +186,34 @@ class Conductivity:
 
     @classmethod
     def exp_x(cls, grid: DiscGrid, eps: float) -> "Conductivity":
+        k = _exp_bound(abs(eps))
         vals = np.exp(eps * grid.nodes.real)
-        return cls(GridFunction(grid, vals), k_bound=np.exp(abs(eps)), kind="exp_x", eps=eps)
+        return cls(GridFunction(grid, vals), k_bound=k, kind="exp_x", eps=eps)
 
     @classmethod
     def exp_xy(cls, grid: DiscGrid, eps: float) -> "Conductivity":
+        k = _exp_bound(abs(eps) / 2.0)  # |x y| <= 1/2 on the disc
         z = grid.nodes
         vals = np.exp(eps * z.real * z.imag)
-        return cls(
-            GridFunction(grid, vals), k_bound=np.exp(abs(eps) / 2.0), kind="exp_xy", eps=eps
-        )
+        return cls(GridFunction(grid, vals), k_bound=k, kind="exp_xy", eps=eps)
 
     @classmethod
     def from_grid(cls, values: GridFunction, k_bound: float) -> "Conductivity":
         return cls(values, k_bound=k_bound, kind="grid")
+
+
+def _check_bound(k: float) -> None:
+    if not 1.0 <= k < np.inf:  # a NaN k would pass every bound check
+        raise ValueError(f"conductivity bound k must be >= 1 and finite, got {k}")
+
+
+def _exp_bound(log_k: float) -> float:
+    """k = exp(log_k) of a closed-form conductivity, checked before f is sampled: a k
+    beyond the float range is refused, as the samples it bounds would overflow too."""
+    with np.errstate(over="ignore"):
+        k = float(np.exp(log_k))
+    _check_bound(k)
+    return k
 
 
 def alpha_from_f(f: Conductivity) -> GridFunction:

@@ -61,6 +61,10 @@ class TestProject:
         with pytest.raises(ValueError):
             project(g, grid_16_64.exactness_degree)
 
+    def test_negative_degree(self, grid_16_64):
+        with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+            project(GridFunction.constant(grid_16_64), -1)
+
     def test_rejects_empty_coefficients(self):
         with pytest.raises(ValueError, match="non-empty 1-d array"):
             AnalyticCoeffs([])
@@ -129,7 +133,14 @@ class TestGram:
 
     def test_full_disc_identity(self):
         g = gram(Region.full_disc(), 12)
+        assert g.degree == 12
         assert np.max(np.abs(g.entries - np.eye(13))) == 0.0
+
+    def test_negative_degree(self, grid_16_64):
+        with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+            gram(Region.radial_disc(0.5), -1)
+        with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+            gram_quadrature(Region.radial_disc(0.5), -1, grid_16_64)
 
     def test_closed_form_matches_quadrature(self, grid_24_96):
         for region in (Region.radial_disc(0.45), Region.sector(1.1), Region.annulus(0.6)):

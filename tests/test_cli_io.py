@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,10 @@ from conftest import low_degree_infeasible_problem
 DATA = os.path.join(os.path.dirname(__file__), "data")
 BEP_FIXTURE = os.path.join(DATA, "bep_problem.json")
 FBEP_FIXTURE = os.path.join(DATA, "fbep_problem.json")
+
+
+def _no_build(*args):
+    raise AssertionError("a problem file of the other kind was built")
 
 
 class TestFunctionSpec:
@@ -399,11 +404,14 @@ class TestCli:
         assert main(["solve-fbep", "--problem", str(prob), "--out", str(out)]) == 1
         assert not out.exists()
 
-    def test_wrong_solver_for_problem(self, tmp_path):
-        assert (
-            main(["solve-fbep", "--problem", BEP_FIXTURE, "--out", str(tmp_path / "s.json")])
-            == 1
-        )
+    def test_wrong_solver_for_problem(self, tmp_path, capsys, monkeypatch):
+        # the kind is read off the normalized document: no grid is built for it
+        monkeypatch.setattr(bergbep.io, "build_grid", _no_build)
+        out = tmp_path / "s.json"
+        assert main(["solve-fbep", "--problem", BEP_FIXTURE, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: problem file lacks a conductivity; use solve-bep\n"
+        assert not out.exists()
 
     def test_spectrum_radial(self, tmp_path):
         out = tmp_path / "spec.csv"
@@ -777,8 +785,28 @@ class TestCliInputPaths:
         self._fails([command, "--problem", self._write(tmp_path, doc), "--out", str(out)], capsys)
         assert not out.exists()
 
-    def test_solve_bep_on_fbep_file(self, tmp_path, capsys):
-        self._fails(["solve-bep", "--problem", FBEP_FIXTURE, "--out", str(tmp_path / "s")], capsys)
+    def test_solve_bep_on_fbep_file(self, tmp_path, capsys, monkeypatch):
+        # the kind is read off the normalized document: no grid is built for it
+        monkeypatch.setattr(bergbep.io, "build_grid", _no_build)
+        out = tmp_path / "s"
+        err = self._fails(["solve-bep", "--problem", FBEP_FIXTURE, "--out", str(out)], capsys)
+        assert "use solve-fbep" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve-fbep", "lambda-sweep"])
+    @pytest.mark.parametrize("kind, eps", [("exp_x", 1000.0), ("exp_xy", 1e5)])
+    def test_conductivity_bound_beyond_float_range(self, tmp_path, capsys, command, kind, eps):
+        # k = exp(|eps|) (exp(|eps| / 2) for exp_xy) overflows: one error line names
+        # the bound, with no numpy warning before it
+        doc = dict(load_json(FBEP_FIXTURE), conductivity={"kind": kind, "eps": eps})
+        out = tmp_path / "s"
+        argv = [command, "--problem", self._write(tmp_path, doc), "--out", str(out)]
+        argv += ["--m-values", "0.1"] if command == "lambda-sweep" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = self._fails(argv, capsys)
+        assert err == "error: conductivity bound k must be >= 1 and finite, got inf\n"
+        assert not out.exists()
 
     def test_lambda_sweep_empty_levels(self, tmp_path, capsys):
         out = str(tmp_path / "s.csv")
@@ -827,6 +855,32 @@ class TestCliInputPaths:
         argv = ["solve-bep", "--problem", BEP_FIXTURE, "--out", str(tmp_path / "s"), "--fast"]
         assert main(argv) == 1
         assert "unrecognized arguments: --fast" in capsys.readouterr().err
+
+
+# the answers of solve-bep and solve-fbep on the fixtures, recorded in
+# data/cli_answers.json: lambda, mu, err_K, err_J, the feasibility distance,
+# the basis's least eigenvalue and the coefficients (relative to their norm)
+# to 1e-10, the counts exactly.  The saturated sector f-BEP pins lambda, err_K
+# and err_J alone: its coefficients are defined only to the accuracy of the
+# near-null band of its K-form.
+_ANSWERS = load_json(os.path.join(DATA, "cli_answers.json"))
+
+
+@pytest.mark.parametrize("fixture", sorted(_ANSWERS))
+def test_fixture_answers(tmp_path, fixture):
+    record = _ANSWERS[fixture]
+    out = tmp_path / "s.json"
+    assert main([record["command"], "--problem", os.path.join(DATA, fixture),
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    for key, expected in record["answers"].items():
+        if key.startswith("coefficients"):
+            got, want = np.array(doc[key]), np.array(expected)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.linalg.norm(want), key
+        elif isinstance(expected, float):
+            assert doc[key] == pytest.approx(expected, rel=1e-10, abs=0.0), key
+        else:  # iterations, dropped directions, saturation
+            assert doc[key] == expected, key
 
 
 def test_cli_as_a_process(tmp_path):

@@ -365,6 +365,11 @@ class TestGridFunction:
         h = (2.0 * g - g * g + g.conj()) * 0.5
         assert np.all(np.isfinite(h.values.real))
 
+    def test_negation(self, grid_16_64):
+        g = GridFunction.from_function(grid_16_64, lambda z: z + 1j)
+        assert np.array_equal((-g).values, -g.values)
+        assert (-g).grid is grid_16_64
+
     def test_norm_matches_inner_product(self, grid_16_64):
         g = GridFunction.from_function(grid_16_64, lambda z: z + 1j)
         assert abs(g.norm() ** 2 - inner_product(g, g).real) <= 1e-14

@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -103,6 +104,16 @@ class TestAlphaFromF:
         vals = GridFunction.from_function(grid_32_64, lambda z: z.real)
         with pytest.raises(ValueError, match="bound k must be >= 1 and finite"):
             Conductivity.from_grid(vals, k_bound=k_bound)
+
+    @pytest.mark.parametrize("kind, eps", [("exp_x", 710.0), ("exp_x", -710.0),
+                                           ("exp_xy", 1500.0)])
+    def test_closed_form_bound_beyond_float_range(self, grid_32_64, kind, eps):
+        # k = exp(|eps|), or exp(|eps| / 2) for exp_xy, overflows: refused as bad
+        # input before f is sampled, not as numpy's overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="bound k must be >= 1 and finite, got inf"):
+                getattr(Conductivity, kind)(grid_32_64, eps)
 
     @pytest.mark.parametrize("value", [0.0, -0.0, np.inf, np.nan])
     def test_constant_rejects_zero_and_non_finite(self, grid_32_64, value):
