@@ -261,9 +261,8 @@ class _GridSide(NamedTuple):
 
     @classmethod
     def of(cls, w: np.ndarray, h: np.ndarray) -> "_GridSide":
-        rows = np.atleast_2d(w)  # grid-shaped (n_r, n_theta); flat weights are one ring
-        on = _weighted_rings(rows)
-        n_t = rows.shape[-1]
+        on = _weighted_rings(w)
+        n_t = w.shape[-1]
         on = slice(on.start * n_t, on.stop * n_t)
         return cls(on, w.ravel()[on], h.ravel()[on])
 
@@ -348,7 +347,7 @@ def _power(spectrum: np.ndarray) -> np.ndarray:
 def _side(basis, w: np.ndarray, h: np.ndarray):
     """A _RingSide where the basis has a ring spectrum and w is constant along theta
     (discs, annuli, their complements, the full disc), else a _GridSide."""
-    if hasattr(basis, "_ring_spectrum") and w.ndim == 2 and np.all(w == w[:, :1]):
+    if hasattr(basis, "_ring_spectrum") and np.all(w == w[:, :1]):
         return _RingSide.of(basis, w, h)
     return _GridSide.of(w, h)
 

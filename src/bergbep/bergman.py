@@ -35,13 +35,12 @@ The dense samples are a tensor product: e_n at node (i, j) is
 sqrt(n+1) r_i^n times e^{in theta_j} (_ring_factors, from the radii and
 angles alone: no complex power and no table of the polar layer), and
 basis_matrix is its all-rings call, kept for independent checks.
-_forms is the plain quadrature of the same forms over any sampled
-family, summed over the nodes that carry weight in row blocks of about
-_BLOCK_BYTES, so it makes no full-size copy; the dense Vekua bases use
-its two halves, _gram and _moments, on their samples.  _basis_forms sums
-it over blocks of rings sampled on the fly, so the BEP oracle assembles
-its forms in O(block) memory and never holds a sample matrix of the
-whole grid.
+_gram and _moments are the plain quadrature of the same forms over any
+sampled family, summed over the nodes that carry weight in row blocks of
+about _BLOCK_BYTES, so they make no full-size copy; the dense Vekua bases
+use them on their samples.  _basis_forms sums them over blocks of rings
+sampled on the fly, so the BEP oracle assembles its forms in O(block)
+memory and never holds a sample matrix of the whole grid.
 
 Note on the radial spectrum convention: with J = a*D under the
 normalized area measure, the truncated Toeplitz matrix is diagonal with
@@ -141,20 +140,11 @@ def _row_blocks(w: np.ndarray, width: int):
         yield slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
 
 
-def _forms(samples: np.ndarray, w: np.ndarray, h: np.ndarray, part):
-    """Gram form and data moments of the columns of samples, summed over the nodes of w only.
-
-    samples is (n_nodes, B) and w, h are flat over the nodes; part is
-    np.real for the real forms of a real-linear family.  Both sums run
-    over row blocks (_row_blocks), so no temporary is larger than a block.
-    """
-    return _gram(samples, w, part), _moments(samples, w, h, part)
-
-
 def _gram(samples: np.ndarray, w: np.ndarray, part) -> np.ndarray:
-    """The Gram form of _forms alone, exactly Hermitian (symmetric under np.real).
-
-    With t = w conj(s) on a block, the block's sum w conj(s_m) s_n is conj(s^T t).
+    """Gram form part(sum w conj(s_m) s_n) of the columns s of samples (n_nodes, B) over
+    the nodes of the flat weights w only, exactly Hermitian (symmetric under np.real,
+    the part of a real-linear family).  The sum runs over row blocks (_row_blocks);
+    with t = w conj(s) on a block, the block's sum is conj(s^T t).
     """
     width = samples.shape[1]
     g = np.zeros((width, width), dtype=part(samples[:0]).dtype)
@@ -167,7 +157,7 @@ def _gram(samples: np.ndarray, w: np.ndarray, part) -> np.ndarray:
 
 
 def _moments(samples: np.ndarray, w: np.ndarray, h: np.ndarray, part):
-    """The data moments of _forms alone, part(samples^H (w h)) over the same row blocks."""
+    """The data moments part(samples^H (w h)) for flat data h, over _gram's row blocks."""
     width = samples.shape[1]
     r = np.zeros(width, dtype=part(samples[:0]).dtype)
     for rows in _row_blocks(w, width):
@@ -179,24 +169,22 @@ def _basis_forms(radial: np.ndarray, angular: np.ndarray, sides) -> list:
     """Gram form and moments of e_0..e_N (_ring_factors) for each side's grid-shaped
     weights w and data h, as a list of (gram, moments) pairs.
 
-    The rings that carry weight on any side are sampled by _ring_rows in
-    blocks of about _BLOCK_BYTES, and each block serves every side through
-    _forms: no full sample matrix is built.  Each block's Gram form is
-    exactly Hermitian, so their sum is.
+    The rings are sampled by _ring_rows in blocks of about _BLOCK_BYTES, and
+    each block serves every side through _gram and _moments, which skip the
+    nodes without weight: no full sample matrix is built.  Each block's Gram
+    form is exactly Hermitian, so their sum is.
     """
     sides = list(sides)
     width = radial.shape[1]
-    rings = np.flatnonzero(np.any([np.any(w, axis=-1) for w, _ in sides], axis=0))
     step = max(1, _BLOCK_BYTES // (16 * angular.shape[0] * width))
     forms = [(np.zeros((width, width), dtype=complex), np.zeros(width, dtype=complex))
              for _ in sides]
-    for lo in range(0, rings.size, step):
-        block = rings[lo : lo + step]
+    for lo in range(0, radial.shape[0], step):
+        block = slice(lo, lo + step)
         rows = _ring_rows(radial[block], angular)
         for (w, h), (gram, moments) in zip(sides, forms):
-            g, r = _forms(rows, w[block].ravel(), h[block].ravel(), np.asarray)
-            gram += g
-            moments += r
+            gram += _gram(rows, w[block].ravel(), np.asarray)
+            moments += _moments(rows, w[block].ravel(), h[block].ravel(), np.asarray)
     return forms
 
 
@@ -306,6 +294,8 @@ class GramMatrix:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("Gram matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("Gram matrix entries must be finite")
         self.entries = m
 
     @property
@@ -360,8 +350,4 @@ def spectrum(g: GramMatrix) -> np.ndarray:
     herm_defect = np.max(np.abs(g.entries - g.entries.conj().T))
     if herm_defect > 1e-10:
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.2e})")
-    try:
-        vals = np.linalg.eigvalsh(g.entries)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigenvalue iteration failed: {exc}") from exc
-    return vals[::-1]
+    return np.linalg.eigvalsh(g.entries)[::-1]

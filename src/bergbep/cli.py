@@ -19,6 +19,7 @@ from .bep import (
     ConstrainedLSQ,
     ConvergenceError,
     InfeasibleProblemError,
+    _certificates,
     solve_bep,
     solve_bep_oracle,
 )
@@ -191,10 +192,9 @@ def cmd_lambda_sweep(args) -> int:
         basis = build_fbep_space(problem.f, problem.degree, tol=problem.lift_tol)
     core = ConstrainedLSQ.from_problem(problem, basis)
     lines = ["m,lambda,err_k"]
-    for m in m_values:  # the lambda and err_K of solve_bep or solve_fbep at this M
-        result = core.solve(m)
-        err_k = core.err(result.coeffs, "k", result.values)
-        lines.append(f"{m!r},{result.lam!r},{err_k!r}")
+    for m in m_values:  # the lambda and err_K that solve_bep or solve_fbep report at this M
+        row = _certificates(core.solve(m), core.err, core.kkt)
+        lines.append(f"{m!r},{row['lam']!r},{row['err_k']!r}")
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
     return EXIT_OK

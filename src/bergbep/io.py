@@ -136,7 +136,11 @@ def _function(spec: dict, grid: DiscGrid) -> GridFunction:
             )
         return GridFunction(grid, values.reshape(grid.shape))
     key, values = BUILTINS[spec["name"]]
-    return GridFunction(grid, values(grid, spec.get(key)))
+    with np.errstate(over="ignore"):  # an overflow is refused below, as one error
+        samples = values(grid, spec.get(key))
+    if not np.all(np.isfinite(samples)):
+        raise SchemaError(f"builtin {spec['name']} {key} {spec.get(key)!r} overflows on the grid")
+    return GridFunction(grid, samples)
 
 
 def normalize_region_spec(spec) -> dict:

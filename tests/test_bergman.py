@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -211,8 +213,20 @@ class TestSpectrum:
         from bergbep import GramMatrix
 
         bad = GramMatrix(Region.full_disc(), np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not Hermitian"):
             spectrum(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+    def test_rejects_nonfinite_entries(self, bad):
+        # refused on construction, before spectrum's Hermitian check or eigvalsh
+        from bergbep import GramMatrix
+
+        entries = np.eye(3, dtype=complex)
+        entries[1, 2] = entries[2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                GramMatrix(Region.full_disc(), entries)
 
     def test_rejects_non_square(self):
         from bergbep import GramMatrix
@@ -289,7 +303,8 @@ class TestDenseSamples:
             assert np.max(np.abs(a - gram)) <= 1e-13 * np.max(np.abs(gram))
             assert np.max(np.abs(r - moments)) <= 1e-13 * np.max(np.abs(moments))
             assert np.array_equal(a, a.conj().T)
-            real_a, real_r = bergman._forms(e, w.ravel(), h.ravel(), np.real)
+            real_a = bergman._gram(e, w.ravel(), np.real)
+            real_r = bergman._moments(e, w.ravel(), h.ravel(), np.real)
             assert np.max(np.abs(real_a - gram.real)) <= 1e-13 * np.max(np.abs(gram))
             assert np.max(np.abs(real_r - moments.real)) <= 1e-13 * np.max(np.abs(moments))
             assert np.array_equal(real_a, real_a.T)
@@ -303,7 +318,7 @@ class TestPolarLayer:
         "shape", [(12, 24, 5), (24, 96, 16), (64, 128, 30), (16, 45, 20), (12, 24, 11)]
     )
     def test_forms_match_dense(self, shape):
-        from bergbep.bergman import _forms, _ring_gram, _ring_moments, basis_matrix
+        from bergbep.bergman import _gram, _moments, _ring_gram, _ring_moments, basis_matrix
 
         n_r, n_t, n = shape
         grid = build_grid(n_r, n_t)
@@ -312,7 +327,7 @@ class TestPolarLayer:
         h = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         for region in _regions(grid):
             w = region.weights(grid)
-            a, r = _forms(e, w.ravel(), h.ravel(), np.asarray)
+            a, r = _gram(e, w.ravel(), np.asarray), _moments(e, w.ravel(), h.ravel(), np.asarray)
             ring_a, ring_r = _ring_gram(grid, w, n), _ring_moments(grid, w * h, n)
             assert np.max(np.abs(ring_a - a)) <= 1e-13 * np.max(np.abs(a))
             assert np.max(np.abs(ring_r - r)) <= 1e-13 * np.max(np.abs(r))

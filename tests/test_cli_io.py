@@ -808,6 +808,24 @@ class TestCliInputPaths:
         assert err == "error: conductivity bound k must be >= 1 and finite, got inf\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["project", "teodorescu", "solve-bep"])
+    @pytest.mark.parametrize("name, eps", [("exp_x", 1000.0), ("exp_xy", 1e5)])
+    def test_builtin_beyond_float_range(self, tmp_path, capsys, command, name, eps):
+        # exp(eps x) (exp(eps x y)) overflows on the grid: one error line names the
+        # builtin and its eps, with no numpy warning before it
+        out = tmp_path / "o"
+        if command == "solve-bep":
+            doc = dict(load_json(BEP_FIXTURE), h_k={"kind": "builtin", "name": name, "eps": eps})
+            argv = [command, "--problem", self._write(tmp_path, doc)]
+        else:
+            argv = [command, "--builtin", name, "--eps", str(eps), "--grid", "8,32"]
+            argv += ["--degree", "4"] if command == "project" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = self._fails(argv + ["--out", str(out)], capsys)
+        assert err == f"error: builtin {name} eps {eps!r} overflows on the grid\n"
+        assert not out.exists()
+
     def test_lambda_sweep_empty_levels(self, tmp_path, capsys):
         out = str(tmp_path / "s.csv")
         argv = ["lambda-sweep", "--problem", BEP_FIXTURE, "--m-values", ",", "--out", out]
