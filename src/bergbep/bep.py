@@ -21,7 +21,13 @@ full-disc form through its one whitening W = V diag(vals)^(-1/2) over
 the directions above _DROP_RCOND of the top eigenvalue
 (FullForm.whitening, the one rank rule, which the degree diagnostic
 and the f-BEP's span projection read too) and reads the K-form as
-A_full - A_J, so each core assembles one region form.  The BEP's basis,
+A_full - A_J, so it assembles one region form, the J-form.  A BEP core
+assembles it once per (J region, grid, degree): the J-form and its
+decomposition (the J record: A_J, tau and the whitening W q) depend on
+J's weights and the basis alone, never on the data or M, and the region
+keeps them beside its weights, as it does the leading core's of the
+degree diagnostic, so a repeat solve on the same partition takes neither
+the ring Gram nor an eigh.  The BEP's basis,
 _PolarBasis, is e_0..e_N on the polar grid: its forms, moments and
 synthesis are the ring FFTs of the polar layer in bergman.  It is
 orthonormal on the disc, so, as in the operator equation, only the
@@ -352,6 +358,59 @@ def _side(basis, w: np.ndarray, h: np.ndarray):
     return _GridSide.of(w, h)
 
 
+class _JRecord(NamedTuple):
+    """What a core takes of its J side beyond the data: A_J, the count of full-disc
+    directions the whitening drops, and tau with whiten = W q, under which A_J is
+    diag(tau) and the full-disc form the identity.  It depends on the basis and
+    w_J alone, never on h_K, h_J or M."""
+
+    a_j: np.ndarray
+    dropped: int
+    taus: np.ndarray
+    whiten: np.ndarray
+
+
+def _j_record(full: FullForm, a_j: np.ndarray) -> _JRecord:
+    """The J record of the J-form a_j over a basis whose full-disc form is full: the
+    eigenvectors q of W^H A_J W (the identity when that form is diagonal) and its
+    eigenvalues tau, clipped to the [0, 1] spectrum of a compression."""
+    w = full.whitening()
+    dropped = full.vals.size - w.shape[1]
+    b = w.conj().T @ a_j @ w
+    if np.any(b - np.diag(b.diagonal())):
+        taus, q = np.linalg.eigh((b + b.conj().T) / 2.0)
+        w = w @ q
+    else:  # a diagonal form (a _RingSide J) is its own eigendecomposition: q = I
+        taus = b.diagonal().real
+    return _JRecord(a_j, dropped, np.clip(taus, 0.0, 1.0), w)
+
+
+def _built(n: int, build) -> _JRecord:
+    """A core's kept(n, build) when nothing is kept: build it."""
+    return build()
+
+
+def _kept_records(j_region: Region, grid, degree: int):
+    """kept(n, build) of a core over e_0..e_degree on grid: the J record of the first
+    n elements is built once per (J region, grid, degree, n) and kept on the region
+    beside its weights (Region._resolve: weak on the grid, arrays read-only)."""
+
+    def kept(n: int, build) -> _JRecord:
+        built = False
+
+        def compute(_grid) -> _JRecord:
+            nonlocal built
+            built = True
+            return build()
+
+        record = j_region._resolve(grid, ("j_record", degree, n), compute)
+        logger.debug("%s the J record of e_0..e_%d at degree %d",
+                     "built" if built else "reused", n - 1, degree)
+        return record
+
+    return kept
+
+
 class ConstrainedLSQ:
     """min err_K(c) subject to err_J(c) <= M over combinations c of basis elements.
 
@@ -376,48 +435,52 @@ class ConstrainedLSQ:
     eigenvectors q of W^H A_J W (the identity when that form is diagonal)
     make whiten = W q, under which the J-form is diag(tau) and the K-form
     diag(1 - tau).
+
+    The J part, A_J and its decomposition (a _JRecord), depends on the basis
+    and w_J alone.  kept(n, build) gives the record of the first n basis
+    elements, the core's own (n = all) and the degree diagnostic's leading
+    core's: from_problem's polar basis keeps each on the J region
+    (_kept_records), so a repeat solve on the same J, grid and degree reads
+    it; a core built directly (kept None) builds it every time and keeps
+    nothing.
     """
 
-    def __init__(self, basis, w_k, w_j, h_k, h_j):
+    def __init__(self, basis, w_k, w_j, h_k, h_j, kept=None):
         self.full = basis._full_form
         self._sides = {"k": _side(basis, w_k, h_k), "j": _side(basis, w_j, h_j)}
+        self._kept = kept or _built
         j = self._sides["j"]
-        self.a_j = j.form() if isinstance(j, _RingSide) else basis._form(w_j)
+        record = self._kept(self.full.vals.size, lambda: _j_record(
+            self.full, j.form() if isinstance(j, _RingSide) else basis._form(w_j)))
         self.r_k, self.r_j = (
             side.moments() if isinstance(side, _RingSide)
             else basis._moments(w, h) if np.any(h)
-            else np.zeros(len(self.a_j), self.a_j.dtype)
+            else np.zeros(len(record.a_j), record.a_j.dtype)
             for side, w, h in ((self._sides["k"], w_k, h_k), (self._sides["j"], w_j, h_j))
         )
         self.synthesize = basis._synthesis
-        self._diagonalize()
+        self._adopt(record)
 
     @classmethod
     def from_problem(cls, problem, basis=None) -> "ConstrainedLSQ":
-        """The BEP over e_0..e_N (basis None), or the real f-BEP over the lifts of a
-        VekuaBasis; a basis on another grid than the problem's raises GridMismatchError."""
+        """The BEP over e_0..e_N (basis None), whose J records are kept on the J region,
+        or the real f-BEP over the lifts of a VekuaBasis; a basis on another grid than
+        the problem's raises GridMismatchError."""
         grid = problem.grid
+        kept = None
         if basis is None:
             basis = _PolarBasis(grid, problem.degree)
+            kept = _kept_records(problem.j_region, grid, problem.degree)
         elif basis.grid is not grid:
             raise GridMismatchError("basis and problem live on different grids")
         w_k, w_j = problem.k_region.weights(grid), problem.j_region.weights(grid)
-        return cls(basis, w_k, w_j, problem.h_k.values, problem.h_j.values)
+        return cls(basis, w_k, w_j, problem.h_k.values, problem.h_j.values, kept)
 
-    def _diagonalize(self) -> None:
-        w = self.full.whitening()
-        self.dropped = self.full.vals.size - w.shape[1]
+    def _adopt(self, record: _JRecord) -> None:
+        """Take A_J, tau and whiten = W q from the J record and whiten the moments."""
+        self.a_j, self.dropped, self.taus, self.whiten = record
         if self.dropped:
             logger.info("dropping %d near-dependent basis directions", self.dropped)
-        b = w.conj().T @ self.a_j @ w
-        if np.any(b - np.diag(b.diagonal())):
-            taus, q = np.linalg.eigh((b + b.conj().T) / 2.0)
-            w = w @ q
-        else:  # a diagonal form (a _RingSide J) is its own eigendecomposition: q = I
-            taus = b.diagonal().real
-        self.taus = np.clip(taus, 0.0, 1.0)  # compression of a [0,1]-spectrum form
-        # whitens the full-disc form to the identity and A_J to diag(tau)
-        self.whiten = w
         self.bt_k = self.whiten.conj().T @ self.r_k
         self.bt_j = self.whiten.conj().T @ self.r_j
         self._free = None  # the M-independent part of solve, filled on first use
@@ -428,10 +491,9 @@ class ConstrainedLSQ:
         pad = np.zeros(self.r_k.size - n)
         sub.synthesize = lambda c: self.synthesize(np.concatenate((c, pad)))
         sub.full = self.full.leading(n)
-        sub.a_j = self.a_j[:n, :n]
         sub.r_k, sub.r_j = self.r_k[:n], self.r_j[:n]
         sub._sides = {name: side.leading(n) for name, side in self._sides.items()}
-        sub._diagonalize()
+        sub._adopt(self._kept(n, lambda: _j_record(sub.full, self.a_j[:n, :n])))
         return sub
 
     @cached_property
@@ -665,7 +727,8 @@ def feasibility_distance(h_j: GridFunction, j_region: Region, degree: int) -> fl
     _check_degree(grid, degree)
     w_j = j_region.weights(grid)
     zero = np.zeros(grid.shape)
-    core = ConstrainedLSQ(_PolarBasis(grid, degree), grid.weights - w_j, w_j, zero, h_j.values)
+    core = ConstrainedLSQ(_PolarBasis(grid, degree), grid.weights - w_j, w_j, zero, h_j.values,
+                          _kept_records(j_region, grid, degree))
     return core.feasibility()
 
 

@@ -379,8 +379,11 @@ class Region:
     The complement flag swaps the region with its complement in the
     disc; the indicators and weights of the two add up to the grid's.
 
-    A region resolves on each grid once: fraction and weights are each
-    kept on first use, read-only, per grid, and the grid is held weakly.
+    A region resolves on each grid once: fraction, weights and node count
+    are each kept on first use, per grid, and the grid is held weakly.
+    Other modules keep what depends only on the region and the grid the
+    same way (bep keeps the J record of each degree); every array kept
+    is read-only.
     """
 
     kind: str
@@ -388,7 +391,7 @@ class Region:
     theta: float | None = None
     mask_values: np.ndarray | None = None
     complement_flag: bool = False
-    # grid -> {"fraction" or "weights": values}, filled on first use
+    # grid -> {name: an array, a tuple of arrays or a count}, filled on first use
     _resolved: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False
     )
@@ -469,12 +472,16 @@ class Region:
                   for shift in (0.0, -2.0 * np.pi, 2.0 * np.pi))
         return ring * _cell_fraction(arc, left, right, 2.0 * np.pi)[None, :]
 
-    def _resolve(self, grid: DiscGrid, name: str, compute) -> np.ndarray:
-        """compute(grid), kept read-only under name for this grid."""
+    def _resolve(self, grid: DiscGrid, name, compute):
+        """compute(grid), kept under the hashable name for this grid: an array, a
+        tuple of arrays (a record) or a count.  Every array kept is made read-only."""
         resolved = self._resolved.setdefault(grid, {})
         if name not in resolved:
-            resolved[name] = compute(grid)
-            resolved[name].setflags(write=False)
+            value = compute(grid)
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.setflags(write=False)
+            resolved[name] = value
         return resolved[name]
 
     def fraction(self, grid: DiscGrid) -> np.ndarray:
@@ -515,7 +522,8 @@ class Region:
         Only cells with a genuine overlap count: rounding-level overlaps
         are snapped to zero weight.
         """
-        return int(np.count_nonzero(self.weights(grid) > 0.0))
+        return self._resolve(grid, "node_count",
+                             lambda g: int(np.count_nonzero(self.weights(g) > 0.0)))
 
 
 def eval_basis(n: int, z) -> complex | np.ndarray:

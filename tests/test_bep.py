@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import logging
 import os
@@ -26,6 +27,7 @@ from bergbep import (
     solve_bep,
     solve_bep_oracle,
 )
+from bergbep import io as bio
 from bergbep.bep import (
     ConstrainedLSQ,
     FullForm,
@@ -582,20 +584,24 @@ class TestPolarCore:
 
     def test_one_gram_and_one_eigh_per_core(self, saturated_family, monkeypatch):
         # two cores: the problem's, and the degree diagnostic's leading core,
-        # which slices the J-form and the grid norms of its parent.  A sector K
-        # assembles one ring-FFT Gram form and diagonalizes each core's; a disc
-        # K takes its diagonal J-form from the ring spectrum, with no eigh
+        # which slices the J-form and the grid norms of its parent.  On fresh
+        # regions a sector K assembles one ring-FFT Gram form and diagonalizes
+        # each core's; a disc K takes its diagonal J-form from the ring spectrum,
+        # with no eigh.  Both records are kept on J: a second solve makes neither
         import bergbep.bep as bep
 
         calls = []
         ring_gram, eigh = bep._ring_gram, np.linalg.eigh
         monkeypatch.setattr(bep, "_ring_gram", lambda *a: calls.append("gram") or ring_gram(*a))
         monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append("eigh") or eigh(*a))
-        for p, expected in zip(saturated_family[:2], ([], ["eigh", "eigh", "gram"])):
-            calls.clear()
-            sol = solve_bep(p)
-            assert sol.degree_gap is not None
-            assert sorted(calls) == expected
+        for p, first in zip(saturated_family[:2], ([], ["eigh", "eigh", "gram"])):
+            fresh = dataclasses.replace(p, k_region=dataclasses.replace(p.k_region),
+                                        j_region=dataclasses.replace(p.j_region))
+            for expected in (first, []):
+                calls.clear()
+                sol = solve_bep(fresh)
+                assert sol.degree_gap is not None
+                assert sorted(calls) == expected
 
     def test_feasibility_distance_transforms_j_data_only(self, saturated_family, monkeypatch):
         # the feasibility core has zero K data, whose moments (and, on a disc, ring
@@ -636,6 +642,117 @@ class TestPolarCore:
             assert reference.saturated and sol.saturated
             c = sol.g0.coeffs
             assert np.max(np.abs(c - reference.coeffs)) <= 1e-11 * np.max(np.abs(reference.coeffs))
+
+
+def _fresh_problem(grid, kind, degree=16):
+    """A saturated BEP with a K of the kind, on regions nothing has resolved yet."""
+    p = _region_problem(grid, kind, degree)
+    p = saturated_problem(grid, p.k_region, p.h_k, p.h_j, degree)
+    k = dataclasses.replace(p.k_region)
+    return dataclasses.replace(p, k_region=k, j_region=k.complement())
+
+
+class TestJRecord:
+    """The J part of a polar core (A_J, the dropped count, tau and the whitening
+    W q) depends on J's weights and the basis alone: it is built once per (J
+    region, grid, degree) for the core and for the degree diagnostic's leading
+    core, and kept on the region, read-only."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or original(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("kind", ["sector", "mask"])
+    def test_repeat_solve_reads_the_record(self, grid_24_96, monkeypatch, kind):
+        import bergbep.bep as bep
+
+        p = _fresh_problem(grid_24_96, kind)
+        gram = self._count(monkeypatch, bep, "_ring_gram")
+        eigh = self._count(monkeypatch, np.linalg, "eigh")
+        docs = []
+        for expected in ((1, 2), (0, 0)):
+            gram.clear(), eigh.clear()
+            sol = solve_bep(p)
+            assert (len(gram), len(eigh)) == expected
+            assert sol.saturated and sol.degree_gap is not None
+            docs.append(bio.dumps_canonical(bio.bep_solution_to_dict(sol, 16)))
+        assert docs[0] == docs[1]
+
+    def test_each_region_degree_and_grid_builds_its_own(self, grid_24_96, grid_16_64,
+                                                         monkeypatch):
+        import bergbep.bep as bep
+
+        builds = self._count(monkeypatch, bep, "_j_record")
+        j = Region.sector(1.2).complement()
+
+        def feas(region, grid, degree):
+            return feasibility_distance(GridFunction.from_function(grid, np.conj), region, degree)
+
+        first = feas(j, grid_24_96, 12)
+        steps = ((j, grid_24_96, 12, 0), (dataclasses.replace(j), grid_24_96, 12, 1),
+                 (j, grid_24_96, 10, 1), (j, grid_16_64, 12, 1), (j, grid_24_96, 12, 0))
+        for region, grid, degree, built in steps:
+            builds.clear()
+            value = feas(region, grid, degree)
+            assert len(builds) == built
+            if (grid, degree) == (grid_24_96, 12):
+                assert value == first
+
+    def test_record_is_read_only(self, grid_24_96):
+        p = _fresh_problem(grid_24_96, "sector")
+        core = ConstrainedLSQ.from_problem(p)
+        for record in (core, core.leading(13)):
+            for array in (record.a_j, record.taus, record.whiten):
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+
+    def test_record_dies_with_its_region(self, grid_24_96):
+        def solved():
+            p = _fresh_problem(grid_24_96, "sector")
+            sol = solve_bep(p)
+            assert sol.saturated
+            record = p.j_region._resolved[grid_24_96][("j_record", 16, 17)]
+            return weakref.ref(record.whiten), weakref.ref(p.j_region)
+
+        refs = solved()
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_constraint_error_curve_makes_one_eigh(self, grid_24_96, monkeypatch):
+        p = _fresh_problem(grid_24_96, "sector")
+        eigh = self._count(monkeypatch, np.linalg, "eigh")
+        errs = [constraint_error(p, lam) for lam in (-0.5, 0.0, 1.0, 4.0, 16.0)]
+        assert len(eigh) == 1
+        assert all(a > b for a, b in zip(errs, errs[1:]))
+
+    def test_oracle_reads_no_record(self, grid_24_96, monkeypatch):
+        import bergbep.bep as bep
+
+        p = _fresh_problem(grid_24_96, "sector")
+        before = solve_bep_oracle(p)
+        solve_bep(p)  # keeps both records on J
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle read a J record")
+
+        monkeypatch.setattr(bep, "_kept_records", forbidden)
+        monkeypatch.setattr(bep, "_j_record", forbidden)
+        after = solve_bep_oracle(p)
+        assert np.array_equal(after.g0.coeffs, before.g0.coeffs)
+        assert (after.lam, after.err_k, after.err_j) == (before.lam, before.err_k, before.err_j)
+
+    def test_debug_log_names_built_and_reused(self, grid_24_96, caplog):
+        p = _fresh_problem(grid_24_96, "sector")
+        for expected in ("built", "reused"):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="bergbep"):
+                solve_bep(p)
+            lines = [r.getMessage() for r in caplog.records if "J record" in r.getMessage()]
+            assert lines == [f"{expected} the J record of e_0..e_16 at degree 16",
+                             f"{expected} the J record of e_0..e_12 at degree 16"]
 
 
 class TestParsevalSides:

@@ -228,6 +228,17 @@ class TestRegionResolution:
             assert np.array_equal(region.fraction(half), region.fraction(grid_16_64))
             assert region.weights(grid_16_64) is w
 
+    def test_node_count_once_per_grid(self, grid_16_64, monkeypatch):
+        calls = []
+        count_nonzero = np.count_nonzero
+        monkeypatch.setattr(np, "count_nonzero",
+                            lambda *a, **k: calls.append(1) or count_nonzero(*a, **k))
+        half = dataclasses.replace(grid_16_64, radial_weights=grid_16_64.radial_weights * 0.5)
+        region = Region.sector(1.1)
+        counts = [region.node_count(grid) for grid in (grid_16_64, grid_16_64, half, half)]
+        assert len(calls) == 2
+        assert counts == [count_nonzero(region.weights(grid_16_64) > 0.0)] * 4
+
     def test_holds_grid_weakly(self):
         region = Region.sector(1.0)
         grid = build_grid(8, 32)
