@@ -26,8 +26,9 @@ assembles it once per (J region, grid, degree): the J-form and its
 decomposition (the J record: A_J, tau and the whitening W q) depend on
 J's weights and the basis alone, never on the data or M, and the region
 keeps them beside its weights, as it does the leading core's of the
-degree diagnostic, so a repeat solve on the same partition takes neither
-the ring Gram nor an eigh.  The BEP's basis,
+degree diagnostic, for the last degree solved on each grid, so a repeat
+solve on the same partition takes neither the ring Gram nor an eigh.
+The BEP's basis,
 _PolarBasis, is e_0..e_N on the polar grid: its forms, moments and
 synthesis are the ring FFTs of the polar layer in bergman.  It is
 orthonormal on the disc, so, as in the operator equation, only the
@@ -385,32 +386,6 @@ def _j_record(full: FullForm, a_j: np.ndarray) -> _JRecord:
     return _JRecord(a_j, dropped, np.clip(taus, 0.0, 1.0), w)
 
 
-def _built(n: int, build) -> _JRecord:
-    """A core's kept(n, build) when nothing is kept: build it."""
-    return build()
-
-
-def _kept_records(j_region: Region, grid, degree: int):
-    """kept(n, build) of a core over e_0..e_degree on grid: the J record of the first
-    n elements is built once per (J region, grid, degree, n) and kept on the region
-    beside its weights (Region._resolve: weak on the grid, arrays read-only)."""
-
-    def kept(n: int, build) -> _JRecord:
-        built = False
-
-        def compute(_grid) -> _JRecord:
-            nonlocal built
-            built = True
-            return build()
-
-        record = j_region._resolve(grid, ("j_record", degree, n), compute)
-        logger.debug("%s the J record of e_0..e_%d at degree %d",
-                     "built" if built else "reused", n - 1, degree)
-        return record
-
-    return kept
-
-
 class ConstrainedLSQ:
     """min err_K(c) subject to err_J(c) <= M over combinations c of basis elements.
 
@@ -437,20 +412,19 @@ class ConstrainedLSQ:
     diag(1 - tau).
 
     The J part, A_J and its decomposition (a _JRecord), depends on the basis
-    and w_J alone.  kept(n, build) gives the record of the first n basis
-    elements, the core's own (n = all) and the degree diagnostic's leading
-    core's: from_problem's polar basis keeps each on the J region
-    (_kept_records), so a repeat solve on the same J, grid and degree reads
-    it; a core built directly (kept None) builds it every time and keeps
+    and w_J alone.  A core over e_0..e_N given its J region keeps its record
+    and the degree diagnostic's leading core's on the region (_record), so a
+    repeat solve on the same J, grid and degree reads them; a core given no
+    region (the tests', the f-BEP's) builds its record every time and keeps
     nothing.
     """
 
-    def __init__(self, basis, w_k, w_j, h_k, h_j, kept=None):
+    def __init__(self, basis, w_k, w_j, h_k, h_j, j_region=None):
         self.full = basis._full_form
         self._sides = {"k": _side(basis, w_k, h_k), "j": _side(basis, w_j, h_j)}
-        self._kept = kept or _built
+        self._keeper = None if j_region is None else (j_region, basis.grid, basis.degree)
         j = self._sides["j"]
-        record = self._kept(self.full.vals.size, lambda: _j_record(
+        record = self._record("j_record", self.full.vals.size, lambda: _j_record(
             self.full, j.form() if isinstance(j, _RingSide) else basis._form(w_j)))
         self.r_k, self.r_j = (
             side.moments() if isinstance(side, _RingSide)
@@ -466,15 +440,25 @@ class ConstrainedLSQ:
         """The BEP over e_0..e_N (basis None), whose J records are kept on the J region,
         or the real f-BEP over the lifts of a VekuaBasis; a basis on another grid than
         the problem's raises GridMismatchError."""
-        grid = problem.grid
-        kept = None
+        grid, j_region = problem.grid, None
         if basis is None:
-            basis = _PolarBasis(grid, problem.degree)
-            kept = _kept_records(problem.j_region, grid, problem.degree)
+            basis, j_region = _PolarBasis(grid, problem.degree), problem.j_region
         elif basis.grid is not grid:
             raise GridMismatchError("basis and problem live on different grids")
         w_k, w_j = problem.k_region.weights(grid), problem.j_region.weights(grid)
-        return cls(basis, w_k, w_j, problem.h_k.values, problem.h_j.values, kept)
+        return cls(basis, w_k, w_j, problem.h_k.values, problem.h_j.values, j_region)
+
+    def _record(self, name: str, n: int, build) -> _JRecord:
+        """build(): the J record of the first n basis elements.  Given a J region, the
+        core keeps it there under name for the grid, keyed by (degree, n), in place of
+        the record of another degree or n, and reads it back on a repeat solve."""
+        if self._keeper is None:
+            return build()
+        region, grid, degree = self._keeper
+        record = region._kept(grid, name, (degree, n))
+        logger.debug("%s the J record of e_0..e_%d at degree %d",
+                     "built" if record is None else "reused", n - 1, degree)
+        return region._keep(grid, name, build(), (degree, n)) if record is None else record
 
     def _adopt(self, record: _JRecord) -> None:
         """Take A_J, tau and whiten = W q from the J record and whiten the moments."""
@@ -493,7 +477,8 @@ class ConstrainedLSQ:
         sub.full = self.full.leading(n)
         sub.r_k, sub.r_j = self.r_k[:n], self.r_j[:n]
         sub._sides = {name: side.leading(n) for name, side in self._sides.items()}
-        sub._adopt(self._kept(n, lambda: _j_record(sub.full, self.a_j[:n, :n])))
+        sub._adopt(self._record("j_leading_record", n,
+                                lambda: _j_record(sub.full, self.a_j[:n, :n])))
         return sub
 
     @cached_property
@@ -728,7 +713,7 @@ def feasibility_distance(h_j: GridFunction, j_region: Region, degree: int) -> fl
     w_j = j_region.weights(grid)
     zero = np.zeros(grid.shape)
     core = ConstrainedLSQ(_PolarBasis(grid, degree), grid.weights - w_j, w_j, zero, h_j.values,
-                          _kept_records(j_region, grid, degree))
+                          j_region)
     return core.feasibility()
 
 

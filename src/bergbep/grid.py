@@ -382,8 +382,8 @@ class Region:
     A region resolves on each grid once: fraction, weights and node count
     are each kept on first use, per grid, and the grid is held weakly.
     Other modules keep what depends only on the region and the grid the
-    same way (bep keeps the J record of each degree); every array kept
-    is read-only.
+    same way, one key per name and grid (bep keeps the J record of the
+    last degree solved); every array kept is read-only.
     """
 
     kind: str
@@ -391,7 +391,7 @@ class Region:
     theta: float | None = None
     mask_values: np.ndarray | None = None
     complement_flag: bool = False
-    # grid -> {name: an array, a tuple of arrays or a count}, filled on first use
+    # grid -> {name: (key, an array, a tuple of arrays or a count)}, filled on first use
     _resolved: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False
     )
@@ -472,17 +472,25 @@ class Region:
                   for shift in (0.0, -2.0 * np.pi, 2.0 * np.pi))
         return ring * _cell_fraction(arc, left, right, 2.0 * np.pi)[None, :]
 
-    def _resolve(self, grid: DiscGrid, name, compute):
-        """compute(grid), kept under the hashable name for this grid: an array, a
-        tuple of arrays (a record) or a count.  Every array kept is made read-only."""
-        resolved = self._resolved.setdefault(grid, {})
-        if name not in resolved:
-            value = compute(grid)
-            for part in value if isinstance(value, tuple) else (value,):
-                if isinstance(part, np.ndarray):
-                    part.setflags(write=False)
-            resolved[name] = value
-        return resolved[name]
+    def _kept(self, grid: DiscGrid, name: str, key=None):
+        """The value kept under name for this grid and key, or None."""
+        kept = self._resolved.get(grid, {}).get(name)
+        return kept[1] if kept is not None and kept[0] == key else None
+
+    def _keep(self, grid: DiscGrid, name: str, value, key=None):
+        """Keep value under name for this grid and key, replacing what name held (one
+        key per name and grid), and return it.  value is an array, a tuple of arrays
+        (a record) or a count; every array kept is made read-only."""
+        for part in value if isinstance(value, tuple) else (value,):
+            if isinstance(part, np.ndarray):
+                part.setflags(write=False)
+        self._resolved.setdefault(grid, {})[name] = (key, value)
+        return value
+
+    def _resolve(self, grid: DiscGrid, name: str, compute):
+        """compute(grid), kept under name for this grid on first use."""
+        kept = self._kept(grid, name)
+        return kept if kept is not None else self._keep(grid, name, compute(grid))
 
     def fraction(self, grid: DiscGrid) -> np.ndarray:
         """Overlap fraction of each node's quadrature cell with the region.

@@ -656,7 +656,8 @@ class TestJRecord:
     """The J part of a polar core (A_J, the dropped count, tau and the whitening
     W q) depends on J's weights and the basis alone: it is built once per (J
     region, grid, degree) for the core and for the degree diagnostic's leading
-    core, and kept on the region, read-only."""
+    core, and kept on the region, read-only, for the last degree solved on each
+    grid."""
 
     @staticmethod
     def _count(monkeypatch, module, name):
@@ -692,8 +693,10 @@ class TestJRecord:
             return feasibility_distance(GridFunction.from_function(grid, np.conj), region, degree)
 
         first = feas(j, grid_24_96, 12)
+        # one degree is kept per grid: degree 10 replaces 12 on grid_24_96 only
         steps = ((j, grid_24_96, 12, 0), (dataclasses.replace(j), grid_24_96, 12, 1),
-                 (j, grid_24_96, 10, 1), (j, grid_16_64, 12, 1), (j, grid_24_96, 12, 0))
+                 (j, grid_16_64, 12, 1), (j, grid_24_96, 12, 0), (j, grid_24_96, 10, 1),
+                 (j, grid_16_64, 12, 0), (j, grid_24_96, 12, 1))
         for region, grid, degree, built in steps:
             builds.clear()
             value = feas(region, grid, degree)
@@ -714,7 +717,7 @@ class TestJRecord:
             p = _fresh_problem(grid_24_96, "sector")
             sol = solve_bep(p)
             assert sol.saturated
-            record = p.j_region._resolved[grid_24_96][("j_record", 16, 17)]
+            record = p.j_region._kept(grid_24_96, "j_record", (16, 17))
             return weakref.ref(record.whiten), weakref.ref(p.j_region)
 
         refs = solved()
@@ -738,11 +741,31 @@ class TestJRecord:
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle read a J record")
 
-        monkeypatch.setattr(bep, "_kept_records", forbidden)
+        monkeypatch.setattr(bep.ConstrainedLSQ, "_record", forbidden)
         monkeypatch.setattr(bep, "_j_record", forbidden)
         after = solve_bep_oracle(p)
         assert np.array_equal(after.g0.coeffs, before.g0.coeffs)
         assert (after.lam, after.err_k, after.err_j) == (before.lam, before.err_k, before.err_j)
+
+    def test_degree_sweep_keeps_one_degree(self, grid_24_96):
+        # a degree-convergence study on one partition keeps the records of the
+        # last degree only: what the region holds does not grow with the sweep
+        def held(region):
+            kept = region._resolved[grid_24_96]
+            return {name: key for name, (key, _) in kept.items() if "record" in name}, sum(
+                part.nbytes for _, value in kept.values() if isinstance(value, tuple)
+                for part in value if isinstance(part, np.ndarray))
+
+        p = _fresh_problem(grid_24_96, "sector", degree=20)
+        sweep = [held(p.j_region)]
+        for degree in (8, 12, 16, 20):
+            solve_bep(dataclasses.replace(p, degree=degree, m=1e3))
+            sweep.append(held(p.j_region))
+        alone = _fresh_problem(grid_24_96, "sector", degree=20)
+        solve_bep(dataclasses.replace(alone, m=1e3))
+        assert sweep[0] == ({}, 0)
+        assert sweep[-1] == held(alone.j_region)
+        assert sweep[-1][0] == {"j_record": (20, 21), "j_leading_record": (20, 17)}
 
     def test_debug_log_names_built_and_reused(self, grid_24_96, caplog):
         p = _fresh_problem(grid_24_96, "sector")
