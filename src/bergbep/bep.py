@@ -21,13 +21,15 @@ full-disc form through its one whitening W = V diag(vals)^(-1/2) over
 the directions above _DROP_RCOND of the top eigenvalue
 (FullForm.whitening, the one rank rule, which the degree diagnostic
 and the f-BEP's span projection read too) and reads the K-form as
-A_full - A_J, so it assembles one region form, the J-form.  A BEP core
-assembles it once per (J region, grid, degree): the J-form and its
+A_full - A_J, so it assembles one region form, the J-form.  A core
+assembles it once per (J region, grid, basis): the J-form and its
 decomposition (the J record: A_J, tau and the whitening W q) depend on
 J's weights and the basis alone, never on the data or M, and the region
 keeps them beside its weights, as it does the leading core's of the
-degree diagnostic, for the last degree solved on each grid, so a repeat
-solve on the same partition takes neither the ring Gram nor an eigh.
+degree diagnostic, for the last degree solved on each grid; an f-BEP
+core's under a name of its own, for the last closed-form lifts solved
+(f's kind, eps and the degree).  So a repeat solve on the same
+partition takes neither the J-form nor an eigh.
 The BEP's basis,
 _PolarBasis, is e_0..e_N on the polar grid: its forms, moments and
 synthesis are the ring FFTs of the polar layer in bergman.  It is
@@ -236,6 +238,11 @@ class _PolarBasis:
     def __init__(self, grid, degree: int):
         self.grid, self.degree = grid, degree
 
+    def _record_id(self, name: str, n: int) -> tuple:
+        """Where a J region keeps the J record of the first n elements: under name, keyed
+        by (degree, n), and what the log calls it."""
+        return name, (self.degree, n), f"e_0..e_{n - 1} at degree {self.degree}"
+
     def _ring_spectrum(self, rings: slice) -> np.ndarray:
         """a_in = sqrt(n+1) r_i^n on the rings: sum_n c_n e_n has the forward-normalized
         angular spectrum a_in c_n at mode n of ring i, and none off modes 0..N."""
@@ -412,17 +419,20 @@ class ConstrainedLSQ:
     diag(1 - tau).
 
     The J part, A_J and its decomposition (a _JRecord), depends on the basis
-    and w_J alone.  A core over e_0..e_N given its J region keeps its record
-    and the degree diagnostic's leading core's on the region (_record), so a
-    repeat solve on the same J, grid and degree reads them; a core given no
-    region (the tests', the f-BEP's) builds its record every time and keeps
-    nothing.
+    and w_J alone.  A core given its J region, over a basis that names its
+    records by values (_record_id: the degree of e_0..e_N; f's kind, eps and
+    the degree of closed-form lifts), keeps its record and the degree
+    diagnostic's leading core's on the region (_record), so a repeat solve on
+    the same J, grid and basis reads them; a core given no region, or over a
+    basis with no such values (lifts given by their samples), builds its
+    record every time and keeps nothing.
     """
 
     def __init__(self, basis, w_k, w_j, h_k, h_j, j_region=None):
         self.full = basis._full_form
         self._sides = {"k": _side(basis, w_k, h_k), "j": _side(basis, w_j, h_j)}
-        self._keeper = None if j_region is None else (j_region, basis.grid, basis.degree)
+        keyed = j_region is not None and hasattr(basis, "_record_id")
+        self._keeper = (j_region, basis) if keyed else None
         j = self._sides["j"]
         record = self._record("j_record", self.full.vals.size, lambda: _j_record(
             self.full, j.form() if isinstance(j, _RingSide) else basis._form(w_j)))
@@ -437,28 +447,29 @@ class ConstrainedLSQ:
 
     @classmethod
     def from_problem(cls, problem, basis=None) -> "ConstrainedLSQ":
-        """The BEP over e_0..e_N (basis None), whose J records are kept on the J region,
-        or the real f-BEP over the lifts of a VekuaBasis; a basis on another grid than
-        the problem's raises GridMismatchError."""
-        grid, j_region = problem.grid, None
+        """The BEP over e_0..e_N (basis None) or the real f-BEP over the lifts of a
+        VekuaBasis, given the problem's J region to keep the J records on; a basis on
+        another grid than the problem's raises GridMismatchError."""
+        grid = problem.grid
         if basis is None:
-            basis, j_region = _PolarBasis(grid, problem.degree), problem.j_region
+            basis = _PolarBasis(grid, problem.degree)
         elif basis.grid is not grid:
             raise GridMismatchError("basis and problem live on different grids")
         w_k, w_j = problem.k_region.weights(grid), problem.j_region.weights(grid)
-        return cls(basis, w_k, w_j, problem.h_k.values, problem.h_j.values, j_region)
+        return cls(basis, w_k, w_j, problem.h_k.values, problem.h_j.values, problem.j_region)
 
     def _record(self, name: str, n: int, build) -> _JRecord:
-        """build(): the J record of the first n basis elements.  Given a J region, the
-        core keeps it there under name for the grid, keyed by (degree, n), in place of
-        the record of another degree or n, and reads it back on a repeat solve."""
-        if self._keeper is None:
+        """build(): the J record of the first n basis elements.  Given a J region and a
+        basis that names the record (_record_id: a name and a key), the core keeps it
+        there under that name for the grid, in place of the record of another key, and
+        reads it back on a repeat solve."""
+        at = None if self._keeper is None else self._keeper[1]._record_id(name, n)
+        if at is None:
             return build()
-        region, grid, degree = self._keeper
-        record = region._kept(grid, name, (degree, n))
-        logger.debug("%s the J record of e_0..e_%d at degree %d",
-                     "built" if record is None else "reused", n - 1, degree)
-        return region._keep(grid, name, build(), (degree, n)) if record is None else record
+        (region, basis), (name, key, what) = self._keeper, at
+        record = region._kept(basis.grid, name, key)
+        logger.debug("%s the J record of %s", "built" if record is None else "reused", what)
+        return region._keep(basis.grid, name, build(), key) if record is None else record
 
     def _adopt(self, record: _JRecord) -> None:
         """Take A_J, tau and whiten = W q from the J record and whiten the moments."""

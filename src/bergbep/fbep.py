@@ -9,7 +9,8 @@ by the same core, bep.ConstrainedLSQ, in the same path.  The lifts are
 not orthonormal, so where the BEP's full-disc decomposition is its
 diagonal grid norms beside identity eigenvectors, the f-BEP's is the
 eigendecomposition of the full-disc Gram of its lifts, which the basis
-computes once however many problems and budgets use it; both whiten by
+computes once however many problems and budgets use it (a closed-form f
+keeps it with its lift, so every basis built from f reads it); both whiten by
 the same FullForm.whitening under one rank rule, read the K-form as
 A_full - A_J, diagonalize
 the whitened J-form and locate the Karush-Kuhn-Tucker multiplier
@@ -37,6 +38,14 @@ over the per-degree span residuals r_n of the pair lifts, with z_n =
 c_n + i c_{N+1+n}, so the solve applies no Teodorescu operator; a
 sampled basis takes vekua_residual of w_*, one Teodorescu apply to w_*.
 
+What depends only on a closed-form f, the grid, the degree and J is
+computed once, on the objects that own it: f keeps its lift
+(build_fbep_space), and the J region keeps the core's J record, beside the
+BEP's, keyed by f's kind, eps and the degree.  So a repeat solve_fbep
+on the same f and J takes no lift, no Gram form and no eigh; only the
+moments of the data and the search are its own.  A grid-sampled f, or a
+basis built by hand, keeps nothing.
+
 The conjectured critical-point equation
 
     (lambda + 1) Pi(chi_J w - 0 v h_J) = -Pi(chi_K w - h_K v 0)
@@ -49,7 +58,8 @@ and its certificates assemble the forms once.
 
 The constraint moves into the Bergman setting as h_J^* = h_J -
 T_J(alpha conj(h_J)) and M^* = M rho, with rho the norm of h -> h -
-T_J(alpha conj(h)) on L^2(J) (transformed_constraint_data).  Data that
+T_J(alpha conj(h)) on L^2(J) (transformed_constraint_data), which J keeps
+for a closed-form f (restriction_map_norm).  Data that
 vanish take no transform: the core asks for no moments of a zero side,
 and h_J zero on J's cells leaves h_J^* = h_J before alpha is sampled.
 This module holds the problem, the solution, the solve and its checks;

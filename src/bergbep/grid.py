@@ -368,6 +368,23 @@ def _cell_fraction(
     return frac
 
 
+def _kept_in(store: dict, name: str, key=None):
+    """The value store keeps under name for key, or None."""
+    kept = store.get(name)
+    return kept[1] if kept is not None and kept[0] == key else None
+
+
+def _keep_in(store: dict, name: str, value, key=None):
+    """Keep value in store under name for key, replacing what name held (one key per
+    name), and return it.  value is an array, a tuple of arrays (a record) or a
+    number; every array kept is made read-only."""
+    for part in value if isinstance(value, tuple) else (value,):
+        if isinstance(part, np.ndarray):
+            part.setflags(write=False)
+    store[name] = (key, value)
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class Region:
     """Measurable subset of the disc, resolvable on any DiscGrid.
@@ -382,8 +399,11 @@ class Region:
     A region resolves on each grid once: fraction, weights and node count
     are each kept on first use, per grid, and the grid is held weakly.
     Other modules keep what depends only on the region and the grid the
-    same way, one key per name and grid (bep keeps the J record of the
-    last degree solved); every array kept is read-only.
+    same way, one key per name and grid, each keyed by values, never by an
+    object that would hold the grid: bep keeps the J records of the last
+    degree solved and of the last closed-form lifts solved (f's kind, eps
+    and the degree), vekua rho of the last closed-form f (its kind and eps)
+    on each norm grid.  Every array kept is read-only.
     """
 
     kind: str
@@ -474,18 +494,11 @@ class Region:
 
     def _kept(self, grid: DiscGrid, name: str, key=None):
         """The value kept under name for this grid and key, or None."""
-        kept = self._resolved.get(grid, {}).get(name)
-        return kept[1] if kept is not None and kept[0] == key else None
+        return _kept_in(self._resolved.get(grid, {}), name, key)
 
     def _keep(self, grid: DiscGrid, name: str, value, key=None):
-        """Keep value under name for this grid and key, replacing what name held (one
-        key per name and grid), and return it.  value is an array, a tuple of arrays
-        (a record) or a count; every array kept is made read-only."""
-        for part in value if isinstance(value, tuple) else (value,):
-            if isinstance(part, np.ndarray):
-                part.setflags(write=False)
-        self._resolved.setdefault(grid, {})[name] = (key, value)
-        return value
+        """Keep value under name for this grid and key (_keep_in) and return it."""
+        return _keep_in(self._resolved.setdefault(grid, {}), name, value, key)
 
     def _resolve(self, grid: DiscGrid, name: str, compute):
         """compute(grid), kept under name for this grid on first use."""

@@ -12,7 +12,11 @@ conjugate Beltrami equation.  The module builds what the f-BEP needs
 from alpha: the lifted space (build_fbep_space) and the norm rho of the
 restriction map h -> h - T_J(alpha conj(h)) on L^2(J), which carries
 its constraint into the Bergman setting (restriction_map_norm).  Both
-choose their algorithm from how alpha is represented.
+choose their algorithm from how alpha is represented.  Neither depends on
+the data or the budget, so for a closed-form f each is computed once: f
+keeps its lift (a _PairLift: the parts, their certificates and, once taken,
+the full-disc decomposition) for the last degree lifted, and J keeps rho for
+each norm grid, keyed by f's kind and eps.  A grid-sampled f keeps nothing.
 
 vekua_lift solves the fixed-point equation by Neumann iteration, which
 converges when T composed with alpha conj is a contraction and stops at
@@ -40,7 +44,8 @@ A VekuaBasis answers the f-BEP core through the four private members
 every basis of bep.ConstrainedLSQ has: its real Gram form under any
 node weights (_form(w)), its real moments (_moments(w, h)), its
 synthesis (_synthesis(c)) and the eigendecomposition of its full-disc
-form, eigh(_form(grid.weights)), taken once per basis (_full_form); the
+form, eigh(_form(grid.weights)), taken once per basis, and once per
+kept lift for the mode-pair bases over it (_full_form); the
 span projection (project_span, invariance_defect) whitens by the same
 decomposition under the core's rank rule (bep.FullForm.whitening), so it
 takes no second Gram or eigh and keeps exactly the core's directions.
@@ -88,6 +93,7 @@ import logging
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,7 +106,16 @@ from .bergman import (
 )
 from .bergman import _gram as _sample_gram
 from .bergman import _moments as _sample_moments
-from .grid import DiscGrid, GridFunction, GridMismatchError, Region, build_grid, inner_product
+from .grid import (
+    DiscGrid,
+    GridFunction,
+    GridMismatchError,
+    Region,
+    _keep_in,
+    _kept_in,
+    build_grid,
+    inner_product,
+)
 
 logger = logging.getLogger("bergbep")
 
@@ -146,7 +161,7 @@ def teodorescu(g: GridFunction) -> GridFunction:
     return GridFunction(g.grid, g.grid.teodorescu.apply(g.values))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Conductivity:
     """Non-vanishing real conductivity f with 1/k <= |f| <= k on the disc.
 
@@ -154,12 +169,18 @@ class Conductivity:
     "exp_x" is f = exp(eps x) with alpha = eps/2, "exp_xy" is
     f = exp(eps x y) with alpha = eps (y + i x)/2, "const" has alpha = 0.
     Grid-only conductivities differentiate f numerically.
+
+    A closed-form f keeps its mode-pair lift (a _PairLift) for the last
+    degree lifted, read-only, and frees it with f (build_fbep_space); a
+    grid-sampled f keeps nothing.
     """
 
     values: GridFunction
     k_bound: float
     kind: str = "grid"
     eps: float = 0.0
+    # name -> (key, value), filled on first use (grid._keep_in)
+    _resolved: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         v = self.values.values
@@ -421,7 +442,7 @@ def _pair_operator(mats: np.ndarray, coef: np.ndarray, s: int, p: np.ndarray) ->
     return (s - 1 - p) % n_t, mats[(p + 1) % n_t] * coef
 
 
-def _mode_pair_lift(alpha: GridFunction, mode: tuple, degree: int, tol: float) -> "VekuaBasis":
+def _mode_pair_lift(alpha: GridFunction, mode: tuple, degree: int) -> "_PairLift":
     """Lifts of e_0..e_N, i e_0..i e_N for alpha = phase b(r) e^{i s theta}, solved exactly.
 
     mode is (b, s, phase) from _alpha_mode, and alpha its grid samples.
@@ -439,9 +460,9 @@ def _mode_pair_lift(alpha: GridFunction, mode: tuple, degree: int, tol: float) -
     parts share mode n: w = x + y solves the real-linear w = S_n +
     phase A conj(w).  The system is then singular exactly when the lift
     equation is: I - A A = (I + phase A conj)(I - phase A conj), and
-    z = phase A conj(z) iff i z = -phase A conj(i z).  The basis
-    (_PairBasis) keeps each lift once, as its parts (x, y), and samples
-    the lifts on the grid only when asked for.
+    z = phase A conj(z) iff i z = -phase A conj(i z).  The lift
+    (_PairLift) keeps each lift once, as its parts (x, y); a basis over
+    it (_PairBasis) samples the lifts on the grid only when asked for.
 
     Each lift is certified by its fixed-point defect ||seed +
     T[alpha conj(w)] - w|| and its span residual on the unreduced pair
@@ -452,10 +473,7 @@ def _mode_pair_lift(alpha: GridFunction, mode: tuple, degree: int, tol: float) -
     the residual ||u less its e_n projection||, Parseval sums over the
     rings; the basis keeps that projection's coefficient too, for the
     certificate of a combination below degree N (_PairBasis._vekua_defect).
-    Each element has iterations = 1, increments = [defect], and
-    converged iff defect <= tol.
     """
-    _check_tol(tol)
     grid = alpha.grid
     _check_degree(grid, degree)
     b, s, phase = mode
@@ -474,8 +492,8 @@ def _mode_pair_lift(alpha: GridFunction, mode: tuple, degree: int, tol: float) -
     u -= analytic[:, None] * seeds
     residuals = np.sqrt(u**2 @ grid.radial_weights)
     parts = np.stack((x, phase * c_x), axis=1)
-    return _PairBasis(alpha, np.stack((n, m), axis=1), parts, np.tile(defects, 2),
-                      np.tile(residuals, 2), analytic, tol)
+    return _PairLift(alpha, np.stack((n, m), axis=1), parts, np.tile(defects, 2),
+                     np.tile(residuals, 2), analytic, {})
 
 
 def build_fbep_space(f: Conductivity, degree: int, tol: float = _LIFT_TOL) -> VekuaBasis:
@@ -487,15 +505,18 @@ def build_fbep_space(f: Conductivity, degree: int, tol: float = _LIFT_TOL) -> Ve
     mode pairs (one small real radial solve per degree), certified on the
     pair system, and the basis keeps each lift's two parts; a lift
     whose fixed-point defect exceeds tol raises ConvergenceError naming
-    its seed.  A grid-sampled f couples every mode, and its 2(N+1) seeds
+    its seed.  f keeps that lift (_PairLift) for the last degree lifted, so
+    a repeat call at the degree solves nothing: each call returns a fresh
+    basis over the kept arrays with its own tol, and checks the defects
+    against it.  A grid-sampled f couples every mode, and its 2(N+1) seeds
     are lifted together by the Neumann iteration, each with its own
-    iteration; a lift that diverges or stops at _MAX_LIFT_ITER steps
-    without reaching tol raises ConvergenceError naming its seed.
+    iteration, every call; a lift that diverges or stops at _MAX_LIFT_ITER
+    steps without reaching tol raises ConvergenceError naming its seed.
     """
-    alpha = alpha_from_f(f)
     names = [f"{unit}e_{n}" for unit in ("", "i*") for n in range(degree + 1)]
     mode = _alpha_mode(f)
     if mode is None:
+        alpha = alpha_from_f(f)
         seeds = [
             AnalyticCoeffs(unit * AnalyticCoeffs.unit(n, degree).coeffs)
             for unit in (1.0, 1.0j)
@@ -512,7 +533,13 @@ def build_fbep_space(f: Conductivity, degree: int, tol: float = _LIFT_TOL) -> Ve
                 )
         basis = VekuaBasis(alpha=alpha, elements=elements)
     else:
-        basis = _mode_pair_lift(alpha, mode, degree, tol)
+        lift = _kept_in(f._resolved, "pair_lift", degree)
+        logger.debug("%s the lifted space of %s %g at degree %d",
+                     "built" if lift is None else "reused", f.kind, f.eps, degree)
+        if lift is None:
+            lift = _keep_in(f._resolved, "pair_lift",
+                            _mode_pair_lift(alpha_from_f(f), mode, degree), degree)
+        basis = _PairBasis(lift, tol, (f.kind, f.eps, degree))
         for name, defect in zip(names, basis._defects):
             if not defect <= tol:
                 raise ConvergenceError(
@@ -582,13 +609,29 @@ def restriction_map_norm(
     (_normal_top_eigenvalue); R is only real-linear.  The norm grid of
     each shape is built once, and a closed-form alpha is evaluated on
     it directly.  A conductivity on a grid of grid_shape is used on its
-    own grid; a grid-sampled one cannot be carried to another.
+    own grid; a grid-sampled one cannot be carried to another.  For a
+    closed-form f, rho depends on J, the norm grid and f's kind and eps
+    alone: J keeps it for that grid under "rho", keyed by (kind, eps), so
+    a repeat call reads it; a grid-sampled f keeps nothing.
     """
     own = f.grid.shape == tuple(grid_shape)
     small = f.grid if own else _norm_grid(tuple(grid_shape))
     mode = _alpha_mode(f, small)
-    if mode is None and not own:
-        raise ValueError("grid-sampled conductivities cannot be rebuilt on another grid")
+    if mode is None:
+        if not own:
+            raise ValueError("grid-sampled conductivities cannot be rebuilt on another grid")
+        return _restriction_norm(f, j_region, small, mode)
+    key = (f.kind, f.eps)
+    rho = j_region._kept(small, "rho", key)
+    logger.debug("%s rho of %s %g on the %dx%d norm grid",
+                 "built" if rho is None else "reused", f.kind, f.eps, *small.shape)
+    if rho is None:
+        rho = j_region._keep(small, "rho", _restriction_norm(f, j_region, small, mode), key)
+    return rho
+
+
+def _restriction_norm(f: Conductivity, j_region: Region, small: DiscGrid, mode) -> float:
+    """restriction_map_norm on the norm grid small, with mode = _alpha_mode(f, small)."""
     phi = j_region.fraction(small)
     w_j = j_region.weights(small)
     if not np.any(w_j > 0.0):
@@ -867,8 +910,23 @@ class VekuaBasis:
         return float(self._full_form.vals[0])
 
 
+class _PairLift(NamedTuple):
+    """A mode-pair lift (_mode_pair_lift), as a closed-form f keeps it: alpha, the
+    lifts' modes and parts, their defects, span residuals and e_n coefficients,
+    and in full the full-disc FullForm under "form", once a basis over the lift
+    takes it.  It holds no grid samples of the lifts."""
+
+    alpha: GridFunction
+    modes: np.ndarray
+    parts: np.ndarray
+    defects: np.ndarray
+    residuals: np.ndarray
+    analytic: np.ndarray
+    full: dict
+
+
 class _PairBasis(VekuaBasis):
-    """The VekuaBasis of a mode-pair lift (_mode_pair_lift), sampled on first use.
+    """The VekuaBasis over a mode-pair lift (a _PairLift), sampled on first use.
 
     Each lift of e_n is kept once, as its two parts X, Y (real for a real phase): parts
     (N+1, 2, n_r) in modes (N+1, 2) = (n, s - 1 - n), shared by a collided
@@ -876,18 +934,39 @@ class _PairBasis(VekuaBasis):
     the core's forms and synthesis are the pair identities of the module
     docstring, and the elements are one inverse fft of the parts, on first use.
     A solution's Vekua defect is the sum over the degrees of its pair
-    residuals (_vekua_defect), with no Teodorescu apply.
+    residuals (_vekua_defect), with no Teodorescu apply.  Each element has
+    iterations = 1, increments = [defect] and converged iff defect <= tol.
+    key, a value naming the lifts (build_fbep_space: f's kind, eps and the
+    degree), keys the J record a core keeps on its region; None keeps none.
     """
 
-    def __init__(self, alpha, modes, parts, defects, residuals, analytic, tol):
-        self.alpha, self._modes, self._parts = alpha, modes, parts
-        self._matrix = None
-        self._defects, self._residuals, self._tol = defects, residuals, tol
-        self._analytic = analytic
+    def __init__(self, lift: _PairLift, tol: float, key: tuple | None = None):
+        _check_tol(tol)
+        self._lift, self._tol, self._key = lift, tol, key
+        self.alpha, self._modes, self._parts = lift.alpha, lift.modes, lift.parts
+        self._defects, self._residuals, self._analytic = lift.defects, lift.residuals, lift.analytic
+
+    def _record_id(self, name: str, n: int) -> tuple | None:
+        """Where a J region keeps the J record of the lifts, keyed by (key, n), under a
+        name of their own, so that a BEP's record on the same region stays; None
+        without a key."""
+        if self._key is None:
+            return None
+        return "lift_" + name, (self._key, n), "the {} {:g} lifts at degree {}".format(*self._key)
 
     @property
     def size(self) -> int:
         return self._modes.size
+
+    @property
+    def _full_form(self) -> FullForm:
+        """The full-disc decomposition, taken on first use and kept with the lift, so
+        every basis over one lift reads the same one."""
+        full = _kept_in(self._lift.full, "form")
+        if full is None:
+            full = _keep_in(self._lift.full, "form",
+                            FullForm(*np.linalg.eigh(self._form(self.grid.weights))))
+        return full
 
     def _form(self, w: np.ndarray) -> np.ndarray:
         """The real Gram form Re(U^H S U) over the units U = _UNITS of the part form S,

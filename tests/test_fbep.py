@@ -715,16 +715,24 @@ class TestBasisDiagnostics:
         assert abs(sol.basis_min_eig - vals[0]) <= 1e-12 * vals[-1]
         assert abs(basis.min_eigenvalue() - vals[0]) <= 1e-12 * vals[-1]
 
-    def test_no_gram_unless_logged(self, grid_32_64, caplog):
-        # the logged eigenvalue comes from the pair spectra: no lift is sampled
-        f = Conductivity.exp_x(grid_32_64, 0.1)
+    def test_no_gram_unless_logged(self, grid_32_64, caplog, monkeypatch):
+        # the logged eigenvalue comes from the pair spectra: no lift is sampled.  A
+        # conductivity keeps its lift and, once taken, its decomposition, so each
+        # build lifts a fresh f
+        from bergbep.vekua import _PairBasis
+
+        forms, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: forms.append("eigh") or eigh(*a))
+        form = _PairBasis._form
+        monkeypatch.setattr(_PairBasis, "_form",
+                            lambda self, w: forms.append("form") or form(self, w))
         with caplog.at_level(logging.WARNING, logger="bergbep"):
-            basis = build_fbep_space(f, 4)
-        assert "_full_form" not in vars(basis)
+            build_fbep_space(Conductivity.exp_x(grid_32_64, 0.1), 4)
+        assert forms == []
         with caplog.at_level(logging.INFO, logger="bergbep"):
-            basis = build_fbep_space(f, 4)
-        assert "_full_form" in vars(basis)
-        assert basis._matrix is None and "elements" not in vars(basis)
+            basis = build_fbep_space(Conductivity.exp_x(grid_32_64, 0.1), 4)
+        assert forms == ["form", "eigh"]
+        assert "_matrix" not in vars(basis) and "elements" not in vars(basis)
         assert any("Gram min eigenvalue" in r.getMessage() for r in caplog.records)
 
     def test_span_projection_builds_one_gram(self, basis_exp01_n8, monkeypatch):
@@ -973,25 +981,31 @@ class TestPairCore:
         return calls
 
     def test_path_selection(self, grid_16_64, monkeypatch):
-        closed = Conductivity.exp_x(grid_16_64, 0.3)
-        p_closed = make_problem(grid_16_64, closed, degree=4)
-        p_sampled = make_problem(grid_16_64, _grid_sampled(closed), degree=4)
-        basis = build_fbep_space(closed, 4)
+        # each solve on a fresh f and fresh regions (make_problem), so none reads what
+        # another kept: a closed form takes the pair forms, a grid-sampled f and a
+        # hand-built basis the forms of their samples
+        def exp_x():
+            return Conductivity.exp_x(grid_16_64, 0.3)
+
+        basis = build_fbep_space(exp_x(), 4)
         calls = self._record_forms(monkeypatch)
-        sol = solve_fbep(p_closed)
+        sol = solve_fbep(make_problem(grid_16_64, exp_x(), degree=4))
         pair = [("_PairBasis", "full"), ("_PairBasis", "J")]
         dense = [("VekuaBasis", "full"), ("VekuaBasis", "J")]
         assert calls == pair
         assert sol.basis._matrix is None  # the spectra, not the samples
-        solve_fbep(p_sampled)
+        solve_fbep(make_problem(grid_16_64, _grid_sampled(exp_x()), degree=4))
         assert calls == pair + dense
+        p_closed = make_problem(grid_16_64, exp_x(), degree=4)
         solve_fbep(p_closed, VekuaBasis(basis.alpha, basis.elements))
         assert calls == pair + dense + dense
 
     @pytest.mark.parametrize("sampled", [False, True])
     def test_one_full_decomposition_per_basis(self, grid_16_64, monkeypatch, sampled):
-        # two problems and three budgets over one basis: one full-disc form and
-        # one decomposition of it, and one region form (J) per core
+        # two partitions and three budgets each over one basis of a fresh f: one
+        # full-disc form and one decomposition of it.  The J form is one per J region
+        # for the pair basis, whose record the region keeps, and one per core for
+        # the hand-built basis of its samples, which names no key to keep one by
         from bergbep.vekua import _PairBasis
 
         f = Conductivity.exp_x(grid_16_64, 0.3)
@@ -1002,15 +1016,16 @@ class TestPairCore:
         forms = self._record_forms(monkeypatch)
         cores = []
         for k in (Region.radial_disc(0.5), Region.sector(1.2)):
+            j = k.complement()
             for m in (0.05, 0.2, 1e3):
                 p = FbepProblem(
-                    f, k, k.complement(), GridFunction.constant(grid_16_64, 1.0),
+                    f, k, j, GridFunction.constant(grid_16_64, 1.0),
                     GridFunction.constant(grid_16_64, 0.0), m, 4,
                 )
                 sol = solve_fbep(p, basis)
                 cores.append(sol._assembly[1])
         assert all(core.full is basis._full_form for core in cores)
-        assert forms == [(cls.__name__, "full")] + [(cls.__name__, "J")] * 6
+        assert forms == [(cls.__name__, "full")] + [(cls.__name__, "J")] * (6 if sampled else 2)
         assert (cls is _PairBasis) != sampled
 
     def test_closed_form_solve_samples_nothing(self, grid_24_96, monkeypatch):
@@ -1082,6 +1097,199 @@ class TestPairCore:
         assert calls == ["K"]
         assert np.array_equal(sol.coeffs, expected.coeffs)
         assert sol._assembly[1].r_j.dtype == float and not np.any(sol._assembly[1].r_j)
+
+
+def _kept_problem(grid, kind="sector", f=None, degree=12):
+    """A saturated f-BEP on fresh regions, with data on both sides."""
+    k = Region.sector(1.2) if kind == "sector" else Region.radial_disc(0.5)
+    return FbepProblem(
+        Conductivity.exp_x(grid, 0.8) if f is None else f, k, k.complement(),
+        GridFunction.from_function(grid, lambda z: np.exp(z) + 0.2 * np.conj(z)),
+        GridFunction(grid, 0.3 * np.conj(grid.nodes)), 0.5, degree,
+    )
+
+
+class TestKeptLift:
+    """What depends only on a closed-form f, the grid, the degree and J is computed
+    once: f keeps its pair lift (with the full-disc decomposition, once taken), the
+    J region keeps the core's J record, keyed by f's kind, eps and the degree, and
+    rho, keyed by kind and eps, for the norm grid.  Every array kept is read-only,
+    and a grid-sampled f keeps nothing."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(1) or original(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("kind, first", [("disc", (1, 1, 2)), ("sector", (1, 2, 2))])
+    def test_repeat_solve_reads_what_was_kept(self, grid_24_96, monkeypatch, kind, first):
+        from bergbep import io as bio
+        from bergbep import vekua
+        from bergbep.vekua import _PairBasis
+
+        p = _kept_problem(grid_24_96, kind)
+        counts = [self._count(monkeypatch, vekua, "_mode_pair_lift"),
+                  self._count(monkeypatch, np.linalg, "eigh"),
+                  self._count(monkeypatch, _PairBasis, "_form")]
+        docs = []
+        for expected in (first, (0, 0, 0)):
+            for calls in counts:
+                calls.clear()
+            sol = solve_fbep(p)
+            assert tuple(len(calls) for calls in counts) == expected
+            assert sol.saturated
+            doc = bio.fbep_solution_to_dict(sol, p.degree, fbep_conjecture_check(p, sol))
+            docs.append(bio.dumps_canonical(doc))
+        assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("kind, path", [("disc", "_mode_pair_norm"),
+                                            ("sector", "_normal_top_eigenvalue")])
+    def test_repeat_transform_reads_rho(self, grid_24_96, monkeypatch, kind, path):
+        from bergbep import vekua
+
+        p = _kept_problem(grid_24_96, kind)
+        calls = self._count(monkeypatch, vekua, path)
+        first = transformed_constraint_data(p)
+        assert len(calls) == 1
+        again = transformed_constraint_data(p)
+        assert len(calls) == 1
+        assert np.array_equal(again[0].values, first[0].values) and again[1] == first[1]
+
+    def test_each_f_degree_j_and_norm_grid_builds_its_own(self, grid_24_96, monkeypatch):
+        # the lift is keyed by its f and one degree; rho and the J record by values, so
+        # a new f of the same kind and eps lifts again but reads what its J keeps
+        from bergbep import bep, vekua
+
+        lifts = self._count(monkeypatch, vekua, "_mode_pair_lift")
+        norms = self._count(monkeypatch, vekua, "_mode_pair_norm")
+        records = self._count(monkeypatch, bep, "_j_record")
+        f, twin = Conductivity.exp_x(grid_24_96, 0.8), Conductivity.exp_x(grid_24_96, 0.8)
+        j = Region.radial_disc(0.5).complement()
+        # (f, degree, J, norm grid) and the (lifts, pair norms, J records) they build
+        steps = (
+            (f, 12, j, (12, 24), (1, 1, 1)),
+            (f, 12, j, (12, 24), (0, 0, 0)),
+            (twin, 12, j, (12, 24), (1, 0, 0)),  # its own lift; J's keys are the same values
+            (f, 8, j, (12, 24), (1, 0, 1)),  # another degree replaces the lift and the record
+            (f, 12, j, (12, 24), (1, 0, 1)),
+            (f, 12, dataclasses.replace(j), (12, 24), (0, 1, 1)),  # another J object
+            (f, 12, j, (6, 12), (0, 1, 0)),  # another norm grid
+            (f, 12, j, (12, 24), (0, 0, 0)),  # J keeps rho per norm grid
+            (Conductivity.exp_x(grid_24_96, 0.5), 12, j, (12, 24), (1, 1, 1)),  # another eps
+        )
+        for cond, degree, region, shape, expected in steps:
+            for calls in (lifts, norms, records):
+                calls.clear()
+            p = dataclasses.replace(_kept_problem(grid_24_96, "disc", cond, degree),
+                                    j_region=region, k_region=region.complement())
+            solve_fbep(p)
+            transformed_constraint_data(p, shape)
+            assert (len(lifts), len(norms), len(records)) == expected, (degree, shape)
+
+    def test_tighter_tol_on_kept_lift_raises(self, grid_16_64, monkeypatch):
+        from bergbep import vekua
+
+        f = Conductivity.exp_x(grid_16_64, 0.8)
+        build_fbep_space(f, 4, tol=1e-9)
+        with pytest.raises(ConvergenceError) as cold:
+            build_fbep_space(Conductivity.exp_x(grid_16_64, 0.8), 4, tol=1e-30)
+        lifts = self._count(monkeypatch, vekua, "_mode_pair_lift")
+        with pytest.raises(ConvergenceError) as kept:
+            build_fbep_space(f, 4, tol=1e-30)
+        assert lifts == []
+        assert str(kept.value) == str(cold.value)
+        assert str(kept.value).startswith("lift of seed e_0 has fixed-point defect")
+        basis = build_fbep_space(f, 4, tol=1e-9)  # the kept lift, under its own tol
+        assert lifts == [] and all(el.converged for el in basis.elements)
+
+    def test_kept_state_is_read_only(self, grid_24_96):
+        p = _kept_problem(grid_24_96)
+        sol = solve_fbep(p)
+        transformed_constraint_data(p)
+        key, lift = p.f._resolved["pair_lift"]
+        assert key == p.degree
+        full = sol.basis._full_form
+        record = p.j_region._kept(grid_24_96, "lift_j_record", (("exp_x", 0.8, 12), 26))
+        arrays = [lift.alpha.values, lift.modes, lift.parts, lift.defects, lift.residuals,
+                  lift.analytic, full.vals, full.vecs, record.a_j, record.taus, record.whiten]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.f.eps = 0.5
+
+    def test_repeat_build_samples_nothing(self, grid_24_96):
+        # the grid samples stay on the basis that made them
+        f = Conductivity.exp_xy(grid_24_96, 1.75)
+        first = build_fbep_space(f, 12)
+        first.elements, first.values_matrix()
+        again = build_fbep_space(f, 12)
+        assert again._parts is first._parts
+        assert "elements" not in vars(again) and "_matrix" not in vars(again)
+
+    def test_grid_sampled_f_keeps_nothing(self, monkeypatch):
+        from bergbep import vekua
+
+        grid = build_grid(12, 48)
+        f = _grid_sampled(Conductivity.exp_x(grid, 0.2))
+        p = _kept_problem(grid, "disc", f, degree=4)
+        lifts = self._count(monkeypatch, vekua, "_lift_batch")
+        for _ in range(2):
+            solve_fbep(p)
+            transformed_constraint_data(p, grid.shape)
+        assert len(lifts) == 2
+        assert f._resolved == {}
+        assert not {"j_record", "lift_j_record", "rho"} & set(p.j_region._resolved[grid])
+
+    def test_kept_state_dies_with_f_and_region(self):
+        # values, never objects, key what J keeps: the grid does not outlive its
+        # problem while J lives, and what f and J keep dies with them
+        def solved():
+            grid = build_grid(16, 64)
+            p = _kept_problem(grid)
+            sol = solve_fbep(p)
+            transformed_constraint_data(p, grid.shape)
+            assert "rho" in p.j_region._resolved[grid]
+            refs = [weakref.ref(x) for x in (grid, p.f, p.f._resolved["pair_lift"][1].parts,
+                                             sol.basis._full_form.vecs)]
+            return p.j_region, refs
+
+        j_region, refs = solved()
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 4
+        assert len(j_region._resolved) == 0
+        record = weakref.ref(j_region)
+        del j_region
+        gc.collect()
+        assert record() is None
+
+    def test_bep_and_fbep_records_share_a_region(self, grid_24_96, monkeypatch):
+        # a BEP and an f-BEP solved in turn on one partition each keep their own record
+        from bergbep import bep
+
+        p = _kept_problem(grid_24_96)
+        bep_p = BepProblem(p.k_region, p.j_region, p.h_k, p.h_j, p.m, p.degree)
+        records = self._count(monkeypatch, bep, "_j_record")
+        for expected in (3, 0):  # the BEP's core and leading core, the f-BEP's core
+            records.clear()
+            solve_bep(bep_p)
+            solve_fbep(p)
+            assert len(records) == expected
+
+    def test_debug_log_names_built_and_reused(self, grid_24_96, caplog):
+        p = _kept_problem(grid_24_96)
+        for expected in ("built", "reused"):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="bergbep"):
+                solve_fbep(p)
+                transformed_constraint_data(p)
+            lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG
+                     and r.getMessage().startswith(expected)]
+            assert lines == [f"{expected} the lifted space of exp_x 0.8 at degree 12",
+                             f"{expected} the J record of the exp_x 0.8 lifts at degree 12",
+                             f"{expected} rho of exp_x 0.8 on the 12x24 norm grid"]
 
 
 class TestBasisGrid:

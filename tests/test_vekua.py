@@ -31,7 +31,7 @@ from bergbep import (
     vekua_lift,
     vekua_residual,
 )
-from bergbep.vekua import _alpha_mode, _lift_batch, _mode_pair_lift, _norm_grid
+from bergbep.vekua import _alpha_mode, _lift_batch, _mode_pair_lift, _norm_grid, _PairBasis
 
 
 def zero_alpha(grid):
@@ -620,7 +620,7 @@ def _dense_lift_oracle(f, degree):
 
 
 def _closed_lifts(f, degree, tol=1e-12):
-    return _mode_pair_lift(alpha_from_f(f), _alpha_mode(f), degree, tol).elements
+    return _PairBasis(_mode_pair_lift(alpha_from_f(f), _alpha_mode(f), degree), tol).elements
 
 
 class TestModePairLift:
