@@ -101,7 +101,7 @@ from .bergman import (
     _ring_norms,
     _ring_synthesis,
 )
-from .grid import GridFunction, GridMismatchError, Region
+from .grid import GridFunction, GridMismatchError, Region, _once
 
 logger = logging.getLogger("bergbep")
 
@@ -241,7 +241,7 @@ class _PolarBasis:
     def _record_id(self, name: str, n: int) -> tuple:
         """Where a J region keeps the J record of the first n elements: under name, keyed
         by (degree, n), and what the log calls it."""
-        return name, (self.degree, n), f"e_0..e_{n - 1} at degree {self.degree}"
+        return name, (self.degree, n), f"the J record of e_0..e_{n - 1} at degree {self.degree}"
 
     def _ring_spectrum(self, rings: slice) -> np.ndarray:
         """a_in = sqrt(n+1) r_i^n on the rings: sum_n c_n e_n has the forward-normalized
@@ -422,17 +422,16 @@ class ConstrainedLSQ:
     and w_J alone.  A core given its J region, over a basis that names its
     records by values (_record_id: the degree of e_0..e_N; f's kind, eps and
     the degree of closed-form lifts), keeps its record and the degree
-    diagnostic's leading core's on the region (_record), so a repeat solve on
-    the same J, grid and basis reads them; a core given no region, or over a
-    basis with no such values (lifts given by their samples), builds its
-    record every time and keeps nothing.
+    diagnostic's leading core's in the region's per-grid dict (_record, by
+    grid._once), so a repeat solve on the same J, grid and basis reads them;
+    a core given no region, or over a basis with no such values (lifts given
+    by their samples), builds its record every time and keeps nothing.
     """
 
     def __init__(self, basis, w_k, w_j, h_k, h_j, j_region=None):
         self.full = basis._full_form
         self._sides = {"k": _side(basis, w_k, h_k), "j": _side(basis, w_j, h_j)}
-        keyed = j_region is not None and hasattr(basis, "_record_id")
-        self._keeper = (j_region, basis) if keyed else None
+        self._basis, self._j_region = basis, j_region
         j = self._sides["j"]
         record = self._record("j_record", self.full.vals.size, lambda: _j_record(
             self.full, j.form() if isinstance(j, _RingSide) else basis._form(w_j)))
@@ -460,16 +459,16 @@ class ConstrainedLSQ:
 
     def _record(self, name: str, n: int, build) -> _JRecord:
         """build(): the J record of the first n basis elements.  Given a J region and a
-        basis that names the record (_record_id: a name and a key), the core keeps it
-        there under that name for the grid, in place of the record of another key, and
-        reads it back on a repeat solve."""
-        at = None if self._keeper is None else self._keeper[1]._record_id(name, n)
+        basis that names the record (_record_id: a name, a key and what the log calls
+        it), the core keeps it there for the grid (grid._once) and reads it back on a
+        repeat solve."""
+        record_id = getattr(self._basis, "_record_id", None)
+        at = None if self._j_region is None or record_id is None else record_id(name, n)
         if at is None:
             return build()
-        (region, basis), (name, key, what) = self._keeper, at
-        record = region._kept(basis.grid, name, key)
-        logger.debug("%s the J record of %s", "built" if record is None else "reused", what)
-        return region._keep(basis.grid, name, build(), key) if record is None else record
+        name, key, what = at
+        return _once(self._j_region._resolved.setdefault(self._basis.grid, {}), name, build,
+                     key, what)
 
     def _adopt(self, record: _JRecord) -> None:
         """Take A_J, tau and whiten = W q from the J record and whiten the moments."""

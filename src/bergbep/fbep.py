@@ -39,9 +39,10 @@ c_n + i c_{N+1+n}, so the solve applies no Teodorescu operator; a
 sampled basis takes vekua_residual of w_*, one Teodorescu apply to w_*.
 
 What depends only on a closed-form f, the grid, the degree and J is
-computed once, on the objects that own it: f keeps its lift
-(build_fbep_space), and the J region keeps the core's J record, beside the
-BEP's, keyed by f's kind, eps and the degree.  So a repeat solve_fbep
+computed once, on the objects that own it, by the one keep rule
+(grid._once): f keeps its lift (build_fbep_space), and the J region keeps
+the core's J record, beside the BEP's, keyed by f's kind, eps and the
+degree.  So a repeat solve_fbep
 on the same f and J takes no lift, no Gram form and no eigh; only the
 moments of the data and the search are its own.  A grid-sampled f, or a
 basis built by hand, keeps nothing.

@@ -43,11 +43,14 @@ matmul over the modes and an inverse fft; T[1] is conj(z) to rounding.
 
 from __future__ import annotations
 
+import logging
 import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+
+logger = logging.getLogger("bergbep")
 
 
 class GridMismatchError(ValueError):
@@ -69,7 +72,7 @@ class DiscGrid:
     Gauss-Legendre weights (they live in the s variable and sum to 1).
     Angles are theta_j = 2 pi j / angular_count with uniform weight.
     Derived tables and operators are cached properties, built on first
-    use and freed with the grid.
+    use, read-only, and freed with the grid.
     """
 
     radial_nodes: np.ndarray
@@ -87,30 +90,30 @@ class DiscGrid:
 
     @cached_property
     def s_nodes(self) -> np.ndarray:
-        return self.radial_nodes**2
+        return _read_only(self.radial_nodes**2)
 
     @cached_property
     def s_cell_edges(self) -> np.ndarray:
         """Edges of the radial cells in s: cell i carries mass radial_weights[i]."""
         edges = np.concatenate(([0.0], np.cumsum(self.radial_weights)))
         edges[-1] = 1.0
-        return edges
+        return _read_only(edges)
 
     @cached_property
     def thetas(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.angular_count) / self.angular_count
+        return _read_only(2.0 * np.pi * np.arange(self.angular_count) / self.angular_count)
 
     @cached_property
     def nodes(self) -> np.ndarray:
         """Complex node positions, shape (n_radial, angular_count)."""
-        return self.radial_nodes[:, None] * np.exp(1j * self.thetas[None, :])
+        return _read_only(self.radial_nodes[:, None] * np.exp(1j * self.thetas[None, :]))
 
     @cached_property
     def weights(self) -> np.ndarray:
         """Quadrature weights per node for the normalized area measure."""
-        return np.repeat(
+        return _read_only(np.repeat(
             self.radial_weights[:, None] / self.angular_count, self.angular_count, axis=1
-        )
+        ))
 
     @cached_property
     def radial_powers(self) -> np.ndarray:
@@ -119,7 +122,8 @@ class DiscGrid:
         Every basis form and synthesis within the grid's exactness reads
         its powers from this one table.
         """
-        return self.radial_nodes[:, None] ** np.arange(self.exactness_degree + 1)[None, :]
+        return _read_only(
+            self.radial_nodes[:, None] ** np.arange(self.exactness_degree + 1)[None, :])
 
     @cached_property
     def radial_derivatives(self) -> tuple[np.ndarray, np.ndarray]:
@@ -132,7 +136,7 @@ class DiscGrid:
         """
         if self.n_radial < 5:
             raise ValueError("grid too coarse for radial differentiation (need n_r >= 5)")
-        return _radial_diff_matrices(self.radial_nodes)
+        return _read_only(_radial_diff_matrices(self.radial_nodes))
 
     @cached_property
     def angular_wavenumbers(self) -> np.ndarray:
@@ -140,7 +144,7 @@ class DiscGrid:
         ik = 1j * _fft_modes(self.angular_count)
         if self.angular_count % 2 == 0:
             ik[self.angular_count // 2] = 0.0  # the Nyquist mode has no real derivative
-        return ik
+        return _read_only(ik)
 
     def dtheta(self, v: np.ndarray) -> np.ndarray:
         """Spectral angular derivative along the last axis."""
@@ -167,8 +171,8 @@ def build_grid(n_r: int, n_theta: int) -> DiscGrid:
         raise ValueError(f"n_theta must be >= 4, got {n_theta}")
     s, ws = _gauss_legendre_unit(n_r)
     return DiscGrid(
-        radial_nodes=np.sqrt(s),
-        radial_weights=ws,
+        radial_nodes=_read_only(np.sqrt(s)),
+        radial_weights=_read_only(ws),
         angular_count=int(n_theta),
         exactness_degree=min(4 * n_r - 2, n_theta - 1),
     )
@@ -270,7 +274,8 @@ class _TeodorescuOperator:
                 row *= np.exp(k[:, 0] * (log_r[i] - log_r[prev]))
                 row[:, first[i] : first[i] + n_st] += cells[:, i]
                 self.matrices[modes, i], prev = row, i
-        self.phase = np.exp(-1j * thetas)
+        _read_only(self.matrices)
+        self.phase = _read_only(np.exp(-1j * thetas))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """T on grid samples of shape (..., n_r, n_theta), one stack in one pass."""
@@ -368,21 +373,31 @@ def _cell_fraction(
     return frac
 
 
-def _kept_in(store: dict, name: str, key=None):
-    """The value store keeps under name for key, or None."""
-    kept = store.get(name)
-    return kept[1] if kept is not None and kept[0] == key else None
-
-
-def _keep_in(store: dict, name: str, value, key=None):
-    """Keep value in store under name for key, replacing what name held (one key per
-    name), and return it.  value is an array, a tuple of arrays (a record) or a
-    number; every array kept is made read-only."""
-    for part in value if isinstance(value, tuple) else (value,):
-        if isinstance(part, np.ndarray):
-            part.setflags(write=False)
-    store[name] = (key, value)
+def _read_only(value):
+    """value, with every array in it or in the tuples it holds made read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for part in value:
+            _read_only(part)
     return value
+
+
+def _once(store: dict, name: str, build, key=None, what: str | None = None):
+    """The value store keeps under name for key, else build() kept there: the one keep rule.
+
+    store maps a name to (key, value), one key per name, so a value built for
+    another key replaces what the name held.  Every array a value holds is
+    made read-only (_read_only).  Given what, a debug line says whether it
+    was built or reused, before any build.
+    """
+    kept = store.get(name)
+    reused = kept is not None and kept[0] == key
+    if what is not None:
+        logger.debug("%s %s", "reused" if reused else "built", what)
+    if not reused:
+        kept = store[name] = key, _read_only(build())
+    return kept[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,13 +412,14 @@ class Region:
     disc; the indicators and weights of the two add up to the grid's.
 
     A region resolves on each grid once: fraction, weights and node count
-    are each kept on first use, per grid, and the grid is held weakly.
-    Other modules keep what depends only on the region and the grid the
-    same way, one key per name and grid, each keyed by values, never by an
-    object that would hold the grid: bep keeps the J records of the last
-    degree solved and of the last closed-form lifts solved (f's kind, eps
-    and the degree), vekua rho of the last closed-form f (its kind and eps)
-    on each norm grid.  Every array kept is read-only.
+    are each kept on first use in its per-grid dict _resolved (_once), and
+    the grid is held weakly.  Other modules keep what depends only on the
+    region and the grid in the same dict, one key per name, each keyed by
+    values, never by an object that would hold the grid: bep keeps the J
+    records of the last degree solved and of the last closed-form lifts
+    solved (f's kind, eps and the degree), vekua rho of the last
+    closed-form f (its kind and eps) on each norm grid.  A mask is copied
+    read-only, so nothing kept derives from the caller's array.
     """
 
     kind: str
@@ -411,10 +427,14 @@ class Region:
     theta: float | None = None
     mask_values: np.ndarray | None = None
     complement_flag: bool = False
-    # grid -> {name: (key, an array, a tuple of arrays or a count)}, filled on first use
+    # grid -> {name: (key, an array, a tuple of arrays or a count)}, filled by _once
     _resolved: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False
     )
+
+    def __post_init__(self):
+        if self.mask_values is not None:  # a copy: the region is resolved once
+            object.__setattr__(self, "mask_values", _read_only(np.array(self.mask_values, bool)))
 
     @classmethod
     def radial_disc(cls, a: float) -> "Region":
@@ -436,9 +456,7 @@ class Region:
 
     @classmethod
     def mask(cls, mask_values: np.ndarray) -> "Region":
-        values = np.array(mask_values, dtype=bool)  # a copy: the region is resolved once
-        values.setflags(write=False)
-        return cls(kind="mask", mask_values=values)
+        return cls(kind="mask", mask_values=mask_values)
 
     @classmethod
     def full_disc(cls) -> "Region":
@@ -492,19 +510,6 @@ class Region:
                   for shift in (0.0, -2.0 * np.pi, 2.0 * np.pi))
         return ring * _cell_fraction(arc, left, right, 2.0 * np.pi)[None, :]
 
-    def _kept(self, grid: DiscGrid, name: str, key=None):
-        """The value kept under name for this grid and key, or None."""
-        return _kept_in(self._resolved.get(grid, {}), name, key)
-
-    def _keep(self, grid: DiscGrid, name: str, value, key=None):
-        """Keep value under name for this grid and key (_keep_in) and return it."""
-        return _keep_in(self._resolved.setdefault(grid, {}), name, value, key)
-
-    def _resolve(self, grid: DiscGrid, name: str, compute):
-        """compute(grid), kept under name for this grid on first use."""
-        kept = self._kept(grid, name)
-        return kept if kept is not None else self._keep(grid, name, compute(grid))
-
     def fraction(self, grid: DiscGrid) -> np.ndarray:
         """Overlap fraction of each node's quadrature cell with the region.
 
@@ -512,7 +517,7 @@ class Region:
         the single radial ring or the at most two angular arcs straddling
         the boundary take values strictly between.
         """
-        return self._resolve(grid, "fraction", self._fraction)
+        return _once(self._resolved.setdefault(grid, {}), "fraction", lambda: self._fraction(grid))
 
     def _fraction(self, grid: DiscGrid) -> np.ndarray:
         fr = self._base_fraction(grid)
@@ -527,7 +532,7 @@ class Region:
         region.  A complement takes grid.weights minus the region's
         weights, so the two always add up to the full-grid weights.
         """
-        return self._resolve(grid, "weights", self._weights)
+        return _once(self._resolved.setdefault(grid, {}), "weights", lambda: self._weights(grid))
 
     def _weights(self, grid: DiscGrid) -> np.ndarray:
         w = grid.weights * self._base_fraction(grid)
@@ -543,8 +548,8 @@ class Region:
         Only cells with a genuine overlap count: rounding-level overlaps
         are snapped to zero weight.
         """
-        return self._resolve(grid, "node_count",
-                             lambda g: int(np.count_nonzero(self.weights(g) > 0.0)))
+        return _once(self._resolved.setdefault(grid, {}), "node_count",
+                     lambda: int(np.count_nonzero(self.weights(grid) > 0.0)))
 
 
 def eval_basis(n: int, z) -> complex | np.ndarray:

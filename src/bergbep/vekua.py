@@ -13,10 +13,11 @@ from alpha: the lifted space (build_fbep_space) and the norm rho of the
 restriction map h -> h - T_J(alpha conj(h)) on L^2(J), which carries
 its constraint into the Bergman setting (restriction_map_norm).  Both
 choose their algorithm from how alpha is represented.  Neither depends on
-the data or the budget, so for a closed-form f each is computed once: f
-keeps its lift (a _PairLift: the parts, their certificates and, once taken,
-the full-disc decomposition) for the last degree lifted, and J keeps rho for
-each norm grid, keyed by f's kind and eps.  A grid-sampled f keeps nothing.
+the data or the budget, so for a closed-form f each is computed once, by
+the one keep rule grid._once: f keeps its lift (a _PairLift: alpha's mode,
+the parts, their certificates and, once taken, the full-disc
+decomposition) for the last degree lifted, and J keeps rho for each norm
+grid, keyed by f's kind and eps.  A grid-sampled f keeps nothing.
 
 vekua_lift solves the fixed-point equation by Neumann iteration, which
 converges when T composed with alpha conj is a contraction and stops at
@@ -111,8 +112,7 @@ from .grid import (
     GridFunction,
     GridMismatchError,
     Region,
-    _keep_in,
-    _kept_in,
+    _once,
     build_grid,
     inner_product,
 )
@@ -179,7 +179,7 @@ class Conductivity:
     k_bound: float
     kind: str = "grid"
     eps: float = 0.0
-    # name -> (key, value), filled on first use (grid._keep_in)
+    # name -> (key, value), filled on first use (grid._once)
     _resolved: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -442,13 +442,13 @@ def _pair_operator(mats: np.ndarray, coef: np.ndarray, s: int, p: np.ndarray) ->
     return (s - 1 - p) % n_t, mats[(p + 1) % n_t] * coef
 
 
-def _mode_pair_lift(alpha: GridFunction, mode: tuple, degree: int) -> "_PairLift":
+def _mode_pair_lift(grid: DiscGrid, mode: tuple, degree: int) -> "_PairLift":
     """Lifts of e_0..e_N, i e_0..i e_N for alpha = phase b(r) e^{i s theta}, solved exactly.
 
-    mode is (b, s, phase) from _alpha_mode, and alpha its grid samples.
-    On the grid, v -> T[alpha conj(v)] sends angular mode k to mode
-    s - 1 - k, so the lift of e_n lives in modes n and m = s - 1 - n (mod
-    n_theta) alone.  With x, y its ring samples there, x = S_n + phase A
+    mode is (b on the rings of grid, s, phase) from _alpha_mode; alpha is
+    never sampled.  On the grid, v -> T[alpha conj(v)] sends angular mode
+    k to mode s - 1 - k, so the lift of e_n lives in modes n and m = s - 1
+    - n (mod n_theta) alone.  With x, y its ring samples there, x = S_n + phase A
     conj(y) and y = phase C conj(x), where A and C are the real
     Teodorescu radial matrices of input modes n + 1 and m + 1 times
     diag(b); |phase| = 1 and S_n is real, so x is real and
@@ -474,7 +474,6 @@ def _mode_pair_lift(alpha: GridFunction, mode: tuple, degree: int) -> "_PairLift
     rings; the basis keeps that projection's coefficient too, for the
     certificate of a combination below degree N (_PairBasis._vekua_defect).
     """
-    grid = alpha.grid
     _check_degree(grid, degree)
     b, s, phase = mode
     mats = grid.teodorescu.matrices
@@ -492,7 +491,7 @@ def _mode_pair_lift(alpha: GridFunction, mode: tuple, degree: int) -> "_PairLift
     u -= analytic[:, None] * seeds
     residuals = np.sqrt(u**2 @ grid.radial_weights)
     parts = np.stack((x, phase * c_x), axis=1)
-    return _PairLift(alpha, np.stack((n, m), axis=1), parts, np.tile(defects, 2),
+    return _PairLift(grid, mode, np.stack((n, m), axis=1), parts, np.tile(defects, 2),
                      np.tile(residuals, 2), analytic, {})
 
 
@@ -533,12 +532,8 @@ def build_fbep_space(f: Conductivity, degree: int, tol: float = _LIFT_TOL) -> Ve
                 )
         basis = VekuaBasis(alpha=alpha, elements=elements)
     else:
-        lift = _kept_in(f._resolved, "pair_lift", degree)
-        logger.debug("%s the lifted space of %s %g at degree %d",
-                     "built" if lift is None else "reused", f.kind, f.eps, degree)
-        if lift is None:
-            lift = _keep_in(f._resolved, "pair_lift",
-                            _mode_pair_lift(alpha_from_f(f), mode, degree), degree)
+        lift = _once(f._resolved, "pair_lift", lambda: _mode_pair_lift(f.grid, mode, degree),
+                     degree, "the lifted space of %s %g at degree %d" % (f.kind, f.eps, degree))
         basis = _PairBasis(lift, tol, (f.kind, f.eps, degree))
         for name, defect in zip(names, basis._defects):
             if not defect <= tol:
@@ -621,13 +616,9 @@ def restriction_map_norm(
         if not own:
             raise ValueError("grid-sampled conductivities cannot be rebuilt on another grid")
         return _restriction_norm(f, j_region, small, mode)
-    key = (f.kind, f.eps)
-    rho = j_region._kept(small, "rho", key)
-    logger.debug("%s rho of %s %g on the %dx%d norm grid",
-                 "built" if rho is None else "reused", f.kind, f.eps, *small.shape)
-    if rho is None:
-        rho = j_region._keep(small, "rho", _restriction_norm(f, j_region, small, mode), key)
-    return rho
+    return _once(j_region._resolved.setdefault(small, {}), "rho",
+                 lambda: _restriction_norm(f, j_region, small, mode), (f.kind, f.eps),
+                 "rho of %s %g on the %dx%d norm grid" % (f.kind, f.eps, *small.shape))
 
 
 def _restriction_norm(f: Conductivity, j_region: Region, small: DiscGrid, mode) -> float:
@@ -888,7 +879,7 @@ class VekuaBasis:
 
     def real_rhs(self, h: GridFunction, region: Region | None = None) -> np.ndarray:
         """Vector Re <h, w_m> over the disc or a region, from the samples on every basis."""
-        self.alpha._check_same_grid(h)
+        h._check_same_grid(self)
         w = self.grid.weights if region is None else region.weights(self.grid)
         return VekuaBasis._moments(self, w, h.values)
 
@@ -901,7 +892,7 @@ class VekuaBasis:
         moments r, with the whitening W of the basis's one full-disc decomposition
         (FullForm.whitening): the directions the f-BEP core keeps, under the same
         rank rule.  h must live on the basis's grid (GridMismatchError)."""
-        self.alpha._check_same_grid(h)
+        h._check_same_grid(self)
         w = self._full_form.whitening()
         return w @ (w.T @ self._moments(self.grid.weights, h.values))
 
@@ -911,12 +902,14 @@ class VekuaBasis:
 
 
 class _PairLift(NamedTuple):
-    """A mode-pair lift (_mode_pair_lift), as a closed-form f keeps it: alpha, the
-    lifts' modes and parts, their defects, span residuals and e_n coefficients,
-    and in full the full-disc FullForm under "form", once a basis over the lift
-    takes it.  It holds no grid samples of the lifts."""
+    """A mode-pair lift (_mode_pair_lift), as a closed-form f keeps it: the grid and
+    alpha's mode (_alpha_mode), the lifts' modes and parts, their defects, span
+    residuals and e_n coefficients, and in full the full-disc FullForm under
+    "form", once a basis over the lift takes it (grid._once).  It holds no grid
+    samples, of alpha or of the lifts."""
 
-    alpha: GridFunction
+    grid: DiscGrid
+    mode: tuple
     modes: np.ndarray
     parts: np.ndarray
     defects: np.ndarray
@@ -938,13 +931,22 @@ class _PairBasis(VekuaBasis):
     iterations = 1, increments = [defect] and converged iff defect <= tol.
     key, a value naming the lifts (build_fbep_space: f's kind, eps and the
     degree), keys the J record a core keeps on its region; None keeps none.
+    alpha is sampled from the lift's mode on first use and dies with the basis.
     """
 
     def __init__(self, lift: _PairLift, tol: float, key: tuple | None = None):
         _check_tol(tol)
         self._lift, self._tol, self._key = lift, tol, key
-        self.alpha, self._modes, self._parts = lift.alpha, lift.modes, lift.parts
+        self._modes, self._parts = lift.modes, lift.parts
         self._defects, self._residuals, self._analytic = lift.defects, lift.residuals, lift.analytic
+
+    @property
+    def grid(self) -> DiscGrid:
+        return self._lift.grid
+
+    @cached_property
+    def alpha(self) -> GridFunction:
+        return GridFunction(self.grid, _mode_samples(self.grid, self._lift.mode))
 
     def _record_id(self, name: str, n: int) -> tuple | None:
         """Where a J region keeps the J record of the lifts, keyed by (key, n), under a
@@ -952,7 +954,8 @@ class _PairBasis(VekuaBasis):
         without a key."""
         if self._key is None:
             return None
-        return "lift_" + name, (self._key, n), "the {} {:g} lifts at degree {}".format(*self._key)
+        return ("lift_" + name, (self._key, n),
+                "the J record of the {} {:g} lifts at degree {}".format(*self._key))
 
     @property
     def size(self) -> int:
@@ -962,11 +965,8 @@ class _PairBasis(VekuaBasis):
     def _full_form(self) -> FullForm:
         """The full-disc decomposition, taken on first use and kept with the lift, so
         every basis over one lift reads the same one."""
-        full = _kept_in(self._lift.full, "form")
-        if full is None:
-            full = _keep_in(self._lift.full, "form",
-                            FullForm(*np.linalg.eigh(self._form(self.grid.weights))))
-        return full
+        return _once(self._lift.full, "form",
+                     lambda: FullForm(*np.linalg.eigh(self._form(self.grid.weights))))
 
     def _form(self, w: np.ndarray) -> np.ndarray:
         """The real Gram form Re(U^H S U) over the units U = _UNITS of the part form S,

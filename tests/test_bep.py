@@ -712,12 +712,28 @@ class TestJRecord:
                 with pytest.raises(ValueError):
                     array[0] = 0.0
 
+    def test_callers_mask_mutated_after_a_solve_changes_nothing(self, grid_24_96):
+        mask = np.abs(grid_24_96.nodes - (0.2 + 0.1j)) < 0.45
+        k = Region(kind="mask", mask_values=mask)
+        p = _region_problem(grid_24_96, "mask", 16)
+        p = saturated_problem(grid_24_96, k, p.h_k, p.h_j, 16)
+        before = solve_bep(p)
+        mask[:] = False
+        after = solve_bep(p)
+        assert before.saturated and np.array_equal(after.g0.coeffs, before.g0.coeffs)
+        assert (after.err_k, after.err_j) == (before.err_k, before.err_j)
+        for region in (p.k_region, p.j_region):  # what is kept and what is resolved now agree
+            fraction = region.fraction(grid_24_96)
+            assert np.array_equal(fraction > 0.0, region.indicator(grid_24_96))
+            assert np.array_equal(fraction * grid_24_96.weights, region.weights(grid_24_96))
+
     def test_record_dies_with_its_region(self, grid_24_96):
         def solved():
             p = _fresh_problem(grid_24_96, "sector")
             sol = solve_bep(p)
             assert sol.saturated
-            record = p.j_region._kept(grid_24_96, "j_record", (16, 17))
+            key, record = p.j_region._resolved[grid_24_96]["j_record"]
+            assert key == (16, 17)
             return weakref.ref(record.whiten), weakref.ref(p.j_region)
 
         refs = solved()

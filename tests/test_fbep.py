@@ -1211,14 +1211,58 @@ class TestKeptLift:
         key, lift = p.f._resolved["pair_lift"]
         assert key == p.degree
         full = sol.basis._full_form
-        record = p.j_region._kept(grid_24_96, "lift_j_record", (("exp_x", 0.8, 12), 26))
-        arrays = [lift.alpha.values, lift.modes, lift.parts, lift.defects, lift.residuals,
+        key, record = p.j_region._resolved[grid_24_96]["lift_j_record"]
+        assert key == (("exp_x", 0.8, 12), 26)
+        arrays = [lift.mode[0], lift.modes, lift.parts, lift.defects, lift.residuals,
                   lift.analytic, full.vals, full.vecs, record.a_j, record.taus, record.whiten]
         for array in arrays:
             with pytest.raises(ValueError):
                 array.flat[0] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.f.eps = 0.5
+
+    def test_solve_samples_no_alpha(self, grid_24_96, monkeypatch):
+        # the pair path reads b on the rings: neither a cold nor a repeat solve samples
+        # alpha, which a basis samples on first use and keeps for its own life
+        from bergbep import vekua
+
+        p = _kept_problem(grid_24_96)
+        samples = self._count(monkeypatch, vekua, "_mode_samples")
+        sol = solve_fbep(p)
+        again = solve_fbep(p)
+        assert samples == []
+        assert again.basis.alpha is again.basis.alpha and len(samples) == 1
+        assert "alpha" not in vars(sol.basis)
+
+    @pytest.mark.parametrize("make", [lambda g: Conductivity.exp_x(g, 0.8),
+                                      lambda g: Conductivity.exp_xy(g, 1.75),
+                                      lambda g: Conductivity.constant(g, 2.0)])
+    def test_kept_lift_holds_no_grid_samples(self, grid_24_96, make):
+        f = make(grid_24_96)
+        basis = build_fbep_space(f, 12)
+        basis.elements, basis._full_form  # the samples a basis makes stay on it
+        _, lift = f._resolved["pair_lift"]
+        arrays = [a for a in (*lift, *lift.mode, *lift.full["form"][1])
+                  if isinstance(a, np.ndarray)]
+        assert len(arrays) == 8
+        assert max(a.size for a in arrays) < grid_24_96.n_radial * grid_24_96.angular_count
+        assert basis.alpha.values.tobytes() == alpha_from_f(f).values.tobytes()
+        assert build_fbep_space(f, 12).alpha.values.tobytes() == basis.alpha.values.tobytes()
+
+    def test_hand_built_pair_basis_keeps_nothing(self, grid_24_96, monkeypatch):
+        # a _PairBasis without a key names no J record: its core builds one every solve
+        from bergbep import bep
+        from bergbep.vekua import _alpha_mode, _mode_pair_lift, _PairBasis
+
+        p = _kept_problem(grid_24_96)
+        basis = _PairBasis(_mode_pair_lift(grid_24_96, _alpha_mode(p.f), p.degree), p.lift_tol)
+        records = self._count(monkeypatch, bep, "_j_record")
+        sols = [solve_fbep(p, basis) for _ in range(2)]
+        assert len(records) == 2
+        assert p.f._resolved == {}
+        assert not {"j_record", "lift_j_record"} & set(p.j_region._resolved[grid_24_96])
+        keyed = solve_fbep(p)
+        assert all(np.array_equal(sol.coeffs, keyed.coeffs) for sol in sols)
 
     def test_repeat_build_samples_nothing(self, grid_24_96):
         # the grid samples stay on the basis that made them

@@ -48,6 +48,15 @@ class TestBuildGrid:
         assert np.all(grid_16_64.radial_nodes > 0.0)
         assert np.all(grid_16_64.radial_nodes < 1.0)
 
+    def test_tables_are_read_only(self, grid_16_64):
+        g = grid_16_64
+        tables = (g.radial_nodes, g.radial_weights, g.s_nodes, g.s_cell_edges, g.thetas,
+                  g.nodes, g.weights, g.radial_powers, *g.radial_derivatives,
+                  g.angular_wavenumbers, g.teodorescu.matrices, g.teodorescu.phase)
+        for table in tables:
+            with pytest.raises(ValueError):
+                table.flat[0] = 0.5
+
     @pytest.mark.parametrize("n_r,n_theta", [(1, 64), (0, 8), (4, 3), (2, 0)])
     def test_rejects_bad_sizes(self, n_r, n_theta):
         with pytest.raises(ValueError):
@@ -209,6 +218,20 @@ class TestRegionResolution:
         mask[:] = True  # the caller's array is not the region's
         assert region.area(grid_16_64) == area
         assert Region.mask(mask).area(grid_16_64) != area
+
+    def test_constructed_mask_is_copied(self, grid_16_64):
+        # the dataclass constructor copies too: what the region keeps, and what it
+        # resolves later, derive from the mask it was given
+        mask = np.abs(grid_16_64.nodes - (0.2 + 0.1j)) < 0.45
+        expected = Region.mask(mask).weights(grid_16_64)
+        region = Region(kind="mask", mask_values=mask)
+        weights = region.weights(grid_16_64)
+        mask[:] = False
+        assert region.weights(grid_16_64) is weights and weights.sum() > 0.0
+        assert np.array_equal(weights, expected)
+        assert np.array_equal(region.fraction(grid_16_64), region.indicator(grid_16_64))
+        assert np.array_equal(region.fraction(grid_16_64) * grid_16_64.weights, weights)
+        assert not region.mask_values.flags.writeable
 
     def test_separate_per_grid(self, grid_16_64):
         # two grids of one shape; the second carries half the radial weights

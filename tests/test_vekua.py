@@ -275,6 +275,16 @@ class TestSimilarity:
         analytic = GridFunction(grid_64_128, lifted.w.values * np.exp(-s.values))
         assert dbar(analytic).norm() / analytic.norm() <= 1e-3
 
+    def test_bound_violation_warns(self, grid_32_64, monkeypatch):
+        from bergbep import vekua
+
+        f = Conductivity.exp_x(grid_32_64, 0.2)  # ||alpha||_inf = 0.1
+        w = VekuaFunction(w=f.values, alpha=alpha_from_f(f), residual=0.0)
+        big = GridFunction.constant(grid_32_64, 1.0)  # ||s||_inf = 1 > 4 ||alpha||_inf
+        monkeypatch.setattr(vekua, "teodorescu", lambda g: big)
+        with pytest.warns(RuntimeWarning, match="similarity factor bound violated"):
+            assert similarity_factor(w) is big
+
     def test_vanishing_w_rejected(self, grid_32_64):
         vals = np.ones(grid_32_64.shape, dtype=complex)
         vals[3, 5] = 0.0
@@ -620,7 +630,7 @@ def _dense_lift_oracle(f, degree):
 
 
 def _closed_lifts(f, degree, tol=1e-12):
-    return _PairBasis(_mode_pair_lift(alpha_from_f(f), _alpha_mode(f), degree), tol).elements
+    return _PairBasis(_mode_pair_lift(f.grid, _alpha_mode(f), degree), tol).elements
 
 
 class TestModePairLift:
