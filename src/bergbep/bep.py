@@ -50,17 +50,16 @@ safeguarded Newton search on 1/err_J(mu) - 1/M finds mu in a handful of
 evaluations, verified monotone at runtime.  The end point is checked on
 the grid: if the grid value misses M by more than the stop tolerance, as
 it can when err_J << ||h_J||_J and the form value cancels, the same
-search continues on grid values with the forms' slope.  A grid value is
-the quadrature sum sum_S w_S |g - h_S|^2, measured one of two ways.  A
-side whose weights are constant along theta (a disc, an annulus, their
-complements, the full disc), over a basis with a ring spectrum
-(_PolarBasis._ring_spectrum), is measured by Parseval on each of its
-rings from the side's data spectrum, taken once when the core is built
-(_RingSide): mode by mode, with no synthesis of g, and the same spectrum
-gives that side's moments and, as each basis element lives in one mode,
-its diagonal form.  Sectors, masks and the Vekua bases (sampled
-or mode-pair) are measured at the nodes on the synthesis g =
-synthesize(c) (_GridSide), which the core makes only for such a side.
+search continues on grid values with the forms' slope.  The degree
+diagnostic's re-solve at N - 4 (_FormCore) measures on the forms alone:
+it reports only a coefficient gap.  A grid value is the quadrature sum
+sum_S w_S |g - h_S|^2, measured one of two ways.  A side whose weights
+are constant along theta (a disc, an annulus, their complements, the
+full disc), over a basis with a ring spectrum, is measured by Parseval on
+its rings from its data spectrum, taken once (_RingSide), with no
+synthesis of g; that spectrum also gives its moments and its diagonal
+form.  Sectors, masks and the Vekua bases are measured at the nodes of
+the synthesis g = synthesize(c) (_GridSide), made only for such a side.
 Neither way expands the square, which is the cancellation the grid
 check exists to catch.  The problem is homogeneous in (h_K, h_J, M), so
 every tolerance of the search, its infeasibility test and its end
@@ -81,7 +80,6 @@ O(block + n_nodes).
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 from dataclasses import dataclass
@@ -290,9 +288,6 @@ class _GridSide(NamedTuple):
     def h_sq(self) -> float:
         return np.sum(self.w * (self.h.real**2 + self.h.imag**2))
 
-    def leading(self, n: int) -> "_GridSide":
-        return self
-
 
 class _RingSide(NamedTuple):
     """A side whose weights are constant along theta, measured by Parseval on its rings.
@@ -341,11 +336,6 @@ class _RingSide(NamedTuple):
         """b_n = sum w h conj(e_n) = sum_i n_theta w_i conj(a_in) H_in."""
         return (self.amps.conj() * self.h_hat).T @ self.weights
 
-    def leading(self, n: int) -> "_RingSide":
-        """The side over the first n basis elements: modes n..N join the tail."""
-        return _RingSide(self.weights, self.amps[:, :n], self.h_hat[:, :n],
-                         self.tail + _power(self.h_hat[:, n:]))
-
 
 def _weighted_rings(w: np.ndarray) -> slice:
     """The rings of the grid-shaped weights w from the first to the last that carries weight."""
@@ -393,7 +383,144 @@ def _j_record(full: FullForm, a_j: np.ndarray) -> _JRecord:
     return _JRecord(a_j, dropped, np.clip(taus, 0.0, 1.0), w)
 
 
-class ConstrainedLSQ:
+class _FormCore:
+    """The whitened forms of a norm-constrained least squares and its one search (solve).
+
+    It holds the full-disc form, the moments r_K and r_J, the J record (_adopt)
+    and ||h_J||_J^2, and measures err_J on them alone (_measure), with no grid
+    work: the degree diagnostic's leading core (leading) is one.  ConstrainedLSQ
+    adds the grid sides of its problem and measures on them.
+    """
+
+    def __init__(self, basis, j_region, full: FullForm):
+        self._basis, self._j_region, self.full = basis, j_region, full
+
+    def _record(self, name: str, n: int, build) -> _JRecord:
+        """build(): the J record of the first n basis elements, kept on the J region for
+        the grid (grid._once) and read back on a repeat solve, given a J region and a
+        basis that names the record (_record_id: a name, a key and what the log calls it)."""
+        record_id = getattr(self._basis, "_record_id", None)
+        at = None if self._j_region is None or record_id is None else record_id(name, n)
+        if at is None:
+            return build()
+        name, key, what = at
+        return _once(self._j_region._resolved.setdefault(self._basis.grid, {}), name, build,
+                     key, what)
+
+    def _adopt(self, record: _JRecord) -> None:
+        """Take A_J, tau and whiten = W q from the J record and whiten the moments."""
+        self.a_j, self.dropped, self.taus, self.whiten = record
+        if self.dropped:
+            logger.info("dropping %d near-dependent basis directions", self.dropped)
+        self.bt_k = self.whiten.conj().T @ self.r_k
+        self.bt_j = self.whiten.conj().T @ self.r_j
+        self._free = None  # the M-independent part of solve, filled on first use
+
+    def leading(self, n: int) -> "_FormCore":
+        """The same problem over the first n basis elements, as a forms core: prefixes of
+        the forms, the J record of A_J's leading block and the parent's ||h_J||_J^2."""
+        sub = _FormCore(self._basis, self._j_region, self.full.leading(n))
+        sub.r_k, sub.r_j, sub._h_j_sq = self.r_k[:n], self.r_j[:n], self._h_j_sq
+        sub._adopt(sub._record("j_leading_record", n,
+                               lambda: _j_record(sub.full, self.a_j[:n, :n])))
+        return sub
+
+    def _secular(self, mu: float) -> tuple[np.ndarray, np.ndarray]:
+        """Whitened solution y(mu) and its derivative y'(mu), with d = (1 - tau) + mu tau:
+
+            y = (bt_K + mu bt_J) / d,    y' = ((1 - tau) bt_J - tau bt_K) / d^2.
+
+        Directions whose denominator is at rounding level are left out of both.
+        """
+        denom = (1.0 - self.taus) + mu * self.taus
+        keep = denom > 1e-12 * max(1.0, denom.max())
+        d = np.where(keep, denom, 1.0)
+        y = np.where(keep, (self.bt_k + mu * self.bt_j) / d, 0.0)
+        dy = np.where(keep, ((1.0 - self.taus) * self.bt_j - self.taus * self.bt_k) / d**2, 0.0)
+        return y, dy
+
+    def coeffs(self, mu: float) -> np.ndarray:
+        """Minimizer of err_K^2 + mu err_J^2: a diagonal solve in the whitened basis."""
+        return self.whiten @ self._secular(mu)[0]
+
+    def _form_value(self, y: np.ndarray) -> float:
+        """err_J of the coefficients W y from the whitened forms, at O(N)."""
+        e2 = self._h_j_sq - 2.0 * np.vdot(y, self.bt_j).real + np.sum(self.taus * np.abs(y) ** 2)
+        return float(np.sqrt(max(e2, 0.0)))
+
+    def _form_err(self, mu: float) -> tuple[float, float]:
+        """err_J(mu) from the whitened forms and d(err_J^2)/dmu = -2 sum d |y'|^2, at O(N)."""
+        y, dy = self._secular(mu)
+        slope = -2.0 * np.sum(((1.0 - self.taus) + mu * self.taus) * np.abs(dy) ** 2)
+        return self._form_value(y), float(slope)
+
+    def _measure(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, float]:
+        """The coefficients W y, their grid values (none here) and err_J, from the forms."""
+        return self.whiten @ y, None, self._form_value(y)
+
+    def kkt(self, c: np.ndarray, mu: float) -> np.ndarray:
+        """Gradient of (err_K^2 + mu err_J^2) / 2 in the coefficients."""
+        a_j_c = self.a_j @ c
+        return (self.full.apply(c) - a_j_c - self.r_k) + mu * (a_j_c - self.r_j)
+
+    def feasibility(self) -> float:
+        """Distance of h_J to the span on J: err_J of its whitened best fit (mu -> inf)."""
+        fit = self.taus > 1e-12 * self.taus.max()
+        y = np.where(fit, self.bt_j / np.where(fit, self.taus, 1.0), 0.0)
+        return self._measure(y)[2]
+
+    def _m_free(self) -> tuple[float, np.ndarray, np.ndarray | None, float]:
+        """What solve needs at every budget, computed once per core: the feasibility
+        distance and the mu = 0 fit with its grid values (if a side needs them) and err_J."""
+        if self._free is None:
+            self._free = (self.feasibility(), *self._measure(self._secular(0.0)[0]))
+        return self._free
+
+    def solve(self, m: float) -> LsqSolution:
+        """Saturating multiplier by a safeguarded Newton search on err_J(mu) = M, from _MU_START.
+
+        If the fit at mu = 0 already meets the budget (as measured) it is
+        returned unsaturated.  The search (_newton) evaluates err_J and its
+        slope from the whitened forms at O(N) per step,
+
+            err_J(y)^2 = ||h_J||_J^2 - 2 Re y^H bt_J + sum tau |y|^2,
+
+        and the returned err_J is measured (_measure: on the grid for a
+        ConstrainedLSQ, by Parseval on the rings or at the nodes); the solution
+        carries it, and the grid values if a side needed them.  If it misses M
+        by more than the stop tolerance (the form value cancels when
+        err_J << ||h_J||_J), the search continues from there on measured values
+        with the forms' slope (a sum of non-positive terms, it does not cancel).
+        Every tolerance is relative to size = max(M, ||h_J||_J).
+        """
+        feas, c0, values, e_lo = self._m_free()
+        size = max(m, math.sqrt(self._h_j_sq))
+        if feas > m + 1e-9 * size:
+            raise InfeasibleProblemError(f"M = {m:.6g} below feasibility distance {feas:.6g}")
+        if e_lo <= m:
+            return LsqSolution(c0.copy(), 0.0, feas, 0, False, values, e_lo)
+
+        evals = [(0.0, e_lo)]
+        mu, _, iterations = _newton(self._form_err, m, _MU_START, evals, feas, size)
+        c, values, e_mu = self._measure(self._secular(mu)[0])
+        evals.append((mu, e_mu))
+        if abs(e_mu - m) > _STOP_TOL * size:
+            logger.debug("err_J from the forms missed M on the grid by %.3e", abs(e_mu - m))
+            last = [mu, c, values, e_mu]  # the last point measured, first the end point
+
+            def grid_err(x: float) -> tuple[float, float]:
+                if x != last[0]:
+                    last[:] = x, *self._measure(self._secular(x)[0])
+                return last[3], self._form_err(x)[1]
+
+            mu, e_mu, more = _newton(grid_err, m, mu, evals, feas, size)
+            iterations += more
+            mu, c, values, e_mu = last  # the search's last point, with its coefficients
+        _check_saturated(evals, m, mu, e_mu, size)
+        return LsqSolution(c, mu, feas, iterations, True, values, e_mu)
+
+
+class ConstrainedLSQ(_FormCore):
     """min err_K(c) subject to err_J(c) <= M over combinations c of basis elements.
 
     err_S(c)^2 = sum_S w_S |synthesize(c) - h_S|^2 on the grid nodes, summed
@@ -401,37 +528,31 @@ class ConstrainedLSQ:
     takes a basis and the weights and data of both sides, and asks the
     basis for the eigendecomposition of its full-disc Gram form
     (_full_form), the J-form A_J (_form(w_J)) and the synthesis
-    (_synthesis); A_K = A_full - A_J.  Each side is measured one of two ways:
-    weights constant along theta, over a basis with a ring spectrum
-    (_ring_spectrum), make a _RingSide, which takes the side's data spectrum
-    once here and measures err_S by Parseval on its rings, mode by mode,
-    and whose moments come from the same spectrum (a _RingSide J gives
-    A_J too, diagonal, from its amplitudes); other weights or bases
-    make a _GridSide, measured on the synthesis at its nodes, whose moments
-    the basis gives (_moments).  Zero data take no transform: a _RingSide
-    keeps a zero spectrum, and a _GridSide zero moments in A_J's dtype.
-    Grid values are synthesized only for a _GridSide (_checked_values).
-    The BEP's basis is _PolarBasis, the f-BEP's a VekuaBasis,
-    whatever its representation.  The full-disc form's whitening W (FullForm.whitening)
-    drops the directions below _DROP_RCOND of its top eigenvalue, and the
-    eigenvectors q of W^H A_J W (the identity when that form is diagonal)
-    make whiten = W q, under which the J-form is diag(tau) and the K-form
-    diag(1 - tau).
+    (_synthesis); A_K = A_full - A_J.  Each side (_side) is a _RingSide, which
+    takes its data spectrum once here and measures err_S by Parseval on its
+    rings and gives its moments (and a J side its diagonal A_J) from that
+    spectrum, or a _GridSide, measured at the nodes of the synthesis, whose
+    moments the basis gives (_moments).  Zero data take no transform: a
+    _RingSide keeps a zero spectrum, a _GridSide zero moments in A_J's dtype.
+    Grid values are synthesized only for a _GridSide (_measure).  The BEP's
+    basis is _PolarBasis, the f-BEP's a VekuaBasis, whatever its
+    representation.  The whitening W (FullForm.whitening) drops the directions
+    below _DROP_RCOND of the full-disc form's top eigenvalue, and the
+    eigenvectors q of W^H A_J W (the identity when that form is diagonal) make
+    whiten = W q, under which the J-form is diag(tau) and the K-form diag(1 - tau).
 
     The J part, A_J and its decomposition (a _JRecord), depends on the basis
-    and w_J alone.  A core given its J region, over a basis that names its
-    records by values (_record_id: the degree of e_0..e_N; f's kind, eps and
-    the degree of closed-form lifts), keeps its record and the degree
-    diagnostic's leading core's in the region's per-grid dict (_record, by
-    grid._once), so a repeat solve on the same J, grid and basis reads them;
-    a core given no region, or over a basis with no such values (lifts given
-    by their samples), builds its record every time and keeps nothing.
+    and w_J alone.  Given its J region and a basis that names its records by
+    values (_record_id: the degree of e_0..e_N; f's kind, eps and the degree
+    of closed-form lifts), the core keeps its record and its leading core's on
+    the region (_record), so a repeat solve on the same J, grid and basis
+    reads them; otherwise (no region, or lifts given by their samples) it
+    builds its record every time and keeps nothing.
     """
 
     def __init__(self, basis, w_k, w_j, h_k, h_j, j_region=None):
-        self.full = basis._full_form
+        super().__init__(basis, j_region, basis._full_form)
         self._sides = {"k": _side(basis, w_k, h_k), "j": _side(basis, w_j, h_j)}
-        self._basis, self._j_region = basis, j_region
         j = self._sides["j"]
         record = self._record("j_record", self.full.vals.size, lambda: _j_record(
             self.full, j.form() if isinstance(j, _RingSide) else basis._form(w_j)))
@@ -457,69 +578,10 @@ class ConstrainedLSQ:
         w_k, w_j = problem.k_region.weights(grid), problem.j_region.weights(grid)
         return cls(basis, w_k, w_j, problem.h_k.values, problem.h_j.values, problem.j_region)
 
-    def _record(self, name: str, n: int, build) -> _JRecord:
-        """build(): the J record of the first n basis elements.  Given a J region and a
-        basis that names the record (_record_id: a name, a key and what the log calls
-        it), the core keeps it there for the grid (grid._once) and reads it back on a
-        repeat solve."""
-        record_id = getattr(self._basis, "_record_id", None)
-        at = None if self._j_region is None or record_id is None else record_id(name, n)
-        if at is None:
-            return build()
-        name, key, what = at
-        return _once(self._j_region._resolved.setdefault(self._basis.grid, {}), name, build,
-                     key, what)
-
-    def _adopt(self, record: _JRecord) -> None:
-        """Take A_J, tau and whiten = W q from the J record and whiten the moments."""
-        self.a_j, self.dropped, self.taus, self.whiten = record
-        if self.dropped:
-            logger.info("dropping %d near-dependent basis directions", self.dropped)
-        self.bt_k = self.whiten.conj().T @ self.r_k
-        self.bt_j = self.whiten.conj().T @ self.r_j
-        self._free = None  # the M-independent part of solve, filled on first use
-
-    def leading(self, n: int) -> "ConstrainedLSQ":
-        """The same problem over the first n basis elements; ||h_J||_J^2 is shared."""
-        sub = copy.copy(self)
-        pad = np.zeros(self.r_k.size - n)
-        sub.synthesize = lambda c: self.synthesize(np.concatenate((c, pad)))
-        sub.full = self.full.leading(n)
-        sub.r_k, sub.r_j = self.r_k[:n], self.r_j[:n]
-        sub._sides = {name: side.leading(n) for name, side in self._sides.items()}
-        sub._adopt(self._record("j_leading_record", n,
-                                lambda: _j_record(sub.full, self.a_j[:n, :n])))
-        return sub
-
     @cached_property
     def _h_j_sq(self) -> float:
-        """||h_J||_J^2, computed once and shared with the leading cores."""
+        """||h_J||_J^2 on the grid, computed once and shared with the leading cores."""
         return float(self._sides["j"].h_sq())
-
-    def _secular(self, mu: float) -> tuple[np.ndarray, np.ndarray]:
-        """Whitened solution y(mu) and its derivative y'(mu), with d = (1 - tau) + mu tau:
-
-            y = (bt_K + mu bt_J) / d,    y' = ((1 - tau) bt_J - tau bt_K) / d^2.
-
-        Directions whose denominator is at rounding level are left out of both.
-        """
-        denom = (1.0 - self.taus) + mu * self.taus
-        keep = denom > 1e-12 * max(1.0, denom.max())
-        d = np.where(keep, denom, 1.0)
-        y = np.where(keep, (self.bt_k + mu * self.bt_j) / d, 0.0)
-        dy = np.where(keep, ((1.0 - self.taus) * self.bt_j - self.taus * self.bt_k) / d**2, 0.0)
-        return y, dy
-
-    def coeffs(self, mu: float) -> np.ndarray:
-        """Minimizer of err_K^2 + mu err_J^2: a diagonal solve in the whitened basis."""
-        return self.whiten @ self._secular(mu)[0]
-
-    def _form_err(self, mu: float) -> tuple[float, float]:
-        """err_J(mu) from the whitened forms and d(err_J^2)/dmu = -2 sum d |y'|^2, at O(N)."""
-        y, dy = self._secular(mu)
-        e2 = self._h_j_sq - 2.0 * np.vdot(y, self.bt_j).real + np.sum(self.taus * np.abs(y) ** 2)
-        slope = -2.0 * np.sum(((1.0 - self.taus) + mu * self.taus) * np.abs(dy) ** 2)
-        return float(np.sqrt(max(e2, 0.0))), float(slope)
 
     def err(self, c: np.ndarray, side: str, values: np.ndarray | None = None) -> float:
         """err_K or err_J of c on the grid: by Parseval on the rings of a _RingSide,
@@ -530,81 +592,14 @@ class ConstrainedLSQ:
         values = self.synthesize(c) if values is None else values
         return float(np.sqrt(measured.err_sq(values)))
 
-    def kkt(self, c: np.ndarray, mu: float) -> np.ndarray:
-        """Gradient of (err_K^2 + mu err_J^2) / 2 in the coefficients."""
-        a_j_c = self.a_j @ c
-        return (self.full.apply(c) - a_j_c - self.r_k) + mu * (a_j_c - self.r_j)
-
-    def feasibility(self) -> float:
-        """Distance of h_J to the span on J: its whitened best fit (mu -> inf), on the grid."""
-        fit = self.taus > 1e-12 * self.taus.max()
-        y = np.where(fit, self.bt_j / np.where(fit, self.taus, 1.0), 0.0)
-        return self.err(self.whiten @ y, "j")
-
-    def _m_free(self) -> tuple[float, np.ndarray, np.ndarray | None, float]:
-        """What solve needs at every budget: the feasibility distance and the
-        mu = 0 fit with its grid values (if a side needs them) and err_J;
-        computed once per core."""
-        if self._free is None:
-            c0 = self.coeffs(0.0)
-            values = self._checked_values(c0)
-            self._free = (self.feasibility(), c0, values, self.err(c0, "j", values))
-        return self._free
-
-    def _checked_values(self, c: np.ndarray) -> np.ndarray | None:
-        """synthesize(c), read-only, if a side is measured at the nodes: the grid
-        values a returned solution carries.  None when both sides are _RingSides."""
-        if all(isinstance(side, _RingSide) for side in self._sides.values()):
-            return None
-        values = self.synthesize(c)
-        values.setflags(write=False)
-        return values
-
-    def solve(self, m: float) -> LsqSolution:
-        """Saturating multiplier by a safeguarded Newton search on err_J(mu) = M, from _MU_START.
-
-        If the fit at mu = 0 already meets the budget (on the grid) it is
-        returned unsaturated.  The search (_newton) evaluates err_J and its
-        slope from the whitened forms at O(N) per step,
-
-            err_J(y)^2 = ||h_J||_J^2 - 2 Re y^H bt_J + sum tau |y|^2,
-
-        and the returned err_J is evaluated on the grid (err: by Parseval on
-        the rings, or at the nodes of the synthesis); the solution carries
-        that err_J, and the grid values if a side needed them.  If it misses M
-        by more than the stop tolerance (the form value cancels when
-        err_J << ||h_J||_J), the search continues from there on grid values
-        with the forms' slope (a sum of non-positive terms, it does not cancel).
-        Every tolerance is relative to size = max(M, ||h_J||_J).
-        """
-        feas, c0, values, e_lo = self._m_free()
-        size = max(m, math.sqrt(self._h_j_sq))
-        if feas > m + 1e-9 * size:
-            raise InfeasibleProblemError(f"M = {m:.6g} below feasibility distance {feas:.6g}")
-        if e_lo <= m:
-            return LsqSolution(c0.copy(), 0.0, feas, 0, False, values, e_lo)
-
-        evals = [(0.0, e_lo)]
-        mu, _, iterations = _newton(self._form_err, m, _MU_START, evals, feas, size)
-        c = self.coeffs(mu)
-        values = self._checked_values(c)
-        e_mu = self.err(c, "j", values)
-        evals.append((mu, e_mu))
-        if abs(e_mu - m) > _STOP_TOL * size:
-            logger.debug("err_J from the forms missed M on the grid by %.3e", abs(e_mu - m))
-
-            end_point = (mu, e_mu)  # where the search starts: its grid value is at hand
-
-            def grid_err(x: float) -> tuple[float, float]:
-                e_x = end_point[1] if x == end_point[0] else self.err(self.coeffs(x), "j")
-                return e_x, self._form_err(x)[1]
-
-            mu, e_mu, more = _newton(grid_err, m, mu, evals, feas, size)
-            iterations += more
-            c = self.coeffs(mu)  # e_mu is err_J of these coefficients
-            values = self._checked_values(c)
-        _check_saturated(evals, m, mu, e_mu, size)
-        return LsqSolution(c, mu, feas, iterations, True, values, e_mu)
+    def _measure(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, float]:
+        """c = W y, its grid values if a side is measured at the nodes (read-only: the
+        values a solution carries; None when both sides are _RingSides) and err_J."""
+        c, values = self.whiten @ y, None
+        if not all(isinstance(side, _RingSide) for side in self._sides.values()):
+            values = self.synthesize(c)
+            values.setflags(write=False)
+        return c, values, self.err(c, "j", values)
 
 
 def _newton(err_slope, m: float, mu: float, evals: list, feas: float, size: float):
@@ -770,7 +765,10 @@ def solve_bep(problem: BepProblem, degree_diagnostic: bool = True) -> BepSolutio
     the problem is re-solved at degree N - 4 on the leading blocks of the
     same forms and the coefficient gap stored as a truncation-convergence
     indicator; it stays None when M is below the degree N - 4 feasibility
-    distance or that re-solve does not converge.
+    distance or that re-solve does not converge.  The re-solve measures its
+    feasibility, mu = 0 test and end point on the forms alone, with no grid
+    synthesis: where they cancel (err_J << ||h_J||_J) the gap can move at
+    rounding level, or be None within rounding of that feasibility distance.
     """
     core = ConstrainedLSQ.from_problem(problem)
     solution = _bep_solution(core.solve(problem.m), core.err, core.kkt)

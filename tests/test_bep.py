@@ -294,9 +294,18 @@ class TestSolveBep:
         assert sol.degree_gap is not None
         assert sol.degree_gap < 0.1
 
-    def test_degree_gap_matches_separate_solve(self, saturated_family):
-        p = saturated_family[1]
+    @pytest.mark.parametrize(
+        "family, index",
+        [("saturated_family", i) for i in range(10)] + [("sector_mask_64", i) for i in range(2)]
+        + [("annulus_24", 0)],
+    )
+    def test_degree_gap_matches_separate_solve(self, request, family, index):
+        # the N - 4 re-solve measures on its forms alone; its gap is the one a
+        # separate, grid-checked solve at degree N - 4 gives, on disc, sector,
+        # mask and annulus K
+        p = request.getfixturevalue(family)[index]
         sol = solve_bep(p)
+        assert sol.degree_gap is not None
         low = solve_bep(
             BepProblem(p.k_region, p.j_region, p.h_k, p.h_j, p.m, p.degree - 4),
             degree_diagnostic=False,
@@ -616,9 +625,9 @@ class TestPolarCore:
             assert feas == ConstrainedLSQ.from_problem(p).feasibility()
 
     def test_grid_passes(self, saturated_family, monkeypatch):
-        # the problem's core: the J-fit, the mu = 0 fit, the end point and err_K;
-        # the leading core: the first three, with ||h_J||_J^2 from its parent.  A
-        # disc K measures both sides by Parseval on the rings, a sector K at the nodes.
+        # the problem's core: the J-fit, the mu = 0 fit, the end point and err_K.
+        # The degree diagnostic's leading core measures on its forms and makes none.
+        # A disc K measures both sides by Parseval on the rings, a sector K at the nodes.
         calls = []
         for cls in (_RingSide, _GridSide):
             for name in ("err_sq", "h_sq"):
@@ -631,7 +640,7 @@ class TestPolarCore:
             calls.clear()
             sol = solve_bep(p)
             assert sol.saturated and sol.degree_gap is not None
-            assert sorted(name for _, name in calls) == ["err_sq"] * 7 + ["h_sq"]
+            assert sorted(name for _, name in calls) == ["err_sq"] * 4 + ["h_sq"]
             assert {cls for cls, _ in calls} == {path}
 
     def test_matches_two_eigh_reference(self, saturated_family, sector_mask_64):
@@ -826,12 +835,17 @@ class TestParsevalSides:
                     assert abs(core.err(c, side) - grid_sum) <= 1e-14 * scale
 
     def test_moments_and_norm_match_the_grid(self, grid_24_96):
-        # the same data spectrum gives the moments and ||h_J||_J^2, for a core and
-        # for the degree diagnostic's leading core, whose extra modes join the tail
+        # the same data spectrum gives the moments and ||h_J||_J^2 of a core.  The
+        # degree diagnostic's leading core takes prefixes of the moments, and the
+        # err_J it measures on its forms alone is the grid sum of the padded
+        # synthesis, on radial sides and on sides measured at the nodes alike
+        grid = grid_24_96
         rng = np.random.default_rng(5)
-        h = rng.standard_normal(grid_24_96.shape) + 1j * rng.standard_normal(grid_24_96.shape)
-        basis = _PolarBasis(grid_24_96, 16)
-        for w_k, w_j in self._sides(grid_24_96)[:3]:
+        h = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        basis = _PolarBasis(grid, 16)
+        nodes = [(k.weights(grid), k.complement().weights(grid))
+                 for k in (Region.sector(1.2), Region.mask(np.abs(grid.nodes - 0.2) < 0.45))]
+        for w_k, w_j in self._sides(grid)[:3] + nodes:
             core = ConstrainedLSQ(basis, w_k, w_j, h, h)
             for r, w in ((core.r_k, w_k), (core.r_j, w_j)):
                 grid_r = basis._moments(w, h)
@@ -839,10 +853,17 @@ class TestParsevalSides:
             h_sq = np.sum(w_j * np.abs(h) ** 2)
             assert abs(core._h_j_sq - h_sq) <= 1e-14 * h_sq
             lead = core.leading(9)
-            c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-            values = basis._synthesis(np.concatenate((c, np.zeros(8))))
-            grid_sum = np.sqrt(np.sum(w_k * np.abs(values - h) ** 2))
-            assert abs(lead.err(c, "k") - grid_sum) <= 1e-14 * grid_sum
+            assert np.array_equal(lead.r_k, core.r_k[:9])
+            assert np.array_equal(lead.r_j, core.r_j[:9])
+            width = lead.whiten.shape[1]
+            for _ in range(3):
+                y = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+                c, values, err_j = lead._measure(y)
+                assert values is None
+                values = basis._synthesis(np.concatenate((c, np.zeros(8))))
+                grid_sum = np.sqrt(np.sum(w_j * np.abs(values - h) ** 2))
+                scale = np.sqrt(h_sq) + np.sqrt(np.sum(w_j * np.abs(values) ** 2))
+                assert abs(err_j - grid_sum) <= 1e-14 * scale
 
     def test_sectors_and_masks_measure_at_the_nodes(self, grid_24_96):
         basis = _PolarBasis(grid_24_96, 12)
@@ -852,11 +873,11 @@ class TestParsevalSides:
                                   k.complement().weights(grid_24_96), h, h)
             assert {type(side) for side in core._sides.values()} == {_GridSide}
 
-    @pytest.mark.parametrize("index, count", [(0, 0), (1, 6)])  # a disc K, a sector K
+    @pytest.mark.parametrize("index, count", [(0, 0), (1, 3)])  # a disc K, a sector K
     def test_radial_solve_synthesizes_nothing(self, saturated_family, monkeypatch, index,
                                               count):
-        # the problem's core and the degree diagnostic's: a disc K takes no
-        # synthesis; a sector K the J-fit, the mu = 0 fit and the end point of each
+        # a disc K takes no synthesis; a sector K the J-fit, the mu = 0 fit and the
+        # end point of the problem's core.  The degree diagnostic's takes none on either
         import bergbep.bep as bep
 
         synthesis, calls = bep._ring_synthesis, []
@@ -1003,6 +1024,12 @@ def sector_mask_64(grid_64_128):
         Region.mask(np.abs(grid_64_128.nodes - (0.2 + 0.1j)) < 0.45),
     )
     return [saturated_problem(grid_64_128, k, h_k, h_j, 30) for k in regions]
+
+
+@pytest.fixture(scope="module")
+def annulus_24(grid_24_96):
+    """A saturated instance on annulus 0.6 K at 24x96/16."""
+    return [_fresh_problem(grid_24_96, "annulus")]
 
 
 class TestNewtonSearch:
@@ -1155,3 +1182,50 @@ class TestDataScale:
             assert abs(sol.lam - reference.lam) <= 1e-10 * (1.0 + abs(reference.lam))
             with pytest.raises(InfeasibleProblemError):
                 solver(infeasible)
+
+
+class TestScaling:
+    """The BEP is homogeneous in (h_K, h_J, M) over the complex numbers: the data
+    (s h_K, s h_J) with budget |s| M give s times the coefficients, |s| times
+    err_K, err_J and the degree gap, and the same lambda.
+
+    Over the cases below the coefficients agree to 2.6e-12 relative, and the
+    gaps to 7.7e-13 |s| max(1, ||g0||); the bounds are 1e-11 relative for the
+    coefficients, errors and lambda, and 1e-12 |s| max(1, ||g0||) absolute for the
+    gap, which is at rounding level (about 1e-17) on a disc K."""
+
+    @pytest.mark.parametrize("frac", [0.1, 0.5])
+    @pytest.mark.parametrize("kind", ["disc", "annulus", "sector", "mask"])
+    def test_scaled_data_scale_the_solution(self, grid_24_96, kind, frac):
+        grid = grid_24_96
+        k = {
+            "disc": Region.radial_disc(0.5),
+            "annulus": Region.annulus(0.6),
+            "sector": Region.sector(2.0),
+            "mask": Region.mask(np.abs(grid.nodes - 0.2) < 0.5),
+        }[kind]
+
+        def h_k(z):
+            return np.exp(z) + 0.2 * np.conj(z)
+
+        def h_j(z):
+            return 0.3 * np.conj(z) + 0.1 * np.abs(z) ** 2
+
+        p = saturated_problem(grid, k, GridFunction.from_function(grid, h_k),
+                              GridFunction.from_function(grid, h_j), 16, frac=frac)
+        ref = solve_bep(p)
+        assert ref.saturated and ref.degree_gap is not None
+        c = ref.g0.coeffs
+        for s in (1e-3 * np.exp(0.7j), 1e3 * np.exp(-2.1j), -1.0):
+            scaled = BepProblem(p.k_region, p.j_region,
+                                GridFunction.from_function(grid, lambda z: s * h_k(z)),
+                                GridFunction.from_function(grid, lambda z: s * h_j(z)),
+                                abs(s) * p.m, p.degree)
+            sol = solve_bep(scaled)
+            assert sol.saturated
+            assert np.linalg.norm(sol.g0.coeffs - s * c) <= 1e-11 * abs(s) * np.linalg.norm(c)
+            for got, want in ((sol.err_k, ref.err_k), (sol.err_j, ref.err_j)):
+                assert abs(got - abs(s) * want) <= 1e-11 * abs(s) * want
+            assert abs(sol.lam - ref.lam) <= 1e-11 * abs(ref.lam)
+            gap_bound = 1e-12 * abs(s) * max(1.0, np.linalg.norm(c))
+            assert abs(sol.degree_gap - abs(s) * ref.degree_gap) <= gap_bound
