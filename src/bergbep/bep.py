@@ -14,7 +14,8 @@ both sides, and every basis answers it through the same four private
 members: the eigendecomposition of its full-disc Gram form (_full_form,
 a FullForm of eigenvalues and eigenvectors), its Gram form under any
 node weights (_form(w)), the data moments (_moments(w, h)) and its
-synthesis c -> grid values (_synthesis(c)).  A basis whose elements each
+synthesis c -> values on the nodes of a slice of rings (_synthesis(c,
+rings), all rings by default, a fresh array).  A basis whose elements each
 live in one angular mode may give a fifth, its ring spectrum
 (_ring_spectrum(rings)); the BEP's does.  The core whitens by the
 full-disc form through its one whitening W = V diag(vals)^(-1/2) over
@@ -53,15 +54,23 @@ it can when err_J << ||h_J||_J and the form value cancels, the same
 search continues on grid values with the forms' slope.  The degree
 diagnostic's re-solve at N - 4 (_FormCore) measures on the forms alone:
 it reports only a coefficient gap.  A grid value is the quadrature sum
-sum_S w_S |g - h_S|^2, measured one of two ways.  A side whose weights
-are constant along theta (a disc, an annulus, their complements, the
-full disc), over a basis with a ring spectrum, is measured by Parseval on
-its rings from its data spectrum, taken once (_RingSide), with no
-synthesis of g; that spectrum also gives its moments and its diagonal
-form.  Sectors, masks and the Vekua bases are measured at the nodes of
-the synthesis g = synthesize(c) (_GridSide), made only for such a side.
-Neither way expands the square, which is the cancellation the grid
-check exists to catch.  The problem is homogeneous in (h_K, h_J, M), so
+sum_S w_S |g - h_S|^2, measured from the coefficients one of two ways.
+A side whose weights are constant along theta (a disc, an annulus, their
+complements, the full disc), over a basis with a ring spectrum, is
+measured by Parseval on its rings from its data spectrum, taken once
+(_RingSide), with no synthesis of g; that spectrum also gives its
+moments and its diagonal form.  Sectors, masks and the Vekua bases are
+measured at the nodes (_GridSide): the basis synthesizes g on one ring
+block at a time (bergman._ring_blocks, at most _BLOCK_NODES nodes) and
+the block's residual is summed at once, so the core holds no grid values
+and makes no grid-sized array.  The moments and the data spectrum are
+taken over the same blocks.  Neither way expands the square, which is
+the cancellation the grid check exists to catch.  Which way, and on which
+rings, are facts of the region alone (Region.ring_facts: the span of its
+weighted rings, its constancy along theta), kept on it per grid, as the
+J region keeps the partition gap the problem check reads
+(_check_problem); a repeat problem on the same regions scans no weights.
+The problem is homogeneous in (h_K, h_J, M), so
 every tolerance of the search, its infeasibility test and its end
 checks is relative to size = max(M, ||h_J||_J), in the core and in the
 oracle alike.
@@ -84,7 +93,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -93,13 +102,14 @@ from .bergman import (
     _basis_forms,
     _check_degree,
     _radial_powers,
+    _ring_blocks,
     _ring_factors,
     _ring_gram,
     _ring_moments,
     _ring_norms,
     _ring_synthesis,
 )
-from .grid import GridFunction, GridMismatchError, Region, _once
+from .grid import GridFunction, GridMismatchError, Region, _once, _ring_facts
 
 logger = logging.getLogger("bergbep")
 
@@ -141,20 +151,28 @@ class BepProblem:
 
 def _check_problem(problem) -> None:
     """The checks every BEP and f-BEP shares: the budget, the data grid, the
-    degree within the grid's exactness, the partition."""
+    degree within the grid's exactness, the partition.  The partition gap
+    depends on the regions and the grid alone: the J region keeps it for the
+    last K checked against it, keyed by K's defining values (Region._key), and
+    the check compares it with its bound every time."""
     if not 0.0 < problem.m < np.inf:
         raise ValueError(f"constraint level M must be positive and finite, got {problem.m}")
     problem.h_k._check_same_grid(problem.h_j)
     grid = problem.h_k.grid
     _check_degree(grid, problem.degree)
-    gap = np.max(
-        np.abs(problem.k_region.weights(grid) + problem.j_region.weights(grid) - grid.weights)
-    )
+    k, j = problem.k_region, problem.j_region
+    gap = _once(j._resolved.setdefault(grid, {}), "partition_gap",
+                lambda: _partition_gap(k, j, grid), k._key, f"the partition gap of K ({k.kind})")
     if gap > 1e-12:
         raise ValueError(f"K and J do not partition the disc (defect {gap:.2e})")
     for name, region in (("K", problem.k_region), ("J", problem.j_region)):
         if region.node_count(grid) == 0:
             raise ValueError(f"region {name} carries no grid nodes")
+
+
+def _partition_gap(k_region: Region, j_region: Region, grid) -> float:
+    """max |w_K + w_J - W| over the nodes: 0 to rounding when K and J partition the disc."""
+    return float(np.max(np.abs(k_region.weights(grid) + j_region.weights(grid) - grid.weights)))
 
 
 @dataclass(eq=False)
@@ -176,11 +194,8 @@ class LsqSolution(NamedTuple):
     """Coefficients, multiplier mu and search record of ConstrainedLSQ.solve.
 
     err_j is the grid err_J of coeffs that checked them against the
-    budget.  values is their synthesis on the grid if a side of the core
-    is measured at the nodes (a sector or mask, or a basis without a ring
-    spectrum), the one err_j was taken on, and None when both sides are
-    measured by Parseval on their rings.  The core's values are
-    read-only: the mu = 0 fit's serve every budget.
+    budget, measured from the coefficients as every err is; the solution
+    holds no grid values.
     """
 
     coeffs: np.ndarray
@@ -188,7 +203,6 @@ class LsqSolution(NamedTuple):
     feasibility: float
     iterations: int
     saturated: bool
-    values: np.ndarray
     err_j: float
 
     @property
@@ -255,38 +269,43 @@ class _PolarBasis:
         return _ring_gram(self.grid, w, self.degree)
 
     def _moments(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
-        return _ring_moments(self.grid, w * h, self.degree)
+        return _ring_moments(self.grid, w, h, self.degree)
 
-    def _synthesis(self, coeffs: np.ndarray) -> np.ndarray:
-        return _ring_synthesis(self.grid, coeffs)
+    def _synthesis(self, coeffs: np.ndarray, rings: slice = slice(None)) -> np.ndarray:
+        return _ring_synthesis(self.grid, coeffs, rings)
 
 
 class _GridSide(NamedTuple):
-    """A side measured at its nodes: the rings that carry weight, as one slice of
-    the flat nodes, and views of the weights and data there.  Views, not
-    gathered copies: a copy per side costs more in fresh pages than the nodes
-    it leaves out save."""
+    """A side measured at its nodes, one ring block at a time (bergman._ring_blocks,
+    at most _BLOCK_NODES nodes): the rings that carry weight (rings, a slice of
+    the grid's rings), the grid-shaped weights and data, read on those rings
+    only, and the basis's synthesis of c on a block of rings.  err_S(c)^2
+    synthesizes each of its rings once, a block at a time, so it makes no
+    grid-sized array and each of its dots stays below BLAS's threading
+    threshold."""
 
-    on: slice
+    rings: slice
     w: np.ndarray
     h: np.ndarray
+    synthesis: Callable[[np.ndarray, slice], np.ndarray]
 
-    @classmethod
-    def of(cls, w: np.ndarray, h: np.ndarray) -> "_GridSide":
-        on = _weighted_rings(w)
-        n_t = w.shape[-1]
-        on = slice(on.start * n_t, on.stop * n_t)
-        return cls(on, w.ravel()[on], h.ravel()[on])
-
-    def err_sq(self, values: np.ndarray) -> float:
-        """sum w |values - h|^2 over the side's nodes."""
-        resid = np.subtract(values.ravel()[self.on], self.h, dtype=complex)
-        parts = resid.view(np.float64)  # re, im interleaved
-        parts *= parts
-        return self.w @ (parts[::2] + parts[1::2])
+    def err_sq(self, c: np.ndarray) -> float:
+        """sum w |synthesize(c) - h|^2 over the side's nodes."""
+        total = 0.0
+        for block in _ring_blocks(self.w.shape, self.rings):
+            resid = self.synthesis(c, block)  # a fresh array: overwritten in place
+            resid -= self.h[block]
+            parts = resid.view(np.float64)  # re, im interleaved
+            parts *= parts
+            total += self.w[block].ravel() @ (parts[..., ::2] + parts[..., 1::2]).ravel()
+        return total
 
     def h_sq(self) -> float:
-        return np.sum(self.w * (self.h.real**2 + self.h.imag**2))
+        total = 0.0
+        for block in _ring_blocks(self.w.shape, self.rings):
+            h = self.h[block]
+            total += self.w[block].ravel() @ (h.real**2 + h.imag**2).ravel()
+        return total
 
 
 class _RingSide(NamedTuple):
@@ -310,17 +329,20 @@ class _RingSide(NamedTuple):
     tail: np.ndarray  # sum of |H_ik|^2 over the other modes, (rings,)
 
     @classmethod
-    def of(cls, basis, w: np.ndarray, h: np.ndarray) -> "_RingSide":
-        on = _weighted_rings(w)
-        amps = basis._ring_spectrum(on)
+    def of(cls, basis, w: np.ndarray, h: np.ndarray, rings: slice) -> "_RingSide":
+        """The side on the rings that carry weight, its data transformed one ring block
+        at a time (bergman._ring_blocks)."""
+        amps = basis._ring_spectrum(rings)
         h_hat = np.zeros(amps.shape, dtype=complex)
         tail = np.zeros(amps.shape[0])
-        if np.any(h[on]):  # zero data take no transform
-            spectrum = np.fft.fft(h[on], axis=-1, norm="forward")
+        if np.any(h[rings]):  # zero data take no transform
             width = amps.shape[1]
-            h_hat[:] = spectrum[:, :width]
-            tail[:] = _power(spectrum[:, width:])
-        return cls(w.shape[-1] * w[on, 0], amps, h_hat, tail)
+            for block in _ring_blocks(w.shape, rings):
+                spectrum = np.fft.fft(h[block], axis=-1, norm="forward")
+                at = slice(block.start - rings.start, block.stop - rings.start)
+                h_hat[at] = spectrum[:, :width]
+                tail[at] = _power(spectrum[:, width:])
+        return cls(w.shape[-1] * w[rings, 0], amps, h_hat, tail)
 
     def err_sq(self, c: np.ndarray) -> float:
         return self.weights @ (_power(self.amps * c - self.h_hat) + self.tail)
@@ -337,23 +359,20 @@ class _RingSide(NamedTuple):
         return (self.amps.conj() * self.h_hat).T @ self.weights
 
 
-def _weighted_rings(w: np.ndarray) -> slice:
-    """The rings of the grid-shaped weights w from the first to the last that carries weight."""
-    rings = np.flatnonzero(np.any(w, axis=-1))
-    return slice(rings[0], rings[-1] + 1) if rings.size else slice(0, 0)
-
-
 def _power(spectrum: np.ndarray) -> np.ndarray:
     """sum_k |spectrum_ik|^2 along the last axis."""
     return np.sum(spectrum.real**2 + spectrum.imag**2, axis=-1)
 
 
-def _side(basis, w: np.ndarray, h: np.ndarray):
+def _side(basis, w: np.ndarray, h: np.ndarray, region: Region | None):
     """A _RingSide where the basis has a ring spectrum and w is constant along theta
-    (discs, annuli, their complements, the full disc), else a _GridSide."""
-    if hasattr(basis, "_ring_spectrum") and np.all(w == w[:, :1]):
-        return _RingSide.of(basis, w, h)
-    return _GridSide.of(w, h)
+    (discs, annuli, their complements, the full disc), else a _GridSide, both on the
+    rings that carry weight: the region's kept ring facts (Region.ring_facts), or one
+    scan of w without a region."""
+    rings, constant = _ring_facts(w) if region is None else region.ring_facts(basis.grid)
+    if constant and hasattr(basis, "_ring_spectrum"):
+        return _RingSide.of(basis, w, h, rings)
+    return _GridSide(rings, w, h, basis._synthesis)
 
 
 class _JRecord(NamedTuple):
@@ -454,9 +473,9 @@ class _FormCore:
         slope = -2.0 * np.sum(((1.0 - self.taus) + mu * self.taus) * np.abs(dy) ** 2)
         return self._form_value(y), float(slope)
 
-    def _measure(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, float]:
-        """The coefficients W y, their grid values (none here) and err_J, from the forms."""
-        return self.whiten @ y, None, self._form_value(y)
+    def _measure(self, y: np.ndarray) -> tuple[np.ndarray, float]:
+        """The coefficients W y and err_J, from the forms."""
+        return self.whiten @ y, self._form_value(y)
 
     def kkt(self, c: np.ndarray, mu: float) -> np.ndarray:
         """Gradient of (err_K^2 + mu err_J^2) / 2 in the coefficients."""
@@ -467,11 +486,11 @@ class _FormCore:
         """Distance of h_J to the span on J: err_J of its whitened best fit (mu -> inf)."""
         fit = self.taus > 1e-12 * self.taus.max()
         y = np.where(fit, self.bt_j / np.where(fit, self.taus, 1.0), 0.0)
-        return self._measure(y)[2]
+        return self._measure(y)[1]
 
-    def _m_free(self) -> tuple[float, np.ndarray, np.ndarray | None, float]:
+    def _m_free(self) -> tuple[float, np.ndarray, float]:
         """What solve needs at every budget, computed once per core: the feasibility
-        distance and the mu = 0 fit with its grid values (if a side needs them) and err_J."""
+        distance and the mu = 0 fit with its err_J."""
         if self._free is None:
             self._free = (self.feasibility(), *self._measure(self._secular(0.0)[0]))
         return self._free
@@ -486,38 +505,38 @@ class _FormCore:
             err_J(y)^2 = ||h_J||_J^2 - 2 Re y^H bt_J + sum tau |y|^2,
 
         and the returned err_J is measured (_measure: on the grid for a
-        ConstrainedLSQ, by Parseval on the rings or at the nodes); the solution
-        carries it, and the grid values if a side needed them.  If it misses M
+        ConstrainedLSQ, by Parseval on the rings or at the nodes, from the
+        coefficients); the solution carries it.  If it misses M
         by more than the stop tolerance (the form value cancels when
         err_J << ||h_J||_J), the search continues from there on measured values
         with the forms' slope (a sum of non-positive terms, it does not cancel).
         Every tolerance is relative to size = max(M, ||h_J||_J).
         """
-        feas, c0, values, e_lo = self._m_free()
+        feas, c0, e_lo = self._m_free()
         size = max(m, math.sqrt(self._h_j_sq))
         if feas > m + 1e-9 * size:
             raise InfeasibleProblemError(f"M = {m:.6g} below feasibility distance {feas:.6g}")
         if e_lo <= m:
-            return LsqSolution(c0.copy(), 0.0, feas, 0, False, values, e_lo)
+            return LsqSolution(c0.copy(), 0.0, feas, 0, False, e_lo)
 
         evals = [(0.0, e_lo)]
         mu, _, iterations = _newton(self._form_err, m, _MU_START, evals, feas, size)
-        c, values, e_mu = self._measure(self._secular(mu)[0])
+        c, e_mu = self._measure(self._secular(mu)[0])
         evals.append((mu, e_mu))
         if abs(e_mu - m) > _STOP_TOL * size:
             logger.debug("err_J from the forms missed M on the grid by %.3e", abs(e_mu - m))
-            last = [mu, c, values, e_mu]  # the last point measured, first the end point
+            last = [mu, c, e_mu]  # the last point measured, first the end point
 
             def grid_err(x: float) -> tuple[float, float]:
                 if x != last[0]:
                     last[:] = x, *self._measure(self._secular(x)[0])
-                return last[3], self._form_err(x)[1]
+                return last[2], self._form_err(x)[1]
 
             mu, e_mu, more = _newton(grid_err, m, mu, evals, feas, size)
             iterations += more
-            mu, c, values, e_mu = last  # the search's last point, with its coefficients
+            mu, c, e_mu = last  # the search's last point, with its coefficients
         _check_saturated(evals, m, mu, e_mu, size)
-        return LsqSolution(c, mu, feas, iterations, True, values, e_mu)
+        return LsqSolution(c, mu, feas, iterations, True, e_mu)
 
 
 class ConstrainedLSQ(_FormCore):
@@ -527,14 +546,17 @@ class ConstrainedLSQ(_FormCore):
     over the rings that carry weight on S (w_S, h_S grid-shaped).  The core
     takes a basis and the weights and data of both sides, and asks the
     basis for the eigendecomposition of its full-disc Gram form
-    (_full_form), the J-form A_J (_form(w_J)) and the synthesis
-    (_synthesis); A_K = A_full - A_J.  Each side (_side) is a _RingSide, which
-    takes its data spectrum once here and measures err_S by Parseval on its
-    rings and gives its moments (and a J side its diagonal A_J) from that
-    spectrum, or a _GridSide, measured at the nodes of the synthesis, whose
-    moments the basis gives (_moments).  Zero data take no transform: a
-    _RingSide keeps a zero spectrum, a _GridSide zero moments in A_J's dtype.
-    Grid values are synthesized only for a _GridSide (_measure).  The BEP's
+    (_full_form), the J-form A_J (_form(w_J)) and the synthesis of a block of
+    rings (_synthesis); A_K = A_full - A_J.  Each side (_side, on the rings
+    its region's kept ring facts name, or one scan of its weights without a
+    region) is a _RingSide, which takes its data spectrum once here and
+    measures err_S by Parseval on its rings and gives its moments (and a J
+    side its diagonal A_J) from that spectrum, or a _GridSide, measured at
+    its nodes one ring block at a time, whose moments the basis gives
+    (_moments).  Zero data take no transform: a _RingSide keeps a zero
+    spectrum, a _GridSide zero moments in A_J's dtype.  Every err is
+    measured from the coefficients (err), and the core keeps no grid
+    values; only a _GridSide synthesizes, and only its own rings.  The BEP's
     basis is _PolarBasis, the f-BEP's a VekuaBasis, whatever its
     representation.  The whitening W (FullForm.whitening) drops the directions
     below _DROP_RCOND of the full-disc form's top eigenvalue, and the
@@ -547,12 +569,14 @@ class ConstrainedLSQ(_FormCore):
     of closed-form lifts), the core keeps its record and its leading core's on
     the region (_record), so a repeat solve on the same J, grid and basis
     reads them; otherwise (no region, or lifts given by their samples) it
-    builds its record every time and keeps nothing.
+    builds its record every time and keeps nothing.  Each side given its
+    region (from_problem gives both) reads the region's kept ring facts.
     """
 
-    def __init__(self, basis, w_k, w_j, h_k, h_j, j_region=None):
+    def __init__(self, basis, w_k, w_j, h_k, h_j, j_region=None, k_region=None):
         super().__init__(basis, j_region, basis._full_form)
-        self._sides = {"k": _side(basis, w_k, h_k), "j": _side(basis, w_j, h_j)}
+        self._sides = {"k": _side(basis, w_k, h_k, k_region),
+                       "j": _side(basis, w_j, h_j, j_region)}
         j = self._sides["j"]
         record = self._record("j_record", self.full.vals.size, lambda: _j_record(
             self.full, j.form() if isinstance(j, _RingSide) else basis._form(w_j)))
@@ -562,7 +586,6 @@ class ConstrainedLSQ(_FormCore):
             else np.zeros(len(record.a_j), record.a_j.dtype)
             for side, w, h in ((self._sides["k"], w_k, h_k), (self._sides["j"], w_j, h_j))
         )
-        self.synthesize = basis._synthesis
         self._adopt(record)
 
     @classmethod
@@ -575,31 +598,24 @@ class ConstrainedLSQ(_FormCore):
             basis = _PolarBasis(grid, problem.degree)
         elif basis.grid is not grid:
             raise GridMismatchError("basis and problem live on different grids")
-        w_k, w_j = problem.k_region.weights(grid), problem.j_region.weights(grid)
-        return cls(basis, w_k, w_j, problem.h_k.values, problem.h_j.values, problem.j_region)
+        k, j = problem.k_region, problem.j_region
+        return cls(basis, k.weights(grid), j.weights(grid), problem.h_k.values,
+                   problem.h_j.values, j, k)
 
     @cached_property
     def _h_j_sq(self) -> float:
         """||h_J||_J^2 on the grid, computed once and shared with the leading cores."""
         return float(self._sides["j"].h_sq())
 
-    def err(self, c: np.ndarray, side: str, values: np.ndarray | None = None) -> float:
-        """err_K or err_J of c on the grid: by Parseval on the rings of a _RingSide,
-        else at the nodes, from values = synthesize(c) if already at hand."""
-        measured = self._sides[side]
-        if isinstance(measured, _RingSide):
-            return float(np.sqrt(measured.err_sq(c)))
-        values = self.synthesize(c) if values is None else values
-        return float(np.sqrt(measured.err_sq(values)))
+    def err(self, c: np.ndarray, side: str) -> float:
+        """err_K or err_J of c on the grid, from the coefficients: by Parseval on the
+        rings of a _RingSide, at the nodes of a _GridSide, ring block by ring block."""
+        return float(np.sqrt(self._sides[side].err_sq(c)))
 
-    def _measure(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, float]:
-        """c = W y, its grid values if a side is measured at the nodes (read-only: the
-        values a solution carries; None when both sides are _RingSides) and err_J."""
-        c, values = self.whiten @ y, None
-        if not all(isinstance(side, _RingSide) for side in self._sides.values()):
-            values = self.synthesize(c)
-            values.setflags(write=False)
-        return c, values, self.err(c, "j", values)
+    def _measure(self, y: np.ndarray) -> tuple[np.ndarray, float]:
+        """c = W y and its err_J on the grid."""
+        c = self.whiten @ y
+        return c, self.err(c, "j")
 
 
 def _newton(err_slope, m: float, mu: float, evals: list, feas: float, size: float):
@@ -735,13 +751,13 @@ def constraint_error(problem: BepProblem, lam: float) -> float:
 
 def _certificates(result: LsqSolution, err, kkt) -> dict:
     """The fields every BEP and f-BEP solution reports, from a multiplier search with
-    err(c, side, values) and kkt(c, mu) of its forms.  err_K takes the search's grid
-    values of the coefficients, err_J is the search's own, and the KKT residual
-    takes the multiplier they solve."""
+    err(c, side) and kkt(c, mu) of its forms.  err_K is measured from the
+    coefficients, err_J is the search's own, and the KKT residual takes the
+    multiplier they solve."""
     c = result.coeffs
     return dict(
         lam=result.lam,
-        err_k=err(c, "k", result.values),
+        err_k=err(c, "k"),
         err_j=result.err_j,
         kkt_residual=float(np.linalg.norm(kkt(c, result.mu))),
         iterations=result.iterations,
@@ -810,10 +826,9 @@ def solve_bep_oracle(problem: BepProblem) -> BepSolution:
     def synthesize(c: np.ndarray) -> np.ndarray:
         return (radial * c) @ angular.T
 
-    def err(c: np.ndarray, side: str, values: np.ndarray | None = None) -> float:
+    def err(c: np.ndarray, side: str) -> float:
         w, h = sides[side]
-        values = synthesize(c) if values is None else values
-        return float(np.sqrt(np.sum(w * np.abs(values - h) ** 2)))
+        return float(np.sqrt(np.sum(w * np.abs(synthesize(c) - h) ** 2)))
 
     def kkt(c: np.ndarray, mu: float) -> np.ndarray:
         return (a_k @ c - r_k) + mu * (a_j @ c - r_j)
@@ -830,16 +845,13 @@ def solve_bep_oracle(problem: BepProblem) -> BepSolution:
         )
     mu_lo = 1.0 + _LAMBDA_FLOOR
     c = operator_solve(mu_lo)
-    values = synthesize(c)
-    e_lo = err(c, "j", values)
+    e_lo = err(c, "j")
     if e_lo <= problem.m:
-        return _bep_solution(LsqSolution(c, mu_lo, feas, 0, False, values, e_lo), err, kkt)
+        return _bep_solution(LsqSolution(c, mu_lo, feas, 0, False, e_lo), err, kkt)
     evals = [(mu_lo, e_lo)]
     mu, e_mu, iterations = _bisect(
         lambda mu: err(operator_solve(mu), "j"), problem.m, mu_lo, 2.0, evals, feas, size
     )
     _check_saturated(evals, problem.m, mu, e_mu, size)
     c = operator_solve(mu)  # e_mu is err_J of these coefficients
-    return _bep_solution(
-        LsqSolution(c, mu, feas, iterations, True, synthesize(c), e_mu), err, kkt
-    )
+    return _bep_solution(LsqSolution(c, mu, feas, iterations, True, e_mu), err, kkt)

@@ -23,7 +23,12 @@ The weights are real, so W(-k) = conj W(k) and the Gram form needs only
 the half spectrum W(0..N) of a real fft; a degree within the grid's
 exactness has |m - n| <= N < n_theta / 2, so no mode wraps around.
 These only reorder the same sums, so they agree with the dense samples
-of basis_matrix to rounding at any degree, without building them.
+of basis_matrix to rounding at any degree, without building them.  The
+moments and a synthesis on a slice of rings work one ring block of at most
+_BLOCK_NODES nodes at a time (_ring_blocks, the same blocks for every
+pass over a grid): a block's temporaries stay in cache, and the BEP
+core's dots over it stay below the size at which BLAS runs a dot on
+threads.  A ring's values are the same, bit for bit, in any block.
 The full-disc weights are constant along theta, so their Gram form is
 diagonal, with the grid norms g_n = (n+1) sum_i omega_i r_i^{2n} of the
 radial weights omega_i (_ring_norms); within the exactness g_n = 1 to
@@ -190,6 +195,19 @@ def _basis_forms(radial: np.ndarray, angular: np.ndarray, sides) -> list:
 
 # ---- polar layer: e_n = sqrt(n+1) r^n e^{in theta} on the rings of the grid
 
+_BLOCK_NODES = 8192  # nodes of a ring block: its temporaries stay in cache, its dots unthreaded
+
+
+def _ring_blocks(shape: tuple[int, int], rings: slice = slice(None)):
+    """The rings of the slice on a grid of shape (n_r, n_theta) in the grid's ring blocks:
+    block b holds the step = max(1, _BLOCK_NODES // n_theta) rings from b step, clipped
+    to the slice, so every pass over a grid meets the same blocks."""
+    n_r, n_t = shape
+    start, stop, _ = rings.indices(n_r)
+    step = max(1, _BLOCK_NODES // n_t)
+    for lo in range(start - start % step, stop, step):
+        yield slice(max(lo, start), min(lo + step, stop))
+
 
 def _radial_powers(grid: DiscGrid, top: int) -> np.ndarray:
     """P[i, p] = r_i^p for p = 0..top: a view of the grid's table within its exactness."""
@@ -225,21 +243,26 @@ def _ring_norms(grid: DiscGrid, degree: int) -> np.ndarray:
     return (n + 1.0) * (grid.radial_weights @ _radial_powers(grid, 2 * degree)[:, ::2])
 
 
-def _ring_moments(grid: DiscGrid, wh: np.ndarray, degree: int) -> np.ndarray:
-    """b_n = sum wh conj(e_n) = sqrt(n+1) sum_i r_i^n fft_theta(wh)_i(n).
+def _ring_moments(grid: DiscGrid, w: np.ndarray, h: np.ndarray, degree: int) -> np.ndarray:
+    """b_n = sum w h conj(e_n) = sqrt(n+1) sum_i r_i^n fft_theta(w h)_i(n).
 
-    wh may be a stack (..., n_r, n_theta); the moments are then (..., N+1).
+    The product w h and its fft are taken one ring block at a time
+    (_ring_blocks), so no grid-sized temporary is made.
     """
     n = np.arange(degree + 1)
-    modes = np.fft.fft(wh, axis=-1)[..., n % grid.angular_count]
+    cols = n % grid.angular_count
+    modes = np.empty((grid.n_radial, n.size), dtype=complex)
+    for block in _ring_blocks(grid.shape):
+        modes[block] = np.fft.fft(w[block] * h[block], axis=-1)[:, cols]
     return np.sqrt(n + 1.0) * np.sum(_radial_powers(grid, degree) * modes, axis=-2)
 
 
-def _ring_synthesis(grid: DiscGrid, coeffs: np.ndarray) -> np.ndarray:
-    """sum_n c_n e_n at the nodes by an inverse fft along theta, for stacks (..., N+1)."""
+def _ring_synthesis(grid: DiscGrid, coeffs: np.ndarray, rings: slice = slice(None)) -> np.ndarray:
+    """sum_n c_n e_n at the nodes of the rings by an inverse fft along theta, for stacks
+    (..., N+1); each ring's values are those of the all-rings call, bit for bit."""
     n_t = grid.angular_count
     n = np.arange(coeffs.shape[-1])
-    terms = (coeffs * np.sqrt(n + 1.0))[..., None, :] * _radial_powers(grid, n[-1])
+    terms = (coeffs * np.sqrt(n + 1.0))[..., None, :] * _radial_powers(grid, n[-1])[rings]
     if n.size > n_t:  # modes n and n mod n_theta coincide on the nodes
         pad = -n.size % n_t
         terms = np.concatenate((terms, np.zeros(terms.shape[:-1] + (pad,))), axis=-1)
@@ -260,7 +283,7 @@ def _check_degree(grid: DiscGrid | None, degree: int) -> None:
 def project(g: GridFunction, degree: int) -> AnalyticCoeffs:
     """Degree-N Bergman projection of a grid function, c_n = <g, e_n>."""
     _check_degree(g.grid, degree)
-    return AnalyticCoeffs(_ring_moments(g.grid, g.grid.weights * g.values, degree))
+    return AnalyticCoeffs(_ring_moments(g.grid, g.grid.weights, g.values, degree))
 
 
 def kernel_eval(z: complex, zeta: complex) -> complex:

@@ -29,9 +29,10 @@ supplies them from those ring spectra without sampling the lifts on the
 grid, and a J constant along theta (a disc complement, an annulus) and
 the full disc take no weight table; a grid-sampled f, or a basis built
 by hand, supplies them from its samples.  No Vekua basis gives a ring
-spectrum, so the core measures both sides at the nodes, and w_* is
-synthesized once: it is the search's own synthesis of the returned
-coefficients, the grid values its err_J was checked on.  The returned
+spectrum, so the core measures both sides at the nodes, one ring block at
+a time from the coefficients, and keeps no grid values; w_* is public, so
+solve_fbep synthesizes it once, on all rings, from the returned
+coefficients.  The returned
 w_* carries its Vekua defect, which the basis also supplies
 (_vekua_defect): for the closed forms it is sqrt(sum_n |z_n|^2 r_n^2)
 over the per-degree span residuals r_n of the pair lifts, with z_n =
@@ -71,6 +72,7 @@ restriction_map_norm), which chooses their algorithms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,10 +153,10 @@ def solve_fbep(problem: FbepProblem, basis: VekuaBasis | None = None) -> FbepSol
         basis = build_fbep_space(problem.f, problem.degree, tol=problem.lift_tol)
     core = ConstrainedLSQ.from_problem(problem, basis)
     result = core.solve(problem.m)
-    w_star = GridFunction(problem.grid, result.values.reshape(problem.grid.shape))
+    w_star = GridFunction(problem.grid, basis._synthesis(result.coeffs))
     solution = FbepSolution(
         coeffs=result.coeffs,
-        w_star=w_star,  # the search's synthesis of the coefficients
+        w_star=w_star,
         basis=basis,
         **_certificates(result, core.err, core.kkt),
         vekua_defect=basis._vekua_defect(result.coeffs, w_star, problem.degree),
@@ -189,17 +191,28 @@ def fbep_conjecture_check(problem: FbepProblem, solution: FbepSolution) -> float
 def directional_kkt_check(problem: FbepProblem, solution: FbepSolution, seed: int = 0) -> float:
     """Minimum of <grad(err_K^2), d> over _KKT_DIRECTIONS random first-order feasible directions.
 
-    The 50 directions are drawn uniformly on the sphere from seed and
-    flipped to point into the feasible cone grad(err_J^2) . d <= 0; at an
-    optimum the minimum is >= 0 up to multiplier precision.
+    The 50 directions are drawn uniformly on the sphere from the int seed,
+    once per (seed, size) (_kkt_directions), and flipped to point into the
+    feasible cone grad(err_J^2) . d <= 0; at an optimum the minimum is >= 0
+    up to multiplier precision.
     """
     core = _core_for(problem, solution)
     grad_k = 2.0 * core.kkt(solution.coeffs, 0.0)
     grad_j = 2.0 * (core.a_j @ solution.coeffs - core.r_j)
-    d = np.random.default_rng(seed).standard_normal((_KKT_DIRECTIONS, solution.coeffs.size))
+    d = _kkt_directions(seed, solution.coeffs.size)
+    flip = np.where(d @ grad_j > 0.0, -1.0, 1.0)  # the table stays as drawn
+    return float(np.min(flip * (d @ grad_k)))
+
+
+@lru_cache(maxsize=8)
+def _kkt_directions(seed: int, size: int) -> np.ndarray:
+    """The _KKT_DIRECTIONS unit directions of directional_kkt_check, drawn from a fresh
+    default_rng(seed) once per (seed, size) and kept read-only; only the most recent
+    pairs are kept, as vekua._norm_grid keeps its grids."""
+    d = np.random.default_rng(seed).standard_normal((_KKT_DIRECTIONS, size))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
-    d[d @ grad_j > 0.0] *= -1.0
-    return float(np.min(d @ grad_k))
+    d.setflags(write=False)
+    return d
 
 
 def transformed_constraint_data(

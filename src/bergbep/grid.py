@@ -400,6 +400,14 @@ def _once(store: dict, name: str, build, key=None, what: str | None = None):
     return kept[1]
 
 
+def _ring_facts(w: np.ndarray) -> tuple[slice, bool]:
+    """The one weight scan of the grid-shaped weights w: the rings from the first to the
+    last that carries weight, as a slice, and whether w is constant along theta."""
+    rings = np.flatnonzero(np.any(w, axis=-1))
+    span = slice(int(rings[0]), int(rings[-1]) + 1) if rings.size else slice(0, 0)
+    return span, bool(np.all(w == w[:, :1]))
+
+
 @dataclass(frozen=True, eq=False)
 class Region:
     """Measurable subset of the disc, resolvable on any DiscGrid.
@@ -411,15 +419,18 @@ class Region:
     The complement flag swaps the region with its complement in the
     disc; the indicators and weights of the two add up to the grid's.
 
-    A region resolves on each grid once: fraction, weights and node count
-    are each kept on first use in its per-grid dict _resolved (_once), and
-    the grid is held weakly.  Other modules keep what depends only on the
-    region and the grid in the same dict, one key per name, each keyed by
-    values, never by an object that would hold the grid: bep keeps the J
-    records of the last degree solved and of the last closed-form lifts
-    solved (f's kind, eps and the degree), vekua rho of the last
-    closed-form f (its kind and eps) on each norm grid.  A mask is copied
-    read-only, so nothing kept derives from the caller's array.
+    A region resolves on each grid once: fraction, weights, node count and
+    its ring facts (the span of the rings that carry weight and whether the
+    weights are constant along theta) are each kept on first use in its
+    per-grid dict _resolved (_once), and the grid is held weakly.  Other
+    modules keep what depends only on the region and the grid in the same
+    dict, one key per name, each keyed by values, never by an object that
+    would hold the grid: bep keeps on a J region the J records of the last
+    degree solved and of the last closed-form lifts solved (f's kind, eps
+    and the degree) and the partition gap of the last K checked against it
+    (K's defining values, _key), vekua rho of the last closed-form f (its
+    kind and eps) on each norm grid.  A mask is copied read-only, so nothing
+    kept derives from the caller's array.
     """
 
     kind: str
@@ -473,6 +484,18 @@ class Region:
 
     def complement(self) -> "Region":
         return replace(self, complement_flag=not self.complement_flag)
+
+    @cached_property
+    def _key(self) -> tuple:
+        """The values that define the region on any grid: kind, a, theta and the complement
+        flag, and for a mask its shape and a digest of its read-only copy, taken once."""
+        mask = self.mask_values
+        if mask is None:
+            return self.kind, self.a, self.theta, self.complement_flag, None
+        import hashlib  # only a mask needs it: its OpenSSL binding is not paid at import
+
+        digest = hashlib.blake2b(mask.tobytes(), digest_size=16).hexdigest()
+        return self.kind, self.a, self.theta, self.complement_flag, (mask.shape, digest)
 
     def _base_indicator(self, grid: DiscGrid) -> np.ndarray:
         if self.radii is None:
@@ -541,6 +564,12 @@ class Region:
     def area(self, grid: DiscGrid) -> float:
         """Normalized area of the region under the grid quadrature."""
         return float(self.weights(grid).sum())
+
+    def ring_facts(self, grid: DiscGrid) -> tuple[slice, bool]:
+        """The rings that carry weight, first to last as a slice, and whether the weights
+        are constant along theta (_ring_facts), kept on first use."""
+        return _once(self._resolved.setdefault(grid, {}), "ring_facts",
+                     lambda: _ring_facts(self.weights(grid)))
 
     def node_count(self, grid: DiscGrid) -> int:
         """Number of nodes carrying positive quadrature weight.

@@ -44,9 +44,10 @@ on the normal operator (_normal_top_eigenvalue).
 A VekuaBasis answers the f-BEP core through the four private members
 every basis of bep.ConstrainedLSQ has: its real Gram form under any
 node weights (_form(w)), its real moments (_moments(w, h)), its
-synthesis (_synthesis(c)) and the eigendecomposition of its full-disc
-form, eigh(_form(grid.weights)), taken once per basis, and once per
-kept lift for the mode-pair bases over it (_full_form); the
+synthesis on a slice of rings (_synthesis(c, rings), each row that of
+the all-rings synthesis, bit for bit) and the eigendecomposition of its
+full-disc form, eigh(_form(grid.weights)), taken once per basis, and
+once per kept lift for the mode-pair bases over it (_full_form); the
 span projection (project_span, invariance_defect) whitens by the same
 decomposition under the core's rank rule (bep.FullForm.whitening), so it
 takes no second Gram or eigh and keeps exactly the core's directions.
@@ -864,9 +865,12 @@ class VekuaBasis:
         every core over the basis whitens by it."""
         return FullForm(*np.linalg.eigh(self._form(self.grid.weights)))
 
-    def _synthesis(self, coeffs: np.ndarray) -> np.ndarray:
-        """The core's sum_b c_b w_b at the nodes, grid-shaped."""
-        return (self.values_matrix() @ coeffs).reshape(self.grid.shape)
+    def _synthesis(self, coeffs: np.ndarray, rings: slice = slice(None)) -> np.ndarray:
+        """The core's sum_b c_b w_b at the nodes of the rings, grid-shaped: one product
+        over their rows of the samples."""
+        n_r, n_t = self.grid.shape
+        start, stop, _ = rings.indices(n_r)
+        return (self.values_matrix()[start * n_t : stop * n_t] @ coeffs).reshape(-1, n_t)
 
     def _vekua_defect(self, coeffs: np.ndarray, w: GridFunction, degree: int) -> float:
         """The Vekua defect of w = sum_b c_b w_b, synthesized: vekua_residual on its values."""
@@ -995,10 +999,12 @@ class _PairBasis(VekuaBasis):
         by_part = np.einsum("aki,iak->ka", self._parts.conj(), moments)
         return (_UNITS.conj() @ by_part).real.ravel()
 
-    def _synthesis(self, coeffs: np.ndarray) -> np.ndarray:
-        """One spectrum gathers each part times its coefficient c U at its mode, then one ifft."""
-        spectrum = np.zeros(self.grid.shape, dtype=complex)
-        terms = (np.asarray(coeffs).reshape(2, -1).T @ _UNITS)[..., None] * self._parts
+    def _synthesis(self, coeffs: np.ndarray, rings: slice = slice(None)) -> np.ndarray:
+        """One spectrum of the rings gathers each part times its coefficient c U at its
+        mode, then one ifft."""
+        parts = self._parts[..., rings]
+        spectrum = np.zeros((parts.shape[-1], self.grid.angular_count), dtype=complex)
+        terms = (np.asarray(coeffs).reshape(2, -1).T @ _UNITS)[..., None] * parts
         np.add.at(spectrum.T, self._modes.ravel(), terms.reshape(self._modes.size, -1))
         return np.fft.ifft(spectrum, axis=-1, norm="forward")
 

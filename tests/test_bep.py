@@ -14,10 +14,13 @@ import bergbep
 from bergbep import (
     AnalyticCoeffs,
     BepProblem,
+    Conductivity,
     ConvergenceError,
     GridFunction,
     InfeasibleProblemError,
     Region,
+    VekuaBasis,
+    build_fbep_space,
     build_grid,
     constraint_error,
     feasibility_distance,
@@ -38,7 +41,14 @@ from bergbep.bep import (
     _PolarBasis,
     _RingSide,
 )
-from bergbep.bergman import _gram, _moments, _ring_norms, basis_matrix
+from bergbep.bergman import (
+    _BLOCK_NODES,
+    _gram,
+    _moments,
+    _ring_blocks,
+    _ring_norms,
+    basis_matrix,
+)
 from conftest import low_degree_infeasible_problem, saturated_problem
 
 # frozen regression: distance of conj(z) to the degree-16 span on the
@@ -187,7 +197,8 @@ class TestSolveBep:
             feasibility_distance(h, k.complement(), 8)
 
     def test_solved_problem_releases_grid_and_regions(self):
-        # the per-grid and per-region caches hold the grid weakly
+        # the per-grid and per-region caches hold the grid weakly; the ring facts of
+        # both regions and the partition gap are kept on the regions alone
         def solved():
             grid = build_grid(12, 48)
             k = Region.mask(np.abs(grid.nodes - 0.2) < 0.5)
@@ -195,6 +206,8 @@ class TestSolveBep:
             h_j = GridFunction.from_function(grid, lambda z: 0.3 * np.conj(z))
             p = saturated_problem(grid, k, h_k, h_j, 8)
             assert solve_bep(p).saturated
+            assert _kept_on_region_only(p.k_region, grid, ["ring_facts"])
+            assert _kept_on_region_only(p.j_region, grid, ["ring_facts", "partition_gap"])
             return [weakref.ref(obj) for obj in (grid, p.k_region, p.j_region)]
 
         refs = solved()
@@ -495,7 +508,7 @@ def test_import_loads_no_scipy():
 class _DenseBasis:
     """e_0..e_N as the basis_matrix samples, answering the core as a basis does: the
     full-disc form diagonalized by eigh, the forms and moments by quadrature of the
-    samples and the synthesis by one product."""
+    samples and the synthesis of a block of rings by one product over their rows."""
 
     def __init__(self, grid, degree):
         self.grid, self.samples = grid, basis_matrix(grid, degree)
@@ -507,13 +520,41 @@ class _DenseBasis:
     def _moments(self, w, h):
         return _moments(self.samples, w.ravel(), h.ravel(), np.asarray)
 
-    def _synthesis(self, c):
-        return (self.samples @ c).reshape(self.grid.shape)
+    def _synthesis(self, c, rings=slice(None)):
+        n_r, n_t = self.grid.shape
+        start, stop, _ = rings.indices(n_r)
+        return (self.samples[start * n_t : stop * n_t] @ c).reshape(-1, n_t)
 
 
 def _dense_core(p: BepProblem) -> ConstrainedLSQ:
     """The core over the dense samples of the basis, through the one assembly route."""
     return ConstrainedLSQ.from_problem(p, _DenseBasis(p.grid, p.degree))
+
+
+def _kept_on_region_only(region, grid, names) -> bool:
+    """Whether what the region keeps for the grid under names is held by its per-grid dict
+    alone: no store outside the region refers to it."""
+    kept = region._resolved[grid]
+    return all(gc.get_referrers(kept[name]) == [kept] for name in names)
+
+
+def _record_syntheses(monkeypatch) -> list:
+    """The rings (start, stop) of every polar synthesis the core asks for, in order."""
+    import bergbep.bep as bep
+
+    synthesis, calls = bep._ring_synthesis, []
+
+    def recording(grid, c, rings=slice(None)):
+        calls.append(rings.indices(grid.n_radial)[:2])
+        return synthesis(grid, c, rings)
+
+    monkeypatch.setattr(bep, "_ring_synthesis", recording)
+    return calls
+
+
+def _blocks(grid, rings: slice) -> list:
+    """The ring blocks (start, stop) one measurement of a side on the rings synthesizes."""
+    return [(b.start, b.stop) for b in _ring_blocks(grid.shape, rings)]
 
 
 def _cancellation_problem(grid, eps: float) -> BepProblem:
@@ -624,24 +665,36 @@ class TestPolarCore:
             assert calls == [1]
             assert feas == ConstrainedLSQ.from_problem(p).feasibility()
 
-    def test_grid_passes(self, saturated_family, monkeypatch):
+    def test_grid_passes(self, saturated_family, grid_128_256, monkeypatch):
         # the problem's core: the J-fit, the mu = 0 fit, the end point and err_K.
         # The degree diagnostic's leading core measures on its forms and makes none.
-        # A disc K measures both sides by Parseval on the rings, a sector K at the nodes.
+        # A disc K measures both sides by Parseval on the rings and synthesizes
+        # nothing; a sector K measures at the nodes, and each measurement synthesizes
+        # each ring of its side once, one ring block at a time (4 blocks at 128x256)
         calls = []
         for cls in (_RingSide, _GridSide):
             for name in ("err_sq", "h_sq"):
                 method = getattr(cls, name)
                 monkeypatch.setattr(
                     cls, name, lambda self, *a, _c=cls, _n=name, _m=method:
-                    calls.append((_c, _n)) or _m(self, *a)
+                    calls.append((_c, _n, self)) or _m(self, *a)
                 )
-        for p, path in zip(saturated_family[:2], (_RingSide, _GridSide)):
-            calls.clear()
+        syntheses = _record_syntheses(monkeypatch)
+        p = _region_problem(grid_128_256, "sector", 60)
+        large = saturated_problem(grid_128_256, p.k_region, p.h_k, p.h_j, 60, frac=0.6)
+        for p, path in zip(saturated_family[:2] + [large], (_RingSide, _GridSide, _GridSide)):
+            calls.clear(), syntheses.clear()
             sol = solve_bep(p)
             assert sol.saturated and sol.degree_gap is not None
-            assert sorted(name for _, name in calls) == ["err_sq"] * 4 + ["h_sq"]
-            assert {cls for cls, _ in calls} == {path}
+            assert sorted(name for _, name, _ in calls) == ["err_sq"] * 4 + ["h_sq"]
+            assert {cls for cls, _, _ in calls} == {path}
+            measured = [side for _, name, side in calls if name == "err_sq"]
+            expected = [block for side in measured if path is _GridSide
+                        for block in _blocks(p.grid, side.rings)]
+            assert syntheses == expected
+            assert all(hi - lo <= max(1, _BLOCK_NODES // p.grid.angular_count)
+                       for lo, hi in syntheses)
+        assert len(syntheses) == 16 and {hi - lo for lo, hi in syntheses} == {32}
 
     def test_matches_two_eigh_reference(self, saturated_family, sector_mask_64):
         # the same core over dense forms of basis_matrix, whitened by eigh of the full-disc form
@@ -737,12 +790,17 @@ class TestJRecord:
             assert np.array_equal(fraction * grid_24_96.weights, region.weights(grid_24_96))
 
     def test_record_dies_with_its_region(self, grid_24_96):
+        # beside the J record, the region's ring facts and the partition gap, which
+        # the J region alone holds
         def solved():
             p = _fresh_problem(grid_24_96, "sector")
             sol = solve_bep(p)
             assert sol.saturated
             key, record = p.j_region._resolved[grid_24_96]["j_record"]
             assert key == (16, 17)
+            assert p.j_region._resolved[grid_24_96]["partition_gap"][0] == p.k_region._key
+            assert _kept_on_region_only(p.j_region, grid_24_96,
+                                        ["j_record", "ring_facts", "partition_gap"])
             return weakref.ref(record.whiten), weakref.ref(p.j_region)
 
         refs = solved()
@@ -803,6 +861,68 @@ class TestJRecord:
                              f"{expected} the J record of e_0..e_12 at degree 16"]
 
 
+class TestKeptRegionFacts:
+    """The region-only facts of a problem are resolved once per region and grid
+    (grid._once): each region's ring facts (the span of its weighted rings and
+    whether its weights are constant along theta) and, on the J region, the
+    partition gap of the last K checked, keyed by K's defining values."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        import bergbep.bep as bep
+        import bergbep.grid as grid_module
+
+        calls = []
+        for module, name in ((grid_module, "_ring_facts"), (bep, "_partition_gap")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _n=name, _f=original:
+                                calls.append(_n) or _f(*a))
+        return calls
+
+    @pytest.mark.parametrize("kind", ["disc", "sector", "mask"])
+    def test_repeat_problem_scans_no_weights(self, grid_24_96, monkeypatch, kind):
+        template = _region_problem(grid_24_96, kind, 16)
+        calls = self._count(monkeypatch)
+        k = dataclasses.replace(template.k_region)
+        j = k.complement()
+        docs = []
+        for expected in (["_partition_gap", "_ring_facts", "_ring_facts"], []):
+            calls.clear()
+            p = BepProblem(k, j, template.h_k, template.h_j, template.m, 16)
+            sol = solve_bep(p)
+            assert sorted(calls) == expected
+            docs.append(bio.dumps_canonical(bio.bep_solution_to_dict(sol, 16)))
+        assert docs[0] == docs[1]
+        # another K of the same defining values reads the gap J keeps for it
+        calls.clear()
+        BepProblem(dataclasses.replace(k), j, template.h_k, template.h_j, template.m, 16)
+        assert calls == []
+
+    def test_mask_key_is_its_digest(self, grid_24_96):
+        inside = np.abs(grid_24_96.nodes - 0.2) < 0.45
+        a, b, c = (Region.mask(m) for m in (inside, inside.copy(), ~inside))
+        assert a._key == b._key != c._key
+        assert a._key is a._key  # taken once per region
+        assert Region.sector(1.2)._key == ("sector", None, 1.2, False, None)
+        assert Region.sector(1.2).complement()._key == ("sector", None, 1.2, True, None)
+
+    def test_non_partition_raises_every_time(self, grid_24_96, monkeypatch):
+        calls = self._count(monkeypatch)
+        k, j = Region.radial_disc(0.5), Region.radial_disc(0.6).complement()
+        h = GridFunction.constant(grid_24_96, 1.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="do not partition the disc"):
+                BepProblem(k, j, h, h, 1.0, 8)
+        assert calls == ["_partition_gap"]
+
+    def test_debug_log_names_the_gap(self, grid_24_96, caplog):
+        p = _fresh_problem(grid_24_96, "sector")
+        with caplog.at_level(logging.DEBUG, logger="bergbep"):
+            dataclasses.replace(p)
+        assert [r.getMessage() for r in caplog.records if "partition gap" in r.getMessage()] == [
+            "reused the partition gap of K (sector)"]
+
+
 class TestParsevalSides:
     """Sides whose weights are constant along theta are measured by Parseval on
     their rings, from the data spectrum taken once when the core is built."""
@@ -858,8 +978,7 @@ class TestParsevalSides:
             width = lead.whiten.shape[1]
             for _ in range(3):
                 y = rng.standard_normal(width) + 1j * rng.standard_normal(width)
-                c, values, err_j = lead._measure(y)
-                assert values is None
+                c, err_j = lead._measure(y)
                 values = basis._synthesis(np.concatenate((c, np.zeros(8))))
                 grid_sum = np.sqrt(np.sum(w_j * np.abs(values - h) ** 2))
                 scale = np.sqrt(h_sq) + np.sqrt(np.sum(w_j * np.abs(values) ** 2))
@@ -873,20 +992,16 @@ class TestParsevalSides:
                                   k.complement().weights(grid_24_96), h, h)
             assert {type(side) for side in core._sides.values()} == {_GridSide}
 
-    @pytest.mark.parametrize("index, count", [(0, 0), (1, 3)])  # a disc K, a sector K
+    @pytest.mark.parametrize("index, count", [(0, 0), (1, 4)])  # a disc K, a sector K
     def test_radial_solve_synthesizes_nothing(self, saturated_family, monkeypatch, index,
                                               count):
         # a disc K takes no synthesis; a sector K the J-fit, the mu = 0 fit and the
-        # end point of the problem's core.  The degree diagnostic's takes none on either
-        import bergbep.bep as bep
-
-        synthesis, calls = bep._ring_synthesis, []
-        monkeypatch.setattr(
-            bep, "_ring_synthesis", lambda grid, c: calls.append(1) or synthesis(grid, c)
-        )
+        # end point on J and err_K on K, each one block of the 24 rings its side
+        # spans.  The degree diagnostic's takes none on either
+        calls = _record_syntheses(monkeypatch)
         sol = solve_bep(saturated_family[index])
         assert sol.saturated and sol.degree_gap is not None
-        assert len(calls) == count
+        assert calls == [(0, 24)] * count
 
     @pytest.mark.parametrize("kind", ["disc", "annulus", "sector", "mask"])
     @pytest.mark.parametrize("zero", ["k", "j"])
@@ -900,6 +1015,70 @@ class TestParsevalSides:
         core = ConstrainedLSQ(_PolarBasis(grid_24_96, 12), w_k, w_j, data["k"], data["j"])
         assert calls == [1]  # the other side's data
         assert not np.any(core.r_k if zero == "k" else core.r_j)
+
+
+class TestRingBlocks:
+    """A grid side is measured from the coefficients one ring block at a time, and the
+    moments and a ring side's data spectrum are taken over the same blocks
+    (bergman._ring_blocks): the blocked sums are the one-shot grid sums, and a
+    block's synthesis is the same rows of the all-rings synthesis, bit for bit."""
+
+    CASES = [((24, 96), 16), ((64, 128), 30), ((40, 512), 30)]  # 40 rings: 2.5 blocks
+
+    @staticmethod
+    def _basis(grid, degree, kind):
+        if kind == "polar":
+            return _PolarBasis(grid, degree), basis_matrix(grid, degree), np.asarray
+        lifted = build_fbep_space(Conductivity.exp_x(grid, 0.8), degree)
+        basis = lifted if kind == "pair" else VekuaBasis(lifted.alpha, lifted.elements)
+        return basis, lifted.values_matrix(), np.real
+
+    @staticmethod
+    def _coeffs(rng, basis, part):
+        c = rng.standard_normal(basis._full_form.vals.size)
+        return c if part is np.real else c + 1j * rng.standard_normal(c.size)
+
+    @pytest.mark.parametrize("kind", ["polar", "pair", "sampled"])
+    @pytest.mark.parametrize("shape, degree", CASES)
+    def test_blocked_sums_are_the_grid_sums(self, kind, shape, degree):
+        grid = build_grid(*shape)
+        basis, samples, part = self._basis(grid, degree, kind)
+        rng = np.random.default_rng(degree)
+        data = [rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+                for _ in range(2)]
+        step = max(1, _BLOCK_NODES // grid.angular_count)
+        regions = [Region.sector(1.2), Region.mask(np.abs(grid.nodes - 0.2) < 0.45),
+                   Region.annulus(0.6).complement(), Region.annulus(0.72)]
+        starts = []
+        for k in regions:
+            j = k.complement()
+            core = ConstrainedLSQ(basis, k.weights(grid), j.weights(grid), *data, j, k)
+            for side, region, h, r in (("k", k, data[0], core.r_k), ("j", j, data[1], core.r_j)):
+                w = region.weights(grid)
+                starts.append(region.ring_facts(grid)[0].start)
+                wh = (w * h).ravel()
+                one_shot = part(samples.conj().T @ wh)
+                scale = np.abs(samples).T @ np.abs(wh)
+                assert np.all(np.abs(r - one_shot) <= 1e-14 * scale)
+                for _ in range(2):
+                    c = self._coeffs(rng, basis, part)
+                    grid_sum = np.sum(w * np.abs(basis._synthesis(c) - h) ** 2)
+                    assert abs(core.err(c, side) ** 2 - grid_sum) <= 1e-14 * grid_sum
+        if grid.n_radial % step:  # the ragged grid: a side starts inside a block
+            assert any(start % step for start in starts)
+
+    @pytest.mark.parametrize("kind", ["polar", "pair", "sampled"])
+    def test_block_synthesis_is_the_full_rows(self, kind):
+        grid = build_grid(40, 512)
+        basis, _, part = self._basis(grid, 30, kind)
+        c = self._coeffs(np.random.default_rng(3), basis, part)
+        full = basis._synthesis(c)
+        assert full.shape == grid.shape
+        blocks = list(_ring_blocks(grid.shape)) + list(_ring_blocks(grid.shape, slice(21, 38)))
+        assert [(b.start, b.stop) for b in blocks] == [
+            (0, 16), (16, 32), (32, 40), (21, 32), (32, 38)]
+        for rings in blocks + [slice(5, 6), slice(0, 40)]:
+            assert np.array_equal(basis._synthesis(c, rings), full[rings])
 
 
 class TestFullForm:
@@ -1131,22 +1310,19 @@ class TestNewtonSearch:
         shared[-1].coeffs[:] = 0.0  # a returned fit does not alias the core's
         assert np.array_equal(core.solve(1e6).coeffs, fresh[-1].coeffs)
 
-    def test_solution_errors_share_one_synthesis(self, saturated_family, monkeypatch):
-        # a sector K, saturated: the J-fit, the mu = 0 fit and the end point;
-        # inactive: the first two.  The solution's errors reuse the search's grid
-        # values.  A disc K measures by Parseval on the rings and synthesizes nothing.
-        import bergbep.bep as bep
-
-        synthesis, calls = bep._ring_synthesis, []
-        monkeypatch.setattr(
-            bep, "_ring_synthesis", lambda grid, c: calls.append(1) or synthesis(grid, c)
-        )
-        for p, counts in ((saturated_family[1], (3, 2)), (saturated_family[0], (0, 0))):
+    def test_solution_errors_measured_from_the_coefficients(self, saturated_family,
+                                                             monkeypatch):
+        # a sector K, saturated: err_J of the J-fit, the mu = 0 fit and the end point,
+        # then err_K; inactive: the first two, then err_K.  Each is measured from the
+        # coefficients, one block of the 24 rings per measurement.  A disc K measures
+        # by Parseval on the rings and synthesizes nothing.
+        calls = _record_syntheses(monkeypatch)
+        for p, counts in ((saturated_family[1], (4, 3)), (saturated_family[0], (0, 0))):
             inactive = BepProblem(p.k_region, p.j_region, p.h_k, p.h_j, 1e6, p.degree)
             for problem, count in zip((p, inactive), counts):
                 calls.clear()
                 sol = solve_bep(problem, degree_diagnostic=False)
-                assert len(calls) == count
+                assert calls == [(0, 24)] * count
                 assert sol.saturated == (problem is p)
                 core = ConstrainedLSQ.from_problem(problem)
                 c = sol.g0.coeffs

@@ -328,7 +328,7 @@ class TestPolarLayer:
         for region in _regions(grid):
             w = region.weights(grid)
             a, r = _gram(e, w.ravel(), np.asarray), _moments(e, w.ravel(), h.ravel(), np.asarray)
-            ring_a, ring_r = _ring_gram(grid, w, n), _ring_moments(grid, w * h, n)
+            ring_a, ring_r = _ring_gram(grid, w, n), _ring_moments(grid, w, h, n)
             assert np.max(np.abs(ring_a - a)) <= 1e-13 * np.max(np.abs(a))
             assert np.max(np.abs(ring_r - r)) <= 1e-13 * np.max(np.abs(r))
             assert np.array_equal(ring_a, ring_a.conj().T)

@@ -233,13 +233,18 @@ class TestSolveFbep:
         assert make_problem(grid, f, degree=7).degree == 7
 
     def test_solved_problem_releases_grid_and_regions(self):
-        # the per-grid and per-region caches hold the grid weakly
+        # the per-grid and per-region caches hold the grid weakly; the ring facts of
+        # both regions and the partition gap are kept on the regions alone
         def solved():
             grid = build_grid(12, 48)
             p = make_problem(grid, Conductivity.exp_x(grid, 0.1), degree=6)
             sol = solve_fbep(p)
             fbep_conjecture_check(p, sol)
             transformed_constraint_data(p)
+            for region, names in ((p.k_region, ["ring_facts"]),
+                                  (p.j_region, ["ring_facts", "partition_gap"])):
+                kept = region._resolved[grid]
+                assert all(gc.get_referrers(kept[name]) == [kept] for name in names)
             return [weakref.ref(obj) for obj in (grid, p.k_region, p.j_region)]
 
         refs = solved()
@@ -348,6 +353,28 @@ class TestCheckCoreReuse:
             values.append(grad_k @ (-d if grad_j @ d > 0.0 else d))
         worst = directional_kkt_check(p, sol, seed=7)
         assert abs(worst - min(values)) <= 1e-14 * np.linalg.norm(grad_k)
+
+    def test_directions_drawn_once_per_seed_and_size(self, basis_exp01_n8):
+        # the table of one (seed, size) is drawn once and read-only; a flip by sign
+        # leaves it as drawn, and the minimum is that of a fresh draw, bit for bit
+        import bergbep.fbep as fbep
+
+        f, basis = basis_exp01_n8
+        p = make_problem(f.grid, f)
+        sol = solve_fbep(p, basis)
+        core = ConstrainedLSQ.from_problem(p, basis)
+        grad_k = 2.0 * core.kkt(sol.coeffs, 0.0)
+        grad_j = 2.0 * (core.a_j @ sol.coeffs - core.r_j)
+        for seed in (0, 7, 0):
+            d = np.random.default_rng(seed).standard_normal((50, sol.coeffs.size))
+            d /= np.linalg.norm(d, axis=1, keepdims=True)
+            d[d @ grad_j > 0.0] *= -1.0
+            assert directional_kkt_check(p, sol, seed=seed) == float(np.min(d @ grad_k))
+        table = fbep._kkt_directions(7, sol.coeffs.size)
+        drawn = np.random.default_rng(7).standard_normal(table.shape)
+        assert np.array_equal(table, drawn / np.linalg.norm(drawn, axis=1, keepdims=True))
+        assert not table.flags.writeable
+        assert fbep._kkt_directions(7, sol.coeffs.size) is table
 
 
 class TestConjectureCheck:
@@ -1055,7 +1082,8 @@ class TestPairCore:
 
     def test_w_star_synthesized_once(self, grid_24_96, monkeypatch):
         # the pair basis gives no ring spectrum, so even a disc K is measured at the
-        # nodes: the J-fit, the mu = 0 fit and the end point, which is w_* itself
+        # nodes, from the coefficients: err_J of the J-fit, the mu = 0 fit and the end
+        # point on J's rings, each one ring block, then w_* on all rings and err_K on K's
         from bergbep.bep import _GridSide
         from bergbep.vekua import _PairBasis
 
@@ -1065,12 +1093,14 @@ class TestPairCore:
         assert isinstance(basis, _PairBasis)
         calls = []
         synthesis = _PairBasis._synthesis
-        monkeypatch.setattr(
-            _PairBasis, "_synthesis", lambda self, c: calls.append(c) or synthesis(self, c)
-        )
+        monkeypatch.setattr(_PairBasis, "_synthesis", lambda self, c, rings=slice(None):
+                            calls.append(rings.indices(24)[:2]) or synthesis(self, c, rings))
         sol = solve_fbep(p, basis)
-        assert sol.saturated and len(calls) == 3
-        assert {type(side) for side in sol._assembly[1]._sides.values()} == {_GridSide}
+        sides = sol._assembly[1]._sides
+        assert {type(side) for side in sides.values()} == {_GridSide}
+        k_rings, j_rings = (sides[s].rings.indices(24)[:2] for s in ("k", "j"))
+        assert k_rings[0] == 0 and j_rings[1] == 24 and k_rings != j_rings
+        assert sol.saturated and calls == [j_rings] * 3 + [(0, 24), k_rings]
         assert np.array_equal(sol.w_star.values, synthesis(basis, sol.coeffs))
 
     @pytest.mark.parametrize("sampled", [False, True])
