@@ -67,9 +67,8 @@ and makes no grid-sized array.  The moments and the data spectrum are
 taken over the same blocks.  Neither way expands the square, which is
 the cancellation the grid check exists to catch.  Which way, and on which
 rings, are facts of the region alone (Region.ring_facts: the span of its
-weighted rings, its constancy along theta), kept on it per grid, as the
-J region keeps the partition gap the problem check reads
-(_check_problem); a repeat problem on the same regions scans no weights.
+weighted rings, its constancy along theta), kept on it per grid, so a
+repeat solve on the same regions takes them without a weight scan.
 The problem is homogeneous in (h_K, h_J, M), so
 every tolerance of the search, its infeasibility test and its end
 checks is relative to size = max(M, ||h_J||_J), in the core and in the
@@ -151,28 +150,20 @@ class BepProblem:
 
 def _check_problem(problem) -> None:
     """The checks every BEP and f-BEP shares: the budget, the data grid, the
-    degree within the grid's exactness, the partition.  The partition gap
-    depends on the regions and the grid alone: the J region keeps it for the
-    last K checked against it, keyed by K's defining values (Region._key), and
-    the check compares it with its bound every time."""
+    degree within the grid's exactness, the partition."""
     if not 0.0 < problem.m < np.inf:
         raise ValueError(f"constraint level M must be positive and finite, got {problem.m}")
     problem.h_k._check_same_grid(problem.h_j)
     grid = problem.h_k.grid
     _check_degree(grid, problem.degree)
-    k, j = problem.k_region, problem.j_region
-    gap = _once(j._resolved.setdefault(grid, {}), "partition_gap",
-                lambda: _partition_gap(k, j, grid), k._key, f"the partition gap of K ({k.kind})")
+    gap = np.max(
+        np.abs(problem.k_region.weights(grid) + problem.j_region.weights(grid) - grid.weights)
+    )
     if gap > 1e-12:
         raise ValueError(f"K and J do not partition the disc (defect {gap:.2e})")
     for name, region in (("K", problem.k_region), ("J", problem.j_region)):
         if region.node_count(grid) == 0:
             raise ValueError(f"region {name} carries no grid nodes")
-
-
-def _partition_gap(k_region: Region, j_region: Region, grid) -> float:
-    """max |w_K + w_J - W| over the nodes: 0 to rounding when K and J partition the disc."""
-    return float(np.max(np.abs(k_region.weights(grid) + j_region.weights(grid) - grid.weights)))
 
 
 @dataclass(eq=False)

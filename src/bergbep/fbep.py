@@ -71,6 +71,7 @@ restriction_map_norm), which chooses their algorithms.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -191,11 +192,13 @@ def fbep_conjecture_check(problem: FbepProblem, solution: FbepSolution) -> float
 def directional_kkt_check(problem: FbepProblem, solution: FbepSolution, seed: int = 0) -> float:
     """Minimum of <grad(err_K^2), d> over _KKT_DIRECTIONS random first-order feasible directions.
 
-    The 50 directions are drawn uniformly on the sphere from the int seed,
+    The 50 directions are drawn uniformly on the sphere from the seed,
     once per (seed, size) (_kkt_directions), and flipped to point into the
     feasible cone grad(err_J^2) . d <= 0; at an optimum the minimum is >= 0
-    up to multiplier precision.
+    up to multiplier precision.  The seed must be an int (TypeError
+    otherwise): the same seed gives the same directions on every call.
     """
+    seed = operator.index(seed)
     core = _core_for(problem, solution)
     grad_k = 2.0 * core.kkt(solution.coeffs, 0.0)
     grad_j = 2.0 * (core.a_j @ solution.coeffs - core.r_j)

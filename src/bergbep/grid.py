@@ -427,10 +427,9 @@ class Region:
     dict, one key per name, each keyed by values, never by an object that
     would hold the grid: bep keeps on a J region the J records of the last
     degree solved and of the last closed-form lifts solved (f's kind, eps
-    and the degree) and the partition gap of the last K checked against it
-    (K's defining values, _key), vekua rho of the last closed-form f (its
-    kind and eps) on each norm grid.  A mask is copied read-only, so nothing
-    kept derives from the caller's array.
+    and the degree), vekua rho of the last closed-form f (its kind and eps)
+    on each norm grid.  A mask is copied read-only, so nothing kept derives
+    from the caller's array.
     """
 
     kind: str
@@ -484,18 +483,6 @@ class Region:
 
     def complement(self) -> "Region":
         return replace(self, complement_flag=not self.complement_flag)
-
-    @cached_property
-    def _key(self) -> tuple:
-        """The values that define the region on any grid: kind, a, theta and the complement
-        flag, and for a mask its shape and a digest of its read-only copy, taken once."""
-        mask = self.mask_values
-        if mask is None:
-            return self.kind, self.a, self.theta, self.complement_flag, None
-        import hashlib  # only a mask needs it: its OpenSSL binding is not paid at import
-
-        digest = hashlib.blake2b(mask.tobytes(), digest_size=16).hexdigest()
-        return self.kind, self.a, self.theta, self.complement_flag, (mask.shape, digest)
 
     def _base_indicator(self, grid: DiscGrid) -> np.ndarray:
         if self.radii is None:

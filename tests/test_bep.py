@@ -198,7 +198,7 @@ class TestSolveBep:
 
     def test_solved_problem_releases_grid_and_regions(self):
         # the per-grid and per-region caches hold the grid weakly; the ring facts of
-        # both regions and the partition gap are kept on the regions alone
+        # both regions are kept on the regions alone
         def solved():
             grid = build_grid(12, 48)
             k = Region.mask(np.abs(grid.nodes - 0.2) < 0.5)
@@ -207,7 +207,7 @@ class TestSolveBep:
             p = saturated_problem(grid, k, h_k, h_j, 8)
             assert solve_bep(p).saturated
             assert _kept_on_region_only(p.k_region, grid, ["ring_facts"])
-            assert _kept_on_region_only(p.j_region, grid, ["ring_facts", "partition_gap"])
+            assert _kept_on_region_only(p.j_region, grid, ["ring_facts"])
             return [weakref.ref(obj) for obj in (grid, p.k_region, p.j_region)]
 
         refs = solved()
@@ -790,17 +790,14 @@ class TestJRecord:
             assert np.array_equal(fraction * grid_24_96.weights, region.weights(grid_24_96))
 
     def test_record_dies_with_its_region(self, grid_24_96):
-        # beside the J record, the region's ring facts and the partition gap, which
-        # the J region alone holds
+        # beside the J record, the region's ring facts, which the J region alone holds
         def solved():
             p = _fresh_problem(grid_24_96, "sector")
             sol = solve_bep(p)
             assert sol.saturated
             key, record = p.j_region._resolved[grid_24_96]["j_record"]
             assert key == (16, 17)
-            assert p.j_region._resolved[grid_24_96]["partition_gap"][0] == p.k_region._key
-            assert _kept_on_region_only(p.j_region, grid_24_96,
-                                        ["j_record", "ring_facts", "partition_gap"])
+            assert _kept_on_region_only(p.j_region, grid_24_96, ["j_record", "ring_facts"])
             return weakref.ref(record.whiten), weakref.ref(p.j_region)
 
         refs = solved()
@@ -862,21 +859,17 @@ class TestJRecord:
 
 
 class TestKeptRegionFacts:
-    """The region-only facts of a problem are resolved once per region and grid
-    (grid._once): each region's ring facts (the span of its weighted rings and
-    whether its weights are constant along theta) and, on the J region, the
-    partition gap of the last K checked, keyed by K's defining values."""
+    """Each region's ring facts (the span of its weighted rings and whether its
+    weights are constant along theta) are resolved once per region and grid
+    (grid._once), so a repeat problem on the same regions scans no weights."""
 
     @staticmethod
     def _count(monkeypatch):
-        import bergbep.bep as bep
         import bergbep.grid as grid_module
 
         calls = []
-        for module, name in ((grid_module, "_ring_facts"), (bep, "_partition_gap")):
-            original = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *a, _n=name, _f=original:
-                                calls.append(_n) or _f(*a))
+        original = grid_module._ring_facts
+        monkeypatch.setattr(grid_module, "_ring_facts", lambda w: calls.append(w) or original(w))
         return calls
 
     @pytest.mark.parametrize("kind", ["disc", "sector", "mask"])
@@ -886,41 +879,20 @@ class TestKeptRegionFacts:
         k = dataclasses.replace(template.k_region)
         j = k.complement()
         docs = []
-        for expected in (["_partition_gap", "_ring_facts", "_ring_facts"], []):
+        for expected in (2, 0):
             calls.clear()
             p = BepProblem(k, j, template.h_k, template.h_j, template.m, 16)
             sol = solve_bep(p)
-            assert sorted(calls) == expected
+            assert len(calls) == expected
             docs.append(bio.dumps_canonical(bio.bep_solution_to_dict(sol, 16)))
         assert docs[0] == docs[1]
-        # another K of the same defining values reads the gap J keeps for it
-        calls.clear()
-        BepProblem(dataclasses.replace(k), j, template.h_k, template.h_j, template.m, 16)
-        assert calls == []
 
-    def test_mask_key_is_its_digest(self, grid_24_96):
-        inside = np.abs(grid_24_96.nodes - 0.2) < 0.45
-        a, b, c = (Region.mask(m) for m in (inside, inside.copy(), ~inside))
-        assert a._key == b._key != c._key
-        assert a._key is a._key  # taken once per region
-        assert Region.sector(1.2)._key == ("sector", None, 1.2, False, None)
-        assert Region.sector(1.2).complement()._key == ("sector", None, 1.2, True, None)
-
-    def test_non_partition_raises_every_time(self, grid_24_96, monkeypatch):
-        calls = self._count(monkeypatch)
+    def test_non_partition_raises_every_time(self, grid_24_96):
         k, j = Region.radial_disc(0.5), Region.radial_disc(0.6).complement()
         h = GridFunction.constant(grid_24_96, 1.0)
         for _ in range(2):
             with pytest.raises(ValueError, match="do not partition the disc"):
                 BepProblem(k, j, h, h, 1.0, 8)
-        assert calls == ["_partition_gap"]
-
-    def test_debug_log_names_the_gap(self, grid_24_96, caplog):
-        p = _fresh_problem(grid_24_96, "sector")
-        with caplog.at_level(logging.DEBUG, logger="bergbep"):
-            dataclasses.replace(p)
-        assert [r.getMessage() for r in caplog.records if "partition gap" in r.getMessage()] == [
-            "reused the partition gap of K (sector)"]
 
 
 class TestParsevalSides:

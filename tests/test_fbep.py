@@ -234,17 +234,16 @@ class TestSolveFbep:
 
     def test_solved_problem_releases_grid_and_regions(self):
         # the per-grid and per-region caches hold the grid weakly; the ring facts of
-        # both regions and the partition gap are kept on the regions alone
+        # both regions are kept on the regions alone
         def solved():
             grid = build_grid(12, 48)
             p = make_problem(grid, Conductivity.exp_x(grid, 0.1), degree=6)
             sol = solve_fbep(p)
             fbep_conjecture_check(p, sol)
             transformed_constraint_data(p)
-            for region, names in ((p.k_region, ["ring_facts"]),
-                                  (p.j_region, ["ring_facts", "partition_gap"])):
+            for region in (p.k_region, p.j_region):
                 kept = region._resolved[grid]
-                assert all(gc.get_referrers(kept[name]) == [kept] for name in names)
+                assert gc.get_referrers(kept["ring_facts"]) == [kept]
             return [weakref.ref(obj) for obj in (grid, p.k_region, p.j_region)]
 
         refs = solved()
@@ -375,6 +374,17 @@ class TestCheckCoreReuse:
         assert np.array_equal(table, drawn / np.linalg.norm(drawn, axis=1, keepdims=True))
         assert not table.flags.writeable
         assert fbep._kkt_directions(7, sol.coeffs.size) is table
+
+    def test_seed_must_be_an_int(self, basis_exp01_n8):
+        # the directions are kept per seed, so a seed that is not an int (None, a
+        # Generator, an array) fails at once instead of reusing or missing a table
+        f, basis = basis_exp01_n8
+        p = make_problem(f.grid, f)
+        sol = solve_fbep(p, basis)
+        assert directional_kkt_check(p, sol, seed=np.int64(7)) == directional_kkt_check(p, sol, seed=7)
+        for seed in (None, np.random.default_rng(7), [7], 7.0):
+            with pytest.raises(TypeError):
+                directional_kkt_check(p, sol, seed=seed)
 
 
 class TestConjectureCheck:
