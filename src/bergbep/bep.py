@@ -9,15 +9,15 @@ h_J and a budget M, the solver finds the degree-N analytic g0 minimizing
 for the unique lambda in (-1, inf) saturating the constraint when the
 data is not attainable.  In mu = 1 + lambda this is a norm-constrained
 least squares; one core, ConstrainedLSQ, solves it here and for the real
-f-BEP, in one path.  The core takes a basis and the weights and data of
-both sides, and every basis answers it through the same four private
-members: the eigendecomposition of its full-disc Gram form (_full_form,
-a FullForm of eigenvalues and eigenvectors), its Gram form under any
-node weights (_form(w)), the data moments (_moments(w, h)) and its
-synthesis c -> values on the nodes of a slice of rings (_synthesis(c,
-rings), all rings by default, a fresh array).  A basis whose elements each
-live in one angular mode may give a fifth, its ring spectrum
-(_ring_spectrum(rings)); the BEP's does.  The core whitens by the
+f-BEP, in one path.  The core takes a basis, the partition (the regions
+K and J) and the data of both sides, and every basis answers it through
+the same four private members: the eigendecomposition of its full-disc
+Gram form (_full_form, a FullForm of eigenvalues and eigenvectors), its
+Gram form under any node weights (_form(w)), the data moments
+(_moments(w, h)) and its synthesis c -> values on the nodes of a slice of
+rings (_synthesis(c, rings), all rings by default, a fresh array).  A
+basis whose elements each live in one angular mode may give a fifth, its
+ring spectrum (_ring_spectrum(rings)); the BEP's does.  The core whitens by the
 full-disc form through its one whitening W = V diag(vals)^(-1/2) over
 the directions above _DROP_RCOND of the top eigenvalue
 (FullForm.whitening, the one rank rule, which the degree diagnostic
@@ -26,7 +26,7 @@ A_full - A_J, so it assembles one region form, the J-form.  A core
 assembles it once per (J region, grid, basis): the J-form and its
 decomposition (the J record: A_J, tau and the whitening W q) depend on
 J's weights and the basis alone, never on the data or M, and the region
-keeps them beside its weights, as it does the leading core's of the
+keeps them beside its own record, as it does the leading core's of the
 degree diagnostic, for the last degree solved on each grid; an f-BEP
 core's under a name of its own, for the last closed-form lifts solved
 (f's kind, eps and the degree).  So a repeat solve on the same
@@ -66,9 +66,10 @@ the block's residual is summed at once, so the core holds no grid values
 and makes no grid-sized array.  The moments and the data spectrum are
 taken over the same blocks.  Neither way expands the square, which is
 the cancellation the grid check exists to catch.  Which way, and on which
-rings, are facts of the region alone (Region.ring_facts: the span of its
-weighted rings, its constancy along theta), kept on it per grid, so a
-repeat solve on the same regions takes them without a weight scan.
+rings, are facts of the region alone, read from the one record it keeps per
+grid (Region.resolve: its weights, the span of its weighted rings and their
+constancy along theta), so a repeat solve on the same regions scans no
+weights.
 The problem is homogeneous in (h_K, h_J, M), so
 every tolerance of the search, its infeasibility test and its end
 checks is relative to size = max(M, ||h_J||_J), in the core and in the
@@ -108,7 +109,7 @@ from .bergman import (
     _ring_norms,
     _ring_synthesis,
 )
-from .grid import GridFunction, GridMismatchError, Region, _once, _ring_facts
+from .grid import GridFunction, GridMismatchError, Region, _once
 
 logger = logging.getLogger("bergbep")
 
@@ -162,7 +163,8 @@ def _check_problem(problem) -> None:
     if gap > 1e-12:
         raise ValueError(f"K and J do not partition the disc (defect {gap:.2e})")
     for name, region in (("K", problem.k_region), ("J", problem.j_region)):
-        if region.node_count(grid) == 0:
+        rings = region.resolve(grid).rings
+        if rings.start == rings.stop:
             raise ValueError(f"region {name} carries no grid nodes")
 
 
@@ -355,12 +357,12 @@ def _power(spectrum: np.ndarray) -> np.ndarray:
     return np.sum(spectrum.real**2 + spectrum.imag**2, axis=-1)
 
 
-def _side(basis, w: np.ndarray, h: np.ndarray, region: Region | None):
-    """A _RingSide where the basis has a ring spectrum and w is constant along theta
-    (discs, annuli, their complements, the full disc), else a _GridSide, both on the
-    rings that carry weight: the region's kept ring facts (Region.ring_facts), or one
-    scan of w without a region."""
-    rings, constant = _ring_facts(w) if region is None else region.ring_facts(basis.grid)
+def _side(basis, region: Region, h: np.ndarray):
+    """The region's side with data h: a _RingSide where the basis has a ring spectrum
+    and the weights are constant along theta (discs, annuli, their complements, the
+    full disc), else a _GridSide, both on the rings that carry weight, as the region's
+    record on the grid (Region.resolve) names them."""
+    w, rings, constant = region.resolve(basis.grid)
     if constant and hasattr(basis, "_ring_spectrum"):
         return _RingSide.of(basis, w, h, rings)
     return _GridSide(rings, w, h, basis._synthesis)
@@ -407,10 +409,10 @@ class _FormCore:
 
     def _record(self, name: str, n: int, build) -> _JRecord:
         """build(): the J record of the first n basis elements, kept on the J region for
-        the grid (grid._once) and read back on a repeat solve, given a J region and a
-        basis that names the record (_record_id: a name, a key and what the log calls it)."""
+        the grid (grid._once) and read back on a repeat solve, given a basis that names
+        the record (_record_id: a name, a key and what the log calls it)."""
         record_id = getattr(self._basis, "_record_id", None)
-        at = None if self._j_region is None or record_id is None else record_id(name, n)
+        at = None if record_id is None else record_id(name, n)
         if at is None:
             return build()
         name, key, what = at
@@ -534,15 +536,16 @@ class ConstrainedLSQ(_FormCore):
     """min err_K(c) subject to err_J(c) <= M over combinations c of basis elements.
 
     err_S(c)^2 = sum_S w_S |synthesize(c) - h_S|^2 on the grid nodes, summed
-    over the rings that carry weight on S (w_S, h_S grid-shaped).  The core
-    takes a basis and the weights and data of both sides, and asks the
-    basis for the eigendecomposition of its full-disc Gram form
-    (_full_form), the J-form A_J (_form(w_J)) and the synthesis of a block of
-    rings (_synthesis); A_K = A_full - A_J.  Each side (_side, on the rings
-    its region's kept ring facts name, or one scan of its weights without a
-    region) is a _RingSide, which takes its data spectrum once here and
-    measures err_S by Parseval on its rings and gives its moments (and a J
-    side its diagonal A_J) from that spectrum, or a _GridSide, measured at
+    over the rings that carry weight on S (w_S the weights of region S, h_S
+    grid-shaped).  The core takes a basis, the regions K and J of a partition
+    and the data of both sides, and asks the basis for the eigendecomposition
+    of its full-disc Gram form (_full_form), the J-form A_J (_form(w_J)) and
+    the synthesis of a block of rings (_synthesis); A_K = A_full - A_J.  Each
+    side (_side, from its region's record on the grid: the weights, the rings
+    they weight and their constancy along theta) is a _RingSide, which takes
+    its data spectrum once here and measures err_S by Parseval on its rings
+    and gives its moments (and a J side its diagonal A_J) from that
+    spectrum, or a _GridSide, measured at
     its nodes one ring block at a time, whose moments the basis gives
     (_moments).  Zero data take no transform: a _RingSide keeps a zero
     spectrum, a _GridSide zero moments in A_J's dtype.  Every err is
@@ -555,27 +558,25 @@ class ConstrainedLSQ(_FormCore):
     whiten = W q, under which the J-form is diag(tau) and the K-form diag(1 - tau).
 
     The J part, A_J and its decomposition (a _JRecord), depends on the basis
-    and w_J alone.  Given its J region and a basis that names its records by
-    values (_record_id: the degree of e_0..e_N; f's kind, eps and the degree
-    of closed-form lifts), the core keeps its record and its leading core's on
-    the region (_record), so a repeat solve on the same J, grid and basis
-    reads them; otherwise (no region, or lifts given by their samples) it
-    builds its record every time and keeps nothing.  Each side given its
-    region (from_problem gives both) reads the region's kept ring facts.
+    and w_J alone.  Given a basis that names its records by values
+    (_record_id: the degree of e_0..e_N; f's kind, eps and the degree of
+    closed-form lifts), the core keeps its record and its leading core's on
+    the J region (_record), so a repeat solve on the same J, grid and basis
+    reads them; lifts given by their samples build their record every time
+    and keep nothing.
     """
 
-    def __init__(self, basis, w_k, w_j, h_k, h_j, j_region=None, k_region=None):
+    def __init__(self, basis, k_region: Region, j_region: Region, h_k, h_j):
         super().__init__(basis, j_region, basis._full_form)
-        self._sides = {"k": _side(basis, w_k, h_k, k_region),
-                       "j": _side(basis, w_j, h_j, j_region)}
+        self._sides = {"k": _side(basis, k_region, h_k), "j": _side(basis, j_region, h_j)}
         j = self._sides["j"]
         record = self._record("j_record", self.full.vals.size, lambda: _j_record(
-            self.full, j.form() if isinstance(j, _RingSide) else basis._form(w_j)))
+            self.full, j.form() if isinstance(j, _RingSide) else basis._form(j.w)))
         self.r_k, self.r_j = (
             side.moments() if isinstance(side, _RingSide)
-            else basis._moments(w, h) if np.any(h)
+            else basis._moments(side.w, side.h) if np.any(side.h)
             else np.zeros(len(record.a_j), record.a_j.dtype)
-            for side, w, h in ((self._sides["k"], w_k, h_k), (self._sides["j"], w_j, h_j))
+            for side in self._sides.values()
         )
         self._adopt(record)
 
@@ -589,9 +590,8 @@ class ConstrainedLSQ(_FormCore):
             basis = _PolarBasis(grid, problem.degree)
         elif basis.grid is not grid:
             raise GridMismatchError("basis and problem live on different grids")
-        k, j = problem.k_region, problem.j_region
-        return cls(basis, k.weights(grid), j.weights(grid), problem.h_k.values,
-                   problem.h_j.values, j, k)
+        return cls(basis, problem.k_region, problem.j_region, problem.h_k.values,
+                   problem.h_j.values)
 
     @cached_property
     def _h_j_sq(self) -> float:
@@ -719,13 +719,12 @@ def _mu(lam: float) -> float:
 
 
 def feasibility_distance(h_j: GridFunction, j_region: Region, degree: int) -> float:
-    """Distance of h_J to the degree-N analytic span restricted to J."""
+    """Distance of h_J to the degree-N analytic span restricted to J: the core on the
+    partition J's complement | J, whose K side carries no data."""
     grid = h_j.grid
     _check_degree(grid, degree)
-    w_j = j_region.weights(grid)
-    zero = np.zeros(grid.shape)
-    core = ConstrainedLSQ(_PolarBasis(grid, degree), grid.weights - w_j, w_j, zero, h_j.values,
-                          j_region)
+    core = ConstrainedLSQ(_PolarBasis(grid, degree), j_region.complement(), j_region,
+                          np.zeros(grid.shape), h_j.values)
     return core.feasibility()
 
 

@@ -229,7 +229,8 @@ def transformed_constraint_data(
     integrates over J only: its input is weighted by J's overlap
     fraction on every quadrature cell.  Where that input vanishes (h_J
     or alpha zero on J) h_J^* is h_J itself, with no transform; h_J zero
-    on J's cells is seen before alpha is sampled.  A mask
+    on J's cells, read from J's kept weights, is seen before alpha is
+    sampled or the fraction taken.  A mask
     J, like a grid-sampled f, needs norm_grid_shape equal to the
     problem's grid (ValueError at once).
     """
@@ -237,9 +238,9 @@ def transformed_constraint_data(
     if mask is not None and mask.shape != tuple(norm_grid_shape):
         raise ValueError(f"a mask J lives on its own grid: pass the problem's grid {mask.shape} "
                          f"as norm_grid_shape to get rho, not {tuple(norm_grid_shape)}")
-    phi = problem.j_region.fraction(problem.grid)
-    h_star = problem.h_j
-    if np.any(h_star.values[phi > 0.0]):  # h_J zero on J's cells takes no alpha
+    j, h_star = problem.j_region, problem.h_j
+    if np.any(h_star.values[j.weights(problem.grid) > 0.0]):  # h_J zero on J takes no alpha
+        phi = j.fraction(problem.grid)
         zero_ext = phi * alpha_from_f(problem.f).values * np.conj(h_star.values)
         if np.any(zero_ext):
             h_star = h_star - teodorescu(GridFunction(problem.grid, zero_ext))

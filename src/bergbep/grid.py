@@ -18,6 +18,10 @@ weighted by its overlap and region areas are exact: radial_disc(a)
 sums to a^2 and sector(theta) to theta/pi, to rounding.  A cell off the
 boundary has fraction exactly 0 or 1; a boundary within a few ulps of a
 cell edge is snapped onto it, as the edges carry rounding of that size.
+A region keeps one record of its own per grid (Region.resolve): the
+weights, the span of the rings they weight and whether they are constant
+along theta.  The fraction and the node count are computed from the
+shape on each call.
 
 A grid also holds its operators, each built on first use and freed with
 the grid.  Derivatives use spectral (trigonometric) angular
@@ -47,6 +51,7 @@ import logging
 import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -408,6 +413,16 @@ def _ring_facts(w: np.ndarray) -> tuple[slice, bool]:
     return span, bool(np.all(w == w[:, :1]))
 
 
+class RegionFacts(NamedTuple):
+    """What a region keeps of its own on one grid (Region.resolve): its quadrature
+    weights, the rings that carry weight, first to last as a slice (empty for a
+    region with no weighted node), and whether the weights are constant along theta."""
+
+    weights: np.ndarray
+    rings: slice
+    constant: bool
+
+
 @dataclass(frozen=True, eq=False)
 class Region:
     """Measurable subset of the disc, resolvable on any DiscGrid.
@@ -419,10 +434,11 @@ class Region:
     The complement flag swaps the region with its complement in the
     disc; the indicators and weights of the two add up to the grid's.
 
-    A region resolves on each grid once: fraction, weights, node count and
-    its ring facts (the span of the rings that carry weight and whether the
-    weights are constant along theta) are each kept on first use in its
-    per-grid dict _resolved (_once), and the grid is held weakly.  Other
+    A region resolves on each grid once: resolve keeps one record of its
+    own facts (RegionFacts: the weights, the span of the weighted rings and
+    their constancy along theta) in its per-grid dict _resolved under
+    "facts" (_once), and the grid is held weakly.  weights reads the
+    record; fraction and node_count are computed on each call.  Other
     modules keep what depends only on the region and the grid in the same
     dict, one key per name, each keyed by values, never by an object that
     would hold the grid: bep keeps on a J region the J records of the last
@@ -437,7 +453,7 @@ class Region:
     theta: float | None = None
     mask_values: np.ndarray | None = None
     complement_flag: bool = False
-    # grid -> {name: (key, an array, a tuple of arrays or a count)}, filled by _once
+    # grid -> {name: (key, the RegionFacts, a J record or rho)}, filled by _once
     _resolved: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False
     )
@@ -521,20 +537,28 @@ class Region:
         return ring * _cell_fraction(arc, left, right, 2.0 * np.pi)[None, :]
 
     def fraction(self, grid: DiscGrid) -> np.ndarray:
-        """Overlap fraction of each node's quadrature cell with the region.
+        """Overlap fraction of each node's quadrature cell with the region, read-only.
 
         Exactly 1 (0) for a cell wholly inside (outside) the region; only
         the single radial ring or the at most two angular arcs straddling
-        the boundary take values strictly between.
+        the boundary take values strictly between.  Computed on each call.
         """
-        return _once(self._resolved.setdefault(grid, {}), "fraction", lambda: self._fraction(grid))
-
-    def _fraction(self, grid: DiscGrid) -> np.ndarray:
         fr = self._base_fraction(grid)
-        return 1.0 - fr if self.complement_flag else fr
+        return _read_only(1.0 - fr if self.complement_flag else fr)
+
+    def resolve(self, grid: DiscGrid) -> RegionFacts:
+        """The region's record on the grid, built on first use and kept (_once): the
+        weights, and the one scan of them (_ring_facts)."""
+        return _once(self._resolved.setdefault(grid, {}), "facts", lambda: self._facts(grid))
+
+    def _facts(self, grid: DiscGrid) -> RegionFacts:
+        w = grid.weights * self._base_fraction(grid)
+        if self.complement_flag:
+            w = grid.weights - w
+        return RegionFacts(w, *_ring_facts(w))
 
     def weights(self, grid: DiscGrid) -> np.ndarray:
-        """Quadrature weights for integration over the region.
+        """Quadrature weights for integration over the region, from its record.
 
         The grid weights times the overlap fraction of each cell, so
         weights(grid).sum() reproduces the exact normalized area for the
@@ -542,30 +566,19 @@ class Region:
         region.  A complement takes grid.weights minus the region's
         weights, so the two always add up to the full-grid weights.
         """
-        return _once(self._resolved.setdefault(grid, {}), "weights", lambda: self._weights(grid))
-
-    def _weights(self, grid: DiscGrid) -> np.ndarray:
-        w = grid.weights * self._base_fraction(grid)
-        return grid.weights - w if self.complement_flag else w
+        return self.resolve(grid).weights
 
     def area(self, grid: DiscGrid) -> float:
         """Normalized area of the region under the grid quadrature."""
         return float(self.weights(grid).sum())
 
-    def ring_facts(self, grid: DiscGrid) -> tuple[slice, bool]:
-        """The rings that carry weight, first to last as a slice, and whether the weights
-        are constant along theta (_ring_facts), kept on first use."""
-        return _once(self._resolved.setdefault(grid, {}), "ring_facts",
-                     lambda: _ring_facts(self.weights(grid)))
-
     def node_count(self, grid: DiscGrid) -> int:
-        """Number of nodes carrying positive quadrature weight.
+        """Number of nodes carrying positive quadrature weight, counted on each call.
 
         Only cells with a genuine overlap count: rounding-level overlaps
         are snapped to zero weight.
         """
-        return _once(self._resolved.setdefault(grid, {}), "node_count",
-                     lambda: int(np.count_nonzero(self.weights(grid) > 0.0)))
+        return int(np.count_nonzero(self.weights(grid) > 0.0))
 
 
 def eval_basis(n: int, z) -> complex | np.ndarray:
@@ -594,22 +607,14 @@ def inner_product(g: GridFunction, h: GridFunction, region: Region | None = None
 
 
 def glue(h_k: GridFunction, h_j: GridFunction, k_region: Region) -> GridFunction:
-    """Glue h_K on K with h_J on the complementary region.
+    """Glue h_K on K with h_J on the complementary region: mu h_K + (1 - mu) h_J.
 
-    Nodes whose quadrature cell lies entirely inside (outside) K keep
-    the h_K (h_J) value; a node whose cell straddles the region
-    boundary takes the cell-averaged mix, weighted by the overlap
-    fraction.  This keeps integrating a glued function over the disc
-    exactly consistent with integrating the pieces over K and its
-    complement.
+    mu is K's overlap fraction, so a node whose quadrature cell lies
+    entirely inside (outside) K keeps the h_K (h_J) value, and a node
+    whose cell straddles the region boundary takes the cell-averaged mix.
+    This keeps integrating a glued function over the disc exactly
+    consistent with integrating the pieces over K and its complement.
     """
     h_k._check_same_grid(h_j)
-    grid = h_k.grid
-    mu = k_region.fraction(grid)
-    values = np.where(mu >= 1.0, h_k.values, np.where(mu <= 0.0, h_j.values, np.nan))
-    straddle = (mu > 0.0) & (mu < 1.0)
-    if np.any(straddle):
-        values[straddle] = (
-            mu[straddle] * h_k.values[straddle] + (1.0 - mu[straddle]) * h_j.values[straddle]
-        )
-    return GridFunction(grid, values)
+    mu = k_region.fraction(h_k.grid)
+    return GridFunction(h_k.grid, mu * h_k.values + (1.0 - mu) * h_j.values)

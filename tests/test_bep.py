@@ -197,8 +197,8 @@ class TestSolveBep:
             feasibility_distance(h, k.complement(), 8)
 
     def test_solved_problem_releases_grid_and_regions(self):
-        # the per-grid and per-region caches hold the grid weakly; the ring facts of
-        # both regions are kept on the regions alone
+        # the per-grid and per-region caches hold the grid weakly; the record of
+        # each region's own facts is kept on the region alone
         def solved():
             grid = build_grid(12, 48)
             k = Region.mask(np.abs(grid.nodes - 0.2) < 0.5)
@@ -206,8 +206,8 @@ class TestSolveBep:
             h_j = GridFunction.from_function(grid, lambda z: 0.3 * np.conj(z))
             p = saturated_problem(grid, k, h_k, h_j, 8)
             assert solve_bep(p).saturated
-            assert _kept_on_region_only(p.k_region, grid, ["ring_facts"])
-            assert _kept_on_region_only(p.j_region, grid, ["ring_facts"])
+            assert _kept_on_region_only(p.k_region, grid, ["facts"])
+            assert _kept_on_region_only(p.j_region, grid, ["facts"])
             return [weakref.ref(obj) for obj in (grid, p.k_region, p.j_region)]
 
         refs = solved()
@@ -790,14 +790,14 @@ class TestJRecord:
             assert np.array_equal(fraction * grid_24_96.weights, region.weights(grid_24_96))
 
     def test_record_dies_with_its_region(self, grid_24_96):
-        # beside the J record, the region's ring facts, which the J region alone holds
+        # beside the J record, the region's own facts, which the J region alone holds
         def solved():
             p = _fresh_problem(grid_24_96, "sector")
             sol = solve_bep(p)
             assert sol.saturated
             key, record = p.j_region._resolved[grid_24_96]["j_record"]
             assert key == (16, 17)
-            assert _kept_on_region_only(p.j_region, grid_24_96, ["j_record", "ring_facts"])
+            assert _kept_on_region_only(p.j_region, grid_24_96, ["j_record", "facts"])
             return weakref.ref(record.whiten), weakref.ref(p.j_region)
 
         refs = solved()
@@ -831,9 +831,10 @@ class TestJRecord:
         # a degree-convergence study on one partition keeps the records of the
         # last degree only: what the region holds does not grow with the sweep
         def held(region):
-            kept = region._resolved[grid_24_96]
-            return {name: key for name, (key, _) in kept.items() if "record" in name}, sum(
-                part.nbytes for _, value in kept.values() if isinstance(value, tuple)
+            records = {name: value for name, value in region._resolved[grid_24_96].items()
+                       if "record" in name}
+            return {name: key for name, (key, _) in records.items()}, sum(
+                part.nbytes for _, value in records.values()
                 for part in value if isinstance(part, np.ndarray))
 
         p = _fresh_problem(grid_24_96, "sector", degree=20)
@@ -859,9 +860,9 @@ class TestJRecord:
 
 
 class TestKeptRegionFacts:
-    """Each region's ring facts (the span of its weighted rings and whether its
-    weights are constant along theta) are resolved once per region and grid
-    (grid._once), so a repeat problem on the same regions scans no weights."""
+    """Each region's record (its weights, the span of its weighted rings and whether
+    the weights are constant along theta) is resolved once per region and grid
+    (Region.resolve), so a repeat problem on the same regions scans no weights."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -900,13 +901,11 @@ class TestParsevalSides:
     their rings, from the data spectrum taken once when the core is built."""
 
     @staticmethod
-    def _sides(grid):
-        """(w_K, w_J) of a disc, an annulus, a disc complement and the full disc."""
-        full = grid.weights
-        sides = [(k.weights(grid), k.complement().weights(grid))
-                 for k in (Region.radial_disc(0.45), Region.annulus(0.6),
-                           Region.radial_disc(0.7).complement())]
-        return sides + [(full, np.zeros(grid.shape))]
+    def _sides():
+        """(K, J) of a disc, an annulus, a disc complement and the full disc."""
+        return [(k, k.complement()) for k in (Region.radial_disc(0.45), Region.annulus(0.6),
+                                              Region.radial_disc(0.7).complement(),
+                                              Region.full_disc())]
 
     @pytest.mark.parametrize("shape, degree", [((24, 96), 16), ((128, 256), 60)])
     def test_err_is_the_grid_sum(self, shape, degree):
@@ -914,8 +913,9 @@ class TestParsevalSides:
         rng = np.random.default_rng(degree)
         h = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         basis = _PolarBasis(grid, degree)
-        for w_k, w_j in self._sides(grid):
-            core = ConstrainedLSQ(basis, w_k, w_j, h, 0.5 * h)
+        for k, j in self._sides():
+            core = ConstrainedLSQ(basis, k, j, h, 0.5 * h)
+            w_k, w_j = k.weights(grid), j.weights(grid)
             assert {type(side) for side in core._sides.values()} == {_RingSide}
             for _ in range(3):
                 c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
@@ -935,10 +935,11 @@ class TestParsevalSides:
         rng = np.random.default_rng(5)
         h = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         basis = _PolarBasis(grid, 16)
-        nodes = [(k.weights(grid), k.complement().weights(grid))
+        nodes = [(k, k.complement())
                  for k in (Region.sector(1.2), Region.mask(np.abs(grid.nodes - 0.2) < 0.45))]
-        for w_k, w_j in self._sides(grid)[:3] + nodes:
-            core = ConstrainedLSQ(basis, w_k, w_j, h, h)
+        for k, j in self._sides()[:3] + nodes:
+            core = ConstrainedLSQ(basis, k, j, h, h)
+            w_k, w_j = k.weights(grid), j.weights(grid)
             for r, w in ((core.r_k, w_k), (core.r_j, w_j)):
                 grid_r = basis._moments(w, h)
                 assert np.max(np.abs(r - grid_r)) <= 1e-14 * np.max(np.abs(grid_r))
@@ -960,8 +961,7 @@ class TestParsevalSides:
         basis = _PolarBasis(grid_24_96, 12)
         h = np.ones(grid_24_96.shape)
         for k in (Region.sector(1.2), Region.mask(np.abs(grid_24_96.nodes - 0.2) < 0.45)):
-            core = ConstrainedLSQ(basis, k.weights(grid_24_96),
-                                  k.complement().weights(grid_24_96), h, h)
+            core = ConstrainedLSQ(basis, k, k.complement(), h, h)
             assert {type(side) for side in core._sides.values()} == {_GridSide}
 
     @pytest.mark.parametrize("index, count", [(0, 0), (1, 4)])  # a disc K, a sector K
@@ -980,11 +980,11 @@ class TestParsevalSides:
     def test_zero_data_take_no_fft(self, grid_24_96, monkeypatch, kind, zero):
         p = _region_problem(grid_24_96, kind, 12)
         data = {"k": p.h_k.values, "j": p.h_j.values, zero: np.zeros(grid_24_96.shape)}
-        w_k, w_j = p.k_region.weights(grid_24_96), p.j_region.weights(grid_24_96)
         calls = []
         fft = np.fft.fft
         monkeypatch.setattr(np.fft, "fft", lambda *a, **k: calls.append(1) or fft(*a, **k))
-        core = ConstrainedLSQ(_PolarBasis(grid_24_96, 12), w_k, w_j, data["k"], data["j"])
+        core = ConstrainedLSQ(_PolarBasis(grid_24_96, 12), p.k_region, p.j_region, data["k"],
+                              data["j"])
         assert calls == [1]  # the other side's data
         assert not np.any(core.r_k if zero == "k" else core.r_j)
 
@@ -1024,10 +1024,10 @@ class TestRingBlocks:
         starts = []
         for k in regions:
             j = k.complement()
-            core = ConstrainedLSQ(basis, k.weights(grid), j.weights(grid), *data, j, k)
+            core = ConstrainedLSQ(basis, k, j, *data)
             for side, region, h, r in (("k", k, data[0], core.r_k), ("j", j, data[1], core.r_j)):
                 w = region.weights(grid)
-                starts.append(region.ring_facts(grid)[0].start)
+                starts.append(region.resolve(grid).rings.start)
                 wh = (w * h).ravel()
                 one_shot = part(samples.conj().T @ wh)
                 scale = np.abs(samples).T @ np.abs(wh)

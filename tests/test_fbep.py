@@ -1,4 +1,5 @@
 import copy
+import functools
 import dataclasses
 import gc
 import logging
@@ -233,8 +234,8 @@ class TestSolveFbep:
         assert make_problem(grid, f, degree=7).degree == 7
 
     def test_solved_problem_releases_grid_and_regions(self):
-        # the per-grid and per-region caches hold the grid weakly; the ring facts of
-        # both regions are kept on the regions alone
+        # the per-grid and per-region caches hold the grid weakly; the record of
+        # each region's own facts is kept on the region alone
         def solved():
             grid = build_grid(12, 48)
             p = make_problem(grid, Conductivity.exp_x(grid, 0.1), degree=6)
@@ -243,7 +244,7 @@ class TestSolveFbep:
             transformed_constraint_data(p)
             for region in (p.k_region, p.j_region):
                 kept = region._resolved[grid]
-                assert gc.get_referrers(kept["ring_facts"]) == [kept]
+                assert gc.get_referrers(kept["facts"]) == [kept]
             return [weakref.ref(obj) for obj in (grid, p.k_region, p.j_region)]
 
         refs = solved()
@@ -804,8 +805,7 @@ class TestBasisDiagnostics:
         k = Region.radial_disc(0.5)
         rng = np.random.default_rng(3)
         h = GridFunction(near.grid, rng.standard_normal(near.grid.shape) + 0.5j)
-        w_k, w_j = k.weights(near.grid), k.complement().weights(near.grid)
-        core = ConstrainedLSQ(near, w_k, w_j, h.values, h.values)
+        core = ConstrainedLSQ(near, k, k.complement(), h.values, h.values)
         assert core.dropped == 1
         pi = near.project_span(h)
         in_core = core.whiten @ np.linalg.lstsq(core.whiten, pi, rcond=None)[0]
@@ -1427,3 +1427,150 @@ class TestBasisGrid:
         matrix = hand_built.values_matrix()
         assert hand_built.values_matrix() is matrix
         assert np.array_equal(matrix[:, 3], basis.elements[3].w.values.ravel())
+
+
+def _reference_fraction(region, grid):
+    """Each node cell's overlap fraction with the region, from its shape: the cell's share
+    of the prefix ring (0, r1) less its share of (0, r0), in s = r^2, times its share of
+    the arc (-theta, theta), which stays a cell short of pi here, so nothing folds."""
+    if region.mask_values is not None:
+        base = region.mask_values.astype(float)
+    else:
+        lo, hi = grid.s_cell_edges[:-1], grid.s_cell_edges[1:]
+        r0, r1 = region.radii
+
+        def prefix(r):
+            return np.clip((np.minimum(hi, r * r) - lo) / (hi - lo), 0.0, 1.0)
+
+        arc = np.ones(grid.angular_count)
+        if region.theta is not None:
+            d = np.pi / grid.angular_count
+            centers = np.mod(grid.thetas + np.pi, 2.0 * np.pi) - np.pi
+            left, right = centers - d, centers + d
+            overlap = np.minimum(right, region.theta) - np.maximum(left, -region.theta)
+            arc = np.clip(overlap / (right - left), 0.0, 1.0)
+        base = (prefix(r1) - prefix(r0))[:, None] * arc[None, :]
+    return 1.0 - base if region.complement_flag else base
+
+
+class TestRegionRecord:
+    """A region keeps one record of its own facts per grid, its weights of 8 n_r n_theta
+    bytes, whatever the BEP, the f-BEP and the transformed data ran on it; the fraction
+    and the node count are computed from the shape on each call."""
+
+    @pytest.mark.parametrize("shape, degree, kind", [((128, 256), 60, "disc"),
+                                                     ((128, 256), 60, "sector"),
+                                                     ((24, 96), 12, "mask")])
+    def test_one_record_per_grid(self, shape, degree, kind):
+        grid = build_grid(*shape)
+        k = {"disc": Region.radial_disc(0.5), "sector": Region.sector(1.2),
+             "mask": Region.mask(np.abs(grid.nodes - (0.2 + 0.1j)) < 0.45)}[kind]
+        p = dataclasses.replace(_kept_problem(grid, degree=degree), k_region=k,
+                                j_region=k.complement())
+        solve_bep(BepProblem(k, p.j_region, p.h_k, p.h_j, 1e3, degree))
+        assert solve_fbep(p).saturated
+        transformed_constraint_data(p, grid.shape if kind == "mask" else (12, 24))
+        for region in (p.k_region, p.j_region):
+            own = {name for name in region._resolved[grid] if "record" not in name} - {"rho"}
+            assert own == {"facts"}
+            facts = region.resolve(grid)
+            assert [type(part) for part in facts] == [np.ndarray, slice, bool]
+            assert facts.weights.nbytes == 8 * grid.n_radial * grid.angular_count
+            reference = _reference_fraction(region, grid)
+            assert region.fraction(grid).tobytes() == reference.tobytes()
+            base = region.complement() if region.complement_flag else region
+            weights = grid.weights * _reference_fraction(base, grid)
+            if region.complement_flag:
+                weights = grid.weights - weights
+            assert facts.weights.tobytes() == weights.tobytes()
+            assert region.node_count(grid) == np.count_nonzero(weights > 0.0)
+        if shape == (128, 256):
+            assert p.j_region.resolve(grid).weights.nbytes == 262_144
+
+
+@functools.lru_cache(maxsize=None)
+def _invariance_solve(kind, f_kind, eps, budget, scale=1.0):
+    """The f-BEP at 24x96/12 of K = kind with data scale (h_K, h_J), h_K = e^z + 0.2 conj(z)
+    and h_J = 0.3 conj(z), for the conductivity f_kind of eps, and its budget times |scale|:
+    "wide" is half the free fit's err_J of f with scale 1, "near" twice ||h_J||_J."""
+    grid = build_grid(24, 96)
+    k = {"disc": Region.radial_disc(0.5), "annulus": Region.annulus(0.6),
+         "sector": Region.sector(1.2),
+         "mask": Region.mask(np.abs(grid.nodes - (0.2 + 0.1j)) < 0.45)}[kind]
+    h_k = GridFunction.from_function(grid, lambda z: np.exp(z) + 0.2 * np.conj(z))
+    h_j = GridFunction(grid, 0.3 * np.conj(grid.nodes))
+    m = {"near": lambda: 2.0 * h_j.norm(k.complement()), "free": lambda: 1e6,
+         "wide": lambda: 0.5 * _invariance_solve(kind, f_kind, abs(eps), "free").err_j}[budget]()
+    f = getattr(Conductivity, f_kind)(grid, eps)
+    sol = solve_fbep(FbepProblem(f, k, k.complement(), scale * h_k, scale * h_j,
+                                 abs(scale) * m, 12))
+    assert sol.saturated or budget == "free"
+    return sol
+
+
+def _band(reason):
+    return pytest.mark.xfail(strict=True, reason=f"the K-null band (ROADMAP item 4): {reason}")
+
+
+class TestFbepInvariance:
+    """Exact identities of the f-BEP (ROADMAP item 17) at 24x96/12, on disc, annulus,
+    sector and mask K, for exp_x 0.8 and exp_xy 1.75, at a budget of twice ||h_J||_J
+    ("near") and at half the free fit's err_J ("wide"), where the sector and mask roots
+    lie in the K-null band (mu = 1 + lambda of 1.3e-9 to 1.6e-9 and 2.5e-11).
+
+    * 1/f: exp_x and exp_xy with -eps are 1/f, and A^2_{1/f} = i A^2_f, so the f-BEP of
+      1/f with data i h is i times the f-BEP of f.  err_K, err_J and lambda agree to
+      <= 2e-14 relative on every case, and w_* exactly on disc and annulus K and to
+      <= 3.6e-15 at the near budget.  At the wide budget w_* differs by 2.5e-8 to
+      1.5e-7 on sector K and by 5e-6 on mask K, the band's rounding (strict xfail).
+    * Real scaling c = -3.7: data c h with budget |c| M give c times the coefficients
+      and w_*, |c| times the errors and the same lambda.  The errors and lambda agree
+      to <= 1.5e-15, the coefficients and w_* to <= 2.9e-12 (mask K, wide budget).
+      Sector K at the wide budget, 2.4e-11 to 1.1e-10, is left out: it misses the
+      bound, but by less than the 100x of a clear band case.
+
+    The bounds are 1e-12 relative for the errors and lambda, 1e-11 relative (to the
+    largest entry) for the coefficients and w_*; the figures above are the same at
+    OPENBLAS_NUM_THREADS 1 and 2."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _forget_solves(self):
+        yield
+        _invariance_solve.cache_clear()  # the solves are shared by this class's tests only
+
+    CASES = [(kind, f_kind, eps, budget) for budget in ("near", "wide")
+             for kind in ("disc", "annulus", "sector", "mask")
+             for f_kind, eps in (("exp_x", 0.8), ("exp_xy", 1.75))]
+
+    @staticmethod
+    def _assert_errors(sol, ref, scale):
+        for got, want in ((sol.err_k, abs(scale) * ref.err_k), (sol.err_j, abs(scale) * ref.err_j),
+                          (sol.lam, ref.lam)):
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("kind, f_kind, eps, budget", CASES)
+    def test_inverse_conductivity_errors(self, kind, f_kind, eps, budget):
+        ref = _invariance_solve(kind, f_kind, eps, budget)
+        self._assert_errors(_invariance_solve(kind, f_kind, -eps, budget, 1j), ref, 1.0)
+
+    @pytest.mark.parametrize("kind, f_kind, eps, budget", [
+        case if case[::3] not in {("sector", "wide"), ("mask", "wide")}
+        else pytest.param(*case, marks=_band("w_* of 1/f differs by 2.5e-8 to 5e-6"))
+        for case in CASES])
+    def test_inverse_conductivity_w_star(self, kind, f_kind, eps, budget):
+        ref = _invariance_solve(kind, f_kind, eps, budget)
+        sol = _invariance_solve(kind, f_kind, -eps, budget, 1j)
+        assert _rel(sol.w_star.values, 1j * ref.w_star.values) <= 1e-11
+
+    @pytest.mark.parametrize("kind, f_kind, eps, budget", CASES)
+    def test_real_scaling_errors(self, kind, f_kind, eps, budget):
+        ref = _invariance_solve(kind, f_kind, eps, budget)
+        self._assert_errors(_invariance_solve(kind, f_kind, eps, budget, -3.7), ref, -3.7)
+
+    @pytest.mark.parametrize("kind, f_kind, eps, budget",
+                             [case for case in CASES if case[::3] != ("sector", "wide")])
+    def test_real_scaling_coefficients(self, kind, f_kind, eps, budget):
+        ref = _invariance_solve(kind, f_kind, eps, budget)
+        sol = _invariance_solve(kind, f_kind, eps, budget, -3.7)
+        assert _rel(sol.coeffs, -3.7 * ref.coeffs) <= 1e-11
+        assert _rel(sol.w_star.values, -3.7 * ref.w_star.values) <= 1e-11

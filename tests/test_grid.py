@@ -190,13 +190,16 @@ def _resolution_regions(grid):
 
 
 class TestRegionResolution:
-    """A region resolves once per grid: fraction and weights are kept, read-only."""
+    """A region resolves once per grid into one kept record, its weights read-only;
+    the fraction and the node count are computed on each call."""
 
     def test_memoized_equals_fresh(self, grid_16_64):
         for region in _resolution_regions(grid_16_64):
             fresh = dataclasses.replace(region)  # same region, nothing resolved yet
             w, fr = region.weights(grid_16_64), region.fraction(grid_16_64)
-            assert region.weights(grid_16_64) is w and region.fraction(grid_16_64) is fr
+            assert region.weights(grid_16_64) is w and region.resolve(grid_16_64).weights is w
+            assert region.fraction(grid_16_64) is not fr
+            assert np.array_equal(fr, region.fraction(grid_16_64))
             assert np.array_equal(w, fresh.weights(grid_16_64))
             assert np.array_equal(fr, fresh.fraction(grid_16_64))
             base = region.complement() if region.complement_flag else region
@@ -252,15 +255,19 @@ class TestRegionResolution:
             assert region.weights(grid_16_64) is w
 
     def test_node_count_once_per_grid(self, grid_16_64, monkeypatch):
-        calls = []
-        count_nonzero = np.count_nonzero
-        monkeypatch.setattr(np, "count_nonzero",
-                            lambda *a, **k: calls.append(1) or count_nonzero(*a, **k))
+        # the count is taken from the kept weights on each call: the weights are
+        # resolved once per grid, and nothing but the record is kept
+        import bergbep.grid as grid_module
+
+        scans = []
+        ring_facts = grid_module._ring_facts
+        monkeypatch.setattr(grid_module, "_ring_facts", lambda w: scans.append(1) or ring_facts(w))
         half = dataclasses.replace(grid_16_64, radial_weights=grid_16_64.radial_weights * 0.5)
         region = Region.sector(1.1)
         counts = [region.node_count(grid) for grid in (grid_16_64, grid_16_64, half, half)]
-        assert len(calls) == 2
-        assert counts == [count_nonzero(region.weights(grid_16_64) > 0.0)] * 4
+        assert len(scans) == 2
+        assert counts == [np.count_nonzero(region.weights(grid_16_64) > 0.0)] * 4
+        assert [set(region._resolved[grid]) for grid in (grid_16_64, half)] == [{"facts"}] * 2
 
     def test_holds_grid_weakly(self):
         region = Region.sector(1.0)
@@ -350,6 +357,24 @@ class TestGlue:
         mu = k.weights(grid_16_64) / grid_16_64.weights
         assert np.all(glued.values[mu >= 1.0] == 2.0)
         assert np.all(glued.values[mu <= 0.0] == -1.0)
+
+    @pytest.mark.parametrize("shape", [(5, 7), (12, 24), (16, 64), (24, 96)])
+    def test_one_expression_is_the_patched_mix(self, shape):
+        # mu h_K + (1 - mu) h_J over the fraction is, bit for bit, the former glue:
+        # h_K where mu is 1, h_J where it is 0, the mix only on the straddling cells
+        grid = build_grid(*shape)
+        rng = np.random.default_rng(sum(shape))
+
+        def data():
+            return GridFunction(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+        for k in _resolution_regions(grid):
+            h_k, h_j = data(), data()
+            mu = k.fraction(grid)
+            patched = np.where(mu >= 1.0, h_k.values, np.where(mu <= 0.0, h_j.values, np.nan))
+            mix = (mu > 0.0) & (mu < 1.0)
+            patched[mix] = mu[mix] * h_k.values[mix] + (1.0 - mu[mix]) * h_j.values[mix]
+            assert glue(h_k, h_j, k).values.tobytes() == patched.tobytes()
 
     def test_grid_mismatch(self, grid_16_64):
         other = build_grid(8, 16)
