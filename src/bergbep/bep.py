@@ -45,15 +45,27 @@ with a rounding-level Karush-Kuhn-Tucker residual; a form with no
 off-diagonal entry, as a J whose weights are constant along theta gives
 over the polar basis, is its own eigendecomposition and takes no eigh.
 err_J(mu) and its slope are then explicit rational functions of mu
-evaluated from the whitened forms at O(N) (the secular function
-of a quadratically constrained least squares; Gander 1981), and a
+(the secular function of a quadratically constrained least squares;
+Gander 1981).  With the whitened moments bt_K, bt_J and d = 1 - tau + mu tau,
+a search takes once the real terms A = |bt_K|^2, B = |bt_J|^2,
+P = Re(conj(bt_K) bt_J) and Q = |(1 - tau) bt_J - tau bt_K|^2, and each step is
+three dots of length N + 1,
+
+    err_J^2 = ||h_J||_J^2 - 2 sum (P + mu B) / d + sum tau (A + 2 mu P + mu^2 B) / d^2,
+    d(err_J^2)/dmu = -2 sum Q / d^3,
+
+over the directions whose d is above rounding level, d > 1e-12 max(1, max d),
+the one keep rule the coefficients y = (bt_K + mu bt_J) / d obey too.  A
 safeguarded Newton search on 1/err_J(mu) - 1/M finds mu in a handful of
 evaluations, verified monotone at runtime.  The end point is checked on
 the grid: if the grid value misses M by more than the stop tolerance, as
 it can when err_J << ||h_J||_J and the form value cancels, the same
-search continues on grid values with the forms' slope.  The degree
-diagnostic's re-solve at N - 4 (_FormCore) measures on the forms alone:
-it reports only a coefficient gap.  A grid value is the quadrature sum
+search continues on grid values with the forms' slope.  The end point
+measures err_K with err_J, and where both sides are measured at the nodes,
+from one synthesis of each ring block (_grid_err_sq).  The degree
+diagnostic's re-solve at N - 4 (_FormCore) measures on the forms alone,
+its feasibility distance ||h_J||_J^2 - sum B / tau too: it reports only a
+coefficient gap.  A grid value is the quadrature sum
 sum_S w_S |g - h_S|^2, measured from the coefficients one of two ways.
 A side whose weights are constant along theta (a disc, an annulus, their
 complements, the full disc), over a basis with a ring spectrum, is
@@ -120,6 +132,7 @@ _MAX_BISECTIONS = 200
 _STOP_TOL = 1e-12
 _MU_START = 2.0  # the core's multiplier search starts at lambda = 1
 _MAX_SHRINK = 16.0  # a safeguard step lowers mu by at most this factor
+_EPS = 2.0**-52  # np.finfo(float).eps, the spacing of doubles at 1
 
 
 class InfeasibleProblemError(ValueError):
@@ -157,9 +170,8 @@ def _check_problem(problem) -> None:
     problem.h_k._check_same_grid(problem.h_j)
     grid = problem.h_k.grid
     _check_degree(grid, problem.degree)
-    gap = np.max(
-        np.abs(problem.k_region.weights(grid) + problem.j_region.weights(grid) - grid.weights)
-    )
+    w_k, w_j, w = problem.k_region.weights(grid), problem.j_region.weights(grid), grid.weights
+    gap = max(np.max(np.abs(w_k[b] + w_j[b] - w[b])) for b in _ring_blocks(grid.shape))
     if gap > 1e-12:
         raise ValueError(f"K and J do not partition the disc (defect {gap:.2e})")
     for name, region in (("K", problem.k_region), ("J", problem.j_region)):
@@ -188,7 +200,9 @@ class LsqSolution(NamedTuple):
 
     err_j is the grid err_J of coeffs that checked them against the
     budget, measured from the coefficients as every err is; the solution
-    holds no grid values.
+    holds no grid values.  err_k is the grid err_K of coeffs where the
+    search measured it with err_J (a saturated end point), else None and
+    measured from coeffs when reported (_certificates).
     """
 
     coeffs: np.ndarray
@@ -197,6 +211,7 @@ class LsqSolution(NamedTuple):
     iterations: int
     saturated: bool
     err_j: float
+    err_k: float | None = None
 
     @property
     def lam(self) -> float:
@@ -284,14 +299,7 @@ class _GridSide(NamedTuple):
 
     def err_sq(self, c: np.ndarray) -> float:
         """sum w |synthesize(c) - h|^2 over the side's nodes."""
-        total = 0.0
-        for block in _ring_blocks(self.w.shape, self.rings):
-            resid = self.synthesis(c, block)  # a fresh array: overwritten in place
-            resid -= self.h[block]
-            parts = resid.view(np.float64)  # re, im interleaved
-            parts *= parts
-            total += self.w[block].ravel() @ (parts[..., ::2] + parts[..., 1::2]).ravel()
-        return total
+        return _grid_err_sq(c, (self,))[0]
 
     def h_sq(self) -> float:
         total = 0.0
@@ -352,9 +360,36 @@ class _RingSide(NamedTuple):
         return (self.amps.conj() * self.h_hat).T @ self.weights
 
 
+def _grid_err_sq(c: np.ndarray, sides) -> list[float]:
+    """sum w |synthesize(c) - h|^2 on each _GridSide of sides, from one synthesis per ring
+    block over the rings from the sides' first to their last (bergman._ring_blocks).
+
+    A side sums the rows of each block that it weights, so its sum is the one it
+    makes alone, bit for bit: a ring's synthesis is the same in any block, and its
+    blocks are those of the grid, clipped to its rings.  Every dot stays below
+    BLAS's threading threshold, and no grid-sized array is made.
+    """
+    start = min(side.rings.start for side in sides)
+    stop = max(side.rings.stop for side in sides)
+    totals, last = [0.0] * len(sides), len(sides) - 1
+    for block in _ring_blocks(sides[0].w.shape, slice(start, stop)):
+        values = sides[0].synthesis(c, block)  # a fresh array: the last side overwrites it
+        for i, side in enumerate(sides):
+            lo, hi = max(block.start, side.rings.start), min(block.stop, side.rings.stop)
+            if lo < hi:
+                rows = values[lo - block.start : hi - block.start]
+                resid = np.subtract(rows, side.h[lo:hi], out=rows if i == last else None)
+                parts = resid.view(np.float64)  # re, im interleaved
+                parts *= parts
+                totals[i] += side.w[lo:hi].ravel() @ (parts[..., ::2] + parts[..., 1::2]).ravel()
+    return totals
+
+
 def _power(spectrum: np.ndarray) -> np.ndarray:
-    """sum_k |spectrum_ik|^2 along the last axis."""
-    return np.sum(spectrum.real**2 + spectrum.imag**2, axis=-1)
+    """sum_k |spectrum_ik|^2 along the last axis of the (rings, modes) spectrum: one
+    reduction over its float view (re, im interleaved), with no squared temporaries."""
+    parts = spectrum.view(np.float64)
+    return np.einsum("ik,ik->i", parts, parts)
 
 
 def _side(basis, region: Region, h: np.ndarray):
@@ -399,9 +434,10 @@ class _FormCore:
     """The whitened forms of a norm-constrained least squares and its one search (solve).
 
     It holds the full-disc form, the moments r_K and r_J, the J record (_adopt)
-    and ||h_J||_J^2, and measures err_J on them alone (_measure), with no grid
-    work: the degree diagnostic's leading core (leading) is one.  ConstrainedLSQ
-    adds the grid sides of its problem and measures on them.
+    and ||h_J||_J^2, and measures err_J and the feasibility distance on them
+    alone, from the real secular terms (_terms), with no grid work: the degree
+    diagnostic's leading core (leading) is one.  ConstrainedLSQ adds the grid
+    sides of its problem and measures on them.
     """
 
     def __init__(self, basis, j_region, full: FullForm):
@@ -437,55 +473,78 @@ class _FormCore:
                                lambda: _j_record(sub.full, self.a_j[:n, :n])))
         return sub
 
-    def _secular(self, mu: float) -> tuple[np.ndarray, np.ndarray]:
-        """Whitened solution y(mu) and its derivative y'(mu), with d = (1 - tau) + mu tau:
-
-            y = (bt_K + mu bt_J) / d,    y' = ((1 - tau) bt_J - tau bt_K) / d^2.
-
-        Directions whose denominator is at rounding level are left out of both.
-        """
-        denom = (1.0 - self.taus) + mu * self.taus
-        keep = denom > 1e-12 * max(1.0, denom.max())
-        d = np.where(keep, denom, 1.0)
-        y = np.where(keep, (self.bt_k + mu * self.bt_j) / d, 0.0)
-        dy = np.where(keep, ((1.0 - self.taus) * self.bt_j - self.taus * self.bt_k) / d**2, 0.0)
-        return y, dy
+    def _denominators(self, mu: float) -> tuple[np.ndarray, np.ndarray]:
+        """d = (1 - tau) + mu tau and the directions kept, those whose d is above rounding
+        level, d > 1e-12 max(1, max d): the one rule the coefficients and err_J share."""
+        d = (1.0 - self.taus) + mu * self.taus
+        return d, d > 1e-12 * max(1.0, d.max())
 
     def coeffs(self, mu: float) -> np.ndarray:
-        """Minimizer of err_K^2 + mu err_J^2: a diagonal solve in the whitened basis."""
-        return self.whiten @ self._secular(mu)[0]
+        """Minimizer of err_K^2 + mu err_J^2: W y with the whitened solution
+        y = (bt_K + mu bt_J) / d, a diagonal solve, 0 on the directions left out."""
+        d, keep = self._denominators(mu)
+        y = np.divide(self.bt_k + mu * self.bt_j, d, out=np.zeros_like(self.bt_k), where=keep)
+        return self.whiten @ y
 
-    def _form_value(self, y: np.ndarray) -> float:
-        """err_J of the coefficients W y from the whitened forms, at O(N)."""
-        e2 = self._h_j_sq - 2.0 * np.vdot(y, self.bt_j).real + np.sum(self.taus * np.abs(y) ** 2)
-        return float(np.sqrt(max(e2, 0.0)))
+    @cached_property
+    def _terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The real secular terms, taken once from the whitened moments on first use (the
+        first search step, or a forms core's feasibility distance or mu = 0 value):
+        the rows P, B (against 1/d), the rows tau A, tau P, tau B (against 1/d^2) and Q
+        (against 1/d^3), with A = |bt_K|^2, B = |bt_J|^2, P = Re(conj(bt_K) bt_J) and
+        Q = |(1 - tau) bt_J - tau bt_K|^2."""
+        p = (self.bt_k.conj() * self.bt_j).real
+        b = np.abs(self.bt_j) ** 2
+        q = np.abs((1.0 - self.taus) * self.bt_j - self.taus * self.bt_k) ** 2
+        return np.stack((p, b)), self.taus * np.stack((np.abs(self.bt_k) ** 2, p, b)), q
 
     def _form_err(self, mu: float) -> tuple[float, float]:
-        """err_J(mu) from the whitened forms and d(err_J^2)/dmu = -2 sum d |y'|^2, at O(N)."""
-        y, dy = self._secular(mu)
-        slope = -2.0 * np.sum(((1.0 - self.taus) + mu * self.taus) * np.abs(dy) ** 2)
-        return self._form_value(y), float(slope)
+        """err_J(mu) and d(err_J^2)/dmu from the real secular terms (_terms), at O(N):
 
-    def _measure(self, y: np.ndarray) -> tuple[np.ndarray, float]:
-        """The coefficients W y and err_J, from the forms."""
-        return self.whiten @ y, self._form_value(y)
+            err_J^2 = ||h_J||_J^2 - 2 sum (P + mu B) / d + sum tau (A + 2 mu P + mu^2 B) / d^2,
+            d(err_J^2)/dmu = -2 sum Q / d^3,
+
+        three dots against the masked inverse 1/d (0 on the directions left out).
+        """
+        d, keep = self._denominators(mu)
+        inv = np.divide(1.0, d, out=np.zeros_like(d), where=keep)
+        lin, quad, cubic = self._terms
+        p, b = lin @ inv
+        inv_sq = inv * inv
+        ta, tp, tb = quad @ inv_sq
+        e2 = self._h_j_sq - 2.0 * (p + mu * b) + (ta + mu * (2.0 * tp + mu * tb))
+        return math.sqrt(max(e2, 0.0)), float(-2.0 * (cubic @ (inv_sq * inv)))
+
+    def _measure(self, mu: float) -> tuple[np.ndarray, float]:
+        """The coefficients at mu and their err_J, from the forms."""
+        return self.coeffs(mu), self._form_err(mu)[0]
+
+    def _end_point(self, mu: float) -> tuple[np.ndarray, float, float | None]:
+        """The coefficients at the search's root, their err_J and err_K: a forms core
+        measures no err_K (None)."""
+        return (*self._measure(mu), None)
 
     def kkt(self, c: np.ndarray, mu: float) -> np.ndarray:
         """Gradient of (err_K^2 + mu err_J^2) / 2 in the coefficients."""
         a_j_c = self.a_j @ c
         return (self.full.apply(c) - a_j_c - self.r_k) + mu * (a_j_c - self.r_j)
 
+    def _fit(self) -> np.ndarray:
+        """The directions of the J-fit (mu -> inf): tau > 1e-12 max(tau)."""
+        return self.taus > 1e-12 * self.taus.max()
+
     def feasibility(self) -> float:
-        """Distance of h_J to the span on J: err_J of its whitened best fit (mu -> inf)."""
-        fit = self.taus > 1e-12 * self.taus.max()
-        y = np.where(fit, self.bt_j / np.where(fit, self.taus, 1.0), 0.0)
-        return self._measure(y)[1]
+        """Distance of h_J to the span on J, err_J of its whitened best fit (mu -> inf),
+        from the forms: err_J^2 = ||h_J||_J^2 - sum B / tau over the fit's directions."""
+        b = self._terms[0][1]
+        fit = np.divide(b, self.taus, out=np.zeros_like(b), where=self._fit())
+        return math.sqrt(max(self._h_j_sq - fit.sum(), 0.0))
 
     def _m_free(self) -> tuple[float, np.ndarray, float]:
         """What solve needs at every budget, computed once per core: the feasibility
         distance and the mu = 0 fit with its err_J."""
         if self._free is None:
-            self._free = (self.feasibility(), *self._measure(self._secular(0.0)[0]))
+            self._free = (self.feasibility(), *self._measure(0.0))
         return self._free
 
     def solve(self, m: float) -> LsqSolution:
@@ -493,16 +552,14 @@ class _FormCore:
 
         If the fit at mu = 0 already meets the budget (as measured) it is
         returned unsaturated.  The search (_newton) evaluates err_J and its
-        slope from the whitened forms at O(N) per step,
-
-            err_J(y)^2 = ||h_J||_J^2 - 2 Re y^H bt_J + sum tau |y|^2,
-
-        and the returned err_J is measured (_measure: on the grid for a
+        slope from the real secular terms at O(N) per step (_form_err), and the
+        end point's err_J and err_K are measured (_end_point: on the grid for a
         ConstrainedLSQ, by Parseval on the rings or at the nodes, from the
-        coefficients); the solution carries it.  If it misses M
+        coefficients); the solution carries both.  If err_J misses M
         by more than the stop tolerance (the form value cancels when
         err_J << ||h_J||_J), the search continues from there on measured values
         with the forms' slope (a sum of non-positive terms, it does not cancel).
+        Its err_K is then measured from the last coefficients when reported.
         Every tolerance is relative to size = max(M, ||h_J||_J).
         """
         feas, c0, e_lo = self._m_free()
@@ -514,7 +571,7 @@ class _FormCore:
 
         evals = [(0.0, e_lo)]
         mu, _, iterations = _newton(self._form_err, m, _MU_START, evals, feas, size)
-        c, e_mu = self._measure(self._secular(mu)[0])
+        c, e_mu, e_k = self._end_point(mu)
         evals.append((mu, e_mu))
         if abs(e_mu - m) > _STOP_TOL * size:
             logger.debug("err_J from the forms missed M on the grid by %.3e", abs(e_mu - m))
@@ -522,14 +579,15 @@ class _FormCore:
 
             def grid_err(x: float) -> tuple[float, float]:
                 if x != last[0]:
-                    last[:] = x, *self._measure(self._secular(x)[0])
+                    last[:] = x, *self._measure(x)
                 return last[2], self._form_err(x)[1]
 
             mu, e_mu, more = _newton(grid_err, m, mu, evals, feas, size)
             iterations += more
             mu, c, e_mu = last  # the search's last point, with its coefficients
+            e_k = None  # measured from them when reported
         _check_saturated(evals, m, mu, e_mu, size)
-        return LsqSolution(c, mu, feas, iterations, True, e_mu)
+        return LsqSolution(c, mu, feas, iterations, True, e_mu, e_k)
 
 
 class ConstrainedLSQ(_FormCore):
@@ -550,7 +608,9 @@ class ConstrainedLSQ(_FormCore):
     (_moments).  Zero data take no transform: a _RingSide keeps a zero
     spectrum, a _GridSide zero moments in A_J's dtype.  Every err is
     measured from the coefficients (err), and the core keeps no grid
-    values; only a _GridSide synthesizes, and only its own rings.  The BEP's
+    values; only a _GridSide synthesizes, and only its own rings, but for the
+    saturated end point, where two _GridSides take err_J and err_K from one
+    synthesis of the rings of both (_end_point).  The BEP's
     basis is _PolarBasis, the f-BEP's a VekuaBasis, whatever its
     representation.  The whitening W (FullForm.whitening) drops the directions
     below _DROP_RCOND of the full-disc form's top eigenvalue, and the
@@ -603,10 +663,25 @@ class ConstrainedLSQ(_FormCore):
         rings of a _RingSide, at the nodes of a _GridSide, ring block by ring block."""
         return float(np.sqrt(self._sides[side].err_sq(c)))
 
-    def _measure(self, y: np.ndarray) -> tuple[np.ndarray, float]:
-        """c = W y and its err_J on the grid."""
-        c = self.whiten @ y
+    def feasibility(self) -> float:
+        """Distance of h_J to the span on J: err_J of its whitened best fit (mu -> inf),
+        measured on the grid."""
+        y = np.divide(self.bt_j, self.taus, out=np.zeros_like(self.bt_j), where=self._fit())
+        return self.err(self.whiten @ y, "j")
+
+    def _measure(self, mu: float) -> tuple[np.ndarray, float]:
+        """The coefficients at mu and their err_J on the grid."""
+        c = self.coeffs(mu)
         return c, self.err(c, "j")
+
+    def _end_point(self, mu: float) -> tuple[np.ndarray, float, float]:
+        """The coefficients at mu with their err_J and err_K on the grid: where both sides
+        are _GridSides, from one synthesis per ring block over their rings (_grid_err_sq)."""
+        c = self.coeffs(mu)
+        j, k = self._sides["j"], self._sides["k"]
+        if isinstance(j, _GridSide) and isinstance(k, _GridSide):
+            return c, *(float(np.sqrt(e)) for e in _grid_err_sq(c, (j, k)))
+        return c, self.err(c, "j"), self.err(c, "k")
 
 
 def _newton(err_slope, m: float, mu: float, evals: list, feas: float, size: float):
@@ -634,7 +709,7 @@ def _newton(err_slope, m: float, mu: float, evals: list, feas: float, size: floa
     for iterations in range(1, _MAX_BISECTIONS + 1):
         e_mu, slope = err_slope(mu)
         evals.append((mu, e_mu))
-        collapsed = hi < np.inf and hi - lo <= 4.0 * np.finfo(float).eps * hi
+        collapsed = hi < np.inf and hi - lo <= 4.0 * _EPS * hi
         if abs(e_mu - m) <= _STOP_TOL * size or collapsed:
             break
         lo, hi = (mu, hi) if e_mu > m else (lo, mu)
@@ -687,7 +762,7 @@ def _bisect(err, m: float, lo: float, hi: float, evals: list, feas: float, size:
         mu = 0.5 * (lo + hi)
         e_mu = err(mu)
         evals.append((mu, e_mu))
-        if abs(e_mu - m) <= _STOP_TOL * size or hi - lo <= 4.0 * np.finfo(float).eps * hi:
+        if abs(e_mu - m) <= _STOP_TOL * size or hi - lo <= 4.0 * _EPS * hi:
             break
         lo, hi = (mu, hi) if e_mu > m else (lo, mu)
     return mu, e_mu, iterations
@@ -719,11 +794,12 @@ def _mu(lam: float) -> float:
 
 
 def feasibility_distance(h_j: GridFunction, j_region: Region, degree: int) -> float:
-    """Distance of h_J to the degree-N analytic span restricted to J: the core on the
-    partition J's complement | J, whose K side carries no data."""
+    """Distance of h_J to the degree-N analytic span restricted to J: the feasibility of
+    the core on J.  Its K side carries no data and is never measured, so J stands in
+    for it with zero data: a repeat call on a kept J resolves no other region."""
     grid = h_j.grid
     _check_degree(grid, degree)
-    core = ConstrainedLSQ(_PolarBasis(grid, degree), j_region.complement(), j_region,
+    core = ConstrainedLSQ(_PolarBasis(grid, degree), j_region, j_region,
                           np.zeros(grid.shape), h_j.values)
     return core.feasibility()
 
@@ -741,13 +817,13 @@ def constraint_error(problem: BepProblem, lam: float) -> float:
 
 def _certificates(result: LsqSolution, err, kkt) -> dict:
     """The fields every BEP and f-BEP solution reports, from a multiplier search with
-    err(c, side) and kkt(c, mu) of its forms.  err_K is measured from the
-    coefficients, err_J is the search's own, and the KKT residual takes the
-    multiplier they solve."""
+    err(c, side) and kkt(c, mu) of its forms.  err_J is the search's own, and
+    err_K too where the search measured it with err_J, else it is measured from
+    the coefficients; the KKT residual takes the multiplier they solve."""
     c = result.coeffs
     return dict(
         lam=result.lam,
-        err_k=err(c, "k"),
+        err_k=err(c, "k") if result.err_k is None else result.err_k,
         err_j=result.err_j,
         kkt_residual=float(np.linalg.norm(kkt(c, result.mu))),
         iterations=result.iterations,

@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -34,6 +35,7 @@ from bergbep import io as bio
 from bergbep.bep import (
     ConstrainedLSQ,
     FullForm,
+    _FormCore,
     _bisect,
     _check_saturated,
     _GridSide,
@@ -665,12 +667,34 @@ class TestPolarCore:
             assert calls == [1]
             assert feas == ConstrainedLSQ.from_problem(p).feasibility()
 
+    def test_feasibility_distance_resolves_j_alone(self, grid_24_96, monkeypatch):
+        # K carries no data and is never measured, so J stands in for it: a first call
+        # builds J's facts record alone, a repeat call on the kept J builds none, and
+        # the value is the partition core's, bit for bit
+        calls = []
+        facts = Region._facts
+        monkeypatch.setattr(Region, "_facts",
+                            lambda self, grid: calls.append(self) or facts(self, grid))
+        for kind in ("disc", "sector", "mask"):
+            p = _region_problem(grid_24_96, kind, 16)
+            j = dataclasses.replace(p.j_region)  # not resolved yet
+            values = []
+            for expected in ([j], []):
+                calls.clear()
+                values.append(feasibility_distance(p.h_j, j, p.degree))
+                assert calls == expected
+            assert values[0] == values[1] == ConstrainedLSQ.from_problem(p).feasibility()
+
     def test_grid_passes(self, saturated_family, grid_128_256, monkeypatch):
-        # the problem's core: the J-fit, the mu = 0 fit, the end point and err_K.
-        # The degree diagnostic's leading core measures on its forms and makes none.
-        # A disc K measures both sides by Parseval on the rings and synthesizes
-        # nothing; a sector K measures at the nodes, and each measurement synthesizes
-        # each ring of its side once, one ring block at a time (4 blocks at 128x256)
+        # the problem's core: the J-fit, the mu = 0 fit and the end point, where err_J
+        # and err_K are measured together.  The degree diagnostic's leading core measures
+        # on its forms and makes none.  A disc K measures by Parseval on the rings (four
+        # err_sq) and synthesizes nothing; a sector K measures at the nodes in three
+        # passes (_grid_err_sq): J alone twice, then J and K from one synthesis of each
+        # ring block of their rings, so each pass synthesizes each ring once, one ring
+        # block at a time (4 blocks at 128x256: 12 syntheses)
+        import bergbep.bep as bep
+
         calls = []
         for cls in (_RingSide, _GridSide):
             for name in ("err_sq", "h_sq"):
@@ -679,6 +703,9 @@ class TestPolarCore:
                     cls, name, lambda self, *a, _c=cls, _n=name, _m=method:
                     calls.append((_c, _n, self)) or _m(self, *a)
                 )
+        grid_pass = bep._grid_err_sq
+        monkeypatch.setattr(bep, "_grid_err_sq", lambda c, sides: calls.append(
+            (_GridSide, "pass", tuple(sides))) or grid_pass(c, sides))
         syntheses = _record_syntheses(monkeypatch)
         p = _region_problem(grid_128_256, "sector", 60)
         large = saturated_problem(grid_128_256, p.k_region, p.h_k, p.h_j, 60, frac=0.6)
@@ -686,15 +713,21 @@ class TestPolarCore:
             calls.clear(), syntheses.clear()
             sol = solve_bep(p)
             assert sol.saturated and sol.degree_gap is not None
-            assert sorted(name for _, name, _ in calls) == ["err_sq"] * 4 + ["h_sq"]
             assert {cls for cls, _, _ in calls} == {path}
-            measured = [side for _, name, side in calls if name == "err_sq"]
-            expected = [block for side in measured if path is _GridSide
-                        for block in _blocks(p.grid, side.rings)]
+            names = sorted(name for _, name, _ in calls)
+            passes = [sides for _, name, sides in calls if name == "pass"]
+            if path is _RingSide:
+                assert names == ["err_sq"] * 4 + ["h_sq"] and not passes and not syntheses
+                continue
+            assert names == ["err_sq"] * 2 + ["h_sq"] + ["pass"] * 3
+            j, k = passes[-1]
+            assert passes == [(j,), (j,), (j, k)]
+            expected = [block for sides in passes for block in _blocks(p.grid, slice(
+                min(s.rings.start for s in sides), max(s.rings.stop for s in sides)))]
             assert syntheses == expected
             assert all(hi - lo <= max(1, _BLOCK_NODES // p.grid.angular_count)
                        for lo, hi in syntheses)
-        assert len(syntheses) == 16 and {hi - lo for lo, hi in syntheses} == {32}
+        assert len(syntheses) == 12 and {hi - lo for lo, hi in syntheses} == {32}
 
     def test_matches_two_eigh_reference(self, saturated_family, sector_mask_64):
         # the same core over dense forms of basis_matrix, whitened by eigh of the full-disc form
@@ -949,9 +982,8 @@ class TestParsevalSides:
             assert np.array_equal(lead.r_k, core.r_k[:9])
             assert np.array_equal(lead.r_j, core.r_j[:9])
             width = lead.whiten.shape[1]
-            for _ in range(3):
-                y = rng.standard_normal(width) + 1j * rng.standard_normal(width)
-                c, err_j = lead._measure(y)
+            for mu in (0.0, 0.4, 9.0):
+                c, err_j = lead._measure(mu)
                 values = basis._synthesis(np.concatenate((c, np.zeros(8))))
                 grid_sum = np.sqrt(np.sum(w_j * np.abs(values - h) ** 2))
                 scale = np.sqrt(h_sq) + np.sqrt(np.sum(w_j * np.abs(values) ** 2))
@@ -964,12 +996,12 @@ class TestParsevalSides:
             core = ConstrainedLSQ(basis, k, k.complement(), h, h)
             assert {type(side) for side in core._sides.values()} == {_GridSide}
 
-    @pytest.mark.parametrize("index, count", [(0, 0), (1, 4)])  # a disc K, a sector K
+    @pytest.mark.parametrize("index, count", [(0, 0), (1, 3)])  # a disc K, a sector K
     def test_radial_solve_synthesizes_nothing(self, saturated_family, monkeypatch, index,
                                               count):
-        # a disc K takes no synthesis; a sector K the J-fit, the mu = 0 fit and the
-        # end point on J and err_K on K, each one block of the 24 rings its side
-        # spans.  The degree diagnostic's takes none on either
+        # a disc K takes no synthesis; a sector K the J-fit and the mu = 0 fit on J,
+        # then the end point on J and K together, each one block of the 24 rings the
+        # sides span.  The degree diagnostic's takes none on either
         calls = _record_syntheses(monkeypatch)
         sol = solve_bep(saturated_family[index])
         assert sol.saturated and sol.degree_gap is not None
@@ -1209,6 +1241,59 @@ class TestNewtonSearch:
         for p in saturated_family + sector_mask_64:
             assert solve_bep(p, degree_diagnostic=False).iterations <= 15
 
+    @staticmethod
+    def _complex_form_err(core, mu):
+        """err_J(mu) and its slope from the complex whitened solution y(mu) and y'(mu),
+        over the directions whose d = (1 - tau) + mu tau is above rounding level."""
+        t = core.taus
+        d = (1.0 - t) + mu * t
+        keep = d > 1e-12 * max(1.0, d.max())
+        dd = np.where(keep, d, 1.0)
+        y = np.where(keep, (core.bt_k + mu * core.bt_j) / dd, 0.0)
+        dy = np.where(keep, ((1.0 - t) * core.bt_j - t * core.bt_k) / dd**2, 0.0)
+        e2 = core._h_j_sq - 2.0 * np.vdot(y, core.bt_j).real + np.sum(t * np.abs(y) ** 2)
+        return np.sqrt(max(e2, 0.0)), -2.0 * np.sum(d * np.abs(dy) ** 2)
+
+    @pytest.mark.parametrize("kind", ["disc", "sector", "mask", "fbep"])
+    def test_real_terms_match_the_complex_solution(self, grid_24_96, kind):
+        # the search's err_J and slope from the real secular terms equal those of the
+        # complex y(mu), y'(mu) across the whole range of mu, on the problem's core
+        # and on the degree diagnostic's leading core (worst seen 4e-16 and 9e-16),
+        # and so does the leading core's forms-only feasibility distance
+        if kind == "fbep":
+            f = Conductivity.exp_x(grid_24_96, 0.8)
+            p = _region_problem(grid_24_96, "sector", 12)
+            core = ConstrainedLSQ.from_problem(p, build_fbep_space(f, 12))
+            cores = [core]
+        else:
+            core = ConstrainedLSQ.from_problem(_region_problem(grid_24_96, kind, 16))
+            cores = [core, core.leading(13)]
+        for core in cores:
+            for mu in (0.0, 1e-13, 1e-9, 1e-3, 1.0, 2.0, 1e3, 1e12, 1e13):
+                e, slope = core._form_err(mu)
+                e_ref, slope_ref = self._complex_form_err(core, mu)
+                assert abs(e - e_ref) <= 1e-13 * e_ref
+                assert slope < 0.0 and abs(slope - slope_ref) <= 1e-13 * abs(slope_ref)
+        lead = cores[-1]
+        fit = lead.taus > 1e-12 * lead.taus.max()
+        y = np.where(fit, lead.bt_j / np.where(fit, lead.taus, 1.0), 0.0)
+        e2 = lead._h_j_sq - 2.0 * np.vdot(y, lead.bt_j).real + np.sum(lead.taus * np.abs(y) ** 2)
+        assert abs(_FormCore.feasibility(lead) - np.sqrt(e2)) <= 1e-13 * np.sqrt(e2)
+
+    def test_form_err_divides_by_no_zero(self, grid_24_96):
+        # a direction with d = 0 exactly (tau = 1 at mu = 0) is left out by the mask,
+        # with no division: no warning under -W error, and the value is finite
+        core = ConstrainedLSQ.from_problem(_region_problem(grid_24_96, "sector", 16))
+        core.taus = core.taus.copy()
+        core.taus[-1] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e, slope = core._form_err(0.0)
+            c = core.coeffs(0.0)
+        assert np.isfinite(e) and np.isfinite(slope) and np.all(np.isfinite(c))
+        e_ref, slope_ref = self._complex_form_err(core, 0.0)
+        assert abs(e - e_ref) <= 1e-13 * e_ref and abs(slope - slope_ref) <= 1e-13 * -slope_ref
+
     @pytest.mark.parametrize("bad", ["nan", "wrong_sign"])
     def test_safeguard_without_a_usable_slope(self, saturated_family, monkeypatch, bad):
         expected = [solve_bep(p, degree_diagnostic=False) for p in saturated_family]
@@ -1284,12 +1369,13 @@ class TestNewtonSearch:
 
     def test_solution_errors_measured_from_the_coefficients(self, saturated_family,
                                                              monkeypatch):
-        # a sector K, saturated: err_J of the J-fit, the mu = 0 fit and the end point,
-        # then err_K; inactive: the first two, then err_K.  Each is measured from the
-        # coefficients, one block of the 24 rings per measurement.  A disc K measures
-        # by Parseval on the rings and synthesizes nothing.
+        # a sector K, saturated: err_J of the J-fit and the mu = 0 fit, then err_J and
+        # err_K of the end point from one synthesis; inactive: the first two, then
+        # err_K.  Each is measured from the coefficients, one block of the 24 rings per
+        # measurement, and equals the side's own measurement bit for bit.  A disc K
+        # measures by Parseval on the rings and synthesizes nothing.
         calls = _record_syntheses(monkeypatch)
-        for p, counts in ((saturated_family[1], (4, 3)), (saturated_family[0], (0, 0))):
+        for p, counts in ((saturated_family[1], (3, 3)), (saturated_family[0], (0, 0))):
             inactive = BepProblem(p.k_region, p.j_region, p.h_k, p.h_j, 1e6, p.degree)
             for problem, count in zip((p, inactive), counts):
                 calls.clear()

@@ -591,6 +591,26 @@ class TestCli:
             rows.append(f"{m!r},{sol.lam!r},{sol.err_k!r}")
         assert out.read_text().splitlines() == rows
 
+    def test_sector_sweep_rows_are_fresh_solves(self, tmp_path):
+        # one core serves every level, and on a sector K each saturated end point
+        # measures err_J and err_K from one synthesis: every row is the lambda and
+        # err_K of a fresh solve_bep at its level, bit for bit, in any order of levels
+        doc = load_json(BEP_FIXTURE)
+        doc["region_k"] = {"variant": "sector", "theta": 1.2, "complement": False}
+        path = tmp_path / "sector.json"
+        path.write_text(dumps_canonical(doc))
+        out = tmp_path / "sweep.csv"
+        levels = (0.2, 0.05, 2.0, 0.5, 0.1)  # 2.0 is inactive
+        argv = ["lambda-sweep", "--problem", str(path), "--out", str(out)]
+        assert main(argv + ["--m-values", ",".join(map(repr, levels))]) == 0
+        rows = ["m,lambda,err_k"]
+        for m in levels:
+            problem = problem_from_dict(dict(doc, m=m))
+            sol = solve_bep(problem)
+            assert sol.saturated == (m != 2.0)
+            rows.append(f"{m!r},{sol.lam!r},{sol.err_k!r}")
+        assert out.read_text().splitlines() == rows
+
     def test_grid_spec_file_matches_builtin(self, tmp_path):
         # h_K and h_J as grid specs of their node values: the same bytes out
         doc = load_json(BEP_FIXTURE)
